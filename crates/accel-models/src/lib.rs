@@ -11,10 +11,8 @@
 //! The figures of merit are taken from the publications cited by the paper
 //! and are intentionally kept as plain data so they can be adjusted.
 
-use serde::{Deserialize, Serialize};
-
 /// A neuromorphic accelerator's published figures of merit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AcceleratorSpec {
     /// Chip name.
     pub name: String,
@@ -106,7 +104,7 @@ impl AcceleratorSpec {
 }
 
 /// Predicted latency and energy of an accelerator on a workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AcceleratorResult {
     /// Chip name.
     pub name: String,

@@ -6,10 +6,8 @@
 //! interconnect, an 8 KiB shared L1 instruction cache, a 512-bit DMA data
 //! path to global memory, and a 1 GHz clock in GlobalFoundries 12LP+.
 
-use serde::{Deserialize, Serialize};
-
 /// Static configuration of a simulated Snitch cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
     /// Number of compute (worker) cores with FPU and SSRs.
     pub worker_cores: usize,

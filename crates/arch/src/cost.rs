@@ -9,12 +9,10 @@
 //! with a configurable issue interval so that the streamed SpVA can sustain
 //! one accumulate per cycle as in the paper's near-ideal regions.
 
-use serde::{Deserialize, Serialize};
-
 use crate::isa::{FpOp, IntOp};
 
 /// Cycle costs of individual operations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     /// Cycles for a simple integer ALU operation.
     pub int_alu: u64,

@@ -11,13 +11,11 @@
 //! storage format, which mirrors how narrow formats behave inside an FPU
 //! with a wider internal datapath.
 
-use serde::{Deserialize, Serialize};
-
 /// Width of the FPU datapath in bits (one physical FP register).
 pub const FPU_DATAPATH_BITS: u32 = 64;
 
 /// A floating-point storage format supported by the SIMD FPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum FpFormat {
     /// IEEE 754 binary64 (one lane per register).
     Fp64,
@@ -248,7 +246,7 @@ pub fn f8_to_f32(bits: u8) -> f32 {
 /// Lane values are kept as `f32` for convenience; every arithmetic helper
 /// re-quantizes its result to the storage format so narrow-format rounding
 /// behaviour is preserved.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimdVector {
     format: FpFormat,
     lanes: Vec<f32>,

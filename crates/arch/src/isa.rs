@@ -12,8 +12,6 @@
 //! and therefore their timing differs), so trace operations carry memory
 //! *addresses* — needed for bank-conflict and DMA modelling — but not data.
 
-use serde::{Deserialize, Serialize};
-
 use crate::fp::FpFormat;
 
 /// Identifier of one of the three stream semantic registers of a worker core.
@@ -21,7 +19,7 @@ use crate::fp::FpFormat;
 /// `Ssr0` and `Ssr1` support indirect (gather) streams in addition to affine
 /// streams; `Ssr2` is affine-only, mirroring the sparse-SSR extension used by
 /// the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SsrId {
     /// Stream register 0 (affine + indirect capable).
     Ssr0,
@@ -48,7 +46,7 @@ impl SsrId {
 }
 
 /// Integer-pipeline operation kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IntOp {
     /// Simple ALU operation (add, shift, logic, compare).
     Alu,
@@ -69,7 +67,7 @@ pub enum IntOp {
 }
 
 /// Floating-point operation kinds executed by the (SIMD) FPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FpOp {
     /// Lane-wise addition (the SpVA accumulate).
     Add,
@@ -90,7 +88,7 @@ pub enum FpOp {
 }
 
 /// Address-generation pattern of a stream semantic register.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum StreamPattern {
     /// Up-to-4D affine stream: `addr = base + Σ idx_d * stride_d`.
     Affine {
@@ -171,7 +169,7 @@ impl StreamPattern {
 }
 
 /// One operation of a dynamic trace executed by a worker core.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TraceOp {
     /// An integer-pipeline operation. `addr` carries the byte address of a
     /// load/store/AMO (for bank-conflict accounting) and is `None` otherwise.

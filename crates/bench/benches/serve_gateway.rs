@@ -16,13 +16,12 @@
 //!   (paused submit + resume pins the composition): one micro-batched
 //!   dispatch serves all 64.
 //!
-//! The measurable contract of dynamic micro-batching is
-//! coalesced >= 1.5x over uncoalesced: coalescing amortizes the
-//! per-dispatch wakeup/handoff cost across the whole batch, which is the
-//! win a serving front end actually controls. Coalesced vs. `direct` is
-//! expected to land near parity (the gateway adds one round trip per
-//! *batch*); `tests/gateway.rs` pins that the bytes are identical either
-//! way.
+//! Coalescing amortizes the per-dispatch wakeup/handoff cost across the
+//! whole batch; coalesced vs. `direct` shows what the gateway adds per
+//! *batch*. This local sweep asserts no ratio: the recorded figure is the
+//! repository benchmark's `gateway.overhead_ratio` (`perfbench` workload
+//! `gateway-hot`). `tests/gateway.rs` pins that the bytes are identical
+//! either way.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use spikestream::{

@@ -22,11 +22,9 @@
 //!   for validation.
 //!
 //! Third-party backends (accelerator models, event-driven simulators, …)
-//! implement the same trait and either bind into a plan at compile time
-//! ([`Compiler::with_backend`](crate::Compiler::with_backend)) or serve
-//! individual requests through
-//! [`Session::infer_with_backend`](crate::Session::infer_with_backend) —
-//! no engine changes either way.
+//! implement the same trait and bind into a plan at compile time
+//! ([`Compiler::with_backend`](crate::Compiler::with_backend)) — no engine
+//! changes.
 
 mod analytic;
 mod cycle;
@@ -214,9 +212,8 @@ pub trait ExecutionBackend: Send + Sync {
     /// [`ExecutionBackend::run_sample`]) instead of allocating a fresh
     /// vector.
     ///
-    /// The sharded batch scheduler drives this entry point with a reused
-    /// per-worker scratch vector so its hot loop performs no per-sample
-    /// allocation; the built-in backends override the default
+    /// Callers that reuse one output vector across samples avoid a
+    /// per-sample allocation; the built-in backends override the default
     /// (`out.extend(self.run_sample(..))`) accordingly. The two entry
     /// points must produce identical samples.
     fn run_sample_into(&self, ctx: &SampleContext<'_>, sample: usize, out: &mut Vec<LayerSample>) {

@@ -1,32 +1,21 @@
 //! The inference engine: model container and compile-once entry point.
 //!
 //! [`Engine`] binds a network, a firing profile and the hardware and
-//! energy models. Since the serving redesign it has exactly one execution
-//! entry point: [`Engine::compile`] produces a [`Plan`] (validated config,
-//! plan-owned backend, ahead-of-time lowered program cache), and the
-//! plan's [`Session`](crate::Session)s serve requests. The historical
-//! per-call entry points — [`Engine::run`], [`Engine::run_with_backend`],
-//! [`Engine::run_sharded`], [`Engine::run_sequential`] — survive as thin
-//! deprecated wrappers over a one-shot session and produce bit-identical
-//! reports (the golden-JSON suite in `tests/serving_equivalence.rs` pins
-//! that against pre-redesign captures).
-
-use serde::{Deserialize, Serialize};
+//! energy models. It has exactly one execution entry point:
+//! [`Engine::compile`] produces a [`Plan`] (validated config, plan-owned
+//! backend, ahead-of-time lowered program cache), and the plan's
+//! [`Session`](crate::Session)s serve requests.
 
 use snitch_arch::fp::FpFormat;
 use snitch_arch::{ClusterConfig, CostModel};
 use spikestream_energy::EnergyModel;
-use spikestream_ir::CostIntegrator;
-use spikestream_kernels::{KernelVariant, LayerExecutor};
+use spikestream_kernels::KernelVariant;
 use spikestream_snn::{FiringProfile, Network, TemporalEncoding, WorkloadMode};
 
-use crate::backend::{ExecutionBackend, SampleContext};
 use crate::plan::{Compiler, Plan};
-use crate::report::InferenceReport;
-use crate::session::Request;
 
 /// Which timing model the engine uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimingModel {
     /// Closed-form layer model (fast; used for full-batch figure runs).
     Analytic,
@@ -36,7 +25,7 @@ pub enum TimingModel {
 }
 
 /// One inference configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InferenceConfig {
     /// Code variant to run.
     pub variant: KernelVariant,
@@ -103,10 +92,6 @@ pub struct Engine {
     cluster: ClusterConfig,
     cost: CostModel,
     energy: EnergyModel,
-    /// Shared cost integrator over `cluster` + `cost`, rebuilt whenever
-    /// either model is replaced; bare [`Engine::sample_context`]s borrow it
-    /// so even plan-less evaluation never clones the models per sample.
-    integrator: CostIntegrator,
 }
 
 impl Engine {
@@ -133,7 +118,6 @@ impl Engine {
             cluster: ClusterConfig::default(),
             cost: CostModel::default(),
             energy: EnergyModel::calibrated(),
-            integrator: CostIntegrator::new(ClusterConfig::default(), CostModel::default()),
         }
     }
 
@@ -160,7 +144,6 @@ impl Engine {
     /// Replace the cost model (used by the ablation experiments).
     pub fn with_cost_model(mut self, cost: CostModel) -> Self {
         self.cost = cost;
-        self.integrator = CostIntegrator::new(self.cluster.clone(), self.cost.clone());
         self
     }
 
@@ -193,91 +176,13 @@ impl Engine {
     pub fn compile(&self, config: &InferenceConfig) -> Plan {
         self.compiler().compile(*config).expect("engine configuration must compile")
     }
-
-    /// The shared per-sample evaluation context for `config` (outside any
-    /// plan: no program cache is attached).
-    pub fn sample_context<'a>(&'a self, config: &'a InferenceConfig) -> SampleContext<'a> {
-        SampleContext {
-            network: &self.network,
-            profile: &self.profile,
-            cluster: &self.cluster,
-            cost: &self.cost,
-            energy: &self.energy,
-            config,
-            programs: None,
-            integrator: &self.integrator,
-            executor: LayerExecutor::new(config.variant, config.format),
-        }
-    }
-
-    /// The historical entry points tolerated `batch: 0` by clamping it to
-    /// one sample; the strict [`Engine::compile`] rejects it. The wrappers
-    /// keep the old behavior so their reports stay bit-identical.
-    fn legacy_config(config: &InferenceConfig) -> InferenceConfig {
-        InferenceConfig { batch: config.batch.max(1), ..*config }
-    }
-
-    /// Run the network under `config` and return the averaged report.
-    #[deprecated(
-        since = "0.2.0",
-        note = "compile once and serve: `engine.compile(config).run()` (or open a Session)"
-    )]
-    pub fn run(&self, config: &InferenceConfig) -> InferenceReport {
-        self.compile(&Self::legacy_config(config)).run()
-    }
-
-    /// Run the network through an explicit, caller-borrowed backend.
-    #[deprecated(
-        since = "0.2.0",
-        note = "bind the backend into a plan (`Compiler::with_backend`) or use \
-                `Session::infer_with_backend`"
-    )]
-    pub fn run_with_backend(
-        &self,
-        backend: &dyn ExecutionBackend,
-        config: &InferenceConfig,
-    ) -> InferenceReport {
-        self.compile(&Self::legacy_config(config))
-            .open_session()
-            .infer_with_backend(backend, &Request::batch(config.batch))
-    }
-
-    /// Run the network on a fleet of `shards` simulated clusters.
-    #[deprecated(
-        since = "0.2.0",
-        note = "serve a sharded request: `session.infer(&Request::batch(n).with_shards(s))`"
-    )]
-    pub fn run_sharded(
-        &self,
-        backend: &dyn ExecutionBackend,
-        config: &InferenceConfig,
-        shards: usize,
-    ) -> InferenceReport {
-        self.compile(&Self::legacy_config(config))
-            .open_session()
-            .infer_with_backend(backend, &Request::batch(config.batch).with_shards(shards))
-    }
-
-    /// Single-threaded reference run; bit-identical to the parallel paths.
-    #[deprecated(
-        since = "0.2.0",
-        note = "serve a sequential request: `session.infer(&Request::batch(n).sequential())`"
-    )]
-    pub fn run_sequential(
-        &self,
-        backend: &dyn ExecutionBackend,
-        config: &InferenceConfig,
-    ) -> InferenceReport {
-        self.compile(&Self::legacy_config(config))
-            .open_session()
-            .infer_with_backend(backend, &Request::batch(config.batch).sequential())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{AnalyticBackend, CycleLevelBackend};
+    use crate::backend::AnalyticBackend;
+    use crate::report::InferenceReport;
     use crate::session::Request;
 
     fn analytic(variant: KernelVariant, format: FpFormat) -> InferenceReport {
@@ -358,10 +263,13 @@ mod tests {
             seed: 5,
             mode: WorkloadMode::Synthetic,
         };
-        let plan = engine.compile(&config);
-        let implicit = plan.run();
-        let explicit =
-            plan.open_session().infer_with_backend(&AnalyticBackend, &Request::batch(config.batch));
+        let implicit = engine.compile(&config).run();
+        let explicit = engine
+            .compiler()
+            .with_backend(Box::new(AnalyticBackend))
+            .compile(config)
+            .unwrap()
+            .run();
         assert_eq!(implicit, explicit);
     }
 
@@ -508,7 +416,7 @@ mod tests {
         let again = engine
             .compile(&cfg(KernelVariant::Baseline))
             .open_session()
-            .infer_with_backend(&CycleLevelBackend, &Request::batch(1).sequential());
+            .infer(&Request::batch(1).sequential());
         assert_eq!(base, again);
     }
 

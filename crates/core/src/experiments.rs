@@ -4,10 +4,10 @@
 //! `figures` binary and the integration tests can all consume the same
 //! results. The mapping to the paper is documented per function; how the
 //! experiments flow through the execution-backend layer is described in
-//! ARCHITECTURE.md. Every driver runs through [`Engine::run`], i.e. batch
-//! samples execute in parallel on the analytic backend.
-
-use serde::{Deserialize, Serialize};
+//! ARCHITECTURE.md. Every driver compiles a [`Plan`](crate::Plan) with
+//! [`Engine::compile`] and serves its full batch through
+//! [`Plan::run`](crate::Plan::run), i.e. batch samples execute in parallel
+//! on the analytic backend.
 
 use neuro_accel_models::AcceleratorSpec;
 use snitch_arch::fp::FpFormat;
@@ -21,7 +21,7 @@ use crate::report::InferenceReport;
 pub const PAPER_BATCH: usize = 128;
 
 /// One row of Fig. 3a: per-layer ifmap memory footprint and firing rate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FootprintRow {
     /// Layer name.
     pub layer: String,
@@ -45,7 +45,7 @@ impl FootprintRow {
 }
 
 /// One row of Fig. 3b: per-layer FPU utilization and IPC for both variants.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UtilizationRow {
     /// Layer name.
     pub layer: String,
@@ -60,7 +60,7 @@ pub struct UtilizationRow {
 }
 
 /// One row of Fig. 3c: per-layer speedups.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpeedupRow {
     /// Layer name.
     pub layer: String,
@@ -71,7 +71,7 @@ pub struct SpeedupRow {
 }
 
 /// One row of Fig. 4: per-layer energy and power for the three kernels.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyRow {
     /// Layer name.
     pub layer: String,
@@ -91,7 +91,7 @@ pub struct EnergyRow {
 
 /// One row of Fig. 5: a platform's latency and energy on the 6th layer of
 /// S-VGG11 over 500 timesteps.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AcceleratorRow {
     /// Platform name.
     pub name: String,
@@ -106,7 +106,7 @@ pub struct AcceleratorRow {
 }
 
 /// Headline end-to-end numbers quoted in the abstract and Section IV.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HeadlineNumbers {
     /// SpikeStream FP16 speedup over the FP16 baseline.
     pub speedup_fp16: f64,
@@ -124,7 +124,7 @@ pub struct HeadlineNumbers {
 
 /// One row of the optimization ablation (our addition, motivated by the
 /// incremental presentation of Section III).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AblationRow {
     /// Configuration label.
     pub name: String,

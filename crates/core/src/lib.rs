@@ -34,8 +34,7 @@
 //!   into an [`InferenceReport`]);
 //! * [`backend`] is the pluggable execution layer: the analytic and
 //!   cycle-level timing models are [`ExecutionBackend`] implementations,
-//!   and custom backends bind via [`Compiler::with_backend`] or serve via
-//!   [`Session::infer_with_backend`];
+//!   and custom backends bind into a plan via [`Compiler::with_backend`];
 //! * [`sharding`] is the fleet layer: a request with
 //!   [`Request::with_shards`] attributes its samples to N simulated
 //!   cluster shards with per-shard utilization/imbalance statistics in the
@@ -43,10 +42,6 @@
 //! * [`scenario`] parses the declarative scenario files driving the
 //!   `spikestream` CLI (`run` / `bench` / `compare`);
 //! * [`experiments`] regenerates every figure of the paper's evaluation.
-//!
-//! The historical per-call entry points (`Engine::run`,
-//! `Engine::run_sharded`, …) remain as deprecated wrappers over a one-shot
-//! session and produce bit-identical reports.
 //!
 //! # Quickstart
 //!
@@ -115,7 +110,7 @@ pub use pool::PoolStats;
 pub use report::{InferenceReport, LayerReport, ShardSummary, ShardUtilization, TimestepReport};
 pub use scenario::{NetworkChoice, Scenario, ScenarioError, ServeSettings};
 pub use session::{FnSink, Request, ResultSink, Session, SessionStats, SessionStatsHandle};
-pub use sharding::{attribute_shards, BatchScheduler, ShardedBatch};
+pub use sharding::attribute_shards;
 
 // Re-export the vocabulary types users need to drive the engine.
 pub use neuro_accel_models::{AcceleratorResult, AcceleratorSpec};

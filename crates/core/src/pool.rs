@@ -1,12 +1,8 @@
 //! The persistent, parked worker pool behind [`Session`](crate::Session)
 //! serving.
 //!
-//! Before this module existed, every multi-worker request paid OS thread
-//! spawn/join inside the scoped chunk-stealing executor
-//! (`sharding::steal_chunks`). At the compile-once/serve-forever scale —
-//! repeated 512-sample requests complete in tens of microseconds — that
-//! churn had become the dominant serving cost. A [`WorkerPool`] removes it:
-//! N-1 OS threads are created once, lazily, on the first request that
+//! A [`WorkerPool`] keeps OS thread spawn/join off the serving path: N-1
+//! OS threads are created once, lazily, on the first request that
 //! clamps to more than one worker, and *parked* on a condvar between
 //! requests. Dispatching a request is one mutex lock, an epoch bump and a
 //! `notify_all`; the calling thread itself serves worker slot 0, so the
@@ -166,12 +162,10 @@ impl WorkerPool {
 
     /// Run the chunk-stealing claim loop over worker slots `0..workers`:
     /// every slot claims chunk indices `0..chunks` from a shared atomic
-    /// cursor and runs `work(slot, chunk)` for each claim — the same loop
-    /// shape as the legacy scoped executor (`sharding::steal_chunks`),
-    /// minus the per-request thread spawn/join. Slot 0 runs on the calling
-    /// thread; slots `1..workers` run on parked pool threads, spawned on
-    /// first use and reused for every later request (growing if a later
-    /// request clamps to more workers).
+    /// cursor and runs `work(slot, chunk)` for each claim. Slot 0 runs on
+    /// the calling thread; slots `1..workers` run on parked pool threads,
+    /// spawned on first use and reused for every later request (growing if
+    /// a later request clamps to more workers).
     ///
     /// Blocks until every slot has drained the cursor. If any slot
     /// panics, the remaining slots finish (or panic in turn on shared

@@ -6,11 +6,9 @@
 //! `InferenceReport::fold_batch` collapses the flat sample-major
 //! measurement buffer into batch-averaged
 //! layer (and, for temporal runs, per-timestep) statistics. Every
-//! execution path — streaming sinks, one-shot sessions, the deprecated
-//! `Engine::run*` wrappers — funnels through this one fold, which is what
-//! keeps their reports bit-identical.
-
-use serde::{Deserialize, Serialize};
+//! execution path — streaming sinks, one-shot sessions, the gateway's
+//! per-request demux — funnels through this one fold, which is what keeps
+//! their reports bit-identical.
 
 use snitch_arch::fp::FpFormat;
 use spikestream_kernels::KernelVariant;
@@ -20,7 +18,7 @@ use crate::backend::LayerSample;
 use crate::engine::InferenceConfig;
 
 /// Statistics of one network layer, averaged over the evaluated batch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerReport {
     /// Layer name (e.g. `conv3`).
     pub name: String,
@@ -52,7 +50,7 @@ pub struct LayerReport {
 
 /// Batch-averaged statistics of one timestep of a temporal run: the
 /// emergent per-step activity the synthetic single-shot path cannot show.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimestepReport {
     /// Timestep index (0-based).
     pub step: usize,
@@ -71,7 +69,7 @@ pub struct TimestepReport {
 }
 
 /// Occupancy statistics of one cluster shard in a sharded batch run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardUtilization {
     /// Shard id (position in the fleet).
     pub shard: usize,
@@ -83,13 +81,13 @@ pub struct ShardUtilization {
     pub utilization: f64,
 }
 
-/// Fleet-level statistics of a sharded batch run
-/// ([`Engine::run_sharded`](crate::Engine::run_sharded)).
+/// Fleet-level statistics of a sharded request
+/// ([`Request::with_shards`](crate::Request::with_shards)).
 ///
 /// The shard assignment is a deterministic function of the per-sample
 /// cycle counts (least-loaded stealing in simulated time), so these
 /// statistics are as reproducible as the aggregate report itself.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardSummary {
     /// Per-shard occupancy, indexed by shard id.
     pub shards: Vec<ShardUtilization>,
@@ -104,7 +102,7 @@ pub struct ShardSummary {
 }
 
 /// End-to-end inference report for one configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InferenceReport {
     /// Network name.
     pub network: String,

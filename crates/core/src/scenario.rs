@@ -74,7 +74,6 @@ use spikestream_snn::{
 
 use crate::engine::{Engine, InferenceConfig, TimingModel};
 use crate::plan::{Compiler, Plan};
-use crate::report::InferenceReport;
 use crate::session::Request;
 
 /// The networks a scenario can name.
@@ -530,34 +529,6 @@ impl Scenario {
     /// attribution included.
     pub fn request(&self) -> Request {
         Request::batch(self.config.batch).with_shards(self.shards)
-    }
-
-    /// Run the scenario through the sharded batch driver and return the
-    /// report (with fleet statistics).
-    #[deprecated(
-        since = "0.2.0",
-        note = "compile once and serve: `scenario.compile()?.open_session().infer(&scenario.request())`"
-    )]
-    pub fn run(&self) -> InferenceReport {
-        // Historical tolerance: a zero batch ran as one sample.
-        let mut legacy = self.clone();
-        legacy.config.batch = legacy.config.batch.max(1);
-        let plan = legacy.compile().expect("scenario must compile");
-        plan.open_session().infer(&legacy.request())
-    }
-
-    /// Run the scenario through the single-threaded reference path (no
-    /// fleet statistics); bit-identical in all aggregate fields to
-    /// [`Scenario::run`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "serve a sequential request: `session.infer(&Request::batch(n).sequential())`"
-    )]
-    pub fn run_sequential(&self) -> InferenceReport {
-        let mut legacy = self.clone();
-        legacy.config.batch = legacy.config.batch.max(1);
-        let plan = legacy.compile().expect("scenario must compile");
-        plan.open_session().infer(&Request::batch(legacy.config.batch).sequential())
     }
 }
 

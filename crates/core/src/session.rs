@@ -12,9 +12,7 @@
 //! Results *stream*: every completed sample is handed to a caller-supplied
 //! [`ResultSink`] as soon as its worker finishes it, instead of
 //! materializing one monolithic report. [`InferenceReport`] is literally a
-//! fold over that stream — [`Session::infer`] plugs in the folding sink
-//! and returns the same bit-identical report the legacy `Engine::run*`
-//! entry points produced (they are thin wrappers over exactly this path).
+//! fold over that stream — [`Session::infer`] plugs in the folding sink.
 //!
 //! Determinism: samples are seeded independently and land in their own
 //! slot of the fold, so the report is independent of worker scheduling.
@@ -26,7 +24,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::backend::{ExecutionBackend, LayerSample, WorkerArena};
+use crate::backend::{LayerSample, WorkerArena};
 use crate::plan::Plan;
 use crate::pool::{PoolStats, WorkerPool};
 use crate::report::{InferenceReport, ShardSummary};
@@ -108,7 +106,7 @@ impl Request {
 pub trait ResultSink: Send {
     /// One completed batch sample: `layers` holds one [`LayerSample`] per
     /// network layer per timestep, step-major — exactly the layout of
-    /// [`ExecutionBackend::run_sample`].
+    /// [`ExecutionBackend::run_sample`](crate::ExecutionBackend::run_sample).
     fn on_sample(&mut self, sample: usize, layers: &[LayerSample]);
 
     /// One completed sample with its *position* in the request: `slot` is
@@ -140,7 +138,7 @@ impl<F: FnMut(usize, &[LayerSample]) + Send> ResultSink for FnSink<F> {
 
 /// The folding sink behind [`Session::infer`]: collects every sample into
 /// its slot of one flat buffer (so the fold is independent of arrival
-/// order) and folds the buffer into an [`InferenceReport`] — the legacy
+/// order) and folds the buffer into an [`InferenceReport`] — the
 /// monolithic report is this fold, nothing more.
 struct ReportSink<'a> {
     units: usize,
@@ -214,7 +212,6 @@ pub struct Session<'p> {
     pool: WorkerPool,
     workers: usize,
     chunk: usize,
-    spawn_per_request: bool,
     flat: Vec<LayerSample>,
     cycles: Vec<f64>,
     mirror: SessionStatsHandle,
@@ -229,7 +226,6 @@ impl<'p> Session<'p> {
             pool: WorkerPool::new(),
             workers: host,
             chunk: 4,
-            spawn_per_request: false,
             flat: Vec::new(),
             cycles: Vec::new(),
             mirror: SessionStatsHandle::default(),
@@ -254,25 +250,6 @@ impl<'p> Session<'p> {
         self
     }
 
-    /// Route multi-worker requests through the legacy spawn-per-request
-    /// scoped executor instead of the session's parked [`WorkerPool`].
-    ///
-    /// This exists as the measurable baseline for the `serve_latency`
-    /// bench (the thread-churn cost the pool exists to remove) and for
-    /// A/B debugging; serving should always use the default pooled path.
-    /// Results are bit-identical either way.
-    pub fn with_spawn_per_request(mut self, spawn: bool) -> Self {
-        self.spawn_per_request = spawn;
-        self
-    }
-
-    /// Total samples evaluated and arena-buffer growth events across this
-    /// session's worker arenas — the observable "no allocation on the
-    /// serving steady state" counters.
-    pub fn arena_stats(&self) -> (u64, u64) {
-        self.arenas.iter().fold((0, 0), |(r, g), a| (r + a.runs(), g + a.grows()))
-    }
-
     /// Steady-state counters of this session: arena reuse (samples run,
     /// buffer growths) plus the worker-pool counters (`spawned` threads,
     /// `wakeups`, `steals`, `park_ns`). After warm-up, `grows` and
@@ -295,7 +272,8 @@ impl<'p> Session<'p> {
     /// assert_eq!(session.stats().pool.spawned, warm.pool.spawned);
     /// ```
     pub fn stats(&self) -> SessionStats {
-        let (runs, grows) = self.arena_stats();
+        let (runs, grows) =
+            self.arenas.iter().fold((0, 0), |(r, g), a| (r + a.runs(), g + a.grows()));
         SessionStats { runs, grows, pool: self.pool.stats() }
     }
 
@@ -313,12 +291,6 @@ impl<'p> Session<'p> {
         self.mirror.clone()
     }
 
-    /// The mirror snapshot behind [`Session::stats_handle`]: identical to
-    /// [`Session::stats`] between requests, and never blocks.
-    pub fn stats_snapshot(&self) -> SessionStats {
-        self.mirror.snapshot()
-    }
-
     /// Store the current counters into the atomic mirror the stats
     /// handles read. Called at the end of every serving call.
     fn publish_stats(&self) {
@@ -327,12 +299,12 @@ impl<'p> Session<'p> {
 
     /// Serve `request`, streaming every completed sample into `sink`.
     pub fn run(&mut self, request: &Request, sink: &mut dyn ResultSink) {
-        self.run_with_backend(self.plan.backend(), request, sink)
+        self.serve(request, SampleIds::Range(request.samples.clone()), sink)
     }
 
     /// Serve `request` and fold the stream into an [`InferenceReport`].
     pub fn infer(&mut self, request: &Request) -> InferenceReport {
-        self.infer_with_backend(self.plan.backend(), request)
+        self.fold(request, SampleIds::Range(request.samples.clone()))
     }
 
     /// Serve an explicit — possibly non-contiguous, possibly repeating —
@@ -349,38 +321,21 @@ impl<'p> Session<'p> {
     /// through [`Session::run`] — samples are independently seeded, so
     /// batch composition can never change a result.
     pub fn run_gather(&mut self, request: &Request, samples: &[usize], sink: &mut dyn ResultSink) {
-        self.serve(self.plan.backend(), request, SampleIds::List(samples), sink)
+        self.serve(request, SampleIds::List(samples), sink)
     }
 
     /// [`Session::run_gather`] folded into an [`InferenceReport`] over the
     /// listed samples (in list order) — the report a bare session would
     /// produce for an equivalent range request.
     pub fn infer_gather(&mut self, request: &Request, samples: &[usize]) -> InferenceReport {
-        self.fold(self.plan.backend(), request, SampleIds::List(samples))
-    }
-
-    /// [`Session::run`] with an explicit, caller-borrowed backend — the
-    /// serving path for third-party backends that are not bound into the
-    /// plan (see [`Compiler::with_backend`](crate::Compiler::with_backend)
-    /// for the owned alternative).
-    pub fn run_with_backend(
-        &mut self,
-        backend: &dyn ExecutionBackend,
-        request: &Request,
-        sink: &mut dyn ResultSink,
-    ) {
-        self.serve(backend, request, SampleIds::Range(request.samples.clone()), sink)
+        self.fold(request, SampleIds::List(samples))
     }
 
     /// The one serving loop behind every entry point: evaluate the sample
-    /// at each position of `ids` and stream results into `sink`.
-    fn serve(
-        &mut self,
-        backend: &dyn ExecutionBackend,
-        request: &Request,
-        ids: SampleIds<'_>,
-        sink: &mut dyn ResultSink,
-    ) {
+    /// at each position of `ids` through the plan's bound backend and
+    /// stream results into `sink`.
+    fn serve(&mut self, request: &Request, ids: SampleIds<'_>, sink: &mut dyn ResultSink) {
+        let backend = self.plan.backend();
         let config = self.plan.effective_config(request);
         let batch = ids.len();
 
@@ -411,13 +366,19 @@ impl<'p> Session<'p> {
             // worker pool; results stream through one serialized sink
             // handle as they complete. Delivery is a per-sample critical
             // section — a small copy for the folding sink, cheap next to
-            // evaluating the sample; sinks needing lock-free delivery at
-            // scale can drive `BatchScheduler`'s disjoint-window scheme
-            // instead.
+            // evaluating the sample.
             let shared = Mutex::new((&mut *sink, self.cycles.as_mut_slice()));
             let chunk = self.chunk;
             let ids = &ids;
-            let run_chunk = |arena: &mut WorkerArena, w: usize| {
+            // Worker slot `s` owns arena `s` for the whole request, so
+            // per-worker kernel scratch and membrane buffers keep their
+            // locality across requests; the mutexes only hand the `&mut`
+            // arenas across the parked threads and are each locked once,
+            // by their own slot.
+            let slots: Vec<Mutex<&mut WorkerArena>> =
+                self.arenas[..workers].iter_mut().map(Mutex::new).collect();
+            self.pool.run_stealing(workers, chunks, |slot, w| {
+                let arena = &mut *slots[slot].lock().expect("arena slot poisoned");
                 let start = w * chunk;
                 let end = (start + chunk).min(batch);
                 for i in start..end {
@@ -429,52 +390,20 @@ impl<'p> Session<'p> {
                     cycle_slots[i] = cycles;
                     sink.on_slot(i, sample, layers);
                 }
-            };
-            if self.spawn_per_request {
-                // Benchmark baseline: the legacy scoped executor, paying
-                // thread spawn/join on every request.
-                crate::sharding::steal_chunks(chunks, &mut self.arenas[..workers], run_chunk);
-            } else {
-                // Worker slot `s` owns arena `s` for the whole request, so
-                // per-worker kernel scratch and membrane buffers keep
-                // their locality across requests exactly as before; the
-                // mutexes only hand the `&mut` arenas across the parked
-                // threads and are each locked once, by their own slot.
-                let slots: Vec<Mutex<&mut WorkerArena>> =
-                    self.arenas[..workers].iter_mut().map(Mutex::new).collect();
-                self.pool.run_stealing(workers, chunks, |slot, w| {
-                    let arena = &mut *slots[slot].lock().expect("arena slot poisoned");
-                    run_chunk(arena, w);
-                });
-            }
+            });
         }
 
         // Deterministic fleet attribution in simulated time: a pure
         // function of the per-sample cycle totals, identical no matter how
-        // the host threads raced (and identical to the legacy
-        // `run_sharded` batch scheduler).
+        // the host threads raced.
         if let Some(shards) = request.shards {
             sink.on_fleet(&attribute_shards(&self.cycles, shards));
         }
         self.publish_stats();
     }
 
-    /// [`Session::infer`] with an explicit backend.
-    pub fn infer_with_backend(
-        &mut self,
-        backend: &dyn ExecutionBackend,
-        request: &Request,
-    ) -> InferenceReport {
-        self.fold(backend, request, SampleIds::Range(request.samples.clone()))
-    }
-
     /// Serve `ids` and fold the stream into an [`InferenceReport`].
-    fn fold(
-        &mut self,
-        backend: &dyn ExecutionBackend,
-        request: &Request,
-        ids: SampleIds<'_>,
-    ) -> InferenceReport {
+    fn fold(&mut self, request: &Request, ids: SampleIds<'_>) -> InferenceReport {
         let config = self.plan.effective_config(request);
         let units = self.plan.network().len() * config.timesteps();
         let batch = ids.len();
@@ -483,7 +412,7 @@ impl<'p> Session<'p> {
         flat.clear();
         flat.resize(batch * units, LayerSample::default());
         let mut sink = ReportSink { units, flat: &mut flat, fleet: None };
-        self.serve(backend, request, ids, &mut sink);
+        self.serve(request, ids, &mut sink);
 
         let fleet = sink.fleet.take();
         let mut report = InferenceReport::fold_batch(
@@ -564,12 +493,12 @@ impl SessionStatsHandle {
 
 impl std::fmt::Debug for Session<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (runs, grows) = self.arena_stats();
+        let stats = self.stats();
         f.debug_struct("Session")
             .field("plan", &self.plan.network().name)
             .field("workers", &self.workers)
-            .field("arena_runs", &runs)
-            .field("arena_grows", &grows)
+            .field("arena_runs", &stats.runs)
+            .field("arena_grows", &stats.grows)
             .field("pool", &self.pool)
             .finish_non_exhaustive()
     }
@@ -657,13 +586,13 @@ mod tests {
         let plan = plan();
         let mut session = plan.open_session();
         session.infer(&Request::batch(12));
-        let (runs_warm, grows_warm) = session.arena_stats();
-        assert_eq!(runs_warm, 12);
+        let warm = session.stats();
+        assert_eq!(warm.runs, 12);
         for _ in 0..3 {
             session.infer(&Request::batch(12));
         }
-        let (runs, grows) = session.arena_stats();
-        assert_eq!(runs, 48);
-        assert_eq!(grows, grows_warm, "steady-state requests grow no arena buffer");
+        let steady = session.stats();
+        assert_eq!(steady.runs, 48);
+        assert_eq!(steady.grows, warm.grows, "steady-state requests grow no arena buffer");
     }
 }

@@ -1,41 +1,18 @@
-//! The sharded batch driver: many samples across many simulated clusters.
+//! Fleet attribution: many samples across many simulated clusters.
 //!
-//! [`BatchScheduler`] takes a batch of sample indices and an
-//! [`ExecutionBackend`] and produces (a) the per-sample layer measurements
-//! and (b) a deterministic assignment of every sample to one of N
-//! [`ClusterShard`](snitch_sim::ClusterShard)s (`snitch-sim`), from which
-//! the per-shard utilization and imbalance statistics of [`ShardSummary`]
-//! are derived.
-//!
-//! Two scheduling layers are involved, and keeping them apart is what
-//! makes the result reproducible:
-//!
-//! 1. **Host execution** — worker threads steal fixed-size *chunks* of
-//!    sample indices from a shared atomic cursor and evaluate them through
-//!    [`ExecutionBackend::run_sample_into`], each worker reusing one
-//!    scratch vector (and, inside the cycle-level backend, one kernel
-//!    [`LayerScratch`](spikestream_kernels::LayerScratch)) — no per-sample
-//!    allocation in the hot loop. Results land in one pre-allocated flat
-//!    buffer at their sample's slot, so the output is independent of which
-//!    worker ran what.
-//! 2. **Fleet attribution** — the deterministic per-sample cycle counts
-//!    are then replayed through a [`ShardSet`]: samples are dispatched in
-//!    stream order, each to the shard with the least accumulated simulated
-//!    cycles (the paper's `next_rf` workload stealing, lifted from
-//!    receptive fields to batch samples). The assignment is a pure
-//!    function of the results, hence identical no matter how the host
-//!    threads raced.
-//!
-//! The aggregate report produced from the flat buffer is therefore
-//! bit-identical to [`Engine::run_sequential`](crate::Engine::run_sequential),
-//! and the shard statistics are themselves deterministic.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+//! A sharded request ([`Request::with_shards`](crate::Request::with_shards))
+//! is served by the [`Session`](crate::Session) like any other; afterwards
+//! [`attribute_shards`] replays the per-sample cycle totals through a
+//! [`ShardSet`] of N simulated [`ClusterShard`](snitch_sim::ClusterShard)s.
+//! Samples are dispatched in request order, each to the shard with the
+//! least accumulated simulated cycles — the paper's `next_rf` workload
+//! stealing, lifted from receptive fields to batch samples. The assignment
+//! is a pure function of the results, hence identical no matter how the
+//! host worker threads raced, and the aggregate report stays bit-identical
+//! to a sequential request.
 
 use snitch_sim::ShardSet;
 
-use crate::backend::{ExecutionBackend, LayerSample, SampleContext};
 use crate::report::{ShardSummary, ShardUtilization};
 
 /// Atomic bump of the shared batch cursor plus the branch of the stealing
@@ -43,225 +20,27 @@ use crate::report::{ShardSummary, ShardUtilization};
 /// per-RF overhead the kernels charge for `next_rf` stealing).
 pub const DISPATCH_CYCLES: f64 = 2.0;
 
-/// The one host worker-count sizing policy, shared by the serving
-/// [`Session`](crate::Session) pool and the legacy [`BatchScheduler`]:
-/// never run more workers than there are chunks to steal (extra workers
-/// would claim nothing and pay wakeup/spawn churn for no parallelism),
+/// The host worker-count sizing policy of the [`Session`](crate::Session)
+/// pool: never run more workers than there are chunks to steal (extra
+/// workers would claim nothing and pay wakeup churn for no parallelism),
 /// and always run at least one.
 pub(crate) fn clamp_workers(workers: usize, chunks: usize) -> usize {
     workers.clamp(1, chunks.max(1))
 }
 
-/// Work-stealing batch scheduler over N simulated cluster shards.
-///
-/// # Example
-///
-/// ```
-/// use spikestream::{AnalyticBackend, BatchScheduler, Engine, FpFormat, InferenceConfig, KernelVariant};
-///
-/// let engine = Engine::svgg11(1);
-/// let config = InferenceConfig {
-///     batch: 16,
-///     seed: 9,
-///     ..InferenceConfig::paper(KernelVariant::SpikeStream, FpFormat::Fp16)
-/// };
-/// let ctx = engine.sample_context(&config);
-/// let batch = BatchScheduler::new(4).run(&AnalyticBackend, &ctx, 16, engine.network().len());
-/// let summary = batch.summary();
-/// assert_eq!(summary.shards.len(), 4);
-/// assert_eq!(summary.shards.iter().map(|s| s.samples).sum::<u64>(), 16);
-/// ```
-#[derive(Debug, Clone)]
-pub struct BatchScheduler {
-    shards: usize,
-    workers: usize,
-    chunk: usize,
-}
-
-impl BatchScheduler {
-    /// Scheduler over `shards` simulated clusters (clamped to at least 1).
-    ///
-    /// Host workers default to the available host parallelism —
-    /// independent of the shard count, since host execution only decides
-    /// *when* samples are computed, never *where* they are attributed —
-    /// and the stolen chunk size to 4 samples.
-    pub fn new(shards: usize) -> Self {
-        let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        BatchScheduler { shards: shards.max(1), workers: host, chunk: 4 }
-    }
-
-    /// Override the number of host worker threads (clamped to at least 1).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// Override the number of samples per stolen chunk (clamped to at
-    /// least 1). Smaller chunks steal more finely; larger chunks amortize
-    /// the cursor bump.
-    pub fn with_chunk(mut self, chunk: usize) -> Self {
-        self.chunk = chunk.max(1);
-        self
-    }
-
-    /// Number of simulated cluster shards.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Evaluate samples `0..batch` of `ctx` through `backend` and
-    /// attribute them to the shard fleet.
-    ///
-    /// `layers` must be the number of [`LayerSample`] slots one sample
-    /// produces: the network's layer count times the configured timesteps
-    /// (`ctx.network.len() * ctx.timesteps()`). The whole `(sample x
-    /// timestep)` block of a sample is evaluated by one worker in one
-    /// `run_sample_into` call — membrane state stays pinned to that
-    /// worker's scratch — and attributed to one shard as a unit.
-    pub fn run(
-        &self,
-        backend: &dyn ExecutionBackend,
-        ctx: &SampleContext<'_>,
-        batch: usize,
-        layers: usize,
-    ) -> ShardedBatch {
-        let batch = batch.max(1);
-        // One flat result buffer, filled in disjoint chunks by the workers.
-        let mut flat = vec![LayerSample::default(); batch * layers];
-
-        {
-            // Pre-split the buffer into chunk-sized windows the workers
-            // claim through the shared steal loop. Each Mutex is locked
-            // exactly once, by the claiming worker; it only exists to hand
-            // the `&mut` window across the thread boundary safely.
-            let windows: Vec<Mutex<&mut [LayerSample]>> =
-                flat.chunks_mut(self.chunk * layers).map(Mutex::new).collect();
-            let workers = clamp_workers(self.workers, windows.len());
-            // Per-worker scratch, reused for every sample a worker steals.
-            let mut scratch: Vec<Vec<LayerSample>> =
-                (0..workers).map(|_| Vec::with_capacity(layers)).collect();
-
-            steal_chunks(windows.len(), &mut scratch, |scratch, w| {
-                let mut window = windows[w].lock().expect("window mutex poisoned");
-                let first = w * self.chunk;
-                for (i, slot) in window.chunks_mut(layers).enumerate() {
-                    scratch.clear();
-                    backend.run_sample_into(ctx, first + i, scratch);
-                    debug_assert_eq!(scratch.len(), layers, "one sample per layer per timestep");
-                    slot.copy_from_slice(scratch);
-                }
-            });
-        }
-
-        // Deterministic fleet attribution in simulated time.
-        let mut set = ShardSet::new(self.shards).with_dispatch_cycles(DISPATCH_CYCLES);
-        let mut shard_of = Vec::with_capacity(batch);
-        for sample in 0..batch {
-            let cycles: f64 =
-                flat[sample * layers..(sample + 1) * layers].iter().map(|l| l.cycles).sum();
-            shard_of.push(set.assign(cycles));
-        }
-
-        ShardedBatch { samples: flat, layers, shard_of, set }
-    }
-}
-
-/// The outcome of one sharded batch run: the per-sample measurements plus
-/// the shard fleet that (deterministically) executed them.
-#[derive(Debug, Clone)]
-pub struct ShardedBatch {
-    samples: Vec<LayerSample>,
-    layers: usize,
-    shard_of: Vec<usize>,
-    set: ShardSet,
-}
-
-impl ShardedBatch {
-    /// Flat per-sample measurements: sample `s`, layer `l` is at
-    /// `s * layer_count + l`.
-    pub fn samples(&self) -> &[LayerSample] {
-        &self.samples
-    }
-
-    /// Layers per sample (the flat buffer's stride).
-    pub fn layer_count(&self) -> usize {
-        self.layers
-    }
-
-    /// The layer measurements of batch sample `sample`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sample` is out of range.
-    pub fn sample(&self, sample: usize) -> &[LayerSample] {
-        &self.samples[sample * self.layers..(sample + 1) * self.layers]
-    }
-
-    /// Which shard executed each sample, indexed by sample.
-    pub fn shard_of(&self) -> &[usize] {
-        &self.shard_of
-    }
-
-    /// The shard fleet with its occupancy counters.
-    pub fn shard_set(&self) -> &ShardSet {
-        &self.set
-    }
-
-    /// Fleet statistics for the report.
-    pub fn summary(&self) -> ShardSummary {
-        fleet_summary(&self.set)
-    }
-}
-
-/// The chunk-stealing host executor shared by the legacy
-/// [`BatchScheduler`] and the serving [`Session`](crate::Session): one
-/// worker thread per entry of `states`, each claiming chunk indices
-/// `0..chunks` from a shared atomic cursor and running `work(state,
-/// chunk)` for every claim. Keeping this loop in one place means stealing
-/// granularity and worker clamping can never diverge between the two
-/// batch drivers.
-pub(crate) fn steal_chunks<S: Send>(
-    chunks: usize,
-    states: &mut [S],
-    work: impl Fn(&mut S, usize) + Sync,
-) {
-    let cursor = AtomicUsize::new(0);
-    let work = &work;
-    let cursor = &cursor;
-    std::thread::scope(|scope| {
-        for state in states.iter_mut() {
-            scope.spawn(move || loop {
-                let w = cursor.fetch_add(1, Ordering::Relaxed);
-                if w >= chunks {
-                    break;
-                }
-                work(state, w);
-            });
-        }
-    });
-}
-
 /// Deterministic fleet attribution of per-sample cycle totals to `shards`
 /// simulated clusters: samples are dispatched in slice order, each to the
 /// shard with the least accumulated simulated cycles, exactly as
-/// [`Session`](crate::Session) and [`BatchScheduler`] attribute their
-/// batches. A pure function of its inputs, so a serving gateway that
-/// coalesces several requests into one run can re-attribute each request's
-/// own samples afterwards and obtain the bit-identical [`ShardSummary`] a
-/// bare single-request session run would have produced.
+/// [`Session`](crate::Session) attributes a sharded request. A pure
+/// function of its inputs, so a serving gateway that coalesces several
+/// requests into one run can re-attribute each request's own samples
+/// afterwards and obtain the bit-identical [`ShardSummary`] a bare
+/// single-request session run would have produced.
 pub fn attribute_shards(sample_cycles: &[f64], shards: usize) -> ShardSummary {
     let mut set = ShardSet::new(shards.max(1)).with_dispatch_cycles(DISPATCH_CYCLES);
     for &cycles in sample_cycles {
         set.assign(cycles);
     }
-    fleet_summary(&set)
-}
-
-/// Fleet statistics of a populated [`ShardSet`] — the one construction
-/// shared by the legacy [`BatchScheduler`] and the serving
-/// [`Session`](crate::Session), so sharded reports agree bit for bit no
-/// matter which path attributed the samples.
-pub(crate) fn fleet_summary(set: &ShardSet) -> ShardSummary {
     ShardSummary {
         shards: set
             .shards()
@@ -282,70 +61,16 @@ pub(crate) fn fleet_summary(set: &ShardSet) -> ShardSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::AnalyticBackend;
-    use crate::{Engine, InferenceConfig, TimingModel, WorkloadMode};
-    use snitch_arch::fp::FpFormat;
-    use spikestream_kernels::KernelVariant;
-
-    fn config(batch: usize) -> InferenceConfig {
-        InferenceConfig {
-            variant: KernelVariant::SpikeStream,
-            format: FpFormat::Fp16,
-            timing: TimingModel::Analytic,
-            batch,
-            seed: 0xFEED,
-            mode: WorkloadMode::Synthetic,
-        }
-    }
-
-    #[test]
-    fn flat_buffer_matches_per_sample_backend_output() {
-        let engine = Engine::svgg11(4);
-        let cfg = config(10);
-        let ctx = engine.sample_context(&cfg);
-        let layers = engine.network().len();
-        let batch = BatchScheduler::new(3).with_chunk(3).run(&AnalyticBackend, &ctx, 10, layers);
-        for sample in 0..10 {
-            assert_eq!(batch.sample(sample), AnalyticBackend.run_sample(&ctx, sample).as_slice());
-        }
-    }
-
-    #[test]
-    fn attribution_is_stable_across_worker_and_chunk_choices() {
-        let engine = Engine::svgg11(4);
-        let cfg = config(32);
-        let ctx = engine.sample_context(&cfg);
-        let layers = engine.network().len();
-        let reference = BatchScheduler::new(4).with_workers(1).with_chunk(1).run(
-            &AnalyticBackend,
-            &ctx,
-            32,
-            layers,
-        );
-        for (workers, chunk) in [(2, 1), (4, 4), (8, 5), (3, 32)] {
-            let other = BatchScheduler::new(4).with_workers(workers).with_chunk(chunk).run(
-                &AnalyticBackend,
-                &ctx,
-                32,
-                layers,
-            );
-            assert_eq!(other.samples(), reference.samples());
-            assert_eq!(other.shard_of(), reference.shard_of());
-            assert_eq!(other.summary(), reference.summary());
-        }
-    }
 
     #[test]
     fn every_sample_is_attributed_exactly_once() {
-        let engine = Engine::svgg11(4);
-        let cfg = config(25);
-        let ctx = engine.sample_context(&cfg);
-        let batch = BatchScheduler::new(8).run(&AnalyticBackend, &ctx, 25, engine.network().len());
-        assert_eq!(batch.shard_of().len(), 25);
-        let summary = batch.summary();
+        let cycles: Vec<f64> = (0..25).map(|i| 1_000.0 + (i * 37 % 11) as f64 * 100.0).collect();
+        let summary = attribute_shards(&cycles, 8);
+        assert_eq!(summary.shards.len(), 8);
         assert_eq!(summary.shards.iter().map(|s| s.samples).sum::<u64>(), 25);
         assert!(summary.shards.iter().all(|s| s.utilization > 0.0 && s.utilization <= 1.0));
         assert!(summary.imbalance >= 1.0);
         assert!(summary.batch_speedup > 1.0 && summary.batch_speedup <= 8.0);
+        assert_eq!(summary, attribute_shards(&cycles, 8), "a pure function of the cycles");
     }
 }

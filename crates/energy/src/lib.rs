@@ -10,15 +10,13 @@
 //! SpikeStream FP16 and ≈0.22 W for SpikeStream FP8 on the sparse layers),
 //! which makes the energy ratios of Fig. 4 / Fig. 5b meaningful.
 
-use serde::{Deserialize, Serialize};
-
 use snitch_arch::fp::FpFormat;
 use snitch_arch::ClusterConfig;
 
 /// Activity counters of one layer or kernel invocation, in whatever units
 /// the timing model provides (the cluster simulator's `PhaseStats` and the
 /// IR cost integration's `ProgramCost` both convert into this).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Activity {
     /// Runtime in cycles.
     pub cycles: u64,
@@ -33,7 +31,7 @@ pub struct Activity {
 }
 
 /// Energy coefficients of the cluster (picojoules).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyModel {
     /// Static + clock-tree energy per core per cycle (pJ).
     pub static_pj_per_core_cycle: f64,

@@ -19,15 +19,13 @@
 //! cycle-level interpreter only accepts the former; symbolic programs exist
 //! for the analytic cost integration.
 
-use serde::{Deserialize, Serialize};
-
 use snitch_arch::fp::FpFormat;
 use snitch_arch::isa::{FpOp, IntOp, SsrId, StreamPattern};
 use snitch_mem::dma::{DmaDirection, DmaRequest};
 
 /// An instruction-cache code region fetched by every core executing a
 /// compute phase (id must be unique per distinct kernel region).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CodeRegion {
     /// Region identifier (stable across layers so kernels stay resident).
     pub id: u64,
@@ -36,7 +34,7 @@ pub struct CodeRegion {
 }
 
 /// The index source of an indirect stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum IndexStream {
     /// Resolved index values (exact lowering from a compressed input).
     /// Shared: the emitters reuse one index vector across every SIMD group
@@ -56,7 +54,7 @@ impl IndexStream {
 
 /// Address-generation pattern of one stream semantic register, in either
 /// exact or symbolic form.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum StreamSpec {
     /// Affine stream: `addr = base + Σ idx_d * stride_d`. Affine patterns
     /// are structural (never data dependent), so they are always exact.
@@ -137,7 +135,7 @@ impl StreamSpec {
 }
 
 /// One operation of a work item.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum KernelOp {
     /// An integer-pipeline operation executed `reps` times.
     Int {
@@ -253,7 +251,7 @@ impl KernelOp {
 }
 
 /// One DMA tile transfer of the program.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DmaPhase {
     /// Transfer direction.
     pub direction: DmaDirection,
@@ -305,7 +303,7 @@ impl DmaPhase {
 /// One work item, stolen as a unit by a worker core. `instances` identical
 /// copies are distributed independently (symbolic lowerings use a single
 /// representative item with `instances` set to the receptive-field count).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkItem {
     /// How many identical copies of this item the phase contains.
     pub instances: f64,
@@ -328,7 +326,7 @@ impl WorkItem {
 /// Work items distributed over the worker cores by workload stealing. Every
 /// core joins its outstanding FP work in an implicit barrier when the phase
 /// ends.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComputePhase {
     /// Code regions each executing core fetches per item (shared I-cache).
     pub code: Vec<CodeRegion>,
@@ -337,7 +335,7 @@ pub struct ComputePhase {
 }
 
 /// One phase of a stream program.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Phase {
     /// A DMA tile transfer.
     Dma(DmaPhase),
@@ -347,7 +345,7 @@ pub enum Phase {
 
 /// A lowered layer: the complete phase program one layer invocation executes
 /// on the cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamProgram {
     /// Program label (the layer name).
     pub label: String,

@@ -52,10 +52,8 @@ pub use fc::FcKernel;
 pub use pool::{PoolKernel, PoolKernelOutput};
 pub use tiling::{LayerTilePlan, TilingPlanner};
 
-use serde::{Deserialize, Serialize};
-
 /// Which code variant a kernel emits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelVariant {
     /// Compressed, parallel, SIMD baseline without stream registers
     /// (optimizations TC + TP + DP + DB of the paper).

@@ -12,12 +12,10 @@
 //! the global-memory bandwidth. Transfers complete asynchronously so the
 //! kernels can overlap them with computation.
 
-use serde::{Deserialize, Serialize};
-
 use snitch_arch::ClusterConfig;
 
 /// Direction of a DMA transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DmaDirection {
     /// Global memory -> scratchpad (tile load).
     In,
@@ -26,7 +24,7 @@ pub enum DmaDirection {
 }
 
 /// A DMA transfer request.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DmaRequest {
     /// Transfer direction.
     pub direction: DmaDirection,

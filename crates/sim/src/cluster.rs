@@ -8,8 +8,6 @@
 //! engine, whichever finishes last, which is exactly how double buffering
 //! hides (or fails to hide) memory transfers.
 
-use serde::{Deserialize, Serialize};
-
 use snitch_arch::{ClusterConfig, CostModel};
 use snitch_mem::{DmaEngine, DmaRequest, InstructionCache};
 
@@ -17,7 +15,7 @@ use crate::core_model::WorkerCoreModel;
 use crate::counters::PerfCounters;
 
 /// Aggregated statistics of one execution phase (one layer).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseStats {
     /// Phase label (for example the layer name).
     pub label: String,

@@ -5,10 +5,8 @@
 //! retired instructions (to compute IPC), and a breakdown of stall causes
 //! used to explain the gap to the ideal speedup.
 
-use serde::{Deserialize, Serialize};
-
 /// Reasons a core may lose cycles beyond useful issue slots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StallCause {
     /// Scratchpad bank conflicts on stream or scalar accesses.
     BankConflict,
@@ -39,7 +37,7 @@ impl StallCause {
 }
 
 /// Counter set of one worker core over one phase.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PerfCounters {
     /// Cycles spent by the integer pipeline (issue + stalls).
     pub int_cycles: u64,

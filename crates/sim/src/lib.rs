@@ -26,7 +26,7 @@
 //!
 //! Above the single cluster, [`shard`] models a *fleet* of N independent
 //! cluster replicas ([`ClusterShard`]) with least-loaded sample dispatch
-//! ([`ShardSet`]) — the substrate of the sharded batch driver in
+//! ([`ShardSet`]) — the substrate of fleet attribution in
 //! `spikestream-core`.
 //!
 //! # Example

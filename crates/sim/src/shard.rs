@@ -32,14 +32,12 @@
 //! assert!(set.imbalance() > 1.0);
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// Occupancy counters of one simulated cluster replica.
 ///
 /// Cycles are tracked as `f64` because the batch driver schedules on the
 /// per-sample mean cycle counts reported by the execution backends, which
 /// are floating point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterShard {
     id: usize,
     samples: u64,
@@ -75,7 +73,7 @@ impl ClusterShard {
 }
 
 /// A fleet of N independent cluster shards with least-loaded dispatch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardSet {
     shards: Vec<ClusterShard>,
     dispatch_cycles: f64,

@@ -12,15 +12,13 @@
 //! by neuromorphic processors — absolute coordinates plus a timestamp per
 //! spike — as the memory-footprint baseline of Fig. 3a.
 
-use serde::{Deserialize, Serialize};
-
 use crate::tensor::{SpikeMap, TensorShape};
 
 /// Width in bytes of indices and coordinates (the paper assumes 16-bit).
 pub const INDEX_BYTES: usize = 2;
 
 /// CSR-derived compressed ifmap of a convolutional layer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompressedIfmap {
     shape: TensorShape,
     /// Channel indices of active neurons, concatenated position by position
@@ -157,7 +155,7 @@ impl Default for CompressedIfmap {
 }
 
 /// Compressed input of a fully connected layer: a single index array.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompressedFcInput {
     in_features: usize,
     idcs: Vec<u16>,
@@ -272,7 +270,7 @@ impl Default for CompressedFcInput {
 /// `u16::MAX + 1` (65 536) positions, and timesteps up to `u16::MAX`;
 /// [`AerFrame::from_spike_map`] debug-asserts those limits instead of
 /// silently truncating coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AerEvent {
     /// Spatial row of the spiking neuron (limited to `u16`; see the type
     /// docs).
@@ -291,7 +289,7 @@ impl AerEvent {
 }
 
 /// An AER-encoded spike frame.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AerFrame {
     shape: TensorShape,
     events: Vec<AerEvent>,

@@ -8,13 +8,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::tensor::{SpikeMap, Tensor3, TensorShape};
 
 /// How a dense input image becomes the first layer's input at each
 /// timestep of a temporal run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TemporalEncoding {
     /// Poisson rate coding: each pixel spikes with probability equal to its
     /// normalized intensity, independently per timestep. The encoding

@@ -6,13 +6,12 @@
 //! and can be read as one SIMD group (Section III-C of the paper).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::neuron::NeuronModel;
 use crate::tensor::TensorShape;
 
 /// Geometry of a spiking convolutional layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConvSpec {
     /// Unpadded input feature-map shape.
     pub input: TensorShape,
@@ -82,7 +81,7 @@ impl ConvSpec {
 /// `ceil(window^2 / 2)` of its inputs spiked). Unlike the 2x2 max-pool
 /// fused into the conv kernels, this is a standalone layer with its own
 /// stream-program emitter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolSpec {
     /// Input feature-map shape (no padding).
     pub input: TensorShape,
@@ -110,7 +109,7 @@ impl PoolSpec {
 }
 
 /// Geometry of a spiking fully connected layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinearSpec {
     /// Number of input neurons.
     pub in_features: usize,
@@ -136,7 +135,7 @@ impl LinearSpec {
 }
 
 /// The kind of a layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LayerKind {
     /// Spiking 2D convolution.
     Conv(ConvSpec),
@@ -176,7 +175,7 @@ impl LayerKind {
 }
 
 /// A network layer: geometry, weights and neuron parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Layer {
     /// Human-readable name (e.g. `conv3`).
     pub name: String,

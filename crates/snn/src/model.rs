@@ -2,14 +2,13 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::layer::{ConvSpec, Layer, LayerKind, LinearSpec, PoolSpec};
 use crate::neuron::{LifParams, NeuronModel};
 use crate::tensor::TensorShape;
 
 /// A feed-forward spiking neural network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Network {
     /// Name of the network (e.g. `S-VGG11`).
     pub name: String,

@@ -23,12 +23,10 @@
 //! storage is the model-generic [`NeuronState`] used by the kernels, the
 //! reference engine and the temporal pipeline alike.
 
-use serde::{Deserialize, Serialize};
-
 use crate::tensor::{SpikeMap, WORD_BITS};
 
 /// Parameters of the LIF neuron model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LifParams {
     /// Membrane decay factor `α` in `[0, 1]`.
     pub alpha: f32,
@@ -76,7 +74,7 @@ impl Default for LifParams {
 }
 
 /// Membrane state of a population of LIF neurons.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LifState {
     membrane: Vec<f32>,
 }
@@ -208,7 +206,7 @@ impl LifState {
 ///
 /// The defaults are the canonical *regular spiking* cortical cell
 /// (`a = 0.02, b = 0.2, c = −65, d = 8`, threshold 30 mV).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IzhiParams {
     /// Recovery time scale `a` (smaller is slower recovery).
     pub a: f32,
@@ -297,7 +295,7 @@ impl Default for IzhiParams {
 }
 
 /// Which neuron dynamics a layer runs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum NeuronModel {
     /// Leaky integrate-and-fire (one state variable, the paper's Eq. 1).
     Lif(LifParams),
@@ -371,7 +369,7 @@ impl std::fmt::Display for NeuronModel {
 
 /// State of a population of Izhikevich neurons: membrane `v` plus the
 /// recovery variable `u`, both dense `f32` vectors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IzhiState {
     v: Vec<f32>,
     u: Vec<f32>,
@@ -467,7 +465,7 @@ impl IzhiState {
 /// Model-generic per-neuron state: what the kernels, the reference engine
 /// and the temporal pipeline carry per layer. The variant always matches
 /// the layer's [`NeuronModel`]; stepping with a mismatched model panics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum NeuronState {
     /// One membrane potential per neuron.
     Lif(LifState),

@@ -11,8 +11,6 @@
 //! regions. Bits past `shape.len()` in the final word (the "slack" bits)
 //! are always zero — the invariant that makes popcount and `Eq` exact.
 
-use serde::{Deserialize, Serialize};
-
 /// Bits per packed spike word.
 pub const WORD_BITS: usize = 64;
 
@@ -28,7 +26,7 @@ fn low_mask(bits: usize) -> u64 {
 }
 
 /// Shape of a rank-3 activation tensor (height, width, channels).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TensorShape {
     /// Spatial height.
     pub h: usize,
@@ -81,7 +79,7 @@ impl std::fmt::Display for TensorShape {
 }
 
 /// A dense rank-3 `f32` tensor in HWC layout.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor3 {
     shape: TensorShape,
     data: Vec<f32>,
@@ -143,7 +141,7 @@ impl Tensor3 {
 /// why the host representation can pack 64 of them per word. Bit `i % 64`
 /// of word `i / 64` holds the neuron at HWC linear index `i`; bits at and
 /// past `shape.len()` in the last word are always zero.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpikeMap {
     shape: TensorShape,
     words: Vec<u64>,
@@ -298,16 +296,6 @@ impl SpikeMap {
         assert!(h < self.shape.h && w < self.shape.w, "position (h={h}, w={w}) out of bounds");
         let base = (h * self.shape.w + w) * self.shape.c;
         ActiveChannels { bits: self.active_bits_range(base, base + self.shape.c), base }
-    }
-
-    /// Channel indices of the active neurons at spatial position `(h, w)`,
-    /// in ascending order.
-    #[deprecated(
-        since = "0.6.0",
-        note = "allocates a Vec per call; use the borrowed `active_channels_iter` instead"
-    )]
-    pub fn active_channels(&self, h: usize, w: usize) -> Vec<u32> {
-        self.active_channels_iter(h, w).collect()
     }
 
     /// Active-bit iterator over the linear index range `[start, end)`.
@@ -482,9 +470,6 @@ mod tests {
         let channels: Vec<u32> = m.active_channels_iter(0, 0).collect();
         assert_eq!(channels, vec![1, 5, 7]);
         assert!(channels.windows(2).all(|w| w[0] < w[1]));
-        #[allow(deprecated)]
-        let allocated = m.active_channels(0, 0);
-        assert_eq!(allocated, channels, "deprecated API stays in parity with the iterator");
     }
 
     #[test]

@@ -14,7 +14,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::encoding::{synthetic_image, TemporalEncoding};
 use crate::layer::LayerKind;
@@ -30,7 +29,7 @@ use crate::tensor::{SpikeMap, Tensor3, TensorShape};
 ///   input image is encoded per step, LIF membranes persist between steps,
 ///   and the spikes layer N emits at step t *are* layer N+1's input at
 ///   step t (the firing statistics are *emergent*).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadMode {
     /// One synthetic evaluation per sample from the firing profile.
     Synthetic,
@@ -72,7 +71,7 @@ impl Default for WorkloadMode {
 /// steady state matches the calibrated profile rate. The analytic backend
 /// integrates per-step programs from these expected rates, mirroring the
 /// emergent per-step sparsity the cycle-level backend measures.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TemporalSparsityModel {
     /// Residual charge fraction per step (the LIF decay constant); the
     /// step-`t` activity factor is `1 - warmup^(t+1)`.
@@ -99,7 +98,7 @@ impl Default for TemporalSparsityModel {
 }
 
 /// Per-layer input firing rates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FiringProfile {
     /// Average firing rate of each layer's input ifmap (layer 0 first).
     /// Layer 0 receives a dense image, so its entry is the fraction of
@@ -159,7 +158,7 @@ impl FiringProfile {
 /// The complete input set of one network evaluation (one timestep of one
 /// batch sample): the dense image for the encoding layer and a spike map
 /// for every subsequent layer input.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpikeWorkload {
     /// Dense RGB input of the first (spike-encoding) layer, padded.
     pub image: Tensor3,

@@ -27,9 +27,7 @@ fn main() {
         })
     };
     // Then serve: a session owns the worker arenas and answers requests
-    // against the plan's cached programs. (The legacy form — the
-    // deprecated `engine.run(&config)` — still works and produces the
-    // bit-identical report, as a one-shot wrapper over exactly this path.)
+    // against the plan's cached programs.
     let serve =
         |variant, format| compile(variant, format).open_session().infer(&Request::batch(batch));
 

@@ -3,7 +3,7 @@
 //! Four subcommands, all driven by declarative scenario files
 //! (`examples/scenarios/*.toml`):
 //!
-//! * `run` — run one scenario through the sharded batch driver and print
+//! * `run` — serve one scenario as a sharded session request and print
 //!   the per-layer report plus the fleet statistics (or `--json`);
 //! * `bench` — sweep the same scenario over several shard counts and
 //!   report makespan, utilization, imbalance and effective speedup;

@@ -5,8 +5,8 @@
 //! bit-identical to a sequential run of the same backend.
 
 use spikestream::{
-    AnalyticBackend, CycleLevelBackend, Engine, ExecutionBackend, FiringProfile, FpFormat,
-    InferenceConfig, InferenceReport, KernelVariant, Request, TimingModel, WorkloadMode,
+    Engine, FiringProfile, FnSink, FpFormat, InferenceConfig, InferenceReport, KernelVariant,
+    LayerSample, Request, TimingModel, WorkloadMode,
 };
 use spikestream_snn::neuron::LifParams;
 use spikestream_snn::tensor::TensorShape;
@@ -62,15 +62,24 @@ fn config(timing: TimingModel, batch: usize) -> InferenceConfig {
     }
 }
 
+/// Every sample of `cfg`'s batch, served sequentially (in sample order)
+/// through the backend its timing model binds.
+fn per_sample(engine: &Engine, cfg: &InferenceConfig) -> Vec<Vec<LayerSample>> {
+    let mut samples = Vec::new();
+    let mut sink = FnSink(|_, layers: &[LayerSample]| samples.push(layers.to_vec()));
+    engine.compile(cfg).open_session().run(&Request::batch(cfg.batch).sequential(), &mut sink);
+    samples
+}
+
 #[test]
 fn backends_report_identical_spike_counts() {
     let engine = engine();
-    let cfg = config(TimingModel::Analytic, 3);
-    let ctx = engine.sample_context(&cfg);
+    let analytic = per_sample(&engine, &config(TimingModel::Analytic, 3));
+    let cycle = per_sample(&engine, &config(TimingModel::CycleLevel, 3));
+    assert_eq!(analytic.len(), 3);
+    assert_eq!(analytic.len(), cycle.len());
 
-    for sample in 0..cfg.batch {
-        let analytic = AnalyticBackend.run_sample(&ctx, sample);
-        let cycle = CycleLevelBackend.run_sample(&ctx, sample);
+    for (sample, (analytic, cycle)) in analytic.iter().zip(&cycle).enumerate() {
         assert_eq!(analytic.len(), cycle.len());
 
         for (idx, (a, c)) in analytic.iter().zip(cycle.iter()).enumerate() {

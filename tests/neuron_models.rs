@@ -25,8 +25,8 @@ use rand::{Rng, SeedableRng};
 use snitch_arch::{ClusterConfig, CostModel};
 use snitch_sim::{execute_program, ClusterModel, PhaseStats};
 use spikestream::{
-    AnalyticBackend, CycleLevelBackend, Engine, ExecutionBackend, FiringProfile, FpFormat,
-    InferenceConfig, KernelVariant, Request, TemporalEncoding, TimingModel,
+    Engine, FiringProfile, FnSink, FpFormat, InferenceConfig, KernelVariant, LayerSample, Request,
+    TemporalEncoding, TimingModel,
 };
 use spikestream_ir::{CostIntegrator, ProgramCost, StreamProgram};
 use spikestream_kernels::{ConvKernel, FcKernel, LayerExecutor, LayerInput, LayerScratch};
@@ -379,10 +379,16 @@ fn backends_agree_on_spike_counts_for_both_models() {
             seed: 0xE0_15,
             ..InferenceConfig::paper(KernelVariant::SpikeStream, FpFormat::Fp16)
         };
-        let ctx = engine.sample_context(&config);
-        for sample in 0..config.batch {
-            let analytic = AnalyticBackend.run_sample(&ctx, sample);
-            let cycle = CycleLevelBackend.run_sample(&ctx, sample);
+        let serve = |timing| {
+            let mut samples = Vec::new();
+            let mut sink = FnSink(|_, layers: &[LayerSample]| samples.push(layers.to_vec()));
+            let plan = engine.compile(&InferenceConfig { timing, ..config });
+            plan.open_session().run(&Request::batch(config.batch).sequential(), &mut sink);
+            samples
+        };
+        let (analytic, cycle) = (serve(TimingModel::Analytic), serve(TimingModel::CycleLevel));
+        assert_eq!(analytic.len(), config.batch);
+        for (sample, (analytic, cycle)) in analytic.iter().zip(&cycle).enumerate() {
             assert_eq!(analytic.len(), cycle.len());
             for (idx, (a, c)) in analytic.iter().zip(cycle.iter()).enumerate() {
                 assert_eq!(

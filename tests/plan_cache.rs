@@ -173,15 +173,15 @@ fn steady_state_requests_grow_no_arena_buffers() {
     // Warm-up: arenas size themselves to the workload.
     session.infer(&Request::batch(12));
     session.infer(&Request::batch(12).with_shards(4));
-    let (_, grows_warm) = session.arena_stats();
+    let warm = session.stats();
 
     for _ in 0..4 {
         session.infer(&Request::batch(12));
         session.infer(&Request::batch(12).with_shards(4));
     }
-    let (runs, grows) = session.arena_stats();
-    assert_eq!(runs, 10 * 12, "every sample ran through an arena");
-    assert_eq!(grows, grows_warm, "steady-state serving allocates no arena growth");
+    let steady = session.stats();
+    assert_eq!(steady.runs, 10 * 12, "every sample ran through an arena");
+    assert_eq!(steady.grows, warm.grows, "steady-state serving allocates no arena growth");
 }
 
 #[test]
@@ -201,7 +201,7 @@ fn steady_state_serving_is_lookup_only_and_allocation_free() {
     session.infer(&Request::batch(8));
     let warm = plan.programs().counters();
     let warm_len = plan.programs().len();
-    let (_, grows_warm) = session.arena_stats();
+    let grows_warm = session.stats().grows;
 
     for _ in 0..5 {
         session.infer(&Request::batch(8));
@@ -213,13 +213,9 @@ fn steady_state_serving_is_lookup_only_and_allocation_free() {
     assert_eq!(steady.hits, warm.hits + 5 * units as u64, "every binding is a pure hit");
     assert_eq!(plan.programs().len(), warm_len, "no new cache entries");
 
-    let (runs, grows) = session.arena_stats();
-    assert_eq!(runs, 6 * 8, "every sample ran through an arena");
-    assert_eq!(grows, grows_warm, "steady state allocates no arena growth");
-
     let stats = session.stats();
-    assert_eq!(stats.runs, 6 * 8);
-    assert_eq!(stats.grows, grows_warm, "session stats agree with the arena pool");
+    assert_eq!(stats.runs, 6 * 8, "every sample ran through an arena");
+    assert_eq!(stats.grows, grows_warm, "steady state allocates no arena growth");
 }
 
 #[test]
@@ -238,14 +234,14 @@ fn temporal_sessions_reuse_membrane_state_arenas_across_requests() {
     let mut session = plan.open_session();
 
     let first = session.infer(&Request::batch(2).sequential());
-    let (_, grows_warm) = session.arena_stats();
+    let grows_warm = session.stats().grows;
     for _ in 0..3 {
         // Membranes are reset per sample by the arena-owned scratch, so
         // repeated requests are bit-identical and allocation-free.
         let again = session.infer(&Request::batch(2).sequential());
         assert_eq!(again.to_json(), first.to_json());
     }
-    let (runs, grows) = session.arena_stats();
-    assert_eq!(runs, 8);
-    assert_eq!(grows, grows_warm, "temporal scratch reuse reaches steady state");
+    let stats = session.stats();
+    assert_eq!(stats.runs, 8);
+    assert_eq!(stats.grows, grows_warm, "temporal scratch reuse reaches steady state");
 }

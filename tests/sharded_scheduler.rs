@@ -1,11 +1,11 @@
-//! The sharded batch driver must be a pure refinement of the sequential
-//! engine: identical aggregate reports at every shard count, plus
-//! deterministic, sane fleet statistics on top.
+//! Sharded requests must be a pure refinement of sequential ones:
+//! identical aggregate reports at every shard count, plus deterministic,
+//! sane fleet statistics on top.
 
 use proptest::prelude::*;
 use spikestream::{
-    AnalyticBackend, BatchScheduler, Engine, FpFormat, InferenceConfig, KernelVariant,
-    NetworkChoice, Request, Scenario, TimingModel, WorkloadMode,
+    Engine, FpFormat, InferenceConfig, KernelVariant, NetworkChoice, Request, Scenario,
+    TimingModel, WorkloadMode,
 };
 
 fn svgg11_config(batch: usize) -> InferenceConfig {
@@ -132,23 +132,14 @@ proptest! {
 fn scheduler_attribution_is_a_pure_function_of_the_samples() {
     // Different host-side worker/chunk choices must never change anything:
     // neither the measurements nor the fleet attribution.
-    let engine = Engine::svgg11(2);
-    let config = svgg11_config(24);
-    let ctx = engine.sample_context(&config);
-    let layers = engine.network().len();
-    let reference = BatchScheduler::new(6).with_workers(1).with_chunk(1).run(
-        &AnalyticBackend,
-        &ctx,
-        24,
-        layers,
-    );
-    let racy = BatchScheduler::new(6).with_workers(8).with_chunk(2).run(
-        &AnalyticBackend,
-        &ctx,
-        24,
-        layers,
-    );
-    assert_eq!(racy.samples(), reference.samples());
-    assert_eq!(racy.shard_of(), reference.shard_of());
-    assert_eq!(racy.summary(), reference.summary());
+    let plan = Engine::svgg11(2).compile(&svgg11_config(24));
+    let request = Request::batch(24).with_shards(6);
+    let serve = |workers: usize, chunk: usize| {
+        plan.open_session().with_workers(workers).with_chunk(chunk).infer(&request).to_json()
+    };
+    let reference = serve(1, 1);
+    assert!(reference.contains("\"per_shard\":[{\"shard\":0,"), "per-shard stats are compared");
+    for (workers, chunk) in [(2, 1), (4, 4), (8, 2), (8, 5), (3, 24)] {
+        assert_eq!(serve(workers, chunk), reference, "workers={workers} chunk={chunk}");
+    }
 }

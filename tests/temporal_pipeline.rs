@@ -12,7 +12,7 @@ use rand::SeedableRng;
 use snitch_arch::{ClusterConfig, CostModel};
 use snitch_sim::{execute_program, ClusterModel};
 use spikestream::{
-    CycleLevelBackend, Engine, ExecutionBackend, FpFormat, InferenceConfig, KernelVariant, Request,
+    Engine, FnSink, FpFormat, InferenceConfig, KernelVariant, LayerSample, Request,
     TemporalEncoding, TimingModel,
 };
 use spikestream_ir::CostIntegrator;
@@ -167,20 +167,30 @@ fn temporal_chain_matches_the_reference_engine_at_every_step() {
 }
 
 /// Membrane state must reset between samples: re-running the same sample
-/// after a `begin_sample` reproduces the first run exactly, and the
-/// cycle-level backend reproduces its own per-sample results bit-for-bit.
+/// after a `begin_sample` reproduces the first run exactly, and a session
+/// reproduces its own per-sample results bit-for-bit through its reused
+/// worker arena.
 #[test]
 fn membrane_state_resets_between_samples() {
     let net = tiny_network(7);
     let engine = Engine::new(net.clone(), FiringProfile::uniform(3, 0.25));
     let config = temporal_config(TimingModel::CycleLevel, 2, TemporalEncoding::Rate);
-    let ctx = engine.sample_context(&config);
+    let plan = engine.compile(&config);
+    let mut session = plan.open_session();
 
-    // Backend level: evaluating sample 0, then sample 1, then sample 0
-    // again yields the first result bit-for-bit — no state can leak.
-    let first = CycleLevelBackend.run_sample(&ctx, 0);
-    let other = CycleLevelBackend.run_sample(&ctx, 1);
-    let again = CycleLevelBackend.run_sample(&ctx, 0);
+    // Session level: serving sample 0, then sample 1, then sample 0 again
+    // through one sequential session (one arena, one kernel scratch)
+    // yields the first result bit-for-bit — no state can leak.
+    let mut serve = |sample: usize| {
+        let mut layers = Vec::new();
+        let mut sink = FnSink(|_, out: &[LayerSample]| layers = out.to_vec());
+        session.run(&Request::samples(sample..sample + 1).sequential(), &mut sink);
+        layers
+    };
+    let first = serve(0);
+    let other = serve(1);
+    let again = serve(0);
+    assert_eq!(first.len(), 3 * TIMESTEPS);
     assert_eq!(first, again, "sample 0 must be reproducible after sample 1 ran");
     assert_ne!(first, other, "distinct samples encode distinct spike trains");
 

@@ -11,8 +11,7 @@
 //!   needed, growth between requests spawns only the difference, and the
 //!   calling thread always serves slot 0;
 //! * equivalence — serving at workers 1/2/4/8 is bit-identical across both
-//!   backends, and the pooled path is bit-identical to the legacy
-//!   spawn-per-request executor it replaced;
+//!   backends;
 //! * panic policy — a panicking backend propagates its payload to the
 //!   caller and leaves the pool fully serviceable for the next request;
 //! * lifecycle — dropping the session joins every pool thread.
@@ -50,12 +49,16 @@ fn golden(name: &str) -> String {
         .to_string()
 }
 
-fn svgg11_plan(batch: usize) -> Plan {
-    Engine::svgg11(3).compile(&InferenceConfig {
+fn svgg11_config(batch: usize) -> InferenceConfig {
+    InferenceConfig {
         batch,
         seed: 0xFEED,
         ..InferenceConfig::paper(KernelVariant::SpikeStream, FpFormat::Fp16)
-    })
+    }
+}
+
+fn svgg11_plan(batch: usize) -> Plan {
+    Engine::svgg11(3).compile(&svgg11_config(batch))
 }
 
 #[test]
@@ -147,19 +150,6 @@ fn pooled_serving_is_bit_identical_across_worker_counts() {
     }
 }
 
-#[test]
-fn pooled_and_spawn_per_request_paths_agree() {
-    let _serial = serial();
-    let plan = svgg11_plan(48);
-    let mut pooled = plan.open_session();
-    let mut legacy = plan.open_session().with_spawn_per_request(true);
-    for workers in [2usize, 4, 8] {
-        let request = Request::batch(48).with_workers(workers);
-        assert_eq!(pooled.infer(&request), legacy.infer(&request), "workers={workers}");
-    }
-    assert_eq!(legacy.stats().pool.spawned, 0, "the baseline never touches the pool");
-}
-
 /// A backend that panics on one designated sample the first time it is
 /// asked for it, then behaves exactly like [`AnalyticBackend`].
 struct PanicOnce {
@@ -189,16 +179,21 @@ impl ExecutionBackend for PanicOnce {
 #[test]
 fn a_panicking_backend_propagates_and_leaves_the_pool_serviceable() {
     let _serial = serial();
-    let plan = svgg11_plan(32);
+    let request = Request::batch(32).with_workers(4);
+    let reference = svgg11_plan(32).open_session().infer(&request).to_json();
+    let plan = Engine::svgg11(3)
+        .compiler()
+        .with_backend(Box::new(PanicOnce::armed(17)))
+        .compile(svgg11_config(32))
+        .expect("compiles");
     let mut session = plan.open_session();
-    let reference = session.infer(&Request::batch(32).with_workers(4)).to_json();
+    // Warm the pool on samples that leave the fuse intact.
+    session.infer(&Request::samples(0..16).with_workers(4));
     let spawned = session.stats().pool.spawned;
+    assert_eq!(spawned, 3, "slot 0 is the calling thread");
 
-    let backend = PanicOnce::armed(17);
-    let payload = catch_unwind(AssertUnwindSafe(|| {
-        session.infer_with_backend(&backend, &Request::batch(32).with_workers(4))
-    }))
-    .expect_err("the backend panic must reach the caller");
+    let payload = catch_unwind(AssertUnwindSafe(|| session.infer(&request)))
+        .expect_err("the backend panic must reach the caller");
     let message = payload
         .downcast_ref::<String>()
         .cloned()
@@ -207,9 +202,8 @@ fn a_panicking_backend_propagates_and_leaves_the_pool_serviceable() {
     assert!(message.contains("backend exploded on sample 17"), "got: {message}");
 
     // The fuse is blown, so the same backend now serves cleanly — through
-    // the same pool threads, with results identical to the plan's backend.
-    let report =
-        session.infer_with_backend(&backend, &Request::batch(32).with_workers(4)).to_json();
+    // the same pool threads, with results identical to the analytic plan.
+    let report = session.infer(&request).to_json();
     assert_eq!(report, reference, "the pool serves correctly after a worker panic");
     assert_eq!(session.stats().pool.spawned, spawned, "no thread was lost or respawned");
 }
