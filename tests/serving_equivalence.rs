@@ -8,7 +8,9 @@
 //! `Session::infer`) and compares the reports byte for byte against the
 //! JSON captured from the pre-redesign code (`tests/golden/*.json`).
 //! `tiny_izhikevich` extends the set with a two-state-variable temporal
-//! capture pinning the Izhikevich path.
+//! capture pinning the Izhikevich path, and `tiny_baseline` with the
+//! Baseline variant on the cycle-level backend (the only exact programs
+//! that carry `Loop` ops).
 //!
 //! Refreshing a golden after an *intentional* behavior change:
 //!
@@ -52,7 +54,7 @@ fn serve(scenario: &Scenario, shards: usize) -> String {
 
 #[test]
 fn cycle_level_and_temporal_scenarios_match_the_pre_redesign_captures() {
-    for name in ["tiny", "tiny_pool", "tiny_temporal", "tiny_izhikevich"] {
+    for name in ["tiny", "tiny_baseline", "tiny_pool", "tiny_temporal", "tiny_izhikevich"] {
         let scenario = scenario(&format!("{name}.toml"));
         for shards in [1usize, 2, 4] {
             let expected = golden(&format!("{name}_shards{shards}.json"));
