@@ -4,7 +4,8 @@
 //! the kernel generators (`spikestream-kernels`) need to agree on:
 //!
 //! * the floating-point formats supported by the SIMD FPU ([`fp`]),
-//! * the dynamic instruction / trace-operation vocabulary ([`isa`]),
+//! * the operation vocabulary of a worker core: integer and FP op kinds
+//!   and the stream semantic registers ([`isa`]),
 //! * the cluster configuration parameters ([`config`]), and
 //! * the per-operation latency and occupancy cost model ([`cost`]).
 //!
@@ -35,4 +36,4 @@ pub mod isa;
 pub use config::ClusterConfig;
 pub use cost::CostModel;
 pub use fp::{FpFormat, SimdVector};
-pub use isa::{FpOp, IntOp, SsrId, TraceOp};
+pub use isa::{FpOp, IntOp, SsrId};

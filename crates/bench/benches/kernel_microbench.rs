@@ -1,6 +1,6 @@
 //! Cycle-level kernel microbenchmark: one conv-layer invocation of both
 //! code variants on a representative small layer, measuring the host-side
-//! cost of the trace-driven simulation itself.
+//! cost of the cycle-level simulation itself.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;

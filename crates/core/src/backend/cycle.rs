@@ -1,8 +1,9 @@
-//! The trace-driven cycle-level backend.
+//! The cycle-level backend: exact stream programs interpreted on the
+//! `snitch-sim` cluster model.
 
 use snitch_sim::ClusterModel;
 use spikestream_energy::Activity;
-use spikestream_kernels::{LayerExecution, LayerExecutor, LayerInput, LayerScratch};
+use spikestream_kernels::{LayerExecution, LayerInput, LayerScratch};
 use spikestream_snn::encoding::pad_spikes;
 use spikestream_snn::{
     AerFrame, LayerKind, SpikeMap, TemporalEncoder, Tensor3, WorkloadGenerator, WorkloadMode,
@@ -11,8 +12,8 @@ use spikestream_snn::{
 use super::{ExecutionBackend, LayerSample, SampleContext};
 
 /// Cycle-level backend: lowers every layer to its stream program through
-/// the [`LayerExecutor`](spikestream_kernels::LayerExecutor) kernel
-/// dispatch and interprets the programs on one reused
+/// the context's [`LayerExecutor`](spikestream_kernels::LayerExecutor)
+/// kernel dispatch and interprets the programs on one reused
 /// [`ClusterModel`] (slower than the analytic backend; used for validation
 /// and small batches). [`ClusterModel::finish_phase`] resets the cores and
 /// the DMA engine between layers while the instruction cache stays warm —
@@ -72,7 +73,6 @@ impl CycleLevelBackend {
     ) {
         let generator = WorkloadGenerator::new(ctx.profile.clone(), ctx.config.seed);
         let workload = generator.generate(ctx.network, sample);
-        let executor = LayerExecutor::new(ctx.config.variant, ctx.config.format);
         let mut cluster = ClusterModel::new(ctx.cluster.clone(), ctx.cost.clone());
         out.reserve(ctx.network.len());
 
@@ -81,7 +81,7 @@ impl CycleLevelBackend {
                 LayerKind::Conv(_) if layer.encodes_input => LayerInput::Image(&workload.image),
                 _ => LayerInput::Spikes(workload.spikes_for_layer(idx)),
             };
-            let exec = executor.run_with_scratch(&mut cluster, layer, input, scratch);
+            let exec = ctx.executor.run_with_scratch(&mut cluster, layer, input, scratch);
             out.push(measure(ctx, &mut cluster, &layer.name, &exec));
         }
     }
@@ -116,7 +116,6 @@ impl CycleLevelBackend {
             ctx.config.seed ^ (sample as u64).wrapping_mul(0x9e37_79b9) ^ ENCODER_DOMAIN;
         let encoder = TemporalEncoder::new(&image, encoding, encoder_seed);
 
-        let executor = LayerExecutor::new(ctx.config.variant, ctx.config.format);
         scratch.begin_sample(ctx.network);
         let mut cluster = ClusterModel::new(ctx.cluster.clone(), ctx.cost.clone());
         let timesteps = ctx.timesteps();
@@ -155,7 +154,7 @@ impl CycleLevelBackend {
                     LayerInput::Spikes(&staged)
                 };
                 let (exec, output) =
-                    executor.run_temporal_step(&mut cluster, layer, idx, input, scratch);
+                    ctx.executor.run_temporal_step(&mut cluster, layer, idx, input, scratch);
                 let mut sample = measure(ctx, &mut cluster, &layer.name, &exec);
                 if let Some(frame) = aer_frame {
                     debug_assert_eq!(frame.events().len() as u64, exec.input_spikes);

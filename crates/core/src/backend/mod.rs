@@ -18,7 +18,7 @@
 //! * [`AnalyticBackend`] — integrates the cost model over symbolic
 //!   lowerings, fast enough for full-batch figure sweeps;
 //! * [`CycleLevelBackend`] — interprets exact lowerings on the
-//!   trace-driven cluster simulation behind a [`LayerExecutor`], used
+//!   cycle-level cluster simulation behind a [`LayerExecutor`], used
 //!   for validation.
 //!
 //! Third-party backends (accelerator models, event-driven simulators, …)

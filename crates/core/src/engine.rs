@@ -19,8 +19,8 @@ use crate::plan::{Compiler, Plan};
 pub enum TimingModel {
     /// Closed-form layer model (fast; used for full-batch figure runs).
     Analytic,
-    /// Trace-driven cycle-level simulation of the kernels (slower; used for
-    /// validation and small batches).
+    /// Cycle-level simulation of the kernels (slower; used for validation
+    /// and small batches).
     CycleLevel,
 }
 

@@ -237,12 +237,6 @@ impl<'p> Session<'p> {
         self.plan
     }
 
-    /// Override the default host worker count (clamped to at least 1).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
     /// Override the number of samples per stolen chunk (clamped to at
     /// least 1).
     pub fn with_chunk(mut self, chunk: usize) -> Self {

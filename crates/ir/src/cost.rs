@@ -503,11 +503,10 @@ impl CostIntegrator {
                 } => {
                     interval = interval.max(c.indirect_stream_interval);
                     if let IndexStream::Exact(idcs) = indices {
-                        // Walk the index words in place instead of
-                        // materializing the two address vectors — exactly
-                        // equivalent to `conflict_cycles_pairwise` over the
-                        // expanded sequences (and identical to what the
-                        // cycle-level interpreter charges).
+                        // One stall per element whose index fetch and
+                        // gather share a bank, walked over the index words
+                        // in place — identical to what the cycle-level
+                        // interpreter charges.
                         conflicts += banks.conflict_cycles_indexed(
                             *index_base,
                             *index_bytes,

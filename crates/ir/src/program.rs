@@ -20,7 +20,7 @@
 //! for the analytic cost integration.
 
 use snitch_arch::fp::FpFormat;
-use snitch_arch::isa::{FpOp, IntOp, SsrId, StreamPattern};
+use snitch_arch::isa::{FpOp, IntOp, SsrId};
 use snitch_mem::dma::{DmaDirection, DmaRequest};
 
 /// An instruction-cache code region fetched by every core executing a
@@ -98,40 +98,6 @@ impl StreamSpec {
     pub fn is_symbolic(&self) -> bool {
         matches!(self, StreamSpec::Indirect { indices: IndexStream::Expected(_), .. })
     }
-
-    /// Lower to the simulator's [`StreamPattern`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on a symbolic stream — only exact programs are interpretable.
-    pub fn to_pattern(&self) -> StreamPattern {
-        match self {
-            StreamSpec::Affine { base, strides, bounds, elem_bytes } => StreamPattern::Affine {
-                base: *base,
-                strides: strides.clone(),
-                bounds: bounds.clone(),
-                elem_bytes: *elem_bytes,
-            },
-            StreamSpec::Indirect {
-                index_base,
-                index_bytes,
-                data_base,
-                elem_bytes,
-                indices: IndexStream::Exact(v),
-            } => StreamPattern::Indirect {
-                index_base: *index_base,
-                index_bytes: *index_bytes,
-                data_base: *data_base,
-                elem_bytes: *elem_bytes,
-                // Shared, not copied: the pattern holds the same
-                // `Arc<[u32]>` gather list as the IR spec.
-                indices: v.clone(),
-            },
-            StreamSpec::Indirect { indices: IndexStream::Expected(_), .. } => {
-                panic!("symbolic streams cannot be interpreted, only integrated")
-            }
-        }
-    }
 }
 
 /// One operation of a work item.
@@ -157,8 +123,8 @@ pub enum KernelOp {
         reps: f64,
     },
     /// A loop executing `body` `reps` times. Straight-line `Int`/`Fp` bodies
-    /// (every leaf with `reps == 1`) take the simulator's fast repetition
-    /// path; bodies containing streams are unrolled.
+    /// take both consumers' fast repetition path (the body is priced once
+    /// and multiplied); bodies containing streams are unrolled.
     Loop {
         /// Operations of one iteration.
         body: Vec<KernelOp>,
@@ -436,33 +402,6 @@ mod tests {
         };
         assert_eq!(symbolic.elements(), 3.7);
         assert!(symbolic.is_symbolic());
-    }
-
-    #[test]
-    fn exact_spec_lowers_to_the_simulator_pattern() {
-        let spec = StreamSpec::Indirect {
-            index_base: 0x40,
-            index_bytes: 2,
-            data_base: 0x1000,
-            elem_bytes: 8,
-            indices: IndexStream::exact([3, 0]),
-        };
-        let pattern = spec.to_pattern();
-        assert_eq!(pattern.length(), 2);
-        assert_eq!(pattern.data_addresses(), vec![0x1018, 0x1000]);
-    }
-
-    #[test]
-    #[should_panic(expected = "symbolic streams")]
-    fn symbolic_spec_refuses_to_lower() {
-        StreamSpec::Indirect {
-            index_base: 0,
-            index_bytes: 2,
-            data_base: 0,
-            elem_bytes: 8,
-            indices: IndexStream::Expected(4.0),
-        }
-        .to_pattern();
     }
 
     #[test]

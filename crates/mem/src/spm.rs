@@ -33,35 +33,12 @@ impl BankConflictModel {
         (addr / self.bank_width_bytes) % self.banks
     }
 
-    /// Extra stall cycles caused by bank conflicts when the given address
-    /// sequence is issued `concurrency` requests per cycle.
-    ///
-    /// Addresses are grouped into windows of `concurrency` accesses that
-    /// contend in the same cycle; within a window, each bank serves one
-    /// request and every additional request to the same bank costs one
-    /// extra cycle. `concurrency` is clamped to at least 1.
-    pub fn conflict_cycles(&self, addresses: &[u32], concurrency: usize) -> u64 {
-        let concurrency = concurrency.max(1);
-        let mut stalls = 0u64;
-        let mut histogram = vec![0u32; self.banks as usize];
-        for window in addresses.chunks(concurrency) {
-            for slot in histogram.iter_mut() {
-                *slot = 0;
-            }
-            for &addr in window {
-                histogram[self.bank_of(addr) as usize] += 1;
-            }
-            stalls += histogram.iter().map(|&c| c.saturating_sub(1) as u64).sum::<u64>();
-        }
-        stalls
-    }
-
-    /// Conflict stalls of one indirect stream, computed without
-    /// materializing the address vectors: element `k` fetches its index at
-    /// `index_base + k * index_bytes` and gathers
-    /// `data_base + indices[k] * elem_bytes`. Exactly equivalent to
-    /// [`BankConflictModel::conflict_cycles_pairwise`] over the two
-    /// expanded address sequences.
+    /// Conflict stalls of one indirect stream: element `k` fetches its
+    /// index at `index_base + k * index_bytes` and gathers
+    /// `data_base + indices[k] * elem_bytes` in the same cycle, so every
+    /// element whose two accesses land in the same bank costs one stall.
+    /// Walks the index words in place, without materializing the address
+    /// sequences.
     pub fn conflict_cycles_indexed(
         &self,
         index_base: u32,
@@ -75,19 +52,6 @@ impl BankConflictModel {
             let index_addr = index_base + k as u32 * index_bytes;
             let gather = data_base.wrapping_add(idx * elem_bytes);
             if self.bank_of(index_addr) == self.bank_of(gather) {
-                stalls += 1;
-            }
-        }
-        stalls
-    }
-
-    /// Conflict stalls between two interleaved address streams (for example
-    /// the index fetches and the gathered weight reads of an indirect SSR),
-    /// assuming one element of each stream is issued per cycle.
-    pub fn conflict_cycles_pairwise(&self, a: &[u32], b: &[u32]) -> u64 {
-        let mut stalls = 0u64;
-        for (&x, &y) in a.iter().zip(b.iter()) {
-            if self.bank_of(x) == self.bank_of(y) {
                 stalls += 1;
             }
         }
@@ -262,29 +226,15 @@ mod tests {
     }
 
     #[test]
-    fn sequential_words_never_conflict() {
-        let m = model();
-        let addrs: Vec<u32> = (0..256).map(|i| i * 8).collect();
-        assert_eq!(m.conflict_cycles(&addrs, 8), 0);
-    }
-
-    #[test]
-    fn same_bank_accesses_serialize() {
-        let m = model();
-        // Four accesses to bank 0 in one cycle window: three lose arbitration.
-        let addrs = vec![0, 256, 512, 768];
-        assert_eq!(m.conflict_cycles(&addrs, 4), 3);
-        // Issued one per cycle they never conflict.
-        assert_eq!(m.conflict_cycles(&addrs, 1), 0);
-    }
-
-    #[test]
     fn pairwise_conflicts_count_same_bank_pairs() {
         let m = model();
-        let idx = vec![0, 8, 16];
-        let data = vec![256, 24, 16 + 256 * 3];
-        // 0 vs 256 conflict (bank 0), 8 vs 24 do not, 16 vs 16+768 conflict.
-        assert_eq!(m.conflict_cycles_pairwise(&idx, &data), 2);
+        // Three 2-byte index fetches, all in bank 8 (0x40, 0x42, 0x44); the
+        // gathers from 0x1000 (bank 0) land in bank `index % 32`.
+        let indices = [8, 3, 40];
+        // 8 and 40 gather from bank 8 and conflict with their index
+        // fetch; 3 gathers from bank 3 and does not.
+        assert_eq!(m.conflict_cycles_indexed(0x40, 2, 0x1000, 8, &indices), 2);
+        assert_eq!(m.conflict_cycles_indexed(0x40, 2, 0x1000, 8, &[]), 0);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Cluster-level aggregation: worker cores + DMA core + shared I-cache.
 //!
-//! The kernels drive the per-core [`WorkerCoreModel`]s directly (work
-//! distribution — including workload stealing — is a kernel concern), issue
-//! tile transfers on the DMA engine, and finally ask the cluster model to
-//! close the *phase*. A phase corresponds to one network layer in the
+//! The stream-program interpreter ([`crate::execute_program`]) hands each
+//! work item to the per-core [`WorkerCoreModel`] whose pipeline is least
+//! advanced (workload stealing), issues the program's tile transfers on the
+//! DMA engine, and finally the caller asks the cluster model to close the
+//! *phase*. A phase corresponds to one network layer in the
 //! SpikeStream evaluation: its runtime is the slowest core or the DMA
 //! engine, whichever finishes last, which is exactly how double buffering
 //! hides (or fails to hide) memory transfers.
@@ -187,9 +188,10 @@ impl ClusterModel {
 mod tests {
     use super::*;
     use snitch_arch::fp::FpFormat;
-    use snitch_arch::isa::{FpOp, StreamPattern};
-    use snitch_arch::{SsrId, TraceOp};
+    use snitch_arch::isa::FpOp;
+    use snitch_arch::SsrId;
     use snitch_mem::dma::DmaDirection;
+    use spikestream_ir::{IndexStream, KernelOp, StreamSpec};
 
     fn cluster() -> ClusterModel {
         ClusterModel::new(ClusterConfig::default(), CostModel::default())
@@ -200,21 +202,20 @@ mod tests {
         let mut cl = cluster();
         for core in 0..cl.worker_cores() {
             let reps = if core == 3 { 1000 } else { 10 };
-            cl.core_mut(core).exec(&TraceOp::SsrConfig {
-                ssr: SsrId::Ssr0,
-                pattern: StreamPattern::Indirect {
-                    index_base: 0,
-                    index_bytes: 2,
-                    data_base: 0x1000,
-                    elem_bytes: 8,
-                    indices: (0..reps).collect(),
-                },
-                shadow: true,
-            });
-            cl.core_mut(core).exec(&TraceOp::Frep {
-                reps,
-                body: vec![TraceOp::fp_streamed(FpOp::Add, FpFormat::Fp16, SsrId::Ssr0)],
-            });
+            let spva = KernelOp::Stream {
+                ssrs: vec![(
+                    SsrId::Ssr0,
+                    StreamSpec::Indirect {
+                        index_base: 0,
+                        index_bytes: 2,
+                        data_base: 0x1000,
+                        elem_bytes: 8,
+                        indices: IndexStream::exact(0..reps),
+                    },
+                )],
+                op: FpOp::Add,
+            };
+            cl.core_mut(core).exec(&spva, FpFormat::Fp16);
         }
         let stats = cl.finish_phase("test");
         assert!(stats.compute_cycles >= 1000);
@@ -225,7 +226,7 @@ mod tests {
     #[test]
     fn dma_bound_phase_is_limited_by_dma() {
         let mut cl = cluster();
-        cl.core_mut(0).exec(&TraceOp::alu());
+        cl.core_mut(0).exec(&KernelOp::alu(), FpFormat::Fp16);
         let done = cl.dma_issue(DmaRequest::contiguous(DmaDirection::In, 1 << 20), 0);
         let stats = cl.finish_phase("dma-bound");
         assert_eq!(stats.cycles, done);
@@ -236,7 +237,7 @@ mod tests {
     #[test]
     fn finish_phase_resets_cores_and_dma() {
         let mut cl = cluster();
-        cl.core_mut(0).exec(&TraceOp::alu());
+        cl.core_mut(0).exec(&KernelOp::alu(), FpFormat::Fp16);
         cl.dma_issue(DmaRequest::contiguous(DmaDirection::Out, 4096), 0);
         let first = cl.finish_phase("a");
         assert!(first.cycles > 1);

@@ -9,13 +9,16 @@
 //! decoupling — and its failure when streams are too short — is exactly
 //! what produces the per-layer utilization and speedup shapes in Fig. 3 of
 //! the paper.
+//!
+//! The model executes the stream-program IR directly: its one entry point,
+//! [`WorkerCoreModel::exec`], advances the core by one [`KernelOp`].
 
 use std::collections::VecDeque;
 
-use snitch_arch::isa::{FpOp, StreamPattern};
-use snitch_arch::{ClusterConfig, CostModel, SsrId, TraceOp};
+use snitch_arch::isa::{FpOp, IntOp};
+use snitch_arch::{ClusterConfig, CostModel, FpFormat, SsrId};
 use snitch_mem::BankConflictModel;
-use spikestream_ir::{IndexStream, StreamSpec};
+use spikestream_ir::{IndexStream, KernelOp, StreamSpec};
 
 use crate::counters::PerfCounters;
 
@@ -23,23 +26,18 @@ use crate::counters::PerfCounters;
 /// FPU before it stalls on the sequencer buffer.
 const MAX_OUTSTANDING_FREPS: usize = 2;
 
-/// Per-core, trace-driven timing model.
+/// Per-core timing model, driven one stream-program operation at a time.
 #[derive(Debug, Clone)]
 pub struct WorkerCoreModel {
     core_id: usize,
     cost: CostModel,
     banks: BankConflictModel,
-    cross_conflict_per_access: f64,
     /// Completion time of the integer pipeline.
     int_time: u64,
     /// Time at which the FPU becomes free.
     fpu_time: u64,
     /// Completion times of outstanding FREP regions.
     outstanding_freps: VecDeque<u64>,
-    /// Completion time of the stream currently bound to each SSR.
-    ssr_busy_until: [u64; 3],
-    /// Stream pattern most recently configured on each SSR, not yet consumed.
-    ssr_pending: [Option<StreamPattern>; 3],
     /// Fractional conflict-cycle accumulator (cross-core interference).
     conflict_carry: f64,
     counters: PerfCounters,
@@ -48,17 +46,13 @@ pub struct WorkerCoreModel {
 impl WorkerCoreModel {
     /// Create a core model.
     pub fn new(config: &ClusterConfig, cost: CostModel, core_id: usize) -> Self {
-        let cross_conflict_per_access = cost.cross_conflict_per_access;
         WorkerCoreModel {
             core_id,
             cost,
             banks: BankConflictModel::new(config),
-            cross_conflict_per_access,
             int_time: 0,
             fpu_time: 0,
             outstanding_freps: VecDeque::new(),
-            ssr_busy_until: [0; 3],
-            ssr_pending: [None, None, None],
             conflict_carry: 0.0,
             counters: PerfCounters::new(),
         }
@@ -69,66 +63,50 @@ impl WorkerCoreModel {
         self.core_id
     }
 
-    /// Override the cross-core contention calibration constant.
-    pub fn set_cross_conflict_per_access(&mut self, value: f64) {
-        self.cross_conflict_per_access = value.max(0.0);
-    }
-
-    /// Execute one trace operation, advancing the core's timing state.
-    pub fn exec(&mut self, op: &TraceOp) {
+    /// Execute one stream-program operation, advancing the core's timing
+    /// state. `format` is the program's storage format; it sets the SIMD
+    /// lane count of the FLOP statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a symbolic stream (`IndexStream::Expected`) and on an
+    /// indirect stream bound to an SSR without indirection support. Only
+    /// exact programs are executable; symbolic ones can only be integrated.
+    pub fn exec(&mut self, op: &KernelOp, format: FpFormat) {
         match op {
-            TraceOp::Int { op, addr: _ } => {
-                self.int_time += self.cost.int_cycles(*op);
-                self.counters.int_instrs += 1;
-            }
-            TraceOp::Fp { op, format, ssr_srcs, addr: _ } => {
-                // The integer core spends one issue slot handing the
-                // instruction to the FPU subsystem.
-                self.int_time += 1;
-                self.counters.int_instrs += 1;
-                let busy = self.cost.fp_cycles(*op);
-                let mut start = self.int_time.max(self.fpu_time);
-                for ssr in ssr_srcs {
-                    start = start.max(self.ssr_busy_until[ssr.index()]);
+            KernelOp::Int { op, reps, .. } => self.exec_int_repeated(*op, int_reps(*reps)),
+            KernelOp::Fp { op, reps, .. } => self.exec_fp_repeated(*op, format, int_reps(*reps)),
+            KernelOp::Loop { body, reps } => {
+                let reps = int_reps(*reps);
+                if reps == 0 {
+                    return;
                 }
-                self.fpu_time = start + busy;
-                // Only arithmetic counts as *useful* FPU work for the
-                // utilization metric; FP loads/stores/moves keep the FP
-                // subsystem occupied but are bookkeeping.
-                if Self::is_useful_fp(*op) {
-                    self.counters.fpu_busy_cycles += busy;
+                if body.iter().all(|op| matches!(op, KernelOp::Int { .. } | KernelOp::Fp { .. })) {
+                    self.exec_straight_loop(body, format, reps);
+                } else {
+                    for _ in 0..reps {
+                        for inner in body {
+                            self.exec(inner, format);
+                        }
+                    }
                 }
-                self.counters.fp_instrs += 1;
-                self.counters.flops += self.flops_of(*op, format.simd_lanes() as u64);
             }
-            TraceOp::SsrConfig { ssr, pattern, shadow } => {
-                self.config_ssr(*ssr, pattern.clone(), *shadow);
-            }
-            TraceOp::Frep { reps, body } => {
-                self.exec_frep(*reps, body);
-            }
-            TraceOp::Barrier => {
+            KernelOp::Stream { ssrs, op } => self.exec_stream(ssrs, *op, format),
+            KernelOp::Barrier => {
                 self.int_time = self.int_time.max(self.fpu_time);
                 self.outstanding_freps.clear();
+                self.counters.int_cycles = self.int_time;
+                self.counters.fpu_last_complete =
+                    self.counters.fpu_last_complete.max(self.fpu_time);
             }
-        }
-        self.counters.int_cycles = self.int_time;
-        self.counters.fpu_last_complete = self.counters.fpu_last_complete.max(self.fpu_time);
-    }
-
-    /// Execute a whole slice of trace operations.
-    pub fn exec_all(&mut self, ops: &[TraceOp]) {
-        for op in ops {
-            self.exec(op);
         }
     }
 
     /// Execute the same integer operation `reps` times.
     ///
-    /// Closed form of `reps` successive [`WorkerCoreModel::exec`] calls on
-    /// the same `TraceOp::Int`: integer op timing carries no
-    /// cross-iteration state, so the per-op cost multiplies exactly.
-    pub fn exec_int_repeated(&mut self, op: snitch_arch::isa::IntOp, reps: u64) {
+    /// Integer op timing carries no cross-iteration state, so the per-op
+    /// cost multiplies exactly.
+    fn exec_int_repeated(&mut self, op: IntOp, reps: u64) {
         self.int_time += self.cost.int_cycles(op) * reps;
         self.counters.int_instrs += reps;
         self.counters.int_cycles = self.int_time;
@@ -136,12 +114,11 @@ impl WorkerCoreModel {
 
     /// Execute the same non-streamed FP operation `reps` times.
     ///
-    /// Closed form of `reps` successive [`WorkerCoreModel::exec`] calls on
-    /// the same `TraceOp::Fp` with no SSR sources. Each iteration issues
-    /// one integer slot and occupies the FPU for the op's busy cycles; once
-    /// the FPU is the bottleneck (immediately, for any busy >= 1) the
-    /// completion time advances by exactly `busy` per iteration.
-    pub fn exec_fp_repeated(&mut self, op: FpOp, format: snitch_arch::fp::FpFormat, reps: u64) {
+    /// Each iteration issues one integer slot and occupies the FPU for the
+    /// op's busy cycles; once the FPU is the bottleneck (immediately, for
+    /// any busy >= 1) the completion time advances by exactly `busy` per
+    /// iteration.
+    fn exec_fp_repeated(&mut self, op: FpOp, format: FpFormat, reps: u64) {
         if reps == 0 {
             return;
         }
@@ -167,33 +144,57 @@ impl WorkerCoreModel {
         self.counters.fpu_last_complete = self.counters.fpu_last_complete.max(self.fpu_time);
     }
 
-    /// Execute one `KernelOp::Stream` directly from its IR stream specs:
-    /// configure every SSR (shadowed) and run the single-FP-op FREP region
-    /// that consumes them, walking the exact index words in place.
+    /// Execute a straight-line `Int`/`Fp` loop body `reps` times.
     ///
-    /// This is the word-parallel fast path of the stream-program
-    /// interpreter: it is cycle- and counter-exact with issuing the
-    /// equivalent `TraceOp::SsrConfig` + `TraceOp::Frep` sequence through
-    /// [`WorkerCoreModel::exec`], but never materializes a
-    /// [`StreamPattern`] (which would deep-copy every exact index list) or
-    /// a trace-op body.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a spec is symbolic (`IndexStream::Expected`) or an
-    /// indirect stream targets an SSR without indirection support — the
-    /// same contracts as [`StreamSpec::to_pattern`] and
-    /// [`WorkerCoreModel::exec`].
-    pub fn exec_stream(
-        &mut self,
-        ssrs: &[(SsrId, StreamSpec)],
-        op: FpOp,
-        format: snitch_arch::fp::FpFormat,
-    ) {
-        // SSR configuration, shadowed: the CSR writes of every pattern
-        // dimension, exactly as `config_ssr`. The pending slot is cleared
-        // rather than filled — this stream consumes its own configuration
-        // immediately below.
+    /// This is the fast path for inner loops whose per-iteration timing does
+    /// not depend on data (such as the baseline SpVA loop of Listing 1b):
+    /// the body is summed once and multiplied. Its FP work is issued op by
+    /// op through the integer core, so the FP subsystem finishes together
+    /// with the integer pipeline. `CostIntegrator` prices such loops the
+    /// same way.
+    fn exec_straight_loop(&mut self, body: &[KernelOp], format: FpFormat, reps: u64) {
+        let lanes = format.simd_lanes() as u64;
+        let mut int_cycles = 0u64;
+        let mut int_instrs = 0u64;
+        let mut fp_busy = 0u64;
+        let mut fp_instrs = 0u64;
+        let mut flops = 0u64;
+        for op in body {
+            match op {
+                KernelOp::Int { op, reps, .. } => {
+                    let n = int_reps(*reps);
+                    int_cycles += self.cost.int_cycles(*op) * n;
+                    int_instrs += n;
+                }
+                KernelOp::Fp { op, reps, .. } => {
+                    let n = int_reps(*reps);
+                    int_cycles += n; // issue slot on the integer core
+                    int_instrs += n;
+                    if Self::is_useful_fp(*op) {
+                        fp_busy += self.cost.fp_cycles(*op) * n;
+                    }
+                    fp_instrs += n;
+                    flops += self.flops_of(*op, lanes) * n;
+                }
+                _ => unreachable!("straight-line loop body"),
+            }
+        }
+        self.int_time += int_cycles * reps;
+        self.counters.int_instrs += int_instrs * reps;
+        self.fpu_time = self.fpu_time.max(self.int_time);
+        self.counters.fpu_busy_cycles += fp_busy * reps;
+        self.counters.fp_instrs += fp_instrs * reps;
+        self.counters.flops += flops * reps;
+        self.counters.int_cycles = self.int_time;
+        self.counters.fpu_last_complete = self.counters.fpu_last_complete.max(self.fpu_time);
+    }
+
+    /// Execute one `KernelOp::Stream`: configure every SSR through its
+    /// shadow registers (so setup overlaps the running stream) and drain
+    /// them under a single-FP-op FREP region, walking the exact index words
+    /// in place.
+    fn exec_stream(&mut self, ssrs: &[(SsrId, StreamSpec)], op: FpOp, format: FpFormat) {
+        // SSR configuration: the CSR writes of every pattern dimension.
         let mut reps = 0u64;
         for (ssr, spec) in ssrs {
             if matches!(spec, StreamSpec::Indirect { .. }) && !ssr.supports_indirect() {
@@ -206,17 +207,20 @@ impl WorkerCoreModel {
             self.int_time += writes * self.cost.ssr_config_write;
             self.counters.int_instrs += writes;
             self.counters.ssr_configs += 1;
-            self.ssr_pending[ssr.index()] = None;
             reps = reps.max(Self::spec_length(spec));
         }
         if reps == 0 {
+            // An empty stream configures its SSRs but never launches the
+            // hardware loop.
             self.counters.int_cycles = self.int_time;
             return;
         }
 
-        // The FREP region, exactly as `exec_frep` over a one-op body.
+        // Launching the hardware loop occupies the integer core briefly.
         self.int_time += self.cost.frep_launch;
         self.counters.int_instrs += 1;
+        // Sequencer back-pressure: only a couple of FREP regions may be
+        // outstanding; beyond that the integer core stalls.
         self.retire_completed_freps();
         if self.outstanding_freps.len() >= MAX_OUTSTANDING_FREPS {
             let oldest = self.outstanding_freps.pop_front().expect("non-empty");
@@ -226,7 +230,8 @@ impl WorkerCoreModel {
             }
         }
 
-        let stream_ready = self.int_time;
+        // Scratchpad traffic of every stream: own bank conflicts plus
+        // cross-core interference.
         let mut conflict_stalls = 0u64;
         let mut elements = 0u64;
         let mut stream_interval: f64 = 1.0;
@@ -244,6 +249,8 @@ impl WorkerCoreModel {
                 indices: IndexStream::Exact(idcs),
             } = spec
             {
+                // Each element needs an index fetch plus a gather; when both
+                // land in the same bank the data mover loses a cycle.
                 conflict_stalls += self.banks.conflict_cycles_indexed(
                     *index_base,
                     *index_bytes,
@@ -252,18 +259,23 @@ impl WorkerCoreModel {
                     idcs,
                 );
             }
+            // Cross-core interference, accumulated fractionally so short
+            // streams are not over-penalized.
             let elems = Self::spec_length(spec);
-            let expected = elems as f64 * accesses_per_element * self.cross_conflict_per_access
-                + self.conflict_carry;
+            let expected =
+                elems as f64 * accesses_per_element * self.cost.cross_conflict_per_access
+                    + self.conflict_carry;
             let cross = expected.floor() as u64;
             self.conflict_carry = expected - cross as f64;
             conflict_stalls += cross;
             elements += elems;
         }
 
+        // Streamed operands arrive at the sustained interval of the slowest
+        // stream feeding the body.
         let total_issue = self.cost.fp_cycles(op) * reps;
         let total_occupancy = (total_issue as f64 * stream_interval).ceil() as u64;
-        let start = self.int_time.max(self.fpu_time).max(stream_ready);
+        let start = self.int_time.max(self.fpu_time);
         let busy_end = start
             + self.cost.fpu_latency
             + self.cost.stream_startup
@@ -276,9 +288,6 @@ impl WorkerCoreModel {
         self.counters.fp_instrs += reps;
         self.counters.flops += self.flops_of(op, format.simd_lanes() as u64) * reps;
         self.counters.stream_elements += elements;
-        for (ssr, _) in ssrs {
-            self.ssr_busy_until[ssr.index()] = busy_end;
-        }
         self.outstanding_freps.push_back(busy_end);
         self.counters.int_cycles = self.int_time;
         self.counters.fpu_last_complete = self.counters.fpu_last_complete.max(self.fpu_time);
@@ -288,7 +297,7 @@ impl WorkerCoreModel {
     ///
     /// # Panics
     ///
-    /// Panics on symbolic streams, like [`StreamSpec::to_pattern`].
+    /// Panics on symbolic streams.
     fn spec_length(spec: &StreamSpec) -> u64 {
         match spec {
             StreamSpec::Affine { bounds, .. } => bounds.iter().map(|&b| b as u64).product(),
@@ -297,63 +306,6 @@ impl WorkerCoreModel {
                 panic!("symbolic streams cannot be interpreted, only integrated")
             }
         }
-    }
-
-    /// Execute a straight-line block of operations `reps` times.
-    ///
-    /// This is a fast path for inner loops whose per-iteration timing does
-    /// not depend on data (such as the baseline SpVA loop of Listing 1b):
-    /// the per-iteration cost is computed once and multiplied, which is
-    /// exact for blocks containing only integer ops and non-streamed FP ops.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block contains SSR configurations or FREP regions —
-    /// those have cross-iteration state and must go through [`Self::exec`].
-    pub fn exec_repeated(&mut self, ops: &[TraceOp], reps: u64) {
-        if reps == 0 {
-            return;
-        }
-        let mut int_cycles = 0u64;
-        let mut int_instrs = 0u64;
-        let mut fp_busy = 0u64;
-        let mut fp_occupancy = 0u64;
-        let mut fp_instrs = 0u64;
-        let mut flops = 0u64;
-        for op in ops {
-            match op {
-                TraceOp::Int { op, .. } => {
-                    int_cycles += self.cost.int_cycles(*op);
-                    int_instrs += 1;
-                }
-                TraceOp::Fp { op, format, .. } => {
-                    int_cycles += 1; // issue slot on the integer core
-                    int_instrs += 1;
-                    let busy = self.cost.fp_cycles(*op);
-                    fp_occupancy += busy;
-                    if Self::is_useful_fp(*op) {
-                        fp_busy += busy;
-                    }
-                    fp_instrs += 1;
-                    flops += self.flops_of(*op, format.simd_lanes() as u64);
-                }
-                TraceOp::SsrConfig { .. } | TraceOp::Frep { .. } | TraceOp::Barrier => {
-                    panic!("exec_repeated only supports straight-line int/FP blocks");
-                }
-            }
-        }
-        self.int_time += int_cycles * reps;
-        self.counters.int_instrs += int_instrs * reps;
-        // The FP work of such blocks is throttled by the integer core (each
-        // FP op is issued individually), so the FP subsystem finishes
-        // together with the integer pipeline.
-        let _ = fp_occupancy;
-        self.fpu_time = self.fpu_time.max(self.int_time);
-        self.counters.fpu_busy_cycles += fp_busy * reps;
-        self.counters.fp_instrs += fp_instrs * reps;
-        self.counters.flops += flops * reps;
-        self.counters.int_cycles = self.int_time;
-        self.counters.fpu_last_complete = self.counters.fpu_last_complete.max(self.fpu_time);
     }
 
     /// Charge `cycles` of instruction-cache refill stall to the integer core.
@@ -393,8 +345,6 @@ impl WorkerCoreModel {
         self.int_time = 0;
         self.fpu_time = 0;
         self.outstanding_freps.clear();
-        self.ssr_busy_until = [0; 3];
-        self.ssr_pending = [None, None, None];
         self.conflict_carry = 0.0;
         self.counters = PerfCounters::new();
     }
@@ -411,113 +361,6 @@ impl WorkerCoreModel {
         }
     }
 
-    fn config_ssr(&mut self, ssr: SsrId, pattern: StreamPattern, shadow: bool) {
-        if matches!(pattern, StreamPattern::Indirect { .. }) && !ssr.supports_indirect() {
-            panic!("SSR {ssr:?} does not support indirect streams");
-        }
-        let writes = match &pattern {
-            StreamPattern::Affine { strides, .. } => 2 + 2 * strides.len() as u64,
-            StreamPattern::Indirect { .. } => 4,
-        };
-        self.int_time += writes * self.cost.ssr_config_write;
-        self.counters.int_instrs += writes;
-        self.counters.ssr_configs += 1;
-
-        if !shadow {
-            // Without shadow registers the integer core must wait for the
-            // stream currently bound to this SSR to drain.
-            let busy = self.ssr_busy_until[ssr.index()];
-            if busy > self.int_time {
-                self.counters.stall_ssr_drain += busy - self.int_time;
-                self.int_time = busy;
-            }
-        }
-        self.ssr_pending[ssr.index()] = Some(pattern);
-    }
-
-    fn exec_frep(&mut self, reps: u32, body: &[TraceOp]) {
-        // Launching the hardware loop occupies the integer core briefly.
-        self.int_time += self.cost.frep_launch;
-        self.counters.int_instrs += 1;
-
-        // Sequencer back-pressure: only a couple of FREP regions may be
-        // outstanding; beyond that the integer core stalls.
-        self.retire_completed_freps();
-        if self.outstanding_freps.len() >= MAX_OUTSTANDING_FREPS {
-            let oldest = self.outstanding_freps.pop_front().expect("non-empty");
-            if oldest > self.int_time {
-                self.counters.stall_sequencer_full += oldest - self.int_time;
-                self.int_time = oldest;
-            }
-        }
-
-        // Gather the streams consumed by the body and their conflict cost.
-        let mut stream_ready = self.int_time;
-        let mut conflict_stalls = 0u64;
-        let mut elements = 0u64;
-        let mut uses_stream = false;
-        let mut stream_interval: f64 = 1.0;
-        for op in body {
-            if let TraceOp::Fp { ssr_srcs, .. } = op {
-                for ssr in ssr_srcs {
-                    uses_stream = true;
-                    if let Some(pattern) = self.ssr_pending[ssr.index()].take() {
-                        let interval = match &pattern {
-                            StreamPattern::Affine { .. } => self.cost.affine_stream_interval,
-                            StreamPattern::Indirect { .. } => self.cost.indirect_stream_interval,
-                        };
-                        stream_interval = stream_interval.max(interval);
-                        let (ready, stalls, elems) = self.consume_stream(ssr, &pattern);
-                        stream_ready = stream_ready.max(ready);
-                        conflict_stalls += stalls;
-                        elements += elems;
-                    } else {
-                        stream_ready = stream_ready.max(self.ssr_busy_until[ssr.index()]);
-                    }
-                }
-            }
-        }
-
-        let mut fp_issue_cycles = 0u64;
-        let mut fp_instrs = 0u64;
-        let mut flops = 0u64;
-        for op in body {
-            if let TraceOp::Fp { op, format, .. } = op {
-                fp_issue_cycles += self.cost.fp_cycles(*op);
-                fp_instrs += 1;
-                flops += self.flops_of(*op, format.simd_lanes() as u64);
-            }
-        }
-        let total_issue = fp_issue_cycles * reps as u64;
-        // Streamed operands arrive at the sustained interval of the slowest
-        // stream feeding the body; non-streamed FREP bodies issue every cycle.
-        let total_occupancy = if uses_stream {
-            (total_issue as f64 * stream_interval).ceil() as u64
-        } else {
-            total_issue
-        };
-        let startup = if uses_stream { self.cost.stream_startup } else { 0 };
-        let start = self.int_time.max(self.fpu_time).max(stream_ready);
-        let busy_end = start + self.cost.fpu_latency + startup + total_occupancy + conflict_stalls;
-
-        self.fpu_time = busy_end;
-        self.counters.fpu_busy_cycles += total_issue;
-        self.counters.stall_bank_conflict += conflict_stalls;
-        self.counters.fp_instrs += fp_instrs * reps as u64;
-        self.counters.flops += flops * reps as u64;
-        self.counters.stream_elements += elements;
-
-        // Streams consumed by this FREP stay busy until it completes.
-        for op in body {
-            if let TraceOp::Fp { ssr_srcs, .. } = op {
-                for ssr in ssr_srcs {
-                    self.ssr_busy_until[ssr.index()] = busy_end;
-                }
-            }
-        }
-        self.outstanding_freps.push_back(busy_end);
-    }
-
     fn retire_completed_freps(&mut self) {
         while let Some(&t) = self.outstanding_freps.front() {
             if t <= self.int_time {
@@ -527,65 +370,60 @@ impl WorkerCoreModel {
             }
         }
     }
+}
 
-    /// Account for the scratchpad traffic of one stream: returns
-    /// `(ready_time, conflict_stalls, elements)`.
-    fn consume_stream(&mut self, _ssr: &SsrId, pattern: &StreamPattern) -> (u64, u64, u64) {
-        let elements = pattern.length();
-        let accesses_per_element: f64;
-        let own_conflicts: u64;
-        match pattern {
-            StreamPattern::Affine { .. } => {
-                accesses_per_element = 1.0;
-                own_conflicts = 0;
-            }
-            StreamPattern::Indirect { index_base, index_bytes, data_base, elem_bytes, indices } => {
-                // Each element needs an index fetch plus a gather; when both
-                // land in the same bank the data mover loses a cycle.
-                accesses_per_element = 2.0;
-                own_conflicts = self.banks.conflict_cycles_indexed(
-                    *index_base,
-                    *index_bytes,
-                    *data_base,
-                    *elem_bytes,
-                    indices,
-                );
-            }
-        }
-        // Cross-core interference, accumulated fractionally so short streams
-        // are not over-penalized.
-        let expected = elements as f64 * accesses_per_element * self.cross_conflict_per_access
-            + self.conflict_carry;
-        let cross = expected.floor() as u64;
-        self.conflict_carry = expected - cross as f64;
-        (self.int_time, own_conflicts + cross, elements)
-    }
+/// Repetition count of an exact operation.
+fn int_reps(reps: f64) -> u64 {
+    debug_assert!(reps.fract() == 0.0, "exact programs carry integral repetition counts");
+    reps as u64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snitch_arch::fp::FpFormat;
+
+    const F: FpFormat = FpFormat::Fp16;
 
     fn core() -> WorkerCoreModel {
         WorkerCoreModel::new(&ClusterConfig::default(), CostModel::default(), 0)
     }
 
-    fn indirect_pattern(n: u32) -> StreamPattern {
-        StreamPattern::Indirect {
-            index_base: 0x100,
-            index_bytes: 2,
-            data_base: 0x1000,
-            elem_bytes: 8,
-            indices: (0..n).collect(),
+    /// A streamed SpVA (Listing 1c): one indirect stream of `n` gathered
+    /// weights accumulated by a single-instruction FREP body.
+    fn gather(ssr: SsrId, n: u32) -> KernelOp {
+        KernelOp::Stream {
+            ssrs: vec![(
+                ssr,
+                StreamSpec::Indirect {
+                    index_base: 0x100,
+                    index_bytes: 2,
+                    data_base: 0x1000,
+                    elem_bytes: 8,
+                    indices: IndexStream::exact(0..n),
+                },
+            )],
+            op: FpOp::Add,
         }
+    }
+
+    /// One element of the baseline SpVA loop (Listing 1b): lw, slli, add,
+    /// fld, addi, addi, fadd, bne.
+    fn baseline_spva_body() -> Vec<KernelOp> {
+        vec![
+            KernelOp::load(0x100),
+            KernelOp::alu().times(2.0),
+            KernelOp::fp_at(FpOp::Load, 0x1000),
+            KernelOp::alu().times(2.0),
+            KernelOp::fp(FpOp::Add),
+            KernelOp::branch(),
+        ]
     }
 
     #[test]
     fn int_ops_advance_only_the_integer_pipeline() {
         let mut c = core();
-        c.exec(&TraceOp::alu());
-        c.exec(&TraceOp::load(0x40));
+        c.exec(&KernelOp::alu(), F);
+        c.exec(&KernelOp::load(0x40), F);
         assert_eq!(c.int_time(), 3);
         assert_eq!(c.fpu_time(), 0);
         assert_eq!(c.counters().int_instrs, 2);
@@ -594,7 +432,7 @@ mod tests {
     #[test]
     fn scalar_fp_op_occupies_both_pipelines() {
         let mut c = core();
-        c.exec(&TraceOp::fp(FpOp::Add, FpFormat::Fp16));
+        c.exec(&KernelOp::fp(FpOp::Add), F);
         assert_eq!(c.counters().fp_instrs, 1);
         assert_eq!(c.counters().fpu_busy_cycles, 1);
         assert!(c.fpu_time() >= 1);
@@ -603,21 +441,41 @@ mod tests {
 
     #[test]
     fn baseline_spva_loop_has_low_fpu_utilization() {
-        // Listing 1b: per element the integer core executes 7 instructions
-        // plus the fld and fadd; the FPU does one cycle of useful work.
+        // Per element the integer core executes 7 instructions plus the fld
+        // and fadd; the FPU does one cycle of useful work.
         let mut c = core();
-        for i in 0..100u32 {
-            c.exec(&TraceOp::load(0x100 + 2 * i)); // lw index
-            c.exec(&TraceOp::alu()); // slli
-            c.exec(&TraceOp::alu()); // add
-            c.exec(&TraceOp::fp(FpOp::Load, FpFormat::Fp16)); // fld
-            c.exec(&TraceOp::alu()); // addi
-            c.exec(&TraceOp::alu()); // addi
-            c.exec(&TraceOp::fp(FpOp::Add, FpFormat::Fp16)); // fadd
-            c.exec(&TraceOp::branch()); // bne
-        }
+        c.exec(&KernelOp::Loop { body: baseline_spva_body(), reps: 100.0 }, F);
         let util = c.counters().fpu_utilization();
         assert!(util > 0.05 && util < 0.20, "baseline utilization ~10%, got {util}");
+    }
+
+    #[test]
+    fn straight_line_loop_matches_its_unrolled_body() {
+        let mut looped = core();
+        looped.exec(&KernelOp::Loop { body: baseline_spva_body(), reps: 100.0 }, F);
+        let mut unrolled = core();
+        for _ in 0..100 {
+            for op in &baseline_spva_body() {
+                unrolled.exec(op, F);
+            }
+        }
+        let (l, u) = (looped.counters(), unrolled.counters());
+        assert_eq!(looped.int_time(), unrolled.int_time());
+        assert_eq!(l.total_cycles(), u.total_cycles());
+        assert_eq!(
+            (l.int_instrs, l.fp_instrs, l.flops, l.fpu_busy_cycles),
+            (u.int_instrs, u.fp_instrs, u.flops, u.fpu_busy_cycles)
+        );
+    }
+
+    #[test]
+    fn zero_trip_loop_changes_nothing() {
+        let mut c = core();
+        c.exec(&KernelOp::alu(), F);
+        let before = c.clone();
+        c.exec(&KernelOp::Loop { body: baseline_spva_body(), reps: 0.0 }, F);
+        assert_eq!(c.fpu_time(), before.fpu_time(), "the FPU clock does not move");
+        assert_eq!(c.counters(), before.counters());
     }
 
     #[test]
@@ -626,17 +484,8 @@ mod tests {
         // a single-instruction FREP body; utilization approaches 1.
         let mut c = core();
         for _ in 0..8 {
-            c.exec(&TraceOp::alu()); // stream base address computation
-            c.exec(&TraceOp::alu());
-            c.exec(&TraceOp::SsrConfig {
-                ssr: SsrId::Ssr0,
-                pattern: indirect_pattern(256),
-                shadow: true,
-            });
-            c.exec(&TraceOp::Frep {
-                reps: 256,
-                body: vec![TraceOp::fp_streamed(FpOp::Add, FpFormat::Fp16, SsrId::Ssr0)],
-            });
+            c.exec(&KernelOp::alu().times(2.0), F); // stream base address computation
+            c.exec(&gather(SsrId::Ssr0, 256), F);
         }
         let util = c.counters().fpu_utilization();
         assert!(
@@ -650,79 +499,30 @@ mod tests {
     fn short_streams_leave_the_fpu_starved() {
         let mut c = core();
         for _ in 0..64 {
-            for _ in 0..10 {
-                c.exec(&TraceOp::alu());
-            }
-            c.exec(&TraceOp::SsrConfig {
-                ssr: SsrId::Ssr0,
-                pattern: indirect_pattern(3),
-                shadow: true,
-            });
-            c.exec(&TraceOp::Frep {
-                reps: 3,
-                body: vec![TraceOp::fp_streamed(FpOp::Add, FpFormat::Fp16, SsrId::Ssr0)],
-            });
+            c.exec(&KernelOp::alu().times(10.0), F);
+            c.exec(&gather(SsrId::Ssr0, 3), F);
         }
         let util = c.counters().fpu_utilization();
         assert!(util < 0.45, "short streams keep utilization low, got {util}");
     }
 
     #[test]
-    fn non_shadow_reconfiguration_waits_for_stream_drain() {
-        let mut c = core();
-        c.exec(&TraceOp::SsrConfig {
-            ssr: SsrId::Ssr0,
-            pattern: indirect_pattern(512),
-            shadow: true,
-        });
-        c.exec(&TraceOp::Frep {
-            reps: 512,
-            body: vec![TraceOp::fp_streamed(FpOp::Add, FpFormat::Fp16, SsrId::Ssr0)],
-        });
-        // Immediately reconfigure without shadow registers: must wait.
-        c.exec(&TraceOp::SsrConfig {
-            ssr: SsrId::Ssr0,
-            pattern: indirect_pattern(4),
-            shadow: false,
-        });
-        assert!(c.counters().stall_ssr_drain > 0);
-        assert!(c.int_time() >= 512);
-    }
-
-    #[test]
     fn shadow_reconfiguration_overlaps_with_running_stream() {
         let mut c = core();
-        c.exec(&TraceOp::SsrConfig {
-            ssr: SsrId::Ssr0,
-            pattern: indirect_pattern(512),
-            shadow: true,
-        });
-        c.exec(&TraceOp::Frep {
-            reps: 512,
-            body: vec![TraceOp::fp_streamed(FpOp::Add, FpFormat::Fp16, SsrId::Ssr0)],
-        });
-        c.exec(&TraceOp::SsrConfig {
-            ssr: SsrId::Ssr0,
-            pattern: indirect_pattern(4),
-            shadow: true,
-        });
-        assert_eq!(c.counters().stall_ssr_drain, 0);
+        c.exec(&gather(SsrId::Ssr0, 512), F);
+        // Reconfigure the busy SSR right away: the shadow registers take
+        // the new pattern without waiting for the first stream to drain.
+        c.exec(&gather(SsrId::Ssr0, 4), F);
+        assert_eq!(c.counters().ssr_configs, 2);
         assert!(c.int_time() < 100, "integer core keeps running ahead");
+        assert!(c.fpu_time() > 512, "while the FPU still drains the first stream");
     }
 
     #[test]
     fn sequencer_backpressure_limits_runahead() {
         let mut c = core();
         for _ in 0..6 {
-            c.exec(&TraceOp::SsrConfig {
-                ssr: SsrId::Ssr0,
-                pattern: indirect_pattern(1024),
-                shadow: true,
-            });
-            c.exec(&TraceOp::Frep {
-                reps: 1024,
-                body: vec![TraceOp::fp_streamed(FpOp::Add, FpFormat::Fp16, SsrId::Ssr0)],
-            });
+            c.exec(&gather(SsrId::Ssr0, 1024), F);
         }
         assert!(c.counters().stall_sequencer_full > 0);
     }
@@ -730,28 +530,28 @@ mod tests {
     #[test]
     fn barrier_joins_integer_and_fp_time() {
         let mut c = core();
-        c.exec(&TraceOp::SsrConfig {
-            ssr: SsrId::Ssr1,
-            pattern: indirect_pattern(128),
-            shadow: true,
-        });
-        c.exec(&TraceOp::Frep {
-            reps: 128,
-            body: vec![TraceOp::fp_streamed(FpOp::Add, FpFormat::Fp8, SsrId::Ssr1)],
-        });
-        c.exec(&TraceOp::Barrier);
+        c.exec(&gather(SsrId::Ssr1, 128), FpFormat::Fp8);
+        c.exec(&KernelOp::Barrier, FpFormat::Fp8);
         assert_eq!(c.int_time(), c.fpu_time());
     }
 
     #[test]
     #[should_panic(expected = "does not support indirect")]
     fn indirect_stream_on_affine_only_ssr_panics() {
-        let mut c = core();
-        c.exec(&TraceOp::SsrConfig {
-            ssr: SsrId::Ssr2,
-            pattern: indirect_pattern(4),
-            shadow: true,
-        });
+        core().exec(&gather(SsrId::Ssr2, 4), F);
+    }
+
+    #[test]
+    #[should_panic(expected = "symbolic streams cannot be interpreted")]
+    fn symbolic_stream_refuses_to_execute() {
+        let spec = StreamSpec::Indirect {
+            index_base: 0,
+            index_bytes: 2,
+            data_base: 0,
+            elem_bytes: 8,
+            indices: IndexStream::Expected(4.0),
+        };
+        core().exec(&KernelOp::Stream { ssrs: vec![(SsrId::Ssr0, spec)], op: FpOp::Add }, F);
     }
 
     #[test]
@@ -765,7 +565,7 @@ mod tests {
     #[test]
     fn reset_clears_state() {
         let mut c = core();
-        c.exec(&TraceOp::alu());
+        c.exec(&KernelOp::alu(), F);
         c.reset();
         assert_eq!(c.int_time(), 0);
         assert_eq!(c.counters().int_instrs, 0);

@@ -12,8 +12,6 @@ pub enum StallCause {
     BankConflict,
     /// Instruction-cache refills.
     IcacheMiss,
-    /// Integer core waiting for a running stream before reconfiguring an SSR.
-    SsrDrain,
     /// Integer core blocked because the FPU sequencer buffer is full.
     SequencerFull,
     /// Core waiting for a prologue DMA tile load before starting compute.
@@ -24,11 +22,10 @@ pub enum StallCause {
 
 impl StallCause {
     /// Every stall cause, for iteration in reports.
-    pub fn all() -> [StallCause; 6] {
+    pub fn all() -> [StallCause; 5] {
         [
             StallCause::BankConflict,
             StallCause::IcacheMiss,
-            StallCause::SsrDrain,
             StallCause::SequencerFull,
             StallCause::DmaWait,
             StallCause::FpuStarved,
@@ -59,8 +56,6 @@ pub struct PerfCounters {
     pub stall_bank_conflict: u64,
     /// Stall cycles attributed to instruction-cache refills.
     pub stall_icache: u64,
-    /// Stall cycles spent waiting for a stream to drain before reconfiguring.
-    pub stall_ssr_drain: u64,
     /// Stall cycles with the integer core blocked on a full sequencer buffer.
     pub stall_sequencer_full: u64,
     /// Stall cycles waiting for prologue DMA tile loads.
@@ -103,7 +98,6 @@ impl PerfCounters {
     pub fn stall_cycles(&self) -> u64 {
         self.stall_bank_conflict
             + self.stall_icache
-            + self.stall_ssr_drain
             + self.stall_sequencer_full
             + self.stall_dma_wait
     }
@@ -113,7 +107,6 @@ impl PerfCounters {
         match cause {
             StallCause::BankConflict => self.stall_bank_conflict,
             StallCause::IcacheMiss => self.stall_icache,
-            StallCause::SsrDrain => self.stall_ssr_drain,
             StallCause::SequencerFull => self.stall_sequencer_full,
             StallCause::DmaWait => self.stall_dma_wait,
             StallCause::FpuStarved => self.total_cycles().saturating_sub(self.fpu_busy_cycles),
@@ -133,7 +126,6 @@ impl PerfCounters {
         self.stream_elements += other.stream_elements;
         self.stall_bank_conflict += other.stall_bank_conflict;
         self.stall_icache += other.stall_icache;
-        self.stall_ssr_drain += other.stall_ssr_drain;
         self.stall_sequencer_full += other.stall_sequencer_full;
         self.stall_dma_wait += other.stall_dma_wait;
     }
@@ -190,13 +182,13 @@ mod tests {
         let c = PerfCounters {
             stall_bank_conflict: 3,
             stall_icache: 4,
-            stall_ssr_drain: 5,
+            stall_dma_wait: 5,
             stall_sequencer_full: 6,
             ..Default::default()
         };
         assert_eq!(c.stalls(StallCause::BankConflict), 3);
         assert_eq!(c.stalls(StallCause::IcacheMiss), 4);
-        assert_eq!(c.stalls(StallCause::SsrDrain), 5);
+        assert_eq!(c.stalls(StallCause::DmaWait), 5);
         assert_eq!(c.stalls(StallCause::SequencerFull), 6);
         assert_eq!(c.stall_cycles(), 18);
     }

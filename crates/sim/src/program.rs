@@ -6,21 +6,19 @@
 //! compute phases distribute their work items over the worker cores by
 //! workload stealing — always handing the next item to the core whose
 //! pipeline is the least advanced in time, exactly the atomic `next_rf`
-//! scheme of the paper's Fig. 2b — and every [`KernelOp`] lowers to the
-//! trace operations of the per-core timing model.
+//! scheme of the paper's Fig. 2b — and the claiming core executes the
+//! item's [`KernelOp`]s directly on its
+//! [`WorkerCoreModel`](crate::WorkerCoreModel).
 //!
 //! The analytic backend prices the *same* programs with
 //! `spikestream_ir::CostIntegrator`; this module is the other consumer of
 //! the IR, and the two are pinned against each other by the
 //! `ir_equivalence` property tests at the repository root.
 
-use snitch_arch::fp::FpFormat;
-use snitch_arch::TraceOp;
 use snitch_mem::dma::DmaDirection;
 use spikestream_ir::{KernelOp, Phase, StreamProgram};
 
 use crate::cluster::ClusterModel;
-use crate::core_model::WorkerCoreModel;
 
 /// Execute one exact stream program on the cluster.
 ///
@@ -65,14 +63,14 @@ pub fn execute_program(cluster: &mut ClusterModel, program: &StreamProgram) {
                         }
                         let model = cluster.core_mut(core);
                         for op in &item.ops {
-                            exec_op(model, op, format);
+                            model.exec(op, format);
                         }
                     }
                 }
                 // Implicit end-of-phase barrier: every core joins its
                 // outstanding FP work.
                 for core in 0..cluster.worker_cores() {
-                    cluster.core_mut(core).exec(&TraceOp::Barrier);
+                    cluster.core_mut(core).exec(&KernelOp::Barrier, format);
                 }
             }
         }
@@ -84,68 +82,11 @@ fn compute_time(cluster: &ClusterModel) -> u64 {
     cluster.cores().iter().map(|c| c.counters().total_cycles()).max().unwrap_or(0)
 }
 
-fn exec_op(core: &mut WorkerCoreModel, op: &KernelOp, format: FpFormat) {
-    match op {
-        KernelOp::Int { op, addr: _, reps } => {
-            core.exec_int_repeated(*op, int_reps(*reps));
-        }
-        KernelOp::Fp { op, addr: _, reps } => {
-            core.exec_fp_repeated(*op, format, int_reps(*reps));
-        }
-        KernelOp::Loop { body, reps } => {
-            let reps = int_reps(*reps);
-            if reps == 0 {
-                return;
-            }
-            if let Some(block) = straight_line_block(body, format) {
-                core.exec_repeated(&block, reps);
-            } else {
-                for _ in 0..reps {
-                    for inner in body {
-                        exec_op(core, inner, format);
-                    }
-                }
-            }
-        }
-        KernelOp::Stream { ssrs, op } => core.exec_stream(ssrs, *op, format),
-        KernelOp::Barrier => core.exec(&TraceOp::Barrier),
-    }
-}
-
-/// Expand a straight-line `Int`/`Fp` body into the trace block consumed by
-/// the repetition fast path; `None` if the body contains control flow.
-fn straight_line_block(body: &[KernelOp], format: FpFormat) -> Option<Vec<TraceOp>> {
-    let mut block = Vec::with_capacity(body.len());
-    for op in body {
-        match op {
-            KernelOp::Int { op, addr, reps } => {
-                let trace = TraceOp::Int { op: *op, addr: *addr };
-                for _ in 0..int_reps(*reps) {
-                    block.push(trace.clone());
-                }
-            }
-            KernelOp::Fp { op, addr, reps } => {
-                let trace = TraceOp::Fp { op: *op, format, ssr_srcs: Vec::new(), addr: *addr };
-                for _ in 0..int_reps(*reps) {
-                    block.push(trace.clone());
-                }
-            }
-            _ => return None,
-        }
-    }
-    Some(block)
-}
-
-fn int_reps(reps: f64) -> u64 {
-    debug_assert!(reps.fract() == 0.0, "exact programs carry integral repetition counts");
-    reps as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use snitch_arch::isa::FpOp;
-    use snitch_arch::{ClusterConfig, CostModel, SsrId};
+    use snitch_arch::{ClusterConfig, CostModel, FpFormat, SsrId};
     use spikestream_ir::{
         CodeRegion, ComputePhase, CostIntegrator, DmaPhase, IndexStream, StreamSpec, WorkItem,
     };

@@ -16,7 +16,7 @@
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use spikestream::{InferenceReport, Request, Scenario, TemporalEncoding, WorkloadMode};
+use spikestream::{InferenceReport, Request, Scenario, WorkloadMode};
 use spikestream_serve::{
     Gateway, GatewayConfig, ResponseHandle, ServeError, SubmitOptions, BATCH_HIST_LABELS,
 };
@@ -207,13 +207,7 @@ fn parse_options(command: Command, args: &[String]) -> Result<Options, String> {
         scenario.config.batch = batch;
     }
     if let Some(steps) = timesteps {
-        // Keep the scenario's encoding if it already runs temporally;
-        // otherwise switch the run to direct-coded temporal inference.
-        let encoding = match scenario.config.mode {
-            WorkloadMode::Temporal { encoding, .. } => encoding,
-            WorkloadMode::Synthetic => TemporalEncoding::Direct,
-        };
-        scenario.config.mode = WorkloadMode::Temporal { timesteps: steps, encoding };
+        scenario.config = scenario.config.temporal_steps(steps);
     }
     if let Some(list) = &shards_list {
         scenario.shards = list[0];

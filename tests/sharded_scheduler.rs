@@ -133,9 +133,9 @@ fn scheduler_attribution_is_a_pure_function_of_the_samples() {
     // Different host-side worker/chunk choices must never change anything:
     // neither the measurements nor the fleet attribution.
     let plan = Engine::svgg11(2).compile(&svgg11_config(24));
-    let request = Request::batch(24).with_shards(6);
     let serve = |workers: usize, chunk: usize| {
-        plan.open_session().with_workers(workers).with_chunk(chunk).infer(&request).to_json()
+        let request = Request::batch(24).with_shards(6).with_workers(workers);
+        plan.open_session().with_chunk(chunk).infer(&request).to_json()
     };
     let reference = serve(1, 1);
     assert!(reference.contains("\"per_shard\":[{\"shard\":0,"), "per-shard stats are compared");
