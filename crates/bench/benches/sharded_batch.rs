@@ -6,10 +6,10 @@
 //!   refines, and
 //! * **plan reuse must beat per-call compilation**: `serve_plan_reuse`
 //!   serves repeated requests from one compiled [`Plan`] (lowering and
-//!   cost integration amortized into `Engine::compile` and the warm
-//!   program cache), while `serve_compile_per_request` pays the
-//!   compile-and-lower path on every request — the regression the
-//!   compile/serve split exists to eliminate.
+//!   cost integration amortized into the plan's warm program-cost
+//!   cache), while `serve_compile_per_request` pays compilation and a
+//!   cold cache on every request — the regression the compile/serve
+//!   split exists to eliminate.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use spikestream::{

@@ -52,38 +52,28 @@ impl ExecutionBackend for AnalyticBackend {
             for (idx, layer) in ctx.network.layers().iter().enumerate() {
                 let input_rate = ctx.sample_rate_at(idx, sample, step);
                 let output_rate = ctx.sample_rate_at((idx + 1).min(n - 1), sample, step);
-                // Plan-driven runs bind through the shared program cache —
-                // on the serving steady state the lowering and the cost
-                // integration both happened ahead of time (or once per
-                // realized sparsity bucket), and the bound program's cost
-                // is read through the cache's `Arc` without cloning. A bare
-                // context lowers inline; both paths run the exact same
-                // emitter + integrator, so the samples are bit-identical.
-                let bound;
-                let owned;
-                let cost: &ProgramCost = match ctx.programs {
-                    Some(cache) => {
-                        bound = executor.bind_symbolic(
-                            cache,
-                            integrator,
-                            idx,
-                            layer,
-                            input_rate,
-                            output_rate,
-                        );
-                        &bound.cost
-                    }
-                    None => {
-                        owned = integrator.integrate(&executor.lower_symbolic(
-                            ctx.cluster,
-                            layer,
-                            input_rate,
-                            output_rate,
-                        ));
-                        &owned
-                    }
+                // Plan-driven runs price through the plan's cost memo, so a
+                // realized sparsity bucket is lowered and integrated once
+                // and hit afterwards. A bare context lowers inline; both
+                // paths run the exact same emitter + integrator, so the
+                // samples are bit-identical.
+                let cost = match ctx.programs {
+                    Some(cache) => executor.bind_symbolic(
+                        cache,
+                        integrator,
+                        idx,
+                        layer,
+                        input_rate,
+                        output_rate,
+                    ),
+                    None => integrator.integrate(&executor.lower_symbolic(
+                        ctx.cluster,
+                        layer,
+                        input_rate,
+                        output_rate,
+                    )),
                 };
-                out.push(layer_sample(ctx, layer, input_rate, cost));
+                out.push(layer_sample(ctx, layer, input_rate, &cost));
             }
         }
     }
@@ -177,5 +167,46 @@ fn expected_input_spikes(kind: &LayerKind, encodes: bool, rate: f64) -> f64 {
         }
         LayerKind::AvgPool(spec) => spec.input.len() as f64 * rate,
         LayerKind::Linear(spec) => spec.in_features as f64 * rate,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Compiler, FpFormat, InferenceConfig, KernelVariant};
+    use spikestream_snn::{FiringProfile, Network};
+
+    #[test]
+    fn cached_and_bare_contexts_price_samples_identically() {
+        let paper = InferenceConfig::paper(KernelVariant::SpikeStream, FpFormat::Fp16);
+        for config in [paper, paper.temporal_steps(3)] {
+            let plan = Compiler::new(Network::svgg11(3), FiringProfile::paper_svgg11())
+                .compile(config)
+                .unwrap();
+            let cached = plan.context(plan.config());
+            let bare = SampleContext { programs: None, ..cached };
+            let samples = [0, 1, 7, 1000];
+            let lookups = (samples.len() * plan.network().len() * config.timesteps()) as u64;
+            for pass in 0..2 {
+                let before = plan.programs().counters();
+                for sample in samples {
+                    assert_eq!(
+                        AnalyticBackend.run_sample(&cached, sample),
+                        AnalyticBackend.run_sample(&bare, sample),
+                        "T={} sample {sample} pass {pass}",
+                        config.timesteps()
+                    );
+                }
+                let after = plan.programs().counters();
+                assert_eq!(
+                    after.lookups() - before.lookups(),
+                    lookups,
+                    "only the cached side looks up"
+                );
+                if pass == 1 {
+                    assert_eq!(after.hits - before.hits, lookups, "the second pass runs on hits");
+                }
+            }
+        }
     }
 }

@@ -60,9 +60,9 @@ pub struct SampleContext<'a> {
     pub energy: &'a EnergyModel,
     /// The inference configuration of this run.
     pub config: &'a InferenceConfig,
-    /// The plan-owned symbolic program cache, when the run is driven by a
+    /// The plan-owned program-cost cache, when the run is driven by a
     /// compiled [`Plan`](crate::Plan). Backends that lower symbolically
-    /// (the analytic backend) bind programs through it instead of
+    /// (the analytic backend) price bindings through it instead of
     /// re-emitting per sample; `None` (a bare context built outside a
     /// plan) falls back to inline lowering with bit-identical results.
     pub programs: Option<&'a ProgramCache>,

@@ -3,7 +3,7 @@
 //! [`Engine`] binds a network, a firing profile and the hardware and
 //! energy models. It has exactly one execution entry point:
 //! [`Engine::compile`] produces a [`Plan`] (validated config, plan-owned
-//! backend, ahead-of-time lowered program cache), and the plan's
+//! backend, program-cost cache), and the plan's
 //! [`Session`](crate::Session)s serve requests.
 
 use snitch_arch::fp::FpFormat;
@@ -163,10 +163,10 @@ impl Engine {
             .with_energy_model(self.energy.clone())
     }
 
-    /// Compile `config` into a servable [`Plan`]: validation, backend
-    /// binding and the ahead-of-time lowering of every layer's stream
-    /// program happen here, once — sessions opened on the plan only
-    /// interpret cached programs.
+    /// Compile `config` into a servable [`Plan`]: validation and backend
+    /// binding happen here, once — sessions opened on the plan share its
+    /// program-cost cache, so each realized layer binding is lowered and
+    /// integrated at most once.
     ///
     /// # Panics
     ///

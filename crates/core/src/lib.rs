@@ -23,9 +23,9 @@
 //! ```
 //!
 //! * [`Compiler`] / [`Engine::compile`] perform every per-model step once
-//!   — config/profile validation, binding the execution backend as a
-//!   plan-owned value, and ahead-of-time lowering of every layer's stream
-//!   program into the plan-owned cache;
+//!   — config/profile validation and binding the execution backend as a
+//!   plan-owned value (the plan's program-cost cache starts empty and is
+//!   filled by serving);
 //! * [`Plan`] is the immutable, `Send + Sync` servable artifact; its
 //!   [`Session`]s own the worker scratch arenas, per-sample membrane
 //!   state and a parked [`pool::WorkerPool`] of serving threads, and

@@ -1,4 +1,4 @@
-//! Ahead-of-time compilation: [`Compiler`] → [`Plan`].
+//! Compilation: [`Compiler`] → [`Plan`].
 //!
 //! The serving lifecycle separates the work that depends only on the
 //! *network and configuration* from the work that depends on each
@@ -8,18 +8,18 @@
 //! Compiler ──compile──▶ Plan ──open_session──▶ Session ──run──▶ ResultSink
 //! (model + profile +    (validated config,     (worker scratch   (per-sample
 //!  hardware models)      bound backend,         arenas, per-      LayerSamples,
-//!                        AOT-lowered program    sample membrane   fleet stats;
+//!                        empty program-cost     sample membrane   fleet stats;
 //!                        cache)                 state)            fold ⇒ report)
 //! ```
 //!
 //! [`Compiler::compile`] performs every per-model step exactly once:
-//! config/profile validation, binding the execution backend as a
-//! *plan-owned value* (no `&'static` registry), and ahead-of-time lowering
-//! of every layer's symbolic [`StreamProgram`](spikestream_ir::StreamProgram)
-//! into the plan-owned [`ProgramCache`] — keyed by `(layer, kernel class,
-//! format, sparsity bucket)`, with realized sparsities served by
-//! `Expected`-count re-binding instead of re-emission. The per-sample hot
-//! path of a [`Session`] then only looks programs up.
+//! config/profile validation and binding the execution backend as a
+//! *plan-owned value* (no `&'static` registry). It lowers and integrates
+//! nothing. The plan owns an empty [`ProgramCache`] that memoizes the
+//! integrated cost of every symbolic layer binding the analytic backend
+//! prices, keyed by `(layer, kernel class, format, sparsity bucket)`: the
+//! first request over a sample population lowers and integrates each
+//! binding once, and later requests over the same population hit.
 //!
 //! A [`Plan`] is immutable, `Send + Sync` (asserted at compile time below)
 //! and cheap to share: wrap it in an `Arc` and open one session per worker
@@ -32,7 +32,7 @@ use spikestream_kernels::LayerExecutor;
 use spikestream_snn::{FiringProfile, Network};
 
 use crate::backend::{backend_for, ExecutionBackend, LayerSample, SampleContext};
-use crate::engine::{InferenceConfig, TimingModel};
+use crate::engine::InferenceConfig;
 use crate::report::InferenceReport;
 use crate::session::{Request, Session};
 
@@ -50,6 +50,17 @@ pub enum CompileError {
     },
     /// The configured batch size is zero.
     EmptyBatch,
+    /// One request over the configured batch would fold more than
+    /// [`Compiler::MAX_LAYER_SAMPLES`] per-layer samples (or the product
+    /// overflows).
+    BatchTooLarge {
+        /// Configured batch size.
+        batch: usize,
+        /// Layers in the network.
+        layers: usize,
+        /// Timesteps per sample.
+        timesteps: usize,
+    },
     /// A layer's neuron-model parameters fail validation.
     InvalidNeuronParams {
         /// Name of the offending layer.
@@ -69,6 +80,12 @@ impl std::fmt::Display for CompileError {
                 "firing profile covers {rates} layers but network `{network}` has {layers}"
             ),
             CompileError::EmptyBatch => write!(f, "batch must be at least 1"),
+            CompileError::BatchTooLarge { batch, layers, timesteps } => write!(
+                f,
+                "batch {batch} x {layers} layers x {timesteps} timesteps exceeds the limit of {} \
+                 layer samples per request",
+                Compiler::MAX_LAYER_SAMPLES
+            ),
             CompileError::InvalidNeuronParams { layer, model, message } => {
                 write!(f, "layer `{layer}` has invalid {model} parameters: {message}")
             }
@@ -111,6 +128,10 @@ pub struct Compiler {
 }
 
 impl Compiler {
+    /// Upper bound on `batch × layers × timesteps`, the per-layer samples
+    /// one full-batch request folds: 2^22 (about 320 MiB of fold buffer).
+    pub const MAX_LAYER_SAMPLES: usize = 1 << 22;
+
     /// A compiler for `network` under `profile` with the default cluster,
     /// cost and energy models.
     pub fn new(network: Network, profile: FiringProfile) -> Self {
@@ -150,14 +171,14 @@ impl Compiler {
         self
     }
 
-    /// Compile `config` into a servable [`Plan`]: validate, bind the
-    /// backend, and lower every layer's symbolic stream program into the
-    /// plan-owned cache at the profile's steady-state rates.
+    /// Compile `config` into a servable [`Plan`]: validate it and bind the
+    /// backend. The plan's program cache starts empty.
     ///
     /// # Errors
     ///
     /// Returns a [`CompileError`] when the profile does not cover the
-    /// network, the batch is empty, or any layer carries invalid
+    /// network, the batch is empty or exceeds
+    /// [`Compiler::MAX_LAYER_SAMPLES`], or any layer carries invalid
     /// neuron-model parameters.
     pub fn compile(self, config: InferenceConfig) -> Result<Plan, CompileError> {
         let Compiler { network, profile, cluster, cost, energy, backend } = self;
@@ -171,6 +192,11 @@ impl Compiler {
         if config.batch == 0 {
             return Err(CompileError::EmptyBatch);
         }
+        let (layers, timesteps) = (network.len(), config.timesteps());
+        let samples = config.batch.checked_mul(layers).and_then(|n| n.checked_mul(timesteps));
+        if samples.is_none_or(|n| n > Self::MAX_LAYER_SAMPLES) {
+            return Err(CompileError::BatchTooLarge { batch: config.batch, layers, timesteps });
+        }
         for layer in network.layers() {
             if let Err(message) = layer.neuron.validate() {
                 return Err(CompileError::InvalidNeuronParams {
@@ -182,36 +208,12 @@ impl Compiler {
         }
         let backend = backend.unwrap_or_else(|| backend_for(config.timing));
 
-        // The plan owns one cost integrator and one layer executor: the
-        // preload below and every per-sample evaluation of every session
-        // share them through the [`SampleContext`], so the serving hot
-        // path never re-clones the cluster configuration or cost model.
+        // The plan owns one cost integrator and one layer executor: every
+        // per-sample evaluation of every session shares them through the
+        // [`SampleContext`], so the serving hot path never re-clones the
+        // cluster configuration or cost model.
         let integrator = CostIntegrator::new(cluster.clone(), cost.clone());
         let executor = LayerExecutor::new(config.variant, config.format);
-
-        // Ahead-of-time lowering: every layer's template program, emitted
-        // and integrated once at the profile's steady-state rates. Runtime
-        // bindings at realized sparsities re-bind these templates (or hit
-        // them exactly); the per-sample loop never emits from scratch on
-        // the serving steady state. Only symbolic (analytic-timing) plans
-        // read the cache — cycle-level plans lower exactly, per input, so
-        // warming would be pure waste for them.
-        let programs = ProgramCache::new();
-        if config.timing == TimingModel::Analytic {
-            let last = network.len().saturating_sub(1);
-            for (idx, layer) in network.layers().iter().enumerate() {
-                let input_rate = profile.rate(idx);
-                let output_rate = profile.rate((idx + 1).min(last));
-                executor.preload_symbolic(
-                    &programs,
-                    &integrator,
-                    idx,
-                    layer,
-                    input_rate,
-                    output_rate,
-                );
-            }
-        }
 
         Ok(Plan {
             network,
@@ -221,7 +223,7 @@ impl Compiler {
             energy,
             config,
             backend,
-            programs,
+            programs: ProgramCache::new(),
             integrator,
             executor,
         })
@@ -238,9 +240,9 @@ impl std::fmt::Debug for Compiler {
 }
 
 /// A compiled, immutable, servable inference plan: the validated
-/// configuration, the plan-owned execution backend and the AOT-lowered
-/// program cache. Open sessions against it to serve requests; every
-/// session of a plan shares its cache.
+/// configuration, the plan-owned execution backend and the program-cost
+/// cache. Open sessions against it to serve requests; every session of a
+/// plan shares its cache.
 pub struct Plan {
     network: Network,
     profile: FiringProfile,
@@ -288,8 +290,8 @@ impl Plan {
         self.backend.as_ref()
     }
 
-    /// The plan-owned symbolic program cache (hit/rebind/emit counters
-    /// included — see
+    /// The plan-owned program-cost cache (hit/emit counters included —
+    /// see
     /// [`ProgramCache::counters`](spikestream_ir::ProgramCache::counters)).
     pub fn programs(&self) -> &ProgramCache {
         &self.programs
@@ -371,6 +373,7 @@ impl std::fmt::Debug for Plan {
 mod tests {
     use super::*;
     use crate::{FpFormat, KernelVariant};
+    use spikestream_ir::CacheCounters;
 
     #[test]
     fn compile_validates_the_profile_against_the_network() {
@@ -389,6 +392,38 @@ mod tests {
             ..InferenceConfig::paper(KernelVariant::SpikeStream, FpFormat::Fp16)
         };
         assert_eq!(compiler.compile(config).unwrap_err(), CompileError::EmptyBatch);
+    }
+
+    #[test]
+    fn compile_rejects_a_batch_beyond_the_layer_sample_bound() {
+        let paper = InferenceConfig::paper(KernelVariant::SpikeStream, FpFormat::Fp16);
+        let compile = |config: InferenceConfig| {
+            Compiler::new(Network::svgg11(1), FiringProfile::paper_svgg11()).compile(config)
+        };
+        // 2^19 samples x 8 layers is exactly the bound; one more sample is not.
+        assert!(compile(InferenceConfig { batch: 1 << 19, ..paper }).is_ok());
+        let err = compile(InferenceConfig { batch: (1 << 19) + 1, ..paper }).unwrap_err();
+        assert_eq!(
+            err,
+            CompileError::BatchTooLarge { batch: (1 << 19) + 1, layers: 8, timesteps: 1 }
+        );
+        assert_eq!(
+            err.to_string(),
+            "batch 524289 x 8 layers x 1 timesteps exceeds the limit of 4194304 layer samples \
+             per request"
+        );
+        // Timesteps count against the same bound ...
+        let temporal = InferenceConfig { batch: 1 << 17, ..paper.temporal_steps(5) };
+        assert_eq!(
+            compile(temporal).unwrap_err(),
+            CompileError::BatchTooLarge { batch: 1 << 17, layers: 8, timesteps: 5 }
+        );
+        // ... and a product that overflows `usize` is rejected, not wrapped.
+        let huge = InferenceConfig { batch: usize::MAX, ..paper };
+        assert!(matches!(
+            compile(huge),
+            Err(CompileError::BatchTooLarge { batch: usize::MAX, .. })
+        ));
     }
 
     #[test]
@@ -424,12 +459,12 @@ mod tests {
     }
 
     #[test]
-    fn compilation_preloads_one_template_per_layer() {
+    fn compilation_leaves_the_program_cache_empty() {
         let plan = Compiler::new(Network::svgg11(1), FiringProfile::paper_svgg11())
             .compile(InferenceConfig::paper(KernelVariant::SpikeStream, FpFormat::Fp16))
             .unwrap();
-        assert_eq!(plan.programs().len(), plan.network().len());
-        assert_eq!(plan.programs().counters().lookups(), 0, "preloads are not lookups");
+        assert!(plan.programs().is_empty(), "compiling lowers and integrates nothing");
+        assert_eq!(plan.programs().counters(), CacheCounters::default());
         assert_eq!(plan.backend().name(), "analytic");
     }
 }

@@ -7,7 +7,7 @@
 //! temporal samples), the parked [`WorkerPool`] threads
 //! that serve multi-worker requests without per-request
 //! spawn/join, and the reusable batch bookkeeping — and serves
-//! [`Request`]s against the plan's immutable, shared program cache.
+//! [`Request`]s against the plan's shared program-cost cache.
 //!
 //! Results *stream*: every completed sample is handed to a caller-supplied
 //! [`ResultSink`] as soon as its worker finishes it, instead of
@@ -199,8 +199,9 @@ impl SampleIds<'_> {
 ///     ..InferenceConfig::paper(KernelVariant::SpikeStream, FpFormat::Fp16)
 /// });
 /// let mut session = plan.open_session();
-/// // Serve the same plan request after request — lowering happened once,
-/// // at compile time, and the session's arenas are reused throughout.
+/// // Serve the same plan request after request — the first request lowers
+/// // and prices each layer binding once, later ones hit the plan's cache,
+/// // and the session's arenas are reused throughout.
 /// let a = session.infer(&Request::batch(8));
 /// let b = session.infer(&Request::batch(8).with_shards(4));
 /// assert_eq!(a.to_json(), b.clone().without_shard_stats().to_json());

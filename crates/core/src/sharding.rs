@@ -1,17 +1,18 @@
 //! Fleet attribution: many samples across many simulated clusters.
 //!
-//! A sharded request ([`Request::with_shards`](crate::Request::with_shards))
-//! is served by the [`Session`](crate::Session) like any other; afterwards
-//! [`attribute_shards`] replays the per-sample cycle totals through a
-//! [`ShardSet`] of N simulated [`ClusterShard`](snitch_sim::ClusterShard)s.
-//! Samples are dispatched in request order, each to the shard with the
-//! least accumulated simulated cycles — the paper's `next_rf` workload
-//! stealing, lifted from receptive fields to batch samples. The assignment
-//! is a pure function of the results, hence identical no matter how the
-//! host worker threads raced, and the aggregate report stays bit-identical
-//! to a sequential request.
-
-use snitch_sim::ShardSet;
+//! The paper evaluates a single Snitch cluster; fleet-scale batch serving
+//! replicates that cluster N times and streams batch samples across the
+//! replicas. A sharded request
+//! ([`Request::with_shards`](crate::Request::with_shards)) is served by the
+//! [`Session`](crate::Session) like any other; afterwards
+//! [`attribute_shards`] replays the per-sample cycle totals through N
+//! simulated shards. Samples are dispatched in request order, each to the
+//! shard with the least accumulated simulated cycles (ties go to the
+//! lowest shard id) — the paper's `next_rf` workload stealing, lifted from
+//! receptive fields to batch samples. The assignment is a pure function of
+//! the results, hence identical no matter how the host worker threads
+//! raced, and the aggregate report stays bit-identical to a sequential
+//! request.
 
 use crate::report::{ShardSummary, ShardUtilization};
 
@@ -37,24 +38,34 @@ pub(crate) fn clamp_workers(workers: usize, chunks: usize) -> usize {
 /// afterwards and obtain the bit-identical [`ShardSummary`] a bare
 /// single-request session run would have produced.
 pub fn attribute_shards(sample_cycles: &[f64], shards: usize) -> ShardSummary {
-    let mut set = ShardSet::new(shards.max(1)).with_dispatch_cycles(DISPATCH_CYCLES);
+    // Per-shard occupancy: (samples executed, busy simulated cycles).
+    let mut load = vec![(0u64, 0.0f64); shards.max(1)];
     for &cycles in sample_cycles {
-        set.assign(cycles);
+        let shard = (0..load.len())
+            .min_by(|&a, &b| load[a].1.partial_cmp(&load[b].1).unwrap().then(a.cmp(&b)))
+            .expect("at least one shard");
+        load[shard].0 += 1;
+        load[shard].1 += (cycles + DISPATCH_CYCLES).max(0.0);
     }
+    let makespan = load.iter().map(|&(_, busy)| busy).fold(0.0, f64::max);
+    let total: f64 = load.iter().map(|&(_, busy)| busy).sum();
+    let mean = total / load.len() as f64;
+    // Every ratio reads 0 on an idle fleet.
+    let ratio = |num: f64, den: f64| if den == 0.0 { 0.0 } else { num / den };
     ShardSummary {
-        shards: set
-            .shards()
+        shards: load
             .iter()
-            .map(|s| ShardUtilization {
-                shard: s.id(),
-                samples: s.samples(),
-                busy_cycles: s.busy_cycles(),
-                utilization: set.utilization(s.id()),
+            .enumerate()
+            .map(|(shard, &(samples, busy_cycles))| ShardUtilization {
+                shard,
+                samples,
+                busy_cycles,
+                utilization: ratio(busy_cycles, makespan),
             })
             .collect(),
-        makespan_cycles: set.makespan_cycles(),
-        imbalance: set.imbalance(),
-        batch_speedup: set.batch_speedup(),
+        makespan_cycles: makespan,
+        imbalance: ratio(makespan, mean),
+        batch_speedup: ratio(total, makespan),
     }
 }
 
@@ -72,5 +83,70 @@ mod tests {
         assert!(summary.imbalance >= 1.0);
         assert!(summary.batch_speedup > 1.0 && summary.batch_speedup <= 8.0);
         assert_eq!(summary, attribute_shards(&cycles, 8), "a pure function of the cycles");
+    }
+
+    /// Per-shard sample counts of a summary.
+    fn samples(summary: &ShardSummary) -> Vec<u64> {
+        summary.shards.iter().map(|s| s.samples).collect()
+    }
+
+    #[test]
+    fn zero_shards_clamp_to_one() {
+        let summary = attribute_shards(&[100.0], 0);
+        assert_eq!(samples(&summary), vec![1]);
+    }
+
+    #[test]
+    fn uniform_samples_round_robin_across_shards() {
+        // Equal loads tie, and ties go to the lowest shard id.
+        let summary = attribute_shards(&[100.0; 8], 4);
+        assert_eq!(samples(&summary), vec![2, 2, 2, 2]);
+        assert_eq!(summary.imbalance, 1.0);
+        assert_eq!(summary.batch_speedup, 4.0);
+    }
+
+    #[test]
+    fn heavy_sample_is_worked_around() {
+        let summary = attribute_shards(&[10_000.0, 100.0, 100.0, 100.0, 100.0], 2);
+        assert_eq!(samples(&summary), vec![1, 4], "light samples steal around the busy shard");
+        let makespan = 10_000.0 + DISPATCH_CYCLES;
+        assert_eq!(summary.makespan_cycles, makespan);
+        assert_eq!(summary.shards[1].busy_cycles, 4.0 * (100.0 + DISPATCH_CYCLES));
+        assert!((summary.shards[1].utilization - 408.0 / makespan).abs() < 1e-12);
+        assert!(summary.imbalance > 1.9);
+    }
+
+    #[test]
+    fn dispatch_overhead_is_charged_per_sample() {
+        let summary = attribute_shards(&[90.0, 90.0], 1);
+        assert_eq!(summary.shards[0].samples, 2);
+        assert_eq!(summary.shards[0].busy_cycles, 2.0 * (90.0 + DISPATCH_CYCLES));
+    }
+
+    #[test]
+    fn negative_cycles_are_clamped() {
+        let summary = attribute_shards(&[-5.0], 1);
+        assert_eq!(summary.shards[0].samples, 1);
+        assert_eq!(summary.shards[0].busy_cycles, 0.0);
+    }
+
+    #[test]
+    fn single_shard_absorbs_everything() {
+        let cycles: Vec<f64> = (0..10).map(f64::from).collect();
+        let summary = attribute_shards(&cycles, 1);
+        assert_eq!(samples(&summary), vec![10]);
+        assert_eq!(summary.shards[0].utilization, 1.0);
+        assert_eq!(summary.batch_speedup, 1.0);
+        assert_eq!(summary.imbalance, 1.0);
+    }
+
+    #[test]
+    fn an_empty_slice_reports_zeroes() {
+        let summary = attribute_shards(&[], 3);
+        assert_eq!(samples(&summary), vec![0, 0, 0]);
+        assert_eq!(summary.makespan_cycles, 0.0);
+        assert_eq!(summary.imbalance, 0.0);
+        assert_eq!(summary.batch_speedup, 0.0);
+        assert!(summary.shards.iter().all(|s| s.busy_cycles == 0.0 && s.utilization == 0.0));
     }
 }

@@ -1,43 +1,37 @@
-//! The plan-owned symbolic program cache.
+//! The plan-owned program-cost memo.
 //!
-//! Ahead-of-time compilation (`spikestream::Engine::compile`) lowers every
-//! layer of a network into its symbolic [`StreamProgram`] once; the
-//! per-sample serving hot path then only *looks programs up* instead of
-//! re-emitting and re-integrating them. This module is the shared cache
-//! behind that split:
+//! The analytic backend prices one layer of one sample by lowering the
+//! layer symbolically at the sample's realized firing rates and
+//! integrating the resulting [`StreamProgram`](crate::StreamProgram).
+//! Serving the same sample population again realizes the same rates, so a
+//! compiled plan memoizes the integrated cost of every binding it has
+//! priced:
 //!
 //! * a [`ProgramKey`] identifies one binding of one layer — kernel class,
 //!   storage format and the [`SparsityBucket`] of realized firing rates;
-//! * a [`CachedProgram`] carries the bound program together with its
-//!   integrated [`ProgramCost`], so a cache hit skips both the emitter and
-//!   the [`CostIntegrator`](crate::CostIntegrator);
-//! * a [`StructuralKey`] names the *discrete* part of a binding (tile-plan
-//!   footprint, activation-tail rate, zero-input degeneracy). Two buckets
-//!   that share a structural key differ only in their `Expected`-count
-//!   gather streams, so a miss can be served by
-//!   [`StreamProgram::rebind_expected`](crate::StreamProgram::rebind_expected)
-//!   from an already-cached sibling instead of a fresh emission — the
-//!   emitters (in `spikestream-kernels`) decide when that substitution is
-//!   exact and drive [`ProgramCache::bind_with`] accordingly.
+//! * [`ProgramCache::get_or_emit`] returns the memoized [`ProgramCost`] on
+//!   a hit, and otherwise runs the caller's lower-and-integrate closure and
+//!   caches its result while the cache is below capacity.
 //!
-//! The cache is internally synchronized (`RwLock` + atomic counters), so a
-//! `Plan` can share one instance across all the worker threads of its
-//! sessions: lookups take a read lock, and only the cold bind path writes.
+//! The cache holds costs only, never the programs they were integrated
+//! from, and is filled only by serving lookups. It is internally
+//! synchronized (`RwLock` + atomic counters), so a `Plan` can share one
+//! instance across all the worker threads of its sessions: hits take a
+//! read lock, and only the cold path writes.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::RwLock;
 
 use snitch_arch::fp::FpFormat;
 
 use crate::cost::ProgramCost;
-use crate::program::StreamProgram;
 
 /// The realized sparsity of one symbolic layer binding: the exact bit
 /// patterns of the clamped input and output firing rates.
 ///
 /// Buckets are keyed at full `f64` resolution — the cache must serve
-/// bit-identical programs, so two bindings share a bucket exactly when
+/// bit-identical costs, so two bindings share a bucket exactly when
 /// their realized rates are equal. Coarser bucketing would trade report
 /// fidelity for hit rate; the serving steady state (repeated requests over
 /// a fixed sample population) hits at full resolution already.
@@ -68,7 +62,7 @@ impl SparsityBucket {
     }
 }
 
-/// Cache key of one bound program: which layer, which kernel class (the
+/// Cache key of one priced binding: which layer, which kernel class (the
 /// emitting crate's variant discriminator), which storage format, which
 /// sparsity bucket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -84,77 +78,39 @@ pub struct ProgramKey {
     pub bucket: SparsityBucket,
 }
 
-/// The discrete part of a binding: everything that selects the program
-/// *shape* — tile plan and DMA phases (via the planner `footprint`), the
-/// activation tail (via the output-rate bits) and the zero-input
-/// degeneracy (emitters omit the gather entirely for silent inputs).
-/// Bindings that agree on a `StructuralKey` differ only in their
-/// `Expected` gather counts and are therefore re-bindable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct StructuralKey {
-    /// Layer index within the network.
-    pub layer: u32,
-    /// Kernel-class discriminator (as in [`ProgramKey::class`]).
-    pub class: u32,
-    /// Storage format of the lowering.
-    pub format: FpFormat,
-    /// The discretized input count the emitter feeds its tiling planner
-    /// (expected spikes for conv, active inputs for FC, 0 when the plan is
-    /// input-independent).
-    pub footprint: u64,
-    /// Bit pattern of the clamped output rate (the activation tail).
-    pub output_bits: u64,
-    /// Whether the input side is exactly silent (rate 0.0).
-    pub input_silent: bool,
-}
-
-/// One cached binding: the bound symbolic program and its integrated cost.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CachedProgram {
-    /// The bound stream program.
-    pub program: StreamProgram,
-    /// The program's integrated execution statistics.
-    pub cost: ProgramCost,
-}
-
 /// Monotonic cache statistics (since construction).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheCounters {
-    /// Lookups served from an exact bucket entry.
+    /// Lookups served from a memoized cost.
     pub hits: u64,
-    /// Misses served by re-binding a structurally identical entry.
+    /// Always zero: the cache has no tier between a hit and an emit. The
+    /// field stays so that counter readers built against the former
+    /// three-tier cache keep compiling.
     pub rebinds: u64,
-    /// Misses that ran a full emitter lowering.
+    /// Lookups that lowered and integrated a program.
     pub emits: u64,
 }
 
 impl CacheCounters {
     /// Total lookups.
     pub fn lookups(&self) -> u64 {
-        self.hits + self.rebinds + self.emits
-    }
-
-    /// Lookups that did not hit an exact entry.
-    pub fn misses(&self) -> u64 {
-        self.rebinds + self.emits
+        self.hits + self.emits
     }
 }
 
-/// Thread-safe program cache owned by a compiled plan.
+/// Thread-safe memo of integrated program costs, owned by a compiled plan.
 ///
-/// The cache is *bounded*: once [`ProgramCache::capacity`] entries are
-/// resident, further cold bindings are computed and returned without
-/// being inserted, so a plan serving an unbounded stream of fresh
-/// sparsity buckets (e.g. ever-new sample indices under a jittered
-/// profile) holds at most `capacity` programs — correctness is
-/// unaffected, only those bindings stay cold.
+/// The cache is *bounded*: once [`ProgramCache::capacity`] costs are
+/// resident, further cold bindings are priced and returned without being
+/// inserted, so a plan serving an unbounded stream of fresh sparsity
+/// buckets (e.g. ever-new sample indices under a jittered profile) holds
+/// at most `capacity` costs — correctness is unaffected, only those
+/// bindings stay cold.
 #[derive(Debug)]
 pub struct ProgramCache {
-    bound: RwLock<HashMap<ProgramKey, Arc<CachedProgram>>>,
-    structural: RwLock<HashMap<StructuralKey, ProgramKey>>,
+    costs: RwLock<HashMap<ProgramKey, ProgramCost>>,
     capacity: usize,
     hits: AtomicU64,
-    rebinds: AtomicU64,
     emits: AtomicU64,
 }
 
@@ -165,7 +121,7 @@ impl Default for ProgramCache {
 }
 
 impl ProgramCache {
-    /// Default resident-program bound: generous for any realistic serving
+    /// Default resident-cost bound: generous for any realistic serving
     /// population (64Ki bindings ≈ thousands of samples × layers) while
     /// capping worst-case memory for ever-fresh request streams.
     pub const DEFAULT_CAPACITY: usize = 1 << 16;
@@ -175,112 +131,66 @@ impl ProgramCache {
         Self::default()
     }
 
-    /// An empty cache bounded to at most `capacity` resident programs
+    /// An empty cache bounded to at most `capacity` resident costs
     /// (clamped to at least 1).
     pub fn bounded(capacity: usize) -> Self {
         ProgramCache {
-            bound: RwLock::new(HashMap::new()),
-            structural: RwLock::new(HashMap::new()),
+            costs: RwLock::new(HashMap::new()),
             capacity: capacity.max(1),
             hits: AtomicU64::new(0),
-            rebinds: AtomicU64::new(0),
             emits: AtomicU64::new(0),
         }
     }
 
-    /// Maximum number of resident bound programs.
+    /// Maximum number of resident costs.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Number of bound programs currently cached.
+    /// Number of costs currently cached.
     pub fn len(&self) -> usize {
-        self.bound.read().expect("program cache poisoned").len()
+        self.costs.read().expect("program cache poisoned").len()
     }
 
-    /// Whether the cache holds no bound programs.
+    /// Whether the cache holds no costs.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Snapshot of the hit/rebind/emit counters.
+    /// Snapshot of the hit/emit counters.
     pub fn counters(&self) -> CacheCounters {
         CacheCounters {
             hits: self.hits.load(Ordering::Relaxed),
-            rebinds: self.rebinds.load(Ordering::Relaxed),
+            rebinds: 0,
             emits: self.emits.load(Ordering::Relaxed),
         }
     }
 
-    /// Peek at an exact entry without counting a lookup (used by tests and
-    /// ahead-of-time warm-up probes).
-    pub fn peek(&self, key: &ProgramKey) -> Option<Arc<CachedProgram>> {
-        self.bound.read().expect("program cache poisoned").get(key).cloned()
-    }
-
-    /// Insert a binding produced ahead of time (compile-time warm-up). Does
-    /// not touch the lookup counters; also registers the structural key as
-    /// a re-bind donor if it has none yet.
-    pub fn preload(&self, key: ProgramKey, structural: StructuralKey, entry: CachedProgram) {
-        let entry = Arc::new(entry);
-        self.bound.write().expect("program cache poisoned").insert(key, entry);
-        self.structural.write().expect("program cache poisoned").entry(structural).or_insert(key);
-    }
-
-    /// The serving lookup: return the exact entry for `key` if present;
-    /// otherwise, if a structurally identical sibling is cached and
-    /// `rebind` can substitute its `Expected` counts (returns `Some`),
-    /// cache and return the rebound program; otherwise run `emit`, cache
-    /// and return its result. Counts one hit, rebind or emit respectively.
-    pub fn bind_with(
-        &self,
-        key: ProgramKey,
-        structural: StructuralKey,
-        rebind: impl FnOnce(&CachedProgram) -> Option<CachedProgram>,
-        emit: impl FnOnce() -> CachedProgram,
-    ) -> Arc<CachedProgram> {
-        if let Some(entry) = self.bound.read().expect("program cache poisoned").get(&key) {
+    /// The serving lookup: return the memoized cost for `key` if present
+    /// (one hit); otherwise run `emit`, cache its cost while below capacity
+    /// and return it (one emit).
+    pub fn get_or_emit(&self, key: ProgramKey, emit: impl FnOnce() -> ProgramCost) -> ProgramCost {
+        if let Some(cost) = self.costs.read().expect("program cache poisoned").get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return entry.clone();
+            return cost.clone();
         }
-
-        let donor = self
-            .structural
-            .read()
-            .expect("program cache poisoned")
-            .get(&structural)
-            .and_then(|rep| self.peek(rep));
-        let (entry, counter) = match donor.as_deref().and_then(rebind) {
-            Some(rebound) => (Arc::new(rebound), &self.rebinds),
-            None => (Arc::new(emit()), &self.emits),
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-
-        let mut bound = self.bound.write().expect("program cache poisoned");
-        if bound.len() < self.capacity {
-            bound.insert(key, entry.clone());
-            drop(bound);
-            self.structural
-                .write()
-                .expect("program cache poisoned")
-                .entry(structural)
-                .or_insert(key);
+        let cost = emit();
+        self.emits.fetch_add(1, Ordering::Relaxed);
+        let mut costs = self.costs.write().expect("program cache poisoned");
+        if costs.len() < self.capacity {
+            costs.insert(key, cost.clone());
         }
-        entry
+        cost
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snitch_arch::fp::FpFormat;
+    use crate::StreamProgram;
 
-    fn entry(label: &str) -> CachedProgram {
-        CachedProgram {
-            program: StreamProgram::new(label, FpFormat::Fp16),
-            cost: crate::CostIntegrator::snitch()
-                .integrate(&StreamProgram::new(label, FpFormat::Fp16)),
-        }
+    fn cost(label: &str) -> ProgramCost {
+        crate::CostIntegrator::snitch().integrate(&StreamProgram::new(label, FpFormat::Fp16))
     }
 
     fn key(layer: u32, rate: f64) -> ProgramKey {
@@ -289,17 +199,6 @@ mod tests {
             class: 1,
             format: FpFormat::Fp16,
             bucket: SparsityBucket::of(rate, 0.5),
-        }
-    }
-
-    fn structural(layer: u32, footprint: u64) -> StructuralKey {
-        StructuralKey {
-            layer,
-            class: 1,
-            format: FpFormat::Fp16,
-            footprint,
-            output_bits: 0.5f64.to_bits(),
-            input_silent: false,
         }
     }
 
@@ -316,7 +215,7 @@ mod tests {
     fn repeated_lookups_hit_after_the_first_emit() {
         let cache = ProgramCache::new();
         for _ in 0..3 {
-            cache.bind_with(key(0, 0.25), structural(0, 40), |_| None, || entry("a"));
+            assert_eq!(cache.get_or_emit(key(0, 0.25), || cost("a")), cost("a"));
         }
         let c = cache.counters();
         assert_eq!((c.hits, c.rebinds, c.emits), (2, 0, 1));
@@ -325,46 +224,16 @@ mod tests {
     }
 
     #[test]
-    fn structural_siblings_are_served_by_rebinding() {
-        let cache = ProgramCache::new();
-        cache.bind_with(key(0, 0.25), structural(0, 40), |_| None, || entry("a"));
-        // Same structural key, different bucket: the donor is offered for
-        // re-binding and no emit runs.
-        cache.bind_with(
-            key(0, 0.26),
-            structural(0, 40),
-            |donor| Some(donor.clone()),
-            || panic!("must not emit"),
-        );
-        // Different structural key: no donor, the emitter runs.
-        cache.bind_with(key(0, 0.5), structural(0, 80), |_| panic!("no donor"), || entry("b"));
-        let c = cache.counters();
-        assert_eq!((c.hits, c.rebinds, c.emits), (0, 1, 2));
-        assert_eq!(c.misses(), 3);
-        assert_eq!(cache.len(), 3);
-    }
-
-    #[test]
     fn a_full_cache_serves_cold_bindings_without_inserting() {
         let cache = ProgramCache::bounded(2);
         assert_eq!(cache.capacity(), 2);
         for i in 0..5 {
-            cache.bind_with(key(i, 0.25), structural(i, 40), |_| None, || entry("x"));
+            cache.get_or_emit(key(i, 0.25), || cost("x"));
         }
         assert_eq!(cache.len(), 2, "growth stops at the bound");
         assert_eq!(cache.counters().emits, 5, "cold bindings still serve");
         // Resident entries keep hitting.
-        cache.bind_with(key(0, 0.25), structural(0, 40), |_| None, || panic!("resident"));
-        assert_eq!(cache.counters().hits, 1);
-    }
-
-    #[test]
-    fn preload_warms_the_cache_without_counting_lookups() {
-        let cache = ProgramCache::new();
-        cache.preload(key(2, 0.1), structural(2, 8), entry("warm"));
-        assert_eq!(cache.counters().lookups(), 0);
-        assert!(!cache.is_empty());
-        cache.bind_with(key(2, 0.1), structural(2, 8), |_| None, || panic!("preloaded"));
+        cache.get_or_emit(key(0, 0.25), || panic!("resident"));
         assert_eq!(cache.counters().hits, 1);
     }
 
@@ -379,12 +248,7 @@ mod tests {
                 let cache = cache.clone();
                 s.spawn(move || {
                     for i in 0..16 {
-                        cache.bind_with(
-                            key(i % 4, 0.25),
-                            structural(i % 4, 40),
-                            |_| None,
-                            || entry("t"),
-                        );
+                        cache.get_or_emit(key(i % 4, 0.25), || cost("t"));
                     }
                 });
             }

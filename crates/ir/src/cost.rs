@@ -700,7 +700,7 @@ mod tests {
     #[test]
     fn scalar_program_is_integer_bound() {
         let block = vec![
-            KernelOp::load(0x10),
+            KernelOp::load(),
             KernelOp::alu(),
             KernelOp::alu(),
             KernelOp::fp(FpOp::Load),

@@ -37,23 +37,19 @@
 //!   may be fractional. Symbolic programs integrate in `O(program size)`
 //!   independent of the layer's data, which is what keeps the analytic
 //!   backend fast enough for full-batch figure sweeps.
-
 //!
-//! Serving builds on one more concept: symbolic programs are *cached and
-//! re-bound* rather than re-emitted per sample. The [`cache`] module holds
-//! the plan-owned [`ProgramCache`] (keyed by layer, kernel class, format
-//! and [`SparsityBucket`]), and the [`rebind`] module implements the
-//! `Expected`-count substitution that serves structurally identical
-//! bindings without re-running an emitter.
+//! Serving builds on one more concept: the analytic backend memoizes the
+//! integrated cost of every symbolic binding it prices. The [`cache`]
+//! module holds the plan-owned [`ProgramCache`], a bounded map from
+//! [`ProgramKey`] (layer, kernel class, format and [`SparsityBucket`]) to
+//! [`ProgramCost`]: a binding either hits a memoized cost or is lowered
+//! and integrated on the spot.
 
 pub mod cache;
 pub mod cost;
 pub mod program;
-pub mod rebind;
 
-pub use cache::{
-    CacheCounters, CachedProgram, ProgramCache, ProgramKey, SparsityBucket, StructuralKey,
-};
+pub use cache::{CacheCounters, ProgramCache, ProgramKey, SparsityBucket};
 pub use cost::{CostIntegrator, ProgramCost};
 pub use program::{
     CodeRegion, ComputePhase, DmaPhase, IndexStream, KernelOp, Phase, StreamProgram, StreamSpec,

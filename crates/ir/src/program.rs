@@ -107,8 +107,6 @@ pub enum KernelOp {
     Int {
         /// The operation kind.
         op: IntOp,
-        /// Byte address of a load/store/AMO (bank-conflict accounting).
-        addr: Option<u32>,
         /// Repetition count.
         reps: f64,
     },
@@ -117,8 +115,6 @@ pub enum KernelOp {
     Fp {
         /// The operation kind.
         op: FpOp,
-        /// Byte address of a non-streamed FP load/store, if any.
-        addr: Option<u32>,
         /// Repetition count.
         reps: f64,
     },
@@ -147,42 +143,37 @@ pub enum KernelOp {
 impl KernelOp {
     /// An ALU operation.
     pub fn alu() -> Self {
-        KernelOp::Int { op: IntOp::Alu, addr: None, reps: 1.0 }
+        KernelOp::Int { op: IntOp::Alu, reps: 1.0 }
     }
 
-    /// An integer load from `addr`.
-    pub fn load(addr: u32) -> Self {
-        KernelOp::Int { op: IntOp::Load, addr: Some(addr), reps: 1.0 }
+    /// An integer load.
+    pub fn load() -> Self {
+        KernelOp::Int { op: IntOp::Load, reps: 1.0 }
     }
 
-    /// An integer store to `addr`.
-    pub fn store(addr: u32) -> Self {
-        KernelOp::Int { op: IntOp::Store, addr: Some(addr), reps: 1.0 }
+    /// An integer store.
+    pub fn store() -> Self {
+        KernelOp::Int { op: IntOp::Store, reps: 1.0 }
     }
 
     /// A taken branch.
     pub fn branch() -> Self {
-        KernelOp::Int { op: IntOp::Branch, addr: None, reps: 1.0 }
+        KernelOp::Int { op: IntOp::Branch, reps: 1.0 }
     }
 
-    /// An atomic read-modify-write on `addr`.
-    pub fn amo(addr: u32) -> Self {
-        KernelOp::Int { op: IntOp::Amo, addr: Some(addr), reps: 1.0 }
+    /// An atomic read-modify-write.
+    pub fn amo() -> Self {
+        KernelOp::Int { op: IntOp::Amo, reps: 1.0 }
     }
 
     /// An int<->FP move.
     pub fn mov() -> Self {
-        KernelOp::Int { op: IntOp::Move, addr: None, reps: 1.0 }
+        KernelOp::Int { op: IntOp::Move, reps: 1.0 }
     }
 
-    /// A non-streamed FP operation without memory access.
+    /// A non-streamed FP operation (arithmetic, or a scalar FP load/store).
     pub fn fp(op: FpOp) -> Self {
-        KernelOp::Fp { op, addr: None, reps: 1.0 }
-    }
-
-    /// A non-streamed FP load/store at `addr`.
-    pub fn fp_at(op: FpOp, addr: u32) -> Self {
-        KernelOp::Fp { op, addr: Some(addr), reps: 1.0 }
+        KernelOp::Fp { op, reps: 1.0 }
     }
 
     /// The same operation repeated `reps` times.
@@ -193,8 +184,8 @@ impl KernelOp {
     /// repetition count — wrap them in a [`KernelOp::Loop`] instead.
     pub fn times(self, reps: f64) -> Self {
         match self {
-            KernelOp::Int { op, addr, .. } => KernelOp::Int { op, addr, reps },
-            KernelOp::Fp { op, addr, .. } => KernelOp::Fp { op, addr, reps },
+            KernelOp::Int { op, .. } => KernelOp::Int { op, reps },
+            KernelOp::Fp { op, .. } => KernelOp::Fp { op, reps },
             KernelOp::Loop { body, .. } => KernelOp::Loop { body, reps },
             KernelOp::Stream { .. } | KernelOp::Barrier => {
                 panic!("Stream/Barrier ops carry no repetition count; wrap them in a Loop")
@@ -427,7 +418,7 @@ mod tests {
 
     #[test]
     fn op_constructors_cover_the_grammar() {
-        assert!(matches!(KernelOp::amo(4), KernelOp::Int { op: IntOp::Amo, addr: Some(4), .. }));
+        assert!(matches!(KernelOp::amo(), KernelOp::Int { op: IntOp::Amo, .. }));
         assert!(matches!(KernelOp::mov(), KernelOp::Int { op: IntOp::Move, .. }));
         let looped = KernelOp::Loop { body: vec![KernelOp::alu()], reps: 1.0 }.times(9.0);
         assert!(matches!(looped, KernelOp::Loop { reps, .. } if reps == 9.0));

@@ -73,11 +73,6 @@ pub struct ConvKernel {
 /// Scratchpad base addresses of one conv lowering.
 struct ConvAddresses {
     idcs_base: u32,
-    sptr_base: u32,
-    state_base: u32,
-    /// Base of the recovery-variable tile (upper half of the neuron-state
-    /// buffer; only dereferenced by two-variable models).
-    u_base: u32,
     weights_base: u32,
     group_words: u32,
     word_bytes: u32,
@@ -184,9 +179,6 @@ impl ConvKernel {
         );
         let addrs = ConvAddresses {
             idcs_base: plan.ifmap_idcs.base,
-            sptr_base: plan.ifmap_sptr.base,
-            state_base: plan.neuron_state.base,
-            u_base: plan.neuron_state.base + (out_shape.len() * 4) as u32,
             weights_base: plan.weights.base,
             group_words: spec.input.c as u32,
             word_bytes: lanes as u32 * self.format.bytes(),
@@ -259,10 +251,8 @@ impl ConvKernel {
     }
 
     /// Expected stream length of one SpVA under `input_rate`: the active
-    /// input channels of one filter position. This is the continuous
-    /// scalar the plan cache re-binds across sparsity buckets, so it must
-    /// be computed by exactly one expression.
-    pub fn expected_stream_len(spec: &ConvSpec, input_rate: f64) -> f64 {
+    /// input channels of one filter position.
+    fn expected_stream_len(spec: &ConvSpec, input_rate: f64) -> f64 {
         spec.input.c as f64 * input_rate.clamp(0.0, 1.0)
     }
 
@@ -270,7 +260,7 @@ impl ConvKernel {
     /// discretized quantity the tiling planner sizes buffers and DMA
     /// traffic from. The padded border is silent, so the expectation
     /// covers the interior.
-    pub fn expected_ifmap_spikes(spec: &ConvSpec, input_rate: f64) -> usize {
+    fn expected_ifmap_spikes(spec: &ConvSpec, input_rate: f64) -> usize {
         let padded = spec.padded_input();
         let interior = if padded.h > 2 * spec.padding {
             (padded.h - 2 * spec.padding) * (padded.w - 2 * spec.padding) * padded.c
@@ -311,9 +301,6 @@ impl ConvKernel {
         );
         let addrs = ConvAddresses {
             idcs_base: plan.ifmap_idcs.base,
-            sptr_base: plan.ifmap_sptr.base,
-            state_base: plan.neuron_state.base,
-            u_base: plan.neuron_state.base + (out.len() * 4) as u32,
             weights_base: plan.weights.base,
             group_words: spec.input.c as u32,
             word_bytes: lanes as u32 * self.format.bytes(),
@@ -327,10 +314,10 @@ impl ConvKernel {
 
         // One representative filter position...
         let mut position = Vec::new();
-        emit::position_control(&mut position, addrs.sptr_base);
+        emit::position_control(&mut position);
         if s_len > 0.0 {
             position.push(match self.variant {
-                KernelVariant::Baseline => emit::baseline_spva(addrs.idcs_base, s_len),
+                KernelVariant::Baseline => emit::baseline_spva(s_len),
                 KernelVariant::SpikeStream => emit::streamed_spva(
                     addrs.idcs_base,
                     addrs.weight_group_base(spec, groups, 0, 0, 0),
@@ -342,17 +329,11 @@ impl ConvKernel {
 
         // ... inside one representative SIMD group ...
         let mut group = Vec::new();
-        emit::model_group_prologue(&mut group, model, addrs.state_base, addrs.u_base);
+        emit::model_group_prologue(&mut group, model);
         group.push(KernelOp::Loop { body: position, reps: kk as f64 });
         emit::model_activation_head(&mut group, model);
-        emit::activation_tail_symbolic(
-            &mut group,
-            lanes as f64,
-            lanes as f64 * output_rate,
-            addrs.idcs_base,
-            addrs.sptr_base,
-        );
-        emit::model_state_writeback(&mut group, model, addrs.state_base, addrs.u_base);
+        emit::activation_tail_symbolic(&mut group, lanes as f64, lanes as f64 * output_rate);
+        emit::model_state_writeback(&mut group, model);
 
         // ... inside one representative receptive field, replicated over
         // every output position.
@@ -370,7 +351,6 @@ impl ConvKernel {
 
     /// Emit one SIMD output-channel group of one receptive field, updating
     /// the functional state.
-    #[allow(clippy::too_many_arguments)]
     #[allow(clippy::too_many_arguments)]
     fn lower_group(
         &self,
@@ -394,15 +374,14 @@ impl ConvKernel {
         let lane_base = g * lanes;
         let lane_n = lanes.min(spec.out_channels - lane_base);
         let mut acc = [0.0f32; MAX_SIMD_LANES];
-        emit::model_group_prologue(ops, &layer.neuron, addrs.state_base, addrs.u_base);
+        emit::model_group_prologue(ops, &layer.neuron);
 
         for (k, &active) in rf_active.iter().enumerate() {
             let (kh, kw) = (k / spec.kw, k % spec.kw);
             let s_len = active.len();
 
             let coo = (oh * spec.stride + kh) * input.shape().w + (ow * spec.stride + kw);
-            let sptr_addr = addrs.sptr_base + (coo as u32) * INDEX_BYTES as u32;
-            emit::position_control(ops, sptr_addr);
+            emit::position_control(ops);
 
             // Functional accumulation: every active input channel adds its
             // SIMD group of (channel-contiguous, pre-quantized) weights to
@@ -420,7 +399,7 @@ impl ConvKernel {
                 continue;
             }
             ops.push(match self.variant {
-                KernelVariant::Baseline => emit::baseline_spva(addrs.idcs_base, s_len as f64),
+                KernelVariant::Baseline => emit::baseline_spva(s_len as f64),
                 KernelVariant::SpikeStream => emit::streamed_spva(
                     addrs.idcs_base + input.s_ptr()[coo] * INDEX_BYTES as u32,
                     addrs.weight_group_base(spec, groups, kh, kw, g),
@@ -449,10 +428,10 @@ impl ConvKernel {
             let current = self.format.quantize(currents.get(oh, ow, co));
             if state.step_single(&layer.neuron, neuron, current) {
                 spikes.set(oh, ow, co, true);
-                emit::fired_update(ops, addrs.idcs_base, addrs.sptr_base);
+                emit::fired_update(ops);
             }
         }
-        emit::model_state_writeback(ops, &layer.neuron, addrs.state_base, addrs.u_base);
+        emit::model_state_writeback(ops, &layer.neuron);
     }
 }
 

@@ -142,8 +142,6 @@ impl DenseEncodingKernel {
 
         let weights_base = plan.weights.base;
         let input_base = plan.ifmap_idcs.base;
-        let state_base = plan.neuron_state.base;
-        let u_base = state_base + (out_shape.len() * 4) as u32;
         let lane_bytes = lanes as u32 * self.format.bytes();
 
         let mut currents = Tensor3::zeros(out_shape);
@@ -185,7 +183,7 @@ impl DenseEncodingKernel {
                 let mut ops = emit::claim();
                 for g in 0..groups {
                     // Timing of the dot product.
-                    emit::model_group_prologue(&mut ops, &layer.neuron, state_base, u_base);
+                    emit::model_group_prologue(&mut ops, &layer.neuron);
                     ops.push(match self.variant {
                         KernelVariant::Baseline => emit::baseline_dense_dot(k_len as f64),
                         KernelVariant::SpikeStream => emit::streamed_dense_dot(
@@ -208,10 +206,10 @@ impl DenseEncodingKernel {
                         let current = self.format.quantize(currents.get(oh, ow, co));
                         if state.step_single(&layer.neuron, neuron, current) {
                             spikes.set(oh, ow, co, true);
-                            emit::fired_update(&mut ops, input_base, input_base);
+                            emit::fired_update(&mut ops);
                         }
                     }
-                    emit::model_state_writeback(&mut ops, &layer.neuron, state_base, u_base);
+                    emit::model_state_writeback(&mut ops, &layer.neuron);
                 }
                 items.push(WorkItem::new(ops));
             }
@@ -260,12 +258,10 @@ impl DenseEncodingKernel {
 
         let weights_base = plan.weights.base;
         let input_base = plan.ifmap_idcs.base;
-        let state_base = plan.neuron_state.base;
-        let u_base = state_base + (out.len() * 4) as u32;
         let lane_bytes = lanes as u32 * self.format.bytes();
 
         let mut group = Vec::new();
-        emit::model_group_prologue(&mut group, model, state_base, u_base);
+        emit::model_group_prologue(&mut group, model);
         group.push(match self.variant {
             KernelVariant::Baseline => emit::baseline_dense_dot(k_len as f64),
             KernelVariant::SpikeStream => {
@@ -273,14 +269,8 @@ impl DenseEncodingKernel {
             }
         });
         emit::model_activation_head(&mut group, model);
-        emit::activation_tail_symbolic(
-            &mut group,
-            lanes as f64,
-            lanes as f64 * output_rate,
-            input_base,
-            input_base,
-        );
-        emit::model_state_writeback(&mut group, model, state_base, u_base);
+        emit::activation_tail_symbolic(&mut group, lanes as f64, lanes as f64 * output_rate);
+        emit::model_state_writeback(&mut group, model);
 
         let mut ops = emit::claim();
         ops.push(KernelOp::Loop { body: group, reps: groups as f64 });

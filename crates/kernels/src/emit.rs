@@ -22,24 +22,17 @@ pub(crate) fn claim() -> Vec<KernelOp> {
     // Work items routinely reach dozens of ops; starting with real capacity
     // keeps the hot lowering loops from growing the vector step by step.
     let mut ops = Vec::with_capacity(96);
-    ops.push(KernelOp::amo(0));
+    ops.push(KernelOp::amo());
     ops.push(KernelOp::branch());
     ops
 }
 
 /// SIMD-group prologue: load the group's per-neuron state into FP
-/// registers (one load per state variable — two-variable models pull the
-/// recovery tile from `u_base`, the upper half of the state buffer) and
-/// compute the group's weight base address.
-pub(crate) fn model_group_prologue(
-    ops: &mut Vec<KernelOp>,
-    model: &NeuronModel,
-    state_base: u32,
-    u_base: u32,
-) {
-    ops.push(KernelOp::fp_at(FpOp::Load, state_base));
-    if model.state_vars() > 1 {
-        ops.push(KernelOp::fp_at(FpOp::Load, u_base));
+/// registers (one load per state variable — two-variable models also pull
+/// the recovery tile) and compute the group's weight base address.
+pub(crate) fn model_group_prologue(ops: &mut Vec<KernelOp>, model: &NeuronModel) {
+    for _ in 0..model.state_vars() {
+        ops.push(KernelOp::fp(FpOp::Load));
     }
     ops.push(KernelOp::alu());
     ops.push(KernelOp::alu());
@@ -48,21 +41,21 @@ pub(crate) fn model_group_prologue(
 /// Outer-loop control per filter position (Listing 1a): row-pointer
 /// bookkeeping, spatial-coordinate computation and the two `s_ptr` loads
 /// that give the stream base address and length.
-pub(crate) fn position_control(ops: &mut Vec<KernelOp>, sptr_addr: u32) {
+pub(crate) fn position_control(ops: &mut Vec<KernelOp>) {
     ops.push(KernelOp::branch());
     ops.push(KernelOp::alu());
     ops.push(KernelOp::alu());
-    ops.push(KernelOp::load(sptr_addr));
-    ops.push(KernelOp::load(sptr_addr + INDEX_BYTES as u32));
+    ops.push(KernelOp::load());
+    ops.push(KernelOp::load());
     ops.push(KernelOp::alu());
 }
 
 /// The scalar indirection loop of Listing 1b: per element, seven integer
 /// instructions surround a single useful `fadd`.
-pub(crate) fn baseline_spva(idcs_base: u32, s_len: f64) -> KernelOp {
+pub(crate) fn baseline_spva(s_len: f64) -> KernelOp {
     KernelOp::Loop {
         body: vec![
-            KernelOp::load(idcs_base),
+            KernelOp::load(),
             KernelOp::alu(),
             KernelOp::alu(),
             KernelOp::fp(FpOp::Load),
@@ -188,15 +181,9 @@ pub(crate) fn model_activation_head(ops: &mut Vec<KernelOp>, model: &NeuronModel
 
 /// State write-back closing a group's activation: one store per state
 /// variable, mirroring [`model_group_prologue`].
-pub(crate) fn model_state_writeback(
-    ops: &mut Vec<KernelOp>,
-    model: &NeuronModel,
-    state_base: u32,
-    u_base: u32,
-) {
-    ops.push(KernelOp::fp_at(FpOp::Store, state_base));
-    if model.state_vars() > 1 {
-        ops.push(KernelOp::fp_at(FpOp::Store, u_base));
+pub(crate) fn model_state_writeback(ops: &mut Vec<KernelOp>, model: &NeuronModel) {
+    for _ in 0..model.state_vars() {
+        ops.push(KernelOp::fp(FpOp::Store));
     }
 }
 
@@ -208,23 +195,17 @@ pub(crate) fn lane_unpack(ops: &mut Vec<KernelOp>) {
 
 /// Compressed-output update of one firing lane: append the channel index
 /// and atomically bump the spatial pointer.
-pub(crate) fn fired_update(ops: &mut Vec<KernelOp>, idcs_base: u32, sptr_base: u32) {
-    ops.push(KernelOp::store(idcs_base));
-    ops.push(KernelOp::amo(sptr_base));
+pub(crate) fn fired_update(ops: &mut Vec<KernelOp>) {
+    ops.push(KernelOp::store());
+    ops.push(KernelOp::amo());
 }
 
 /// Symbolic form of the per-lane activation tail: `lanes` unpack pairs plus
 /// the expected number of compressed-output updates.
-pub(crate) fn activation_tail_symbolic(
-    ops: &mut Vec<KernelOp>,
-    lanes: f64,
-    fired_lanes: f64,
-    idcs_base: u32,
-    sptr_base: u32,
-) {
+pub(crate) fn activation_tail_symbolic(ops: &mut Vec<KernelOp>, lanes: f64, fired_lanes: f64) {
     ops.push(KernelOp::Loop { body: vec![KernelOp::alu(), KernelOp::branch()], reps: lanes });
     if fired_lanes > 0.0 {
-        ops.push(KernelOp::store(idcs_base).times(fired_lanes));
-        ops.push(KernelOp::amo(sptr_base).times(fired_lanes));
+        ops.push(KernelOp::store().times(fired_lanes));
+        ops.push(KernelOp::amo().times(fired_lanes));
     }
 }

@@ -11,14 +11,11 @@
 //! accumulated in the [`ClusterModel`] as usual and collected by the caller
 //! with [`ClusterModel::finish_phase`].
 
-use std::sync::Arc;
-
 use snitch_arch::fp::FpFormat;
 use snitch_arch::ClusterConfig;
 use snitch_sim::ClusterModel;
 use spikestream_ir::{
-    CachedProgram, CostIntegrator, ProgramCache, ProgramKey, SparsityBucket, StreamProgram,
-    StructuralKey,
+    CostIntegrator, ProgramCache, ProgramCost, ProgramKey, SparsityBucket, StreamProgram,
 };
 use spikestream_snn::{
     AerEvent, CompressedFcInput, CompressedIfmap, Layer, LayerKind, Network, NeuronState, SpikeMap,
@@ -296,7 +293,7 @@ impl LayerExecutor {
     /// Classes are process-internal — they only need to be stable and
     /// collision-free — so the variant occupies bit 0 and the layer's
     /// neuron-model class the bits above it: two models sharing one cache
-    /// can never serve each other's programs.
+    /// can never serve each other's costs.
     fn class(&self, layer: &Layer) -> u32 {
         let variant = match self.variant {
             KernelVariant::Baseline => 0,
@@ -305,101 +302,13 @@ impl LayerExecutor {
         variant | (layer.neuron.cache_class() << 1)
     }
 
-    /// The exact and discrete cache keys of one symbolic binding of
-    /// `layer` — the single derivation shared by the preload and serving
-    /// paths, so warm-up entries can never drift out of reach of runtime
-    /// lookups. Two bindings that agree on the [`StructuralKey`] produce
-    /// programs differing only in their `Expected` gather counts.
-    fn cache_keys(
-        &self,
-        layer_idx: usize,
-        layer: &Layer,
-        input_rate: f64,
-        output_rate: f64,
-    ) -> (ProgramKey, StructuralKey) {
-        let key = ProgramKey {
-            layer: layer_idx as u32,
-            class: self.class(layer),
-            format: self.format,
-            bucket: SparsityBucket::of(input_rate, output_rate),
-        };
-        let footprint = match &layer.kind {
-            // The dense-encoding and pooling plans are input-independent.
-            LayerKind::Conv(_) if layer.encodes_input => 0,
-            LayerKind::AvgPool(_) => 0,
-            LayerKind::Conv(spec) => ConvKernel::expected_ifmap_spikes(spec, input_rate) as u64,
-            LayerKind::Linear(spec) => FcKernel::planned_active_inputs(spec, input_rate) as u64,
-        };
-        let structural = StructuralKey {
-            layer: layer_idx as u32,
-            class: self.class(layer),
-            format: self.format,
-            footprint,
-            output_bits: output_rate.clamp(0.0, 1.0).to_bits(),
-            input_silent: input_rate.clamp(0.0, 1.0) == 0.0,
-        };
-        (key, structural)
-    }
-
-    /// Re-bind a structurally identical cached program to this binding's
-    /// realized input sparsity, if the substitution is exact; `None` sends
-    /// the cache to the full emitter instead.
-    ///
-    /// Exactness: the dense-encoding and pooling emitters carry no
-    /// input-side symbolics at all (a donor with the same structural key
-    /// *is* the program), and the SpikeStream conv/FC emitters carry the
-    /// input sparsity only in their `Expected`-count gather streams. The
-    /// baseline conv/FC variants express it as scalar-loop trip counts,
-    /// which `rebind_expected` cannot reach — they re-emit.
-    fn rebind_program(
-        &self,
-        donor: &CachedProgram,
-        layer: &Layer,
-        input_rate: f64,
-    ) -> Option<StreamProgram> {
-        match &layer.kind {
-            LayerKind::Conv(_) if layer.encodes_input => Some(donor.program.clone()),
-            LayerKind::AvgPool(_) => Some(donor.program.clone()),
-            LayerKind::Conv(spec) if self.variant == KernelVariant::SpikeStream => {
-                let s_len = ConvKernel::expected_stream_len(spec, input_rate);
-                Some(donor.program.rebind_expected(|_| s_len))
-            }
-            LayerKind::Linear(spec) if self.variant == KernelVariant::SpikeStream => {
-                let s_len = FcKernel::expected_stream_len(spec, input_rate);
-                Some(donor.program.rebind_expected(|_| s_len))
-            }
-            LayerKind::Conv(_) | LayerKind::Linear(_) => None,
-        }
-    }
-
-    /// Ahead-of-time lowering of `layer` into the plan cache at the given
-    /// steady-state rates: emits and integrates the symbolic program once
-    /// and preloads it (as both an exact entry and a structural re-bind
-    /// donor) without touching the lookup counters. `Engine::compile`
-    /// drives this for every layer so a plan is born with each layer's
-    /// template program already lowered.
-    pub fn preload_symbolic(
-        &self,
-        cache: &ProgramCache,
-        integrator: &CostIntegrator,
-        layer_idx: usize,
-        layer: &Layer,
-        input_rate: f64,
-        output_rate: f64,
-    ) {
-        let (key, structural) = self.cache_keys(layer_idx, layer, input_rate, output_rate);
-        let program = self.lower_symbolic(integrator.config(), layer, input_rate, output_rate);
-        let cost = integrator.integrate(&program);
-        cache.preload(key, structural, CachedProgram { program, cost });
-    }
-
-    /// Bind `layer` at the realized `(input_rate, output_rate)` sparsity
-    /// through the plan-owned program cache: an exact bucket hit returns
-    /// the cached program and its integrated cost untouched; a structural
-    /// sibling is served by [`StreamProgram::rebind_expected`]; only a
-    /// genuinely new shape runs the emitter. This is the entry point the
-    /// analytic serving hot path uses so that lowering happens ahead of
-    /// time (or once per realized sparsity bucket), never per sample.
+    /// Price `layer` at the realized `(input_rate, output_rate)` sparsity
+    /// through the plan-owned cost memo: a hit returns the memoized
+    /// [`ProgramCost`]; a miss lowers the layer with
+    /// [`LayerExecutor::lower_symbolic`], integrates the program, caches
+    /// the cost (while the cache is below capacity) and returns it. This
+    /// is the entry point the analytic serving hot path uses, so a sample
+    /// population served again never re-lowers or re-integrates a layer.
     pub fn bind_symbolic(
         &self,
         cache: &ProgramCache,
@@ -408,24 +317,21 @@ impl LayerExecutor {
         layer: &Layer,
         input_rate: f64,
         output_rate: f64,
-    ) -> Arc<CachedProgram> {
-        let (key, structural) = self.cache_keys(layer_idx, layer, input_rate, output_rate);
-        cache.bind_with(
-            key,
-            structural,
-            |donor| {
-                self.rebind_program(donor, layer, input_rate).map(|program| {
-                    let cost = integrator.integrate(&program);
-                    CachedProgram { program, cost }
-                })
-            },
-            || {
-                let program =
-                    self.lower_symbolic(integrator.config(), layer, input_rate, output_rate);
-                let cost = integrator.integrate(&program);
-                CachedProgram { program, cost }
-            },
-        )
+    ) -> ProgramCost {
+        let key = ProgramKey {
+            layer: layer_idx as u32,
+            class: self.class(layer),
+            format: self.format,
+            bucket: SparsityBucket::of(input_rate, output_rate),
+        };
+        cache.get_or_emit(key, || {
+            integrator.integrate(&self.lower_symbolic(
+                integrator.config(),
+                layer,
+                input_rate,
+                output_rate,
+            ))
+        })
     }
 
     /// The shared kernel dispatch behind [`LayerExecutor::run_with_scratch`]
@@ -715,7 +621,7 @@ mod tests {
     }
 
     #[test]
-    fn rebound_programs_are_bit_identical_to_fresh_emissions() {
+    fn bind_symbolic_emits_once_then_hits_with_the_integrated_cost() {
         use spikestream_snn::{LinearSpec, PoolSpec};
         let lif = LifParams::new(0.5, 0.25);
         let conv_spec = ConvSpec {
@@ -745,27 +651,30 @@ mod tests {
         for variant in [KernelVariant::Baseline, KernelVariant::SpikeStream] {
             let executor = LayerExecutor::new(variant, FpFormat::Fp16);
             for (idx, layer) in [&encoder, &conv, &pool, &fc].into_iter().enumerate() {
-                // Two rates sharing the discrete footprint (the conv
-                // interior has 1024 sites: both round to 307 spikes) but
-                // differing in the continuous stream lengths.
-                let (r1, r2) = (0.2998, 0.3002);
                 let cache = ProgramCache::new();
-                let first = executor.bind_symbolic(&cache, &integrator, idx, layer, r1, 0.4);
-                let second = executor.bind_symbolic(&cache, &integrator, idx, layer, r2, 0.4);
-                let fresh = executor.lower_symbolic(integrator.config(), layer, r2, 0.4);
-                assert_eq!(second.program, fresh, "{variant} {}: rebind == emit", layer.name);
-                assert_eq!(second.cost, integrator.integrate(&fresh), "{variant} {}", layer.name);
-                assert!(first.cost.cycles > 0, "sanity: bound programs integrate");
-                let counters = cache.counters();
-                let rebindable = matches!(layer.kind, LayerKind::AvgPool(_))
-                    || layer.encodes_input
-                    || variant == KernelVariant::SpikeStream;
+                let first = executor.bind_symbolic(&cache, &integrator, idx, layer, 0.3, 0.4);
                 assert_eq!(
-                    (counters.emits, counters.rebinds),
-                    if rebindable { (1, 1) } else { (2, 0) },
-                    "{variant} {}: structural sibling served by rebind iff exact",
+                    (cache.counters().hits, cache.counters().emits),
+                    (0, 1),
+                    "{variant} {}: the first binding emits",
                     layer.name
                 );
+                let second = executor.bind_symbolic(&cache, &integrator, idx, layer, 0.3, 0.4);
+                assert_eq!(
+                    (cache.counters().hits, cache.counters().emits),
+                    (1, 1),
+                    "{variant} {}: the second binding hits",
+                    layer.name
+                );
+                let fresh = integrator.integrate(&executor.lower_symbolic(
+                    integrator.config(),
+                    layer,
+                    0.3,
+                    0.4,
+                ));
+                assert_eq!(first, fresh, "{variant} {}: emit == integrate(lower)", layer.name);
+                assert_eq!(second, fresh, "{variant} {}: hit == integrate(lower)", layer.name);
+                assert!(fresh.cycles > 0, "sanity: bound programs integrate");
             }
         }
     }
@@ -778,12 +687,12 @@ mod tests {
         let cache = ProgramCache::new();
         let a = executor.bind_symbolic(&cache, &integrator, 1, &layer, 0.3, 0.2);
         let b = executor.bind_symbolic(&cache, &integrator, 1, &layer, 0.3, 0.2);
-        assert!(Arc::ptr_eq(&a, &b), "hits return the cached Arc");
+        assert_eq!(a, b, "hits return the memoized cost");
         assert_eq!(cache.counters().hits, 1);
-        // A silent input is a different *structure* (the gather is omitted
-        // entirely), so it must not be served by re-binding.
+        // A silent input is a different bucket (the gather is omitted
+        // entirely), so it emits and prices differently.
         let silent = executor.bind_symbolic(&cache, &integrator, 1, &layer, 0.0, 0.2);
-        assert_ne!(silent.program, a.program);
+        assert_ne!(silent, a);
         assert_eq!(cache.counters().emits, 2);
     }
 

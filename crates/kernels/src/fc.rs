@@ -116,8 +116,6 @@ impl FcKernel {
         );
         let weights_base = plan.weights.base;
         let idcs_base = plan.ifmap_idcs.base;
-        let state_base = plan.neuron_state.base;
-        let u_base = state_base + (spec.out_features * 4) as u32;
         let spm_bytes = config.spm_bytes.max(1);
 
         let mut program = StreamProgram::new(&layer.name, self.format);
@@ -145,10 +143,10 @@ impl FcKernel {
 
         for g in 0..groups {
             let mut ops = emit::claim();
-            emit::model_group_prologue(&mut ops, &layer.neuron, state_base, u_base);
+            emit::model_group_prologue(&mut ops, &layer.neuron);
             if s_len > 0 {
                 ops.push(match self.variant {
-                    KernelVariant::Baseline => emit::baseline_spva(idcs_base, s_len as f64),
+                    KernelVariant::Baseline => emit::baseline_spva(s_len as f64),
                     KernelVariant::SpikeStream => emit::streamed_spva(
                         idcs_base,
                         weights_base
@@ -170,10 +168,10 @@ impl FcKernel {
                 let current = self.format.quantize(currents[o]);
                 if state.step_single(&layer.neuron, o, current) {
                     spikes.set(0, 0, o, true);
-                    emit::fired_update(&mut ops, idcs_base, idcs_base);
+                    emit::fired_update(&mut ops);
                 }
             }
-            emit::model_state_writeback(&mut ops, &layer.neuron, state_base, u_base);
+            emit::model_state_writeback(&mut ops, &layer.neuron);
             items.push(WorkItem::new(ops));
         }
         program.push(Phase::Compute(ComputePhase { code: self.code_regions(), items }));
@@ -186,15 +184,14 @@ impl FcKernel {
     }
 
     /// Expected stream length of the gather under `input_rate`: the active
-    /// input features. The continuous scalar the plan cache re-binds
-    /// across sparsity buckets.
-    pub fn expected_stream_len(spec: &LinearSpec, input_rate: f64) -> f64 {
+    /// input features.
+    fn expected_stream_len(spec: &LinearSpec, input_rate: f64) -> f64 {
         spec.in_features as f64 * input_rate.clamp(0.0, 1.0)
     }
 
     /// Expected active-input count the tiling planner sizes the index
-    /// buffer and DMA traffic from (the discretized part of a binding).
-    pub fn planned_active_inputs(spec: &LinearSpec, input_rate: f64) -> usize {
+    /// buffer and DMA traffic from.
+    fn planned_active_inputs(spec: &LinearSpec, input_rate: f64) -> usize {
         (Self::expected_stream_len(spec, input_rate).round() as usize).max(1)
     }
 
@@ -223,8 +220,6 @@ impl FcKernel {
         );
         let weights_base = plan.weights.base;
         let idcs_base = plan.ifmap_idcs.base;
-        let state_base = plan.neuron_state.base;
-        let u_base = state_base + (spec.out_features * 4) as u32;
 
         let mut program = StreamProgram::new(label, self.format);
         for dma in plan.dma_in_phases() {
@@ -232,10 +227,10 @@ impl FcKernel {
         }
 
         let mut ops = emit::claim();
-        emit::model_group_prologue(&mut ops, model, state_base, u_base);
+        emit::model_group_prologue(&mut ops, model);
         if s_len > 0.0 {
             ops.push(match self.variant {
-                KernelVariant::Baseline => emit::baseline_spva(idcs_base, s_len),
+                KernelVariant::Baseline => emit::baseline_spva(s_len),
                 KernelVariant::SpikeStream => emit::streamed_spva(
                     idcs_base,
                     weights_base,
@@ -245,14 +240,8 @@ impl FcKernel {
             });
         }
         emit::model_activation_head(&mut ops, model);
-        emit::activation_tail_symbolic(
-            &mut ops,
-            lanes as f64,
-            lanes as f64 * output_rate,
-            idcs_base,
-            idcs_base,
-        );
-        emit::model_state_writeback(&mut ops, model, state_base, u_base);
+        emit::activation_tail_symbolic(&mut ops, lanes as f64, lanes as f64 * output_rate);
+        emit::model_state_writeback(&mut ops, model);
 
         program.push(Phase::Compute(ComputePhase {
             code: self.code_regions(),

@@ -125,7 +125,6 @@ impl PoolKernel {
 
         let plan = TilingPlanner::new(config).plan_pool(spec);
         let in_base = plan.ifmap_idcs.base;
-        let out_base = plan.ofmap.base;
         let spm_bytes = config.spm_bytes.max(1);
 
         let mut program = StreamProgram::new(label, self.format);
@@ -149,7 +148,7 @@ impl PoolKernel {
                         }
                         emit::lane_unpack(&mut ops);
                         if fired.map(|f| f.get(oh, ow, c)).unwrap_or(false) {
-                            emit::fired_update(&mut ops, out_base, out_base);
+                            emit::fired_update(&mut ops);
                         }
                     }
                 }
@@ -179,7 +178,6 @@ impl PoolKernel {
 
         let plan = TilingPlanner::new(config).plan_pool(spec);
         let in_base = plan.ifmap_idcs.base;
-        let out_base = plan.ofmap.base;
         let spm_bytes = config.spm_bytes.max(1);
 
         let mut program = StreamProgram::new(label, self.format);
@@ -192,13 +190,7 @@ impl PoolKernel {
         group.push(KernelOp::fp(FpOp::Mul));
         group.push(KernelOp::fp(FpOp::Cmp));
         group.push(KernelOp::mov());
-        emit::activation_tail_symbolic(
-            &mut group,
-            lanes as f64,
-            lanes as f64 * output_rate,
-            out_base,
-            out_base,
-        );
+        emit::activation_tail_symbolic(&mut group, lanes as f64, lanes as f64 * output_rate);
 
         let mut ops = emit::claim();
         ops.push(KernelOp::Loop { body: group, reps: groups as f64 });
@@ -232,7 +224,7 @@ impl PoolKernel {
         match self.variant {
             KernelVariant::Baseline => ops.push(KernelOp::Loop {
                 body: vec![
-                    KernelOp::fp_at(FpOp::Load, cell_base),
+                    KernelOp::fp(FpOp::Load),
                     KernelOp::fp(FpOp::Add),
                     KernelOp::alu(),
                     KernelOp::branch(),

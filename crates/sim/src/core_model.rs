@@ -410,9 +410,9 @@ mod tests {
     /// fld, addi, addi, fadd, bne.
     fn baseline_spva_body() -> Vec<KernelOp> {
         vec![
-            KernelOp::load(0x100),
+            KernelOp::load(),
             KernelOp::alu().times(2.0),
-            KernelOp::fp_at(FpOp::Load, 0x1000),
+            KernelOp::fp(FpOp::Load),
             KernelOp::alu().times(2.0),
             KernelOp::fp(FpOp::Add),
             KernelOp::branch(),
@@ -423,7 +423,7 @@ mod tests {
     fn int_ops_advance_only_the_integer_pipeline() {
         let mut c = core();
         c.exec(&KernelOp::alu(), F);
-        c.exec(&KernelOp::load(0x40), F);
+        c.exec(&KernelOp::load(), F);
         assert_eq!(c.int_time(), 3);
         assert_eq!(c.fpu_time(), 0);
         assert_eq!(c.counters().int_instrs, 2);

@@ -25,10 +25,9 @@
 //! double-buffer annotations, and the [`ClusterModel`] finally aggregates
 //! per-core counters into a [`PhaseStats`].
 //!
-//! Above the single cluster, [`shard`] models a *fleet* of N independent
-//! cluster replicas ([`ClusterShard`]) with least-loaded sample dispatch
-//! ([`ShardSet`]) — the substrate of fleet attribution in
-//! `spikestream-core`.
+//! The simulator models one cluster. Attributing the samples of a batch to
+//! a fleet of cluster replicas needs only each sample's cycle total, so it
+//! lives with the serving layer (`spikestream::attribute_shards`).
 //!
 //! # Example
 //!
@@ -61,10 +60,8 @@ pub mod cluster;
 pub mod core_model;
 pub mod counters;
 pub mod program;
-pub mod shard;
 
 pub use cluster::{ClusterModel, PhaseStats};
 pub use core_model::WorkerCoreModel;
 pub use counters::{PerfCounters, StallCause};
 pub use program::execute_program;
-pub use shard::{ClusterShard, ShardSet};

@@ -97,7 +97,7 @@ mod tests {
 
     fn stream_item(n: u32) -> WorkItem {
         WorkItem::new(vec![
-            KernelOp::amo(0),
+            KernelOp::amo(),
             KernelOp::branch(),
             KernelOp::Stream {
                 ssrs: vec![(

@@ -326,7 +326,7 @@ impl NeuronModel {
     }
 
     /// Stable small-integer discriminator, folded into kernel cache-key
-    /// classes so two models never cross-serve cached programs.
+    /// classes so two models never cross-serve cached costs.
     pub fn cache_class(&self) -> u32 {
         match self {
             NeuronModel::Lif(_) => 0,

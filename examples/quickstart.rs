@@ -14,8 +14,8 @@ fn main() {
     let engine = Engine::svgg11(42);
     let batch = 16;
 
-    // Compile once per configuration: validation, backend binding and the
-    // ahead-of-time lowering of every layer's stream program happen here.
+    // Compile once per configuration: validation and backend binding
+    // happen here.
     let compile = |variant, format| {
         engine.compile(&InferenceConfig {
             variant,
@@ -26,8 +26,8 @@ fn main() {
             mode: WorkloadMode::Synthetic,
         })
     };
-    // Then serve: a session owns the worker arenas and answers requests
-    // against the plan's cached programs.
+    // Then serve: a session owns the worker arenas and answers requests,
+    // pricing each layer through the plan's program-cost cache.
     let serve =
         |variant, format| compile(variant, format).open_session().infer(&Request::batch(batch));
 

@@ -627,16 +627,16 @@ fn print_timestep_table(report: &InferenceReport) {
 
 /// Serving diagnostics: how the request actually hit the plan's program
 /// cache and the session's arenas/pool. On the analytic steady state the
-/// cache line should read all hits (emits only from a cold compile) and
-/// `arena grows` should be flat at one per worker slot.
+/// cache line should read all hits (a plan emits once per sparsity bucket
+/// it has not priced before) and `arena grows` should be flat at one per
+/// worker slot.
 fn print_serving_stats(plan: &spikestream::Plan, session: &spikestream::Session<'_>) {
     let cache = plan.programs().counters();
     println!(
-        "programs: {} cached · {} lookups ({} hits, {} rebinds, {} emits)",
+        "programs: {} cached · {} lookups ({} hits, {} emits)",
         plan.programs().len(),
         cache.lookups(),
         cache.hits,
-        cache.rebinds,
         cache.emits,
     );
     let stats = session.stats();

@@ -2,10 +2,9 @@
 //!
 //! What makes `Plan`/`Session` a *compile-once* API measurable: repeated
 //! requests over the same sample population are pure cache hits (no
-//! emitter, no cost integration in the per-sample loop), cross-bucket
-//! misses are served by `Expected`-count re-binding when the program
-//! shape allows it, and the steady state allocates nothing — neither new
-//! cache entries nor arena growth.
+//! emitter, no cost integration in the per-sample loop), every other
+//! binding lowers and integrates once, and the steady state allocates
+//! nothing — neither new cache entries nor arena growth.
 
 use spikestream::{
     Engine, FpFormat, InferenceConfig, KernelVariant, Plan, Request, TimingModel, WorkloadMode,
@@ -49,14 +48,14 @@ fn repeated_requests_hit_the_cache_without_new_entries() {
     let warm = plan.programs().counters();
     let warm_len = plan.programs().len();
     assert_eq!(warm.lookups(), units as u64, "one binding per (sample, layer)");
-    assert!(warm.misses() > 0, "first request binds the realized buckets");
+    assert!(warm.emits > 0, "first request binds the realized buckets");
 
     for _ in 0..3 {
         session.infer(&Request::batch(16));
     }
     let steady = plan.programs().counters();
     assert_eq!(steady.hits, warm.hits + 3 * units as u64, "steady state is all hits");
-    assert_eq!(steady.misses(), warm.misses(), "no further emissions or rebinds");
+    assert_eq!(steady.emits, warm.emits, "no further emissions");
     assert_eq!(plan.programs().len(), warm_len, "no per-request cache insertions");
 }
 
@@ -73,41 +72,13 @@ fn new_sample_populations_miss_into_new_buckets() {
     session.infer(&Request::samples(100..104));
     let cold = plan.programs().counters();
     assert_eq!(cold.hits, warm.hits, "disjoint sample jitter shares no bucket");
-    assert_eq!(cold.misses(), warm.misses() + units as u64);
+    assert_eq!(cold.emits, warm.emits + units as u64);
 
     // ... and re-serving the *first* population again is all hits.
     session.infer(&Request::samples(0..4));
     let again = plan.programs().counters();
     assert_eq!(again.hits, cold.hits + units as u64);
-    assert_eq!(again.misses(), cold.misses());
-}
-
-#[test]
-fn cross_bucket_misses_rebind_instead_of_re_emitting() {
-    // Drive the plan-owned cache through the executor exactly like the
-    // analytic backend does, with two sparsities that share the discrete
-    // program shape (same planner footprint, same output rate): the
-    // second binding must be served by `Expected`-count re-binding and be
-    // bit-identical to a from-scratch emission.
-    let plan = analytic_plan(2);
-    let cache = plan.programs();
-    let executor = LayerExecutor::new(KernelVariant::SpikeStream, FpFormat::Fp16);
-    let integrator = CostIntegrator::snitch();
-    let layer_idx = 2; // a spike-consuming conv layer of S-VGG11
-    let layer = &plan.network().layers()[layer_idx];
-
-    let before = cache.counters();
-    let (r1, r2) = (0.2000001, 0.2000002); // same rounded ifmap footprint
-    let first = executor.bind_symbolic(cache, &integrator, layer_idx, layer, r1, 0.15);
-    let second = executor.bind_symbolic(cache, &integrator, layer_idx, layer, r2, 0.15);
-    let after = cache.counters();
-
-    assert_eq!(after.emits, before.emits + 1, "only the first binding runs the emitter");
-    assert_eq!(after.rebinds, before.rebinds + 1, "the sibling bucket is re-bound");
-    assert_ne!(first.program, second.program, "distinct buckets, distinct Expected counts");
-    let fresh = executor.lower_symbolic(integrator.config(), layer, r2, 0.15);
-    assert_eq!(second.program, fresh, "re-binding is bit-identical to re-emission");
-    assert_eq!(second.cost, integrator.integrate(&fresh));
+    assert_eq!(again.emits, cold.emits);
 }
 
 #[test]
@@ -119,7 +90,7 @@ fn distinct_neuron_models_never_cross_serve_cached_programs() {
 
     // One layer geometry in two flavors differing only in neuron model,
     // bound through one shared cache at identical rates: the cache key's
-    // model class must keep the entries apart — a cross-served LIF program
+    // model class must keep the entries apart — a cross-served LIF cost
     // would under-price the Izhikevich DMA and FLOPs silently.
     let spec = ConvSpec {
         input: TensorShape::new(6, 6, 8),
@@ -144,26 +115,27 @@ fn distinct_neuron_models_never_cross_serve_cached_programs() {
     let warm = cache.counters();
     assert_eq!(warm.emits, 1, "first model emits its program");
 
-    // Same layer index, same rates, other model: a fresh emission — not a
-    // hit, not an `Expected`-count rebind of the LIF entry.
+    // Same layer index, same rates, other model: a fresh emission, not a
+    // hit on the LIF entry.
     let izhi = executor.bind_symbolic(&cache, &integrator, 0, &izhi_layer, 0.2, 0.15);
     let cold = cache.counters();
     assert_eq!(cold.emits, warm.emits + 1, "the other model emits fresh");
     assert_eq!(cold.hits, warm.hits, "no cross-model cache hit");
-    assert_eq!(cold.rebinds, warm.rebinds, "no cross-model rebinding");
-    assert_ne!(lif.program, izhi.program, "the two models lower distinct programs");
+    assert_ne!(lif, izhi, "the two models price distinct programs");
 
-    // Re-binding each model again is a pure hit on its own entry.
+    // Binding each model again is a pure hit on its own entry.
     executor.bind_symbolic(&cache, &integrator, 0, &lif_layer, 0.2, 0.15);
     executor.bind_symbolic(&cache, &integrator, 0, &izhi_layer, 0.2, 0.15);
     let steady = cache.counters();
     assert_eq!(steady.hits, cold.hits + 2, "each model hits its own entry");
     assert_eq!(steady.emits, cold.emits, "no further emissions");
 
-    // Each cached program is exactly what its own emitter produces.
-    assert_eq!(lif.program, executor.lower_symbolic(integrator.config(), &lif_layer, 0.2, 0.15));
-    assert_eq!(izhi.program, executor.lower_symbolic(integrator.config(), &izhi_layer, 0.2, 0.15));
-    assert_eq!(izhi.cost, integrator.integrate(&izhi.program));
+    // Each cached cost is exactly what its own emitter's program integrates to.
+    let price = |layer| {
+        integrator.integrate(&executor.lower_symbolic(integrator.config(), layer, 0.2, 0.15))
+    };
+    assert_eq!(lif, price(&lif_layer));
+    assert_eq!(izhi, price(&izhi_layer));
 }
 
 #[test]
@@ -187,12 +159,11 @@ fn steady_state_requests_grow_no_arena_buffers() {
 #[test]
 fn steady_state_serving_is_lookup_only_and_allocation_free() {
     // The combined serving contract behind the context-owned integrator /
-    // executor and the `Arc`-shared cached programs: once a sample
-    // population is warm, a request performs *no* emitter runs, *no* cost
-    // integrations (zero emits and zero rebinds — every binding is an
-    // exact-key hit served through the cache's `Arc`), and *no* arena
-    // growth. Steady-state inference is a read-only walk over
-    // already-priced programs.
+    // executor and the memoized costs: once a sample population is warm, a
+    // request performs *no* emitter runs, *no* cost integrations (zero
+    // emits — every binding is an exact-key hit on a memoized cost), and
+    // *no* arena growth. Steady-state inference is a read-only walk over
+    // already-priced bindings.
     let plan = analytic_plan(8);
     let units = plan.network().len() * 8;
     let mut session = plan.open_session();
@@ -209,7 +180,7 @@ fn steady_state_serving_is_lookup_only_and_allocation_free() {
 
     let steady = plan.programs().counters();
     assert_eq!(steady.emits, warm.emits, "steady state runs the emitter zero times");
-    assert_eq!(steady.rebinds, warm.rebinds, "steady state re-prices zero programs");
+    assert_eq!(steady.rebinds, 0, "the cache has no tier between hit and emit");
     assert_eq!(steady.hits, warm.hits + 5 * units as u64, "every binding is a pure hit");
     assert_eq!(plan.programs().len(), warm_len, "no new cache entries");
 

@@ -97,3 +97,20 @@ fn scenario_overrides_compose_like_the_cli_flags() {
     assert_eq!(report.batch, 16);
     assert_eq!(report.shards.expect("fleet stats").shards.len(), 3);
 }
+
+#[test]
+fn an_oversized_batch_is_a_compile_error_not_an_abort() {
+    // `batch x layers x timesteps` beyond the plan's layer-sample bound must
+    // fail compilation with the three factors named, before any fold
+    // buffer is sized from it.
+    let scenario = Scenario::parse(
+        "[scenario]\nname = \"huge\"\nnetwork = \"tiny-cnn\"\nbatch = 4000000000\ntimesteps = 2\n",
+    )
+    .expect("the scenario itself parses");
+    let err = scenario.compile().expect_err("the batch exceeds the bound");
+    assert_eq!(
+        err.to_string(),
+        "scenario: batch 4000000000 x 3 layers x 2 timesteps exceeds the limit of 4194304 \
+         layer samples per request"
+    );
+}
