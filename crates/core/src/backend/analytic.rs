@@ -11,6 +11,7 @@
 
 use spikestream_energy::Activity;
 use spikestream_ir::ProgramCost;
+use spikestream_kernels::LayerScratch;
 use spikestream_snn::compress::INDEX_BYTES;
 use spikestream_snn::{AerEvent, Layer, LayerKind};
 
@@ -33,15 +34,15 @@ impl ExecutionBackend for AnalyticBackend {
         "analytic"
     }
 
-    fn run_sample(&self, ctx: &SampleContext<'_>, sample: usize) -> Vec<LayerSample> {
-        let mut out = Vec::with_capacity(ctx.network.len() * ctx.timesteps());
-        self.run_sample_into(ctx, sample, &mut out);
-        out
-    }
-
-    fn run_sample_into(&self, ctx: &SampleContext<'_>, sample: usize, out: &mut Vec<LayerSample>) {
+    fn run_sample_with_scratch(
+        &self,
+        ctx: &SampleContext<'_>,
+        sample: usize,
+        out: &mut Vec<LayerSample>,
+        _scratch: &mut LayerScratch,
+    ) {
         // The integrator and executor are context-owned (hoisted into the
-        // plan or engine): evaluating a sample clones neither the cluster
+        // plan): evaluating a sample clones neither the cluster
         // configuration nor the cost model.
         let integrator = ctx.integrator;
         let executor = ctx.executor;
@@ -173,16 +174,13 @@ fn expected_input_spikes(kind: &LayerKind, encodes: bool, rate: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Compiler, FpFormat, InferenceConfig, KernelVariant};
-    use spikestream_snn::{FiringProfile, Network};
+    use crate::{Engine, FpFormat, InferenceConfig, KernelVariant};
 
     #[test]
     fn cached_and_bare_contexts_price_samples_identically() {
         let paper = InferenceConfig::paper(KernelVariant::SpikeStream, FpFormat::Fp16);
         for config in [paper, paper.temporal_steps(3)] {
-            let plan = Compiler::new(Network::svgg11(3), FiringProfile::paper_svgg11())
-                .compile(config)
-                .unwrap();
+            let plan = Engine::svgg11(3).compiler().compile(config).unwrap();
             let cached = plan.context(plan.config());
             let bare = SampleContext { programs: None, ..cached };
             let samples = [0, 1, 7, 1000];

@@ -36,16 +36,6 @@ impl ExecutionBackend for CycleLevelBackend {
         "cycle-level"
     }
 
-    fn run_sample(&self, ctx: &SampleContext<'_>, sample: usize) -> Vec<LayerSample> {
-        let mut out = Vec::with_capacity(ctx.network.len() * ctx.timesteps());
-        self.run_sample_into(ctx, sample, &mut out);
-        out
-    }
-
-    fn run_sample_into(&self, ctx: &SampleContext<'_>, sample: usize, out: &mut Vec<LayerSample>) {
-        self.run_sample_with_scratch(ctx, sample, out, &mut LayerScratch::new());
-    }
-
     fn run_sample_with_scratch(
         &self,
         ctx: &SampleContext<'_>,

@@ -22,9 +22,10 @@
 //!   for validation.
 //!
 //! Third-party backends (accelerator models, event-driven simulators, …)
-//! implement the same trait and bind into a plan at compile time
-//! ([`Compiler::with_backend`](crate::Compiler::with_backend)) — no engine
-//! changes.
+//! implement the same trait — a name and one required method,
+//! [`ExecutionBackend::run_sample_with_scratch`] — and bind into a plan at
+//! compile time ([`Compiler::with_backend`](crate::Compiler::with_backend))
+//! — no engine changes.
 
 mod analytic;
 mod cycle;
@@ -44,8 +45,9 @@ use spikestream_snn::{FiringProfile, Network, TemporalSparsityModel, WorkloadMod
 use crate::engine::{InferenceConfig, TimingModel};
 
 /// Everything a backend needs to evaluate batch samples: the network, its
-/// firing profile, the hardware and energy models, and the run
-/// configuration (variant, format, seed).
+/// firing profile, the hardware and energy models (a
+/// [`Plan`](crate::Plan) lends its [`Engine`](crate::Engine)'s), and the
+/// run configuration (variant, format, seed).
 #[derive(Debug, Clone, Copy)]
 pub struct SampleContext<'a> {
     /// The network being evaluated.
@@ -67,9 +69,9 @@ pub struct SampleContext<'a> {
     /// plan) falls back to inline lowering with bit-identical results.
     pub programs: Option<&'a ProgramCache>,
     /// The shared cost integrator for symbolic lowerings, owned by the
-    /// context's builder ([`Plan`](crate::Plan) or
-    /// [`Engine`](crate::Engine)) so the per-sample hot path never clones
-    /// the cluster configuration and cost model it wraps.
+    /// context's builder (a [`Plan`](crate::Plan)) so the per-sample hot
+    /// path never clones the cluster configuration and cost model it
+    /// wraps.
     pub integrator: &'a CostIntegrator,
     /// The layer-lowering dispatcher for the run's variant and format
     /// (a two-enum `Copy` value, hoisted here so backends share one).
@@ -152,13 +154,17 @@ pub struct LayerSample {
 ///
 /// # Example
 ///
-/// A custom backend binds into a plan without engine changes:
+/// A custom backend binds into a plan without engine changes; it
+/// implements [`name`](ExecutionBackend::name) and
+/// [`run_sample_with_scratch`](ExecutionBackend::run_sample_with_scratch)
+/// only:
 ///
 /// ```
 /// use spikestream::{
 ///     Engine, ExecutionBackend, FpFormat, InferenceConfig, KernelVariant, LayerSample,
 ///     Request, SampleContext, TimingModel,
 /// };
+/// use spikestream_kernels::LayerScratch;
 ///
 /// /// A toy backend charging one cycle per expected synaptic operation.
 /// struct SynopCounting;
@@ -168,17 +174,18 @@ pub struct LayerSample {
 ///         "synop-counting"
 ///     }
 ///
-///     fn run_sample(&self, ctx: &SampleContext<'_>, sample: usize) -> Vec<LayerSample> {
-///         ctx.network
-///             .layers()
-///             .iter()
-///             .enumerate()
-///             .map(|(idx, layer)| {
-///                 let rate = ctx.sample_rate(idx, sample);
-///                 let synops = layer.kind.dense_synops() as f64 * rate;
-///                 LayerSample { cycles: synops.max(1.0), synops, ..Default::default() }
-///             })
-///             .collect()
+///     fn run_sample_with_scratch(
+///         &self,
+///         ctx: &SampleContext<'_>,
+///         sample: usize,
+///         out: &mut Vec<LayerSample>,
+///         _scratch: &mut LayerScratch,
+///     ) {
+///         out.extend(ctx.network.layers().iter().enumerate().map(|(idx, layer)| {
+///             let rate = ctx.sample_rate(idx, sample);
+///             let synops = layer.kind.dense_synops() as f64 * rate;
+///             LayerSample { cycles: synops.max(1.0), synops, ..Default::default() }
+///         }));
 ///     }
 /// }
 ///
@@ -201,40 +208,33 @@ pub trait ExecutionBackend: Send + Sync {
     /// Human-readable backend name (for reports and diagnostics).
     fn name(&self) -> &'static str;
 
-    /// Evaluate batch sample `sample`, returning one [`LayerSample`] per
-    /// network layer per timestep: step-major order (`step 0` layers first,
-    /// then `step 1`, …). Synthetic runs evaluate exactly one step, so the
-    /// historical "one sample per layer" contract is the `T = 1` case.
-    fn run_sample(&self, ctx: &SampleContext<'_>, sample: usize) -> Vec<LayerSample>;
-
     /// Evaluate batch sample `sample`, appending one [`LayerSample`] per
-    /// network layer per timestep to `out` (step-major, as in
-    /// [`ExecutionBackend::run_sample`]) instead of allocating a fresh
-    /// vector.
-    ///
-    /// Callers that reuse one output vector across samples avoid a
-    /// per-sample allocation; the built-in backends override the default
-    /// (`out.extend(self.run_sample(..))`) accordingly. The two entry
-    /// points must produce identical samples.
-    fn run_sample_into(&self, ctx: &SampleContext<'_>, sample: usize, out: &mut Vec<LayerSample>) {
-        out.extend(self.run_sample(ctx, sample));
-    }
-
-    /// Evaluate batch sample `sample` with caller-owned kernel scratch —
-    /// the entry point [`Session`](crate::Session) workers drive through
-    /// their [`WorkerArena`]s, so compressed-input buffers and persistent
-    /// membrane state are reused across every sample (and request) the
-    /// worker serves. Must produce samples identical to
-    /// [`ExecutionBackend::run_sample_into`]; the default ignores the
-    /// scratch for backends that keep no kernel state.
+    /// network layer per timestep to `out` in step-major order (`step 0`
+    /// layers first, then `step 1`, …; synthetic runs evaluate exactly one
+    /// step). `scratch` is caller-owned kernel scratch: the
+    /// [`Session`](crate::Session) workers that drive this method through
+    /// their [`WorkerArena`]s reuse its compressed-input buffers and
+    /// persistent membrane state across every sample (and request) they
+    /// serve. Backends that keep no kernel state ignore it.
     fn run_sample_with_scratch(
         &self,
         ctx: &SampleContext<'_>,
         sample: usize,
         out: &mut Vec<LayerSample>,
-        _scratch: &mut LayerScratch,
-    ) {
-        self.run_sample_into(ctx, sample, out);
+        scratch: &mut LayerScratch,
+    );
+
+    /// [`ExecutionBackend::run_sample_with_scratch`] with fresh scratch.
+    fn run_sample_into(&self, ctx: &SampleContext<'_>, sample: usize, out: &mut Vec<LayerSample>) {
+        self.run_sample_with_scratch(ctx, sample, out, &mut LayerScratch::new());
+    }
+
+    /// [`ExecutionBackend::run_sample_with_scratch`] with fresh scratch,
+    /// into a fresh vector.
+    fn run_sample(&self, ctx: &SampleContext<'_>, sample: usize) -> Vec<LayerSample> {
+        let mut out = Vec::new();
+        self.run_sample_with_scratch(ctx, sample, &mut out, &mut LayerScratch::new());
+        out
     }
 }
 

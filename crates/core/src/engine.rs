@@ -1,10 +1,15 @@
-//! The inference engine: model container and compile-once entry point.
+//! The inference engine: the one model value and the compile-once entry
+//! point.
 //!
 //! [`Engine`] binds a network, a firing profile and the hardware and
-//! energy models. It has exactly one execution entry point:
-//! [`Engine::compile`] produces a [`Plan`] (validated config, plan-owned
-//! backend, program-cost cache), and the plan's
-//! [`Session`](crate::Session)s serve requests.
+//! energy models. The network is held behind an `Arc`, so the
+//! [`Compiler`]s and [`Plan`]s built from an engine carry the engine itself
+//! and share its weights instead of copying them. It has exactly one
+//! execution entry point: [`Engine::compile`] produces a [`Plan`]
+//! (validated config, plan-owned backend, program-cost cache), and the
+//! plan's [`Session`](crate::Session)s serve requests.
+
+use std::sync::Arc;
 
 use snitch_arch::fp::FpFormat;
 use snitch_arch::{ClusterConfig, CostModel};
@@ -84,36 +89,23 @@ impl InferenceConfig {
 }
 
 /// Inference engine binding a network, a firing profile and the hardware
-/// and energy models.
+/// and energy models. Cloning an engine shares its network.
 #[derive(Debug, Clone)]
 pub struct Engine {
-    network: Network,
-    profile: FiringProfile,
-    cluster: ClusterConfig,
-    cost: CostModel,
-    energy: EnergyModel,
+    pub(crate) network: Arc<Network>,
+    pub(crate) profile: FiringProfile,
+    pub(crate) cluster: ClusterConfig,
+    pub(crate) cost: CostModel,
+    pub(crate) energy: EnergyModel,
 }
 
 impl Engine {
     /// Create an engine from a network and firing profile with default
-    /// cluster, cost and energy models.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profile does not cover every layer of the network —
-    /// [`FiringProfile::rate`] no longer papers over a short profile with a
-    /// silent default, so the mismatch is rejected up front instead of
-    /// skewing a whole evaluation.
+    /// cluster, cost and energy models. [`Compiler::compile`] checks that
+    /// the profile covers every layer of the network.
     pub fn new(network: Network, profile: FiringProfile) -> Self {
-        assert!(
-            profile.len() >= network.len(),
-            "firing profile covers {} layers but network `{}` has {}",
-            profile.len(),
-            network.name,
-            network.len()
-        );
         Engine {
-            network,
+            network: Arc::new(network),
             profile,
             cluster: ClusterConfig::default(),
             cost: CostModel::default(),
@@ -147,20 +139,11 @@ impl Engine {
         self
     }
 
-    /// Replace the energy model.
-    pub fn with_energy_model(mut self, energy: EnergyModel) -> Self {
-        self.energy = energy;
-        self
-    }
-
-    /// A [`Compiler`] seeded with this engine's models — the single
-    /// construction path behind every execution entry point (the CLI and
-    /// `Scenario` route through the same type).
+    /// A [`Compiler`] carrying a clone of this engine, which shares the
+    /// network rather than copying it. This is the one way to get a
+    /// compiler; the CLI and `Scenario` route through it too.
     pub fn compiler(&self) -> Compiler {
-        Compiler::new(self.network.clone(), self.profile.clone())
-            .with_cluster(self.cluster.clone())
-            .with_cost_model(self.cost.clone())
-            .with_energy_model(self.energy.clone())
+        Compiler { engine: self.clone(), backend: None }
     }
 
     /// Compile `config` into a servable [`Plan`]: validation and backend
@@ -170,11 +153,12 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics if compilation fails validation; [`Engine::new`] already
-    /// guarantees the profile invariant, so this only fires for zero-sized
-    /// batches. Use [`Compiler::compile`] for a fallible variant.
+    /// Panics with the [`CompileError`](crate::CompileError)'s message if
+    /// compilation fails validation (a profile shorter than the network,
+    /// an empty or oversized batch, invalid neuron parameters). Use
+    /// [`Compiler::compile`] for a fallible variant.
     pub fn compile(&self, config: &InferenceConfig) -> Plan {
-        self.compiler().compile(*config).expect("engine configuration must compile")
+        self.compiler().compile(*config).unwrap_or_else(|err| panic!("{err}"))
     }
 }
 
@@ -274,9 +258,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "firing profile covers 3 layers")]
-    fn short_firing_profile_is_rejected_at_engine_construction() {
-        let _ = Engine::new(Network::svgg11(1), FiringProfile::uniform(3, 0.2));
+    #[should_panic(expected = "firing profile covers 3 layers but network `S-VGG11` has 8")]
+    fn short_firing_profile_is_rejected_at_engine_compile() {
+        let engine = Engine::new(Network::svgg11(1), FiringProfile::uniform(3, 0.2));
+        let _ = engine.compile(&InferenceConfig::paper(KernelVariant::SpikeStream, FpFormat::Fp16));
+    }
+
+    #[test]
+    fn plans_share_the_engine_network() {
+        let engine = Engine::svgg11(1);
+        let paper = InferenceConfig::paper(KernelVariant::SpikeStream, FpFormat::Fp16);
+        let fp16 = engine.compile(&paper);
+        let fp8 = engine.compile(&InferenceConfig { format: FpFormat::Fp8, ..paper });
+        assert!(std::ptr::eq(fp16.network(), engine.network()));
+        assert!(std::ptr::eq(fp8.network(), engine.network()));
     }
 
     #[test]

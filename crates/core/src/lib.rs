@@ -22,6 +22,9 @@
 //! Compiler ──compile──▶ Plan ──open_session──▶ Session ──run──▶ ResultSink
 //! ```
 //!
+//! * [`Engine`] is the one model value (network, firing profile, hardware
+//!   and energy models); [`Engine::compiler`] hands out a [`Compiler`]
+//!   that carries a clone of it, sharing the network's weights;
 //! * [`Compiler`] / [`Engine::compile`] perform every per-model step once
 //!   — config/profile validation and binding the execution backend as a
 //!   plan-owned value (the plan's program-cost cache starts empty and is
@@ -33,7 +36,9 @@
 //!   [`ResultSink`] as they complete ([`Session::infer`] folds the stream
 //!   into an [`InferenceReport`]);
 //! * [`backend`] is the pluggable execution layer: the analytic and
-//!   cycle-level timing models are [`ExecutionBackend`] implementations,
+//!   cycle-level timing models are [`ExecutionBackend`] implementations
+//!   (one required method,
+//!   [`run_sample_with_scratch`](ExecutionBackend::run_sample_with_scratch)),
 //!   and custom backends bind into a plan via [`Compiler::with_backend`];
 //! * [`sharding`] is the fleet layer: a request with
 //!   [`Request::with_shards`] attributes its samples to N simulated

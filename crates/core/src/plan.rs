@@ -6,14 +6,17 @@
 //!
 //! ```text
 //! Compiler ──compile──▶ Plan ──open_session──▶ Session ──run──▶ ResultSink
-//! (model + profile +    (validated config,     (worker scratch   (per-sample
-//!  hardware models)      bound backend,         arenas, per-      LayerSamples,
-//!                        empty program-cost     sample membrane   fleet stats;
-//!                        cache)                 state)            fold ⇒ report)
+//! (Engine + optional    (Engine, validated     (worker scratch   (per-sample
+//!  custom backend)       config, bound          arenas, per-      LayerSamples,
+//!                        backend, empty         sample membrane   fleet stats;
+//!                        program-cost cache)    state)            fold ⇒ report)
 //! ```
 //!
-//! [`Compiler::compile`] performs every per-model step exactly once:
-//! config/profile validation and binding the execution backend as a
+//! The [`Engine`] is the one model value (network, firing profile,
+//! hardware and energy models): a compiler and every plan compiled from it
+//! carry a clone of it, and clones share the network's weights through an
+//! `Arc`. [`Compiler::compile`] performs every per-model step exactly
+//! once: config/profile validation and binding the execution backend as a
 //! *plan-owned value* (no `&'static` registry). It lowers and integrates
 //! nothing. The plan owns an empty [`ProgramCache`] that memoizes the
 //! integrated cost of every symbolic layer binding the analytic backend
@@ -25,14 +28,12 @@
 //! and cheap to share: wrap it in an `Arc` and open one session per worker
 //! task, or serve one long-lived session request after request.
 
-use snitch_arch::{ClusterConfig, CostModel};
-use spikestream_energy::EnergyModel;
 use spikestream_ir::{CostIntegrator, ProgramCache};
 use spikestream_kernels::LayerExecutor;
-use spikestream_snn::{FiringProfile, Network};
+use spikestream_snn::Network;
 
 use crate::backend::{backend_for, ExecutionBackend, LayerSample, SampleContext};
-use crate::engine::InferenceConfig;
+use crate::engine::{Engine, InferenceConfig};
 use crate::report::InferenceReport;
 use crate::session::{Request, Session};
 
@@ -95,20 +96,19 @@ impl std::fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
-/// Builds [`Plan`]s: the one place in the workspace that assembles a
-/// network, its firing profile, the hardware and energy models and an
-/// execution backend into a servable unit. `Scenario` and the `spikestream`
-/// CLI both construct engines through this type — neither assembles
-/// backends by hand.
+/// Builds [`Plan`]s: the one place in the workspace that binds an
+/// [`Engine`] and an execution backend into a servable unit. Get one from
+/// [`Engine::compiler`]; `Scenario` and the `spikestream` CLI go through
+/// the same path, and neither assembles backends by hand.
 ///
 /// # Example
 ///
 /// ```
 /// use spikestream::{
-///     Compiler, FpFormat, InferenceConfig, KernelVariant, Network, FiringProfile, Request,
+///     Engine, FiringProfile, FpFormat, InferenceConfig, KernelVariant, Network, Request,
 /// };
 ///
-/// let compiler = Compiler::new(Network::svgg11(7), FiringProfile::paper_svgg11());
+/// let compiler = Engine::new(Network::svgg11(7), FiringProfile::paper_svgg11()).compiler();
 /// let plan = compiler
 ///     .compile(InferenceConfig {
 ///         batch: 4,
@@ -119,12 +119,8 @@ impl std::error::Error for CompileError {}
 /// assert!(report.total_cycles() > 0.0);
 /// ```
 pub struct Compiler {
-    network: Network,
-    profile: FiringProfile,
-    cluster: ClusterConfig,
-    cost: CostModel,
-    energy: EnergyModel,
-    backend: Option<Box<dyn ExecutionBackend>>,
+    pub(crate) engine: Engine,
+    pub(crate) backend: Option<Box<dyn ExecutionBackend>>,
 }
 
 impl Compiler {
@@ -132,35 +128,12 @@ impl Compiler {
     /// one full-batch request folds: 2^22 (about 320 MiB of fold buffer).
     pub const MAX_LAYER_SAMPLES: usize = 1 << 22;
 
-    /// A compiler for `network` under `profile` with the default cluster,
-    /// cost and energy models.
-    pub fn new(network: Network, profile: FiringProfile) -> Self {
-        Compiler {
-            network,
-            profile,
-            cluster: ClusterConfig::default(),
-            cost: CostModel::default(),
-            energy: EnergyModel::calibrated(),
-            backend: None,
-        }
-    }
-
-    /// Replace the cluster configuration.
-    pub fn with_cluster(mut self, cluster: ClusterConfig) -> Self {
-        self.cluster = cluster;
-        self
-    }
-
-    /// Replace the cost model (used by the ablation experiments).
-    pub fn with_cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
-    /// Replace the energy model.
-    pub fn with_energy_model(mut self, energy: EnergyModel) -> Self {
-        self.energy = energy;
-        self
+    /// `batch × layers × timesteps`, the per-layer samples one request of
+    /// `batch` samples folds, or `None` when the product overflows or
+    /// exceeds [`Compiler::MAX_LAYER_SAMPLES`].
+    pub fn layer_samples(batch: usize, layers: usize, timesteps: usize) -> Option<usize> {
+        let samples = batch.checked_mul(layers)?.checked_mul(timesteps)?;
+        (samples <= Self::MAX_LAYER_SAMPLES).then_some(samples)
     }
 
     /// Bind an explicit execution backend instead of the built-in one the
@@ -181,20 +154,20 @@ impl Compiler {
     /// [`Compiler::MAX_LAYER_SAMPLES`], or any layer carries invalid
     /// neuron-model parameters.
     pub fn compile(self, config: InferenceConfig) -> Result<Plan, CompileError> {
-        let Compiler { network, profile, cluster, cost, energy, backend } = self;
-        if profile.len() < network.len() {
+        let Compiler { engine, backend } = self;
+        let network = engine.network();
+        if engine.profile.len() < network.len() {
             return Err(CompileError::ProfileTooShort {
                 network: network.name.clone(),
                 layers: network.len(),
-                rates: profile.len(),
+                rates: engine.profile.len(),
             });
         }
         if config.batch == 0 {
             return Err(CompileError::EmptyBatch);
         }
         let (layers, timesteps) = (network.len(), config.timesteps());
-        let samples = config.batch.checked_mul(layers).and_then(|n| n.checked_mul(timesteps));
-        if samples.is_none_or(|n| n > Self::MAX_LAYER_SAMPLES) {
+        if Self::layer_samples(config.batch, layers, timesteps).is_none() {
             return Err(CompileError::BatchTooLarge { batch: config.batch, layers, timesteps });
         }
         for layer in network.layers() {
@@ -212,43 +185,28 @@ impl Compiler {
         // per-sample evaluation of every session shares them through the
         // [`SampleContext`], so the serving hot path never re-clones the
         // cluster configuration or cost model.
-        let integrator = CostIntegrator::new(cluster.clone(), cost.clone());
+        let integrator = CostIntegrator::new(engine.cluster.clone(), engine.cost.clone());
         let executor = LayerExecutor::new(config.variant, config.format);
 
-        Ok(Plan {
-            network,
-            profile,
-            cluster,
-            cost,
-            energy,
-            config,
-            backend,
-            programs: ProgramCache::new(),
-            integrator,
-            executor,
-        })
+        Ok(Plan { engine, config, backend, programs: ProgramCache::new(), integrator, executor })
     }
 }
 
 impl std::fmt::Debug for Compiler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Compiler")
-            .field("network", &self.network.name)
+            .field("network", &self.engine.network.name)
             .field("backend", &self.backend.as_ref().map(|b| b.name()))
             .finish_non_exhaustive()
     }
 }
 
-/// A compiled, immutable, servable inference plan: the validated
-/// configuration, the plan-owned execution backend and the program-cost
-/// cache. Open sessions against it to serve requests; every session of a
-/// plan shares its cache.
+/// A compiled, immutable, servable inference plan: the [`Engine`] it was
+/// compiled from, the validated configuration, the plan-owned execution
+/// backend and the program-cost cache. Open sessions against it to serve
+/// requests; every session of a plan shares its cache.
 pub struct Plan {
-    network: Network,
-    profile: FiringProfile,
-    cluster: ClusterConfig,
-    cost: CostModel,
-    energy: EnergyModel,
+    engine: Engine,
     config: InferenceConfig,
     backend: Box<dyn ExecutionBackend>,
     programs: ProgramCache,
@@ -270,19 +228,9 @@ impl Plan {
         &self.config
     }
 
-    /// The network being served.
+    /// The network being served: the compiling engine's own, not a copy.
     pub fn network(&self) -> &Network {
-        &self.network
-    }
-
-    /// The firing profile driving workload generation.
-    pub fn profile(&self) -> &FiringProfile {
-        &self.profile
-    }
-
-    /// The cluster configuration.
-    pub fn cluster_config(&self) -> &ClusterConfig {
-        &self.cluster
+        self.engine.network()
     }
 
     /// The plan-owned execution backend.
@@ -333,18 +281,19 @@ impl Plan {
         batch: usize,
     ) -> InferenceReport {
         let config = self.effective_config(request);
-        InferenceReport::fold_batch(&self.network, self.clock_hz(), &config, flat, batch)
+        InferenceReport::fold_batch(self.network(), self.clock_hz(), &config, flat, batch)
     }
 
     /// The shared per-sample evaluation context for an effective config,
     /// bound to the plan's program cache.
     pub(crate) fn context<'a>(&'a self, config: &'a InferenceConfig) -> SampleContext<'a> {
+        let engine = &self.engine;
         SampleContext {
-            network: &self.network,
-            profile: &self.profile,
-            cluster: &self.cluster,
-            cost: &self.cost,
-            energy: &self.energy,
+            network: &engine.network,
+            profile: &engine.profile,
+            cluster: &engine.cluster,
+            cost: &engine.cost,
+            energy: &engine.energy,
             config,
             programs: Some(&self.programs),
             integrator: &self.integrator,
@@ -354,14 +303,14 @@ impl Plan {
 
     /// Clock frequency used to convert cycles to seconds in reports.
     pub fn clock_hz(&self) -> f64 {
-        self.cluster.clock_hz
+        self.engine.cluster.clock_hz
     }
 }
 
 impl std::fmt::Debug for Plan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Plan")
-            .field("network", &self.network.name)
+            .field("network", &self.engine.network.name)
             .field("config", &self.config)
             .field("backend", &self.backend.name())
             .field("cached_programs", &self.programs.len())
@@ -374,10 +323,11 @@ mod tests {
     use super::*;
     use crate::{FpFormat, KernelVariant};
     use spikestream_ir::CacheCounters;
+    use spikestream_snn::FiringProfile;
 
     #[test]
     fn compile_validates_the_profile_against_the_network() {
-        let compiler = Compiler::new(Network::svgg11(1), FiringProfile::uniform(3, 0.2));
+        let compiler = Engine::new(Network::svgg11(1), FiringProfile::uniform(3, 0.2)).compiler();
         let err = compiler
             .compile(InferenceConfig::paper(KernelVariant::SpikeStream, FpFormat::Fp16))
             .unwrap_err();
@@ -386,7 +336,7 @@ mod tests {
 
     #[test]
     fn compile_rejects_an_empty_batch() {
-        let compiler = Compiler::new(Network::svgg11(1), FiringProfile::paper_svgg11());
+        let compiler = Engine::svgg11(1).compiler();
         let config = InferenceConfig {
             batch: 0,
             ..InferenceConfig::paper(KernelVariant::SpikeStream, FpFormat::Fp16)
@@ -397,9 +347,7 @@ mod tests {
     #[test]
     fn compile_rejects_a_batch_beyond_the_layer_sample_bound() {
         let paper = InferenceConfig::paper(KernelVariant::SpikeStream, FpFormat::Fp16);
-        let compile = |config: InferenceConfig| {
-            Compiler::new(Network::svgg11(1), FiringProfile::paper_svgg11()).compile(config)
-        };
+        let compile = |config: InferenceConfig| Engine::svgg11(1).compiler().compile(config);
         // 2^19 samples x 8 layers is exactly the bound; one more sample is not.
         assert!(compile(InferenceConfig { batch: 1 << 19, ..paper }).is_ok());
         let err = compile(InferenceConfig { batch: (1 << 19) + 1, ..paper }).unwrap_err();
@@ -433,7 +381,8 @@ mod tests {
         let mut network = Network::svgg11(1);
         network
             .set_neuron_model(NeuronModel::Lif(LifParams { alpha: 1.5, ..LifParams::default() }));
-        let err = Compiler::new(network, FiringProfile::paper_svgg11())
+        let err = Engine::new(network, FiringProfile::paper_svgg11())
+            .compiler()
             .compile(InferenceConfig::paper(KernelVariant::SpikeStream, FpFormat::Fp16))
             .unwrap_err();
         match &err {
@@ -451,7 +400,8 @@ mod tests {
             v_threshold: -80.0,
             ..IzhiParams::regular_spiking()
         }));
-        let err = Compiler::new(network, FiringProfile::paper_svgg11())
+        let err = Engine::new(network, FiringProfile::paper_svgg11())
+            .compiler()
             .compile(InferenceConfig::paper(KernelVariant::SpikeStream, FpFormat::Fp16))
             .unwrap_err();
         assert!(err.to_string().contains("invalid izhikevich parameters"), "{err}");
@@ -460,7 +410,8 @@ mod tests {
 
     #[test]
     fn compilation_leaves_the_program_cache_empty() {
-        let plan = Compiler::new(Network::svgg11(1), FiringProfile::paper_svgg11())
+        let plan = Engine::svgg11(1)
+            .compiler()
             .compile(InferenceConfig::paper(KernelVariant::SpikeStream, FpFormat::Fp16))
             .unwrap();
         assert!(plan.programs().is_empty(), "compiling lowers and integrates nothing");

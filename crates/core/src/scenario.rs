@@ -73,7 +73,7 @@ use spikestream_snn::{
 };
 
 use crate::engine::{Engine, InferenceConfig, TimingModel};
-use crate::plan::{Compiler, Plan};
+use crate::plan::Plan;
 use crate::session::Request;
 
 /// The networks a scenario can name.
@@ -509,12 +509,6 @@ impl Scenario {
         Engine::new(network, profile)
     }
 
-    /// The [`Compiler`] for this scenario — the same construction path the
-    /// engine and the CLI use, so no caller assembles backends by hand.
-    pub fn compiler(&self) -> Compiler {
-        self.engine().compiler()
-    }
-
     /// Compile the scenario into a servable [`Plan`].
     ///
     /// # Errors
@@ -522,7 +516,7 @@ impl Scenario {
     /// Returns a [`ScenarioError`] when the configuration fails plan
     /// compilation (e.g. a zero batch).
     pub fn compile(&self) -> Result<Plan, ScenarioError> {
-        self.compiler().compile(self.config).map_err(|e| err(0, e.to_string()))
+        self.engine().compiler().compile(self.config).map_err(|e| err(0, e.to_string()))
     }
 
     /// The full-batch serving request this scenario describes, fleet

@@ -105,8 +105,9 @@ impl Request {
 /// requests call back in ascending sample order.
 pub trait ResultSink: Send {
     /// One completed batch sample: `layers` holds one [`LayerSample`] per
-    /// network layer per timestep, step-major — exactly the layout of
-    /// [`ExecutionBackend::run_sample`](crate::ExecutionBackend::run_sample).
+    /// network layer per timestep, step-major — exactly the layout
+    /// [`ExecutionBackend::run_sample_with_scratch`](crate::ExecutionBackend::run_sample_with_scratch)
+    /// appends.
     fn on_sample(&mut self, sample: usize, layers: &[LayerSample]);
 
     /// One completed sample with its *position* in the request: `slot` is

@@ -25,7 +25,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use spikestream::{
-    attribute_shards, InferenceReport, LayerSample, Plan, Request, ResultSink, Session,
+    attribute_shards, Compiler, InferenceReport, LayerSample, Plan, Request, ResultSink, Session,
     SessionStatsHandle,
 };
 
@@ -175,6 +175,38 @@ struct Pending {
     cell: Arc<ResponseCell>,
 }
 
+/// The layer count and default timesteps of a plan generation: what a
+/// request's size is checked against.
+#[derive(Debug, Clone, Copy, Default)]
+struct PlanShape {
+    layers: usize,
+    timesteps: usize,
+}
+
+impl PlanShape {
+    fn of(plan: &Plan) -> Self {
+        PlanShape { layers: plan.network().len(), timesteps: plan.config().timesteps() }
+    }
+
+    /// Layer samples per sample of a request with `opts`, or
+    /// [`ServeError::RequestTooLarge`] when `samples` of them would exceed
+    /// [`Compiler::MAX_LAYER_SAMPLES`].
+    fn units(&self, samples: usize, opts: &SubmitOptions) -> Result<usize, ServeError> {
+        let timesteps = opts.timesteps.map_or(self.timesteps, |t| t.max(1));
+        match Compiler::layer_samples(samples, self.layers, timesteps) {
+            Some(_) => Ok(self.layers * timesteps),
+            None => Err(ServeError::RequestTooLarge { samples, layers: self.layers, timesteps }),
+        }
+    }
+}
+
+/// Samples one micro-batch of requests at `units` layer samples per sample
+/// may hold: `max_batch`, and no more than [`Compiler::MAX_LAYER_SAMPLES`]
+/// layer samples.
+fn batch_cap(max_batch: usize, units: usize) -> usize {
+    max_batch.min(Compiler::MAX_LAYER_SAMPLES / units.max(1))
+}
+
 /// Mutable per-tenant state, guarded by [`Tenant::state`].
 #[derive(Default)]
 struct TenantState {
@@ -185,6 +217,8 @@ struct TenantState {
     poisoned: Option<String>,
     serving_version: u64,
     session_stats: Option<SessionStatsHandle>,
+    /// The shape of the latest published generation, set at publish.
+    shape: PlanShape,
 }
 
 /// One tenant: a bounded queue plus the two condvars its dispatcher and
@@ -276,6 +310,7 @@ impl Gateway {
         if self.shared.closed.load(Ordering::Acquire) {
             return Err(ServeError::Shutdown);
         }
+        let shape = PlanShape::of(&plan);
         let version = self.shared.registry.publish(tenant, plan);
         if version > 1 {
             self.shared.counters.on_hot_swap();
@@ -288,6 +323,7 @@ impl Gateway {
         };
         let mut state = tenant.state.lock().expect("tenant state poisoned");
         state.poisoned = None;
+        state.shape = shape;
         if state.dispatcher_alive {
             // Wake the parked dispatcher so it notices the version bump at
             // its next batch boundary.
@@ -307,7 +343,10 @@ impl Gateway {
 
     /// Submit `samples` to tenant `tenant` with default options. Fails
     /// fast with [`ServeError::Full`] when the tenant queue is at
-    /// capacity.
+    /// capacity, and with [`ServeError::RequestTooLarge`] when the request
+    /// would fold more than
+    /// [`Compiler::MAX_LAYER_SAMPLES`](spikestream::Compiler::MAX_LAYER_SAMPLES)
+    /// layer samples on the tenant's published plan.
     pub fn submit(&self, tenant: &str, samples: &[usize]) -> Result<ResponseHandle, ServeError> {
         self.enqueue(tenant, samples, SubmitOptions::default(), None)
     }
@@ -358,6 +397,7 @@ impl Gateway {
             if let Some(message) = &state.poisoned {
                 return Err(ServeError::Poisoned(message.clone()));
             }
+            state.shape.units(samples.len(), &opts)?;
             if state.queue.len() < cap {
                 break;
             }
@@ -526,9 +566,11 @@ fn serve_era(
 ) -> EraExit {
     let max_batch = shared.config.max_batch.max(1);
     let linger = Duration::from_micros(shared.config.linger_us);
+    let shape = PlanShape::of(&era.plan);
     loop {
         let mut batch: Vec<Pending>;
         let total: usize;
+        let units: usize;
         {
             let mut state = tenant.state.lock().expect("tenant state poisoned");
             loop {
@@ -552,18 +594,28 @@ fn serve_era(
             // coalescing the compatible FIFO prefix — until it is full,
             // blocked by an incompatible request, or the deadline passes.
             let head = state.queue.pop_front().expect("queue is non-empty");
+            tenant.space.notify_all();
+            // Submission checked the size against the generation published
+            // then; a hot swap since may have grown the layers or default
+            // timesteps.
+            units = match shape.units(head.samples.len(), &head.opts) {
+                Ok(units) => units,
+                Err(error) => {
+                    head.cell.fulfill(Err(error));
+                    continue;
+                }
+            };
+            let cap = batch_cap(max_batch, units);
             let key = head.opts.timesteps;
             let mut count = head.samples.len();
             batch = vec![head];
-            tenant.space.notify_all();
             let deadline = Instant::now() + linger;
             loop {
                 let mut blocked = false;
-                while count < max_batch {
+                while count < cap {
                     match state.queue.front() {
                         Some(next)
-                            if next.opts.timesteps == key
-                                && count + next.samples.len() <= max_batch =>
+                            if next.opts.timesteps == key && count + next.samples.len() <= cap =>
                         {
                             let next = state.queue.pop_front().expect("queue is non-empty");
                             count += next.samples.len();
@@ -580,7 +632,7 @@ fn serve_era(
                         None => break,
                     }
                 }
-                if count >= max_batch || blocked || state.shutdown || state.paused {
+                if count >= cap || blocked || state.shutdown || state.paused {
                     break;
                 }
                 let now = Instant::now();
@@ -602,7 +654,6 @@ fn serve_era(
         if let Some(timesteps) = batch[0].opts.timesteps {
             request = request.with_timesteps(timesteps);
         }
-        let units = era.plan.network().len() * era.plan.effective_config(&request).timesteps();
         let mut sink = FlatSink {
             units,
             flat: vec![LayerSample::default(); total * units],
@@ -723,6 +774,19 @@ mod tests {
         assert_eq!(stats.batches, 1);
         assert_eq!(stats.coalesced, 4);
         assert_eq!(stats.batch_hist[2], 1, "one batch of four samples");
+    }
+
+    #[test]
+    fn coalescing_stops_at_the_layer_sample_bound() {
+        // S-VGG11 (8 layers) at T = 1: `max_batch` binds.
+        assert_eq!(batch_cap(64, 8), 64);
+        // T = 2^16: 2^22 / (8 x 2^16) = 8 samples per batch.
+        assert_eq!(batch_cap(64, 8 << 16), 8);
+        // T = 2^19: one sample fills the bound, where 64 coalesced ones
+        // would have asked for 20 GiB.
+        assert_eq!(batch_cap(64, 8 << 19), 1);
+        // A layerless plan folds nothing per sample.
+        assert_eq!(batch_cap(64, 0), 64);
     }
 
     #[test]

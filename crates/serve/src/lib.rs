@@ -97,6 +97,20 @@ pub enum ServeError {
     Poisoned(String),
     /// The gateway has been shut down.
     Shutdown,
+    /// `samples × layers × timesteps` of one request overflows or exceeds
+    /// [`Compiler::MAX_LAYER_SAMPLES`](spikestream::Compiler::MAX_LAYER_SAMPLES)
+    /// layer samples. `layers` and `timesteps` are those of the tenant's
+    /// published plan, with the request's timestep override applied.
+    /// Submission returns it; so does [`ResponseHandle::wait`] when a hot
+    /// swap grew the plan after the request was queued.
+    RequestTooLarge {
+        /// Samples the request names.
+        samples: usize,
+        /// Layers in the tenant's network.
+        layers: usize,
+        /// Timesteps per sample.
+        timesteps: usize,
+    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -114,6 +128,12 @@ impl std::fmt::Display for ServeError {
                 write!(f, "tenant poisoned by a panicked batch: {message}")
             }
             ServeError::Shutdown => write!(f, "gateway is shut down"),
+            ServeError::RequestTooLarge { samples, layers, timesteps } => write!(
+                f,
+                "{samples} samples x {layers} layers x {timesteps} timesteps exceeds the limit \
+                 of {} layer samples per request",
+                spikestream::Compiler::MAX_LAYER_SAMPLES
+            ),
         }
     }
 }

@@ -131,8 +131,8 @@ impl FiringProfile {
     /// Panics if `layer` has no profile entry. A short profile used to fall
     /// back to a silent `0.1` default, which let a profile/network mismatch
     /// skew every downstream figure; the length is now validated up front
-    /// (`Engine::new` checks it against the network) and an out-of-range
-    /// query is a bug.
+    /// (`Compiler::compile` checks it against the network) and an
+    /// out-of-range query is a bug.
     pub fn rate(&self, layer: usize) -> f64 {
         match self.rates.get(layer) {
             Some(rate) => rate.clamp(0.0, 1.0),

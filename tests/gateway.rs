@@ -9,7 +9,9 @@
 //!    reproduces the pre-redesign golden captures (`tests/golden/`)
 //!    byte for byte.
 //! 2. **Backpressure** — the bounded per-tenant queue rejects (and
-//!    times out) deterministically when full, and drains cleanly.
+//!    times out) deterministically when full, and drains cleanly; a
+//!    request too large to fold is rejected at submission, never
+//!    allocated.
 //! 3. **Hot swap** — publishing a new plan version under live traffic
 //!    drops nothing: in-flight batches complete on the old version,
 //!    queued and later requests run on the new one, and every response
@@ -23,9 +25,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use spikestream::{
-    Compiler, ExecutionBackend, FiringProfile, FpFormat, InferenceConfig, KernelVariant,
-    LayerSample, Network, Plan, Request, SampleContext, Scenario,
+    Engine, ExecutionBackend, FpFormat, InferenceConfig, KernelVariant, LayerSample, Plan, Request,
+    SampleContext, Scenario,
 };
+use spikestream_kernels::LayerScratch;
 use spikestream_serve::{Gateway, GatewayConfig, ServeError, SubmitOptions};
 
 fn repo_dir() -> PathBuf {
@@ -188,9 +191,70 @@ fn a_full_queue_rejects_deterministically_and_drains_cleanly() {
     assert_eq!(stats.tenants[0].queue_depth, 0);
 }
 
+#[test]
+fn an_oversized_request_is_rejected_and_the_tenant_keeps_serving() {
+    let tiny = scenario("tiny.toml");
+    let gateway = paced_gateway(64);
+    gateway.publish("tiny", tiny.compile().expect("compiles")).expect("publish");
+
+    // 1 sample x 3 layers x 2^30 timesteps is far past the layer-sample
+    // bound: rejected synchronously, so it is never counted as submitted.
+    let huge = SubmitOptions::default().with_timesteps(1 << 30);
+    let err = gateway.submit_with("tiny", &[0], huge).err().expect("rejected");
+    assert_eq!(err, ServeError::RequestTooLarge { samples: 1, layers: 3, timesteps: 1 << 30 });
+    assert_eq!(
+        err.to_string(),
+        "1 samples x 3 layers x 1073741824 timesteps exceeds the limit of 4194304 layer \
+         samples per request"
+    );
+    // A product that overflows `usize` is rejected, not wrapped.
+    let overflow = SubmitOptions::default().with_timesteps(usize::MAX);
+    assert!(matches!(
+        gateway.submit_with("tiny", &[0], overflow),
+        Err(ServeError::RequestTooLarge { timesteps: usize::MAX, .. })
+    ));
+    assert_eq!(gateway.stats().submitted, 0);
+
+    let response = gateway.submit("tiny", &[0]).expect("submit").wait().expect("serve");
+    assert_eq!(response.samples(), 1);
+    assert_eq!((gateway.stats().submitted, gateway.stats().completed), (1, 1));
+}
+
+#[test]
+fn a_request_admitted_before_a_hot_swap_is_rechecked_on_the_new_plan() {
+    let gateway = paced_gateway(64);
+    gateway.publish("t", scenario("tiny.toml").compile().expect("compiles")).expect("publish");
+    gateway.pause("t").expect("pause");
+    // 3 tiny layers x 2^20 steps fit the bound; 8 S-VGG11 layers do not.
+    let opts = SubmitOptions::default().with_timesteps(1 << 20);
+    let handle = gateway.submit_with("t", &[0], opts).expect("fits the published plan");
+    let mut svgg11 = scenario("svgg11_fp16.toml");
+    svgg11.config.batch = 1;
+    gateway.publish("t", svgg11.compile().expect("compiles")).expect("republish");
+    gateway.resume("t").expect("resume");
+    assert_eq!(
+        handle.wait().err(),
+        Some(ServeError::RequestTooLarge { samples: 1, layers: 8, timesteps: 1 << 20 })
+    );
+    assert!(gateway.submit("t", &[0]).expect("submit").wait().is_ok(), "the tenant still serves");
+}
+
 // ---------------------------------------------------------------------------
 // 3. Hot swap under load
 // ---------------------------------------------------------------------------
+
+#[test]
+fn a_published_plan_serves_the_engine_network() {
+    let engine = Engine::svgg11(7);
+    let gateway = paced_gateway(8);
+    let plan = engine.compile(&InferenceConfig {
+        batch: 2,
+        ..InferenceConfig::paper(KernelVariant::SpikeStream, FpFormat::Fp16)
+    });
+    gateway.publish("svgg11", plan).expect("publish");
+    let published = gateway.registry().get("svgg11").expect("published");
+    assert!(std::ptr::eq(published.plan.network(), engine.network()), "weights are shared");
+}
 
 /// Tracks how many samples have *started* evaluating, so the driver can
 /// publish a new plan while a batch is provably in flight.
@@ -228,20 +292,25 @@ impl ExecutionBackend for SlowBackend {
         "slow-gate"
     }
 
-    fn run_sample(&self, ctx: &SampleContext<'_>, sample: usize) -> Vec<LayerSample> {
+    fn run_sample_with_scratch(
+        &self,
+        ctx: &SampleContext<'_>,
+        sample: usize,
+        out: &mut Vec<LayerSample>,
+        _scratch: &mut LayerScratch,
+    ) {
         self.gate.mark();
         std::thread::sleep(self.delay);
-        (0..ctx.network.len() * ctx.timesteps())
-            .map(|unit| LayerSample {
-                cycles: (sample * 1000 + unit + 1) as f64,
-                ..LayerSample::default()
-            })
-            .collect()
+        out.extend((0..ctx.network.len() * ctx.timesteps()).map(|unit| LayerSample {
+            cycles: (sample * 1000 + unit + 1) as f64,
+            ..LayerSample::default()
+        }));
     }
 }
 
 fn gated_plan(gate: &Arc<StartGate>, delay: Duration) -> Plan {
-    Compiler::new(Network::svgg11(7), FiringProfile::paper_svgg11())
+    Engine::svgg11(7)
+        .compiler()
         .with_backend(Box::new(SlowBackend { gate: Arc::clone(gate), delay }))
         .compile(InferenceConfig {
             batch: 16,
@@ -303,11 +372,18 @@ impl ExecutionBackend for PanickingBackend {
         "panicking"
     }
 
-    fn run_sample(&self, ctx: &SampleContext<'_>, sample: usize) -> Vec<LayerSample> {
+    fn run_sample_with_scratch(
+        &self,
+        ctx: &SampleContext<'_>,
+        sample: usize,
+        out: &mut Vec<LayerSample>,
+        _scratch: &mut LayerScratch,
+    ) {
         assert_ne!(sample, self.poison_sample, "poison sample reached the backend");
-        (0..ctx.network.len() * ctx.timesteps())
-            .map(|unit| LayerSample { cycles: (unit + 1) as f64, ..LayerSample::default() })
-            .collect()
+        out.extend(
+            (0..ctx.network.len() * ctx.timesteps())
+                .map(|unit| LayerSample { cycles: (unit + 1) as f64, ..LayerSample::default() }),
+        );
     }
 }
 
@@ -317,7 +393,8 @@ fn a_poisoned_tenant_contains_its_panic_and_revives_on_publish() {
     let gateway = paced_gateway(8);
     gateway.publish("good", tiny.compile().expect("compiles")).expect("publish good");
     let bad_plan = || {
-        Compiler::new(Network::svgg11(7), FiringProfile::paper_svgg11())
+        Engine::svgg11(7)
+            .compiler()
             .with_backend(Box::new(PanickingBackend { poison_sample: 13 }))
             .compile(InferenceConfig {
                 batch: 16,

@@ -25,6 +25,7 @@ use spikestream::{
     AnalyticBackend, Engine, ExecutionBackend, FpFormat, InferenceConfig, KernelVariant,
     LayerSample, Plan, Request, SampleContext, Scenario,
 };
+use spikestream_kernels::LayerScratch;
 
 /// Serialize the tests in this binary: they assert on pool thread counts
 /// and `/proc/self/task`, which concurrent sessions in sibling tests would
@@ -168,11 +169,17 @@ impl ExecutionBackend for PanicOnce {
         "panic-once"
     }
 
-    fn run_sample(&self, ctx: &SampleContext<'_>, sample: usize) -> Vec<LayerSample> {
+    fn run_sample_with_scratch(
+        &self,
+        ctx: &SampleContext<'_>,
+        sample: usize,
+        out: &mut Vec<LayerSample>,
+        scratch: &mut LayerScratch,
+    ) {
         if sample == self.sample && self.fuse.swap(0, Ordering::SeqCst) == 1 {
             panic!("backend exploded on sample {sample}");
         }
-        AnalyticBackend.run_sample(ctx, sample)
+        AnalyticBackend.run_sample_with_scratch(ctx, sample, out, scratch);
     }
 }
 
