@@ -1,13 +1,13 @@
 //! Experiment drivers that regenerate every figure of the paper.
 //!
-//! Each function returns plain data rows so that the benchmark harness, the
-//! `figures` binary and the integration tests can all consume the same
-//! results. The mapping to the paper is documented per function; how the
-//! experiments flow through the execution-backend layer is described in
-//! ARCHITECTURE.md. Every driver compiles a [`Plan`](crate::Plan) with
-//! [`Engine::compile`] and serves its full batch through
-//! [`Plan::run`](crate::Plan::run), i.e. batch samples execute in parallel
-//! on the analytic backend.
+//! Each function returns plain data rows so that `spikestream figures`
+//! (which renders them as text tables) and the integration tests consume
+//! the same results. The mapping to the paper is documented per function;
+//! how the experiments flow through the execution-backend layer is
+//! described in ARCHITECTURE.md. Every driver compiles a
+//! [`Plan`](crate::Plan) with [`Engine::compile`] and serves its full
+//! batch through [`Plan::run`](crate::Plan::run), i.e. batch samples
+//! execute in parallel on the analytic backend.
 
 use neuro_accel_models::AcceleratorSpec;
 use snitch_arch::fp::FpFormat;

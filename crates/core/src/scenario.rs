@@ -75,6 +75,7 @@ use spikestream_snn::{
 use crate::engine::{Engine, InferenceConfig, TimingModel};
 use crate::plan::Plan;
 use crate::session::Request;
+use crate::sharding::MAX_SHARDS;
 
 /// The networks a scenario can name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -218,7 +219,8 @@ pub struct Scenario {
     pub network: NetworkChoice,
     /// Inference configuration (variant, format, timing, batch, seed).
     pub config: InferenceConfig,
-    /// Number of simulated cluster shards the batch is spread over.
+    /// Number of simulated cluster shards the batch is spread over
+    /// (`1..=`[`MAX_SHARDS`] in a scenario file).
     pub shards: usize,
     /// Optional neuron-model override applied to every layer (from the
     /// `[neuron_model]` table); `None` keeps each network's built-in LIF
@@ -448,11 +450,14 @@ impl Scenario {
                     });
                 }
                 "shards" => {
-                    let shards = parse_u64(lineno, value)? as usize;
+                    let shards = parse_u64(lineno, value)?;
                     if shards == 0 {
                         return Err(err(lineno, "shards must be at least 1"));
                     }
-                    scenario.shards = shards;
+                    if shards > MAX_SHARDS as u64 {
+                        return Err(err(lineno, format!("shards must be at most {MAX_SHARDS}")));
+                    }
+                    scenario.shards = shards as usize;
                 }
                 other => {
                     return Err(err(
@@ -726,6 +731,7 @@ shards  = 4
             ("[scenario]\nbatch = \"x\"\n", 2, "unsigned integer"),
             ("[scenario]\nbatch = 0\n", 2, "at least 1"),
             ("[scenario]\nshards = 0\n", 2, "at least 1"),
+            ("[scenario]\nshards = 4000000000\n", 2, "at most 1024"),
             ("[scenario]\nnetwork = \"resnet\"\n", 2, "unknown network"),
             ("[scenario]\nname = unquoted\n", 2, "quoted string"),
             ("[scenario]\nnonsense\n", 2, "key = value"),

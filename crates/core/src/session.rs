@@ -42,7 +42,8 @@ pub struct Request {
     /// the CLI's `--timesteps` flag.
     pub timesteps: Option<usize>,
     /// Attribute the request to a fleet of N simulated cluster shards and
-    /// deliver the [`ShardSummary`] through [`ResultSink::on_fleet`].
+    /// deliver the [`ShardSummary`] through [`ResultSink::on_fleet`]. N is
+    /// clamped to `1..=`[`MAX_SHARDS`](crate::sharding::MAX_SHARDS).
     pub shards: Option<usize>,
     /// Host worker override: `Some(1)` serves the request strictly
     /// sequentially on the calling thread (deterministic callback order);

@@ -21,6 +21,11 @@ use crate::report::{ShardSummary, ShardUtilization};
 /// per-RF overhead the kernels charge for `next_rf` stealing).
 pub const DISPATCH_CYCLES: f64 = 2.0;
 
+/// Upper bound on the simulated cluster shards one request is attributed
+/// to. Scenario files, CLI flags and gateway submissions reject larger
+/// counts; [`attribute_shards`] clamps to it.
+pub const MAX_SHARDS: usize = 1024;
+
 /// The host worker-count sizing policy of the [`Session`](crate::Session)
 /// pool: never run more workers than there are chunks to steal (extra
 /// workers would claim nothing and pay wakeup churn for no parallelism),
@@ -36,10 +41,11 @@ pub(crate) fn clamp_workers(workers: usize, chunks: usize) -> usize {
 /// function of its inputs, so a serving gateway that coalesces several
 /// requests into one run can re-attribute each request's own samples
 /// afterwards and obtain the bit-identical [`ShardSummary`] a bare
-/// single-request session run would have produced.
+/// single-request session run would have produced. `shards` is clamped to
+/// `1..=`[`MAX_SHARDS`].
 pub fn attribute_shards(sample_cycles: &[f64], shards: usize) -> ShardSummary {
     // Per-shard occupancy: (samples executed, busy simulated cycles).
-    let mut load = vec![(0u64, 0.0f64); shards.max(1)];
+    let mut load = vec![(0u64, 0.0f64); shards.clamp(1, MAX_SHARDS)];
     for &cycles in sample_cycles {
         let shard = (0..load.len())
             .min_by(|&a, &b| load[a].1.partial_cmp(&load[b].1).unwrap().then(a.cmp(&b)))
@@ -92,8 +98,12 @@ mod tests {
 
     #[test]
     fn zero_shards_clamp_to_one() {
-        let summary = attribute_shards(&[100.0], 0);
-        assert_eq!(samples(&summary), vec![1]);
+        for (shards, clamped) in [(0, 1), (usize::MAX, MAX_SHARDS)] {
+            let summary = attribute_shards(&[100.0], shards);
+            let mut expected = vec![0; clamped];
+            expected[0] = 1;
+            assert_eq!(samples(&summary), expected, "{shards} shards");
+        }
     }
 
     #[test]

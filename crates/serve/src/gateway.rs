@@ -24,6 +24,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use spikestream::sharding::MAX_SHARDS;
 use spikestream::{
     attribute_shards, Compiler, InferenceReport, LayerSample, Plan, Request, ResultSink, Session,
     SessionStatsHandle,
@@ -351,7 +352,9 @@ impl Gateway {
         self.enqueue(tenant, samples, SubmitOptions::default(), None)
     }
 
-    /// [`Gateway::submit`] with explicit per-request options.
+    /// [`Gateway::submit`] with explicit per-request options. Fails with
+    /// [`ServeError::TooManyShards`] when `opts.shards` exceeds
+    /// [`MAX_SHARDS`].
     pub fn submit_with(
         &self,
         tenant: &str,
@@ -382,6 +385,9 @@ impl Gateway {
     ) -> Result<ResponseHandle, ServeError> {
         if samples.is_empty() {
             return Err(ServeError::EmptyRequest);
+        }
+        if let Some(shards) = opts.shards.filter(|&shards| shards > MAX_SHARDS) {
+            return Err(ServeError::TooManyShards(shards));
         }
         if self.shared.closed.load(Ordering::Acquire) {
             return Err(ServeError::Shutdown);
@@ -423,7 +429,7 @@ impl Gateway {
 
     /// Hold tenant `tenant`'s dispatcher: submissions still queue (and
     /// still backpressure), nothing dispatches until
-    /// [`Gateway::resume`]. Deterministic drivers (tests, benches, the
+    /// [`Gateway::resume`]. Deterministic drivers (the tests and the
     /// demo CLI) use this to pin exact batch compositions.
     pub fn pause(&self, tenant: &str) -> Result<(), ServeError> {
         let tenant = self.shared.tenant(tenant)?;

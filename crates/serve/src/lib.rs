@@ -80,6 +80,9 @@ pub enum ServeError {
     UnknownTenant(String),
     /// A request must name at least one sample.
     EmptyRequest,
+    /// The request asks for more than
+    /// [`MAX_SHARDS`](spikestream::sharding::MAX_SHARDS) simulated shards.
+    TooManyShards(usize),
     /// The tenant's bounded queue is at capacity (fail-fast submission).
     Full {
         /// Tenant whose queue was full.
@@ -118,6 +121,11 @@ impl std::fmt::Display for ServeError {
         match self {
             ServeError::UnknownTenant(name) => write!(f, "unknown tenant `{name}`"),
             ServeError::EmptyRequest => write!(f, "request names no samples"),
+            ServeError::TooManyShards(shards) => write!(
+                f,
+                "{shards} shards exceeds the limit of {} shards per request",
+                spikestream::sharding::MAX_SHARDS
+            ),
             ServeError::Full { tenant, cap } => {
                 write!(f, "tenant `{tenant}` queue is full ({cap} requests)")
             }

@@ -1,6 +1,7 @@
 //! `spikestream` — the sharded batch-inference driver CLI.
 //!
-//! Four subcommands, all driven by declarative scenario files
+//! `figures` regenerates the paper's figures as text tables. The other
+//! four subcommands are driven by declarative scenario files
 //! (`examples/scenarios/*.toml`):
 //!
 //! * `run` — serve one scenario as a sharded session request and print
@@ -16,7 +17,11 @@
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use spikestream::{InferenceReport, Request, Scenario, WorkloadMode};
+use spikestream::experiments::{self, PAPER_BATCH};
+use spikestream::sharding::MAX_SHARDS;
+use spikestream::{
+    CompileError, Compiler, FiringProfile, InferenceReport, Request, Scenario, WorkloadMode,
+};
 use spikestream_serve::{
     Gateway, GatewayConfig, ResponseHandle, ServeError, SubmitOptions, BATCH_HIST_LABELS,
 };
@@ -30,13 +35,14 @@ USAGE:
     spikestream compare <scenario.toml> [--shards N] [--timesteps N]
     spikestream serve-demo <scenario.toml> [--clients K] [--requests-per-client M]
                            [--max-batch B] [--linger-us L] [--queue-cap C] [--json]
+    spikestream figures [FIG ...] [--batch N]
     spikestream help
 
 Scenario files are a strict TOML subset; see examples/scenarios/ for
 checked-in examples and `spikestream help` for the key reference.
 
 OPTIONS:
-    --shards N        Override the scenario's shard count
+    --shards N        Override the scenario's shard count, at most 1024
                       (for bench: comma-separated list, default 1,2,4,8)
     --batch N         Override the scenario's batch size
     --timesteps N     Run the temporal pipeline for N timesteps (real spike
@@ -56,6 +62,11 @@ SERVE-DEMO OPTIONS (defaults come from the scenario's [serve] table):
     --linger-us L           Close a non-full micro-batch after L microseconds
     --queue-cap C           Bounded per-tenant queue capacity (the demo
                             raises it to K*M so the paced phase never blocks)
+
+FIGURES (the paper's S-VGG11 evaluation on the analytic backend):
+    FIG               3a | 3b | 3c | 4 | 5 | 5a | 5b | headline | ablation
+                      (default: all seven tables, in paper order)
+    --batch N         Batch samples per configuration (default 128)
 ";
 
 const KEY_REFERENCE: &str = "\
@@ -67,7 +78,7 @@ Scenario keys (all optional except the [scenario] header):
     timing    = \"analytic\"       analytic | cycle-level
     batch     = 128               batch samples (>= 1)
     seed      = 0xC1FA            workload seed (decimal or 0x hex)
-    shards    = 1                 simulated cluster shards (>= 1)
+    shards    = 1                 simulated cluster shards (1..=1024)
     timesteps = 4                 temporal-pipeline steps (>= 1; setting this
                                   or `encoding` enables real spike propagation)
     encoding  = \"rate\"           rate | direct (temporal input coding)
@@ -100,6 +111,7 @@ fn main() -> ExitCode {
         "bench" => cmd_bench(&args[1..]),
         "compare" => cmd_compare(&args[1..]),
         "serve-demo" => cmd_serve_demo(&args[1..]),
+        "figures" => cmd_figures(&args[1..]),
         "help" | "--help" | "-h" => {
             print!("{USAGE}\n{KEY_REFERENCE}");
             return ExitCode::SUCCESS;
@@ -113,6 +125,16 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// The value after `flag`, parsed as an integer of at least 1.
+fn positive(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<usize, String> {
+    let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    let parsed: usize = value.parse().map_err(|_| format!("bad {flag} value `{value}`"))?;
+    if parsed == 0 {
+        return Err(format!("{flag} must be >= 1"));
+    }
+    Ok(parsed)
 }
 
 /// Parsed common flags of every subcommand.
@@ -148,8 +170,10 @@ fn parse_options(command: Command, args: &[String]) -> Result<Options, String> {
                 let list: Result<Vec<usize>, _> =
                     value.split(',').map(|v| v.trim().parse::<usize>()).collect();
                 let list = list.map_err(|_| format!("bad --shards value `{value}`"))?;
-                if list.is_empty() || list.contains(&0) {
-                    return Err(format!("--shards entries must be >= 1, got `{value}`"));
+                if list.is_empty() || list.iter().any(|n| !(1..=MAX_SHARDS).contains(n)) {
+                    return Err(format!(
+                        "--shards entries must be between 1 and {MAX_SHARDS}, got `{value}`"
+                    ));
                 }
                 if command != Command::Bench && list.len() > 1 {
                     return Err(format!(
@@ -158,35 +182,13 @@ fn parse_options(command: Command, args: &[String]) -> Result<Options, String> {
                 }
                 shards_list = Some(list);
             }
-            "--batch" => {
-                let value = it.next().ok_or("--batch needs a value")?;
-                let parsed: usize =
-                    value.parse().map_err(|_| format!("bad --batch value `{value}`"))?;
-                if parsed == 0 {
-                    return Err("--batch must be >= 1".into());
-                }
-                batch = Some(parsed);
-            }
-            "--timesteps" => {
-                let value = it.next().ok_or("--timesteps needs a value")?;
-                let parsed: usize =
-                    value.parse().map_err(|_| format!("bad --timesteps value `{value}`"))?;
-                if parsed == 0 {
-                    return Err("--timesteps must be >= 1".into());
-                }
-                timesteps = Some(parsed);
-            }
+            "--batch" => batch = Some(positive(&mut it, "--batch")?),
+            "--timesteps" => timesteps = Some(positive(&mut it, "--timesteps")?),
             "--workers" => {
                 if command != Command::Run {
                     return Err("--workers is only supported by `run`".into());
                 }
-                let value = it.next().ok_or("--workers needs a value")?;
-                let parsed: usize =
-                    value.parse().map_err(|_| format!("bad --workers value `{value}`"))?;
-                if parsed == 0 {
-                    return Err("--workers must be >= 1".into());
-                }
-                workers = Some(parsed);
+                workers = Some(positive(&mut it, "--workers")?);
             }
             "--json" => {
                 if command != Command::Run {
@@ -358,15 +360,6 @@ fn parse_serve_demo_options(args: &[String]) -> Result<ServeDemoOptions, String>
     let mut linger_us = None;
     let mut queue_cap = None;
     let mut json = false;
-
-    fn positive(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<usize, String> {
-        let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-        let parsed: usize = value.parse().map_err(|_| format!("bad {flag} value `{value}`"))?;
-        if parsed == 0 {
-            return Err(format!("{flag} must be >= 1"));
-        }
-        Ok(parsed)
-    }
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -550,6 +543,81 @@ fn cmd_serve_demo(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// One of the paper's figures, as `spikestream figures` names it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Figure {
+    Fig3a,
+    Fig3b,
+    Fig3c,
+    Fig4,
+    Fig5,
+    Headline,
+    Ablation,
+}
+
+impl Figure {
+    /// Every figure, in paper order: what `figures` prints by default.
+    const ALL: [Figure; 7] = [
+        Figure::Fig3a,
+        Figure::Fig3b,
+        Figure::Fig3c,
+        Figure::Fig4,
+        Figure::Fig5,
+        Figure::Headline,
+        Figure::Ablation,
+    ];
+
+    /// The figure `name` selects; Fig. 5's two panels share one table.
+    fn parse(name: &str) -> Option<Figure> {
+        Some(match name {
+            "3a" => Figure::Fig3a,
+            "3b" => Figure::Fig3b,
+            "3c" => Figure::Fig3c,
+            "4" => Figure::Fig4,
+            "5" | "5a" | "5b" => Figure::Fig5,
+            "headline" => Figure::Headline,
+            "ablation" => Figure::Ablation,
+            _ => return None,
+        })
+    }
+}
+
+/// Parse `figures [FIG ...] [--batch N]` into the figures to print and
+/// the batch, rejecting a batch S-VGG11 cannot compile before anything
+/// runs.
+fn parse_figures(args: &[String]) -> Result<(Vec<Figure>, usize), String> {
+    let mut figures = Vec::new();
+    let mut batch = PAPER_BATCH;
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--batch" => batch = positive(&mut it, "--batch")?,
+            other if other.starts_with('-') => return Err(format!("unknown flag `{other}`")),
+            other => figures.push(Figure::parse(other).ok_or_else(|| {
+                format!("unknown figure `{other}` (3a|3b|3c|4|5|5a|5b|headline|ablation)")
+            })?),
+        }
+    }
+    // The paper profile carries one firing rate per S-VGG11 layer.
+    let layers = FiringProfile::paper_svgg11().len();
+    if Compiler::layer_samples(batch, layers, 1).is_none() {
+        return Err(CompileError::BatchTooLarge { batch, layers, timesteps: 1 }.to_string());
+    }
+    if figures.is_empty() {
+        figures = Figure::ALL.to_vec();
+    }
+    Ok((figures, batch))
+}
+
+fn cmd_figures(args: &[String]) -> Result<(), String> {
+    let (figures, batch) = parse_figures(args)?;
+    println!("SpikeStream reproduction — batch size {batch}\n");
+    for figure in figures {
+        println!("{}", figure_table(figure, batch));
+    }
+    Ok(())
+}
+
 /// Nearest-rank percentile of an ascending-sorted slice.
 fn percentile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
@@ -578,6 +646,117 @@ impl Fnv1a {
     fn finish(&self) -> u64 {
         self.0
     }
+}
+
+/// Render one figure as a text table.
+fn figure_table(figure: Figure, batch: usize) -> String {
+    let mut out = String::new();
+    match figure {
+        Figure::Fig3a => {
+            out.push_str("Fig. 3a — ifmap memory footprint (bytes) and firing activity\n");
+            out.push_str(&format!(
+                "{:<8} {:>12} {:>12} {:>10} {:>10}\n",
+                "layer", "AER [B]", "CSR [B]", "ratio", "firing"
+            ));
+            for r in experiments::fig3a_footprint(batch) {
+                out.push_str(&format!(
+                    "{:<8} {:>12.0} {:>12.0} {:>10.2} {:>9.1}%\n",
+                    r.layer,
+                    r.aer_bytes,
+                    r.csr_bytes,
+                    r.reduction(),
+                    r.firing_rate * 100.0
+                ));
+            }
+        }
+        Figure::Fig3b => {
+            out.push_str("Fig. 3b — FPU utilization and IPC (FP16)\n");
+            out.push_str(&format!(
+                "{:<8} {:>12} {:>14} {:>10} {:>12}\n",
+                "layer", "util base", "util stream", "IPC base", "IPC stream"
+            ));
+            for r in experiments::fig3b_utilization(batch) {
+                out.push_str(&format!(
+                    "{:<8} {:>11.1}% {:>13.1}% {:>10.2} {:>12.2}\n",
+                    r.layer,
+                    r.util_baseline * 100.0,
+                    r.util_spikestream * 100.0,
+                    r.ipc_baseline,
+                    r.ipc_spikestream
+                ));
+            }
+        }
+        Figure::Fig3c => {
+            out.push_str("Fig. 3c — per-layer speedups\n");
+            out.push_str(&format!(
+                "{:<8} {:>24} {:>18}\n",
+                "layer", "SpikeStream16/Base16", "FP8/FP16"
+            ));
+            for r in experiments::fig3c_speedup(batch) {
+                out.push_str(&format!(
+                    "{:<8} {:>23.2}x {:>17.2}x\n",
+                    r.layer, r.spikestream_fp16_over_baseline, r.fp8_over_fp16
+                ));
+            }
+        }
+        Figure::Fig4 => {
+            out.push_str("Fig. 4 — per-layer energy [mJ] and power [W]\n");
+            out.push_str(&format!(
+                "{:<8} {:>10} {:>10} {:>10} {:>8} {:>8} {:>8}\n",
+                "layer", "E base", "E fp16", "E fp8", "P base", "P fp16", "P fp8"
+            ));
+            for r in experiments::fig4_energy(batch) {
+                out.push_str(&format!(
+                    "{:<8} {:>10.4} {:>10.4} {:>10.4} {:>8.3} {:>8.3} {:>8.3}\n",
+                    r.layer,
+                    r.energy_baseline_mj,
+                    r.energy_fp16_mj,
+                    r.energy_fp8_mj,
+                    r.power_baseline_w,
+                    r.power_fp16_w,
+                    r.power_fp8_w
+                ));
+            }
+        }
+        Figure::Fig5 => {
+            out.push_str("Fig. 5 — 6th S-VGG11 layer over 500 timesteps\n");
+            out.push_str(&format!(
+                "{:<32} {:>14} {:>14} {:>10} {:>8}\n",
+                "platform", "latency [ms]", "energy [mJ]", "GSOP", "tech"
+            ));
+            for r in experiments::fig5_accelerators(500, batch) {
+                out.push_str(&format!(
+                    "{:<32} {:>14.2} {:>14.2} {:>10.1} {:>6}nm\n",
+                    r.name, r.latency_ms, r.energy_mj, r.peak_gsop, r.technology_nm
+                ));
+            }
+        }
+        Figure::Headline => {
+            let h = experiments::headline(batch);
+            out.push_str("Headline end-to-end numbers (S-VGG11)\n");
+            out.push_str(&format!(
+                "speedup FP16 {:.2}x | speedup FP8 {:.2}x | util {:.1}% -> {:.1}% | energy gain FP16 {:.2}x | FP8 {:.2}x\n",
+                h.speedup_fp16,
+                h.speedup_fp8,
+                h.utilization_baseline * 100.0,
+                h.utilization_spikestream * 100.0,
+                h.energy_gain_fp16,
+                h.energy_gain_fp8
+            ));
+        }
+        Figure::Ablation => {
+            out.push_str("Ablation — optimization stages\n");
+            for r in experiments::ablation(batch) {
+                out.push_str(&format!(
+                    "{:<32} {:>16.0} cycles {:>8.1}% util\n",
+                    r.name,
+                    r.cycles,
+                    r.utilization * 100.0
+                ));
+            }
+        }
+    }
+    out
 }
 
 fn print_layer_table(report: &InferenceReport) {
@@ -658,5 +837,59 @@ fn print_shard_table(report: &InferenceReport) {
             "{:>6} {:>9} {:>16.0} {:>12.3}",
             shard.shard, shard.samples, shard.busy_cycles, shard.utilization
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
+    }
+
+    #[test]
+    fn every_figure_renders() {
+        for figure in Figure::ALL {
+            let table = figure_table(figure, 2);
+            assert!(table.len() > 40, "{figure:?} produced an implausibly short table");
+        }
+    }
+
+    #[test]
+    fn figures_selects_only_the_named_figures() {
+        assert_eq!(parse_figures(&args(&["3c"])), Ok((vec![Figure::Fig3c], PAPER_BATCH)));
+        assert_eq!(
+            parse_figures(&args(&["5a", "headline", "--batch", "8"])),
+            Ok((vec![Figure::Fig5, Figure::Headline], 8))
+        );
+        assert_eq!(parse_figures(&[]), Ok((Figure::ALL.to_vec(), PAPER_BATCH)));
+    }
+
+    #[test]
+    fn unknown_figures_and_bad_flags_are_rejected() {
+        for bad in [
+            &["99"][..],
+            &["--fig", "3c"],
+            &["--batch", "0"],
+            &["--batch", "x"],
+            &["--batch"],
+            &["--batch", "4000000000"],
+        ] {
+            assert!(parse_figures(&args(bad)).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn an_oversized_shard_count_is_rejected() {
+        let tiny = "examples/scenarios/tiny.toml";
+        for command in [Command::Run, Command::Bench, Command::Compare] {
+            let err = parse_options(command, &args(&[tiny, "--shards", "4000000000"])).err();
+            assert_eq!(
+                err.as_deref(),
+                Some("--shards entries must be between 1 and 1024, got `4000000000`")
+            );
+        }
+        assert!(parse_options(Command::Bench, &args(&[tiny, "--shards", "1,2,2048"])).is_err());
     }
 }

@@ -213,6 +213,12 @@ fn an_oversized_request_is_rejected_and_the_tenant_keeps_serving() {
         gateway.submit_with("tiny", &[0], overflow),
         Err(ServeError::RequestTooLarge { timesteps: usize::MAX, .. })
     ));
+    // A shard fleet past `MAX_SHARDS` is rejected before it can size the
+    // per-shard attribution.
+    let fleet = SubmitOptions::default().with_shards(4_000_000_000);
+    let err = gateway.submit_with("tiny", &[0], fleet).err().expect("rejected");
+    assert_eq!(err, ServeError::TooManyShards(4_000_000_000));
+    assert_eq!(err.to_string(), "4000000000 shards exceeds the limit of 1024 shards per request");
     assert_eq!(gateway.stats().submitted, 0);
 
     let response = gateway.submit("tiny", &[0]).expect("submit").wait().expect("serve");
