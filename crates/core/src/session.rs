@@ -81,7 +81,9 @@ impl Request {
         self
     }
 
-    /// Override the host worker count.
+    /// Override the host worker count. The session serves with at most
+    /// [`MAX_WORKERS`](crate::sharding::MAX_WORKERS) workers, and never
+    /// with more than the request has chunks to steal.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
         self

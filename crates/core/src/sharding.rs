@@ -26,12 +26,17 @@ pub const DISPATCH_CYCLES: f64 = 2.0;
 /// counts; [`attribute_shards`] clamps to it.
 pub const MAX_SHARDS: usize = 1024;
 
+/// Upper bound on the host worker threads one request is served with. The
+/// CLI's `--workers` rejects larger counts, and a
+/// [`Session`](crate::Session) clamps every request to it.
+pub const MAX_WORKERS: usize = 256;
+
 /// The host worker-count sizing policy of the [`Session`](crate::Session)
 /// pool: never run more workers than there are chunks to steal (extra
-/// workers would claim nothing and pay wakeup churn for no parallelism),
-/// and always run at least one.
+/// workers would claim nothing and pay wakeup churn for no parallelism)
+/// or than [`MAX_WORKERS`], and always run at least one.
 pub(crate) fn clamp_workers(workers: usize, chunks: usize) -> usize {
-    workers.clamp(1, chunks.max(1))
+    workers.clamp(1, chunks.clamp(1, MAX_WORKERS))
 }
 
 /// Deterministic fleet attribution of per-sample cycle totals to `shards`
@@ -94,6 +99,14 @@ mod tests {
     /// Per-shard sample counts of a summary.
     fn samples(summary: &ShardSummary) -> Vec<u64> {
         summary.shards.iter().map(|s| s.samples).collect()
+    }
+
+    #[test]
+    fn worker_counts_clamp_to_the_chunks_and_the_bound() {
+        assert_eq!(clamp_workers(0, 8), 1);
+        assert_eq!(clamp_workers(16, 8), 8);
+        assert_eq!(clamp_workers(4, 0), 1);
+        assert_eq!(clamp_workers(usize::MAX, usize::MAX), MAX_WORKERS);
     }
 
     #[test]

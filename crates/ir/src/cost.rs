@@ -1,6 +1,6 @@
 //! Symbolic cost integration over a stream program.
 //!
-//! The [`CostIntegrator`] walks a [`StreamProgram`] and charges the same
+//! The [`CostIntegrator`] prices a [`StreamProgram`] with the same
 //! per-operation costs the `snitch-sim` worker-core model charges when it
 //! interprets the program: decoupled integer/FPU pipelines, FREP sequencer
 //! back-pressure, stream startup and sustained delivery intervals, bank
@@ -15,22 +15,27 @@
 //! items twice and extrapolating the steady-state deltas instead of
 //! unrolling every instance.
 //!
-//! On top of that linearization, [`CostIntegrator::integrate`] folds whole
-//! replicated phases in closed form: cores whose pipeline state and
-//! instance share are bitwise identical at the start of a replicated item
-//! (the common case — every core but the first, which pays the I-cache
-//! refill) are priced once and the result is broadcast, so a
-//! cluster-width phase costs two representative evaluations instead of
-//! one per core. The pre-folding per-core path survives as
-//! [`CostIntegrator::integrate_reference`] and a property test pins the
-//! two bit-for-bit.
+//! [`CostIntegrator::integrate`] never walks `KernelOp` trees. It compiles
+//! each work item into a flat, constant-resolved tape: a run of `Int` ops
+//! becomes one op over `(cycles × reps, reps)` pairs, a straight-line loop
+//! its body sums, a `Stream` op its resolved SSR constants, and any other
+//! loop an index range evaluated `reps` times. A replicated item is folded
+//! over core-equivalence classes: cores entering it with bitwise-identical
+//! state and instance share are sorted into classes first (typically the
+//! refill-paying core 0 and everyone else), then the classes are priced
+//! two at a time in lockstep, so their independent dependency chains
+//! overlap, and every core copies its class's exit state. The tape
+//! evaluates the same `f64` operations in the same order as the tree walk,
+//! so the results are bit-identical.
+//!
+//! [`CostIntegrator::integrate_reference`] is that tree walk, per core and
+//! unfolded, resolving every op's constants again on each visit. It exists
+//! only as the oracle the tape is checked against.
 //!
 //! This replaces the per-kernel closed-form loop math the repository used
 //! to carry in `spikestream-kernels/src/analytic.rs`: the loop structure
 //! now lives in the emitters (once), and this module only knows how to
 //! price IR operations.
-
-use std::collections::VecDeque;
 
 use snitch_arch::isa::FpOp;
 use snitch_arch::{ClusterConfig, CostModel};
@@ -38,7 +43,7 @@ use snitch_mem::dma::DmaDirection;
 use snitch_mem::{BankConflictModel, DmaEngine, InstructionCache};
 
 use crate::program::{
-    ComputePhase, IndexStream, KernelOp, Phase, StreamProgram, StreamSpec, WorkItem,
+    CodeRegion, IndexStream, KernelOp, Phase, StreamProgram, StreamSpec, WorkItem,
 };
 
 /// Maximum number of FREP regions the integer core may queue ahead of the
@@ -81,7 +86,7 @@ pub struct ProgramCost {
 }
 
 /// Numeric per-core pipeline state of the integration.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 struct CoreState {
     int_time: f64,
     fpu_time: f64,
@@ -93,7 +98,10 @@ struct CoreState {
     ssr_configs: f64,
     elements: f64,
     conflict_carry: f64,
-    freps: VecDeque<f64>,
+    /// Completion times of the queued FREP regions, oldest first. Slots at
+    /// and past `queued` hold `0.0`, so equal queues are equal bitwise.
+    freps: [f64; MAX_OUTSTANDING_FREPS],
+    queued: usize,
 }
 
 impl CoreState {
@@ -114,8 +122,7 @@ impl CoreState {
             flops: self.flops - earlier.flops,
             ssr_configs: self.ssr_configs - earlier.ssr_configs,
             elements: self.elements - earlier.elements,
-            conflict_carry: 0.0,
-            freps: VecDeque::new(),
+            ..CoreState::default()
         }
     }
 
@@ -135,7 +142,7 @@ impl CoreState {
             && self.ssr_configs.to_bits() == other.ssr_configs.to_bits()
             && self.elements.to_bits() == other.elements.to_bits()
             && self.conflict_carry.to_bits() == other.conflict_carry.to_bits()
-            && self.freps.len() == other.freps.len()
+            && self.queued == other.queued
             && self.freps.iter().zip(&other.freps).all(|(a, b)| a.to_bits() == b.to_bits())
     }
 
@@ -150,6 +157,53 @@ impl CoreState {
         self.flops += delta.flops * factor;
         self.ssr_configs += delta.ssr_configs * factor;
         self.elements += delta.elements * factor;
+    }
+
+    /// Scale the work done since `entry` (one execution of an item) down
+    /// to a fractional copy `k`, keeping the FREP queue and conflict carry
+    /// the full execution left behind.
+    fn scale_since(&mut self, entry: &CoreState, k: f64) {
+        let d = self.delta(entry);
+        let mut scaled = *entry;
+        scaled.extrapolate(&d, k);
+        scaled.freps = self.freps;
+        scaled.queued = self.queued;
+        scaled.conflict_carry = self.conflict_carry;
+        *self = scaled;
+    }
+
+    /// Join the integer pipeline with all outstanding FP work.
+    fn join(&mut self) {
+        self.int_time = self.int_time.max(self.fpu_time);
+        self.freps = [0.0; MAX_OUTSTANDING_FREPS];
+        self.queued = 0;
+    }
+
+    /// Sequencer back-pressure of an FREP launch: retire the regions that
+    /// finished by now, then wait for the oldest one if the queue is full.
+    fn await_frep_slot(&mut self) {
+        while self.queued > 0 && self.freps[0] <= self.int_time {
+            self.pop_frep();
+        }
+        if self.queued >= MAX_OUTSTANDING_FREPS {
+            let oldest = self.pop_frep();
+            if oldest > self.int_time {
+                self.int_time = oldest;
+            }
+        }
+    }
+
+    fn pop_frep(&mut self) -> f64 {
+        let oldest = self.freps[0];
+        self.freps.copy_within(1.., 0);
+        self.freps[MAX_OUTSTANDING_FREPS - 1] = 0.0;
+        self.queued -= 1;
+        oldest
+    }
+
+    fn push_frep(&mut self, busy_end: f64) {
+        self.freps[self.queued] = busy_end;
+        self.queued += 1;
     }
 }
 
@@ -178,29 +232,55 @@ impl CostIntegrator {
 
     /// Integrate one program into its predicted execution statistics.
     ///
-    /// Replicated items are folded over core-equivalence classes: cores
-    /// entering an item with bitwise-identical pipeline state and instance
-    /// share are priced once and share the result. Bit-identical to
-    /// [`CostIntegrator::integrate_reference`] by construction.
+    /// Each work item is compiled into a flat tape with every per-op
+    /// constant resolved, and the tape is evaluated. Replicated items are
+    /// folded over core-equivalence classes (share count plus entry-state
+    /// bits), and the classes are priced two at a time in lockstep. The
+    /// tape performs the same `f64` operations in the same order as
+    /// [`CostIntegrator::integrate_reference`], so the two are
+    /// bit-identical.
     pub fn integrate(&self, program: &StreamProgram) -> ProgramCost {
-        self.integrate_impl(program, true)
-    }
-
-    /// Reference integration path: evaluates every replicated item on every
-    /// core individually (the pre-folding exec-twice-and-extrapolate loop).
-    /// Kept for differential testing of the folded fast path; production
-    /// callers use [`CostIntegrator::integrate`].
-    pub fn integrate_reference(&self, program: &StreamProgram) -> ProgramCost {
-        self.integrate_impl(program, false)
-    }
-
-    fn integrate_impl(&self, program: &StreamProgram, fold: bool) -> ProgramCost {
-        let cores = self.config.worker_cores;
-        let mut states = vec![CoreState::default(); cores];
         let banks = BankConflictModel::new(&self.config);
+        let mut tape = Tape::new(&self.cost, &banks, program.format.simd_lanes() as f64);
+        self.integrate_with(program, |states, icache, code, item| {
+            tape.compile(&item.ops);
+            if item.instances == 1.0 {
+                let j = claim_core(states, icache, code);
+                tape.run(std::array::from_mut(&mut states[j]));
+            } else {
+                tape.replicate(states, icache, code, item.instances);
+            }
+        })
+    }
+
+    /// The reference integration: walks the `KernelOp` tree of every item
+    /// and prices every replicated item on every core individually (exec
+    /// twice and extrapolate). It exists only as the oracle
+    /// [`CostIntegrator::integrate`] is tested against bit for bit.
+    pub fn integrate_reference(&self, program: &StreamProgram) -> ProgramCost {
+        let banks = BankConflictModel::new(&self.config);
+        let lanes = program.format.simd_lanes() as f64;
+        self.integrate_with(program, |states, icache, code, item| {
+            if item.instances == 1.0 {
+                let j = claim_core(states, icache, code);
+                self.exec_item(&mut states[j], item, &banks, lanes);
+            } else {
+                self.replicate_item(states, item, &banks, icache, code, lanes);
+            }
+        })
+    }
+
+    /// The phase skeleton both paths share: DMA transfers, the prologue
+    /// floor and the end-of-phase barrier. `price` charges one work item
+    /// of a compute phase to the cores.
+    fn integrate_with(
+        &self,
+        program: &StreamProgram,
+        mut price: impl FnMut(&mut [CoreState], &mut InstructionCache, &[CodeRegion], &WorkItem),
+    ) -> ProgramCost {
+        let mut states = vec![CoreState::default(); self.config.worker_cores];
         let mut icache = InstructionCache::new(&self.config, self.cost.icache_refill);
         let mut dma = DmaEngine::new(&self.config);
-        let lanes = program.format.simd_lanes() as f64;
         let mut prologue_floor = 0.0f64;
 
         for phase in &program.phases {
@@ -216,115 +296,50 @@ impl CostIntegrator {
                         prologue_floor = prologue_floor.max(t.complete_cycle as f64);
                     }
                 }
-                Phase::Compute(c) => self.compute_phase(
-                    c,
-                    &mut states,
-                    &banks,
-                    &mut icache,
-                    prologue_floor,
-                    lanes,
-                    fold,
-                ),
+                Phase::Compute(c) => {
+                    // Every core waits for the prologue tile loads before
+                    // computing.
+                    for core in states.iter_mut() {
+                        core.int_time = core.int_time.max(prologue_floor);
+                    }
+                    // Single-instance items (the exact lowerings) replay
+                    // precisely; replicated items (the symbolic lowerings)
+                    // are linearized so integration stays O(program size)
+                    // regardless of layer size.
+                    for item in &c.items {
+                        price(&mut states, &mut icache, &c.code, item);
+                    }
+                    // Implicit end-of-phase barrier on every core.
+                    for core in states.iter_mut() {
+                        core.join();
+                    }
+                }
             }
         }
 
         self.finish(&states, &dma, program)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn compute_phase(
-        &self,
-        phase: &ComputePhase,
-        states: &mut [CoreState],
-        banks: &BankConflictModel,
-        icache: &mut InstructionCache,
-        floor: f64,
-        lanes: f64,
-        fold: bool,
-    ) {
-        // Every core waits for the prologue tile loads before computing.
-        for core in states.iter_mut() {
-            core.int_time = core.int_time.max(floor);
-        }
-
-        for item in &phase.items {
-            // Single-instance items (the exact lowerings) replay precisely;
-            // replicated items (the symbolic lowerings) are linearized so
-            // integration stays O(program size) regardless of layer size.
-            if item.instances == 1.0 {
-                let j = argmin(states);
-                for region in &phase.code {
-                    let stall = icache.fetch_region(region.id, region.bytes);
-                    states[j].int_time += stall as f64;
-                }
-                self.exec_item(&mut states[j], item, banks, lanes);
-            } else {
-                self.replicate_item(states, item, banks, icache, phase, lanes, fold);
-            }
-        }
-
-        // Implicit end-of-phase barrier on every core.
-        for core in states.iter_mut() {
-            core.int_time = core.int_time.max(core.fpu_time);
-            core.freps.clear();
-        }
-    }
-
     /// Distribute `item.instances` identical copies over the cores without
     /// unrolling them: evaluate the item twice per core and extrapolate the
     /// steady-state delta for the remaining instances.
-    ///
-    /// With `fold` the per-core loop collapses over equivalence classes:
-    /// the item's exit state is a pure function of the core's entry state
-    /// and its instance share `k`, so a core whose `(entry, k)` matches an
-    /// already-priced core copies that core's exit state instead of
-    /// re-evaluating. Entry states are compared bitwise (every `f64` field
-    /// plus the FREP queue), which makes the fold exact: typically only
-    /// core 0 — which pays the I-cache refill — and one representative of
-    /// the remaining cores are evaluated.
-    #[allow(clippy::too_many_arguments)]
     fn replicate_item(
         &self,
         states: &mut [CoreState],
         item: &WorkItem,
         banks: &BankConflictModel,
         icache: &mut InstructionCache,
-        phase: &ComputePhase,
+        code: &[CodeRegion],
         lanes: f64,
-        fold: bool,
     ) {
-        let cores = states.len() as f64;
-        let whole = (item.instances / cores).floor();
-        let rem = item.instances - whole * cores;
-        // (k bits, entry state, exit state) of each evaluated class.
-        let mut classes: Vec<(u64, CoreState, CoreState)> = Vec::new();
+        let cores = states.len();
         for (j, core) in states.iter_mut().enumerate() {
-            // Round-robin split: the first `rem` cores take one extra copy.
-            let k = whole + rem_share(rem, j);
+            let k = core_share(item.instances, cores, j);
             if k <= 0.0 {
                 continue;
             }
-            // The I-cache fetches run per core even when the cost folds:
-            // they mutate the cache (LRU order, hit/miss residency), and the
-            // resulting stall lands in `int_time` *before* the entry
-            // snapshot, so the refill-paying core falls into its own class.
-            for region in &phase.code {
-                let stall = icache.fetch_region(region.id, region.bytes);
-                core.int_time += stall as f64;
-            }
-            if fold {
-                if let Some((_, _, exit)) =
-                    classes.iter().find(|(kb, entry, _)| *kb == k.to_bits() && entry.bits_eq(core))
-                {
-                    *core = exit.clone();
-                    continue;
-                }
-                let entry = core.clone();
-                self.replicate_on_core(core, item, k, banks, lanes);
-                classes.push((k.to_bits(), entry, core.clone()));
-            } else {
-                self.replicate_on_core(core, item, k, banks, lanes);
-            }
+            fetch_code(icache, code, core);
+            self.replicate_on_core(core, item, k, banks, lanes);
         }
     }
 
@@ -338,21 +353,15 @@ impl CostIntegrator {
         banks: &BankConflictModel,
         lanes: f64,
     ) {
-        let s0 = core.clone();
+        let s0 = *core;
         self.exec_item(core, item, banks, lanes);
         if k <= 1.0 {
             if k < 1.0 {
-                // A fractional copy: scale the single-execution delta.
-                let d = core.delta(&s0);
-                let mut scaled = s0;
-                scaled.extrapolate(&d, k);
-                scaled.freps = core.freps.clone();
-                scaled.conflict_carry = core.conflict_carry;
-                *core = scaled;
+                core.scale_since(&s0, k);
             }
             return;
         }
-        let s1 = core.clone();
+        let s1 = *core;
         self.exec_item(core, item, banks, lanes);
         let d = core.delta(&s1);
         core.extrapolate(&d, k - 2.0);
@@ -377,39 +386,10 @@ impl CostIntegrator {
                 core.int_time += c.int_cycles(*op) as f64 * reps;
                 core.int_instrs += reps;
             }
-            KernelOp::Fp { op, reps, .. } => {
-                // Each issue hands the op to the FPU through the integer
-                // core; dependent chaining advances the FPU serially.
-                // Closed form of the per-issue recurrence, mirroring the
-                // interpreter's `exec_fp_repeated`: the first iteration
-                // starts at `max(int0 + 1, fpu)` and every later one is
-                // FPU-bound (for any busy >= 1), adding exactly `busy`.
-                // `busy` and `n` are integer-valued, so this is
-                // bit-identical to issuing the op `n` times.
-                let busy = c.fp_cycles(*op) as f64;
-                let n = if reps.fract() == 0.0 { *reps } else { reps.ceil() };
-                if n > 0.0 {
-                    let int0 = core.int_time;
-                    core.int_time += n;
-                    core.fpu_time = if busy >= 1.0 {
-                        (int0 + 1.0).max(core.fpu_time) + n * busy
-                    } else {
-                        // Zero-occupancy ops only drag the FPU clock up to
-                        // the issue time of the last iteration.
-                        core.fpu_time.max(core.int_time)
-                    };
-                }
-                core.int_instrs += reps;
-                core.fp_instrs += reps;
-                if is_useful_fp(*op) {
-                    core.busy += busy * reps;
-                }
-                core.flops += flops_of(*op, lanes) * reps;
-                core.fpu_last = core.fpu_last.max(core.fpu_time);
-            }
+            KernelOp::Fp { op, reps, .. } => FpIssue::new(c, *op, *reps, lanes).apply(core),
             KernelOp::Loop { body, reps } => {
                 if is_straight_line(body) {
-                    self.exec_straight_loop(core, body, *reps, lanes);
+                    StraightSums::new(c, body, *reps, lanes).apply(core);
                 } else {
                     for _ in 0..reps.round() as u64 {
                         for inner in body {
@@ -418,150 +398,20 @@ impl CostIntegrator {
                     }
                 }
             }
-            KernelOp::Stream { ssrs, op } => self.exec_stream(core, ssrs, *op, banks, lanes),
-            KernelOp::Barrier => {
-                core.int_time = core.int_time.max(core.fpu_time);
-                core.freps.clear();
-            }
-        }
-    }
-
-    /// Mirror of the simulator's straight-line repetition fast path: the FP
-    /// work of such blocks is throttled by the integer core, so the FP
-    /// subsystem finishes together with the integer pipeline.
-    fn exec_straight_loop(&self, core: &mut CoreState, body: &[KernelOp], reps: f64, lanes: f64) {
-        let c = &self.cost;
-        let mut int_cycles = 0.0;
-        let mut int_instrs = 0.0;
-        let mut fp_busy = 0.0;
-        let mut fp_instrs = 0.0;
-        let mut flops = 0.0;
-        for op in body {
-            match op {
-                KernelOp::Int { op, reps, .. } => {
-                    int_cycles += c.int_cycles(*op) as f64 * reps;
-                    int_instrs += reps;
+            KernelOp::Stream { ssrs, op } => {
+                let (mut reps, mut interval, mut conflicts) = (0.0f64, 1.0f64, 0.0f64);
+                for (_, spec) in ssrs {
+                    let ssr = SsrSetup::new(c, banks, spec);
+                    ssr.configure(core, &mut conflicts);
+                    reps = reps.max(ssr.elements);
+                    interval = interval.max(ssr.interval);
                 }
-                KernelOp::Fp { op, reps, .. } => {
-                    int_cycles += reps; // issue slot on the integer core
-                    int_instrs += reps;
-                    if is_useful_fp(*op) {
-                        fp_busy += c.fp_cycles(*op) as f64 * reps;
-                    }
-                    fp_instrs += reps;
-                    flops += flops_of(*op, lanes) * reps;
+                if let Some(frep) = Frep::new(c, *op, reps, interval, lanes) {
+                    frep.launch(core, conflicts, c);
                 }
-                _ => unreachable!("straight-line body"),
             }
+            KernelOp::Barrier => core.join(),
         }
-        core.int_time += int_cycles * reps;
-        core.int_instrs += int_instrs * reps;
-        core.fpu_time = core.fpu_time.max(core.int_time);
-        core.busy += fp_busy * reps;
-        core.fp_instrs += fp_instrs * reps;
-        core.flops += flops * reps;
-        core.fpu_last = core.fpu_last.max(core.fpu_time);
-    }
-
-    fn exec_stream(
-        &self,
-        core: &mut CoreState,
-        ssrs: &[(snitch_arch::SsrId, StreamSpec)],
-        op: FpOp,
-        banks: &BankConflictModel,
-        lanes: f64,
-    ) {
-        let c = &self.cost;
-        // SSR configuration writes occupy the integer pipeline; the shadow
-        // registers mean no drain wait.
-        let mut reps = 0.0f64;
-        let mut interval = 1.0f64;
-        let mut conflicts = 0.0f64;
-        for (_, spec) in ssrs {
-            let writes = match spec {
-                StreamSpec::Affine { strides, .. } => 2.0 + 2.0 * strides.len() as f64,
-                StreamSpec::Indirect { .. } => 4.0,
-            };
-            core.int_time += writes * c.ssr_config_write as f64;
-            core.int_instrs += writes;
-            core.ssr_configs += 1.0;
-
-            let elements = spec.elements();
-            reps = reps.max(elements);
-            core.elements += elements;
-            let accesses_per_element = match spec {
-                StreamSpec::Affine { .. } => {
-                    interval = interval.max(c.affine_stream_interval);
-                    1.0
-                }
-                StreamSpec::Indirect {
-                    index_base,
-                    index_bytes,
-                    data_base,
-                    elem_bytes,
-                    indices,
-                } => {
-                    interval = interval.max(c.indirect_stream_interval);
-                    if let IndexStream::Exact(idcs) = indices {
-                        // One stall per element whose index fetch and
-                        // gather share a bank, walked over the index words
-                        // in place — identical to what the cycle-level
-                        // interpreter charges.
-                        conflicts += banks.conflict_cycles_indexed(
-                            *index_base,
-                            *index_bytes,
-                            *data_base,
-                            *elem_bytes,
-                            idcs,
-                        ) as f64;
-                    }
-                    2.0
-                }
-            };
-            // Cross-core interference, accumulated fractionally so short
-            // streams are not over-penalized (mirrors the core model).
-            let expected =
-                elements * accesses_per_element * c.cross_conflict_per_access + core.conflict_carry;
-            let cross = expected.floor();
-            core.conflict_carry = expected - cross;
-            conflicts += cross;
-        }
-
-        // An empty stream configures its SSRs but never launches the FREP
-        // (mirrors the interpreter, which skips the hardware loop when the
-        // pattern delivers no elements).
-        if reps == 0.0 {
-            return;
-        }
-
-        // FREP launch plus sequencer back-pressure.
-        core.int_time += c.frep_launch as f64;
-        core.int_instrs += 1.0;
-        while let Some(&t) = core.freps.front() {
-            if t <= core.int_time {
-                core.freps.pop_front();
-            } else {
-                break;
-            }
-        }
-        if core.freps.len() >= MAX_OUTSTANDING_FREPS {
-            let oldest = core.freps.pop_front().expect("non-empty");
-            if oldest > core.int_time {
-                core.int_time = oldest;
-            }
-        }
-
-        let total_issue = c.fp_cycles(op) as f64 * reps;
-        let occupancy = (total_issue * interval).ceil();
-        let start = core.int_time.max(core.fpu_time);
-        let busy_end =
-            start + c.fpu_latency as f64 + c.stream_startup as f64 + occupancy + conflicts;
-        core.fpu_time = busy_end;
-        core.fpu_last = core.fpu_last.max(busy_end);
-        core.busy += total_issue;
-        core.fp_instrs += reps;
-        core.flops += flops_of(op, lanes) * reps;
-        core.freps.push_back(busy_end);
     }
 
     fn finish(
@@ -613,17 +463,518 @@ impl CostIntegrator {
     }
 }
 
-/// Round-robin remainder share of core `j` when `rem` instances are left
-/// over after the whole division (handles fractional instance counts).
-fn rem_share(rem: f64, j: usize) -> f64 {
+/// A non-streamed FP op with its constants resolved.
+#[derive(Debug, Clone, Copy)]
+struct FpIssue {
+    /// Whether the op issues at all (`n > 0`).
+    issues: bool,
+    /// Whether the op occupies the FPU (`busy >= 1`).
+    occupies: bool,
+    /// Whether the op counts as useful FPU work.
+    useful: bool,
+    n: f64,
+    /// `n × busy`.
+    n_busy: f64,
+    reps: f64,
+    /// `busy × reps`.
+    busy: f64,
+    flops: f64,
+}
+
+impl FpIssue {
+    fn new(c: &CostModel, op: FpOp, reps: f64, lanes: f64) -> Self {
+        let busy = c.fp_cycles(op) as f64;
+        let n = if reps.fract() == 0.0 { reps } else { reps.ceil() };
+        FpIssue {
+            issues: n > 0.0,
+            occupies: busy >= 1.0,
+            useful: is_useful_fp(op),
+            n,
+            n_busy: n * busy,
+            reps,
+            busy: busy * reps,
+            flops: flops_of(op, lanes) * reps,
+        }
+    }
+
+    fn apply(&self, core: &mut CoreState) {
+        // Each issue hands the op to the FPU through the integer core;
+        // dependent chaining advances the FPU serially. Closed form of the
+        // per-issue recurrence, mirroring the interpreter's
+        // `exec_fp_repeated`: the first iteration starts at
+        // `max(int0 + 1, fpu)` and every later one is FPU-bound (for any
+        // busy >= 1), adding exactly `busy`. `busy` and `n` are
+        // integer-valued, so this is bit-identical to issuing the op `n`
+        // times.
+        if self.issues {
+            let int0 = core.int_time;
+            core.int_time += self.n;
+            core.fpu_time = if self.occupies {
+                (int0 + 1.0).max(core.fpu_time) + self.n_busy
+            } else {
+                // Zero-occupancy ops only drag the FPU clock up to the
+                // issue time of the last iteration.
+                core.fpu_time.max(core.int_time)
+            };
+        }
+        core.int_instrs += self.reps;
+        core.fp_instrs += self.reps;
+        if self.useful {
+            core.busy += self.busy;
+        }
+        core.flops += self.flops;
+        core.fpu_last = core.fpu_last.max(core.fpu_time);
+    }
+}
+
+/// A straight-line loop as its body sums, each already multiplied by the
+/// trip count.
+#[derive(Debug, Clone, Copy)]
+struct StraightSums {
+    int_cycles: f64,
+    int_instrs: f64,
+    fp_busy: f64,
+    fp_instrs: f64,
+    flops: f64,
+}
+
+impl StraightSums {
+    fn new(c: &CostModel, body: &[KernelOp], reps: f64, lanes: f64) -> Self {
+        let mut int_cycles = 0.0;
+        let mut int_instrs = 0.0;
+        let mut fp_busy = 0.0;
+        let mut fp_instrs = 0.0;
+        let mut flops = 0.0;
+        for op in body {
+            match op {
+                KernelOp::Int { op, reps, .. } => {
+                    int_cycles += c.int_cycles(*op) as f64 * reps;
+                    int_instrs += reps;
+                }
+                KernelOp::Fp { op, reps, .. } => {
+                    int_cycles += reps; // issue slot on the integer core
+                    int_instrs += reps;
+                    if is_useful_fp(*op) {
+                        fp_busy += c.fp_cycles(*op) as f64 * reps;
+                    }
+                    fp_instrs += reps;
+                    flops += flops_of(*op, lanes) * reps;
+                }
+                _ => unreachable!("straight-line body"),
+            }
+        }
+        StraightSums {
+            int_cycles: int_cycles * reps,
+            int_instrs: int_instrs * reps,
+            fp_busy: fp_busy * reps,
+            fp_instrs: fp_instrs * reps,
+            flops: flops * reps,
+        }
+    }
+
+    /// Mirror of the simulator's straight-line repetition fast path: the FP
+    /// work of such blocks is throttled by the integer core, so the FP
+    /// subsystem finishes together with the integer pipeline.
+    fn apply(&self, core: &mut CoreState) {
+        core.int_time += self.int_cycles;
+        core.int_instrs += self.int_instrs;
+        core.fpu_time = core.fpu_time.max(core.int_time);
+        core.busy += self.fp_busy;
+        core.fp_instrs += self.fp_instrs;
+        core.flops += self.flops;
+        core.fpu_last = core.fpu_last.max(core.fpu_time);
+    }
+}
+
+/// One SSR configuration of a `Stream` op with its constants resolved.
+#[derive(Debug, Clone, Copy)]
+struct SsrSetup {
+    /// `writes × ssr_config_write`.
+    config_cycles: f64,
+    writes: f64,
+    elements: f64,
+    /// Sustained delivery interval of the stream kind.
+    interval: f64,
+    /// `(elements × accesses) × cross_conflict_per_access`.
+    cross: f64,
+    /// Bank conflicts of resolved gather indices.
+    exact: Option<f64>,
+}
+
+impl SsrSetup {
+    fn new(c: &CostModel, banks: &BankConflictModel, spec: &StreamSpec) -> Self {
+        let elements = spec.elements();
+        let (writes, interval, accesses, exact) = match spec {
+            StreamSpec::Affine { strides, .. } => {
+                (2.0 + 2.0 * strides.len() as f64, c.affine_stream_interval, 1.0, None)
+            }
+            StreamSpec::Indirect { index_base, index_bytes, data_base, elem_bytes, indices } => {
+                // One stall per element whose index fetch and gather share
+                // a bank, walked over the index words in place — identical
+                // to what the cycle-level interpreter charges.
+                let exact = match indices {
+                    IndexStream::Exact(idcs) => Some(banks.conflict_cycles_indexed(
+                        *index_base,
+                        *index_bytes,
+                        *data_base,
+                        *elem_bytes,
+                        idcs,
+                    ) as f64),
+                    IndexStream::Expected(_) => None,
+                };
+                (4.0, c.indirect_stream_interval, 2.0, exact)
+            }
+        };
+        SsrSetup {
+            config_cycles: writes * c.ssr_config_write as f64,
+            writes,
+            elements,
+            interval,
+            cross: elements * accesses * c.cross_conflict_per_access,
+            exact,
+        }
+    }
+
+    /// Charge the configuration writes, which occupy the integer pipeline
+    /// (the shadow registers mean no drain wait), and add the stream's
+    /// bank conflicts to `conflicts`.
+    fn configure(&self, core: &mut CoreState, conflicts: &mut f64) {
+        core.int_time += self.config_cycles;
+        core.int_instrs += self.writes;
+        core.ssr_configs += 1.0;
+        core.elements += self.elements;
+        if let Some(exact) = self.exact {
+            *conflicts += exact;
+        }
+        // Cross-core interference, accumulated fractionally so short
+        // streams are not over-penalized (mirrors the core model).
+        let expected = self.cross + core.conflict_carry;
+        let cross = expected.floor();
+        core.conflict_carry = expected - cross;
+        *conflicts += cross;
+    }
+}
+
+/// The FREP launch of a `Stream` op with its constants resolved.
+#[derive(Debug, Clone, Copy)]
+struct Frep {
+    reps: f64,
+    /// `fp_cycles × reps`.
+    issue: f64,
+    occupancy: f64,
+    flops: f64,
+}
+
+impl Frep {
+    /// The launch of a stream delivering `reps` elements, or `None` for an
+    /// empty stream, which configures its SSRs but never launches the FREP
+    /// (mirrors the interpreter, which skips the hardware loop when the
+    /// pattern delivers no elements).
+    fn new(c: &CostModel, op: FpOp, reps: f64, interval: f64, lanes: f64) -> Option<Self> {
+        if reps == 0.0 {
+            return None;
+        }
+        let issue = c.fp_cycles(op) as f64 * reps;
+        Some(Frep {
+            reps,
+            issue,
+            occupancy: (issue * interval).ceil(),
+            flops: flops_of(op, lanes) * reps,
+        })
+    }
+
+    /// FREP launch plus sequencer back-pressure, then the streamed FPU
+    /// occupancy.
+    fn launch(&self, core: &mut CoreState, conflicts: f64, c: &CostModel) {
+        core.int_time += c.frep_launch as f64;
+        core.int_instrs += 1.0;
+        core.await_frep_slot();
+        let start = core.int_time.max(core.fpu_time);
+        let busy_end =
+            start + c.fpu_latency as f64 + c.stream_startup as f64 + self.occupancy + conflicts;
+        core.fpu_time = busy_end;
+        core.fpu_last = core.fpu_last.max(busy_end);
+        core.busy += self.issue;
+        core.fp_instrs += self.reps;
+        core.flops += self.flops;
+        core.push_frep(busy_end);
+    }
+}
+
+/// One work item compiled for evaluation: the ops in evaluation order, with
+/// loop bodies as index ranges and every per-op constant resolved. The
+/// buffers are reused from item to item within one integration.
+#[derive(Debug)]
+struct Tape<'a> {
+    cost: &'a CostModel,
+    banks: &'a BankConflictModel,
+    lanes: f64,
+    ops: Vec<TapeOp>,
+    /// `(cycles × reps, reps)` of every `Int` op, referenced by the runs.
+    ints: Vec<(f64, f64)>,
+    /// The SSR setups of every `Stream` op, in program order.
+    ssrs: Vec<SsrSetup>,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum TapeOp {
+    /// Consecutive `Int` ops: `Tape::ints[start..end]`.
+    Int {
+        start: usize,
+        end: usize,
+    },
+    Fp(FpIssue),
+    Straight(StraightSums),
+    /// A `Stream` op: configure `Tape::ssrs[start..end]`, then launch the
+    /// FREP unless the stream is empty.
+    Stream {
+        start: usize,
+        end: usize,
+        frep: Option<Frep>,
+    },
+    /// A loop with streams or loops inside: the next `len` ops, `reps`
+    /// times.
+    Loop {
+        len: usize,
+        reps: u64,
+    },
+    Barrier,
+}
+
+impl<'a> Tape<'a> {
+    fn new(cost: &'a CostModel, banks: &'a BankConflictModel, lanes: f64) -> Self {
+        Tape { cost, banks, lanes, ops: Vec::new(), ints: Vec::new(), ssrs: Vec::new() }
+    }
+
+    /// Replace the tape with the compiled `ops` of one work item.
+    fn compile(&mut self, ops: &[KernelOp]) {
+        self.ops.clear();
+        self.ints.clear();
+        self.ssrs.clear();
+        self.push(ops);
+    }
+
+    fn push(&mut self, ops: &[KernelOp]) {
+        let c = self.cost;
+        // Whether the last tape op is an `Int` run of this op sequence.
+        let mut in_run = false;
+        for op in ops {
+            match op {
+                KernelOp::Int { op, reps } => {
+                    self.ints.push((c.int_cycles(*op) as f64 * reps, *reps));
+                    let end = self.ints.len();
+                    match self.ops.last_mut() {
+                        Some(TapeOp::Int { end: run_end, .. }) if in_run => *run_end = end,
+                        _ => self.ops.push(TapeOp::Int { start: end - 1, end }),
+                    }
+                }
+                KernelOp::Fp { op, reps } => {
+                    self.ops.push(TapeOp::Fp(FpIssue::new(c, *op, *reps, self.lanes)));
+                }
+                KernelOp::Loop { body, reps } if is_straight_line(body) => {
+                    self.ops.push(TapeOp::Straight(StraightSums::new(c, body, *reps, self.lanes)));
+                }
+                KernelOp::Loop { body, reps } => {
+                    let at = self.ops.len();
+                    self.ops.push(TapeOp::Loop { len: 0, reps: reps.round() as u64 });
+                    self.push(body);
+                    let body_len = self.ops.len() - at - 1;
+                    if let TapeOp::Loop { len, .. } = &mut self.ops[at] {
+                        *len = body_len;
+                    }
+                }
+                KernelOp::Stream { ssrs, op } => {
+                    let start = self.ssrs.len();
+                    let (mut reps, mut interval) = (0.0f64, 1.0f64);
+                    for (_, spec) in ssrs {
+                        let ssr = SsrSetup::new(c, self.banks, spec);
+                        reps = reps.max(ssr.elements);
+                        interval = interval.max(ssr.interval);
+                        self.ssrs.push(ssr);
+                    }
+                    let frep = Frep::new(c, *op, reps, interval, self.lanes);
+                    self.ops.push(TapeOp::Stream { start, end: self.ssrs.len(), frep });
+                }
+                KernelOp::Barrier => self.ops.push(TapeOp::Barrier),
+            }
+            in_run = matches!(op, KernelOp::Int { .. });
+        }
+    }
+
+    /// Evaluate the whole tape once on `N` cores in lockstep.
+    fn run<const N: usize>(&self, cores: &mut [CoreState; N]) {
+        self.eval(&self.ops, cores);
+    }
+
+    /// The evaluator: `ops` (a range of this tape) on `N` cores in
+    /// lockstep. Each core sees exactly the operations the tree walk
+    /// performs, in the same order; running two cores at once only lets
+    /// their independent dependency chains overlap.
+    fn eval<const N: usize>(&self, ops: &[TapeOp], cores: &mut [CoreState; N]) {
+        let mut i = 0;
+        while i < ops.len() {
+            match ops[i] {
+                TapeOp::Int { start, end } => {
+                    for &(cycles, reps) in &self.ints[start..end] {
+                        for core in cores.iter_mut() {
+                            core.int_time += cycles;
+                            core.int_instrs += reps;
+                        }
+                    }
+                }
+                TapeOp::Fp(fp) => cores.iter_mut().for_each(|core| fp.apply(core)),
+                TapeOp::Straight(sums) => cores.iter_mut().for_each(|core| sums.apply(core)),
+                TapeOp::Stream { start, end, frep } => {
+                    let mut conflicts = [0.0f64; N];
+                    for ssr in &self.ssrs[start..end] {
+                        for (core, conflicts) in cores.iter_mut().zip(&mut conflicts) {
+                            ssr.configure(core, conflicts);
+                        }
+                    }
+                    if let Some(frep) = frep {
+                        for (core, conflicts) in cores.iter_mut().zip(conflicts) {
+                            frep.launch(core, conflicts, self.cost);
+                        }
+                    }
+                }
+                TapeOp::Loop { len, reps } => {
+                    let body = &ops[i + 1..i + 1 + len];
+                    for _ in 0..reps {
+                        self.eval(body, cores);
+                    }
+                    i += len;
+                }
+                TapeOp::Barrier => cores.iter_mut().for_each(CoreState::join),
+            }
+            i += 1;
+        }
+    }
+
+    /// Charge `instances` copies of the compiled item to the cores, folded
+    /// over core-equivalence classes. The item's exit state is a pure
+    /// function of a core's entry state and its share `k`, so the cores
+    /// are first sorted into classes by `(k, entry)` bits; the I-cache
+    /// fetches run per core and in core order meanwhile, because they
+    /// mutate the cache and their stall lands before the entry snapshot
+    /// (so the refill-paying core falls into its own class). Then every
+    /// class is priced once, two at a time in lockstep, and its cores
+    /// copy the exit state.
+    fn replicate(
+        &self,
+        states: &mut [CoreState],
+        icache: &mut InstructionCache,
+        code: &[CodeRegion],
+        instances: f64,
+    ) {
+        let cores = states.len();
+        // Share and entry state of each class (the exit state once priced).
+        let mut classes: Vec<(f64, CoreState)> = Vec::with_capacity(cores);
+        let mut class_of: Vec<Option<usize>> = Vec::with_capacity(cores);
+        for (j, core) in states.iter_mut().enumerate() {
+            let k = core_share(instances, cores, j);
+            if k <= 0.0 {
+                class_of.push(None);
+                continue;
+            }
+            fetch_code(icache, code, core);
+            let class = classes
+                .iter()
+                .position(|(kc, entry)| kc.to_bits() == k.to_bits() && entry.bits_eq(core))
+                .unwrap_or_else(|| {
+                    classes.push((k, *core));
+                    classes.len() - 1
+                });
+            class_of.push(Some(class));
+        }
+
+        let mut pairs = classes.chunks_exact_mut(2);
+        for pair in &mut pairs {
+            let mut both = [pair[0].1, pair[1].1];
+            self.price(&mut both, [pair[0].0, pair[1].0]);
+            [pair[0].1, pair[1].1] = both;
+        }
+        if let [(k, state)] = pairs.into_remainder() {
+            self.price(std::array::from_mut(state), [*k]);
+        }
+
+        for (core, class) in states.iter_mut().zip(class_of) {
+            if let Some(class) = class {
+                *core = classes[class].1;
+            }
+        }
+    }
+
+    /// Charge `k[l]` copies of the item to core `l`, as
+    /// `replicate_on_core` does: exec once (scaling down a fractional
+    /// copy) or twice plus a steady-state extrapolation.
+    fn price<const N: usize>(&self, cores: &mut [CoreState; N], k: [f64; N]) {
+        let entry = *cores;
+        self.run(cores);
+        let once = *cores;
+        let mut again = [false; N];
+        for (((core, entry), &k), again) in cores.iter_mut().zip(&entry).zip(&k).zip(&mut again) {
+            if k <= 1.0 {
+                if k < 1.0 {
+                    core.scale_since(entry, k);
+                }
+            } else {
+                *again = true;
+            }
+        }
+        if again == [true; N] {
+            self.run(cores);
+        } else {
+            for (core, &again) in cores.iter_mut().zip(&again) {
+                if again {
+                    self.run(std::array::from_mut(core));
+                }
+            }
+        }
+        for (((core, once), &k), &again) in cores.iter_mut().zip(&once).zip(&k).zip(&again) {
+            if again {
+                let d = core.delta(once);
+                core.extrapolate(&d, k - 2.0);
+            }
+        }
+    }
+}
+
+/// Instance share of core `j` when `instances` copies are split over
+/// `cores` round-robin: the whole division, plus one extra copy for each
+/// of the first cores, which takes up the (possibly fractional) remainder.
+fn core_share(instances: f64, cores: usize, j: usize) -> f64 {
+    let whole = (instances / cores as f64).floor();
+    let rem = instances - whole * cores as f64;
     let j = j as f64;
-    if j + 1.0 <= rem {
+    let extra = if j + 1.0 <= rem {
         1.0
     } else if j < rem {
         rem - j
     } else {
         0.0
+    };
+    whole + extra
+}
+
+/// Fetch a phase's code regions on behalf of `core`, charging the refill
+/// stall to its integer pipeline.
+fn fetch_code(icache: &mut InstructionCache, code: &[CodeRegion], core: &mut CoreState) {
+    for region in code {
+        let stall = icache.fetch_region(region.id, region.bytes);
+        core.int_time += stall as f64;
     }
+}
+
+/// The core that claims a single-instance item: the least loaded one,
+/// after fetching the phase's code.
+fn claim_core(
+    states: &mut [CoreState],
+    icache: &mut InstructionCache,
+    code: &[CodeRegion],
+) -> usize {
+    let j = argmin(states);
+    fetch_code(icache, code, &mut states[j]);
+    j
 }
 
 fn argmin(states: &[CoreState]) -> usize {
@@ -767,6 +1118,38 @@ mod tests {
             (a.compute_cycles as f64 - b.compute_cycles as f64).abs() / a.compute_cycles as f64;
         assert!(rel < 0.05, "linearized replication within 5%: {rel}");
         assert!((a.fp_instrs - b.fp_instrs).abs() < 1.0);
+    }
+
+    #[test]
+    fn exact_gathers_pay_their_bank_conflicts() {
+        // The same stream shape with resolved and with expected indices:
+        // only the resolved one pays its pairwise bank conflicts, which
+        // land on the FPU's busy end and so on the compute time.
+        let program = |indices: IndexStream| {
+            let mut p = StreamProgram::new("gather", FpFormat::Fp16);
+            let spec = StreamSpec::Indirect {
+                index_base: 0x100,
+                index_bytes: 2,
+                data_base: 0x1000,
+                elem_bytes: 8,
+                indices,
+            };
+            p.push(Phase::Compute(ComputePhase {
+                code: vec![],
+                items: vec![WorkItem::new(vec![KernelOp::Stream {
+                    ssrs: vec![(SsrId::Ssr0, spec)],
+                    op: FpOp::Add,
+                }])],
+            }));
+            p
+        };
+        let idcs: Vec<u32> = (0..40).collect();
+        let conflicts = BankConflictModel::new(&ClusterConfig::default())
+            .conflict_cycles_indexed(0x100, 2, 0x1000, 8, &idcs);
+        assert!(conflicts > 0);
+        let exact = integrator().integrate(&program(IndexStream::exact(idcs)));
+        let expected = integrator().integrate(&program(IndexStream::Expected(40.0)));
+        assert_eq!(exact.compute_cycles - expected.compute_cycles, conflicts);
     }
 
     #[test]

@@ -24,12 +24,8 @@ pub struct LayerTilePlan {
     pub weights: SpmBuffer,
     /// Scratchpad buffer holding the compressed ifmap indices.
     pub ifmap_idcs: SpmBuffer,
-    /// Scratchpad buffer holding the spatial pointers.
-    pub ifmap_sptr: SpmBuffer,
     /// Scratchpad buffer holding the neuron-state (membrane) tile.
     pub neuron_state: SpmBuffer,
-    /// Worst-case compressed ofmap buffer.
-    pub ofmap: SpmBuffer,
     /// Number of weight tiles the layer is split into (0 for weight-less
     /// layers such as pooling).
     pub weight_tiles: usize,
@@ -157,14 +153,14 @@ impl TilingPlanner {
                 .unwrap_or(SpmBuffer { base: 0, bytes: 0 })
         };
         let ifmap_idcs = grab(in_bytes);
-        let ofmap = grab(ofmap_bytes);
+        // The worst-case compressed output is reserved, though no emitter
+        // addresses it.
+        grab(ofmap_bytes);
 
         LayerTilePlan {
             weights: SpmBuffer { base: 0, bytes: 0 },
             ifmap_idcs,
-            ifmap_sptr: SpmBuffer { base: 0, bytes: 0 },
             neuron_state: SpmBuffer { base: 0, bytes: 0 },
-            ofmap,
             weight_tiles: 0,
             dma_in: vec![DmaRequest::contiguous(DmaDirection::In, in_bytes as u64)],
             dma_out: vec![DmaRequest::strided_2d(
@@ -217,9 +213,12 @@ impl TilingPlanner {
         };
         let weights = grab(weight_tile_bytes);
         let ifmap_idcs = grab(idcs_bytes);
-        let ifmap_sptr = grab(sptr_bytes);
+        // The spatial pointers and the worst-case compressed ofmap are
+        // reserved, though no emitter addresses them: the pointers sit
+        // before the neuron-state tile and bound what is left for it.
+        grab(sptr_bytes);
         let neuron_state = grab(state_bytes);
-        let ofmap = grab(ofmap_bytes);
+        grab(ofmap_bytes);
 
         let mut dma_in = Vec::new();
         // One transfer per weight tile (double-buffered against compute).
@@ -243,16 +242,7 @@ impl TilingPlanner {
             DmaRequest::contiguous(DmaDirection::Out, state_bytes as u64),
         ];
 
-        LayerTilePlan {
-            weights,
-            ifmap_idcs,
-            ifmap_sptr,
-            neuron_state,
-            ofmap,
-            weight_tiles,
-            dma_in,
-            dma_out,
-        }
+        LayerTilePlan { weights, ifmap_idcs, neuron_state, weight_tiles, dma_in, dma_out }
     }
 }
 

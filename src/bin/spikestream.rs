@@ -18,7 +18,7 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use spikestream::experiments::{self, PAPER_BATCH};
-use spikestream::sharding::MAX_SHARDS;
+use spikestream::sharding::{MAX_SHARDS, MAX_WORKERS};
 use spikestream::{
     CompileError, Compiler, FiringProfile, InferenceReport, Request, Scenario, WorkloadMode,
 };
@@ -48,9 +48,10 @@ OPTIONS:
     --timesteps N     Run the temporal pipeline for N timesteps (real spike
                       propagation with persistent membranes; keeps the
                       scenario's encoding, or direct coding by default)
-    --workers N       Serve the request with N host worker threads (default:
-                      host parallelism; 1 = strictly sequential; the report
-                      is bit-identical for every worker count)
+    --workers N       Serve the request with N host worker threads, at most
+                      256 (default: host parallelism; 1 = strictly
+                      sequential; the report is bit-identical for every
+                      worker count)
     --json            Print the deterministic report JSON instead of tables
                       (for serve-demo: counters + result digest, latencies
                       excluded)
@@ -188,7 +189,13 @@ fn parse_options(command: Command, args: &[String]) -> Result<Options, String> {
                 if command != Command::Run {
                     return Err("--workers is only supported by `run`".into());
                 }
-                workers = Some(positive(&mut it, "--workers")?);
+                let n = positive(&mut it, "--workers")?;
+                if n > MAX_WORKERS {
+                    return Err(format!(
+                        "--workers must be between 1 and {MAX_WORKERS}, got `{n}`"
+                    ));
+                }
+                workers = Some(n);
             }
             "--json" => {
                 if command != Command::Run {
@@ -891,5 +898,14 @@ mod tests {
             );
         }
         assert!(parse_options(Command::Bench, &args(&[tiny, "--shards", "1,2,2048"])).is_err());
+    }
+
+    #[test]
+    fn an_oversized_worker_count_is_rejected() {
+        let tiny = "examples/scenarios/tiny.toml";
+        let err = parse_options(Command::Run, &args(&[tiny, "--workers", "1000000"])).err();
+        assert_eq!(err.as_deref(), Some("--workers must be between 1 and 256, got `1000000`"));
+        let opts = parse_options(Command::Run, &args(&[tiny, "--workers", "256"]));
+        assert_eq!(opts.map(|o| o.workers).ok(), Some(Some(MAX_WORKERS)));
     }
 }

@@ -1,13 +1,16 @@
-//! The phase-folding contract: [`CostIntegrator::integrate`] deduplicates
-//! replicated work items by core-equivalence class, and that fold must be
-//! *bit-for-bit* identical to [`CostIntegrator::integrate_reference`],
-//! which walks every core of every replicated item the long way. No
-//! tolerance, no rounding allowance: a folded core copies the exit state
-//! of its class representative, so any divergence at all means the class
-//! key (share count + entry-state bits) admitted two cores that were not
-//! actually interchangeable.
+//! The tape contract: [`CostIntegrator::integrate`] compiles every work
+//! item into a flat, constant-resolved tape, folds replicated items over
+//! core-equivalence classes and prices the classes two at a time in
+//! lockstep, and all of that must be *bit-for-bit* identical to
+//! [`CostIntegrator::integrate_reference`], which walks the op tree of
+//! every item on every core the long way. No tolerance, no rounding
+//! allowance: the tape performs the same `f64` operations in the same
+//! order, and a folded core copies the exit state of its class
+//! representative, so any divergence at all means a tape op resolved a
+//! constant differently, or the class key (share count + entry-state
+//! bits) admitted two cores that were not actually interchangeable.
 //!
-//! Exact (non-replicated) programs take the same code path with nothing
+//! Exact (non-replicated) programs run through the same tape with nothing
 //! to fold, so the suite covers them too — cheaply, via the exact
 //! emitters — alongside randomized symbolic programs across every layer
 //! kind x `KernelVariant` x `FpFormat` x firing rate.
@@ -15,9 +18,15 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use snitch_arch::ClusterConfig;
-use spikestream::{Engine, FpFormat, KernelVariant};
-use spikestream_ir::{CostIntegrator, ProgramCost, StreamProgram};
+use snitch_arch::{ClusterConfig, FpOp, SsrId};
+use spikestream::{
+    CostModel, EnergyModel, Engine, FpFormat, InferenceConfig, KernelVariant, SampleContext,
+    TemporalEncoding,
+};
+use spikestream_ir::{
+    CodeRegion, ComputePhase, CostIntegrator, IndexStream, KernelOp, Phase, ProgramCost,
+    StreamProgram, StreamSpec, WorkItem,
+};
 use spikestream_kernels::LayerExecutor;
 use spikestream_snn::neuron::LifParams;
 use spikestream_snn::tensor::TensorShape;
@@ -26,7 +35,7 @@ use spikestream_snn::{ConvSpec, Layer, LayerKind, LinearSpec, PoolSpec};
 const ALL_VARIANTS: [KernelVariant; 2] = [KernelVariant::Baseline, KernelVariant::SpikeStream];
 const ALL_FORMATS: [FpFormat; 3] = [FpFormat::Fp32, FpFormat::Fp16, FpFormat::Fp8];
 
-/// Assert the folded and reference integrations agree bit-for-bit.
+/// Assert the tape and reference integrations agree bit-for-bit.
 ///
 /// `PartialEq` on `ProgramCost` compares `f64` fields with `==`, which
 /// would let `-0.0` pass for `0.0`; the `Debug` comparison closes that
@@ -34,12 +43,57 @@ const ALL_FORMATS: [FpFormat; 3] = [FpFormat::Fp32, FpFormat::Fp16, FpFormat::Fp
 fn assert_fold_exact(label: &str, integrator: &CostIntegrator, program: &StreamProgram) {
     let folded = integrator.integrate(program);
     let reference = integrator.integrate_reference(program);
-    assert_eq!(folded, reference, "{label}: folded vs reference integration");
+    assert_eq!(folded, reference, "{label}: tape vs reference integration");
     assert_eq!(
         format!("{folded:?}"),
         format!("{reference:?}"),
-        "{label}: folded vs reference (bit-level)"
+        "{label}: tape vs reference (bit-level)"
     );
+}
+
+/// An item with the op shapes no emitter produces: a loop whose body ends
+/// in an `Int` op right before another `Int` op, a loop that never runs,
+/// a barrier, fractional FP repetitions, an empty stream, a two-SSR
+/// affine stream and resolved gather indices that conflict on a bank.
+fn hand_built_ops() -> Vec<KernelOp> {
+    let gather = |n: u32| StreamSpec::Indirect {
+        index_base: 0x100,
+        index_bytes: 2,
+        data_base: 0x1000,
+        elem_bytes: 8,
+        indices: IndexStream::exact(0..n),
+    };
+    let affine = |base: u32| StreamSpec::Affine {
+        base,
+        strides: vec![8, 64],
+        bounds: vec![5, 3],
+        elem_bytes: 8,
+    };
+    let stream = |ssrs: Vec<StreamSpec>| KernelOp::Stream {
+        ssrs: ssrs.into_iter().zip([SsrId::Ssr0, SsrId::Ssr1]).map(|(s, id)| (id, s)).collect(),
+        op: FpOp::Fma,
+    };
+    vec![
+        KernelOp::amo(),
+        KernelOp::Loop { body: vec![stream(vec![gather(40)]), KernelOp::alu()], reps: 3.0 },
+        KernelOp::load(),
+        KernelOp::Loop { body: vec![stream(vec![gather(9)])], reps: 0.0 },
+        KernelOp::fp(FpOp::Add).times(2.5),
+        stream(vec![gather(0)]),
+        KernelOp::Barrier,
+        stream(vec![affine(0x2000), affine(0x4000)]),
+        KernelOp::store().times(0.75),
+        KernelOp::Loop { body: vec![KernelOp::alu(), KernelOp::fp(FpOp::Mul)], reps: 6.0 },
+    ]
+}
+
+fn hand_built_program(instances: &[f64]) -> StreamProgram {
+    let mut program = StreamProgram::new("hand-built", FpFormat::Fp16);
+    program.push(Phase::Compute(ComputePhase {
+        code: vec![CodeRegion { id: 0x77, bytes: 512 }],
+        items: instances.iter().map(|&n| WorkItem::replicated(n, hand_built_ops())).collect(),
+    }));
+    program
 }
 
 fn conv_layer(in_c: usize, out_c: usize, hw: usize, seed: u64) -> Layer {
@@ -71,28 +125,62 @@ fn linear_layer(in_features: usize, out_features: usize, seed: u64) -> Layer {
     layer
 }
 
-/// Every layer of the paper's S-VGG11 lowered symbolically at its profile
-/// rate, for every variant and format. This is the fixed-seed
-/// differential run CI executes on every push; the proptests below widen
-/// the same contract to randomized geometry.
+/// Every layer of the paper's S-VGG11 lowered symbolically, for every
+/// variant and format, at its profile rate and at the rates of 16 fixed
+/// fresh samples: each sample's jittered single-shot rates and its three
+/// step rates of a T=3 temporal run, drawn exactly as the analytic backend
+/// draws them. This is the fixed-seed differential run CI executes on
+/// every push; the proptests below widen the same contract to randomized
+/// geometry.
 #[test]
 fn svgg11_symbolic_programs_fold_bit_for_bit() {
     let engine = Engine::svgg11(5);
     let integrator = CostIntegrator::snitch();
+    let (cost, energy) = (CostModel::default(), EnergyModel::calibrated());
     let n = engine.network().len();
     for variant in ALL_VARIANTS {
         for format in ALL_FORMATS {
-            let executor = LayerExecutor::new(variant, format);
-            for (idx, layer) in engine.network().layers().iter().enumerate() {
-                let input_rate = engine.profile().rates[idx];
-                let output_rate = engine.profile().rates[(idx + 1).min(n - 1)];
-                let program =
-                    executor.lower_symbolic(integrator.config(), layer, input_rate, output_rate);
-                assert_fold_exact(
-                    &format!("svgg11/{}/{variant}/{format:?}", layer.name),
-                    &integrator,
-                    &program,
-                );
+            let config =
+                InferenceConfig::paper(variant, format).temporal(3, TemporalEncoding::Direct);
+            let ctx = SampleContext {
+                network: engine.network(),
+                profile: engine.profile(),
+                cluster: integrator.config(),
+                cost: &cost,
+                energy: &energy,
+                config: &config,
+                programs: None,
+                integrator: &integrator,
+                executor: LayerExecutor::new(variant, format),
+            };
+            // Per-layer input rates of every binding: the profile, then
+            // each fresh sample single-shot and at each step.
+            let mut bindings = vec![("profile".to_string(), engine.profile().rates.clone())];
+            for s in 0..16 {
+                let sample = 1_000_000 + 7_919 * s;
+                let rates = (0..n).map(|idx| ctx.sample_rate(idx, sample)).collect();
+                bindings.push((format!("sample {sample}"), rates));
+                for step in 0..3 {
+                    let rates = (0..n).map(|idx| ctx.sample_rate_at(idx, sample, step)).collect();
+                    bindings.push((format!("sample {sample} step {step}"), rates));
+                }
+            }
+            for (binding, rates) in &bindings {
+                for (idx, layer) in engine.network().layers().iter().enumerate() {
+                    let input_rate = rates[idx];
+                    let output_rate = rates[(idx + 1).min(n - 1)];
+                    let program = ctx.executor.lower_symbolic(
+                        integrator.config(),
+                        layer,
+                        input_rate,
+                        output_rate,
+                    );
+                    assert_fold_exact(
+                        &format!("svgg11/{}/{variant}/{format:?}/{binding}", layer.name),
+                        &integrator,
+                        &program,
+                    );
+                }
             }
         }
     }
@@ -101,22 +189,52 @@ fn svgg11_symbolic_programs_fold_bit_for_bit() {
 #[test]
 fn folding_is_exact_under_single_core_and_fractional_shares() {
     // Degenerate cluster shapes stress the remainder-share classes: one
-    // worker core (nothing to fold), and the default cluster at rates low
-    // enough that every core's share is fractional (k < 1 scaled-delta
-    // path).
+    // worker core (nothing to fold, every item priced on a single lane)
+    // and the default eight-core cluster. On eight cores the 6x6-output
+    // convs split 36 instances into three classes (core 0 with the
+    // refill, cores 1-3 at k=5, cores 4-7 at k=4: one lockstep pair plus
+    // one odd class priced alone), and the 2x2-output conv gives cores
+    // 0-3 one instance each (k=1) while cores 4-7 stay idle. Scaling the
+    // instance counts down to fractional values adds the k < 1
+    // scaled-delta path and pairs whose lanes disagree on the second
+    // execution.
     let single = ClusterConfig { worker_cores: 1, ..ClusterConfig::default() };
     let integrators =
         [CostIntegrator::snitch(), CostIntegrator::new(single, snitch_arch::CostModel::default())];
-    let layer = conv_layer(8, 8, 6, 11);
+    let layers = [conv_layer(8, 8, 6, 11), conv_layer(16, 20, 6, 12), conv_layer(8, 12, 2, 13)];
     for integrator in &integrators {
-        for rate in [0.0005, 0.01, 0.2, 0.9] {
-            let program = LayerExecutor::new(KernelVariant::SpikeStream, FpFormat::Fp16)
-                .lower_symbolic(integrator.config(), &layer, rate, rate * 0.8);
+        for instances in [36.0, 13.32, 9.0, 4.0, 0.4] {
             assert_fold_exact(
-                &format!("conv/cores={}/rate={rate}", integrator.config().worker_cores),
+                &format!("hand-built/cores={}/{instances}", integrator.config().worker_cores),
                 integrator,
-                &program,
+                &hand_built_program(&[instances, 3.0]),
             );
+        }
+        for layer in &layers {
+            let LayerKind::Conv(spec) = &layer.kind else { unreachable!() };
+            for rate in [0.0005, 0.01, 0.2, 0.9] {
+                let program = LayerExecutor::new(KernelVariant::SpikeStream, FpFormat::Fp16)
+                    .lower_symbolic(integrator.config(), layer, rate, rate * 0.8);
+                for scale in [1.0, 0.37, 0.11] {
+                    let mut scaled = program.clone();
+                    for phase in &mut scaled.phases {
+                        if let Phase::Compute(c) = phase {
+                            c.items.iter_mut().for_each(|item| item.instances *= scale);
+                        }
+                    }
+                    assert_fold_exact(
+                        &format!(
+                            "conv/{}x{}->{}/cores={}/rate={rate}/scale={scale}",
+                            spec.input.h,
+                            spec.input.c,
+                            spec.out_channels,
+                            integrator.config().worker_cores
+                        ),
+                        integrator,
+                        &scaled,
+                    );
+                }
+            }
         }
     }
 }
@@ -177,10 +295,10 @@ proptest! {
     }
 }
 
-/// Exact programs carry no `Replicate` items, so `integrate` and
-/// `integrate_reference` share every instruction — but the contract is
-/// cheap to pin and guards against the fold flag ever leaking into the
-/// non-replicated paths.
+/// Exact programs carry no replicated items, so nothing folds: every item
+/// is priced on one core, but through the tape (with its resolved
+/// gather-index bank conflicts) on one side and the tree walk on the
+/// other.
 #[test]
 fn exact_programs_are_untouched_by_folding() {
     use rand::Rng;
@@ -211,6 +329,11 @@ fn exact_programs_are_untouched_by_folding() {
         &mut state,
     );
     assert_fold_exact("conv/exact", &CostIntegrator::snitch(), &program);
+    assert_fold_exact(
+        "hand-built/exact",
+        &CostIntegrator::snitch(),
+        &hand_built_program(&[1.0; 11]),
+    );
 }
 
 /// The reference path is not an alias: a quick structural check that the
