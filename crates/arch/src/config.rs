@@ -60,16 +60,6 @@ impl ClusterConfig {
         self.dma_width_bits / 8
     }
 
-    /// Total number of cores including the DMA core.
-    pub fn total_cores(&self) -> usize {
-        self.worker_cores + 1
-    }
-
-    /// Duration of one clock cycle in seconds.
-    pub fn cycle_time_s(&self) -> f64 {
-        1.0 / self.clock_hz
-    }
-
     /// Validate internal consistency of the configuration.
     ///
     /// # Errors
@@ -135,7 +125,5 @@ mod tests {
     fn derived_quantities() {
         let c = ClusterConfig::default();
         assert_eq!(c.dma_width_bytes(), 64);
-        assert_eq!(c.total_cores(), 9);
-        assert!((c.cycle_time_s() - 1e-9).abs() < 1e-18);
     }
 }

@@ -241,101 +241,6 @@ pub fn f8_to_f32(bits: u8) -> f32 {
     }
 }
 
-/// A 64-bit SIMD register value holding `simd_lanes()` elements of a format.
-///
-/// Lane values are kept as `f32` for convenience; every arithmetic helper
-/// re-quantizes its result to the storage format so narrow-format rounding
-/// behaviour is preserved.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimdVector {
-    format: FpFormat,
-    lanes: Vec<f32>,
-}
-
-impl SimdVector {
-    /// A vector of zeros in the given format.
-    pub fn zeros(format: FpFormat) -> Self {
-        SimdVector { format, lanes: vec![0.0; format.simd_lanes() as usize] }
-    }
-
-    /// Build a vector from lane values, quantizing each to the format.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes.len()` does not equal `format.simd_lanes()`.
-    pub fn from_lanes(format: FpFormat, lanes: &[f32]) -> Self {
-        assert_eq!(
-            lanes.len(),
-            format.simd_lanes() as usize,
-            "lane count must match the SIMD width of {format}"
-        );
-        SimdVector { format, lanes: lanes.iter().map(|&v| format.quantize(v)).collect() }
-    }
-
-    /// Broadcast a scalar into all lanes.
-    pub fn splat(format: FpFormat, value: f32) -> Self {
-        let q = format.quantize(value);
-        SimdVector { format, lanes: vec![q; format.simd_lanes() as usize] }
-    }
-
-    /// The storage format of this vector.
-    pub fn format(&self) -> FpFormat {
-        self.format
-    }
-
-    /// Lane values (already quantized to the storage format).
-    pub fn lanes(&self) -> &[f32] {
-        &self.lanes
-    }
-
-    /// Lane-wise addition (`vfadd`), quantized to the storage format.
-    pub fn add(&self, other: &SimdVector) -> SimdVector {
-        self.zip_with(other, |a, b| a + b)
-    }
-
-    /// Lane-wise multiplication (`vfmul`).
-    pub fn mul(&self, other: &SimdVector) -> SimdVector {
-        self.zip_with(other, |a, b| a * b)
-    }
-
-    /// Lane-wise fused multiply-add `self * other + acc` (`vfmac`).
-    pub fn fma(&self, other: &SimdVector, acc: &SimdVector) -> SimdVector {
-        assert_eq!(self.format, other.format);
-        assert_eq!(self.format, acc.format);
-        let lanes = self
-            .lanes
-            .iter()
-            .zip(other.lanes.iter())
-            .zip(acc.lanes.iter())
-            .map(|((&a, &b), &c)| self.format.quantize(a * b + c))
-            .collect();
-        SimdVector { format: self.format, lanes }
-    }
-
-    /// Lane-wise greater-or-equal comparison against a scalar threshold,
-    /// producing a boolean mask (used by the LIF thresholding step).
-    pub fn ge_mask(&self, threshold: f32) -> Vec<bool> {
-        self.lanes.iter().map(|&v| v >= threshold).collect()
-    }
-
-    /// Lane-wise scaling by a scalar (used for the leak factor `alpha`).
-    pub fn scale(&self, factor: f32) -> SimdVector {
-        let lanes = self.lanes.iter().map(|&v| self.format.quantize(v * factor)).collect();
-        SimdVector { format: self.format, lanes }
-    }
-
-    fn zip_with(&self, other: &SimdVector, f: impl Fn(f32, f32) -> f32) -> SimdVector {
-        assert_eq!(self.format, other.format, "SIMD formats must match");
-        let lanes = self
-            .lanes
-            .iter()
-            .zip(other.lanes.iter())
-            .map(|(&a, &b)| self.format.quantize(f(a, b)))
-            .collect();
-        SimdVector { format: self.format, lanes }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -423,31 +328,9 @@ mod tests {
 
     #[test]
     fn simd_add_quantizes_to_format() {
-        let a = SimdVector::splat(FpFormat::Fp8, 1.0);
-        let b = SimdVector::splat(FpFormat::Fp8, 0.01);
-        // 1.01 is not representable in E4M3; rounds back to 1.0.
-        let c = a.add(&b);
-        assert!(c.lanes().iter().all(|&v| v == 1.0));
-    }
-
-    #[test]
-    fn simd_fma_matches_scalar() {
-        let a = SimdVector::from_lanes(FpFormat::Fp32, &[1.5, -2.0]);
-        let b = SimdVector::from_lanes(FpFormat::Fp32, &[2.0, 0.5]);
-        let c = SimdVector::from_lanes(FpFormat::Fp32, &[1.0, 1.0]);
-        let r = a.fma(&b, &c);
-        assert_eq!(r.lanes(), &[4.0, 0.0]);
-    }
-
-    #[test]
-    fn ge_mask_thresholds_lanes() {
-        let v = SimdVector::from_lanes(FpFormat::Fp16, &[0.5, 1.0, 1.5, -1.0]);
-        assert_eq!(v.ge_mask(1.0), vec![false, true, true, false]);
-    }
-
-    #[test]
-    #[should_panic(expected = "lane count")]
-    fn from_lanes_panics_on_wrong_width() {
-        let _ = SimdVector::from_lanes(FpFormat::Fp16, &[1.0, 2.0]);
+        // A lane-wise add re-quantizes to the storage format: 1.01 is not
+        // representable in E4M3 and rounds back to 1.0.
+        let fp8 = FpFormat::Fp8;
+        assert_eq!(fp8.quantize(fp8.quantize(1.0) + fp8.quantize(0.01)), 1.0);
     }
 }

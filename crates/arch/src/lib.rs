@@ -35,5 +35,5 @@ pub mod isa;
 
 pub use config::ClusterConfig;
 pub use cost::CostModel;
-pub use fp::{FpFormat, SimdVector};
+pub use fp::FpFormat;
 pub use isa::{FpOp, IntOp, SsrId};

@@ -1,23 +1,26 @@
 //! The cycle-level backend: exact stream programs interpreted on the
 //! `snitch-sim` cluster model.
 
-use snitch_sim::ClusterModel;
+use snitch_sim::{execute_program, ClusterModel};
 use spikestream_energy::Activity;
+use spikestream_ir::StreamProgram;
 use spikestream_kernels::{LayerExecution, LayerInput, LayerScratch};
 use spikestream_snn::encoding::pad_spikes;
 use spikestream_snn::{
-    AerFrame, LayerKind, SpikeMap, TemporalEncoder, Tensor3, WorkloadGenerator, WorkloadMode,
+    LayerKind, SpikeMap, TemporalEncoder, Tensor3, WorkloadGenerator, WorkloadMode,
 };
 
 use super::{ExecutionBackend, LayerSample, SampleContext};
 
-/// Cycle-level backend: lowers every layer to its stream program through
-/// the context's [`LayerExecutor`](spikestream_kernels::LayerExecutor)
-/// kernel dispatch and interprets the programs on one reused
-/// [`ClusterModel`] (slower than the analytic backend; used for validation
-/// and small batches). [`ClusterModel::finish_phase`] resets the cores and
-/// the DMA engine between layers while the instruction cache stays warm —
-/// kernels remain resident across layers, exactly as on the real cluster.
+/// Cycle-level backend: lowers every layer to its exact stream program
+/// through the context's
+/// [`LayerExecutor`](spikestream_kernels::LayerExecutor) kernel dispatch
+/// and interprets the programs on one reused [`ClusterModel`] — the one
+/// place the workspace runs the interpreter (slower than the analytic
+/// backend; used for validation and small batches).
+/// [`ClusterModel::finish_phase`] resets the cores and the DMA engine
+/// between layers while the instruction cache stays warm — kernels remain
+/// resident across layers, exactly as on the real cluster.
 /// One [`LayerScratch`] is likewise reused across the layers of the sample.
 ///
 /// In [`WorkloadMode::Synthetic`] each layer's input spike map is sampled
@@ -27,7 +30,7 @@ use super::{ExecutionBackend, LayerSample, SampleContext};
 /// in the scratch between steps ([`LayerScratch::begin_sample`] resets
 /// them per sample), and the spikes layer N emits at step t *are* layer
 /// N+1's compressed input at step t — per-step stream lengths, DMA
-/// traffic and AER frames all reflect the emergent sparsity.
+/// traffic and AER footprints all reflect the emergent sparsity.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CycleLevelBackend;
 
@@ -53,7 +56,9 @@ impl ExecutionBackend for CycleLevelBackend {
 }
 
 impl CycleLevelBackend {
-    /// The paper's single-shot path: one profile-sampled evaluation.
+    /// The paper's single-shot path: one profile-sampled evaluation. Each
+    /// layer's input realizes [`SampleContext::sample_rate`], the same
+    /// per-sample rate the analytic backend prices.
     fn run_synthetic(
         &self,
         ctx: &SampleContext<'_>,
@@ -61,8 +66,8 @@ impl CycleLevelBackend {
         out: &mut Vec<LayerSample>,
         scratch: &mut LayerScratch,
     ) {
-        let generator = WorkloadGenerator::new(ctx.profile.clone(), ctx.config.seed);
-        let workload = generator.generate(ctx.network, sample);
+        let generator = WorkloadGenerator::new(ctx.config.seed);
+        let workload = generator.generate(ctx.network, sample, |idx| ctx.sample_rate(idx, sample));
         let mut cluster = ClusterModel::new(ctx.cluster.clone(), ctx.cost.clone());
         out.reserve(ctx.network.len());
 
@@ -71,8 +76,8 @@ impl CycleLevelBackend {
                 LayerKind::Conv(_) if layer.encodes_input => LayerInput::Image(&workload.image),
                 _ => LayerInput::Spikes(workload.spikes_for_layer(idx)),
             };
-            let exec = ctx.executor.run_with_scratch(&mut cluster, layer, input, scratch);
-            out.push(measure(ctx, &mut cluster, &layer.name, &exec));
+            let (program, exec) = ctx.executor.lower_exact(ctx.cluster, layer, input, scratch);
+            out.push(interpret(ctx, &mut cluster, &program, &exec));
         }
     }
 
@@ -93,7 +98,7 @@ impl CycleLevelBackend {
              (the dense image is the only external input of a temporal run)"
         );
 
-        let generator = WorkloadGenerator::new(ctx.profile.clone(), ctx.config.seed);
+        let generator = WorkloadGenerator::new(ctx.config.seed);
         let image = generator.generate_image(ctx.network, sample);
         // Per-(sample, step) deterministic encoder seed: temporal runs stay
         // bit-identical across worker/shard schedules. The domain constant
@@ -119,7 +124,6 @@ impl CycleLevelBackend {
             let mut carry: Option<SpikeMap> = None;
             for (idx, layer) in layers.iter().enumerate() {
                 let staged;
-                let mut aer_frame = None;
                 let input = if idx == 0 {
                     LayerInput::Image(&encoded)
                 } else {
@@ -128,43 +132,27 @@ impl CycleLevelBackend {
                         LayerKind::Conv(c) if c.padding > 0 => pad_spikes(&prev, c.padding),
                         _ => prev,
                     };
-                    if idx == 1 {
-                        // One AER frame per timestep: the spike train the
-                        // network's first spiking boundary would put on a
-                        // neuromorphic interface, stamped with the step —
-                        // this is what gives the event timestamps real
-                        // semantics. Its size is that layer's reported AER
-                        // footprint; deeper layers reuse the equivalent
-                        // spike-count-derived value without materializing
-                        // events.
-                        let frame = AerFrame::from_spike_map(&staged, step as u16);
-                        debug_assert!(frame.events().iter().all(|e| e.timestamp == step as u16));
-                        aer_frame = Some(frame);
-                    }
                     LayerInput::Spikes(&staged)
                 };
-                let (exec, output) =
-                    ctx.executor.run_temporal_step(&mut cluster, layer, idx, input, scratch);
-                let mut sample = measure(ctx, &mut cluster, &layer.name, &exec);
-                if let Some(frame) = aer_frame {
-                    debug_assert_eq!(frame.events().len() as u64, exec.input_spikes);
-                    sample.aer_footprint_bytes = frame.footprint_bytes() as f64;
-                }
-                out.push(sample);
+                let (program, exec, output) =
+                    ctx.executor.lower_temporal_step(ctx.cluster, layer, idx, input, scratch);
+                out.push(interpret(ctx, &mut cluster, &program, &exec));
                 carry = Some(output);
             }
         }
     }
 }
 
-/// Collect the finished layer phase into a [`LayerSample`].
-fn measure(
+/// Interpret one layer's exact program on `cluster` and collect the
+/// finished phase into a [`LayerSample`].
+fn interpret(
     ctx: &SampleContext<'_>,
     cluster: &mut ClusterModel,
-    name: &str,
+    program: &StreamProgram,
     exec: &LayerExecution,
 ) -> LayerSample {
-    let stats = cluster.finish_phase(name);
+    execute_program(cluster, program);
+    let stats = cluster.finish_phase(&program.label);
     let activity = Activity {
         cycles: stats.compute_cycles,
         int_instrs: stats.totals.int_instrs,

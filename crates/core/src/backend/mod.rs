@@ -17,9 +17,9 @@
 //!
 //! * [`AnalyticBackend`] — integrates the cost model over symbolic
 //!   lowerings, fast enough for full-batch figure sweeps;
-//! * [`CycleLevelBackend`] — interprets exact lowerings on the
-//!   cycle-level cluster simulation behind a [`LayerExecutor`], used
-//!   for validation.
+//! * [`CycleLevelBackend`] — lowers every layer exactly through the
+//!   [`LayerExecutor`] and interprets the programs on the cycle-level
+//!   cluster simulation, used for validation.
 //!
 //! Third-party backends (accelerator models, event-driven simulators, …)
 //! implement the same trait — a name and one required method,

@@ -153,16 +153,6 @@ impl InferenceReport {
         self.layers.iter().map(|l| l.fpu_utilization * l.cycles).sum::<f64>() / total
     }
 
-    /// Average power over the full inference.
-    pub fn average_power_w(&self) -> f64 {
-        let t = self.total_seconds();
-        if t == 0.0 {
-            0.0
-        } else {
-            self.total_energy_j() / t
-        }
-    }
-
     /// End-to-end speedup of this report relative to `other`.
     pub fn speedup_over(&self, other: &InferenceReport) -> f64 {
         other.total_cycles() / self.total_cycles().max(1.0)

@@ -17,15 +17,13 @@
 //!   weights while an FREP hardware loop keeps the FPU accumulating, so
 //!   the integer core merely sets up the next stream.
 //!
-//! The kernel is an *emitter*: [`ConvKernel::lower`] turns one layer
-//! invocation into a [`StreamProgram`] (computing the functional results
-//! along the way) and [`ConvKernel::lower_symbolic`] emits the same
-//! structure from expected firing rates for the analytic backend.
-//! [`ConvKernel::run`] is lower-then-interpret on the cluster model.
+//! The kernel is an *emitter*: [`LayerExecutor::lower_conv`] turns one
+//! layer invocation into a [`StreamProgram`] (computing the functional
+//! results along the way), and the symbolic lowering behind
+//! [`LayerExecutor::lower_symbolic`] emits the same structure from
+//! expected firing rates for the analytic backend.
 
-use snitch_arch::fp::FpFormat;
 use snitch_arch::ClusterConfig;
-use snitch_sim::{execute_program, ClusterModel};
 use spikestream_ir::{
     CodeRegion, ComputePhase, IndexStream, KernelOp, Phase, StreamProgram, WorkItem,
 };
@@ -37,7 +35,7 @@ use spikestream_snn::{
 
 use crate::emit;
 use crate::tiling::TilingPlanner;
-use crate::KernelVariant;
+use crate::{KernelVariant, LayerExecutor};
 
 /// Approximate code footprints (bytes) of the kernel regions, used by the
 /// instruction-cache model.
@@ -49,7 +47,7 @@ pub(crate) const CODE_REGION_ACTIVATION: CodeRegion = CodeRegion { id: 0x12, byt
 /// datapath); bounds the stack-allocated lane accumulators of the emitters.
 pub(crate) const MAX_SIMD_LANES: usize = (snitch_arch::fp::FPU_DATAPATH_BITS / 8) as usize;
 
-/// Functional and structural result of one convolutional layer invocation.
+/// Functional result of one convolutional layer invocation.
 #[derive(Debug, Clone)]
 pub struct ConvKernelOutput {
     /// Accumulated input currents of every output neuron (quantized to the
@@ -59,15 +57,6 @@ pub struct ConvKernelOutput {
     pub spikes: SpikeMap,
     /// Output spikes after the optional 2x2 pooling stage.
     pub output: SpikeMap,
-    /// Compressed form of [`Self::output`], ready for the next layer.
-    pub compressed: CompressedIfmap,
-}
-
-/// A spiking convolution kernel bound to a code variant and storage format.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConvKernel {
-    variant: KernelVariant,
-    format: FpFormat,
 }
 
 /// Scratchpad base addresses of one conv lowering.
@@ -97,64 +86,50 @@ impl ConvAddresses {
     }
 }
 
-impl ConvKernel {
-    /// Create a kernel for the given variant and floating-point format.
-    pub fn new(variant: KernelVariant, format: FpFormat) -> Self {
-        ConvKernel { variant, format }
-    }
+/// The instruction-cache regions the conv programs of `variant` fetch.
+fn code_regions(variant: KernelVariant) -> Vec<CodeRegion> {
+    let region = match variant {
+        KernelVariant::Baseline => CODE_REGION_CONV_BASELINE,
+        KernelVariant::SpikeStream => CODE_REGION_CONV_SPIKESTREAM,
+    };
+    vec![region, CODE_REGION_ACTIVATION]
+}
 
-    /// The code variant this kernel emits.
-    pub fn variant(&self) -> KernelVariant {
-        self.variant
-    }
+/// Expected stream length of one SpVA under `input_rate`: the active input
+/// channels of one filter position.
+fn expected_stream_len(spec: &ConvSpec, input_rate: f64) -> f64 {
+    spec.input.c as f64 * input_rate.clamp(0.0, 1.0)
+}
 
-    /// The storage format of weights and activations.
-    pub fn format(&self) -> FpFormat {
-        self.format
-    }
+/// Expected compressed-ifmap spike count under `input_rate` — the
+/// discretized quantity the tiling planner sizes buffers and DMA traffic
+/// from. The padded border is silent, so the expectation covers the
+/// interior.
+fn expected_ifmap_spikes(spec: &ConvSpec, input_rate: f64) -> usize {
+    let padded = spec.padded_input();
+    let interior = if padded.h > 2 * spec.padding {
+        (padded.h - 2 * spec.padding) * (padded.w - 2 * spec.padding) * padded.c
+    } else {
+        padded.len()
+    };
+    (interior as f64 * input_rate.clamp(0.0, 1.0)).round() as usize
+}
 
-    /// The instruction-cache regions this kernel's programs fetch.
-    fn code_regions(&self) -> Vec<CodeRegion> {
-        let region = match self.variant {
-            KernelVariant::Baseline => CODE_REGION_CONV_BASELINE,
-            KernelVariant::SpikeStream => CODE_REGION_CONV_SPIKESTREAM,
-        };
-        vec![region, CODE_REGION_ACTIVATION]
-    }
-
-    /// Run one convolutional layer on the cluster: lower it to a stream
-    /// program and interpret that program on the timing model.
+impl LayerExecutor {
+    /// Lower one convolutional layer invocation into its exact stream
+    /// program, computing the functional results (currents and spikes)
+    /// along the way.
     ///
     /// `input` must be the compressed, padded ifmap of the layer and
-    /// `state` the dense membrane state of its output neurons. The call
-    /// advances the per-core timing models of `cluster`; obtain the layer's
-    /// statistics with [`ClusterModel::finish_phase`] afterwards.
+    /// `state` the neuron state of its output neurons, which the call
+    /// advances by one step.
     ///
     /// # Panics
     ///
     /// Panics if `layer` is not convolutional, if the input shape does not
     /// match the padded layer input, or if the neuron state has the wrong
     /// size.
-    pub fn run(
-        &self,
-        cluster: &mut ClusterModel,
-        layer: &Layer,
-        input: &CompressedIfmap,
-        state: &mut NeuronState,
-    ) -> ConvKernelOutput {
-        let (program, output) = self.lower(cluster.config(), layer, input, state);
-        execute_program(cluster, &program);
-        output
-    }
-
-    /// Lower one layer invocation into its exact stream program, computing
-    /// the functional results (currents, spikes, compressed output) along
-    /// the way.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`ConvKernel::run`].
-    pub fn lower(
+    pub fn lower_conv(
         &self,
         config: &ClusterConfig,
         layer: &Layer,
@@ -162,7 +137,7 @@ impl ConvKernel {
         state: &mut NeuronState,
     ) -> (StreamProgram, ConvKernelOutput) {
         let LayerKind::Conv(spec) = &layer.kind else {
-            panic!("ConvKernel requires a convolutional layer");
+            panic!("lower_conv requires a convolutional layer");
         };
         assert_eq!(input.shape(), spec.padded_input(), "input must be padded");
         let out_shape = spec.conv_output();
@@ -220,7 +195,7 @@ impl ConvKernel {
                 );
 
                 for g in 0..groups {
-                    self.lower_group(
+                    self.lower_conv_group(
                         &mut ops,
                         layer,
                         spec,
@@ -240,43 +215,22 @@ impl ConvKernel {
                 items.push(WorkItem::new(ops));
             }
         }
-        program.push(Phase::Compute(ComputePhase { code: self.code_regions(), items }));
+        program.push(Phase::Compute(ComputePhase { code: code_regions(self.variant), items }));
         for dma in plan.dma_out_phases() {
             program.push(Phase::Dma(dma));
         }
 
         let output = if spec.pool { max_pool_2x2(&spikes) } else { spikes.clone() };
-        let compressed = CompressedIfmap::from_spike_map(&output);
-        (program, ConvKernelOutput { currents, spikes, output, compressed })
+        (program, ConvKernelOutput { currents, spikes, output })
     }
 
-    /// Expected stream length of one SpVA under `input_rate`: the active
-    /// input channels of one filter position.
-    fn expected_stream_len(spec: &ConvSpec, input_rate: f64) -> f64 {
-        spec.input.c as f64 * input_rate.clamp(0.0, 1.0)
-    }
-
-    /// Expected compressed-ifmap spike count under `input_rate` — the
-    /// discretized quantity the tiling planner sizes buffers and DMA
-    /// traffic from. The padded border is silent, so the expectation
-    /// covers the interior.
-    fn expected_ifmap_spikes(spec: &ConvSpec, input_rate: f64) -> usize {
-        let padded = spec.padded_input();
-        let interior = if padded.h > 2 * spec.padding {
-            (padded.h - 2 * spec.padding) * (padded.w - 2 * spec.padding) * padded.c
-        } else {
-            padded.len()
-        };
-        (interior as f64 * input_rate.clamp(0.0, 1.0)).round() as usize
-    }
-
-    /// Lower one layer symbolically from expected firing rates: the same
-    /// emitter structure with a single representative receptive field
+    /// Lower one conv layer symbolically from expected firing rates: the
+    /// same emitter structure with a single representative receptive field
     /// replicated over all output positions, expected-length streams and
     /// expected firing counts. The analytic backend integrates the result.
     /// `model` selects the activation head and the width of the
     /// neuron-state tile, exactly as `layer.neuron` does in the exact path.
-    pub fn lower_symbolic(
+    pub(crate) fn lower_conv_symbolic(
         &self,
         config: &ClusterConfig,
         label: &str,
@@ -290,8 +244,8 @@ impl ConvKernel {
         let out = spec.conv_output();
         let kk = spec.kh * spec.kw;
         let output_rate = output_rate.clamp(0.0, 1.0);
-        let s_len = Self::expected_stream_len(spec, input_rate);
-        let expected_spikes = Self::expected_ifmap_spikes(spec, input_rate);
+        let s_len = expected_stream_len(spec, input_rate);
+        let expected_spikes = expected_ifmap_spikes(spec, input_rate);
 
         let plan = TilingPlanner::new(config).plan_conv_spikes(
             spec,
@@ -340,7 +294,7 @@ impl ConvKernel {
         let mut ops = emit::claim();
         ops.push(KernelOp::Loop { body: group, reps: groups as f64 });
         program.push(Phase::Compute(ComputePhase {
-            code: self.code_regions(),
+            code: code_regions(self.variant),
             items: vec![WorkItem::replicated((out.h * out.w) as f64, ops)],
         }));
         for dma in plan.dma_out_phases() {
@@ -352,7 +306,7 @@ impl ConvKernel {
     /// Emit one SIMD output-channel group of one receptive field, updating
     /// the functional state.
     #[allow(clippy::too_many_arguments)]
-    fn lower_group(
+    fn lower_conv_group(
         &self,
         ops: &mut Vec<KernelOp>,
         layer: &Layer,
@@ -438,9 +392,11 @@ impl ConvKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interpret;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use snitch_arch::{ClusterConfig, CostModel};
+    use snitch_arch::fp::FpFormat;
+    use snitch_arch::CostModel;
     use spikestream_ir::CostIntegrator;
     use spikestream_snn::neuron::LifParams;
     use spikestream_snn::tensor::TensorShape;
@@ -478,8 +434,23 @@ mod tests {
         CompressedIfmap::from_spike_map(&map)
     }
 
-    fn cluster() -> ClusterModel {
-        ClusterModel::new(ClusterConfig::default(), CostModel::default())
+    /// Lower `layer` on the default cluster from a resting LIF state;
+    /// returns the program, the functional output and the advanced state.
+    fn lower(
+        variant: KernelVariant,
+        format: FpFormat,
+        layer: &Layer,
+        input: &CompressedIfmap,
+    ) -> (StreamProgram, ConvKernelOutput, NeuronState) {
+        let LayerKind::Conv(spec) = &layer.kind else { unreachable!() };
+        let mut state = NeuronState::lif(spec.conv_output().len());
+        let (program, out) = LayerExecutor::new(variant, format).lower_conv(
+            &ClusterConfig::default(),
+            layer,
+            input,
+            &mut state,
+        );
+        (program, out, state)
     }
 
     #[test]
@@ -487,10 +458,7 @@ mod tests {
         let (layer, spec) = test_layer(8, 8, 6, false);
         let input = random_input(&spec, 0.3, 3);
         for variant in [KernelVariant::Baseline, KernelVariant::SpikeStream] {
-            let mut cluster = cluster();
-            let mut state = NeuronState::lif(spec.conv_output().len());
-            let kernel = ConvKernel::new(variant, FpFormat::Fp32);
-            let out = kernel.run(&mut cluster, &layer, &input, &mut state);
+            let (_, out, _) = lower(variant, FpFormat::Fp32, &layer, &input);
 
             let eng = ReferenceEngine::new();
             let mut ref_state = NeuronState::lif(spec.conv_output().len());
@@ -508,17 +476,10 @@ mod tests {
     fn both_variants_are_functionally_identical() {
         let (layer, spec) = test_layer(16, 8, 6, true);
         let input = random_input(&spec, 0.25, 5);
-        let mut c1 = cluster();
-        let mut c2 = cluster();
-        let mut s1 = NeuronState::lif(spec.conv_output().len());
-        let mut s2 = NeuronState::lif(spec.conv_output().len());
-        let base = ConvKernel::new(KernelVariant::Baseline, FpFormat::Fp16)
-            .run(&mut c1, &layer, &input, &mut s1);
-        let fast = ConvKernel::new(KernelVariant::SpikeStream, FpFormat::Fp16)
-            .run(&mut c2, &layer, &input, &mut s2);
+        let (_, base, s1) = lower(KernelVariant::Baseline, FpFormat::Fp16, &layer, &input);
+        let (_, fast, s2) = lower(KernelVariant::SpikeStream, FpFormat::Fp16, &layer, &input);
         assert_eq!(base.spikes, fast.spikes);
         assert_eq!(base.output, fast.output);
-        assert_eq!(base.compressed, fast.compressed);
         assert_eq!(s1.membrane(), s2.membrane());
     }
 
@@ -526,16 +487,8 @@ mod tests {
     fn spikestream_is_faster_and_better_utilized_than_baseline() {
         let (layer, spec) = test_layer(64, 32, 8, false);
         let input = random_input(&spec, 0.3, 7);
-        let mut c1 = cluster();
-        let mut c2 = cluster();
-        let mut s1 = NeuronState::lif(spec.conv_output().len());
-        let mut s2 = NeuronState::lif(spec.conv_output().len());
-        ConvKernel::new(KernelVariant::Baseline, FpFormat::Fp16)
-            .run(&mut c1, &layer, &input, &mut s1);
-        ConvKernel::new(KernelVariant::SpikeStream, FpFormat::Fp16)
-            .run(&mut c2, &layer, &input, &mut s2);
-        let base = c1.finish_phase("baseline");
-        let fast = c2.finish_phase("spikestream");
+        let base = interpret(&lower(KernelVariant::Baseline, FpFormat::Fp16, &layer, &input).0);
+        let fast = interpret(&lower(KernelVariant::SpikeStream, FpFormat::Fp16, &layer, &input).0);
         let speedup = base.cycles as f64 / fast.cycles as f64;
         assert!(speedup > 2.5, "expected a clear streaming speedup, got {speedup:.2}x");
         assert!(
@@ -551,16 +504,10 @@ mod tests {
     fn fp8_is_faster_than_fp16_for_spikestream() {
         let (layer, spec) = test_layer(32, 32, 8, false);
         let input = random_input(&spec, 0.3, 9);
-        let mut c16 = cluster();
-        let mut c8 = cluster();
-        let mut s16 = NeuronState::lif(spec.conv_output().len());
-        let mut s8 = NeuronState::lif(spec.conv_output().len());
-        ConvKernel::new(KernelVariant::SpikeStream, FpFormat::Fp16)
-            .run(&mut c16, &layer, &input, &mut s16);
-        ConvKernel::new(KernelVariant::SpikeStream, FpFormat::Fp8)
-            .run(&mut c8, &layer, &input, &mut s8);
-        let t16 = c16.finish_phase("fp16").cycles as f64;
-        let t8 = c8.finish_phase("fp8").cycles as f64;
+        let t16 = interpret(&lower(KernelVariant::SpikeStream, FpFormat::Fp16, &layer, &input).0)
+            .cycles as f64;
+        let t8 = interpret(&lower(KernelVariant::SpikeStream, FpFormat::Fp8, &layer, &input).0)
+            .cycles as f64;
         let speedup = t16 / t8;
         assert!(
             speedup > 1.3 && speedup < 2.2,
@@ -572,13 +519,10 @@ mod tests {
     fn empty_input_produces_no_spikes_but_still_runs() {
         let (layer, spec) = test_layer(8, 8, 4, false);
         let input = CompressedIfmap::from_spike_map(&SpikeMap::silent(spec.padded_input()));
-        let mut cl = cluster();
-        let mut state = NeuronState::lif(spec.conv_output().len());
-        let out = ConvKernel::new(KernelVariant::SpikeStream, FpFormat::Fp16)
-            .run(&mut cl, &layer, &input, &mut state);
+        let (program, out, _) = lower(KernelVariant::SpikeStream, FpFormat::Fp16, &layer, &input);
         assert_eq!(out.spikes.count_spikes(), 0);
         assert!(out.currents.data().iter().all(|&v| v == 0.0));
-        let stats = cl.finish_phase("empty");
+        let stats = interpret(&program);
         assert!(stats.cycles > 0, "control overhead and DMA still cost cycles");
     }
 
@@ -586,12 +530,9 @@ mod tests {
     fn pooling_shrinks_the_compressed_output() {
         let (layer, spec) = test_layer(8, 8, 6, true);
         let input = random_input(&spec, 0.4, 13);
-        let mut cl = cluster();
-        let mut state = NeuronState::lif(spec.conv_output().len());
-        let out = ConvKernel::new(KernelVariant::Baseline, FpFormat::Fp16)
-            .run(&mut cl, &layer, &input, &mut state);
+        let (_, out, _) = lower(KernelVariant::Baseline, FpFormat::Fp16, &layer, &input);
         assert_eq!(out.output.shape(), TensorShape::new(3, 3, 8));
-        assert_eq!(out.compressed.shape(), out.output.shape());
+        assert_eq!(out.output, max_pool_2x2(&out.spikes), "the output is the pooled spikes");
     }
 
     #[test]
@@ -599,10 +540,7 @@ mod tests {
     fn unpadded_input_is_rejected() {
         let (layer, spec) = test_layer(4, 4, 4, false);
         let wrong = CompressedIfmap::from_spike_map(&SpikeMap::silent(spec.input));
-        let mut cl = cluster();
-        let mut state = NeuronState::lif(spec.conv_output().len());
-        ConvKernel::new(KernelVariant::Baseline, FpFormat::Fp16)
-            .run(&mut cl, &layer, &wrong, &mut state);
+        lower(KernelVariant::Baseline, FpFormat::Fp16, &layer, &wrong);
     }
 
     #[test]
@@ -618,15 +556,11 @@ mod tests {
         };
         let config = ClusterConfig::default();
         for variant in [KernelVariant::Baseline, KernelVariant::SpikeStream] {
-            let kernel = ConvKernel::new(variant, FpFormat::Fp16);
-            let mut state = NeuronState::lif(spec.conv_output().len());
-            let (program, out) = kernel.lower(&config, &layer, &input, &mut state);
-            let mut cl = cluster();
-            execute_program(&mut cl, &program);
-            let stats = cl.finish_phase("exact");
+            let (program, out, _) = lower(variant, FpFormat::Fp16, &layer, &input);
+            let stats = interpret(&program);
 
             let out_rate = out.spikes.count_spikes() as f64 / spec.conv_output().len() as f64;
-            let symbolic = kernel.lower_symbolic(
+            let symbolic = LayerExecutor::new(variant, FpFormat::Fp16).lower_conv_symbolic(
                 &config,
                 "sym",
                 &spec,

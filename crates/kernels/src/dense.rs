@@ -9,24 +9,20 @@
 //! weights); the baseline executes the same matmul as a scalar SIMD loop.
 //!
 //! Like the sparse kernels, this kernel is an emitter: it lowers the layer
-//! into a [`StreamProgram`] (exactly, or symbolically from expected rates)
-//! and [`DenseEncodingKernel::run`] interprets that program.
+//! into a [`StreamProgram`], exactly ([`LayerExecutor::lower_dense`]) or
+//! symbolically from expected rates.
 
-use snitch_arch::fp::FpFormat;
 use snitch_arch::ClusterConfig;
 use snitch_mem::dma::DmaDirection;
-use snitch_sim::{execute_program, ClusterModel};
 use spikestream_ir::{
     CodeRegion, ComputePhase, DmaPhase, KernelOp, Phase, StreamProgram, WorkItem,
 };
 use spikestream_snn::reference::max_pool_2x2;
-use spikestream_snn::{
-    CompressedIfmap, ConvSpec, Layer, LayerKind, NeuronModel, NeuronState, SpikeMap, Tensor3,
-};
+use spikestream_snn::{ConvSpec, Layer, LayerKind, NeuronModel, NeuronState, SpikeMap, Tensor3};
 
 use crate::emit;
 use crate::tiling::TilingPlanner;
-use crate::KernelVariant;
+use crate::{KernelVariant, LayerExecutor};
 
 const CODE_REGION_DENSE_BASELINE: CodeRegion = CodeRegion { id: 0x30, bytes: 1024 };
 const CODE_REGION_DENSE_SPIKESTREAM: CodeRegion = CodeRegion { id: 0x31, bytes: 1408 };
@@ -40,68 +36,30 @@ pub struct DenseKernelOutput {
     pub spikes: SpikeMap,
     /// Output spikes after the optional pooling stage.
     pub output: SpikeMap,
-    /// Compressed output ready for the next (sparse) layer.
-    pub compressed: CompressedIfmap,
 }
 
-/// Spike-encoding convolution-as-matmul kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DenseEncodingKernel {
-    variant: KernelVariant,
-    format: FpFormat,
+/// The instruction-cache regions the dense programs of `variant` fetch.
+fn code_regions(variant: KernelVariant) -> Vec<CodeRegion> {
+    let region = match variant {
+        KernelVariant::Baseline => CODE_REGION_DENSE_BASELINE,
+        KernelVariant::SpikeStream => CODE_REGION_DENSE_SPIKESTREAM,
+    };
+    vec![region]
 }
 
-impl DenseEncodingKernel {
-    /// Create a kernel for the given variant and format.
-    pub fn new(variant: KernelVariant, format: FpFormat) -> Self {
-        DenseEncodingKernel { variant, format }
-    }
-
-    /// The code variant this kernel emits.
-    pub fn variant(&self) -> KernelVariant {
-        self.variant
-    }
-
-    /// The storage format of weights and activations.
-    pub fn format(&self) -> FpFormat {
-        self.format
-    }
-
-    fn code_regions(&self) -> Vec<CodeRegion> {
-        let region = match self.variant {
-            KernelVariant::Baseline => CODE_REGION_DENSE_BASELINE,
-            KernelVariant::SpikeStream => CODE_REGION_DENSE_SPIKESTREAM,
-        };
-        vec![region]
-    }
-
-    /// Run the spike-encoding layer on the cluster (lower + interpret).
+impl LayerExecutor {
+    /// Lower one spike-encoding invocation into its exact stream program,
+    /// computing the functional results along the way.
     ///
-    /// `image` must be the padded input image in HWC layout.
+    /// `image` must be the padded input image in HWC layout and `state`
+    /// the neuron state of the output neurons, which the call advances by
+    /// one step.
     ///
     /// # Panics
     ///
     /// Panics if `layer` is not convolutional, the image shape does not
     /// match the padded input, or the neuron state has the wrong size.
-    pub fn run(
-        &self,
-        cluster: &mut ClusterModel,
-        layer: &Layer,
-        image: &Tensor3,
-        state: &mut NeuronState,
-    ) -> DenseKernelOutput {
-        let (program, output) = self.lower(cluster.config(), layer, image, state);
-        execute_program(cluster, &program);
-        output
-    }
-
-    /// Lower one spike-encoding invocation into its exact stream program,
-    /// computing the functional results along the way.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`DenseEncodingKernel::run`].
-    pub fn lower(
+    pub fn lower_dense(
         &self,
         config: &ClusterConfig,
         layer: &Layer,
@@ -109,7 +67,7 @@ impl DenseEncodingKernel {
         state: &mut NeuronState,
     ) -> (StreamProgram, DenseKernelOutput) {
         let LayerKind::Conv(spec) = &layer.kind else {
-            panic!("DenseEncodingKernel requires a convolutional layer");
+            panic!("lower_dense requires a convolutional layer");
         };
         assert_eq!(image.shape(), spec.padded_input(), "image must be padded");
         let out_shape = spec.conv_output();
@@ -214,21 +172,20 @@ impl DenseEncodingKernel {
                 items.push(WorkItem::new(ops));
             }
         }
-        program.push(Phase::Compute(ComputePhase { code: self.code_regions(), items }));
+        program.push(Phase::Compute(ComputePhase { code: code_regions(self.variant), items }));
         for dma in plan.dma_out_phases() {
             program.push(Phase::Dma(dma));
         }
 
         let output = if spec.pool { max_pool_2x2(&spikes) } else { spikes.clone() };
-        let compressed = CompressedIfmap::from_spike_map(&output);
-        (program, DenseKernelOutput { currents, spikes, output, compressed })
+        (program, DenseKernelOutput { currents, spikes, output })
     }
 
-    /// Symbolic lowering from the expected output firing rate (the dense
-    /// input consumes every pixel, so only the activation tail is
-    /// rate-dependent). `model` selects the activation head and state-tile
-    /// width.
-    pub fn lower_symbolic(
+    /// Symbolic lowering of the spike-encoding layer from the expected
+    /// output firing rate (the dense input consumes every pixel, so only
+    /// the activation tail is rate-dependent). `model` selects the
+    /// activation head and state-tile width.
+    pub(crate) fn lower_dense_symbolic(
         &self,
         config: &ClusterConfig,
         label: &str,
@@ -275,7 +232,7 @@ impl DenseEncodingKernel {
         let mut ops = emit::claim();
         ops.push(KernelOp::Loop { body: group, reps: groups as f64 });
         program.push(Phase::Compute(ComputePhase {
-            code: self.code_regions(),
+            code: code_regions(self.variant),
             items: vec![WorkItem::replicated((out.h * out.w) as f64, ops)],
         }));
         for dma in plan.dma_out_phases() {
@@ -288,9 +245,10 @@ impl DenseEncodingKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interpret;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use snitch_arch::{ClusterConfig, CostModel};
+    use snitch_arch::fp::FpFormat;
     use spikestream_snn::encoding::{pad_image, synthetic_image};
     use spikestream_snn::neuron::LifParams;
     use spikestream_snn::tensor::TensorShape;
@@ -312,8 +270,21 @@ mod tests {
         (layer, spec)
     }
 
-    fn cluster() -> ClusterModel {
-        ClusterModel::new(ClusterConfig::default(), CostModel::default())
+    /// Lower `layer` on the default cluster from a resting LIF state.
+    fn lower(
+        variant: KernelVariant,
+        format: FpFormat,
+        layer: &Layer,
+        image: &Tensor3,
+    ) -> (StreamProgram, DenseKernelOutput) {
+        let LayerKind::Conv(spec) = &layer.kind else { unreachable!() };
+        let mut state = NeuronState::lif(spec.conv_output().len());
+        LayerExecutor::new(variant, format).lower_dense(
+            &ClusterConfig::default(),
+            layer,
+            image,
+            &mut state,
+        )
     }
 
     #[test]
@@ -321,10 +292,7 @@ mod tests {
         let (layer, spec) = test_layer(8, 8);
         let mut rng = StdRng::seed_from_u64(4);
         let image = pad_image(&synthetic_image(spec.input, &mut rng), spec.padding);
-        let mut cl = cluster();
-        let mut state = NeuronState::lif(spec.conv_output().len());
-        let out = DenseEncodingKernel::new(KernelVariant::SpikeStream, FpFormat::Fp32)
-            .run(&mut cl, &layer, &image, &mut state);
+        let (_, out) = lower(KernelVariant::SpikeStream, FpFormat::Fp32, &layer, &image);
 
         let eng = ReferenceEngine::new();
         let ref_currents = eng.conv_currents_dense(&layer, &spec, &image);
@@ -338,16 +306,8 @@ mod tests {
         let (layer, spec) = test_layer(10, 16);
         let mut rng = StdRng::seed_from_u64(6);
         let image = pad_image(&synthetic_image(spec.input, &mut rng), spec.padding);
-        let mut c1 = cluster();
-        let mut c2 = cluster();
-        let mut s1 = NeuronState::lif(spec.conv_output().len());
-        let mut s2 = NeuronState::lif(spec.conv_output().len());
-        DenseEncodingKernel::new(KernelVariant::Baseline, FpFormat::Fp16)
-            .run(&mut c1, &layer, &image, &mut s1);
-        DenseEncodingKernel::new(KernelVariant::SpikeStream, FpFormat::Fp16)
-            .run(&mut c2, &layer, &image, &mut s2);
-        let base = c1.finish_phase("baseline");
-        let fast = c2.finish_phase("spikestream");
+        let base = interpret(&lower(KernelVariant::Baseline, FpFormat::Fp16, &layer, &image).0);
+        let fast = interpret(&lower(KernelVariant::SpikeStream, FpFormat::Fp16, &layer, &image).0);
         // Fig. 3b: the dense encoding layer already has decent baseline
         // utilization (~25%) and SpikeStream roughly doubles it (~53%).
         assert!(base.fpu_utilization > 0.12 && base.fpu_utilization < 0.40);
@@ -360,14 +320,8 @@ mod tests {
         let (layer, spec) = test_layer(6, 8);
         let mut rng = StdRng::seed_from_u64(9);
         let image = pad_image(&synthetic_image(spec.input, &mut rng), spec.padding);
-        let mut c1 = cluster();
-        let mut c2 = cluster();
-        let mut s1 = NeuronState::lif(spec.conv_output().len());
-        let mut s2 = NeuronState::lif(spec.conv_output().len());
-        let a = DenseEncodingKernel::new(KernelVariant::Baseline, FpFormat::Fp16)
-            .run(&mut c1, &layer, &image, &mut s1);
-        let b = DenseEncodingKernel::new(KernelVariant::SpikeStream, FpFormat::Fp16)
-            .run(&mut c2, &layer, &image, &mut s2);
+        let (_, a) = lower(KernelVariant::Baseline, FpFormat::Fp16, &layer, &image);
+        let (_, b) = lower(KernelVariant::SpikeStream, FpFormat::Fp16, &layer, &image);
         assert_eq!(a.spikes, b.spikes);
     }
 }

@@ -1,19 +1,24 @@
 //! Uniform per-layer kernel dispatch.
 //!
-//! [`LayerExecutor`] is the single entry point execution backends use to
-//! run one network layer on the cycle-level cluster model. It owns the
-//! mapping from layer kind and input representation to the concrete kernel
-//! — [`DenseEncodingKernel`] for the dense spike-encoding first layer,
-//! [`ConvKernel`] for spike-consuming convolutions, [`FcKernel`] for
-//! fully connected layers — together with the input compression each kernel
-//! expects. Callers hand it a [`LayerInput`] and read the structural
-//! measurements back from the returned [`LayerExecution`]; timing is
-//! accumulated in the [`ClusterModel`] as usual and collected by the caller
-//! with [`ClusterModel::finish_phase`].
+//! [`LayerExecutor`] is the kernel value: a code variant and a storage
+//! format. It owns the mapping from layer kind and input representation to
+//! the matching emitter — the dense-encoding lowering for the
+//! spike-encoding first layer, the compressed conv, pooling and fully
+//! connected lowerings otherwise — together with the input compression
+//! each emitter expects. Each emitter lives in its own module as a
+//! `LayerExecutor` method ([`LayerExecutor::lower_conv`],
+//! [`LayerExecutor::lower_dense`], [`LayerExecutor::lower_fc`],
+//! [`LayerExecutor::lower_pool`]).
+//!
+//! The executor only *emits*: [`LayerExecutor::lower_exact`] and
+//! [`LayerExecutor::lower_temporal_step`] return a layer's exact
+//! [`StreamProgram`] plus the structural measurements of the invocation
+//! ([`LayerExecution`]); the cycle-level backend interprets the program on
+//! its cluster model. [`LayerExecutor::lower_symbolic`] and
+//! [`LayerExecutor::bind_symbolic`] serve the analytic backend.
 
 use snitch_arch::fp::FpFormat;
 use snitch_arch::ClusterConfig;
-use snitch_sim::ClusterModel;
 use spikestream_ir::{
     CostIntegrator, ProgramCache, ProgramCost, ProgramKey, SparsityBucket, StreamProgram,
 };
@@ -22,7 +27,7 @@ use spikestream_snn::{
     Tensor3,
 };
 
-use crate::{ConvKernel, DenseEncodingKernel, FcKernel, KernelVariant, PoolKernel};
+use crate::KernelVariant;
 
 /// The input of one layer invocation.
 #[derive(Debug, Clone, Copy)]
@@ -35,7 +40,7 @@ pub enum LayerInput<'a> {
 }
 
 /// Structural measurements of one layer invocation: what the layer consumed
-/// and produced, independent of the timing accumulated in the cluster model.
+/// and produced, independent of the timing its program is charged.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerExecution {
     /// Firing rate of the layer's input (1.0 for the dense encoding layer).
@@ -52,8 +57,8 @@ pub struct LayerExecution {
     pub output_spikes: u64,
 }
 
-/// Reusable buffers for repeated [`LayerExecutor::run_with_scratch`] and
-/// [`LayerExecutor::run_temporal_step`] invocations: the neuron state, the
+/// Reusable buffers for repeated [`LayerExecutor::lower_exact`] and
+/// [`LayerExecutor::lower_temporal_step`] invocations: the neuron state, the
 /// compressed-input buffers and their backing allocations. A worker that
 /// evaluates many layers (or many batch samples) keeps one `LayerScratch`
 /// and avoids re-allocating these per layer once the buffers reach
@@ -62,7 +67,7 @@ pub struct LayerExecution {
 /// For temporal runs the scratch additionally owns one *persistent*
 /// [`NeuronState`] per network layer: [`LayerScratch::begin_sample`] resets
 /// them to the layer model's rest state, and every
-/// [`LayerExecutor::run_temporal_step`] of the sample advances them in
+/// [`LayerExecutor::lower_temporal_step`] of the sample advances them in
 /// place — the state variables survive from timestep to timestep, which is
 /// what makes the pipeline a real spiking inference. The states are pinned
 /// to whichever worker owns the scratch, so a sample's timesteps always
@@ -86,9 +91,9 @@ impl LayerScratch {
     /// Start a new temporal sample: size one persistent neuron state per
     /// layer of `network` and reset every state variable to the layer
     /// model's rest values, reusing the existing allocations. Must be
-    /// called before the first [`LayerExecutor::run_temporal_step`] of each
-    /// sample — this is what guarantees neuron state never leaks between
-    /// batch samples.
+    /// called before the first [`LayerExecutor::lower_temporal_step`] of
+    /// each sample — this is what guarantees neuron state never leaks
+    /// between batch samples.
     pub fn begin_sample(&mut self, network: &Network) {
         self.states.resize_with(network.len(), NeuronState::default);
         for (layer, state) in network.layers().iter().zip(self.states.iter_mut()) {
@@ -115,17 +120,18 @@ impl LayerScratch {
     }
 }
 
-/// Kernel dispatch bound to a code variant and storage format.
+/// The kernel value: one code variant and one storage format.
 ///
 /// `LayerExecutor` is stateless (variant + format only); reusable buffers
-/// live in a caller-owned [`LayerScratch`].
+/// live in a caller-owned [`LayerScratch`]. It emits programs and never
+/// runs them: a backend interprets or integrates what it returns.
 ///
 /// # Example
 ///
 /// ```
 /// use snitch_arch::fp::FpFormat;
-/// use snitch_arch::{ClusterConfig, CostModel};
-/// use snitch_sim::ClusterModel;
+/// use snitch_arch::ClusterConfig;
+/// use spikestream_ir::CostIntegrator;
 /// use spikestream_kernels::{KernelVariant, LayerExecutor, LayerInput, LayerScratch};
 /// use spikestream_snn::neuron::LifParams;
 /// use spikestream_snn::tensor::{SpikeMap, TensorShape};
@@ -144,17 +150,22 @@ impl LayerScratch {
 /// let mut spikes = SpikeMap::silent(spec.padded_input());
 /// spikes.set(2, 2, 1, true);
 ///
-/// let mut cluster = ClusterModel::new(ClusterConfig::default(), CostModel::default());
 /// let mut scratch = LayerScratch::new();
 /// let executor = LayerExecutor::new(KernelVariant::SpikeStream, FpFormat::Fp16);
-/// let exec = executor.run_with_scratch(&mut cluster, &layer, LayerInput::Spikes(&spikes), &mut scratch);
+/// let (program, exec) = executor.lower_exact(
+///     &ClusterConfig::default(),
+///     &layer,
+///     LayerInput::Spikes(&spikes),
+///     &mut scratch,
+/// );
 /// assert_eq!(exec.input_spikes, 1);
-/// assert!(cluster.finish_phase("conv").cycles > 0);
+/// assert!(!program.is_symbolic());
+/// assert!(CostIntegrator::snitch().integrate(&program).cycles > 0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LayerExecutor {
-    variant: KernelVariant,
-    format: FpFormat,
+    pub(crate) variant: KernelVariant,
+    pub(crate) format: FpFormat,
 }
 
 impl LayerExecutor {
@@ -173,84 +184,68 @@ impl LayerExecutor {
         self.format
     }
 
-    /// Run one layer on the cluster, dispatching to the matching kernel.
-    ///
-    /// Allocates fresh scratch buffers; hot loops should hold a
-    /// [`LayerScratch`] and call [`LayerExecutor::run_with_scratch`]
-    /// instead.
+    /// Lower one single-shot layer invocation into its exact stream
+    /// program, dispatching to the matching emitter and reusing the
+    /// caller's scratch buffers for the neuron state and the compressed
+    /// input (no allocation once the buffers reached steady-state
+    /// capacity). The neuron state rests before the layer runs.
     ///
     /// # Panics
     ///
     /// Panics if the input representation does not fit the layer (a dense
     /// image on a fully connected layer, a spike map whose shape does not
-    /// match the layer input) — the same contract as the underlying kernels.
-    pub fn run(
+    /// match the layer input) — the same contract as the emitters.
+    pub fn lower_exact(
         &self,
-        cluster: &mut ClusterModel,
-        layer: &Layer,
-        input: LayerInput<'_>,
-    ) -> LayerExecution {
-        self.run_with_scratch(cluster, layer, input, &mut LayerScratch::new())
-    }
-
-    /// Run one layer on the cluster, reusing the caller's scratch buffers
-    /// for the LIF state and the compressed input (no allocation once the
-    /// buffers reached steady-state capacity).
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`LayerExecutor::run`].
-    pub fn run_with_scratch(
-        &self,
-        cluster: &mut ClusterModel,
+        config: &ClusterConfig,
         layer: &Layer,
         input: LayerInput<'_>,
         scratch: &mut LayerScratch,
-    ) -> LayerExecution {
-        // Single-shot semantics: the neuron state rests before the layer
-        // runs (the dispatch resets it when `fresh` is set).
+    ) -> (StreamProgram, LayerExecution) {
         let LayerScratch { state, ifmap, fc, .. } = scratch;
-        self.dispatch(cluster, layer, input, state, ifmap, fc, true).0
+        let (program, exec, _) = self.dispatch(config, layer, input, state, ifmap, fc, true);
+        (program, exec)
     }
 
-    /// Run one layer of one *timestep* of a temporal sample, advancing the
-    /// layer's persistent membrane state in `scratch` instead of resetting
-    /// it. Returns the structural measurements plus the layer's output
-    /// spike map (after pooling; `1 x 1 x F` for fully connected layers),
-    /// which *is* the next layer's input at this timestep.
+    /// Lower one layer of one *timestep* of a temporal sample, advancing
+    /// the layer's persistent membrane state in `scratch` instead of
+    /// resetting it. Returns the program and the structural measurements
+    /// plus the layer's output spike map (after pooling; `1 x 1 x F` for
+    /// fully connected layers), which *is* the next layer's input at this
+    /// timestep.
     ///
-    /// The lowered per-timestep program is the layer's regular stream
-    /// program: its prologue DMA loads the membrane tile alongside the
-    /// compressed per-step input (whose stream lengths reflect the step's
-    /// realized sparsity) and its epilogue DMA writes the membranes back —
-    /// the load/store phases every timestep of a stateful inference pays.
+    /// The per-timestep program is the layer's regular stream program: its
+    /// prologue DMA loads the membrane tile alongside the compressed
+    /// per-step input (whose stream lengths reflect the step's realized
+    /// sparsity) and its epilogue DMA writes the membranes back — the
+    /// load/store phases every timestep of a stateful inference pays.
     ///
     /// # Panics
     ///
     /// Panics if [`LayerScratch::begin_sample`] was not called for the
     /// current network (membrane state missing or mis-sized), or on the
-    /// input-shape mismatches of [`LayerExecutor::run`].
-    pub fn run_temporal_step(
+    /// input-shape mismatches of [`LayerExecutor::lower_exact`].
+    pub fn lower_temporal_step(
         &self,
-        cluster: &mut ClusterModel,
+        config: &ClusterConfig,
         layer: &Layer,
         layer_idx: usize,
         input: LayerInput<'_>,
         scratch: &mut LayerScratch,
-    ) -> (LayerExecution, SpikeMap) {
+    ) -> (StreamProgram, LayerExecution, SpikeMap) {
         assert!(
             layer_idx < scratch.states.len(),
             "LayerScratch::begin_sample must size the membrane states before temporal steps"
         );
         let LayerScratch { states, ifmap, fc, .. } = scratch;
-        self.dispatch(cluster, layer, input, &mut states[layer_idx], ifmap, fc, false)
+        self.dispatch(config, layer, input, &mut states[layer_idx], ifmap, fc, false)
     }
 
     /// Lower one layer *symbolically* from expected firing rates,
-    /// dispatching to the matching kernel emitter exactly like the
-    /// cycle-level dispatch does for concrete inputs: the dense-encoding
-    /// kernel for the spike-encoding first layer, the sparse conv/pool/FC
-    /// emitters otherwise. The analytic backend integrates the result.
+    /// dispatching to the matching kernel emitter exactly like the exact
+    /// dispatch does for concrete inputs: the dense-encoding kernel for the
+    /// spike-encoding first layer, the sparse conv/pool/FC emitters
+    /// otherwise. The analytic backend integrates the result.
     pub fn lower_symbolic(
         &self,
         config: &ClusterConfig,
@@ -258,34 +253,18 @@ impl LayerExecutor {
         input_rate: f64,
         output_rate: f64,
     ) -> StreamProgram {
+        let (label, model) = (&layer.name, &layer.neuron);
         match &layer.kind {
-            LayerKind::Conv(spec) if layer.encodes_input => DenseEncodingKernel::new(
-                self.variant,
-                self.format,
-            )
-            .lower_symbolic(config, &layer.name, spec, &layer.neuron, output_rate),
-            LayerKind::Conv(spec) => ConvKernel::new(self.variant, self.format).lower_symbolic(
-                config,
-                &layer.name,
-                spec,
-                &layer.neuron,
-                input_rate,
-                output_rate,
-            ),
-            LayerKind::AvgPool(spec) => PoolKernel::new(self.variant, self.format).lower_symbolic(
-                config,
-                &layer.name,
-                spec,
-                output_rate,
-            ),
-            LayerKind::Linear(spec) => FcKernel::new(self.variant, self.format).lower_symbolic(
-                config,
-                &layer.name,
-                spec,
-                &layer.neuron,
-                input_rate,
-                output_rate,
-            ),
+            LayerKind::Conv(spec) if layer.encodes_input => {
+                self.lower_dense_symbolic(config, label, spec, model, output_rate)
+            }
+            LayerKind::Conv(spec) => {
+                self.lower_conv_symbolic(config, label, spec, model, input_rate, output_rate)
+            }
+            LayerKind::AvgPool(spec) => self.lower_pool_symbolic(config, label, spec, output_rate),
+            LayerKind::Linear(spec) => {
+                self.lower_fc_symbolic(config, label, spec, model, input_rate, output_rate)
+            }
         }
     }
 
@@ -334,9 +313,9 @@ impl LayerExecutor {
         })
     }
 
-    /// The shared kernel dispatch behind [`LayerExecutor::run_with_scratch`]
-    /// and [`LayerExecutor::run_temporal_step`]: compress the input, run
-    /// the matching kernel against `state`, and derive the structural
+    /// The shared kernel dispatch behind [`LayerExecutor::lower_exact`]
+    /// and [`LayerExecutor::lower_temporal_step`]: compress the input,
+    /// lower the matching kernel against `state`, and derive the structural
     /// measurements. `fresh` selects single-shot semantics — the membrane
     /// state is reset to rest before the layer runs, and the dense encoding
     /// layer reports its historical every-pixel input metrics (a temporal
@@ -345,79 +324,69 @@ impl LayerExecutor {
     #[allow(clippy::too_many_arguments)]
     fn dispatch(
         &self,
-        cluster: &mut ClusterModel,
+        config: &ClusterConfig,
         layer: &Layer,
         input: LayerInput<'_>,
         state: &mut NeuronState,
         ifmap: &mut CompressedIfmap,
         fc: &mut CompressedFcInput,
         fresh: bool,
-    ) -> (LayerExecution, SpikeMap) {
+    ) -> (StreamProgram, LayerExecution, SpikeMap) {
         match (&layer.kind, input) {
             (LayerKind::Conv(spec), LayerInput::Image(image)) => {
                 if fresh {
                     state.reset_for(&layer.neuron, spec.conv_output().len());
                 }
-                let kernel = DenseEncodingKernel::new(self.variant, self.format);
-                let out = kernel.run(cluster, layer, image, state);
+                let (program, out) = self.lower_dense(config, layer, image, state);
                 let padded = spec.padded_input();
                 let input_spikes = if fresh { padded.len() } else { image.count_nonzero() };
-                (
-                    LayerExecution {
-                        input_rate: input_spikes as f64 / padded.len().max(1) as f64,
-                        input_spikes: input_spikes as u64,
-                        synops: spec.dense_synops() as f64,
-                        csr_footprint_bytes: (padded.len() * 4) as f64,
-                        aer_footprint_bytes: (padded.len() * 4) as f64,
-                        output_spikes: out.output.count_spikes() as u64,
-                    },
-                    out.output,
-                )
+                let exec = LayerExecution {
+                    input_rate: input_spikes as f64 / padded.len().max(1) as f64,
+                    input_spikes: input_spikes as u64,
+                    synops: spec.dense_synops() as f64,
+                    csr_footprint_bytes: (padded.len() * 4) as f64,
+                    aer_footprint_bytes: (padded.len() * 4) as f64,
+                    output_spikes: out.output.count_spikes() as u64,
+                };
+                (program, exec, out.output)
             }
             (LayerKind::Conv(spec), LayerInput::Spikes(spikes)) => {
                 ifmap.refill_from(spikes);
                 if fresh {
                     state.reset_for(&layer.neuron, spec.conv_output().len());
                 }
-                let kernel = ConvKernel::new(self.variant, self.format);
-                let out = kernel.run(cluster, layer, ifmap, state);
+                let (program, out) = self.lower_conv(config, layer, ifmap, state);
                 let rate = ifmap.firing_rate();
-                (
-                    LayerExecution {
-                        input_rate: rate,
-                        input_spikes: ifmap.spike_count() as u64,
-                        synops: spec.dense_synops() as f64 * rate,
-                        csr_footprint_bytes: ifmap.footprint_bytes() as f64,
-                        aer_footprint_bytes: (ifmap.spike_count() * AerEvent::BYTES) as f64,
-                        output_spikes: out.output.count_spikes() as u64,
-                    },
-                    out.output,
-                )
+                let exec = LayerExecution {
+                    input_rate: rate,
+                    input_spikes: ifmap.spike_count() as u64,
+                    synops: spec.dense_synops() as f64 * rate,
+                    csr_footprint_bytes: ifmap.footprint_bytes() as f64,
+                    aer_footprint_bytes: (ifmap.spike_count() * AerEvent::BYTES) as f64,
+                    output_spikes: out.output.count_spikes() as u64,
+                };
+                (program, exec, out.output)
             }
             (LayerKind::AvgPool(spec), LayerInput::Spikes(spikes)) => {
                 ifmap.refill_from(spikes);
-                let kernel = PoolKernel::new(self.variant, self.format);
-                let out = kernel.run(cluster, layer, spikes);
+                let (program, output) = self.lower_pool(config, layer, spikes);
                 let rate = ifmap.firing_rate();
-                (
-                    LayerExecution {
-                        input_rate: rate,
-                        input_spikes: ifmap.spike_count() as u64,
-                        synops: spec.dense_synops() as f64 * rate,
-                        csr_footprint_bytes: ifmap.footprint_bytes() as f64,
-                        aer_footprint_bytes: (ifmap.spike_count() * AerEvent::BYTES) as f64,
-                        output_spikes: out.output.count_spikes() as u64,
-                    },
-                    out.output,
-                )
+                let exec = LayerExecution {
+                    input_rate: rate,
+                    input_spikes: ifmap.spike_count() as u64,
+                    synops: spec.dense_synops() as f64 * rate,
+                    csr_footprint_bytes: ifmap.footprint_bytes() as f64,
+                    aer_footprint_bytes: (ifmap.spike_count() * AerEvent::BYTES) as f64,
+                    output_spikes: output.count_spikes() as u64,
+                };
+                (program, exec, output)
             }
             (LayerKind::Linear(spec), LayerInput::Spikes(spikes)) => {
                 fc.refill_from_map(spikes);
                 if fresh {
                     state.reset_for(&layer.neuron, spec.out_features);
                 }
-                let kernel = FcKernel::new(self.variant, self.format);
-                let out = kernel.run(cluster, layer, fc, state);
+                let (program, out) = self.lower_fc(config, layer, fc, state);
                 let exec = LayerExecution {
                     input_rate: fc.spike_count() as f64 / spec.in_features as f64,
                     input_spikes: fc.spike_count() as u64,
@@ -427,7 +396,7 @@ impl LayerExecutor {
                     aer_footprint_bytes: (fc.spike_count() * AerEvent::BYTES) as f64,
                     output_spikes: out.spikes.count_spikes() as u64,
                 };
-                (exec, out.spikes)
+                (program, exec, out.spikes)
             }
             (LayerKind::Linear(_) | LayerKind::AvgPool(_), LayerInput::Image(_)) => {
                 panic!("fully connected and pooling layers consume spikes, not dense images")
@@ -439,15 +408,15 @@ impl LayerExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interpret;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use snitch_arch::{ClusterConfig, CostModel};
     use spikestream_snn::neuron::LifParams;
     use spikestream_snn::tensor::TensorShape;
     use spikestream_snn::ConvSpec;
 
-    fn cluster() -> ClusterModel {
-        ClusterModel::new(ClusterConfig::default(), CostModel::default())
+    fn config() -> ClusterConfig {
+        ClusterConfig::default()
     }
 
     fn conv_layer(pool: bool) -> (Layer, ConvSpec) {
@@ -486,17 +455,13 @@ mod tests {
         let (layer, spec) = conv_layer(false);
         let spikes = random_spikes(spec.padded_input(), 0.3, 11);
         let compressed = CompressedIfmap::from_spike_map(&spikes);
-        let mut cl = cluster();
-        let exec = LayerExecutor::new(KernelVariant::SpikeStream, FpFormat::Fp16).run(
-            &mut cl,
-            &layer,
-            LayerInput::Spikes(&spikes),
-        );
+        let (program, exec) = LayerExecutor::new(KernelVariant::SpikeStream, FpFormat::Fp16)
+            .lower_exact(&config(), &layer, LayerInput::Spikes(&spikes), &mut LayerScratch::new());
         assert_eq!(exec.input_spikes, compressed.spike_count() as u64);
         assert_eq!(exec.input_rate, compressed.firing_rate());
         assert_eq!(exec.csr_footprint_bytes, compressed.footprint_bytes() as f64);
         assert!(exec.synops > 0.0);
-        assert!(cl.finish_phase("conv").cycles > 0);
+        assert!(interpret(&program).cycles > 0);
     }
 
     #[test]
@@ -504,24 +469,20 @@ mod tests {
         let (layer, spec) = conv_layer(true);
         let spikes = random_spikes(spec.padded_input(), 0.25, 7);
 
-        let mut direct_cluster = cluster();
+        let executor = LayerExecutor::new(KernelVariant::Baseline, FpFormat::Fp16);
         let compressed = CompressedIfmap::from_spike_map(&spikes);
         let mut state = NeuronState::lif(spec.conv_output().len());
-        let direct_out = ConvKernel::new(KernelVariant::Baseline, FpFormat::Fp16).run(
-            &mut direct_cluster,
-            &layer,
-            &compressed,
-            &mut state,
-        );
-        let direct_stats = direct_cluster.finish_phase("conv");
+        let (direct_program, direct_out) =
+            executor.lower_conv(&config(), &layer, &compressed, &mut state);
+        let direct_stats = interpret(&direct_program);
 
-        let mut exec_cluster = cluster();
-        let exec = LayerExecutor::new(KernelVariant::Baseline, FpFormat::Fp16).run(
-            &mut exec_cluster,
+        let (program, exec) = executor.lower_exact(
+            &config(),
             &layer,
             LayerInput::Spikes(&spikes),
+            &mut LayerScratch::new(),
         );
-        let exec_stats = exec_cluster.finish_phase("conv");
+        let exec_stats = interpret(&program);
 
         assert_eq!(exec.output_spikes, direct_out.output.count_spikes() as u64);
         assert_eq!(exec_stats.cycles, direct_stats.cycles);
@@ -535,29 +496,22 @@ mod tests {
         let mut scratch = LayerScratch::new();
         // Prime the scratch with a differently-shaped layer invocation.
         let warmup = random_spikes(spec.padded_input(), 0.5, 1);
-        let mut warm_cluster = cluster();
-        executor.run_with_scratch(
-            &mut warm_cluster,
-            &layer,
-            LayerInput::Spikes(&warmup),
-            &mut scratch,
-        );
+        executor.lower_exact(&config(), &layer, LayerInput::Spikes(&warmup), &mut scratch);
 
         for seed in [2, 3, 4] {
             let spikes = random_spikes(spec.padded_input(), 0.2, seed);
-            let mut fresh_cluster = cluster();
-            let fresh = executor.run(&mut fresh_cluster, &layer, LayerInput::Spikes(&spikes));
-            let mut reused_cluster = cluster();
-            let reused = executor.run_with_scratch(
-                &mut reused_cluster,
+            let (fresh_program, fresh) = executor.lower_exact(
+                &config(),
                 &layer,
                 LayerInput::Spikes(&spikes),
-                &mut scratch,
+                &mut LayerScratch::new(),
             );
+            let (reused_program, reused) =
+                executor.lower_exact(&config(), &layer, LayerInput::Spikes(&spikes), &mut scratch);
             assert_eq!(fresh, reused);
             assert_eq!(
-                fresh_cluster.finish_phase("conv"),
-                reused_cluster.finish_phase("conv"),
+                interpret(&fresh_program),
+                interpret(&reused_program),
                 "identical timing regardless of buffer reuse"
             );
         }
@@ -582,20 +536,16 @@ mod tests {
         let mut reference = NeuronState::lif(spec.conv_output().len());
         let compressed = CompressedIfmap::from_spike_map(&spikes);
         for step in 0..2 {
-            let mut cl = cluster();
-            let (exec, out) = executor.run_temporal_step(
-                &mut cl,
+            let (program, exec, out) = executor.lower_temporal_step(
+                &config(),
                 &net.layers()[0],
                 0,
                 LayerInput::Spikes(&spikes),
                 &mut scratch,
             );
-            let direct = ConvKernel::new(KernelVariant::SpikeStream, FpFormat::Fp32).run(
-                &mut cluster(),
-                &net.layers()[0],
-                &compressed,
-                &mut reference,
-            );
+            let (direct_program, direct) =
+                executor.lower_conv(&config(), &net.layers()[0], &compressed, &mut reference);
+            assert_eq!(program, direct_program, "step {step} program");
             assert_eq!(out, direct.output, "step {step} spikes");
             assert_eq!(exec.output_spikes, direct.output.count_spikes() as u64);
             assert_eq!(scratch.membrane(0).membrane(), reference.membrane(), "step {step}");
@@ -611,8 +561,8 @@ mod tests {
     fn temporal_step_without_begin_sample_is_rejected() {
         let (layer, spec) = conv_layer(false);
         let spikes = random_spikes(spec.padded_input(), 0.2, 3);
-        LayerExecutor::new(KernelVariant::Baseline, FpFormat::Fp16).run_temporal_step(
-            &mut cluster(),
+        LayerExecutor::new(KernelVariant::Baseline, FpFormat::Fp16).lower_temporal_step(
+            &config(),
             &layer,
             0,
             LayerInput::Spikes(&spikes),
@@ -706,10 +656,11 @@ mod tests {
             LifParams::new(0.5, 0.25),
         );
         let image = Tensor3::zeros(TensorShape::new(4, 4, 1));
-        LayerExecutor::new(KernelVariant::Baseline, FpFormat::Fp16).run(
-            &mut cluster(),
+        LayerExecutor::new(KernelVariant::Baseline, FpFormat::Fp16).lower_exact(
+            &config(),
             &layer,
             LayerInput::Image(&image),
+            &mut LayerScratch::new(),
         );
     }
 }

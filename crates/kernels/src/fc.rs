@@ -5,12 +5,11 @@
 //! are parallelized over cores in SIMD groups; each group performs one
 //! Sparse Vector Accumulation whose length equals the number of active
 //! inputs, either as the scalar indirection loop (baseline) or as an
-//! indirect stream under FREP (SpikeStream). The kernel lowers each
-//! invocation to a [`StreamProgram`] with one work item per SIMD group.
+//! indirect stream under FREP (SpikeStream). [`LayerExecutor::lower_fc`]
+//! lowers each invocation to a [`StreamProgram`] with one work item per
+//! SIMD group.
 
-use snitch_arch::fp::FpFormat;
 use snitch_arch::ClusterConfig;
-use snitch_sim::{execute_program, ClusterModel};
 use spikestream_ir::{CodeRegion, ComputePhase, IndexStream, Phase, StreamProgram, WorkItem};
 use spikestream_snn::{
     CompressedFcInput, Layer, LayerKind, LinearSpec, NeuronModel, NeuronState, SpikeMap,
@@ -19,79 +18,53 @@ use spikestream_snn::{
 
 use crate::emit;
 use crate::tiling::TilingPlanner;
-use crate::KernelVariant;
+use crate::{KernelVariant, LayerExecutor};
 
 const CODE_REGION_FC_BASELINE: CodeRegion = CodeRegion { id: 0x20, bytes: 896 };
 const CODE_REGION_FC_SPIKESTREAM: CodeRegion = CodeRegion { id: 0x21, bytes: 1152 };
 
-/// Result of one fully connected layer invocation.
+/// Functional result of one fully connected layer invocation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FcKernelOutput {
     /// Input currents of every output neuron (quantized to the format).
     pub currents: Vec<f32>,
     /// Output spikes, packed as a `(1, 1, out_features)` map.
     pub spikes: SpikeMap,
-    /// Compressed form of the output spikes.
-    pub compressed: CompressedFcInput,
 }
 
-/// A spiking fully connected kernel bound to a variant and format.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FcKernel {
-    variant: KernelVariant,
-    format: FpFormat,
+/// The instruction-cache regions the FC programs of `variant` fetch.
+fn code_regions(variant: KernelVariant) -> Vec<CodeRegion> {
+    let region = match variant {
+        KernelVariant::Baseline => CODE_REGION_FC_BASELINE,
+        KernelVariant::SpikeStream => CODE_REGION_FC_SPIKESTREAM,
+    };
+    vec![region]
 }
 
-impl FcKernel {
-    /// Create a kernel for the given variant and floating-point format.
-    pub fn new(variant: KernelVariant, format: FpFormat) -> Self {
-        FcKernel { variant, format }
-    }
+/// Expected stream length of the gather under `input_rate`: the active
+/// input features.
+fn expected_stream_len(spec: &LinearSpec, input_rate: f64) -> f64 {
+    spec.in_features as f64 * input_rate.clamp(0.0, 1.0)
+}
 
-    /// The code variant this kernel emits.
-    pub fn variant(&self) -> KernelVariant {
-        self.variant
-    }
+/// Expected active-input count the tiling planner sizes the index buffer
+/// and DMA traffic from.
+fn planned_active_inputs(spec: &LinearSpec, input_rate: f64) -> usize {
+    (expected_stream_len(spec, input_rate).round() as usize).max(1)
+}
 
-    /// The storage format of weights and activations.
-    pub fn format(&self) -> FpFormat {
-        self.format
-    }
-
-    fn code_regions(&self) -> Vec<CodeRegion> {
-        let region = match self.variant {
-            KernelVariant::Baseline => CODE_REGION_FC_BASELINE,
-            KernelVariant::SpikeStream => CODE_REGION_FC_SPIKESTREAM,
-        };
-        vec![region]
-    }
-
-    /// Run one fully connected layer on the cluster (lower + interpret).
+impl LayerExecutor {
+    /// Lower one fully connected invocation into its exact stream program,
+    /// computing the functional results along the way. `state` is the
+    /// neuron state of the output neurons, which the call advances by one
+    /// step.
     ///
     /// # Panics
     ///
     /// Panics if `layer` is not fully connected, if the compressed input
     /// size does not match the layer, or if the neuron state has the wrong
     /// size.
-    pub fn run(
-        &self,
-        cluster: &mut ClusterModel,
-        layer: &Layer,
-        input: &CompressedFcInput,
-        state: &mut NeuronState,
-    ) -> FcKernelOutput {
-        let (program, output) = self.lower(cluster.config(), layer, input, state);
-        execute_program(cluster, &program);
-        output
-    }
-
-    /// Lower one invocation into its exact stream program, computing the
-    /// functional results along the way.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`FcKernel::run`].
-    pub fn lower(
+    pub fn lower_fc(
         &self,
         config: &ClusterConfig,
         layer: &Layer,
@@ -99,7 +72,7 @@ impl FcKernel {
         state: &mut NeuronState,
     ) -> (StreamProgram, FcKernelOutput) {
         let LayerKind::Linear(spec) = &layer.kind else {
-            panic!("FcKernel requires a fully connected layer");
+            panic!("lower_fc requires a fully connected layer");
         };
         assert_eq!(input.in_features(), spec.in_features, "input width mismatch");
         assert_eq!(state.len(), spec.out_features, "neuron state size mismatch");
@@ -174,31 +147,17 @@ impl FcKernel {
             emit::model_state_writeback(&mut ops, &layer.neuron);
             items.push(WorkItem::new(ops));
         }
-        program.push(Phase::Compute(ComputePhase { code: self.code_regions(), items }));
+        program.push(Phase::Compute(ComputePhase { code: code_regions(self.variant), items }));
         for dma in plan.dma_out_phases() {
             program.push(Phase::Dma(dma));
         }
-
-        let compressed = CompressedFcInput::from_spike_map(&spikes);
-        (program, FcKernelOutput { currents, spikes, compressed })
+        (program, FcKernelOutput { currents, spikes })
     }
 
-    /// Expected stream length of the gather under `input_rate`: the active
-    /// input features.
-    fn expected_stream_len(spec: &LinearSpec, input_rate: f64) -> f64 {
-        spec.in_features as f64 * input_rate.clamp(0.0, 1.0)
-    }
-
-    /// Expected active-input count the tiling planner sizes the index
-    /// buffer and DMA traffic from.
-    fn planned_active_inputs(spec: &LinearSpec, input_rate: f64) -> usize {
-        (Self::expected_stream_len(spec, input_rate).round() as usize).max(1)
-    }
-
-    /// Symbolic lowering from expected firing rates: one representative
+    /// Symbolic FC lowering from expected firing rates: one representative
     /// group replicated over all SIMD groups with an expected-length
     /// stream. `model` selects the activation head and state-tile width.
-    pub fn lower_symbolic(
+    pub(crate) fn lower_fc_symbolic(
         &self,
         config: &ClusterConfig,
         label: &str,
@@ -210,12 +169,12 @@ impl FcKernel {
         let lanes = self.format.simd_lanes() as usize;
         let groups = spec.out_features.div_ceil(lanes);
         let output_rate = output_rate.clamp(0.0, 1.0);
-        let s_len = Self::expected_stream_len(spec, input_rate);
+        let s_len = expected_stream_len(spec, input_rate);
 
         let plan = TilingPlanner::new(config).plan_linear(
             spec,
             self.format,
-            Self::planned_active_inputs(spec, input_rate),
+            planned_active_inputs(spec, input_rate),
             model.state_vars(),
         );
         let weights_base = plan.weights.base;
@@ -244,7 +203,7 @@ impl FcKernel {
         emit::model_state_writeback(&mut ops, model);
 
         program.push(Phase::Compute(ComputePhase {
-            code: self.code_regions(),
+            code: code_regions(self.variant),
             items: vec![WorkItem::replicated(groups as f64, ops)],
         }));
         for dma in plan.dma_out_phases() {
@@ -257,9 +216,10 @@ impl FcKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interpret;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use snitch_arch::{ClusterConfig, CostModel};
+    use snitch_arch::fp::FpFormat;
     use spikestream_snn::neuron::LifParams;
     use spikestream_snn::{LinearSpec, ReferenceEngine};
 
@@ -277,18 +237,28 @@ mod tests {
         CompressedFcInput::from_spikes(&spikes)
     }
 
-    fn cluster() -> ClusterModel {
-        ClusterModel::new(ClusterConfig::default(), CostModel::default())
+    /// Lower `layer` on the default cluster from a resting LIF state.
+    fn lower(
+        variant: KernelVariant,
+        format: FpFormat,
+        layer: &Layer,
+        input: &CompressedFcInput,
+    ) -> (StreamProgram, FcKernelOutput) {
+        let LayerKind::Linear(spec) = &layer.kind else { unreachable!() };
+        let mut state = NeuronState::lif(spec.out_features);
+        LayerExecutor::new(variant, format).lower_fc(
+            &ClusterConfig::default(),
+            layer,
+            input,
+            &mut state,
+        )
     }
 
     #[test]
     fn fp32_fc_matches_reference() {
         let (layer, spec) = test_layer(256, 32);
         let input = sparse_input(256, 0.1, 1);
-        let mut cl = cluster();
-        let mut state = NeuronState::lif(spec.out_features);
-        let out = FcKernel::new(KernelVariant::SpikeStream, FpFormat::Fp32)
-            .run(&mut cl, &layer, &input, &mut state);
+        let (_, out) = lower(KernelVariant::SpikeStream, FpFormat::Fp32, &layer, &input);
 
         let eng = ReferenceEngine::new();
         let ref_input =
@@ -304,18 +274,11 @@ mod tests {
 
     #[test]
     fn variants_agree_functionally() {
-        let (layer, spec) = test_layer(512, 64);
+        let (layer, _) = test_layer(512, 64);
         let input = sparse_input(512, 0.05, 3);
-        let mut c1 = cluster();
-        let mut c2 = cluster();
-        let mut s1 = NeuronState::lif(spec.out_features);
-        let mut s2 = NeuronState::lif(spec.out_features);
-        let a = FcKernel::new(KernelVariant::Baseline, FpFormat::Fp16)
-            .run(&mut c1, &layer, &input, &mut s1);
-        let b = FcKernel::new(KernelVariant::SpikeStream, FpFormat::Fp16)
-            .run(&mut c2, &layer, &input, &mut s2);
+        let (_, a) = lower(KernelVariant::Baseline, FpFormat::Fp16, &layer, &input);
+        let (_, b) = lower(KernelVariant::SpikeStream, FpFormat::Fp16, &layer, &input);
         assert_eq!(a.spikes, b.spikes);
-        assert_eq!(a.compressed, b.compressed);
     }
 
     #[test]
@@ -323,20 +286,15 @@ mod tests {
         // With only a handful of active inputs the streams are so short that
         // setup overhead dominates — the effect the paper reports for the
         // FC layers.
-        let (layer, spec) = test_layer(1024, 128);
+        let (layer, _) = test_layer(1024, 128);
         let sparse = sparse_input(1024, 0.01, 5);
         let busy = sparse_input(1024, 0.30, 5);
 
         let speedup_of = |input: &CompressedFcInput| {
-            let mut c1 = cluster();
-            let mut c2 = cluster();
-            let mut s1 = NeuronState::lif(spec.out_features);
-            let mut s2 = NeuronState::lif(spec.out_features);
-            FcKernel::new(KernelVariant::Baseline, FpFormat::Fp16)
-                .run(&mut c1, &layer, input, &mut s1);
-            FcKernel::new(KernelVariant::SpikeStream, FpFormat::Fp16)
-                .run(&mut c2, &layer, input, &mut s2);
-            c1.finish_phase("b").cycles as f64 / c2.finish_phase("s").cycles as f64
+            let base = interpret(&lower(KernelVariant::Baseline, FpFormat::Fp16, &layer, input).0);
+            let fast =
+                interpret(&lower(KernelVariant::SpikeStream, FpFormat::Fp16, &layer, input).0);
+            base.cycles as f64 / fast.cycles as f64
         };
         let sparse_speedup = speedup_of(&sparse);
         let busy_speedup = speedup_of(&busy);
@@ -348,24 +306,18 @@ mod tests {
 
     #[test]
     fn empty_input_is_handled() {
-        let (layer, spec) = test_layer(128, 16);
+        let (layer, _) = test_layer(128, 16);
         let input = CompressedFcInput::from_spikes(&[false; 128]);
-        let mut cl = cluster();
-        let mut state = NeuronState::lif(spec.out_features);
-        let out = FcKernel::new(KernelVariant::SpikeStream, FpFormat::Fp8)
-            .run(&mut cl, &layer, &input, &mut state);
+        let (program, out) = lower(KernelVariant::SpikeStream, FpFormat::Fp8, &layer, &input);
         assert_eq!(out.spikes.count_spikes(), 0);
-        assert_eq!(out.compressed.spike_count(), 0);
+        assert!(interpret(&program).cycles > 0);
     }
 
     #[test]
     #[should_panic(expected = "input width mismatch")]
     fn wrong_input_width_panics() {
-        let (layer, spec) = test_layer(64, 8);
+        let (layer, _) = test_layer(64, 8);
         let input = CompressedFcInput::from_spikes(&[false; 32]);
-        let mut cl = cluster();
-        let mut state = NeuronState::lif(spec.out_features);
-        FcKernel::new(KernelVariant::Baseline, FpFormat::Fp16)
-            .run(&mut cl, &layer, &input, &mut state);
+        lower(KernelVariant::Baseline, FpFormat::Fp16, &layer, &input);
     }
 }

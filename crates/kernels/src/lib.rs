@@ -24,17 +24,19 @@
 //! the private `emit` module, so the inner-loop structure of Listings
 //! 1a-1c is written down exactly once.
 //!
-//! Execution backends drive the kernels through the uniform
-//! [`executor::LayerExecutor`] entry point rather than invoking
-//! [`ConvKernel`], [`FcKernel`], [`PoolKernel`] and
-//! [`DenseEncodingKernel`] directly. Single-shot synthetic evaluation uses
-//! [`LayerExecutor::run_with_scratch`] (membranes reset per invocation);
-//! the T-timestep temporal pipeline uses
-//! [`LayerExecutor::run_temporal_step`], which advances the per-layer
-//! persistent membrane states owned by [`executor::LayerScratch`] and
-//! returns each layer's output spike map so the caller can feed it to the
-//! next layer — per-step stream lengths and DMA traffic then reflect the
-//! *emergent* sparsity of the step instead of an injected profile.
+//! The crate only emits; it never runs a program. [`LayerExecutor`] — one
+//! code variant and one storage format — is the single kernel value, and
+//! each kernel module adds its lowering to it
+//! ([`LayerExecutor::lower_conv`], [`LayerExecutor::lower_dense`],
+//! [`LayerExecutor::lower_fc`], [`LayerExecutor::lower_pool`]). Backends
+//! go through the uniform dispatch: single-shot synthetic evaluation uses
+//! [`LayerExecutor::lower_exact`] (membranes reset per invocation); the
+//! T-timestep temporal pipeline uses [`LayerExecutor::lower_temporal_step`],
+//! which advances the per-layer persistent membrane states owned by
+//! [`LayerScratch`] and returns each layer's output spike map so the
+//! caller can feed it to the next layer — per-step stream lengths and DMA
+//! traffic then reflect the *emergent* sparsity of the step instead of an
+//! injected profile.
 
 mod emit;
 
@@ -45,11 +47,8 @@ pub mod fc;
 pub mod pool;
 pub mod tiling;
 
-pub use conv::{ConvKernel, ConvKernelOutput};
-pub use dense::DenseEncodingKernel;
+pub use conv::ConvKernelOutput;
 pub use executor::{LayerExecution, LayerExecutor, LayerInput, LayerScratch};
-pub use fc::FcKernel;
-pub use pool::{PoolKernel, PoolKernelOutput};
 pub use tiling::{LayerTilePlan, TilingPlanner};
 
 /// Which code variant a kernel emits.
@@ -69,4 +68,14 @@ impl std::fmt::Display for KernelVariant {
             KernelVariant::SpikeStream => f.write_str("SpikeStream"),
         }
     }
+}
+
+/// Interpret `program` on a fresh default cluster: the kernel tests'
+/// stand-in for the cycle-level backend.
+#[cfg(test)]
+fn interpret(program: &spikestream_ir::StreamProgram) -> snitch_sim::PhaseStats {
+    let config = snitch_arch::ClusterConfig::default();
+    let mut cluster = snitch_sim::ClusterModel::new(config, snitch_arch::CostModel::default());
+    snitch_sim::execute_program(&mut cluster, program);
+    cluster.finish_phase(&program.label)
 }

@@ -95,12 +95,6 @@ impl ResponseHandle {
             slot = self.cell.ready.wait(slot).expect("response cell poisoned");
         }
     }
-
-    /// Whether the result has already arrived ([`ResponseHandle::wait`]
-    /// would not block).
-    pub fn is_ready(&self) -> bool {
-        self.cell.slot.lock().expect("response cell poisoned").is_some()
-    }
 }
 
 /// One completed request: the raw per-sample measurements plus everything

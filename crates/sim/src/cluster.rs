@@ -38,19 +38,10 @@ pub struct PhaseStats {
     pub ipc: f64,
     /// Summed counters over all worker cores.
     pub totals: PerfCounters,
-    /// Per-core FPU utilization, indexed by core id.
-    pub per_core_utilization: Vec<f64>,
     /// Bytes moved into the scratchpad by the DMA engine.
     pub dma_bytes_in: u64,
     /// Bytes moved out of the scratchpad by the DMA engine.
     pub dma_bytes_out: u64,
-}
-
-impl PhaseStats {
-    /// Wall-clock duration of the phase at the given clock frequency.
-    pub fn seconds(&self, clock_hz: f64) -> f64 {
-        self.cycles as f64 / clock_hz
-    }
 }
 
 /// A simulated Snitch cluster.
@@ -148,15 +139,12 @@ impl ClusterModel {
         let cycles = compute_cycles.max(dma_cycles);
 
         let mut totals = PerfCounters::new();
-        let mut per_core_utilization = Vec::with_capacity(self.cores.len());
         let mut util_sum = 0.0;
         let mut ipc_sum = 0.0;
         for core in &self.cores {
             let c = core.counters();
             totals.merge(c);
-            let u = c.fpu_utilization();
-            per_core_utilization.push(u);
-            util_sum += u;
+            util_sum += c.fpu_utilization();
             ipc_sum += c.ipc();
         }
         let n = self.cores.len().max(1) as f64;
@@ -171,7 +159,6 @@ impl ClusterModel {
             fpu_utilization: util_sum / n,
             ipc: ipc_sum / n,
             totals,
-            per_core_utilization,
             dma_bytes_in: dma_in,
             dma_bytes_out: dma_out,
         };
@@ -220,7 +207,6 @@ mod tests {
         let stats = cl.finish_phase("test");
         assert!(stats.compute_cycles >= 1000);
         assert_eq!(stats.cycles, stats.compute_cycles, "no DMA traffic issued");
-        assert_eq!(stats.per_core_utilization.len(), 8);
     }
 
     #[test]
@@ -255,24 +241,6 @@ mod tests {
         assert!(stall_first > 0);
         cl.fetch_code(1, 42, 512);
         assert_eq!(cl.cores()[1].counters().stall_icache, 0, "second core hits");
-    }
-
-    #[test]
-    fn phase_seconds_uses_clock() {
-        let stats = PhaseStats {
-            label: "x".into(),
-            cycles: 1_000_000,
-            compute_cycles: 1_000_000,
-            dma_cycles: 0,
-            dma_busy_cycles: 0,
-            fpu_utilization: 0.5,
-            ipc: 1.0,
-            totals: PerfCounters::new(),
-            per_core_utilization: vec![],
-            dma_bytes_in: 0,
-            dma_bytes_out: 0,
-        };
-        assert!((stats.seconds(1.0e9) - 1.0e-3).abs() < 1e-12);
     }
 
     #[test]

@@ -5,34 +5,6 @@
 //! retired instructions (to compute IPC), and a breakdown of stall causes
 //! used to explain the gap to the ideal speedup.
 
-/// Reasons a core may lose cycles beyond useful issue slots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StallCause {
-    /// Scratchpad bank conflicts on stream or scalar accesses.
-    BankConflict,
-    /// Instruction-cache refills.
-    IcacheMiss,
-    /// Integer core blocked because the FPU sequencer buffer is full.
-    SequencerFull,
-    /// Core waiting for a prologue DMA tile load before starting compute.
-    DmaWait,
-    /// FPU idle waiting for stream data or for the integer core.
-    FpuStarved,
-}
-
-impl StallCause {
-    /// Every stall cause, for iteration in reports.
-    pub fn all() -> [StallCause; 5] {
-        [
-            StallCause::BankConflict,
-            StallCause::IcacheMiss,
-            StallCause::SequencerFull,
-            StallCause::DmaWait,
-            StallCause::FpuStarved,
-        ]
-    }
-}
-
 /// Counter set of one worker core over one phase.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PerfCounters {
@@ -91,25 +63,6 @@ impl PerfCounters {
             0.0
         } else {
             (self.int_instrs + self.fp_instrs) as f64 / total as f64
-        }
-    }
-
-    /// Total attributed stall cycles.
-    pub fn stall_cycles(&self) -> u64 {
-        self.stall_bank_conflict
-            + self.stall_icache
-            + self.stall_sequencer_full
-            + self.stall_dma_wait
-    }
-
-    /// Stall cycles attributed to a specific cause.
-    pub fn stalls(&self, cause: StallCause) -> u64 {
-        match cause {
-            StallCause::BankConflict => self.stall_bank_conflict,
-            StallCause::IcacheMiss => self.stall_icache,
-            StallCause::SequencerFull => self.stall_sequencer_full,
-            StallCause::DmaWait => self.stall_dma_wait,
-            StallCause::FpuStarved => self.total_cycles().saturating_sub(self.fpu_busy_cycles),
         }
     }
 
@@ -175,21 +128,5 @@ mod tests {
         assert_eq!(a.int_cycles, 17);
         assert_eq!(a.fp_instrs, 8);
         assert_eq!(a.flops, 32);
-    }
-
-    #[test]
-    fn stall_lookup_matches_fields() {
-        let c = PerfCounters {
-            stall_bank_conflict: 3,
-            stall_icache: 4,
-            stall_dma_wait: 5,
-            stall_sequencer_full: 6,
-            ..Default::default()
-        };
-        assert_eq!(c.stalls(StallCause::BankConflict), 3);
-        assert_eq!(c.stalls(StallCause::IcacheMiss), 4);
-        assert_eq!(c.stalls(StallCause::DmaWait), 5);
-        assert_eq!(c.stalls(StallCause::SequencerFull), 6);
-        assert_eq!(c.stall_cycles(), 18);
     }
 }

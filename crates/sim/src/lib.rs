@@ -63,5 +63,5 @@ pub mod program;
 
 pub use cluster::{ClusterModel, PhaseStats};
 pub use core_model::WorkerCoreModel;
-pub use counters::{PerfCounters, StallCause};
+pub use counters::PerfCounters;
 pub use program::execute_program;

@@ -117,12 +117,6 @@ impl CompressedIfmap {
         &self.c_idcs[start..end]
     }
 
-    /// Number of spikes at spatial position `(h, w)` — the SpVA stream
-    /// length of that position.
-    pub fn count_at(&self, h: usize, w: usize) -> usize {
-        self.active_at(h, w).len()
-    }
-
     /// Total number of spikes.
     pub fn spike_count(&self) -> usize {
         self.c_idcs.len()
@@ -401,8 +395,7 @@ mod tests {
     fn csr_per_position_queries() {
         let c = CompressedIfmap::from_spike_map(&sample_map());
         assert_eq!(c.active_at(0, 0), &[1, 5]);
-        assert_eq!(c.count_at(0, 0), 2);
-        assert_eq!(c.count_at(0, 1), 0);
+        assert_eq!(c.active_at(0, 1), &[] as &[u16]);
         assert_eq!(c.active_at(1, 2), &[0]);
         assert_eq!(c.s_ptr().len(), 3 * 3 + 1);
         assert_eq!(*c.s_ptr().last().unwrap(), 4);

@@ -3,8 +3,8 @@
 //! Most directly-trained SNNs, including the S-VGG11 used by the paper, let
 //! the first convolutional layer perform the encoding: the raw pixel values
 //! are interpreted as input currents (direct encoding). A Poisson rate
-//! encoding is also provided for event-style workloads and for the
-//! multi-timestep accelerator comparison of Fig. 5.
+//! encoding ([`TemporalEncoding::Rate`]) is also provided for event-style
+//! workloads and for the multi-timestep accelerator comparison of Fig. 5.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -99,24 +99,6 @@ impl<'a> TemporalEncoder<'a> {
         }
     }
 
-    /// The spikes of timestep `step` as a binary map (rate coding), or the
-    /// thresholded nonzero pixels (direct coding). Used by the AER framing
-    /// of temporal runs.
-    pub fn encode_step_spikes(&self, step: usize) -> SpikeMap {
-        let shape = self.image.shape();
-        let data = self.image.data();
-        match self.encoding {
-            TemporalEncoding::Rate => {
-                // `from_fn` visits linear indices in ascending order, so the
-                // per-pixel RNG draw sequence is identical to the unpacked
-                // representation — the packing is bit-transparent.
-                let mut rng = self.step_rng(step);
-                SpikeMap::from_fn(shape, |i| rng.gen::<f32>() < data[i].clamp(0.0, 1.0))
-            }
-            TemporalEncoding::Direct => SpikeMap::from_fn(shape, |i| data[i] != 0.0),
-        }
-    }
-
     /// Per-step RNG, deterministic in `(seed, step)` alone.
     fn step_rng(&self, step: usize) -> StdRng {
         StdRng::seed_from_u64(self.seed ^ (step as u64).wrapping_mul(0x6C62_272E_07BB_0143))
@@ -157,20 +139,6 @@ pub fn pad_spikes(map: &SpikeMap, padding: usize) -> SpikeMap {
         out.or_range_from(start, row_bits, &row);
     }
     out
-}
-
-/// Direct encoding: the image itself is the input-current tensor of the
-/// first layer (values in `[0, 1]`). This is a no-op view kept as a named
-/// function so call sites document their intent.
-pub fn direct_encode(image: &Tensor3) -> &Tensor3 {
-    image
-}
-
-/// Poisson rate encoding: each pixel spikes with probability equal to its
-/// normalized intensity at every timestep.
-pub fn poisson_encode<R: Rng>(image: &Tensor3, rng: &mut R) -> SpikeMap {
-    let data = image.data();
-    SpikeMap::from_fn(image.shape(), |i| rng.gen::<f32>() < data[i].clamp(0.0, 1.0))
 }
 
 /// Generate a synthetic CIFAR-10-like RGB image with smooth spatial
@@ -225,21 +193,6 @@ mod tests {
     }
 
     #[test]
-    fn poisson_rate_tracks_intensity() {
-        let mut rng = StdRng::seed_from_u64(42);
-        let shape = TensorShape::new(16, 16, 3);
-        let mut img = Tensor3::zeros(shape);
-        img.data_mut().iter_mut().for_each(|v| *v = 0.25);
-        let mut total = 0usize;
-        let trials = 50;
-        for _ in 0..trials {
-            total += poisson_encode(&img, &mut rng).count_spikes();
-        }
-        let rate = total as f64 / (trials * shape.len()) as f64;
-        assert!((rate - 0.25).abs() < 0.03, "empirical rate {rate}");
-    }
-
-    #[test]
     fn synthetic_image_is_in_unit_range() {
         let mut rng = StdRng::seed_from_u64(0);
         let img = synthetic_image(TensorShape::new(32, 32, 3), &mut rng);
@@ -248,12 +201,6 @@ mod tests {
         let min = img.data().iter().cloned().fold(f32::INFINITY, f32::min);
         let max = img.data().iter().cloned().fold(f32::NEG_INFINITY, f32::max);
         assert!(max - min > 0.2);
-    }
-
-    #[test]
-    fn direct_encode_is_identity() {
-        let img = Tensor3::zeros(TensorShape::new(4, 4, 3));
-        assert_eq!(direct_encode(&img), &img);
     }
 
     #[test]
@@ -281,11 +228,6 @@ mod tests {
         assert!(a.data().iter().all(|&v| v == 0.0 || v == 1.0));
         encoder.encode_step_into(3, &mut b);
         assert_ne!(a, b, "different steps draw different spikes");
-        // The tensor and spike-map views of one step agree.
-        let spikes = encoder.encode_step_spikes(2);
-        for (t, s) in a.data().iter().zip(spikes.to_bools()) {
-            assert_eq!(*t != 0.0, s);
-        }
     }
 
     #[test]
@@ -295,7 +237,13 @@ mod tests {
         img.data_mut().iter_mut().for_each(|v| *v = 0.3);
         let encoder = TemporalEncoder::new(&img, TemporalEncoding::Rate, 2);
         let steps = 64;
-        let total: usize = (0..steps).map(|t| encoder.encode_step_spikes(t).count_spikes()).sum();
+        let mut step = Tensor3::zeros(shape);
+        let total: usize = (0..steps)
+            .map(|t| {
+                encoder.encode_step_into(t, &mut step);
+                step.count_nonzero()
+            })
+            .sum();
         let rate = total as f64 / (steps * shape.len()) as f64;
         assert!((rate - 0.3).abs() < 0.03, "empirical temporal rate {rate}");
     }

@@ -163,15 +163,6 @@ impl LayerKind {
             LayerKind::Linear(l) => l.dense_synops(),
         }
     }
-
-    /// Number of output neurons.
-    pub fn output_neurons(&self) -> usize {
-        match self {
-            LayerKind::Conv(c) => c.conv_output().len(),
-            LayerKind::AvgPool(p) => p.output().len(),
-            LayerKind::Linear(l) => l.out_features,
-        }
-    }
 }
 
 /// A network layer: geometry, weights and neuron parameters.
@@ -267,7 +258,6 @@ mod tests {
         let p3 = PoolSpec { input: TensorShape::new(9, 9, 4), window: 3 };
         assert_eq!(p3.fire_threshold(), 5, "5 of 9 inputs reach a 0.5 average");
         assert_eq!(LayerKind::AvgPool(p).weight_count(), 0);
-        assert_eq!(LayerKind::AvgPool(p).output_neurons(), 4 * 4 * 16);
     }
 
     #[test]

@@ -36,16 +36,6 @@ impl Network {
         self.layers.is_empty()
     }
 
-    /// Total number of weights across all layers.
-    pub fn total_weights(&self) -> usize {
-        self.layers.iter().map(|l| l.kind.weight_count()).sum()
-    }
-
-    /// Total dense synaptic operations of one timestep.
-    pub fn total_dense_synops(&self) -> u64 {
-        self.layers.iter().map(|l| l.kind.dense_synops()).sum()
-    }
-
     /// Set every layer's neuron model (how the scenario `[neuron_model]`
     /// table applies one model network-wide).
     pub fn set_neuron_model(&mut self, model: NeuronModel) {
@@ -153,15 +143,6 @@ impl NetworkBuilder {
         self
     }
 
-    /// Replace every already-appended layer's neuron model (scenario
-    /// overrides apply one model network-wide).
-    pub fn with_neuron_model(mut self, model: NeuronModel) -> Self {
-        for layer in &mut self.layers {
-            layer.neuron = model;
-        }
-        self
-    }
-
     /// Finish with zero weights.
     pub fn build(self) -> Network {
         Network { name: self.name, layers: self.layers }
@@ -249,7 +230,9 @@ mod tests {
     #[test]
     fn synop_totals_are_positive() {
         let net = Network::svgg11(3);
-        assert!(net.total_dense_synops() > 100_000_000);
-        assert!(net.total_weights() > 5_000_000);
+        let synops: u64 = net.layers().iter().map(|l| l.kind.dense_synops()).sum();
+        let weights: usize = net.layers().iter().map(|l| l.weights.len()).sum();
+        assert!(synops > 100_000_000);
+        assert!(weights > 5_000_000);
     }
 }

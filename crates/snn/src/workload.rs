@@ -10,7 +10,11 @@
 //!
 //! Dynamic sparsity across the batch is modelled by drawing each sample's
 //! firing rate from a normal distribution around the profile value, which
-//! reproduces the standard deviations reported in the paper's figures.
+//! reproduces the standard deviations reported in the paper's figures. The
+//! serving layer draws that per-sample rate once
+//! (`SampleContext::sample_rate`) and both backends consume it: the
+//! analytic backend prices it, and [`WorkloadGenerator::generate`]
+//! realizes it as concrete spike maps for the cycle-level backend.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -183,22 +187,16 @@ impl SpikeWorkload {
     }
 }
 
-/// Generator of [`SpikeWorkload`]s with calibrated firing statistics.
+/// Generator of [`SpikeWorkload`]s realizing given per-layer firing rates.
 #[derive(Debug, Clone)]
 pub struct WorkloadGenerator {
-    profile: FiringProfile,
     seed: u64,
 }
 
 impl WorkloadGenerator {
-    /// Create a generator from a firing profile and RNG seed.
-    pub fn new(profile: FiringProfile, seed: u64) -> Self {
-        WorkloadGenerator { profile, seed }
-    }
-
-    /// The firing profile in use.
-    pub fn profile(&self) -> &FiringProfile {
-        &self.profile
+    /// Create a generator from an RNG seed.
+    pub fn new(seed: u64) -> Self {
+        WorkloadGenerator { seed }
     }
 
     /// The per-sample RNG, deterministic in `(seed, sample)` alone.
@@ -206,8 +204,15 @@ impl WorkloadGenerator {
         StdRng::seed_from_u64(self.seed ^ (sample as u64).wrapping_mul(0x9e37_79b9))
     }
 
-    /// Generate the workload of one batch sample for `network`.
-    pub fn generate(&self, network: &Network, sample: usize) -> SpikeWorkload {
+    /// Generate the workload of one batch sample for `network`: the input
+    /// of every spiking layer `idx` realizes the firing rate `rate(idx)`
+    /// (clamped to `[0, 1]`) at positions drawn from the per-sample RNG.
+    pub fn generate(
+        &self,
+        network: &Network,
+        sample: usize,
+        rate: impl Fn(usize) -> f64,
+    ) -> SpikeWorkload {
         let mut rng = self.sample_rng(sample);
         let mut layer_inputs = Vec::new();
         let mut image = Tensor3::zeros(TensorShape::new(1, 1, 1));
@@ -222,9 +227,12 @@ impl WorkloadGenerator {
                 image = image_for(layer, &mut rng);
                 continue;
             }
-            let base_rate = self.profile.rate(idx);
-            let jitter = 1.0 + self.profile.relative_std * sample_gauss(&mut rng);
-            let rate = (base_rate * jitter).clamp(0.0, 1.0);
+            // Two uniforms per layer are drawn and discarded: they hold the
+            // place of a rate draw in the per-sample stream, which keeps
+            // every spike position (and every cycle-level golden) put.
+            let _: f64 = rng.gen_range(f64::EPSILON..1.0);
+            let _: f64 = rng.gen_range(0.0..1.0);
+            let rate = rate(idx).clamp(0.0, 1.0);
             layer_inputs.push(random_spike_map(input_shape, rate, &mut rng, &layer.kind));
         }
         SpikeWorkload { image, layer_inputs, sample }
@@ -242,11 +250,6 @@ impl WorkloadGenerator {
         let layer = network.layers().first().expect("network has at least one layer");
         image_for(layer, &mut rng)
     }
-
-    /// Generate a whole batch of workloads.
-    pub fn generate_batch(&self, network: &Network, batch: usize) -> Vec<SpikeWorkload> {
-        (0..batch).map(|s| self.generate(network, s)).collect()
-    }
 }
 
 /// The dense, padded input image of the first layer: the interior comes
@@ -259,14 +262,6 @@ fn image_for<R: Rng>(layer: &crate::layer::Layer, rng: &mut R) -> Tensor3 {
     };
     let inner = synthetic_image(unpadded, rng);
     crate::encoding::pad_image(&inner, padding)
-}
-
-/// Draw a standard-normal sample via the Box-Muller transform (avoids a
-/// dependency on `rand_distr`).
-fn sample_gauss<R: Rng>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
 /// Sample a spike map of the given shape realizing the target firing rate
@@ -335,13 +330,13 @@ mod tests {
     #[test]
     fn workload_matches_target_firing_rates() {
         let net = Network::svgg11(1);
-        let gen = WorkloadGenerator::new(FiringProfile::paper_svgg11(), 7);
-        let w = gen.generate(&net, 0);
+        let profile = FiringProfile::paper_svgg11();
+        let gen = WorkloadGenerator::new(7);
+        let w = gen.generate(&net, 0, |idx| profile.rate(idx));
         assert_eq!(w.layer_inputs.len(), net.len() - 1);
         // Layer 2 (conv3 input) should fire near its profile rate; the
         // border of the padded map is silent so compare against the
         // interior-adjusted expectation with a generous tolerance.
-        let profile = FiringProfile::paper_svgg11();
         for (i, spikes) in w.layer_inputs.iter().enumerate().take(5) {
             let measured = spikes.firing_rate();
             let shape = spikes.shape();
@@ -358,10 +353,11 @@ mod tests {
     #[test]
     fn workloads_are_deterministic_per_seed_and_sample() {
         let net = Network::svgg11(1);
-        let gen = WorkloadGenerator::new(FiringProfile::paper_svgg11(), 99);
-        let a = gen.generate(&net, 3);
-        let b = gen.generate(&net, 3);
-        let c = gen.generate(&net, 4);
+        let profile = FiringProfile::paper_svgg11();
+        let gen = WorkloadGenerator::new(99);
+        let a = gen.generate(&net, 3, |idx| profile.rate(idx));
+        let b = gen.generate(&net, 3, |idx| profile.rate(idx));
+        let c = gen.generate(&net, 4, |idx| profile.rate(idx));
         assert_eq!(a, b);
         assert_ne!(a.layer_inputs[0], c.layer_inputs[0]);
     }
@@ -369,19 +365,27 @@ mod tests {
     #[test]
     fn batch_generation_produces_distinct_samples() {
         let net = Network::svgg11(1);
-        let gen = WorkloadGenerator::new(FiringProfile::paper_svgg11(), 5);
-        let batch = gen.generate_batch(&net, 4);
+        let profile = FiringProfile::paper_svgg11();
+        let gen = WorkloadGenerator::new(5);
+        // Per-sample rates, as the serving layer's jitter supplies them.
+        let batch: Vec<SpikeWorkload> = (0..4)
+            .map(|s| gen.generate(&net, s, |idx| profile.rate(idx) * (0.9 + 0.05 * s as f64)))
+            .collect();
         assert_eq!(batch.len(), 4);
         let rates: Vec<f64> = batch.iter().map(|w| w.layer_inputs[0].firing_rate()).collect();
         assert!(rates.windows(2).any(|p| (p[0] - p[1]).abs() > 1e-6));
+        // Equal rates still draw distinct spike positions per sample.
+        let same: Vec<SpikeWorkload> =
+            (0..4).map(|s| gen.generate(&net, s, |idx| profile.rate(idx))).collect();
+        assert!(same.windows(2).all(|p| p[0].layer_inputs[0] != p[1].layer_inputs[0]));
     }
 
     #[test]
     #[should_panic(expected = "dense image")]
     fn layer_zero_spikes_panic() {
         let net = Network::svgg11(1);
-        let gen = WorkloadGenerator::new(FiringProfile::paper_svgg11(), 5);
-        let w = gen.generate(&net, 0);
+        let profile = FiringProfile::paper_svgg11();
+        let w = WorkloadGenerator::new(5).generate(&net, 0, |idx| profile.rate(idx));
         let _ = w.spikes_for_layer(0);
     }
 
@@ -403,9 +407,11 @@ mod tests {
     #[test]
     fn generate_image_matches_the_full_workload_image() {
         let net = Network::svgg11(1);
-        let gen = WorkloadGenerator::new(FiringProfile::paper_svgg11(), 17);
+        let profile = FiringProfile::paper_svgg11();
+        let gen = WorkloadGenerator::new(17);
         for sample in [0, 3, 9] {
-            assert_eq!(gen.generate_image(&net, sample), gen.generate(&net, sample).image);
+            let full = gen.generate(&net, sample, |idx| profile.rate(idx));
+            assert_eq!(gen.generate_image(&net, sample), full.image);
         }
     }
 

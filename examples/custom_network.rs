@@ -3,8 +3,9 @@
 //!
 //! This example exercises the lower-level APIs directly: network
 //! construction, explicit backend binding via `Compiler::with_backend`
-//! (here the cycle-level backend, which drives the kernels through the
-//! `LayerExecutor` dispatch), and the per-layer report. Third-party
+//! (here the cycle-level backend, which lowers every layer through the
+//! `LayerExecutor` dispatch and interprets the programs), and the
+//! per-layer report. Third-party
 //! backends — accelerator models, event-driven simulators — bind into a
 //! plan the same way without touching the engine.
 //!

@@ -57,8 +57,10 @@ OPTIONS:
                       excluded)
 
 SERVE-DEMO OPTIONS (defaults come from the scenario's [serve] table):
-    --clients K             Concurrent submitter threads (default 4)
-    --requests-per-client M Single-sample requests per client (default 8)
+    --clients K             Concurrent submitter threads, at most 256
+                            (default 4)
+    --requests-per-client M Single-sample requests per client (default 8);
+                            K*M is at most 65536
     --max-batch B           Close a micro-batch at B samples
     --linger-us L           Close a non-full micro-batch after L microseconds
     --queue-cap C           Bounded per-tenant queue capacity (the demo
@@ -349,6 +351,11 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Most requests one `serve-demo` run submits (`--clients` x
+/// `--requests-per-client`): the demo queues every request before it
+/// serves any, so the product bounds its queue and its response buffers.
+const MAX_DEMO_REQUESTS: usize = 1 << 16;
+
 /// Parsed `serve-demo` flags: the driver shape plus gateway-policy
 /// overrides (CLI flag beats `[serve]` table beats gateway default).
 struct ServeDemoOptions {
@@ -388,6 +395,16 @@ fn parse_serve_demo_options(args: &[String]) -> Result<ServeDemoOptions, String>
             other if path.is_none() => path = Some(other.to_string()),
             other => return Err(format!("unexpected argument `{other}`")),
         }
+    }
+    // One scoped thread per client, and every request queued at once.
+    if clients > MAX_WORKERS {
+        return Err(format!("--clients must be between 1 and {MAX_WORKERS}, got `{clients}`"));
+    }
+    if clients.checked_mul(requests_per_client).filter(|&n| n <= MAX_DEMO_REQUESTS).is_none() {
+        return Err(format!(
+            "--clients x --requests-per-client must be at most {MAX_DEMO_REQUESTS}, \
+             got {clients} x {requests_per_client}"
+        ));
     }
 
     let path = path.ok_or_else(|| format!("missing scenario file\n\n{USAGE}"))?;
@@ -907,5 +924,29 @@ mod tests {
         assert_eq!(err.as_deref(), Some("--workers must be between 1 and 256, got `1000000`"));
         let opts = parse_options(Command::Run, &args(&[tiny, "--workers", "256"]));
         assert_eq!(opts.map(|o| o.workers).ok(), Some(Some(MAX_WORKERS)));
+    }
+
+    #[test]
+    fn an_oversized_client_fan_out_is_rejected() {
+        let tiny = "examples/scenarios/tiny.toml";
+        let demo = |clients: &str, per_client: &str| {
+            let words = [tiny, "--clients", clients, "--requests-per-client", per_client];
+            parse_serve_demo_options(&args(&words)).err()
+        };
+        let max = "18446744073709551615";
+        assert_eq!(
+            demo(max, "2").as_deref(),
+            Some("--clients must be between 1 and 256, got `18446744073709551615`")
+        );
+        // 256 x (2^64 - 1) overflows; 256 x 257 fits but exceeds the bound.
+        assert_eq!(
+            demo("256", max).as_deref(),
+            Some(
+                "--clients x --requests-per-client must be at most 65536, \
+                 got 256 x 18446744073709551615"
+            )
+        );
+        assert!(demo("256", "257").is_some());
+        assert_eq!(demo("256", "256"), None);
     }
 }

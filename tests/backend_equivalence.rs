@@ -13,9 +13,13 @@ use spikestream_snn::tensor::TensorShape;
 use spikestream_snn::{ConvSpec, LinearSpec, NetworkBuilder};
 
 /// A small three-layer network the cycle-level backend can simulate
-/// quickly, with a uniform (jitter-free) firing profile so both backends
-/// see exactly the same per-layer rates.
+/// quickly, with a uniform (jitter-free) firing profile.
 fn engine() -> Engine {
+    engine_with(FiringProfile::uniform(3, 0.25))
+}
+
+/// The same network under `profile`.
+fn engine_with(profile: FiringProfile) -> Engine {
     let lif = LifParams::new(0.5, 0.3);
     let mut net = NetworkBuilder::new("equiv")
         .conv(
@@ -48,7 +52,7 @@ fn engine() -> Engine {
         .build_with_random_weights(21, 0.1);
     net.layers_mut()[0].encodes_input = true;
     net.validate().expect("shapes chain");
-    Engine::new(net, FiringProfile::uniform(3, 0.25))
+    Engine::new(net, profile)
 }
 
 fn config(timing: TimingModel, batch: usize) -> InferenceConfig {
@@ -102,6 +106,34 @@ fn backends_report_identical_spike_counts() {
         assert_eq!(analytic[0].input_spikes, cycle[0].input_spikes);
         assert_eq!(cycle[0].input_firing_rate, 1.0);
     }
+}
+
+/// Both backends draw one per-sample rate per layer
+/// (`SampleContext::sample_rate`), so under a jittered profile too the
+/// cycle-level spike counts are the analytic expectations, rounded.
+#[test]
+fn backends_share_per_sample_rates_under_a_jittered_profile() {
+    let engine = engine_with(FiringProfile { rates: vec![1.0, 0.3, 0.2], relative_std: 0.2 });
+    let analytic = per_sample(&engine, &config(TimingModel::Analytic, 4));
+    let cycle = per_sample(&engine, &config(TimingModel::CycleLevel, 4));
+    assert_eq!(analytic.len(), 4);
+    assert_eq!(analytic.len(), cycle.len());
+
+    for (sample, (analytic, cycle)) in analytic.iter().zip(&cycle).enumerate() {
+        assert_eq!(analytic.len(), cycle.len());
+        for (idx, (a, c)) in analytic.iter().zip(cycle.iter()).enumerate().skip(1) {
+            assert_eq!(
+                a.input_spikes.round(),
+                c.input_spikes,
+                "layer {idx} sample {sample}: analytic {} vs cycle-level {}",
+                a.input_spikes,
+                c.input_spikes
+            );
+        }
+    }
+    // The profile really jitters: the samples realize different rates.
+    let conv2: Vec<f64> = cycle.iter().map(|layers| layers[1].input_spikes).collect();
+    assert!(conv2.windows(2).any(|p| p[0] != p[1]), "jittered counts {conv2:?}");
 }
 
 #[test]

@@ -302,7 +302,6 @@ proptest! {
 #[test]
 fn exact_programs_are_untouched_by_folding() {
     use rand::Rng;
-    use spikestream_kernels::ConvKernel;
     use spikestream_snn::tensor::SpikeMap;
     use spikestream_snn::{CompressedIfmap, NeuronState};
 
@@ -322,7 +321,7 @@ fn exact_programs_are_untouched_by_folding() {
     }
     let input = CompressedIfmap::from_spike_map(&map);
     let mut state = NeuronState::lif(spec.conv_output().len());
-    let (program, _) = ConvKernel::new(KernelVariant::SpikeStream, FpFormat::Fp16).lower(
+    let (program, _) = LayerExecutor::new(KernelVariant::SpikeStream, FpFormat::Fp16).lower_conv(
         &ClusterConfig::default(),
         &layer,
         &input,

@@ -6,9 +6,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use snitch_arch::{ClusterConfig, CostModel};
-use snitch_sim::ClusterModel;
+use snitch_sim::{execute_program, ClusterModel};
 use spikestream::{FpFormat, KernelVariant};
-use spikestream_kernels::{ConvKernel, DenseEncodingKernel, FcKernel};
+use spikestream_kernels::LayerExecutor;
 use spikestream_snn::encoding::{pad_image, pad_spikes, synthetic_image};
 use spikestream_snn::neuron::LifParams;
 use spikestream_snn::tensor::TensorShape;
@@ -77,39 +77,28 @@ fn chained_inference_matches_the_reference_engine() {
     let ref_out3 = reference.linear_forward(&layers[2], &ref_out2, &mut ref_state3);
 
     // --- Kernel chain (SpikeStream, FP32 so results are exact) -------------
-    let mut cluster = ClusterModel::new(ClusterConfig::default(), CostModel::default());
-    let format = FpFormat::Fp32;
+    let config = ClusterConfig::default();
+    let mut cluster = ClusterModel::new(config.clone(), CostModel::default());
+    let executor = LayerExecutor::new(KernelVariant::SpikeStream, FpFormat::Fp32);
 
     let mut state1 = NeuronState::lif(spec1.conv_output().len());
-    let out1 = DenseEncodingKernel::new(KernelVariant::SpikeStream, format).run(
-        &mut cluster,
-        &layers[0],
-        &padded_image,
-        &mut state1,
-    );
+    let (program1, out1) = executor.lower_dense(&config, &layers[0], &padded_image, &mut state1);
+    execute_program(&mut cluster, &program1);
     let layer1_cycles = cluster.finish_phase("conv1").compute_cycles;
     assert_eq!(out1.output, ref_out1, "conv1 output spikes");
 
     let padded = pad_spikes(&out1.output, spec2.padding);
     let compressed = CompressedIfmap::from_spike_map(&padded);
     let mut state2 = NeuronState::lif(spec2.conv_output().len());
-    let out2 = ConvKernel::new(KernelVariant::SpikeStream, format).run(
-        &mut cluster,
-        &layers[1],
-        &compressed,
-        &mut state2,
-    );
+    let (program2, out2) = executor.lower_conv(&config, &layers[1], &compressed, &mut state2);
+    execute_program(&mut cluster, &program2);
     let layer2_cycles = cluster.finish_phase("conv2").compute_cycles;
     assert_eq!(out2.output, ref_out2, "conv2 output spikes");
 
     let fc_input = CompressedFcInput::from_spike_map(&out2.output);
     let mut state3 = NeuronState::lif(spec3.out_features);
-    let out3 = FcKernel::new(KernelVariant::SpikeStream, format).run(
-        &mut cluster,
-        &layers[2],
-        &fc_input,
-        &mut state3,
-    );
+    let (program3, out3) = executor.lower_fc(&config, &layers[2], &fc_input, &mut state3);
+    execute_program(&mut cluster, &program3);
     let layer3_cycles = cluster.finish_phase("fc3").compute_cycles;
     assert_eq!(out3.spikes, ref_out3, "fc3 output spikes");
 

@@ -16,7 +16,7 @@ use snitch_arch::{ClusterConfig, CostModel};
 use snitch_sim::{execute_program, ClusterModel, PhaseStats};
 use spikestream::{FpFormat, KernelVariant};
 use spikestream_ir::{CostIntegrator, ProgramCost, StreamProgram};
-use spikestream_kernels::{ConvKernel, DenseEncodingKernel, FcKernel, PoolKernel};
+use spikestream_kernels::LayerExecutor;
 use spikestream_snn::encoding::{pad_image, synthetic_image};
 use spikestream_snn::neuron::LifParams;
 use spikestream_snn::tensor::{SpikeMap, TensorShape};
@@ -109,7 +109,9 @@ fn conv_program(
     let input =
         CompressedIfmap::from_spike_map(&random_spikes(spec.padded_input(), rate, 1, seed ^ 1));
     let mut state = NeuronState::lif(spec.conv_output().len());
-    ConvKernel::new(variant, format).lower(&ClusterConfig::default(), &layer, &input, &mut state).0
+    LayerExecutor::new(variant, format)
+        .lower_conv(&ClusterConfig::default(), &layer, &input, &mut state)
+        .0
 }
 
 fn dense_program(variant: KernelVariant, format: FpFormat, seed: u64) -> StreamProgram {
@@ -127,8 +129,8 @@ fn dense_program(variant: KernelVariant, format: FpFormat, seed: u64) -> StreamP
     layer.randomize_weights(&mut rng, 0.2);
     let image = pad_image(&synthetic_image(spec.input, &mut rng), spec.padding);
     let mut state = NeuronState::lif(spec.conv_output().len());
-    DenseEncodingKernel::new(variant, format)
-        .lower(&ClusterConfig::default(), &layer, &image, &mut state)
+    LayerExecutor::new(variant, format)
+        .lower_dense(&ClusterConfig::default(), &layer, &image, &mut state)
         .0
 }
 
@@ -140,14 +142,16 @@ fn fc_program(variant: KernelVariant, format: FpFormat, rate: f64, seed: u64) ->
     let spikes: Vec<bool> = (0..spec.in_features).map(|_| rng.gen_bool(rate)).collect();
     let input = CompressedFcInput::from_spikes(&spikes);
     let mut state = NeuronState::lif(spec.out_features);
-    FcKernel::new(variant, format).lower(&ClusterConfig::default(), &layer, &input, &mut state).0
+    LayerExecutor::new(variant, format)
+        .lower_fc(&ClusterConfig::default(), &layer, &input, &mut state)
+        .0
 }
 
 fn pool_program(variant: KernelVariant, format: FpFormat, rate: f64, seed: u64) -> StreamProgram {
     let spec = PoolSpec { input: TensorShape::new(8, 8, 12), window: 2 };
     let layer = Layer::new("pool", LayerKind::AvgPool(spec), LifParams::default());
     let input = random_spikes(spec.input, rate, 0, seed);
-    PoolKernel::new(variant, format).lower(&ClusterConfig::default(), &layer, &input).0
+    LayerExecutor::new(variant, format).lower_pool(&ClusterConfig::default(), &layer, &input).0
 }
 
 #[test]

@@ -1,14 +1,14 @@
-//! Cross-crate integration test: the cycle-level kernels (baseline and
-//! SpikeStream, all storage formats) must agree with the functional
+//! Cross-crate integration test: the kernels' exact lowerings (baseline
+//! and SpikeStream, all storage formats) must agree with the functional
 //! reference engine on a small but non-trivial network, and the two code
 //! variants must be bit-identical to each other.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use snitch_arch::{ClusterConfig, CostModel};
-use snitch_sim::ClusterModel;
+use snitch_sim::{execute_program, ClusterModel};
 use spikestream::{FpFormat, KernelVariant};
-use spikestream_kernels::{ConvKernel, FcKernel};
+use spikestream_kernels::LayerExecutor;
 use spikestream_snn::neuron::LifParams;
 use spikestream_snn::tensor::{SpikeMap, TensorShape};
 use spikestream_snn::{
@@ -58,10 +58,13 @@ fn conv_kernels_match_reference_for_every_format_and_variant() {
     for format in [FpFormat::Fp32, FpFormat::Fp16, FpFormat::Fp8] {
         let mut outputs = Vec::new();
         for variant in [KernelVariant::Baseline, KernelVariant::SpikeStream] {
-            let mut cluster = ClusterModel::new(ClusterConfig::default(), CostModel::default());
             let mut state = NeuronState::lif(spec.conv_output().len());
-            let out =
-                ConvKernel::new(variant, format).run(&mut cluster, &layer, &input, &mut state);
+            let (_, out) = LayerExecutor::new(variant, format).lower_conv(
+                &ClusterConfig::default(),
+                &layer,
+                &input,
+                &mut state,
+            );
             outputs.push(out);
         }
         // The two variants are always bit-identical to each other.
@@ -96,14 +99,14 @@ fn fc_kernels_match_reference_and_each_other() {
 
     let mut results = Vec::new();
     for variant in [KernelVariant::Baseline, KernelVariant::SpikeStream] {
-        let mut cluster = ClusterModel::new(ClusterConfig::default(), CostModel::default());
         let mut state = NeuronState::lif(spec.out_features);
-        results.push(FcKernel::new(variant, FpFormat::Fp32).run(
-            &mut cluster,
+        let (_, out) = LayerExecutor::new(variant, FpFormat::Fp32).lower_fc(
+            &ClusterConfig::default(),
             &layer,
             &input,
             &mut state,
-        ));
+        );
+        results.push(out);
     }
     assert_eq!(results[0].spikes, results[1].spikes);
     for (a, b) in results[0].currents.iter().zip(ref_currents.iter()) {
@@ -133,7 +136,13 @@ fn streaming_speedup_grows_with_channel_depth() {
         for variant in [KernelVariant::Baseline, KernelVariant::SpikeStream] {
             let mut cluster = ClusterModel::new(ClusterConfig::default(), CostModel::default());
             let mut state = NeuronState::lif(spec.conv_output().len());
-            ConvKernel::new(variant, FpFormat::Fp16).run(&mut cluster, &layer, &input, &mut state);
+            let (program, _) = LayerExecutor::new(variant, FpFormat::Fp16).lower_conv(
+                cluster.config(),
+                &layer,
+                &input,
+                &mut state,
+            );
+            execute_program(&mut cluster, &program);
             cycles.push(cluster.finish_phase("x").compute_cycles as f64);
         }
         cycles[0] / cycles[1]

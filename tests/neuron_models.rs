@@ -29,7 +29,7 @@ use spikestream::{
     TemporalEncoding, TimingModel,
 };
 use spikestream_ir::{CostIntegrator, ProgramCost, StreamProgram};
-use spikestream_kernels::{ConvKernel, FcKernel, LayerExecutor, LayerInput, LayerScratch};
+use spikestream_kernels::{LayerExecutor, LayerInput, LayerScratch};
 use spikestream_snn::encoding::{pad_image, pad_spikes, synthetic_image, TemporalEncoder};
 use spikestream_snn::neuron::LifParams;
 use spikestream_snn::tensor::{SpikeMap, TensorShape};
@@ -150,9 +150,9 @@ proptest! {
         // Kernel chain at FP32, where quantization is the identity — every
         // comparison below is exact equality, not tolerance.
         let executor = LayerExecutor::new(variant, FpFormat::Fp32);
+        let config = ClusterConfig::default();
         let mut scratch = LayerScratch::new();
         scratch.begin_sample(&net);
-        let mut cluster = ClusterModel::new(ClusterConfig::default(), CostModel::default());
         let mut encoded = Tensor3::zeros(image.shape());
 
         for step in 0..timesteps {
@@ -169,31 +169,28 @@ proptest! {
             );
             let ref_out3 = reference.linear_forward(&layers[2], &ref_out2, &mut ref_state3);
 
-            let (exec1, out1) = executor.run_temporal_step(
-                &mut cluster,
+            let (_, exec1, out1) = executor.lower_temporal_step(
+                &config,
                 &layers[0],
                 0,
                 LayerInput::Image(&encoded),
                 &mut scratch,
             );
-            cluster.finish_phase("conv1");
             let padded = pad_spikes(&out1, spec2.padding);
-            let (exec2, out2) = executor.run_temporal_step(
-                &mut cluster,
+            let (_, exec2, out2) = executor.lower_temporal_step(
+                &config,
                 &layers[1],
                 1,
                 LayerInput::Spikes(&padded),
                 &mut scratch,
             );
-            cluster.finish_phase("conv2");
-            let (exec3, out3) = executor.run_temporal_step(
-                &mut cluster,
+            let (_, exec3, out3) = executor.lower_temporal_step(
+                &config,
                 &layers[2],
                 2,
                 LayerInput::Spikes(&out2),
                 &mut scratch,
             );
-            cluster.finish_phase("fc3");
 
             let label =
                 format!("{}/{variant}/{encoding}/T{timesteps}/seed {seed}/step {step}", model.as_str());
@@ -243,8 +240,12 @@ proptest! {
         let input =
             CompressedIfmap::from_spike_map(&random_spikes(spec.padded_input(), 0.3, 1, seed ^ 1));
         let mut state = NeuronState::new(&model, spec.conv_output().len());
-        let (program, _) =
-            ConvKernel::new(variant, format).lower(&ClusterConfig::default(), &layer, &input, &mut state);
+        let (program, _) = LayerExecutor::new(variant, format).lower_conv(
+            &ClusterConfig::default(),
+            &layer,
+            &input,
+            &mut state,
+        );
         let (stats, cost) = both_consumers(&program);
         let label = format!("conv/{}/{variant}/{format:?}/seed {seed}", model.as_str());
         assert_backends_equal(&label, &stats, &cost);
@@ -262,8 +263,12 @@ proptest! {
         let spikes: Vec<bool> = (0..spec.in_features).map(|_| rng.gen_bool(0.3)).collect();
         let input = CompressedFcInput::from_spikes(&spikes);
         let mut state = NeuronState::new(&model, spec.out_features);
-        let (program, _) =
-            FcKernel::new(variant, format).lower(&ClusterConfig::default(), &layer, &input, &mut state);
+        let (program, _) = LayerExecutor::new(variant, format).lower_fc(
+            &ClusterConfig::default(),
+            &layer,
+            &input,
+            &mut state,
+        );
         let (stats, cost) = both_consumers(&program);
         let label = format!("fc/{}/{variant}/{format:?}/seed {seed}", model.as_str());
         assert_backends_equal(&label, &stats, &cost);
@@ -289,17 +294,17 @@ fn izhikevich_programs_carry_the_two_variable_costs() {
             conv_layer(NeuronModel::Izhikevich(IzhiParams::regular_spiking()), 11);
         let input =
             CompressedIfmap::from_spike_map(&random_spikes(spec.padded_input(), 0.3, 1, 12));
-        let kernel = ConvKernel::new(variant, FpFormat::Fp16);
+        let kernel = LayerExecutor::new(variant, FpFormat::Fp16);
 
         let mut lif_state = NeuronState::lif(spec.conv_output().len());
         let (lif_program, _) =
-            kernel.lower(&ClusterConfig::default(), &lif_layer, &input, &mut lif_state);
+            kernel.lower_conv(&ClusterConfig::default(), &lif_layer, &input, &mut lif_state);
         let (lif_stats, _) = both_consumers(&lif_program);
 
         let izhi_model = izhi_layer.neuron;
         let mut izhi_state = NeuronState::new(&izhi_model, spec.conv_output().len());
         let (izhi_program, _) =
-            kernel.lower(&ClusterConfig::default(), &izhi_layer, &input, &mut izhi_state);
+            kernel.lower_conv(&ClusterConfig::default(), &izhi_layer, &input, &mut izhi_state);
         let (izhi_stats, _) = both_consumers(&izhi_program);
 
         let state_tile = (spec.conv_output().len() * 4) as u64;
@@ -413,7 +418,6 @@ fn the_izhikevich_regime_produces_spikes_and_recovery_motion() {
     let executor = LayerExecutor::new(KernelVariant::SpikeStream, FpFormat::Fp32);
     let mut scratch = LayerScratch::new();
     scratch.begin_sample(&net);
-    let mut cluster = ClusterModel::new(ClusterConfig::default(), CostModel::default());
     let spec1 = match &net.layers()[0].kind {
         LayerKind::Conv(c) => *c,
         _ => unreachable!(),
@@ -422,14 +426,13 @@ fn the_izhikevich_regime_produces_spikes_and_recovery_motion() {
     let image = pad_image(&synthetic_image(spec1.input, &mut rng), spec1.padding);
     let mut fired = 0u64;
     for _ in 0..4 {
-        let (exec, _) = executor.run_temporal_step(
-            &mut cluster,
+        let (_, exec, _) = executor.lower_temporal_step(
+            &ClusterConfig::default(),
             &net.layers()[0],
             0,
             LayerInput::Image(&image),
             &mut scratch,
         );
-        cluster.finish_phase("conv1");
         fired += exec.output_spikes;
     }
     assert!(fired > 0, "the calibrated weight amplitude must drive spikes in 4 steps");

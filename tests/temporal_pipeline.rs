@@ -16,7 +16,7 @@ use spikestream::{
     TemporalEncoding, TimingModel,
 };
 use spikestream_ir::CostIntegrator;
-use spikestream_kernels::{ConvKernel, LayerExecutor, LayerInput, LayerScratch};
+use spikestream_kernels::{LayerExecutor, LayerInput, LayerScratch};
 use spikestream_snn::encoding::{pad_image, pad_spikes, synthetic_image, TemporalEncoder};
 use spikestream_snn::neuron::LifParams;
 use spikestream_snn::tensor::{SpikeMap, TensorShape};
@@ -104,9 +104,9 @@ fn temporal_chain_matches_the_reference_engine_at_every_step() {
 
     // Kernel chain: FP32 so the results are exact.
     let executor = LayerExecutor::new(KernelVariant::SpikeStream, FpFormat::Fp32);
+    let config = ClusterConfig::default();
     let mut scratch = LayerScratch::new();
     scratch.begin_sample(&net);
-    let mut cluster = ClusterModel::new(ClusterConfig::default(), CostModel::default());
     let mut encoded = spikestream_snn::Tensor3::zeros(image.shape());
 
     for step in 0..TIMESTEPS {
@@ -124,31 +124,28 @@ fn temporal_chain_matches_the_reference_engine_at_every_step() {
 
         // --- kernels -------------------------------------------------------
         encoder.encode_step_into(step, &mut encoded);
-        let (exec1, out1) = executor.run_temporal_step(
-            &mut cluster,
+        let (_, exec1, out1) = executor.lower_temporal_step(
+            &config,
             &layers[0],
             0,
             LayerInput::Image(&encoded),
             &mut scratch,
         );
-        cluster.finish_phase("conv1");
         let padded = pad_spikes(&out1, spec2.padding);
-        let (exec2, out2) = executor.run_temporal_step(
-            &mut cluster,
+        let (_, exec2, out2) = executor.lower_temporal_step(
+            &config,
             &layers[1],
             1,
             LayerInput::Spikes(&padded),
             &mut scratch,
         );
-        cluster.finish_phase("conv2");
-        let (exec3, out3) = executor.run_temporal_step(
-            &mut cluster,
+        let (_, exec3, out3) = executor.lower_temporal_step(
+            &config,
             &layers[2],
             2,
             LayerInput::Spikes(&out2),
             &mut scratch,
         );
-        cluster.finish_phase("fc3");
 
         assert_eq!(out1, ref_out1, "step {step}: conv1 output spikes");
         assert_eq!(out2, ref_out2, "step {step}: conv2 output spikes");
@@ -204,15 +201,13 @@ fn membrane_state_resets_between_samples() {
         _ => unreachable!(),
     };
     let image = pad_image(&synthetic_image(spec1.input, &mut rng), spec1.padding);
-    let mut cluster = ClusterModel::new(ClusterConfig::default(), CostModel::default());
-    executor.run_temporal_step(
-        &mut cluster,
+    executor.lower_temporal_step(
+        &ClusterConfig::default(),
         &net.layers()[0],
         0,
         LayerInput::Image(&image),
         &mut scratch,
     );
-    cluster.finish_phase("conv1");
     assert!(scratch.membrane(0).membrane().iter().any(|&v| v != 0.0), "the step charged membranes");
     scratch.begin_sample(&net);
     assert!(scratch.membrane(0).membrane().iter().all(|&v| v == 0.0), "begin_sample rests them");
@@ -304,14 +299,14 @@ fn per_timestep_programs_integrate_to_their_interpreted_totals() {
     }
 
     for variant in [KernelVariant::Baseline, KernelVariant::SpikeStream] {
-        let kernel = ConvKernel::new(variant, FpFormat::Fp16);
+        let kernel = LayerExecutor::new(variant, FpFormat::Fp16);
         // One persistent membrane state across the timesteps: each step's
         // program is lowered from the state the previous step left behind.
         let mut state = NeuronState::lif(spec.conv_output().len());
         let mut step_input = CompressedIfmap::from_spike_map(&input);
         for step in 0..3 {
             let (program, out) =
-                kernel.lower(&ClusterConfig::default(), &layer, &step_input, &mut state);
+                kernel.lower_conv(&ClusterConfig::default(), &layer, &step_input, &mut state);
 
             let mut cluster = ClusterModel::new(ClusterConfig::default(), CostModel::default());
             execute_program(&mut cluster, &program);
