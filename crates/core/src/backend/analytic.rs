@@ -5,9 +5,12 @@
 //! instead of a materialized spike workload — and the resulting
 //! [`StreamProgram`](spikestream_ir::StreamProgram) is priced by the
 //! [`CostIntegrator`]. There is no second copy of the kernel loop math
-//! anywhere: analytic and cycle-level agree by construction, and the
-//! `ir_equivalence` property tests pin the integrator against the
-//! interpreter.
+//! anywhere: on one exact program, analytic and cycle-level agree by
+//! construction, and the `ir_equivalence` property tests pin the
+//! integrator against the interpreter. A symbolic program prices the
+//! *expected* workload (every kernel tap sees `channels × rate` active
+//! inputs), so its per-layer cycles differ from a cycle-level run of the
+//! realized spikes.
 
 use spikestream_energy::Activity;
 use spikestream_ir::ProgramCost;
@@ -181,7 +184,7 @@ mod tests {
         let paper = InferenceConfig::paper(KernelVariant::SpikeStream, FpFormat::Fp16);
         for config in [paper, paper.temporal_steps(3)] {
             let plan = Engine::svgg11(3).compiler().compile(config).unwrap();
-            let cached = plan.context(plan.config());
+            let cached = plan.context();
             let bare = SampleContext { programs: None, ..cached };
             let samples = [0, 1, 7, 1000];
             let lookups = (samples.len() * plan.network().len() * config.timesteps()) as u64;

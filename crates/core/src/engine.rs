@@ -72,8 +72,8 @@ impl InferenceConfig {
     /// The same configuration with the temporal step count replaced,
     /// keeping the existing encoding (or direct coding when switching a
     /// synthetic configuration to the temporal pipeline) — the semantics
-    /// of the CLI's `--timesteps` flag and of
-    /// [`Request::timesteps`](crate::Request::timesteps).
+    /// of the CLI's `--timesteps` flag. A plan serves the step count it was
+    /// compiled with; another step count is another plan.
     pub fn temporal_steps(self, timesteps: usize) -> Self {
         let encoding = match self.mode {
             WorkloadMode::Temporal { encoding, .. } => encoding,
@@ -155,8 +155,9 @@ impl Engine {
     ///
     /// Panics with the [`CompileError`](crate::CompileError)'s message if
     /// compilation fails validation (a profile shorter than the network,
-    /// an empty or oversized batch, invalid neuron parameters). Use
-    /// [`Compiler::compile`] for a fallible variant.
+    /// layers that do not chain, an empty or oversized batch, invalid
+    /// neuron parameters, a cycle-level config without a spike-encoding
+    /// first layer). Use [`Compiler::compile`] for a fallible variant.
     pub fn compile(&self, config: &InferenceConfig) -> Plan {
         self.compiler().compile(*config).unwrap_or_else(|err| panic!("{err}"))
     }
@@ -336,13 +337,6 @@ mod tests {
         assert!(t6.total_cycles() > 2.0 * t2.total_cycles());
         assert_eq!(t2.timesteps.as_ref().unwrap().len(), 2);
         assert_eq!(t6.timesteps.as_ref().unwrap().len(), 6);
-        // A per-request timestep override serves the same breakdown from
-        // one compiled plan.
-        let overridden = engine
-            .compile(&base.temporal(2, TemporalEncoding::Direct))
-            .open_session()
-            .infer(&Request::batch(2).with_timesteps(6));
-        assert_eq!(overridden.to_json(), t6.to_json());
     }
 
     #[test]

@@ -30,10 +30,10 @@
 
 use spikestream_ir::{CostIntegrator, ProgramCache};
 use spikestream_kernels::LayerExecutor;
-use spikestream_snn::Network;
+use spikestream_snn::{LayerKind, Network};
 
 use crate::backend::{backend_for, ExecutionBackend, LayerSample, SampleContext};
-use crate::engine::{Engine, InferenceConfig};
+use crate::engine::{Engine, InferenceConfig, TimingModel};
 use crate::report::InferenceReport;
 use crate::session::{Request, Session};
 
@@ -48,6 +48,21 @@ pub enum CompileError {
         layers: usize,
         /// Rates in the profile.
         rates: usize,
+    },
+    /// The network's layers do not chain: a layer's input width differs
+    /// from its predecessor's output width (see [`Network::validate`]).
+    InvalidNetwork {
+        /// Network name.
+        network: String,
+        /// The validation failure.
+        message: String,
+    },
+    /// The built-in cycle-level backend feeds the dense input image to
+    /// layer 0 and spikes to every later layer, so the network must start
+    /// with a spike-encoding convolution.
+    NoEncodingLayer {
+        /// Network name.
+        network: String,
     },
     /// The configured batch size is zero.
     EmptyBatch,
@@ -79,6 +94,14 @@ impl std::fmt::Display for CompileError {
             CompileError::ProfileTooShort { network, layers, rates } => write!(
                 f,
                 "firing profile covers {rates} layers but network `{network}` has {layers}"
+            ),
+            CompileError::InvalidNetwork { network, message } => {
+                write!(f, "network `{network}` is invalid: {message}")
+            }
+            CompileError::NoEncodingLayer { network } => write!(
+                f,
+                "the cycle-level backend needs a spike-encoding convolution as the first layer \
+                 of network `{network}`"
             ),
             CompileError::EmptyBatch => write!(f, "batch must be at least 1"),
             CompileError::BatchTooLarge { batch, layers, timesteps } => write!(
@@ -150,9 +173,11 @@ impl Compiler {
     /// # Errors
     ///
     /// Returns a [`CompileError`] when the profile does not cover the
-    /// network, the batch is empty or exceeds
-    /// [`Compiler::MAX_LAYER_SAMPLES`], or any layer carries invalid
-    /// neuron-model parameters.
+    /// network, the layers do not chain, the batch is empty or exceeds
+    /// [`Compiler::MAX_LAYER_SAMPLES`], any layer carries invalid
+    /// neuron-model parameters, or the config selects the built-in
+    /// cycle-level backend for a network without a spike-encoding first
+    /// convolution.
     pub fn compile(self, config: InferenceConfig) -> Result<Plan, CompileError> {
         let Compiler { engine, backend } = self;
         let network = engine.network();
@@ -162,6 +187,9 @@ impl Compiler {
                 layers: network.len(),
                 rates: engine.profile.len(),
             });
+        }
+        if let Err(message) = network.validate() {
+            return Err(CompileError::InvalidNetwork { network: network.name.clone(), message });
         }
         if config.batch == 0 {
             return Err(CompileError::EmptyBatch);
@@ -178,6 +206,13 @@ impl Compiler {
                     message,
                 });
             }
+        }
+        let encodes = network
+            .layers()
+            .first()
+            .is_some_and(|layer| layer.encodes_input && matches!(layer.kind, LayerKind::Conv(_)));
+        if backend.is_none() && config.timing == TimingModel::CycleLevel && !encodes {
+            return Err(CompileError::NoEncodingLayer { network: network.name.clone() });
         }
         let backend = backend.unwrap_or_else(|| backend_for(config.timing));
 
@@ -259,34 +294,20 @@ impl Plan {
         self.open_session().infer(&Request::batch(self.config.batch))
     }
 
-    /// The request-effective configuration: the compiled config with the
-    /// request's timestep override applied (see [`Request::timesteps`]).
-    pub fn effective_config(&self, request: &Request) -> InferenceConfig {
-        match request.timesteps {
-            Some(t) => self.config.temporal_steps(t),
-            None => self.config,
-        }
-    }
-
     /// Fold a slot-major flat buffer of per-layer measurements (the layout
-    /// a [`ReportSink`](crate::session::ResultSink) demultiplexer
+    /// a [`ResultSink`](crate::session::ResultSink) demultiplexer
     /// accumulates: `batch` samples × one [`LayerSample`] per layer per
-    /// timestep) into the [`InferenceReport`] a bare session would produce
-    /// for an equivalent request — the demux half of a coalescing gateway,
-    /// which re-folds each client's slice of a shared run separately.
-    pub fn fold_report(
-        &self,
-        request: &Request,
-        flat: &[LayerSample],
-        batch: usize,
-    ) -> InferenceReport {
-        let config = self.effective_config(request);
-        InferenceReport::fold_batch(self.network(), self.clock_hz(), &config, flat, batch)
+    /// timestep) into the unsharded [`InferenceReport`] a bare session
+    /// would produce over the same samples — the demux half of a coalescing
+    /// gateway, which re-folds each client's slice of a shared run
+    /// separately.
+    pub fn fold_report(&self, flat: &[LayerSample], batch: usize) -> InferenceReport {
+        InferenceReport::fold_batch(self.network(), self.clock_hz(), &self.config, flat, batch)
     }
 
-    /// The shared per-sample evaluation context for an effective config,
-    /// bound to the plan's program cache.
-    pub(crate) fn context<'a>(&'a self, config: &'a InferenceConfig) -> SampleContext<'a> {
+    /// The shared per-sample evaluation context, bound to the plan's
+    /// program cache.
+    pub(crate) fn context(&self) -> SampleContext<'_> {
         let engine = &self.engine;
         SampleContext {
             network: &engine.network,
@@ -294,7 +315,7 @@ impl Plan {
             cluster: &engine.cluster,
             cost: &engine.cost,
             energy: &engine.energy,
-            config,
+            config: &self.config,
             programs: Some(&self.programs),
             integrator: &self.integrator,
             executor: self.executor,
@@ -406,6 +427,70 @@ mod tests {
             .unwrap_err();
         assert!(err.to_string().contains("invalid izhikevich parameters"), "{err}");
         assert!(err.to_string().contains("reset potential"), "{err}");
+    }
+
+    /// A 4x4x2 conv (128 outputs) feeding an FC layer of `fc_inputs`
+    /// inputs; the conv encodes the input image when `encodes`.
+    fn conv_fc(encodes: bool, fc_inputs: usize) -> Engine {
+        use spikestream_snn::tensor::TensorShape;
+        use spikestream_snn::{ConvSpec, LifParams, LinearSpec, NetworkBuilder};
+
+        let lif = LifParams::new(0.5, 0.3);
+        let input = TensorShape::new(4, 4, 2);
+        let conv =
+            ConvSpec { input, out_channels: 8, kh: 3, kw: 3, stride: 1, padding: 1, pool: false };
+        let mut network = NetworkBuilder::new("conv-fc")
+            .conv("conv1", conv, lif)
+            .linear("fc2", LinearSpec { in_features: fc_inputs, out_features: 10 }, lif)
+            .build_with_random_weights(3, 0.1);
+        network.layers_mut()[0].encodes_input = encodes;
+        Engine::new(network, FiringProfile::uniform(2, 0.25))
+    }
+
+    #[test]
+    fn compile_rejects_networks_the_cycle_level_backend_cannot_feed() {
+        let cycle = InferenceConfig {
+            timing: crate::TimingModel::CycleLevel,
+            batch: 1,
+            ..InferenceConfig::paper(KernelVariant::SpikeStream, FpFormat::Fp16)
+        };
+        let compile = |engine: Engine, config| engine.compiler().compile(config).map(|_| ());
+        let no_encoder = CompileError::NoEncodingLayer { network: "conv-fc".to_string() };
+        // Layer 0 consumes spikes: the synthetic path has no spikes for it,
+        // and the temporal path has nothing to encode the image.
+        assert_eq!(compile(conv_fc(false, 128), cycle), Err(no_encoder.clone()));
+        assert_eq!(compile(conv_fc(false, 128), cycle.temporal_steps(2)), Err(no_encoder.clone()));
+        assert_eq!(
+            no_encoder.to_string(),
+            "the cycle-level backend needs a spike-encoding convolution as the first layer of \
+             network `conv-fc`"
+        );
+        // The analytic backend prices such a layer from its rate alone.
+        let analytic = InferenceConfig { timing: crate::TimingModel::Analytic, ..cycle };
+        assert_eq!(compile(conv_fc(false, 128), analytic), Ok(()));
+        assert_eq!(compile(conv_fc(true, 128), cycle.temporal_steps(2)), Ok(()));
+    }
+
+    #[test]
+    fn compile_rejects_layers_that_do_not_chain() {
+        let config = InferenceConfig {
+            timing: crate::TimingModel::CycleLevel,
+            batch: 1,
+            ..InferenceConfig::paper(KernelVariant::SpikeStream, FpFormat::Fp16)
+        }
+        .temporal_steps(2);
+        let err = conv_fc(true, 100).compiler().compile(config).unwrap_err();
+        assert_eq!(
+            err,
+            CompileError::InvalidNetwork {
+                network: "conv-fc".to_string(),
+                message: "layer fc2 expects 100 inputs but receives 128".to_string(),
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "network `conv-fc` is invalid: layer fc2 expects 100 inputs but receives 128"
+        );
     }
 
     #[test]

@@ -24,23 +24,21 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::backend::{LayerSample, WorkerArena};
+use crate::backend::{LayerSample, SampleContext, WorkerArena};
 use crate::plan::Plan;
 use crate::pool::{PoolStats, WorkerPool};
 use crate::report::{InferenceReport, ShardSummary};
 use crate::sharding::{attribute_shards, clamp_workers};
 
-/// One serving request: which batch samples to evaluate and how.
+/// One serving request: which batch samples to evaluate, plus the two
+/// host/fleet knobs of how they are served. How each sample is *evaluated*
+/// (variant, format, timing, timesteps) is fixed by the plan; serving
+/// another configuration means compiling another plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
     /// Sample indices to evaluate (each is an independently seeded batch
     /// sample of the plan's workload).
     pub samples: Range<usize>,
-    /// Temporal-pipeline override: run each sample for this many timesteps
-    /// instead of the compiled config's count. On a synthetic plan this
-    /// switches the request to direct-coded temporal inference, mirroring
-    /// the CLI's `--timesteps` flag.
-    pub timesteps: Option<usize>,
     /// Attribute the request to a fleet of N simulated cluster shards and
     /// deliver the [`ShardSummary`] through [`ResultSink::on_fleet`]. N is
     /// clamped to `1..=`[`MAX_SHARDS`](crate::sharding::MAX_SHARDS).
@@ -54,24 +52,18 @@ pub struct Request {
 impl Request {
     /// The full-batch request over samples `0..batch` (at least one).
     pub fn batch(batch: usize) -> Self {
-        Request { samples: 0..batch.max(1), timesteps: None, shards: None, workers: None }
+        Request { samples: 0..batch.max(1), shards: None, workers: None }
     }
 
     /// A request over an explicit sample range.
     pub fn samples(samples: Range<usize>) -> Self {
         let samples = if samples.is_empty() { samples.start..samples.start + 1 } else { samples };
-        Request { samples, timesteps: None, shards: None, workers: None }
+        Request { samples, shards: None, workers: None }
     }
 
     /// Attribute the request to `shards` simulated cluster shards.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards.max(1));
-        self
-    }
-
-    /// Override the temporal timestep count.
-    pub fn with_timesteps(mut self, timesteps: usize) -> Self {
-        self.timesteps = Some(timesteps.max(1));
         self
     }
 
@@ -307,10 +299,10 @@ impl<'p> Session<'p> {
     }
 
     /// Serve an explicit — possibly non-contiguous, possibly repeating —
-    /// list of batch sample indices with the options of `request`
-    /// (`request.samples` itself is ignored), streaming every completed
-    /// sample into `sink` via [`ResultSink::on_slot`] with its position in
-    /// `samples`.
+    /// list of batch sample indices with the `shards` and `workers` of
+    /// `request` (`request.samples` itself is ignored), streaming every
+    /// completed sample into `sink` via [`ResultSink::on_slot`] with its
+    /// position in `samples`.
     ///
     /// This is the serving entry point of a coalescing gateway: several
     /// clients' sample lists are concatenated into one gather list, the
@@ -335,7 +327,6 @@ impl<'p> Session<'p> {
     /// stream results into `sink`.
     fn serve(&mut self, request: &Request, ids: SampleIds<'_>, sink: &mut dyn ResultSink) {
         let backend = self.plan.backend();
-        let config = self.plan.effective_config(request);
         let batch = ids.len();
 
         self.cycles.clear();
@@ -350,7 +341,11 @@ impl<'p> Session<'p> {
             self.arenas.resize_with(workers, WorkerArena::new);
         }
 
-        let ctx = self.plan.context(&config);
+        // Workers read the config for every layer of every sample; a
+        // stack copy keeps those reads off the plan's cache lines, which
+        // the program cache's lock and hit counters keep dirty.
+        let config = *self.plan.config();
+        let ctx = SampleContext { config: &config, ..self.plan.context() };
         if workers == 1 {
             // Strictly sequential: ascending slot order on this thread.
             let arena = &mut self.arenas[0];
@@ -403,8 +398,7 @@ impl<'p> Session<'p> {
 
     /// Serve `ids` and fold the stream into an [`InferenceReport`].
     fn fold(&mut self, request: &Request, ids: SampleIds<'_>) -> InferenceReport {
-        let config = self.plan.effective_config(request);
-        let units = self.plan.network().len() * config.timesteps();
+        let units = self.plan.network().len() * self.plan.config().timesteps();
         let batch = ids.len();
 
         let mut flat = std::mem::take(&mut self.flat);
@@ -414,13 +408,7 @@ impl<'p> Session<'p> {
         self.serve(request, ids, &mut sink);
 
         let fleet = sink.fleet.take();
-        let mut report = InferenceReport::fold_batch(
-            self.plan.network(),
-            self.plan.clock_hz(),
-            &config,
-            &flat,
-            batch,
-        );
+        let mut report = self.plan.fold_report(&flat, batch);
         report.shards = fleet;
         self.flat = flat;
         report
@@ -520,8 +508,8 @@ mod tests {
     fn request_constructors_clamp_and_build() {
         assert_eq!(Request::batch(0).samples, 0..1);
         assert_eq!(Request::samples(5..5).samples, 5..6);
-        let r = Request::batch(8).with_shards(0).with_timesteps(0).sequential();
-        assert_eq!((r.shards, r.timesteps, r.workers), (Some(1), Some(1), Some(1)));
+        let r = Request::batch(8).with_shards(0).sequential();
+        assert_eq!((r.shards, r.workers), (Some(1), Some(1)));
         assert_eq!(r.len(), 8);
         assert!(!r.is_empty());
     }
@@ -531,7 +519,7 @@ mod tests {
         // The constructors clamp to one sample, but `Request` fields are
         // public; an empty range must fold gracefully, not panic.
         let plan = plan();
-        let empty = Request { samples: 3..3, timesteps: None, shards: None, workers: None };
+        let empty = Request { samples: 3..3, shards: None, workers: None };
         assert!(empty.is_empty());
         let report = plan.open_session().infer(&empty);
         assert_eq!(report.batch, 0);

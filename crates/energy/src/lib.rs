@@ -86,15 +86,6 @@ impl EnergyModel {
         let dma_e = activity.dma_bytes as f64 * self.dma_byte_pj;
         (static_e + int_e + fp_e + dma_e) * 1e-12
     }
-
-    /// Average power of an activity record at the given clock, in watts.
-    pub fn power_w(&self, activity: &Activity, clock_hz: f64) -> f64 {
-        if activity.cycles == 0 {
-            return 0.0;
-        }
-        let seconds = activity.cycles as f64 / clock_hz;
-        self.energy_j(activity) / seconds
-    }
 }
 
 impl Default for EnergyModel {
@@ -134,10 +125,11 @@ mod tests {
     #[test]
     fn calibrated_power_levels_match_the_paper_regime() {
         let m = EnergyModel::calibrated();
-        let clock = 1.0e9;
-        let p_base = m.power_w(&baseline_like(1_000_000), clock);
-        let p_fast16 = m.power_w(&spikestream_like(200_000, FpFormat::Fp16), clock);
-        let p_fast8 = m.power_w(&spikestream_like(120_000, FpFormat::Fp8), clock);
+        // Average power at 1 GHz: energy over the activity's run time.
+        let power = |a: Activity| m.energy_j(&a) / (a.cycles as f64 / 1.0e9);
+        let p_base = power(baseline_like(1_000_000));
+        let p_fast16 = power(spikestream_like(200_000, FpFormat::Fp16));
+        let p_fast8 = power(spikestream_like(120_000, FpFormat::Fp8));
         assert!((0.10..=0.18).contains(&p_base), "baseline power {p_base}");
         assert!((0.18..=0.30).contains(&p_fast16), "SpikeStream FP16 power {p_fast16}");
         assert!(p_fast8 < p_fast16 * 1.02, "FP8 should not consume more than FP16");
@@ -165,10 +157,11 @@ mod tests {
 
     #[test]
     fn zero_cycle_activity_has_zero_power() {
+        // Reports derive power as energy over run time, and zero energy
+        // over zero time reads as zero power.
         let m = EnergyModel::calibrated();
         let a =
             Activity { cycles: 0, int_instrs: 0, flops: 0, dma_bytes: 0, format: FpFormat::Fp16 };
-        assert_eq!(m.power_w(&a, 1.0e9), 0.0);
         assert_eq!(m.energy_j(&a), 0.0);
     }
 

@@ -65,13 +65,6 @@ pub struct DmaTransfer {
     pub complete_cycle: u64,
 }
 
-impl DmaTransfer {
-    /// Duration of the transfer in cycles.
-    pub fn duration(&self) -> u64 {
-        self.complete_cycle - self.issue_cycle
-    }
-}
-
 /// The cluster DMA engine.
 ///
 /// The engine serializes transfers: a request issued while a previous one is
@@ -84,7 +77,9 @@ pub struct DmaEngine {
     setup_cycles: u64,
     mem_bytes_per_cycle: f64,
     busy_until: u64,
-    transfers: Vec<DmaTransfer>,
+    busy_cycles: u64,
+    bytes_in: u64,
+    bytes_out: u64,
 }
 
 impl DmaEngine {
@@ -95,7 +90,9 @@ impl DmaEngine {
             setup_cycles: config.dma_setup_cycles,
             mem_bytes_per_cycle: config.global_mem_bytes_per_cycle,
             busy_until: 0,
-            transfers: Vec::new(),
+            busy_cycles: 0,
+            bytes_in: 0,
+            bytes_out: 0,
         }
     }
 
@@ -121,9 +118,12 @@ impl DmaEngine {
         let start = now.max(self.busy_until);
         let complete = start + self.transfer_cycles(&request);
         self.busy_until = complete;
-        let t = DmaTransfer { request, issue_cycle: start, complete_cycle: complete };
-        self.transfers.push(t.clone());
-        t
+        self.busy_cycles += complete - start;
+        match request.direction {
+            DmaDirection::In => self.bytes_in += request.total_bytes(),
+            DmaDirection::Out => self.bytes_out += request.total_bytes(),
+        }
+        DmaTransfer { request, issue_cycle: start, complete_cycle: complete }
     }
 
     /// Cycle until which the engine is busy.
@@ -137,31 +137,20 @@ impl DmaEngine {
     /// and a phase's compute time plus `busy_cycles` is what double
     /// buffering hides.
     pub fn busy_cycles(&self) -> u64 {
-        self.transfers.iter().map(DmaTransfer::duration).sum()
-    }
-
-    /// All transfers issued so far, in issue order.
-    pub fn transfers(&self) -> &[DmaTransfer] {
-        &self.transfers
+        self.busy_cycles
     }
 
     /// Total bytes moved in each direction `(in, out)`.
     pub fn bytes_moved(&self) -> (u64, u64) {
-        let mut inward = 0;
-        let mut outward = 0;
-        for t in &self.transfers {
-            match t.request.direction {
-                DmaDirection::In => inward += t.request.total_bytes(),
-                DmaDirection::Out => outward += t.request.total_bytes(),
-            }
-        }
-        (inward, outward)
+        (self.bytes_in, self.bytes_out)
     }
 
     /// Forget all issued transfers and become idle (between layers).
     pub fn reset(&mut self) {
         self.busy_until = 0;
-        self.transfers.clear();
+        self.busy_cycles = 0;
+        self.bytes_in = 0;
+        self.bytes_out = 0;
     }
 }
 
@@ -204,6 +193,7 @@ mod tests {
         let t2 = e.issue(DmaRequest::contiguous(DmaDirection::In, 8192), 10);
         assert_eq!(t2.issue_cycle, t1.complete_cycle, "second transfer waits for the first");
         assert_eq!(e.busy_until(), t2.complete_cycle);
+        assert_eq!(e.busy_cycles(), t2.complete_cycle, "back to back from cycle 0");
     }
 
     #[test]
@@ -212,6 +202,7 @@ mod tests {
         let t1 = e.issue(DmaRequest::contiguous(DmaDirection::In, 64), 0);
         let t2 = e.issue(DmaRequest::contiguous(DmaDirection::Out, 64), t1.complete_cycle + 100);
         assert_eq!(t2.issue_cycle, t1.complete_cycle + 100);
+        assert_eq!(e.busy_cycles(), t2.complete_cycle - 100, "idle time is not busy");
     }
 
     #[test]
@@ -222,5 +213,6 @@ mod tests {
         assert_eq!(e.bytes_moved(), (1000, 500));
         e.reset();
         assert_eq!(e.bytes_moved(), (0, 0));
+        assert_eq!((e.busy_until(), e.busy_cycles()), (0, 0));
     }
 }

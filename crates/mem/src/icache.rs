@@ -21,9 +21,6 @@ pub struct InstructionCache {
     refill_cycles_per_line: u64,
     /// Resident regions, most recently used at the back.
     resident: VecDeque<(u64, u32)>,
-    miss_lines: u64,
-    hits: u64,
-    misses: u64,
 }
 
 impl InstructionCache {
@@ -34,9 +31,6 @@ impl InstructionCache {
             line_bytes: config.icache_line_bytes,
             refill_cycles_per_line,
             resident: VecDeque::new(),
-            miss_lines: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -51,12 +45,9 @@ impl InstructionCache {
             // Move to MRU position.
             let entry = self.resident.remove(pos).expect("position is valid");
             self.resident.push_back(entry);
-            self.hits += 1;
             return 0;
         }
-        self.misses += 1;
         let lines = u64::from(footprint_bytes.div_ceil(self.line_bytes));
-        self.miss_lines += lines;
 
         if footprint_bytes <= self.capacity_bytes {
             // Evict LRU regions until the new one fits.
@@ -71,29 +62,6 @@ impl InstructionCache {
     /// Bytes currently resident.
     pub fn resident_bytes(&self) -> u32 {
         self.resident.iter().map(|&(_, b)| b).sum()
-    }
-
-    /// Number of region fetches that hit.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Number of region fetches that missed.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Total lines refilled so far.
-    pub fn miss_lines(&self) -> u64 {
-        self.miss_lines
-    }
-
-    /// Flush the cache and statistics.
-    pub fn reset(&mut self) {
-        self.resident.clear();
-        self.miss_lines = 0;
-        self.hits = 0;
-        self.misses = 0;
     }
 }
 
@@ -111,8 +79,7 @@ mod tests {
         let stall = c.fetch_region(1, 256);
         assert_eq!(stall, 4 * 30, "256 B = 4 lines of 64 B");
         assert_eq!(c.fetch_region(1, 256), 0, "second fetch hits");
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
+        assert_eq!(c.resident_bytes(), 256);
     }
 
     #[test]
@@ -131,16 +98,6 @@ mod tests {
         let mut c = cache();
         assert!(c.fetch_region(9, 32 * 1024) > 0);
         assert!(c.fetch_region(9, 32 * 1024) > 0);
-        assert_eq!(c.hits(), 0);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut c = cache();
-        c.fetch_region(1, 128);
-        c.reset();
-        assert_eq!(c.resident_bytes(), 0);
-        assert_eq!(c.misses(), 0);
-        assert!(c.fetch_region(1, 128) > 0);
+        assert_eq!(c.resident_bytes(), 0, "an oversized region is never resident");
     }
 }

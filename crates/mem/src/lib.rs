@@ -23,4 +23,4 @@ pub mod spm;
 
 pub use dma::{DmaEngine, DmaRequest, DmaTransfer};
 pub use icache::InstructionCache;
-pub use spm::{BankConflictModel, SpmAllocator, SpmBuffer, SpmLayout};
+pub use spm::{BankConflictModel, SpmAllocator, SpmBuffer};

@@ -23,11 +23,6 @@ impl BankConflictModel {
         BankConflictModel { banks: config.spm_banks, bank_width_bytes: config.spm_bank_width_bytes }
     }
 
-    /// Number of banks.
-    pub fn banks(&self) -> u32 {
-        self.banks
-    }
-
     /// Bank index serving the given byte address.
     pub fn bank_of(&self, addr: u32) -> u32 {
         (addr / self.bank_width_bytes) % self.banks
@@ -68,18 +63,6 @@ pub struct SpmBuffer {
     pub bytes: u32,
 }
 
-impl SpmBuffer {
-    /// Address one past the end of the buffer.
-    pub fn end(&self) -> u32 {
-        self.base + self.bytes
-    }
-
-    /// Whether the buffer contains the byte address `addr`.
-    pub fn contains(&self, addr: u32) -> bool {
-        addr >= self.base && addr < self.end()
-    }
-}
-
 /// Bump allocator for scratchpad buffers.
 ///
 /// The SpikeStream kernels allocate, per tile: the compressed ifmap
@@ -91,18 +74,12 @@ impl SpmBuffer {
 pub struct SpmAllocator {
     capacity: u32,
     next: u32,
-    allocations: Vec<SpmBuffer>,
 }
 
 impl SpmAllocator {
     /// Create an allocator covering the whole scratchpad of `config`.
     pub fn new(config: &ClusterConfig) -> Self {
-        SpmAllocator { capacity: config.spm_bytes, next: 0, allocations: Vec::new() }
-    }
-
-    /// Create an allocator with an explicit capacity in bytes.
-    pub fn with_capacity(capacity: u32) -> Self {
-        SpmAllocator { capacity, next: 0, allocations: Vec::new() }
+        SpmAllocator { capacity: config.spm_bytes, next: 0 }
     }
 
     /// Allocate `bytes` (8-byte aligned).
@@ -122,34 +99,12 @@ impl SpmAllocator {
         }
         let buffer = SpmBuffer { base: self.next, bytes: aligned };
         self.next += aligned;
-        self.allocations.push(buffer);
         Ok(buffer)
-    }
-
-    /// Bytes currently allocated.
-    pub fn used(&self) -> u32 {
-        self.next
     }
 
     /// Bytes still available.
     pub fn free(&self) -> u32 {
         self.capacity - self.next
-    }
-
-    /// Total capacity in bytes.
-    pub fn capacity(&self) -> u32 {
-        self.capacity
-    }
-
-    /// All granted allocations, in allocation order.
-    pub fn allocations(&self) -> &[SpmBuffer] {
-        &self.allocations
-    }
-
-    /// Release every allocation (used between layer phases).
-    pub fn reset(&mut self) {
-        self.next = 0;
-        self.allocations.clear();
     }
 }
 
@@ -175,36 +130,6 @@ impl std::fmt::Display for SpmAllocError {
 }
 
 impl std::error::Error for SpmAllocError {}
-
-/// Named scratchpad layout of a double-buffered kernel phase.
-///
-/// Convenience wrapper bundling the buffers a conv/FC tile needs, so the
-/// kernels and the tests can reason about scratchpad occupancy together.
-#[derive(Debug, Clone)]
-pub struct SpmLayout {
-    /// Compressed ifmap index buffer (`c_idcs`), per buffer copy.
-    pub ifmap_idcs: Vec<SpmBuffer>,
-    /// Spatial pointer buffer (`s_ptr`), per buffer copy.
-    pub ifmap_sptr: Vec<SpmBuffer>,
-    /// Weight tile, per buffer copy.
-    pub weights: Vec<SpmBuffer>,
-    /// Neuron state (membrane potential) tile.
-    pub neuron_state: SpmBuffer,
-    /// Worst-case compressed ofmap buffer.
-    pub ofmap: SpmBuffer,
-}
-
-impl SpmLayout {
-    /// Total bytes occupied by the layout.
-    pub fn total_bytes(&self) -> u32 {
-        let sum = |v: &Vec<SpmBuffer>| v.iter().map(|b| b.bytes).sum::<u32>();
-        sum(&self.ifmap_idcs)
-            + sum(&self.ifmap_sptr)
-            + sum(&self.weights)
-            + self.neuron_state.bytes
-            + self.ofmap.bytes
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -239,32 +164,22 @@ mod tests {
 
     #[test]
     fn allocator_respects_capacity() {
-        let mut a = SpmAllocator::with_capacity(64);
+        let mut a = SpmAllocator::new(&ClusterConfig { spm_bytes: 64, ..ClusterConfig::default() });
         let b1 = a.alloc(10).expect("first allocation fits");
         assert_eq!(b1.base, 0);
         assert_eq!(b1.bytes, 16, "allocations are 8-byte aligned");
+        assert_eq!(a.free(), 48);
         let b2 = a.alloc(48).expect("second allocation fits");
         assert_eq!(b2.base, 16);
-        assert!(a.alloc(8).is_err(), "scratchpad is full");
-        assert_eq!(a.used(), 64);
-        a.reset();
-        assert_eq!(a.free(), 64);
+        let err = a.alloc(8).expect_err("scratchpad is full");
+        assert_eq!(err, SpmAllocError { requested: 8, free: 0, capacity: 64 });
     }
 
     #[test]
     fn allocator_matches_cluster_capacity() {
         let mut a = SpmAllocator::new(&ClusterConfig::default());
-        assert_eq!(a.capacity(), 128 * 1024);
+        assert_eq!(a.free(), 128 * 1024);
         assert!(a.alloc(128 * 1024).is_ok());
         assert!(a.alloc(8).is_err());
-    }
-
-    #[test]
-    fn buffer_contains() {
-        let b = SpmBuffer { base: 16, bytes: 32 };
-        assert!(b.contains(16));
-        assert!(b.contains(47));
-        assert!(!b.contains(48));
-        assert!(!b.contains(8));
     }
 }

@@ -1,8 +1,8 @@
 //! The concurrent serving front end: [`Gateway`].
 //!
 //! One dispatcher thread per tenant owns that tenant's [`Session`] and
-//! drains a bounded submission queue, coalescing compatible waiting
-//! requests into a single dynamically micro-batched
+//! drains a bounded submission queue, coalescing its waiting requests
+//! into a single dynamically micro-batched
 //! [`Session::run_gather`] call — closed on batch size or linger
 //! deadline, whichever comes first — and demultiplexing per-slot results
 //! back to each caller's [`ResponseHandle`]. Samples are independently
@@ -24,43 +24,13 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use spikestream::sharding::MAX_SHARDS;
 use spikestream::{
-    attribute_shards, Compiler, InferenceReport, LayerSample, Plan, Request, ResultSink, Session,
-    SessionStatsHandle,
+    Compiler, InferenceReport, LayerSample, Plan, Request, ResultSink, Session, SessionStatsHandle,
 };
 
 use crate::registry::{PlanRegistry, VersionedPlan};
 use crate::stats::{Counters, GatewayStats, TenantStats};
 use crate::{GatewayConfig, ServeError};
-
-/// Per-request serving options, mirroring the [`Request`] knobs a bare
-/// session caller would set. Requests are coalescible into one batch only
-/// if their `timesteps` agree (shard attribution is a pure per-request
-/// fold over cycle totals, so differing `shards` never split a batch).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SubmitOptions {
-    /// Temporal-pipeline override, as in [`Request::timesteps`].
-    pub timesteps: Option<usize>,
-    /// Attribute this request to a simulated shard fleet, as in
-    /// [`Request::shards`]; the [`ShardSummary`](spikestream::ShardSummary)
-    /// lands in [`GatewayResponse::report`].
-    pub shards: Option<usize>,
-}
-
-impl SubmitOptions {
-    /// Override the temporal timestep count.
-    pub fn with_timesteps(mut self, timesteps: usize) -> Self {
-        self.timesteps = Some(timesteps.max(1));
-        self
-    }
-
-    /// Attribute the request to `shards` simulated cluster shards.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards.max(1));
-        self
-    }
-}
 
 type ResponseSlot = Option<Result<GatewayResponse, ServeError>>;
 
@@ -106,7 +76,6 @@ impl ResponseHandle {
 /// layer samples ([`GatewayResponse::layers`]) never pay for a report.
 pub struct GatewayResponse {
     plan: Arc<VersionedPlan>,
-    opts: SubmitOptions,
     samples: usize,
     layers: Vec<LayerSample>,
     cycles: Vec<f64>,
@@ -132,7 +101,11 @@ impl GatewayResponse {
         &self.layers
     }
 
-    /// Per-sample cycle totals, in request order.
+    /// Per-sample cycle totals, in request order. Fleet statistics of the
+    /// request are
+    /// [`attribute_shards(response.cycles(), n)`](spikestream::attribute_shards),
+    /// which clamps `n` to
+    /// [`MAX_SHARDS`](spikestream::sharding::MAX_SHARDS).
     pub fn cycles(&self) -> &[f64] {
         &self.cycles
     }
@@ -147,31 +120,24 @@ impl GatewayResponse {
         self.batch_requests
     }
 
-    /// Fold this request's samples into the [`InferenceReport`] a bare
-    /// `Session::infer` over the same samples and options would return —
-    /// byte-identical, including the deterministic shard attribution.
+    /// Fold this request's samples into the [`InferenceReport`] a bare,
+    /// unsharded `Session::infer` over the same samples would return —
+    /// byte-identical. For the report of an `n`-shard request, set its
+    /// `shards` to
+    /// [`attribute_shards(response.cycles(), n)`](spikestream::attribute_shards).
     pub fn report(&self) -> InferenceReport {
-        let mut request = Request::batch(self.samples);
-        if let Some(timesteps) = self.opts.timesteps {
-            request = request.with_timesteps(timesteps);
-        }
-        let mut report = self.plan.plan.fold_report(&request, &self.layers, self.samples);
-        if let Some(shards) = self.opts.shards {
-            report.shards = Some(attribute_shards(&self.cycles, shards));
-        }
-        report
+        self.plan.plan.fold_report(&self.layers, self.samples)
     }
 }
 
 /// One queued request awaiting dispatch.
 struct Pending {
     samples: Vec<usize>,
-    opts: SubmitOptions,
     cell: Arc<ResponseCell>,
 }
 
-/// The layer count and default timesteps of a plan generation: what a
-/// request's size is checked against.
+/// The layer count and timesteps of a plan generation: what a request's
+/// size is checked against.
 #[derive(Debug, Clone, Copy, Default)]
 struct PlanShape {
     layers: usize,
@@ -183,15 +149,20 @@ impl PlanShape {
         PlanShape { layers: plan.network().len(), timesteps: plan.config().timesteps() }
     }
 
-    /// Layer samples per sample of a request with `opts`, or
-    /// [`ServeError::RequestTooLarge`] when `samples` of them would exceed
-    /// [`Compiler::MAX_LAYER_SAMPLES`].
-    fn units(&self, samples: usize, opts: &SubmitOptions) -> Result<usize, ServeError> {
-        let timesteps = opts.timesteps.map_or(self.timesteps, |t| t.max(1));
-        match Compiler::layer_samples(samples, self.layers, timesteps) {
-            Some(_) => Ok(self.layers * timesteps),
-            None => Err(ServeError::RequestTooLarge { samples, layers: self.layers, timesteps }),
-        }
+    /// Layer samples per sample: one per layer per timestep. The plan's
+    /// own batch passed [`Compiler::layer_samples`], so this cannot
+    /// overflow.
+    fn units(&self) -> usize {
+        self.layers * self.timesteps
+    }
+
+    /// [`ServeError::RequestTooLarge`] when `samples` samples would fold
+    /// more than [`Compiler::MAX_LAYER_SAMPLES`] layer samples.
+    fn check(&self, samples: usize) -> Result<(), ServeError> {
+        let (layers, timesteps) = (self.layers, self.timesteps);
+        Compiler::layer_samples(samples, layers, timesteps)
+            .map(drop)
+            .ok_or(ServeError::RequestTooLarge { samples, layers, timesteps })
     }
 }
 
@@ -336,52 +307,36 @@ impl Gateway {
         Ok(version)
     }
 
-    /// Submit `samples` to tenant `tenant` with default options. Fails
-    /// fast with [`ServeError::Full`] when the tenant queue is at
-    /// capacity, and with [`ServeError::RequestTooLarge`] when the request
-    /// would fold more than
+    /// Submit `samples` to tenant `tenant`; the tenant's plan fixes how
+    /// each sample is evaluated. Fails fast with [`ServeError::Full`] when
+    /// the tenant queue is at capacity, and with
+    /// [`ServeError::RequestTooLarge`] when the request would fold more
+    /// than
     /// [`Compiler::MAX_LAYER_SAMPLES`](spikestream::Compiler::MAX_LAYER_SAMPLES)
     /// layer samples on the tenant's published plan.
     pub fn submit(&self, tenant: &str, samples: &[usize]) -> Result<ResponseHandle, ServeError> {
-        self.enqueue(tenant, samples, SubmitOptions::default(), None)
+        self.enqueue(tenant, samples, None)
     }
 
-    /// [`Gateway::submit`] with explicit per-request options. Fails with
-    /// [`ServeError::TooManyShards`] when `opts.shards` exceeds
-    /// [`MAX_SHARDS`].
-    pub fn submit_with(
-        &self,
-        tenant: &str,
-        samples: &[usize],
-        opts: SubmitOptions,
-    ) -> Result<ResponseHandle, ServeError> {
-        self.enqueue(tenant, samples, opts, None)
-    }
-
-    /// [`Gateway::submit_with`], but park up to `timeout` for queue space
+    /// [`Gateway::submit`], but park up to `timeout` for queue space
     /// instead of failing fast; [`ServeError::Timeout`] if none opens up.
     pub fn submit_timeout(
         &self,
         tenant: &str,
         samples: &[usize],
-        opts: SubmitOptions,
         timeout: Duration,
     ) -> Result<ResponseHandle, ServeError> {
-        self.enqueue(tenant, samples, opts, Some(timeout))
+        self.enqueue(tenant, samples, Some(timeout))
     }
 
     fn enqueue(
         &self,
         name: &str,
         samples: &[usize],
-        opts: SubmitOptions,
         wait: Option<Duration>,
     ) -> Result<ResponseHandle, ServeError> {
         if samples.is_empty() {
             return Err(ServeError::EmptyRequest);
-        }
-        if let Some(shards) = opts.shards.filter(|&shards| shards > MAX_SHARDS) {
-            return Err(ServeError::TooManyShards(shards));
         }
         if self.shared.closed.load(Ordering::Acquire) {
             return Err(ServeError::Shutdown);
@@ -397,7 +352,7 @@ impl Gateway {
             if let Some(message) = &state.poisoned {
                 return Err(ServeError::Poisoned(message.clone()));
             }
-            state.shape.units(samples.len(), &opts)?;
+            state.shape.check(samples.len())?;
             if state.queue.len() < cap {
                 break;
             }
@@ -415,7 +370,7 @@ impl Gateway {
             state = guard;
         }
         let cell = Arc::new(ResponseCell::default());
-        state.queue.push_back(Pending { samples: samples.to_vec(), opts, cell: Arc::clone(&cell) });
+        state.queue.push_back(Pending { samples: samples.to_vec(), cell: Arc::clone(&cell) });
         self.shared.counters.on_submitted();
         tenant.work.notify_all();
         Ok(ResponseHandle { cell })
@@ -504,7 +459,7 @@ impl std::fmt::Debug for Gateway {
 
 /// The slot-addressed demultiplex sink of one coalesced batch: every
 /// sample lands at its slot of one flat buffer, with per-slot cycle
-/// totals recorded for per-request shard attribution.
+/// totals recorded for [`GatewayResponse::cycles`].
 struct FlatSink {
     units: usize,
     flat: Vec<LayerSample>,
@@ -564,16 +519,18 @@ fn serve_era(
     era: &Arc<VersionedPlan>,
     session: &mut Session<'_>,
 ) -> EraExit {
-    let max_batch = shared.config.max_batch.max(1);
     let linger = Duration::from_micros(shared.config.linger_us);
+    // One plan generation serves one request shape, so the per-sample
+    // layer count and the batch cap are fixed for the whole era.
     let shape = PlanShape::of(&era.plan);
+    let units = shape.units();
+    let cap = batch_cap(shared.config.max_batch.max(1), units);
     loop {
         let mut batch: Vec<Pending>;
         let total: usize;
-        let units: usize;
         {
             let mut state = tenant.state.lock().expect("tenant state poisoned");
-            loop {
+            let head = loop {
                 if state.shutdown && state.queue.is_empty() {
                     state.dispatcher_alive = false;
                     return EraExit::Shutdown;
@@ -584,54 +541,40 @@ fn serve_era(
                 if shared.registry.version(&tenant.name) != Some(era.version) {
                     return EraExit::Swap;
                 }
-                if (!state.paused || state.shutdown) && !state.queue.is_empty() {
-                    break;
+                if !state.paused || state.shutdown {
+                    if let Some(head) = state.queue.pop_front() {
+                        break head;
+                    }
                 }
                 state = tenant.work.wait(state).expect("tenant state poisoned");
+            };
+            tenant.space.notify_all();
+            // Submission checked the size against the generation published
+            // then; a hot swap since may have grown the layers or
+            // timesteps.
+            if let Err(error) = shape.check(head.samples.len()) {
+                head.cell.fulfill(Err(error));
+                continue;
             }
 
             // Open the micro-batch on the queue head, then linger —
-            // coalescing the compatible FIFO prefix — until it is full,
-            // blocked by an incompatible request, or the deadline passes.
-            let head = state.queue.pop_front().expect("queue is non-empty");
-            tenant.space.notify_all();
-            // Submission checked the size against the generation published
-            // then; a hot swap since may have grown the layers or default
-            // timesteps.
-            units = match shape.units(head.samples.len(), &head.opts) {
-                Ok(units) => units,
-                Err(error) => {
-                    head.cell.fulfill(Err(error));
-                    continue;
-                }
-            };
-            let cap = batch_cap(max_batch, units);
-            let key = head.opts.timesteps;
+            // coalescing the FIFO prefix — until it is full, the next
+            // request does not fit, or the deadline passes.
             let mut count = head.samples.len();
             batch = vec![head];
             let deadline = Instant::now() + linger;
             loop {
-                let mut blocked = false;
-                while count < cap {
-                    match state.queue.front() {
-                        Some(next)
-                            if next.opts.timesteps == key && count + next.samples.len() <= cap =>
-                        {
-                            let next = state.queue.pop_front().expect("queue is non-empty");
-                            count += next.samples.len();
-                            batch.push(next);
-                            tenant.space.notify_all();
-                        }
-                        Some(_) => {
-                            // FIFO strictness: an incompatible request at
-                            // the head closes the batch rather than being
-                            // overtaken by later compatible ones.
-                            blocked = true;
-                            break;
-                        }
-                        None => break,
-                    }
+                while let Some(next) =
+                    state.queue.pop_front_if(|next| count + next.samples.len() <= cap)
+                {
+                    count += next.samples.len();
+                    batch.push(next);
+                    tenant.space.notify_all();
                 }
+                // FIFO strictness: a queued request that does not fit
+                // closes the batch rather than being overtaken by later,
+                // smaller ones.
+                let blocked = !state.queue.is_empty();
                 if count >= cap || blocked || state.shutdown || state.paused {
                     break;
                 }
@@ -650,10 +593,7 @@ fn serve_era(
         // the batch runs.
         let gather: Vec<usize> =
             batch.iter().flat_map(|pending| pending.samples.iter().copied()).collect();
-        let mut request = Request::batch(total);
-        if let Some(timesteps) = batch[0].opts.timesteps {
-            request = request.with_timesteps(timesteps);
-        }
+        let request = Request::batch(total);
         let mut sink = FlatSink {
             units,
             flat: vec![LayerSample::default(); total * units],
@@ -670,7 +610,6 @@ fn serve_era(
                     let n = pending.samples.len();
                     let response = GatewayResponse {
                         plan: Arc::clone(era),
-                        opts: pending.opts,
                         samples: n,
                         layers: sink.flat[at * units..(at + n) * units].to_vec(),
                         cycles: sink.cycles[at..at + n].to_vec(),

@@ -10,15 +10,19 @@
 //!   under live traffic: in-flight batches finish on the old generation
 //!   (their results name the version they ran under), queued and later
 //!   requests run on the new one, and nothing is dropped.
-//! - [`Gateway`] — clients on any thread call [`Gateway::submit`] and
-//!   park on the returned [`ResponseHandle`]. Requests land in a bounded
-//!   per-tenant queue ([`ServeError::Full`] / timeout backpressure); a
-//!   per-tenant dispatcher thread coalesces the compatible FIFO prefix
-//!   into one dynamically micro-batched `Session::run_gather` call,
-//!   closing the batch at `max_batch` samples or after `linger_us`
+//! - [`Gateway`] — clients on any thread call [`Gateway::submit`] (or
+//!   [`Gateway::submit_timeout`]) with a tenant and a sample list, and
+//!   park on the returned [`ResponseHandle`]. The tenant's plan alone
+//!   fixes how each sample is evaluated; a request carries no options.
+//!   Requests land in a bounded per-tenant queue ([`ServeError::Full`] /
+//!   timeout backpressure); a per-tenant dispatcher thread coalesces the
+//!   FIFO prefix into one dynamically micro-batched `Session::run_gather`
+//!   call, closing the batch at `max_batch` samples or after `linger_us`
 //!   microseconds, whichever comes first. Samples are independently
 //!   seeded by the core, so a coalesced request's results are
-//!   byte-identical to running it alone on a bare session.
+//!   byte-identical to running it alone on a bare session. Fleet
+//!   statistics of a response are
+//!   [`attribute_shards(response.cycles(), n)`](spikestream::attribute_shards).
 //! - [`GatewayStats`] — deterministic counters (submissions, batches and
 //!   their size histogram, rejections, hot swaps, per-tenant queue
 //!   depth), all readable without contending with serving.
@@ -40,13 +44,16 @@
 //! let response = handle.wait().unwrap();
 //! assert_eq!(response.plan_version(), 1);
 //! assert!(response.report().total_cycles() > 0.0);
+//! // Fleet statistics: the request's samples on two simulated shards.
+//! let fleet = spikestream::attribute_shards(response.cycles(), 2);
+//! assert_eq!(fleet.shards.len(), 2);
 //! ```
 
 mod gateway;
 mod registry;
 mod stats;
 
-pub use gateway::{Gateway, GatewayResponse, ResponseHandle, SubmitOptions};
+pub use gateway::{Gateway, GatewayResponse, ResponseHandle};
 pub use registry::{PlanRegistry, VersionedPlan};
 pub use stats::{
     batch_hist_bucket, GatewayStats, TenantStats, BATCH_HIST_BUCKETS, BATCH_HIST_LABELS,
@@ -80,9 +87,6 @@ pub enum ServeError {
     UnknownTenant(String),
     /// A request must name at least one sample.
     EmptyRequest,
-    /// The request asks for more than
-    /// [`MAX_SHARDS`](spikestream::sharding::MAX_SHARDS) simulated shards.
-    TooManyShards(usize),
     /// The tenant's bounded queue is at capacity (fail-fast submission).
     Full {
         /// Tenant whose queue was full.
@@ -103,9 +107,9 @@ pub enum ServeError {
     /// `samples × layers × timesteps` of one request overflows or exceeds
     /// [`Compiler::MAX_LAYER_SAMPLES`](spikestream::Compiler::MAX_LAYER_SAMPLES)
     /// layer samples. `layers` and `timesteps` are those of the tenant's
-    /// published plan, with the request's timestep override applied.
-    /// Submission returns it; so does [`ResponseHandle::wait`] when a hot
-    /// swap grew the plan after the request was queued.
+    /// published plan. Submission returns it; so does
+    /// [`ResponseHandle::wait`] when a hot swap grew the plan after the
+    /// request was queued.
     RequestTooLarge {
         /// Samples the request names.
         samples: usize,
@@ -121,11 +125,6 @@ impl std::fmt::Display for ServeError {
         match self {
             ServeError::UnknownTenant(name) => write!(f, "unknown tenant `{name}`"),
             ServeError::EmptyRequest => write!(f, "request names no samples"),
-            ServeError::TooManyShards(shards) => write!(
-                f,
-                "{shards} shards exceeds the limit of {} shards per request",
-                spikestream::sharding::MAX_SHARDS
-            ),
             ServeError::Full { tenant, cap } => {
                 write!(f, "tenant `{tenant}` queue is full ({cap} requests)")
             }

@@ -22,9 +22,7 @@ use spikestream::sharding::{MAX_SHARDS, MAX_WORKERS};
 use spikestream::{
     CompileError, Compiler, FiringProfile, InferenceReport, Request, Scenario, WorkloadMode,
 };
-use spikestream_serve::{
-    Gateway, GatewayConfig, ResponseHandle, ServeError, SubmitOptions, BATCH_HIST_LABELS,
-};
+use spikestream_serve::{Gateway, GatewayConfig, ResponseHandle, ServeError, BATCH_HIST_LABELS};
 
 const USAGE: &str = "\
 spikestream — sharded batch-inference driver for the SpikeStream reproduction
@@ -452,12 +450,7 @@ fn cmd_serve_demo(args: &[String]) -> Result<(), String> {
                             let sample = (client * per_client + i) % batch;
                             let at = Instant::now();
                             gateway
-                                .submit_timeout(
-                                    tenant,
-                                    &[sample],
-                                    SubmitOptions::default(),
-                                    Duration::from_secs(60),
-                                )
+                                .submit_timeout(tenant, &[sample], Duration::from_secs(60))
                                 .map(|handle| (at, handle))
                         })
                         .collect()

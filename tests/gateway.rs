@@ -25,11 +25,11 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use spikestream::{
-    Engine, ExecutionBackend, FpFormat, InferenceConfig, KernelVariant, LayerSample, Plan, Request,
-    SampleContext, Scenario,
+    attribute_shards, Engine, ExecutionBackend, FpFormat, InferenceConfig, InferenceReport,
+    KernelVariant, LayerSample, Plan, Request, SampleContext, Scenario,
 };
 use spikestream_kernels::LayerScratch;
-use spikestream_serve::{Gateway, GatewayConfig, ServeError, SubmitOptions};
+use spikestream_serve::{Gateway, GatewayConfig, GatewayResponse, ServeError};
 
 fn repo_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).to_path_buf()
@@ -53,6 +53,15 @@ fn paced_gateway(max_batch: usize) -> Gateway {
     Gateway::new(GatewayConfig { max_batch, linger_us: 0, queue_cap: 256 })
 }
 
+/// The report of an `n`-shard request: the response's plain fold plus its
+/// fleet attribution, as a bare `Session::infer` of
+/// `Request::with_shards(n)` renders it.
+fn fleet_report(response: &GatewayResponse, shards: usize) -> InferenceReport {
+    let mut report = response.report();
+    report.shards = Some(attribute_shards(response.cycles(), shards));
+    report
+}
+
 // ---------------------------------------------------------------------------
 // 1. Byte-identity
 // ---------------------------------------------------------------------------
@@ -64,20 +73,10 @@ fn coalesced_requests_match_bare_session_runs_byte_for_byte() {
     let gateway = paced_gateway(64);
     gateway.publish("tiny", tiny.compile().expect("compiles")).expect("publish");
 
-    // Queue one single-sample request per batch sample — odd samples also
-    // ask for a 2-shard fleet attribution (shard attribution is a pure
-    // per-request fold, so mixed shard options share one batch).
+    // Queue one single-sample request per batch sample.
     gateway.pause("tiny").expect("pause");
-    let handles: Vec<_> = (0..batch)
-        .map(|k| {
-            let opts = if k % 2 == 1 {
-                SubmitOptions::default().with_shards(2)
-            } else {
-                SubmitOptions::default()
-            };
-            gateway.submit_with("tiny", &[k], opts).expect("submit")
-        })
-        .collect();
+    let handles: Vec<_> =
+        (0..batch).map(|k| gateway.submit("tiny", &[k]).expect("submit")).collect();
     gateway.resume("tiny").expect("resume");
 
     let bare_plan = tiny.compile().expect("compiles");
@@ -86,12 +85,15 @@ fn coalesced_requests_match_bare_session_runs_byte_for_byte() {
         let response = handle.wait().expect("serve");
         assert_eq!(response.batch_requests(), batch, "all requests rode one micro-batch");
         assert_eq!(response.batch_samples(), batch);
-        let mut request = Request::samples(k..k + 1);
-        if k % 2 == 1 {
-            request = request.with_shards(2);
-        }
+        // Odd samples are also attributed to a 2-shard fleet: attribution
+        // is a pure fold over the response's own cycle totals.
+        let (report, request) = if k % 2 == 1 {
+            (fleet_report(&response, 2), Request::samples(k..k + 1).with_shards(2))
+        } else {
+            (response.report(), Request::samples(k..k + 1))
+        };
         assert_eq!(
-            response.report().to_json(),
+            report.to_json(),
             bare.infer(&request).to_json(),
             "sample {k}: coalesced result must be bit-identical to a bare run"
         );
@@ -109,12 +111,9 @@ fn full_batch_gateway_requests_reproduce_the_golden_captures() {
     let gateway = paced_gateway(64);
     gateway.publish("tiny", tiny.compile().expect("compiles")).expect("publish");
     for shards in [1usize, 2, 4] {
-        let handle = gateway
-            .submit_with("tiny", &samples, SubmitOptions::default().with_shards(shards))
-            .expect("submit");
-        let report = handle.wait().expect("serve").report();
+        let response = gateway.submit("tiny", &samples).expect("submit").wait().expect("serve");
         assert_eq!(
-            report.to_json(),
+            fleet_report(&response, shards).to_json(),
             golden(&format!("tiny_shards{shards}.json")),
             "tiny @ {shards} shards through the gateway"
         );
@@ -124,11 +123,9 @@ fn full_batch_gateway_requests_reproduce_the_golden_captures() {
     let mut fp16 = scenario("svgg11_fp16.toml");
     fp16.config.batch = 8;
     gateway.publish("svgg11", fp16.compile().expect("compiles")).expect("publish");
-    let handle = gateway
-        .submit_with("svgg11", &[0, 1, 2, 3, 4, 5, 6, 7], SubmitOptions::default().with_shards(2))
-        .expect("submit");
+    let response = gateway.submit("svgg11", &[0, 1, 2, 3, 4, 5, 6, 7]).expect("submit");
     assert_eq!(
-        handle.wait().expect("serve").report().to_json(),
+        fleet_report(&response.wait().expect("serve"), 2).to_json(),
         golden("svgg11_analytic_shards2.json"),
         "svgg11 fp16 through the gateway"
     );
@@ -138,11 +135,9 @@ fn full_batch_gateway_requests_reproduce_the_golden_captures() {
     temporal.config.batch = 4;
     temporal.config = temporal.config.temporal_steps(3);
     gateway.publish("svgg11-t3", temporal.compile().expect("compiles")).expect("publish");
-    let handle = gateway
-        .submit_with("svgg11-t3", &[0, 1, 2, 3], SubmitOptions::default().with_shards(2))
-        .expect("submit");
+    let response = gateway.submit("svgg11-t3", &[0, 1, 2, 3]).expect("submit");
     assert_eq!(
-        handle.wait().expect("serve").report().to_json(),
+        fleet_report(&response.wait().expect("serve"), 2).to_json(),
         golden("svgg11_analytic_t3_shards2.json"),
         "svgg11 fp16 t3 through the gateway"
     );
@@ -169,9 +164,7 @@ fn a_full_queue_rejects_deterministically_and_drains_cleanly() {
     // Timed path: a paused tenant never frees space, so the submitter
     // parks for the whole timeout and then reports it.
     assert_eq!(
-        gateway
-            .submit_timeout("tiny", &[2], SubmitOptions::default(), Duration::from_millis(20))
-            .err(),
+        gateway.submit_timeout("tiny", &[2], Duration::from_millis(20)).err(),
         Some(ServeError::Timeout { tenant: "tiny".to_string() })
     );
     let stats = gateway.stats();
@@ -182,9 +175,8 @@ fn a_full_queue_rejects_deterministically_and_drains_cleanly() {
     gateway.resume("tiny").expect("resume");
     assert!(first.wait().is_ok());
     assert!(second.wait().is_ok());
-    let third = gateway
-        .submit_timeout("tiny", &[2], SubmitOptions::default(), Duration::from_secs(10))
-        .expect("space after drain");
+    let third =
+        gateway.submit_timeout("tiny", &[2], Duration::from_secs(10)).expect("space after drain");
     assert!(third.wait().is_ok());
     let stats = gateway.stats();
     assert_eq!((stats.submitted, stats.completed), (3, 3));
@@ -197,28 +189,17 @@ fn an_oversized_request_is_rejected_and_the_tenant_keeps_serving() {
     let gateway = paced_gateway(64);
     gateway.publish("tiny", tiny.compile().expect("compiles")).expect("publish");
 
-    // 1 sample x 3 layers x 2^30 timesteps is far past the layer-sample
-    // bound: rejected synchronously, so it is never counted as submitted.
-    let huge = SubmitOptions::default().with_timesteps(1 << 30);
-    let err = gateway.submit_with("tiny", &[0], huge).err().expect("rejected");
-    assert_eq!(err, ServeError::RequestTooLarge { samples: 1, layers: 3, timesteps: 1 << 30 });
+    // 2^22 layer samples / 3 layers = 1,398,101.3, so 1,398,102 samples
+    // are one past the bound: rejected synchronously, so the request is
+    // never counted as submitted.
+    let huge: Vec<usize> = (0..1_398_102).collect();
+    let err = gateway.submit("tiny", &huge).err().expect("rejected");
+    assert_eq!(err, ServeError::RequestTooLarge { samples: 1_398_102, layers: 3, timesteps: 1 });
     assert_eq!(
         err.to_string(),
-        "1 samples x 3 layers x 1073741824 timesteps exceeds the limit of 4194304 layer \
-         samples per request"
+        "1398102 samples x 3 layers x 1 timesteps exceeds the limit of 4194304 layer samples \
+         per request"
     );
-    // A product that overflows `usize` is rejected, not wrapped.
-    let overflow = SubmitOptions::default().with_timesteps(usize::MAX);
-    assert!(matches!(
-        gateway.submit_with("tiny", &[0], overflow),
-        Err(ServeError::RequestTooLarge { timesteps: usize::MAX, .. })
-    ));
-    // A shard fleet past `MAX_SHARDS` is rejected before it can size the
-    // per-shard attribution.
-    let fleet = SubmitOptions::default().with_shards(4_000_000_000);
-    let err = gateway.submit_with("tiny", &[0], fleet).err().expect("rejected");
-    assert_eq!(err, ServeError::TooManyShards(4_000_000_000));
-    assert_eq!(err.to_string(), "4000000000 shards exceeds the limit of 1024 shards per request");
     assert_eq!(gateway.stats().submitted, 0);
 
     let response = gateway.submit("tiny", &[0]).expect("submit").wait().expect("serve");
@@ -231,16 +212,17 @@ fn a_request_admitted_before_a_hot_swap_is_rechecked_on_the_new_plan() {
     let gateway = paced_gateway(64);
     gateway.publish("t", scenario("tiny.toml").compile().expect("compiles")).expect("publish");
     gateway.pause("t").expect("pause");
-    // 3 tiny layers x 2^20 steps fit the bound; 8 S-VGG11 layers do not.
-    let opts = SubmitOptions::default().with_timesteps(1 << 20);
-    let handle = gateway.submit_with("t", &[0], opts).expect("fits the published plan");
+    // 600,000 samples x 3 tiny layers fit the bound; x 8 S-VGG11 layers
+    // they do not.
+    let samples: Vec<usize> = (0..600_000).collect();
+    let handle = gateway.submit("t", &samples).expect("fits the published plan");
     let mut svgg11 = scenario("svgg11_fp16.toml");
     svgg11.config.batch = 1;
     gateway.publish("t", svgg11.compile().expect("compiles")).expect("republish");
     gateway.resume("t").expect("resume");
     assert_eq!(
         handle.wait().err(),
-        Some(ServeError::RequestTooLarge { samples: 1, layers: 8, timesteps: 1 << 20 })
+        Some(ServeError::RequestTooLarge { samples: 600_000, layers: 8, timesteps: 1 })
     );
     assert!(gateway.submit("t", &[0]).expect("submit").wait().is_ok(), "the tenant still serves");
 }
@@ -396,7 +378,9 @@ impl ExecutionBackend for PanickingBackend {
 #[test]
 fn a_poisoned_tenant_contains_its_panic_and_revives_on_publish() {
     let tiny = scenario("tiny.toml");
-    let gateway = paced_gateway(8);
+    // One sample per batch, so a request queued behind the poison batch
+    // stays queued while it panics.
+    let gateway = paced_gateway(1);
     gateway.publish("good", tiny.compile().expect("compiles")).expect("publish good");
     let bad_plan = || {
         Engine::svgg11(7)
@@ -410,14 +394,12 @@ fn a_poisoned_tenant_contains_its_panic_and_revives_on_publish() {
     };
     gateway.publish("bad", bad_plan()).expect("publish bad");
 
-    // Queue the poison batch plus an incompatible request behind it (a
-    // different timestep override cannot coalesce), so both failure paths
-    // run: the in-flight batch and the queued backlog.
+    // Queue the poison batch plus a request behind it that does not fit
+    // the one-sample batch, so both failure paths run: the in-flight batch
+    // and the queued backlog.
     gateway.pause("bad").expect("pause");
     let poisoned = gateway.submit("bad", &[13]).expect("submit poison");
-    let behind = gateway
-        .submit_with("bad", &[0], SubmitOptions::default().with_timesteps(2))
-        .expect("submit behind");
+    let behind = gateway.submit("bad", &[0]).expect("submit behind");
     gateway.resume("bad").expect("resume");
 
     let Err(ServeError::Poisoned(message)) = poisoned.wait() else {

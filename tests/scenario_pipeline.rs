@@ -1,9 +1,16 @@
 //! The checked-in scenario files must stay parseable and runnable — they
-//! are the CLI's public surface and the CI smoke test's input.
+//! are the CLI's public surface and the CI smoke test's input — and the
+//! parser must turn any mutation of them into a scenario within bounds or
+//! a line-numbered error, never a panic.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 
-use spikestream::{KernelVariant, NetworkChoice, Request, Scenario, TimingModel};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use spikestream::sharding::MAX_SHARDS;
+use spikestream::{KernelVariant, NetworkChoice, Request, Scenario, TimingModel, WorkloadMode};
 
 /// Serve one scenario through the compile-once lifecycle (what the CLI's
 /// `run` subcommand does).
@@ -15,20 +22,33 @@ fn scenario_dir() -> std::path::PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/scenarios")
 }
 
+/// Every checked-in scenario as `(file name, text)`, sorted by name.
+fn checked_in_scenarios() -> Vec<(String, String)> {
+    let mut files: Vec<(String, String)> = std::fs::read_dir(scenario_dir())
+        .expect("examples/scenarios exists")
+        .map(|entry| entry.expect("readable dir entry").path())
+        .filter(|path| path.extension().and_then(|e| e.to_str()) == Some("toml"))
+        .map(|path| {
+            let text = std::fs::read_to_string(&path).expect("readable scenario");
+            (path.file_name().unwrap().to_string_lossy().into_owned(), text)
+        })
+        .collect();
+    files.sort();
+    files
+}
+
 #[test]
 fn every_checked_in_scenario_parses() {
-    let mut found = 0;
-    for entry in std::fs::read_dir(scenario_dir()).expect("examples/scenarios exists") {
-        let path = entry.expect("readable dir entry").path();
-        if path.extension().and_then(|e| e.to_str()) != Some("toml") {
-            continue;
-        }
-        let scenario = Scenario::from_file(&path)
-            .unwrap_or_else(|e| panic!("{} must parse: {e}", path.display()));
-        assert_ne!(scenario.name, "unnamed", "{} should set a name", path.display());
-        found += 1;
+    let files = checked_in_scenarios();
+    for (name, text) in &files {
+        let scenario = Scenario::parse(text).unwrap_or_else(|e| panic!("{name} must parse: {e}"));
+        assert_ne!(scenario.name, "unnamed", "{name} should set a name");
     }
-    assert!(found >= 3, "expected at least three checked-in scenarios, found {found}");
+    assert!(
+        files.len() >= 3,
+        "expected at least three checked-in scenarios, found {}",
+        files.len()
+    );
 }
 
 #[test]
@@ -113,4 +133,94 @@ fn an_oversized_batch_is_a_compile_error_not_an_abort() {
         "scenario: batch 4000000000 x 3 layers x 2 timesteps exceeds the limit of 4194304 \
          layer samples per request"
     );
+}
+
+/// Tokens the mutator splices in: integer extremes, signs, non-finite and
+/// malformed numbers, a stray quote, section headers and an out-of-range
+/// shard count.
+const SPLICE_TOKENS: &[&str] = &[
+    "18446744073709551615",
+    "4000000000",
+    "-1",
+    "0",
+    "nan",
+    "1e999",
+    "0x",
+    "\"",
+    "[serve]",
+    "[neuron_model]",
+    "shards = 1025",
+];
+
+/// Apply one seeded ASCII mutation to `bytes`: a byte flip, a line drop or
+/// duplicate, or a token spliced into a line, over a line's value, or on a
+/// line of its own.
+fn mutate(bytes: &mut Vec<u8>, rng: &mut StdRng) {
+    let token = SPLICE_TOKENS[rng.gen_range(0..SPLICE_TOKENS.len())].as_bytes();
+    let mut lines: Vec<Vec<u8>> = bytes.split(|&b| b == b'\n').map(<[u8]>::to_vec).collect();
+    let at = rng.gen_range(0..lines.len());
+    match rng.gen_range(0..6u32) {
+        0 if !bytes.is_empty() => {
+            let i = rng.gen_range(0..bytes.len());
+            bytes[i] = rng.gen_range(0..128u8);
+            return;
+        }
+        1 => {
+            lines.remove(at);
+        }
+        2 => lines.insert(at, lines[at].clone()),
+        3 => {
+            let i = rng.gen_range(0..lines[at].len() + 1);
+            lines[at].splice(i..i, token.iter().copied());
+        }
+        4 => match lines[at].iter().position(|&b| b == b'=') {
+            Some(eq) => {
+                lines[at].truncate(eq + 1);
+                lines[at].push(b' ');
+                lines[at].extend_from_slice(token);
+            }
+            None => lines.insert(at, token.to_vec()),
+        },
+        _ => lines.insert(at, token.to_vec()),
+    }
+    *bytes = lines.join(&b'\n');
+}
+
+proptest! {
+    #[test]
+    fn mutated_scenarios_parse_within_bounds_or_fail_with_a_line(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for (name, original) in checked_in_scenarios() {
+            let mut bytes = original.into_bytes();
+            for _ in 0..rng.gen_range(1..9usize) {
+                mutate(&mut bytes, &mut rng);
+            }
+            let text = String::from_utf8_lossy(&bytes).into_owned();
+            let parsed = catch_unwind(|| Scenario::parse(&text))
+                .unwrap_or_else(|_| panic!("Scenario::parse panicked on mutated {name}:\n{text}"));
+            let scenario = match parsed {
+                Err(err) => {
+                    let lines = text.lines().count();
+                    prop_assert!(err.line <= lines, "{name}: {err} names line > {lines}:\n{text}");
+                    continue;
+                }
+                Ok(scenario) => scenario,
+            };
+            prop_assert!((1..=MAX_SHARDS).contains(&scenario.shards), "{name}:\n{text}");
+            prop_assert!(scenario.config.batch >= 1, "{name}:\n{text}");
+            if let WorkloadMode::Temporal { timesteps, .. } = scenario.config.mode {
+                prop_assert!(timesteps >= 1, "{name}:\n{text}");
+            }
+            if let Some(serve) = scenario.serve {
+                prop_assert!(serve.max_batch.is_none_or(|n| n >= 1), "{name}:\n{text}");
+                prop_assert!(serve.queue_cap.is_none_or(|n| n >= 1), "{name}:\n{text}");
+            }
+            // Building S-VGG11's weights is too slow for a debug-build
+            // property; the tiny networks compile in microseconds.
+            if scenario.network != NetworkChoice::Svgg11 {
+                let compiled = catch_unwind(AssertUnwindSafe(|| scenario.compile().map(drop)));
+                prop_assert!(compiled.is_ok(), "compile panicked on mutated {name}:\n{text}");
+            }
+        }
+    }
 }
