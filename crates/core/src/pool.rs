@@ -12,7 +12,7 @@
 //! The wakeup protocol is a monotonically increasing **epoch** guarded by
 //! one mutex: a parked worker runs exactly one job per epoch it observes,
 //! and a worker whose slot is not needed by the current request (requests
-//! clamp their worker count to the available chunks) re-parks without
+//! clamp their worker count to their sample count) re-parks without
 //! touching the job. The dispatcher blocks until every participating slot
 //! has checked in, which is what makes the one `unsafe` lifetime erasure
 //! in `WorkerPool::run_stealing` sound: the job closure — which borrows
@@ -28,8 +28,9 @@
 //!
 //! Counters ([`PoolStats`]) make the steady state observable: `spawned`
 //! must stay flat once a session is warm (tests assert it), `wakeups`
-//! counts every park→run transition, `steals` counts chunks claimed
-//! through the pooled loop, and `park_ns` accumulates time threads spent
+//! counts every park→run transition, `steals` counts the work items
+//! claimed through the claim loop (for a session: one per sample of every
+//! multi-worker request), and `park_ns` accumulates time threads spent
 //! parked rather than burning cycles.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -50,7 +51,9 @@ pub struct PoolStats {
     /// Park→run transitions: how many times a parked worker woke up with
     /// work to do (one per participating pool thread per job).
     pub wakeups: u64,
-    /// Chunks claimed through the pooled chunk-stealing loop.
+    /// Work items claimed through the claim loop. A session claims one
+    /// sample at a time, so this counts the samples of its multi-worker
+    /// requests.
     pub steals: u64,
     /// Total time pool threads spent parked on the job condvar, in
     /// nanoseconds. Grows while the session is idle; the serving cost of
@@ -160,9 +163,9 @@ impl WorkerPool {
         }
     }
 
-    /// Run the chunk-stealing claim loop over worker slots `0..workers`:
-    /// every slot claims chunk indices `0..chunks` from a shared atomic
-    /// cursor and runs `work(slot, chunk)` for each claim. Slot 0 runs on
+    /// Run the claim loop over worker slots `0..workers`: every slot claims
+    /// work-item indices `0..items` one at a time from a shared atomic
+    /// cursor and runs `work(slot, item)` for each claim. Slot 0 runs on
     /// the calling thread; slots `1..workers` run on parked pool threads,
     /// spawned on first use and reused for every later request (growing if
     /// a later request clamps to more workers).
@@ -174,21 +177,21 @@ impl WorkerPool {
     pub(crate) fn run_stealing(
         &mut self,
         workers: usize,
-        chunks: usize,
+        items: usize,
         work: impl Fn(usize, usize) + Sync,
     ) {
         let cursor = AtomicUsize::new(0);
         let job = |slot: usize| loop {
-            let chunk = cursor.fetch_add(1, Ordering::Relaxed);
-            if chunk >= chunks {
+            let item = cursor.fetch_add(1, Ordering::Relaxed);
+            if item >= items {
                 break;
             }
-            work(slot, chunk);
+            work(slot, item);
         };
 
         if workers <= 1 {
             job(0);
-            self.steals.fetch_add(chunks as u64, Ordering::Relaxed);
+            self.steals.fetch_add(items as u64, Ordering::Relaxed);
             return;
         }
         self.ensure_spawned(workers - 1);
@@ -228,7 +231,7 @@ impl WorkerPool {
             state.job = None;
             state.panic.take()
         };
-        self.steals.fetch_add(chunks as u64, Ordering::Relaxed);
+        self.steals.fetch_add(items as u64, Ordering::Relaxed);
 
         if let Err(payload) = caller {
             std::panic::resume_unwind(payload);

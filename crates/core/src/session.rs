@@ -24,7 +24,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::backend::{LayerSample, SampleContext, WorkerArena};
+use crate::backend::{LayerSample, WorkerArena};
 use crate::plan::Plan;
 use crate::pool::{PoolStats, WorkerPool};
 use crate::report::{InferenceReport, ShardSummary};
@@ -75,7 +75,7 @@ impl Request {
 
     /// Override the host worker count. The session serves with at most
     /// [`MAX_WORKERS`](crate::sharding::MAX_WORKERS) workers, and never
-    /// with more than the request has chunks to steal.
+    /// with more than the request has samples.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
         self
@@ -208,7 +208,6 @@ pub struct Session<'p> {
     arenas: Vec<WorkerArena>,
     pool: WorkerPool,
     workers: usize,
-    chunk: usize,
     flat: Vec<LayerSample>,
     cycles: Vec<f64>,
     mirror: SessionStatsHandle,
@@ -222,7 +221,6 @@ impl<'p> Session<'p> {
             arenas: Vec::new(),
             pool: WorkerPool::new(),
             workers: host,
-            chunk: 4,
             flat: Vec::new(),
             cycles: Vec::new(),
             mirror: SessionStatsHandle::default(),
@@ -232,13 +230,6 @@ impl<'p> Session<'p> {
     /// The plan this session serves.
     pub fn plan(&self) -> &'p Plan {
         self.plan
-    }
-
-    /// Override the number of samples per stolen chunk (clamped to at
-    /// least 1).
-    pub fn with_chunk(mut self, chunk: usize) -> Self {
-        self.chunk = chunk.max(1);
-        self
     }
 
     /// Steady-state counters of this session: arena reuse (samples run,
@@ -332,20 +323,15 @@ impl<'p> Session<'p> {
         self.cycles.clear();
         self.cycles.resize(batch, 0.0);
         // The one shared sizing policy (`sharding::clamp_workers`): never
-        // run more workers than there are chunks to steal.
-        let chunks = batch.div_ceil(self.chunk);
-        let workers = clamp_workers(request.workers.unwrap_or(self.workers), chunks);
+        // run more workers than there are samples to claim.
+        let workers = clamp_workers(request.workers.unwrap_or(self.workers), batch);
         // Worker-count growth grows the arenas and the pool together: the
         // arenas here, the pool threads inside `run_stealing` on dispatch.
         if self.arenas.len() < workers {
             self.arenas.resize_with(workers, WorkerArena::new);
         }
 
-        // Workers read the config for every layer of every sample; a
-        // stack copy keeps those reads off the plan's cache lines, which
-        // the program cache's lock and hit counters keep dirty.
-        let config = *self.plan.config();
-        let ctx = SampleContext { config: &config, ..self.plan.context() };
+        let ctx = self.plan.context();
         if workers == 1 {
             // Strictly sequential: ascending slot order on this thread.
             let arena = &mut self.arenas[0];
@@ -356,34 +342,30 @@ impl<'p> Session<'p> {
                 sink.on_slot(i, sample, layers);
             }
         } else {
-            // The chunk-stealing claim loop over the session's parked
-            // worker pool; results stream through one serialized sink
+            // The claim loop over the session's parked worker pool, one
+            // sample per claim, so a request of n samples keeps up to n
+            // workers busy; results stream through one serialized sink
             // handle as they complete. Delivery is a per-sample critical
             // section — a small copy for the folding sink, cheap next to
             // evaluating the sample.
             let shared = Mutex::new((&mut *sink, self.cycles.as_mut_slice()));
-            let chunk = self.chunk;
             let ids = &ids;
             // Worker slot `s` owns arena `s` for the whole request, so
             // per-worker kernel scratch and membrane buffers keep their
             // locality across requests; the mutexes only hand the `&mut`
-            // arenas across the parked threads and are each locked once,
-            // by their own slot.
+            // arenas across the parked threads and are each locked by
+            // their own slot only, once per claim.
             let slots: Vec<Mutex<&mut WorkerArena>> =
                 self.arenas[..workers].iter_mut().map(Mutex::new).collect();
-            self.pool.run_stealing(workers, chunks, |slot, w| {
+            self.pool.run_stealing(workers, batch, |slot, i| {
                 let arena = &mut *slots[slot].lock().expect("arena slot poisoned");
-                let start = w * chunk;
-                let end = (start + chunk).min(batch);
-                for i in start..end {
-                    let sample = ids.get(i);
-                    let layers = arena.run_sample(backend, &ctx, sample);
-                    let cycles: f64 = layers.iter().map(|l| l.cycles).sum();
-                    let mut guard = shared.lock().expect("result sink poisoned");
-                    let (sink, cycle_slots) = &mut *guard;
-                    cycle_slots[i] = cycles;
-                    sink.on_slot(i, sample, layers);
-                }
+                let sample = ids.get(i);
+                let layers = arena.run_sample(backend, &ctx, sample);
+                let cycles: f64 = layers.iter().map(|l| l.cycles).sum();
+                let mut guard = shared.lock().expect("result sink poisoned");
+                let (sink, cycle_slots) = &mut *guard;
+                cycle_slots[i] = cycles;
+                sink.on_slot(i, sample, layers);
             });
         }
 

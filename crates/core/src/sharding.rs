@@ -32,11 +32,11 @@ pub const MAX_SHARDS: usize = 1024;
 pub const MAX_WORKERS: usize = 256;
 
 /// The host worker-count sizing policy of the [`Session`](crate::Session)
-/// pool: never run more workers than there are chunks to steal (extra
+/// pool: never run more workers than there are samples to claim (extra
 /// workers would claim nothing and pay wakeup churn for no parallelism)
 /// or than [`MAX_WORKERS`], and always run at least one.
-pub(crate) fn clamp_workers(workers: usize, chunks: usize) -> usize {
-    workers.clamp(1, chunks.clamp(1, MAX_WORKERS))
+pub(crate) fn clamp_workers(workers: usize, samples: usize) -> usize {
+    workers.clamp(1, samples.clamp(1, MAX_WORKERS))
 }
 
 /// Deterministic fleet attribution of per-sample cycle totals to `shards`

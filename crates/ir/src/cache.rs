@@ -15,12 +15,16 @@
 //!
 //! The cache holds costs only, never the programs they were integrated
 //! from, and is filled only by serving lookups. It is internally
-//! synchronized (`RwLock` + atomic counters), so a `Plan` can share one
-//! instance across all the worker threads of its sessions: hits take a
-//! read lock, and only the cold path writes.
+//! synchronized, so a `Plan` can share one instance across all the worker
+//! threads of its sessions. The map is split into 16 shards, each on cache
+//! lines of its own with its own `RwLock` and hit counter, and a key picks
+//! its shard from a cheap mix of its fields. Within a shard, hits take a
+//! read lock, and only the cold path writes; two threads hitting keys of
+//! different shards share no written cache line.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::RwLock;
 
 use snitch_arch::fp::FpFormat;
@@ -98,6 +102,22 @@ impl CacheCounters {
     }
 }
 
+/// Number of shards a [`ProgramCache`] splits its map into. A constant,
+/// not an option: enough that two serving threads rarely look up keys of
+/// the same shard, few enough that the shards' counters sum cheaply.
+const SHARDS: usize = 16;
+const _: () = assert!(SHARDS.is_power_of_two(), "the shard index is the top bits of a product");
+
+/// One shard of a [`ProgramCache`]: its slice of the map and its own hit
+/// counter, aligned to 128 bytes (two cache lines, covering adjacent-line
+/// prefetch) so that a hit writes no line another shard uses.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct Shard {
+    costs: RwLock<HashMap<ProgramKey, ProgramCost>>,
+    hits: AtomicU64,
+}
+
 /// Thread-safe memo of integrated program costs, owned by a compiled plan.
 ///
 /// The cache is *bounded*: once [`ProgramCache::capacity`] costs are
@@ -105,12 +125,13 @@ impl CacheCounters {
 /// inserted, so a plan serving an unbounded stream of fresh sparsity
 /// buckets (e.g. ever-new sample indices under a jittered profile) holds
 /// at most `capacity` costs — correctness is unaffected, only those
-/// bindings stay cold.
+/// bindings stay cold. The bound is strict across the cache's shards: one
+/// resident counter, written only on the cold path, hands out the slots.
 #[derive(Debug)]
 pub struct ProgramCache {
-    costs: RwLock<HashMap<ProgramKey, ProgramCost>>,
+    shards: [Shard; SHARDS],
     capacity: usize,
-    hits: AtomicU64,
+    resident: AtomicUsize,
     emits: AtomicU64,
 }
 
@@ -135,9 +156,9 @@ impl ProgramCache {
     /// (clamped to at least 1).
     pub fn bounded(capacity: usize) -> Self {
         ProgramCache {
-            costs: RwLock::new(HashMap::new()),
+            shards: Default::default(),
             capacity: capacity.max(1),
-            hits: AtomicU64::new(0),
+            resident: AtomicUsize::new(0),
             emits: AtomicU64::new(0),
         }
     }
@@ -149,7 +170,7 @@ impl ProgramCache {
 
     /// Number of costs currently cached.
     pub fn len(&self) -> usize {
-        self.costs.read().expect("program cache poisoned").len()
+        self.resident.load(Ordering::Relaxed)
     }
 
     /// Whether the cache holds no costs.
@@ -160,7 +181,7 @@ impl ProgramCache {
     /// Snapshot of the hit/emit counters.
     pub fn counters(&self) -> CacheCounters {
         CacheCounters {
-            hits: self.hits.load(Ordering::Relaxed),
+            hits: self.shards.iter().map(|shard| shard.hits.load(Ordering::Relaxed)).sum(),
             rebinds: 0,
             emits: self.emits.load(Ordering::Relaxed),
         }
@@ -170,17 +191,44 @@ impl ProgramCache {
     /// (one hit); otherwise run `emit`, cache its cost while below capacity
     /// and return it (one emit).
     pub fn get_or_emit(&self, key: ProgramKey, emit: impl FnOnce() -> ProgramCost) -> ProgramCost {
-        if let Some(cost) = self.costs.read().expect("program cache poisoned").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        let shard = self.shard(&key);
+        if let Some(cost) = shard.costs.read().expect("program cache poisoned").get(&key) {
+            shard.hits.fetch_add(1, Ordering::Relaxed);
             return cost.clone();
         }
         let cost = emit();
         self.emits.fetch_add(1, Ordering::Relaxed);
-        let mut costs = self.costs.write().expect("program cache poisoned");
-        if costs.len() < self.capacity {
-            costs.insert(key, cost.clone());
+        let mut costs = shard.costs.write().expect("program cache poisoned");
+        // A racing emit of the same key may have inserted it meanwhile:
+        // insert only if still absent, and only into a reserved slot.
+        if let Entry::Vacant(slot) = costs.entry(key) {
+            if self.reserve() {
+                slot.insert(cost.clone());
+            }
         }
         cost
+    }
+
+    /// The shard `key` lives in: a multiplicative mix of the key's fields,
+    /// top bits. The realized rates' low mantissa bits are what varies
+    /// between bindings of one layer, so every field feeds the product.
+    fn shard(&self, key: &ProgramKey) -> &Shard {
+        let fields = (u64::from(key.layer) << 40)
+            ^ (u64::from(key.class) << 48)
+            ^ ((key.format as u64) << 56)
+            ^ key.bucket.input_bits
+            ^ key.bucket.output_bits.rotate_left(32);
+        let mixed = fields.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        &self.shards[(mixed >> (u64::BITS - SHARDS.trailing_zeros())) as usize]
+    }
+
+    /// Take one resident slot if any is left below capacity.
+    fn reserve(&self) -> bool {
+        self.resident
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |resident| {
+                (resident < self.capacity).then_some(resident + 1)
+            })
+            .is_ok()
     }
 }
 
@@ -257,5 +305,70 @@ mod tests {
         assert_eq!(c.lookups(), 64);
         assert_eq!(cache.len(), 4);
         assert!(c.hits >= 56, "at most one cold bind per key per racing thread");
+    }
+
+    #[test]
+    fn concurrent_hits_on_resident_keys_are_counted_exactly() {
+        const THREADS: u64 = 4;
+        const LOOKUPS: u64 = 1000;
+        let cache = ProgramCache::new();
+        // Keys of every layer and several buckets, so the lookups spread
+        // over the shards.
+        let keys: Vec<ProgramKey> =
+            (0..8).flat_map(|layer| [0.125, 0.25, 0.5].map(|rate| key(layer, rate))).collect();
+        for &k in &keys {
+            cache.get_or_emit(k, || cost("r"));
+        }
+        let mut shards: Vec<*const Shard> =
+            keys.iter().map(|k| cache.shard(k) as *const _).collect();
+        shards.sort();
+        shards.dedup();
+        assert!(shards.len() >= SHARDS / 2, "24 keys spread over {} shards", shards.len());
+        let emitted = cache.counters().emits;
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (cache, keys) = (&cache, &keys);
+                s.spawn(move || {
+                    for i in 0..LOOKUPS {
+                        let k = keys[(t + i) as usize % keys.len()];
+                        cache.get_or_emit(k, || panic!("key {k:?} is resident"));
+                    }
+                });
+            }
+        });
+        let c = cache.counters();
+        assert_eq!(c.hits, THREADS * LOOKUPS, "every hit lands in exactly one shard counter");
+        assert_eq!(c.emits, emitted, "no lookup emits");
+        assert_eq!(cache.len(), keys.len());
+    }
+
+    #[test]
+    fn racing_inserts_respect_the_bound_across_shards() {
+        let cache = ProgramCache::bounded(8);
+        let keys: Vec<ProgramKey> = (0..64).map(|i| key(i % 8, 0.01 * f64::from(i))).collect();
+        std::thread::scope(|s| {
+            for chunk in keys.chunks(16) {
+                let cache = &cache;
+                s.spawn(move || {
+                    for &k in chunk {
+                        cache.get_or_emit(k, || cost("b"));
+                    }
+                });
+            }
+        });
+        assert_eq!(cache.len(), 8, "exactly capacity costs are resident");
+        assert_eq!(cache.counters().emits, 64, "every distinct key emitted once");
+        // `len` agrees with the shards: exactly 8 of the 64 keys now hit.
+        let cold = keys.iter().filter(|&&k| {
+            let mut emitted = false;
+            cache.get_or_emit(k, || {
+                emitted = true;
+                cost("b")
+            });
+            emitted
+        });
+        assert_eq!(cold.count(), 56);
+        assert_eq!(cache.counters().hits, 8);
+        assert_eq!(cache.len(), 8, "a full cache inserts nothing more");
     }
 }

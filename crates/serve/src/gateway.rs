@@ -12,15 +12,30 @@
 //!
 //! The threading idiom is the same parked epoch/condvar discipline as
 //! `spikestream`'s worker pool: submitters park on `space` when a queue
-//! is full, the dispatcher parks on `work` when its queue is empty, and
-//! all cross-thread signalling runs through those two condvars — no
-//! async runtime, no channels.
+//! is full, the dispatcher parks on `work` when its queue is empty or
+//! while it lingers, clients park on their response cell, and all
+//! cross-thread signalling runs through those condvars — no async
+//! runtime, no channels. A notify costs a syscall whether or not anyone
+//! waits, so the serving path signals only a thread that is parked and
+//! waiting for the change:
+//!
+//! - a submission wakes the dispatcher only when the queued samples reach
+//!   its wake threshold — 1 while it is parked idle, `cap − count` while
+//!   it lingers on a batch of `count` samples (the batch is then full or
+//!   the next request cannot fit), none while it runs — or when the
+//!   submission fills the queue while the dispatcher waits;
+//! - a pop wakes submitters only when some are parked on `space`;
+//! - a completed request wakes its client only when the client is parked
+//!   in [`ResponseHandle::wait`].
+//!
+//! Publish, resume and shutdown always wake everyone.
 
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -32,19 +47,34 @@ use crate::registry::{PlanRegistry, VersionedPlan};
 use crate::stats::{Counters, GatewayStats, TenantStats};
 use crate::{GatewayConfig, ServeError};
 
-type ResponseSlot = Option<Result<GatewayResponse, ServeError>>;
+/// What a [`ResponseCell`] guards: the result once the dispatcher has
+/// delivered it, and whether the client is parked waiting for it.
+#[derive(Default)]
+struct CellState {
+    result: Option<Result<GatewayResponse, ServeError>>,
+    parked: bool,
+}
 
 /// The rendezvous cell a dispatcher fulfills and a client waits on.
 #[derive(Default)]
 struct ResponseCell {
-    slot: Mutex<ResponseSlot>,
+    state: Mutex<CellState>,
     ready: Condvar,
 }
 
 impl ResponseCell {
+    /// Deliver `result`, waking the client only if it is parked in
+    /// [`ResponseHandle::wait`]. A handle has one owner, so at most one
+    /// thread waits.
     fn fulfill(&self, result: Result<GatewayResponse, ServeError>) {
-        *self.slot.lock().expect("response cell poisoned") = Some(result);
-        self.ready.notify_all();
+        let parked = {
+            let mut cell = self.state.lock().expect("response cell poisoned");
+            cell.result = Some(result);
+            cell.parked
+        };
+        if parked {
+            self.ready.notify_one();
+        }
     }
 }
 
@@ -57,12 +87,13 @@ pub struct ResponseHandle {
 impl ResponseHandle {
     /// Block until the request completes, consuming the handle.
     pub fn wait(self) -> Result<GatewayResponse, ServeError> {
-        let mut slot = self.cell.slot.lock().expect("response cell poisoned");
+        let mut cell = self.cell.state.lock().expect("response cell poisoned");
         loop {
-            if let Some(result) = slot.take() {
+            if let Some(result) = cell.result.take() {
                 return result;
             }
-            slot = self.cell.ready.wait(slot).expect("response cell poisoned");
+            cell.parked = true;
+            cell = self.cell.ready.wait(cell).expect("response cell poisoned");
         }
     }
 }
@@ -71,15 +102,19 @@ impl ResponseHandle {
 /// needed to fold them into the exact [`InferenceReport`] a bare
 /// [`Session`] would have produced.
 ///
-/// The fold is deferred to [`GatewayResponse::report`] so the dispatcher's
-/// demultiplex step stays a plain slice copy — callers that only need raw
-/// layer samples ([`GatewayResponse::layers`]) never pay for a report.
+/// Demultiplexing copies nothing: every response of a micro-batch shares
+/// the batch's one result buffer and names its own slot range of it, and
+/// the fold is deferred to [`GatewayResponse::report`] — callers that only
+/// need raw layer samples ([`GatewayResponse::layers`]) never pay for a
+/// report. The trade-off: a response keeps its whole batch's buffer alive
+/// until the batch's last response is dropped. That buffer is bounded like
+/// the batch, by
+/// [`Compiler::MAX_LAYER_SAMPLES`](spikestream::Compiler::MAX_LAYER_SAMPLES)
+/// layer samples.
 pub struct GatewayResponse {
     plan: Arc<VersionedPlan>,
-    samples: usize,
-    layers: Vec<LayerSample>,
-    cycles: Vec<f64>,
-    batch_samples: usize,
+    batch: Arc<FlatSink>,
+    slots: Range<usize>,
     batch_requests: usize,
 }
 
@@ -91,14 +126,15 @@ impl GatewayResponse {
 
     /// Number of samples this request asked for.
     pub fn samples(&self) -> usize {
-        self.samples
+        self.slots.len()
     }
 
     /// Raw per-layer measurements, sample-major then step-major — the
     /// exact stream a bare session would have delivered to a
     /// [`ResultSink`].
     pub fn layers(&self) -> &[LayerSample] {
-        &self.layers
+        let units = self.batch.units;
+        &self.batch.flat[self.slots.start * units..self.slots.end * units]
     }
 
     /// Per-sample cycle totals, in request order. Fleet statistics of the
@@ -107,12 +143,12 @@ impl GatewayResponse {
     /// which clamps `n` to
     /// [`MAX_SHARDS`](spikestream::sharding::MAX_SHARDS).
     pub fn cycles(&self) -> &[f64] {
-        &self.cycles
+        &self.batch.cycles[self.slots.clone()]
     }
 
     /// Total samples in the coalesced batch this request rode in.
     pub fn batch_samples(&self) -> usize {
-        self.batch_samples
+        self.batch.cycles.len()
     }
 
     /// Number of requests coalesced into that batch.
@@ -126,7 +162,7 @@ impl GatewayResponse {
     /// `shards` to
     /// [`attribute_shards(response.cycles(), n)`](spikestream::attribute_shards).
     pub fn report(&self) -> InferenceReport {
-        self.plan.plan.fold_report(&self.layers, self.samples)
+        self.plan.plan.fold_report(self.layers(), self.samples())
     }
 }
 
@@ -177,6 +213,16 @@ fn batch_cap(max_batch: usize, units: usize) -> usize {
 #[derive(Default)]
 struct TenantState {
     queue: VecDeque<Pending>,
+    /// Samples of the queued requests.
+    queued: usize,
+    /// The queued-sample count at which a submission wakes the parked
+    /// dispatcher: `Some(1)` while it is parked idle, `Some(cap − count)`
+    /// while it lingers on a batch of `count` samples, `None` while it
+    /// runs, is paused, or has already been signalled.
+    wake_at: Option<usize>,
+    /// Submitters parked on [`Tenant::space`], counted on every exit from
+    /// the wait, timeouts included.
+    space_waiters: usize,
     paused: bool,
     shutdown: bool,
     dispatcher_alive: bool,
@@ -187,16 +233,27 @@ struct TenantState {
     shape: PlanShape,
 }
 
+impl TenantState {
+    /// Pop the queue head if `fits` accepts it, keeping `queued` in step.
+    fn pop_if(&mut self, fits: impl FnOnce(&Pending) -> bool) -> Option<Pending> {
+        let next = self.queue.pop_front_if(|next| fits(next))?;
+        self.queued -= next.samples.len();
+        Some(next)
+    }
+}
+
 /// One tenant: a bounded queue plus the two condvars its dispatcher and
 /// submitters park on.
 struct Tenant {
     name: String,
     state: Mutex<TenantState>,
-    /// Dispatcher parks here while the queue is empty (or paused);
-    /// submitters and [`Gateway::publish`]/[`Gateway::resume`] signal it.
+    /// Dispatcher parks here while the queue is empty (or paused) and
+    /// while it lingers. A submission signals it only at its wake
+    /// threshold ([`TenantState::wake_at`]); [`Gateway::publish`],
+    /// [`Gateway::resume`] and shutdown always do.
     work: Condvar,
     /// Submitters park here while the queue is at capacity; the
-    /// dispatcher signals it as it pops.
+    /// dispatcher signals it as it pops, if any are parked.
     space: Condvar,
 }
 
@@ -207,6 +264,33 @@ impl Tenant {
             state: Mutex::new(TenantState::default()),
             work: Condvar::new(),
             space: Condvar::new(),
+        }
+    }
+
+    /// Park the dispatcher on `work` until a publish, resume or shutdown,
+    /// until a submission brings the queued samples to `wake_at` (if any),
+    /// or until `timeout` passes (if any).
+    fn park<'a>(
+        &self,
+        mut state: MutexGuard<'a, TenantState>,
+        wake_at: Option<usize>,
+        timeout: Option<Duration>,
+    ) -> MutexGuard<'a, TenantState> {
+        state.wake_at = wake_at;
+        let mut state = match timeout {
+            None => self.work.wait(state).expect("tenant state poisoned"),
+            Some(timeout) => {
+                self.work.wait_timeout(state, timeout).expect("tenant state poisoned").0
+            }
+        };
+        state.wake_at = None;
+        state
+    }
+
+    /// A pop made room: wake the submitters parked on a full queue, if any.
+    fn made_room(&self, state: &TenantState) {
+        if state.space_waiters > 0 {
+            self.space.notify_all();
         }
     }
 }
@@ -365,14 +449,25 @@ impl Gateway {
                 self.shared.counters.on_rejected_full();
                 return Err(ServeError::Timeout { tenant: name.to_string() });
             }
+            state.space_waiters += 1;
             let (guard, _timed_out) =
                 tenant.space.wait_timeout(state, deadline - now).expect("tenant state poisoned");
             state = guard;
+            state.space_waiters -= 1;
         }
         let cell = Arc::new(ResponseCell::default());
         state.queue.push_back(Pending { samples: samples.to_vec(), cell: Arc::clone(&cell) });
+        state.queued += samples.len();
         self.shared.counters.on_submitted();
-        tenant.work.notify_all();
+        // Wake a parked dispatcher only for what it waits for: enough
+        // queued samples, or a full queue, whose fitting requests a
+        // lingering dispatcher moves into its batch to make room.
+        if let Some(at) = state.wake_at {
+            if state.queued >= at || state.queue.len() >= cap {
+                state.wake_at = None;
+                tenant.work.notify_one();
+            }
+        }
         Ok(ResponseHandle { cell })
     }
 
@@ -459,7 +554,8 @@ impl std::fmt::Debug for Gateway {
 
 /// The slot-addressed demultiplex sink of one coalesced batch: every
 /// sample lands at its slot of one flat buffer, with per-slot cycle
-/// totals recorded for [`GatewayResponse::cycles`].
+/// totals recorded for [`GatewayResponse::cycles`]. Once the batch has
+/// run, the sink is the batch's shared result buffer.
 struct FlatSink {
     units: usize,
     flat: Vec<LayerSample>,
@@ -541,14 +637,17 @@ fn serve_era(
                 if shared.registry.version(&tenant.name) != Some(era.version) {
                     return EraExit::Swap;
                 }
-                if !state.paused || state.shutdown {
-                    if let Some(head) = state.queue.pop_front() {
+                let serving = !state.paused || state.shutdown;
+                if serving {
+                    if let Some(head) = state.pop_if(|_| true) {
                         break head;
                     }
                 }
-                state = tenant.work.wait(state).expect("tenant state poisoned");
+                // Parked idle, the first queued sample is worth a wakeup;
+                // paused, no submission is (resume wakes the dispatcher).
+                state = tenant.park(state, serving.then_some(1), None);
             };
-            tenant.space.notify_all();
+            tenant.made_room(&state);
             // Submission checked the size against the generation published
             // then; a hot swap since may have grown the layers or
             // timesteps.
@@ -564,12 +663,13 @@ fn serve_era(
             batch = vec![head];
             let deadline = Instant::now() + linger;
             loop {
-                while let Some(next) =
-                    state.queue.pop_front_if(|next| count + next.samples.len() <= cap)
-                {
+                let coalesced = batch.len();
+                while let Some(next) = state.pop_if(|next| count + next.samples.len() <= cap) {
                     count += next.samples.len();
                     batch.push(next);
-                    tenant.space.notify_all();
+                }
+                if batch.len() > coalesced {
+                    tenant.made_room(&state);
                 }
                 // FIFO strictness: a queued request that does not fit
                 // closes the batch rather than being overtaken by later,
@@ -582,9 +682,10 @@ fn serve_era(
                 if now >= deadline {
                     break;
                 }
-                let (guard, _timed_out) =
-                    tenant.work.wait_timeout(state, deadline - now).expect("tenant state poisoned");
-                state = guard;
+                // Nothing is queued, and every request that arrives fits
+                // until the queued samples reach `cap - count`: that is
+                // when the batch is full or the next request cannot fit.
+                state = tenant.park(state, Some(cap - count), Some(deadline - now));
             }
             total = count;
         }
@@ -605,15 +706,14 @@ fn serve_era(
             Ok(()) => {
                 shared.counters.on_batch(batch.len(), total);
                 let requests = batch.len();
+                let results = Arc::new(sink);
                 let mut at = 0usize;
                 for pending in batch {
                     let n = pending.samples.len();
                     let response = GatewayResponse {
                         plan: Arc::clone(era),
-                        samples: n,
-                        layers: sink.flat[at * units..(at + n) * units].to_vec(),
-                        cycles: sink.cycles[at..at + n].to_vec(),
-                        batch_samples: total,
+                        batch: Arc::clone(&results),
+                        slots: at..at + n,
                         batch_requests: requests,
                     };
                     at += n;
@@ -635,10 +735,10 @@ fn serve_era(
                 let mut state = tenant.state.lock().expect("tenant state poisoned");
                 state.poisoned = Some(message);
                 state.dispatcher_alive = false;
-                while let Some(pending) = state.queue.pop_front() {
+                while let Some(pending) = state.pop_if(|_| true) {
                     pending.cell.fulfill(Err(error.clone()));
                 }
-                tenant.space.notify_all();
+                tenant.made_room(&state);
                 return EraExit::Poisoned;
             }
         }

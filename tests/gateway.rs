@@ -19,17 +19,28 @@
 //! 4. **Panic containment** — a panicking batch poisons only its own
 //!    tenant; other tenants keep serving, and a fresh publish revives
 //!    the poisoned one.
+//! 5. **Wake rules** — the gateway signals only threads that are parked
+//!    and waiting for the change. With a 30 s linger, a lost wakeup shows
+//!    up as a missed 5 s deadline, never as a hang.
+//! 6. **Interleavings** — a seeded fuzz of submits, timed submits,
+//!    publishes, pauses, panicking plans and shutdown keeps every
+//!    accounting and versioning invariant.
 
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use spikestream::{
     attribute_shards, Engine, ExecutionBackend, FpFormat, InferenceConfig, InferenceReport,
-    KernelVariant, LayerSample, Plan, Request, SampleContext, Scenario,
+    KernelVariant, LayerSample, NetworkChoice, Plan, Request, SampleContext, Scenario,
 };
 use spikestream_kernels::LayerScratch;
-use spikestream_serve::{Gateway, GatewayConfig, GatewayResponse, ServeError};
+use spikestream_serve::{Gateway, GatewayConfig, GatewayResponse, ResponseHandle, ServeError};
 
 fn repo_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).to_path_buf()
@@ -427,4 +438,357 @@ fn a_poisoned_tenant_contains_its_panic_and_revives_on_publish() {
     let response = revived.wait().expect("revived tenant serves");
     assert_eq!(response.plan_version(), 2);
     assert!(!gateway.stats().tenants.iter().find(|t| t.name == "bad").expect("listed").poisoned);
+}
+
+// ---------------------------------------------------------------------------
+// 5. Wake rules
+// ---------------------------------------------------------------------------
+
+/// A linger no test waits out: a batch that closes at all closed because
+/// the dispatcher was woken for it.
+const LINGER_30S: u64 = 30_000_000;
+
+/// How long a test waits for what a correct wakeup delivers at once.
+const DEADLINE: Duration = Duration::from_secs(5);
+
+/// Run `f` on a thread of its own and return its result, failing the test
+/// if it takes longer than [`DEADLINE`]: a lost wakeup fails a deadline
+/// instead of hanging the suite. A panic in `f` is re-raised here. Only a
+/// thread that misses the deadline is left running, detached.
+fn within<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    let thread = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(DEADLINE) {
+        Ok(value) => {
+            thread.join().expect("the thread sent its result");
+            value
+        }
+        Err(RecvTimeoutError::Disconnected) => match thread.join() {
+            Err(payload) => std::panic::resume_unwind(payload),
+            Ok(()) => unreachable!("{what}: the thread ended without a result"),
+        },
+        Err(RecvTimeoutError::Timeout) => panic!("{what}: no result within {DEADLINE:?}"),
+    }
+}
+
+/// Run `f` on a helper thread that signals just before it calls `f`, and
+/// return once it has: `f` is then about to block (park on a full queue,
+/// or in `wait`). No public API shows the park itself, so a short grace
+/// period makes the parked path the one exercised; the tests that use this
+/// pass in every interleaving, and only a lost wakeup fails them.
+fn about_to_park<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> JoinHandle<T> {
+    let (ready, started) = mpsc::channel();
+    let thread = std::thread::spawn(move || {
+        ready.send(()).expect("the test is listening");
+        f()
+    });
+    started.recv().expect("the helper starts");
+    std::thread::sleep(Duration::from_millis(50));
+    thread
+}
+
+/// Wait on every handle, in order, within [`DEADLINE`].
+fn wait_all(what: &str, handles: Vec<ResponseHandle>) -> Vec<GatewayResponse> {
+    within(what, move || handles.into_iter().map(|h| h.wait().expect("served")).collect())
+}
+
+/// Block until the dispatcher has popped everything queued, i.e. until it
+/// lingers on the batch it opened (or runs it).
+fn until_dispatched(gateway: &Gateway) {
+    let start = std::time::Instant::now();
+    while gateway.stats().tenants[0].queue_depth > 0 {
+        assert!(start.elapsed() < DEADLINE, "the dispatcher never popped the queue");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+fn lingering_gateway(max_batch: usize, queue_cap: usize) -> Gateway {
+    let gateway = Gateway::new(GatewayConfig { max_batch, linger_us: LINGER_30S, queue_cap });
+    gateway.publish("tiny", scenario("tiny.toml").compile().expect("compiles")).expect("publish");
+    gateway
+}
+
+#[test]
+fn a_lingering_batch_closes_as_soon_as_the_queued_samples_reach_max_batch() {
+    let gateway = lingering_gateway(4, 16);
+    let mut handles = vec![gateway.submit("tiny", &[0]).expect("submit")];
+    // The dispatcher lingers on one sample; the third request after it
+    // fills the batch and must wake it.
+    until_dispatched(&gateway);
+    handles.extend((1..4).map(|k| gateway.submit("tiny", &[k]).expect("submit")));
+    for response in wait_all("a batch filled to max_batch", handles) {
+        assert_eq!((response.batch_samples(), response.batch_requests()), (4, 4));
+    }
+    assert_eq!(gateway.stats().batches, 1);
+}
+
+#[test]
+fn a_request_that_would_overflow_a_lingering_batch_closes_it_and_runs_next() {
+    let gateway = lingering_gateway(4, 16);
+    let first = gateway.submit("tiny", &[0, 1, 2]).expect("submit");
+    // 3 + 2 samples overflow the cap of 4: `second` closes the lingering
+    // batch at 3 samples, then opens the next one, which `third` fills.
+    until_dispatched(&gateway);
+    let second = gateway.submit("tiny", &[3, 4]).expect("submit");
+    until_dispatched(&gateway);
+    let third = gateway.submit("tiny", &[5, 6]).expect("submit");
+    let responses = wait_all("an overflowing request", vec![first, second, third]);
+    let shapes: Vec<(usize, usize)> =
+        responses.iter().map(|r| (r.batch_samples(), r.batch_requests())).collect();
+    assert_eq!(shapes, [(3, 1), (4, 2), (4, 2)]);
+    assert_eq!(gateway.stats().batches, 2);
+}
+
+#[test]
+fn a_submitter_parked_on_a_full_queue_is_admitted_when_the_dispatcher_pops() {
+    let gateway = Arc::new(lingering_gateway(2, 1));
+    gateway.pause("tiny").expect("pause");
+    let first = gateway.submit("tiny", &[0]).expect("fills the queue");
+    let parked = {
+        let gateway = Arc::clone(&gateway);
+        about_to_park(move || gateway.submit_timeout("tiny", &[1], Duration::from_secs(30)))
+    };
+    gateway.resume("tiny").expect("resume");
+    let second = within("a parked submitter", move || parked.join().expect("helper joins"))
+        .expect("admitted, not timed out");
+    for response in wait_all("the admitted batch", vec![first, second]) {
+        assert_eq!(response.batch_samples(), 2);
+    }
+    assert_eq!(gateway.stats().rejected_full, 0);
+}
+
+#[test]
+fn a_queue_that_fills_behind_a_lingering_batch_drains_into_it() {
+    let gateway = Arc::new(lingering_gateway(8, 2));
+    // The first request opens a lingering batch and the next two fill the
+    // queue; the full queue wakes the dispatcher to move them into its
+    // batch, which makes room again.
+    let mut handles: Vec<ResponseHandle> =
+        (0..3).map(|k| gateway.submit_timeout("tiny", &[k], DEADLINE).expect("admitted")).collect();
+    let late = {
+        let gateway = Arc::clone(&gateway);
+        within("a submitter behind a full queue", move || {
+            gateway.submit_timeout("tiny", &[3], Duration::from_secs(30))
+        })
+    };
+    handles.push(late.expect("admitted, not timed out"));
+    // Fill the batch (4 + 4 = 8 samples) so that it closes.
+    handles.push(gateway.submit_timeout("tiny", &[4, 5, 6, 7], DEADLINE).expect("admitted"));
+    for response in wait_all("the drained batch", handles) {
+        assert_eq!(response.batch_samples(), 8);
+    }
+    assert_eq!(gateway.stats().rejected_full, 0);
+}
+
+#[test]
+fn handles_waited_on_before_and_after_their_batch_runs_both_resolve() {
+    // One sample per batch: `early` runs, then `late`.
+    let gateway = lingering_gateway(1, 16);
+    gateway.pause("tiny").expect("pause");
+    let early = gateway.submit("tiny", &[0]).expect("submit");
+    let late = gateway.submit("tiny", &[1]).expect("submit");
+    // The client of `late` parks in `wait` before its batch runs.
+    let parked = about_to_park(move || late.wait());
+    gateway.resume("tiny").expect("resume");
+    let late = within("a client parked before its batch", move || parked.join().expect("joins"));
+    assert_eq!(late.expect("served").samples(), 1);
+    // `early` ran first, so its result waits for the client.
+    let early = wait_all("a client that waits after its batch ran", vec![early]);
+    assert_eq!(early[0].samples(), 1);
+}
+
+// ---------------------------------------------------------------------------
+// 6. Interleavings
+// ---------------------------------------------------------------------------
+
+/// A backend that stamps its plan's version into every [`LayerSample`] it
+/// emits (as `ipc`), encodes the sample and layer into `cycles`, and
+/// panics on its poison sample, if it has one.
+#[derive(Debug)]
+struct Stamped {
+    version: u64,
+    poison: Option<usize>,
+}
+
+impl ExecutionBackend for Stamped {
+    fn name(&self) -> &'static str {
+        "stamped"
+    }
+
+    fn run_sample_with_scratch(
+        &self,
+        ctx: &SampleContext<'_>,
+        sample: usize,
+        out: &mut Vec<LayerSample>,
+        _scratch: &mut LayerScratch,
+    ) {
+        assert_ne!(Some(sample), self.poison, "poison sample reached the backend");
+        out.extend((0..ctx.network.len() * ctx.timesteps()).map(|unit| LayerSample {
+            cycles: stamp_cycles(sample, unit),
+            ipc: self.version as f64,
+            ..LayerSample::default()
+        }));
+    }
+}
+
+/// The `cycles` a [`Stamped`] backend reports for one layer unit of one
+/// sample: which slot a response reads is then visible in its layers.
+fn stamp_cycles(sample: usize, unit: usize) -> f64 {
+    (sample * 1000 + unit + 1) as f64
+}
+
+/// A tiny-network plan served by a [`Stamped`] backend.
+fn stamped_plan(version: u64, poison: Option<usize>) -> Plan {
+    static ENGINE: OnceLock<Engine> = OnceLock::new();
+    let engine = ENGINE.get_or_init(|| {
+        let (network, profile) = NetworkChoice::TinyCnn.build(5);
+        Engine::new(network, profile)
+    });
+    engine
+        .compiler()
+        .with_backend(Box::new(Stamped { version, poison }))
+        .compile(InferenceConfig {
+            batch: 8,
+            ..InferenceConfig::paper(KernelVariant::SpikeStream, FpFormat::Fp16)
+        })
+        .expect("compiles")
+}
+
+/// More samples than a 3-layer plan may fold in one request.
+fn oversized() -> &'static [usize] {
+    static SAMPLES: OnceLock<Vec<usize>> = OnceLock::new();
+    SAMPLES.get_or_init(|| (0..1_398_102).collect())
+}
+
+const TENANTS: [&str; 2] = ["a", "b"];
+
+/// One accepted submission: the tenant, the samples, and the handle.
+type Accepted = (usize, Vec<usize>, ResponseHandle);
+
+/// One `submit_timeout` on a helper thread: the tenant, the samples, and
+/// the thread that returns the submission's outcome.
+type Helper = (usize, Vec<usize>, JoinHandle<Result<ResponseHandle, ServeError>>);
+
+/// Check one resolved request; returns whether it resolved with an error.
+fn check_resolved(
+    seed: u64,
+    samples: &[usize],
+    result: Result<GatewayResponse, ServeError>,
+) -> bool {
+    let response = match result {
+        Ok(response) => response,
+        Err(ServeError::Poisoned(_)) => return true,
+        Err(other) => panic!("seed {seed:#x}: a queued request failed with {other:?}"),
+    };
+    let version = response.plan_version() as f64;
+    let units = response.layers().len() / samples.len();
+    assert_eq!(response.samples(), samples.len(), "seed {seed:#x}");
+    for (i, &sample) in samples.iter().enumerate() {
+        for unit in 0..units {
+            let layer = &response.layers()[i * units + unit];
+            assert_eq!(layer.ipc, version, "seed {seed:#x}: layers from another plan version");
+            assert_eq!(layer.cycles, stamp_cycles(sample, unit), "seed {seed:#x}: wrong slot");
+        }
+    }
+    false
+}
+
+/// Drive one seeded interleaving against a fresh gateway, then shut it
+/// down and check that every request was accounted for exactly once.
+fn run_interleaving(seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let config = GatewayConfig {
+        max_batch: rng.gen_range(1..6),
+        linger_us: rng.gen_range(0..400),
+        queue_cap: rng.gen_range(1..6),
+    };
+    let gateway = Arc::new(Gateway::new(config));
+    let mut versions = [0u64; 2];
+    for (t, tenant) in TENANTS.iter().enumerate() {
+        versions[t] = gateway.publish(tenant, stamped_plan(1, None)).expect("publish");
+    }
+    let mut accepted: Vec<Accepted> = Vec::new();
+    let mut helpers: Vec<Helper> = Vec::new();
+    let mut errored = 0usize;
+    let draw_samples = |rng: &mut StdRng| -> Vec<usize> {
+        (0..rng.gen_range(1..9)).map(|_| rng.gen_range(0..16)).collect()
+    };
+    for _ in 0..rng.gen_range(8..24) {
+        let t = rng.gen_range(0..2);
+        let tenant = TENANTS[t];
+        match rng.gen_range(0..10) {
+            0..=3 => {
+                let samples = draw_samples(&mut rng);
+                match gateway.submit(tenant, &samples) {
+                    Ok(handle) => accepted.push((t, samples, handle)),
+                    Err(ServeError::Full { .. } | ServeError::Poisoned(_)) => {}
+                    Err(other) => panic!("seed {seed:#x}: submit failed with {other:?}"),
+                }
+            }
+            4 => match gateway.submit(tenant, oversized()) {
+                Err(ServeError::RequestTooLarge { .. } | ServeError::Poisoned(_)) => {}
+                other => panic!("seed {seed:#x}: an oversized request got {:?}", other.err()),
+            },
+            5 => {
+                let samples = draw_samples(&mut rng);
+                let timeout = Duration::from_micros(rng.gen_range(0..3000));
+                let (gateway, submitted) = (Arc::clone(&gateway), samples.clone());
+                let helper =
+                    std::thread::spawn(move || gateway.submit_timeout(tenant, &submitted, timeout));
+                helpers.push((t, samples, helper));
+            }
+            6 | 7 => {
+                let poison = (rng.gen_range(0..2) == 0).then(|| rng.gen_range(0..16));
+                let next = versions[t] + 1;
+                let published = gateway.publish(tenant, stamped_plan(next, poison));
+                assert_eq!(published, Ok(next), "seed {seed:#x}: versions count publishes");
+                versions[t] = next;
+            }
+            8 => gateway.pause(tenant).expect("pause"),
+            _ => {
+                gateway.resume(tenant).expect("resume");
+                // A client parks on the oldest request of a running tenant.
+                if let Some(at) = accepted.iter().position(|(owner, ..)| *owner == t) {
+                    let (_, samples, handle) = accepted.remove(at);
+                    errored += usize::from(check_resolved(seed, &samples, handle.wait()));
+                }
+            }
+        }
+    }
+    // Shut down as `Drop` does: queues drain, and every dispatcher (with
+    // its session's pool) is joined; the deadline around the case fails if
+    // that never returns.
+    gateway.shutdown();
+    for (t, samples, helper) in helpers {
+        match helper.join().expect("helper joins") {
+            Ok(handle) => accepted.push((t, samples, handle)),
+            Err(
+                ServeError::Full { .. }
+                | ServeError::Timeout { .. }
+                | ServeError::Poisoned(_)
+                | ServeError::Shutdown,
+            ) => {}
+            Err(other) => panic!("seed {seed:#x}: submit_timeout failed with {other:?}"),
+        }
+    }
+    for (_, samples, handle) in accepted {
+        errored += usize::from(check_resolved(seed, &samples, handle.wait()));
+    }
+    let stats = gateway.stats();
+    assert_eq!(
+        stats.submitted,
+        stats.completed + errored as u64,
+        "seed {seed:#x}: every submitted request resolved exactly once"
+    );
+    let gateway = Arc::into_inner(gateway).expect("every helper released the gateway");
+    drop(gateway);
+}
+
+proptest! {
+    #[test]
+    fn seeded_interleavings_resolve_every_request_on_its_plan_version(seed in any::<u64>()) {
+        within(&format!("interleaving seed {seed:#x}"), move || run_interleaving(seed));
+    }
 }

@@ -130,16 +130,19 @@ proptest! {
 
 #[test]
 fn scheduler_attribution_is_a_pure_function_of_the_samples() {
-    // Different host-side worker/chunk choices must never change anything:
-    // neither the measurements nor the fleet attribution.
-    let plan = Engine::svgg11(2).compile(&svgg11_config(24));
-    let serve = |workers: usize, chunk: usize| {
+    // Different host-side choices must never change anything: neither the
+    // measurements nor the fleet attribution. The worker count and the
+    // plan's batch size decide which worker claims which sample, and in
+    // what order; the same 24 samples must still fold to one report.
+    let engine = Engine::svgg11(2);
+    let serve = |workers: usize, batch: usize| {
+        let plan = engine.compile(&svgg11_config(batch));
         let request = Request::batch(24).with_shards(6).with_workers(workers);
-        plan.open_session().with_chunk(chunk).infer(&request).to_json()
+        plan.open_session().infer(&request).to_json()
     };
-    let reference = serve(1, 1);
+    let reference = serve(1, 24);
     assert!(reference.contains("\"per_shard\":[{\"shard\":0,"), "per-shard stats are compared");
-    for (workers, chunk) in [(2, 1), (4, 4), (8, 2), (8, 5), (3, 24)] {
-        assert_eq!(serve(workers, chunk), reference, "workers={workers} chunk={chunk}");
+    for (workers, batch) in [(2, 24), (4, 24), (8, 24), (3, 24), (2, 32), (8, 48), (5, 96)] {
+        assert_eq!(serve(workers, batch), reference, "workers={workers} batch={batch}");
     }
 }

@@ -67,7 +67,8 @@ fn spawned_stays_flat_after_warm_up() {
     let _serial = serial();
     let plan = svgg11_plan(64);
     let mut session = plan.open_session();
-    // chunk=4 → 16 chunks, so a workers=4 request uses all four slots.
+    // 64 samples, claimed one at a time, so a workers=4 request uses all
+    // four slots.
     session.infer(&Request::batch(64).with_workers(4));
     let warm = session.stats();
     assert_eq!(warm.pool.spawned, 3, "slot 0 is the calling thread, never a pool thread");
@@ -81,8 +82,8 @@ fn spawned_stays_flat_after_warm_up() {
     assert_eq!(steady.pool.jobs, 17);
     // Every pooled request wakes exactly the workers-1 pool threads it uses.
     assert_eq!(steady.pool.wakeups, 17 * 3);
-    // Every chunk is claimed exactly once per request.
-    assert_eq!(steady.pool.steals, 17 * 16);
+    // Every sample is claimed exactly once per request.
+    assert_eq!(steady.pool.steals, 17 * 64);
     assert_eq!(steady.grows, warm.grows, "steady-state requests grow no arena buffer");
 }
 
@@ -116,11 +117,16 @@ fn single_worker_requests_never_spawn_a_thread() {
     for _ in 0..4 {
         session.infer(&Request::batch(16).sequential());
     }
-    // A tiny batch clamps to one worker (one chunk) even with a large
-    // worker override — still no pool involvement.
-    session.infer(&Request::batch(3).with_workers(8));
+    // A one-sample request clamps to one worker even with a large worker
+    // override — still no pool involvement.
+    session.infer(&Request::batch(1).with_workers(8));
     assert_eq!(session.stats().pool.spawned, 0);
     assert_eq!(session.stats().pool.jobs, 0);
+    // Workers clamp to the sample count, not to fixed-size chunks: a
+    // 3-sample request with 8 workers runs on three, two of them pooled.
+    session.infer(&Request::batch(3).with_workers(8));
+    assert_eq!(session.stats().pool.spawned, 2);
+    assert_eq!(session.stats().pool.jobs, 1);
 }
 
 #[test]
