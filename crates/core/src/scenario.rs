@@ -37,7 +37,6 @@
 //! # key falls back to the gateway default when omitted).
 //! [serve]
 //! max_batch = 16
-//! linger_us = 200
 //! queue_cap = 256
 //! ```
 //!
@@ -195,6 +194,13 @@ fn err(line: usize, message: impl Into<String>) -> ScenarioError {
     ScenarioError { line, message: message.into() }
 }
 
+/// Upper bound on a serving-gateway tenant's queue capacity, in requests.
+/// The `[serve]` table's `queue_cap` and the CLI's `--queue-cap` reject
+/// larger values, and the gateway clamps its configured capacity to it. The
+/// `serve-demo` CLI queues every request of a run at once, so it bounds
+/// that run's request count too.
+pub const MAX_QUEUE_CAP: usize = 1 << 16;
+
 /// Serving-gateway policy from a scenario's optional `[serve]` table.
 ///
 /// Each field overrides the corresponding gateway default when set. The
@@ -204,9 +210,8 @@ fn err(line: usize, message: impl Into<String>) -> ScenarioError {
 pub struct ServeSettings {
     /// Close a micro-batch once it holds this many samples.
     pub max_batch: Option<usize>,
-    /// Close a non-full micro-batch after this many microseconds.
-    pub linger_us: Option<u64>,
-    /// Bounded per-tenant queue capacity, in requests.
+    /// Bounded per-tenant queue capacity, in requests
+    /// (`1..=`[`MAX_QUEUE_CAP`]).
     pub queue_cap: Option<usize>,
 }
 
@@ -347,13 +352,18 @@ impl Scenario {
                         }
                         serve.max_batch = Some(max_batch);
                     }
-                    "linger_us" => serve.linger_us = Some(parse_u64(lineno, value)?),
                     "queue_cap" => {
-                        let queue_cap = parse_u64(lineno, value)? as usize;
+                        let queue_cap = parse_u64(lineno, value)?;
                         if queue_cap == 0 {
                             return Err(err(lineno, "queue_cap must be at least 1"));
                         }
-                        serve.queue_cap = Some(queue_cap);
+                        if queue_cap > MAX_QUEUE_CAP as u64 {
+                            return Err(err(
+                                lineno,
+                                format!("queue_cap must be at most {MAX_QUEUE_CAP}"),
+                            ));
+                        }
+                        serve.queue_cap = Some(queue_cap as usize);
                     }
                     other => {
                         return Err(err(
@@ -553,7 +563,7 @@ const NEURON_KEYS: &[&str] =
     &["model", "alpha", "resistance", "v_reset", "v_threshold", "a", "b", "c", "d"];
 
 /// Keys of the `[serve]` table.
-const SERVE_KEYS: &[&str] = &["max_batch", "linger_us", "queue_cap"];
+const SERVE_KEYS: &[&str] = &["max_batch", "queue_cap"];
 
 /// The candidate with the smallest edit distance to `key` — what the
 /// "did you mean" half of an unknown-key error names.
@@ -894,20 +904,13 @@ shards  = 4
 
     #[test]
     fn serve_table_collects_gateway_policy() {
-        let s = Scenario::parse(
-            "[scenario]\nname = \"sv\"\n[serve]\nmax_batch = 16\nlinger_us = 50\nqueue_cap = 8\n",
-        )
-        .unwrap();
-        assert_eq!(
-            s.serve,
-            Some(ServeSettings { max_batch: Some(16), linger_us: Some(50), queue_cap: Some(8) })
-        );
+        let s =
+            Scenario::parse("[scenario]\nname = \"sv\"\n[serve]\nmax_batch = 16\nqueue_cap = 8\n")
+                .unwrap();
+        assert_eq!(s.serve, Some(ServeSettings { max_batch: Some(16), queue_cap: Some(8) }));
         // A partial table leaves the omitted knobs unset.
         let partial = Scenario::parse("[scenario]\n[serve]\nmax_batch = 4\n").unwrap();
-        assert_eq!(
-            partial.serve,
-            Some(ServeSettings { max_batch: Some(4), linger_us: None, queue_cap: None })
-        );
+        assert_eq!(partial.serve, Some(ServeSettings { max_batch: Some(4), queue_cap: None }));
         // No table at all: `None`, the gateway keeps its defaults.
         let plain = Scenario::parse("[scenario]\nname = \"p\"\n").unwrap();
         assert_eq!(plain.serve, None);
@@ -918,7 +921,9 @@ shards  = 4
         let cases = [
             ("[scenario]\n[serve]\nmax_batch = 0\n", 3, "at least 1"),
             ("[scenario]\n[serve]\nqueue_cap = 0\n", 3, "at least 1"),
-            ("[scenario]\n[serve]\nlinger_us = \"x\"\n", 3, "unsigned integer"),
+            ("[scenario]\n[serve]\nqueue_cap = 65537\n", 3, "at most 65536"),
+            ("[scenario]\n[serve]\nqueue_cap = \"x\"\n", 3, "unsigned integer"),
+            ("[scenario]\n[serve]\nlinger_us = 0\n", 3, "unknown key `linger_us` in `[serve]`"),
         ];
         for (text, line, needle) in cases {
             let e = Scenario::parse(text).unwrap_err();

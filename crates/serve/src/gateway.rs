@@ -1,29 +1,26 @@
 //! The concurrent serving front end: [`Gateway`].
 //!
 //! One dispatcher thread per tenant owns that tenant's [`Session`] and
-//! drains a bounded submission queue, coalescing its waiting requests
-//! into a single dynamically micro-batched
-//! [`Session::run_gather`] call — closed on batch size or linger
-//! deadline, whichever comes first — and demultiplexing per-slot results
-//! back to each caller's [`ResponseHandle`]. Samples are independently
-//! seeded by the core, so coalescing can never change a result: every
-//! per-request response is bit-identical to serving that request alone on
-//! a bare session.
+//! drains a bounded submission queue. Each micro-batch is the queue head
+//! plus the FIFO prefix that fits under the batch cap — whatever queued
+//! while the previous batch ran — served at once as a single
+//! [`Session::run_gather`] call, and the per-slot results are
+//! demultiplexed back to each caller's [`ResponseHandle`]. Samples are
+//! independently seeded by the core, so coalescing can never change a
+//! result: every per-request response is bit-identical to serving that
+//! request alone on a bare session.
 //!
 //! The threading idiom is the same parked epoch/condvar discipline as
 //! `spikestream`'s worker pool: submitters park on `space` when a queue
 //! is full, the dispatcher parks on `work` when its queue is empty or
-//! while it lingers, clients park on their response cell, and all
-//! cross-thread signalling runs through those condvars — no async
-//! runtime, no channels. A notify costs a syscall whether or not anyone
+//! paused, clients park on their response cell, and all cross-thread
+//! signalling runs through those condvars — no async runtime, no
+//! channels. A notify costs a syscall whether or not anyone
 //! waits, so the serving path signals only a thread that is parked and
 //! waiting for the change:
 //!
-//! - a submission wakes the dispatcher only when the queued samples reach
-//!   its wake threshold — 1 while it is parked idle, `cap − count` while
-//!   it lingers on a batch of `count` samples (the batch is then full or
-//!   the next request cannot fit), none while it runs — or when the
-//!   submission fills the queue while the dispatcher waits;
+//! - a submission wakes the dispatcher only when it is parked idle, and
+//!   only the first submission after it parked does;
 //! - a pop wakes submitters only when some are parked on `space`;
 //! - a completed request wakes its client only when the client is parked
 //!   in [`ResponseHandle::wait`].
@@ -39,6 +36,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use spikestream::scenario::MAX_QUEUE_CAP;
 use spikestream::{
     Compiler, InferenceReport, LayerSample, Plan, Request, ResultSink, Session, SessionStatsHandle,
 };
@@ -213,13 +211,10 @@ fn batch_cap(max_batch: usize, units: usize) -> usize {
 #[derive(Default)]
 struct TenantState {
     queue: VecDeque<Pending>,
-    /// Samples of the queued requests.
-    queued: usize,
-    /// The queued-sample count at which a submission wakes the parked
-    /// dispatcher: `Some(1)` while it is parked idle, `Some(cap − count)`
-    /// while it lingers on a batch of `count` samples, `None` while it
-    /// runs, is paused, or has already been signalled.
-    wake_at: Option<usize>,
+    /// Whether the dispatcher is parked idle, so that a submission must
+    /// wake it: false while it runs, is paused, or has already been
+    /// signalled.
+    parked_idle: bool,
     /// Submitters parked on [`Tenant::space`], counted on every exit from
     /// the wait, timeouts included.
     space_waiters: usize,
@@ -233,23 +228,14 @@ struct TenantState {
     shape: PlanShape,
 }
 
-impl TenantState {
-    /// Pop the queue head if `fits` accepts it, keeping `queued` in step.
-    fn pop_if(&mut self, fits: impl FnOnce(&Pending) -> bool) -> Option<Pending> {
-        let next = self.queue.pop_front_if(|next| fits(next))?;
-        self.queued -= next.samples.len();
-        Some(next)
-    }
-}
-
 /// One tenant: a bounded queue plus the two condvars its dispatcher and
 /// submitters park on.
 struct Tenant {
     name: String,
     state: Mutex<TenantState>,
-    /// Dispatcher parks here while the queue is empty (or paused) and
-    /// while it lingers. A submission signals it only at its wake
-    /// threshold ([`TenantState::wake_at`]); [`Gateway::publish`],
+    /// Dispatcher parks here while the queue is empty or paused. A
+    /// submission signals it only while it is parked idle
+    /// ([`TenantState::parked_idle`]); [`Gateway::publish`],
     /// [`Gateway::resume`] and shutdown always do.
     work: Condvar,
     /// Submitters park here while the queue is at capacity; the
@@ -268,22 +254,15 @@ impl Tenant {
     }
 
     /// Park the dispatcher on `work` until a publish, resume or shutdown,
-    /// until a submission brings the queued samples to `wake_at` (if any),
-    /// or until `timeout` passes (if any).
+    /// or, if `idle`, until a submission.
     fn park<'a>(
         &self,
         mut state: MutexGuard<'a, TenantState>,
-        wake_at: Option<usize>,
-        timeout: Option<Duration>,
+        idle: bool,
     ) -> MutexGuard<'a, TenantState> {
-        state.wake_at = wake_at;
-        let mut state = match timeout {
-            None => self.work.wait(state).expect("tenant state poisoned"),
-            Some(timeout) => {
-                self.work.wait_timeout(state, timeout).expect("tenant state poisoned").0
-            }
-        };
-        state.wake_at = None;
+        state.parked_idle = idle;
+        let mut state = self.work.wait(state).expect("tenant state poisoned");
+        state.parked_idle = false;
         state
     }
 
@@ -426,7 +405,7 @@ impl Gateway {
             return Err(ServeError::Shutdown);
         }
         let tenant = self.shared.tenant(name)?;
-        let cap = self.shared.config.queue_cap.max(1);
+        let cap = self.shared.config.queue_cap.clamp(1, MAX_QUEUE_CAP);
         let deadline = wait.map(|timeout| Instant::now() + timeout);
         let mut state = tenant.state.lock().expect("tenant state poisoned");
         loop {
@@ -457,16 +436,11 @@ impl Gateway {
         }
         let cell = Arc::new(ResponseCell::default());
         state.queue.push_back(Pending { samples: samples.to_vec(), cell: Arc::clone(&cell) });
-        state.queued += samples.len();
         self.shared.counters.on_submitted();
-        // Wake a parked dispatcher only for what it waits for: enough
-        // queued samples, or a full queue, whose fitting requests a
-        // lingering dispatcher moves into its batch to make room.
-        if let Some(at) = state.wake_at {
-            if state.queued >= at || state.queue.len() >= cap {
-                state.wake_at = None;
-                tenant.work.notify_one();
-            }
+        // A running dispatcher pops this request when its batch ends, so
+        // only an idle one needs the wakeup, and only once.
+        if std::mem::take(&mut state.parked_idle) {
+            tenant.work.notify_one();
         }
         Ok(ResponseHandle { cell })
     }
@@ -615,16 +589,13 @@ fn serve_era(
     era: &Arc<VersionedPlan>,
     session: &mut Session<'_>,
 ) -> EraExit {
-    let linger = Duration::from_micros(shared.config.linger_us);
     // One plan generation serves one request shape, so the per-sample
     // layer count and the batch cap are fixed for the whole era.
     let shape = PlanShape::of(&era.plan);
     let units = shape.units();
     let cap = batch_cap(shared.config.max_batch.max(1), units);
     loop {
-        let mut batch: Vec<Pending>;
-        let total: usize;
-        {
+        let (batch, total) = {
             let mut state = tenant.state.lock().expect("tenant state poisoned");
             let head = loop {
                 if state.shutdown && state.queue.is_empty() {
@@ -639,55 +610,36 @@ fn serve_era(
                 }
                 let serving = !state.paused || state.shutdown;
                 if serving {
-                    if let Some(head) = state.pop_if(|_| true) {
+                    if let Some(head) = state.queue.pop_front() {
                         break head;
                     }
                 }
-                // Parked idle, the first queued sample is worth a wakeup;
-                // paused, no submission is (resume wakes the dispatcher).
-                state = tenant.park(state, serving.then_some(1), None);
+                // Parked idle, the first submission is worth a wakeup;
+                // paused, none is (resume wakes the dispatcher).
+                state = tenant.park(state, serving);
             };
+            // The micro-batch is the head plus the FIFO prefix that fits
+            // under the cap: whatever queued while the previous batch ran.
+            // A queued request that does not fit closes the batch rather
+            // than being overtaken by later, smaller ones.
+            let mut total = head.samples.len();
+            let mut batch = vec![head];
+            while let Some(next) =
+                state.queue.pop_front_if(|next| total + next.samples.len() <= cap)
+            {
+                total += next.samples.len();
+                batch.push(next);
+            }
             tenant.made_room(&state);
-            // Submission checked the size against the generation published
-            // then; a hot swap since may have grown the layers or
-            // timesteps.
-            if let Err(error) = shape.check(head.samples.len()) {
-                head.cell.fulfill(Err(error));
-                continue;
-            }
-
-            // Open the micro-batch on the queue head, then linger —
-            // coalescing the FIFO prefix — until it is full, the next
-            // request does not fit, or the deadline passes.
-            let mut count = head.samples.len();
-            batch = vec![head];
-            let deadline = Instant::now() + linger;
-            loop {
-                let coalesced = batch.len();
-                while let Some(next) = state.pop_if(|next| count + next.samples.len() <= cap) {
-                    count += next.samples.len();
-                    batch.push(next);
-                }
-                if batch.len() > coalesced {
-                    tenant.made_room(&state);
-                }
-                // FIFO strictness: a queued request that does not fit
-                // closes the batch rather than being overtaken by later,
-                // smaller ones.
-                let blocked = !state.queue.is_empty();
-                if count >= cap || blocked || state.shutdown || state.paused {
-                    break;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                // Nothing is queued, and every request that arrives fits
-                // until the queued samples reach `cap - count`: that is
-                // when the batch is full or the next request cannot fit.
-                state = tenant.park(state, Some(cap - count), Some(deadline - now));
-            }
-            total = count;
+            (batch, total)
+        };
+        // Submission checked the size against the generation published
+        // then; a hot swap since may have grown the layers or timesteps. A
+        // request that no longer fits the plan exceeds the cap, so it is
+        // alone in its batch.
+        if let Err(error) = shape.check(total) {
+            batch[0].cell.fulfill(Err(error));
+            continue;
         }
 
         // Execute outside the queue lock: submitters keep queueing while
@@ -735,7 +687,7 @@ fn serve_era(
                 let mut state = tenant.state.lock().expect("tenant state poisoned");
                 state.poisoned = Some(message);
                 state.dispatcher_alive = false;
-                while let Some(pending) = state.pop_if(|_| true) {
+                for pending in state.queue.drain(..) {
                     pending.cell.fulfill(Err(error.clone()));
                 }
                 tenant.made_room(&state);
@@ -798,7 +750,7 @@ mod tests {
 
     #[test]
     fn pause_coalesces_and_resume_drains() {
-        let gateway = Gateway::new(GatewayConfig { max_batch: 8, linger_us: 0, queue_cap: 16 });
+        let gateway = Gateway::new(GatewayConfig { max_batch: 8, queue_cap: 16 });
         gateway.publish("svgg11", plan(8)).expect("publish");
         gateway.pause("svgg11").expect("pause");
         let handles: Vec<ResponseHandle> =

@@ -15,13 +15,13 @@
 //!   park on the returned [`ResponseHandle`]. The tenant's plan alone
 //!   fixes how each sample is evaluated; a request carries no options.
 //!   Requests land in a bounded per-tenant queue ([`ServeError::Full`] /
-//!   timeout backpressure); a per-tenant dispatcher thread coalesces the
-//!   FIFO prefix into one dynamically micro-batched `Session::run_gather`
-//!   call, closing the batch at `max_batch` samples or after `linger_us`
-//!   microseconds, whichever comes first. Samples are independently
-//!   seeded by the core, so a coalesced request's results are
-//!   byte-identical to running it alone on a bare session. Fleet
-//!   statistics of a response are
+//!   timeout backpressure); a per-tenant dispatcher thread pops the queue
+//!   head plus the FIFO prefix that fits under `max_batch` samples —
+//!   whatever queued while its previous batch ran — and runs them at once
+//!   as one dynamically micro-batched `Session::run_gather` call. Samples
+//!   are independently seeded by the core, so a coalesced request's
+//!   results are byte-identical to running it alone on a bare session.
+//!   Fleet statistics of a response are
 //!   [`attribute_shards(response.cycles(), n)`](spikestream::attribute_shards).
 //! - [`GatewayStats`] — deterministic counters (submissions, batches and
 //!   their size histogram, rejections, hot swaps, per-tenant queue
@@ -65,18 +65,16 @@ pub struct GatewayConfig {
     /// Close a micro-batch once it holds this many samples. A single
     /// request larger than the cap still runs, alone.
     pub max_batch: usize,
-    /// Close a non-full micro-batch this many microseconds after its
-    /// first request was picked up. `0` dispatches immediately.
-    pub linger_us: u64,
-    /// Bounded per-tenant queue capacity, in requests. Submissions beyond
-    /// it fail fast ([`ServeError::Full`]) or park with a timeout
-    /// ([`Gateway::submit_timeout`]).
+    /// Bounded per-tenant queue capacity, in requests, clamped to
+    /// `1..=`[`MAX_QUEUE_CAP`](spikestream::scenario::MAX_QUEUE_CAP).
+    /// Submissions beyond it fail fast ([`ServeError::Full`]) or park with
+    /// a timeout ([`Gateway::submit_timeout`]).
     pub queue_cap: usize,
 }
 
 impl Default for GatewayConfig {
     fn default() -> Self {
-        GatewayConfig { max_batch: 64, linger_us: 200, queue_cap: 256 }
+        GatewayConfig { max_batch: 64, queue_cap: 256 }
     }
 }
 

@@ -18,6 +18,7 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use spikestream::experiments::{self, PAPER_BATCH};
+use spikestream::scenario::MAX_QUEUE_CAP;
 use spikestream::sharding::{MAX_SHARDS, MAX_WORKERS};
 use spikestream::{
     CompileError, Compiler, FiringProfile, InferenceReport, Request, Scenario, WorkloadMode,
@@ -32,7 +33,7 @@ USAGE:
     spikestream bench <scenario.toml> [--shards N1,N2,...] [--timesteps N]
     spikestream compare <scenario.toml> [--shards N] [--timesteps N]
     spikestream serve-demo <scenario.toml> [--clients K] [--requests-per-client M]
-                           [--max-batch B] [--linger-us L] [--queue-cap C] [--json]
+                           [--max-batch B] [--queue-cap C] [--json]
     spikestream figures [FIG ...] [--batch N]
     spikestream help
 
@@ -60,9 +61,9 @@ SERVE-DEMO OPTIONS (defaults come from the scenario's [serve] table):
     --requests-per-client M Single-sample requests per client (default 8);
                             K*M is at most 65536
     --max-batch B           Close a micro-batch at B samples
-    --linger-us L           Close a non-full micro-batch after L microseconds
-    --queue-cap C           Bounded per-tenant queue capacity (the demo
-                            raises it to K*M so the paced phase never blocks)
+    --queue-cap C           Bounded per-tenant queue capacity, at most 65536
+                            (the demo raises it to K*M so the paced phase
+                            never blocks)
 
 FIGURES (the paper's S-VGG11 evaluation on the analytic backend):
     FIG               3a | 3b | 3c | 4 | 5 | 5a | 5b | headline | ablation
@@ -97,8 +98,7 @@ Neuron-model keys (optional [neuron_model] table; overrides every layer):
 
 Serving keys (optional [serve] table; defaults for `serve-demo`):
     max_batch   = 64              close a micro-batch at this many samples
-    linger_us   = 200             close a non-full micro-batch after this long
-    queue_cap   = 256             bounded per-tenant queue capacity
+    queue_cap   = 256             bounded per-tenant queue capacity (1..=65536)
 ";
 
 fn main() -> ExitCode {
@@ -349,11 +349,6 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Most requests one `serve-demo` run submits (`--clients` x
-/// `--requests-per-client`): the demo queues every request before it
-/// serves any, so the product bounds its queue and its response buffers.
-const MAX_DEMO_REQUESTS: usize = 1 << 16;
-
 /// Parsed `serve-demo` flags: the driver shape plus gateway-policy
 /// overrides (CLI flag beats `[serve]` table beats gateway default).
 struct ServeDemoOptions {
@@ -369,7 +364,6 @@ fn parse_serve_demo_options(args: &[String]) -> Result<ServeDemoOptions, String>
     let mut clients = 4usize;
     let mut requests_per_client = 8usize;
     let mut max_batch = None;
-    let mut linger_us = None;
     let mut queue_cap = None;
     let mut json = false;
 
@@ -381,26 +375,29 @@ fn parse_serve_demo_options(args: &[String]) -> Result<ServeDemoOptions, String>
                 requests_per_client = positive(&mut it, "--requests-per-client")?
             }
             "--max-batch" => max_batch = Some(positive(&mut it, "--max-batch")?),
-            "--linger-us" => {
-                let value = it.next().ok_or("--linger-us needs a value")?;
-                let parsed: u64 =
-                    value.parse().map_err(|_| format!("bad --linger-us value `{value}`"))?;
-                linger_us = Some(parsed);
+            "--queue-cap" => {
+                let n = positive(&mut it, "--queue-cap")?;
+                if n > MAX_QUEUE_CAP {
+                    return Err(format!(
+                        "--queue-cap must be between 1 and {MAX_QUEUE_CAP}, got `{n}`"
+                    ));
+                }
+                queue_cap = Some(n);
             }
-            "--queue-cap" => queue_cap = Some(positive(&mut it, "--queue-cap")?),
             "--json" => json = true,
             other if other.starts_with('-') => return Err(format!("unknown flag `{other}`")),
             other if path.is_none() => path = Some(other.to_string()),
             other => return Err(format!("unexpected argument `{other}`")),
         }
     }
-    // One scoped thread per client, and every request queued at once.
+    // One scoped thread per client, and every request queued at once: the
+    // demo raises the queue capacity to K x M, so the queue bound caps it.
     if clients > MAX_WORKERS {
         return Err(format!("--clients must be between 1 and {MAX_WORKERS}, got `{clients}`"));
     }
-    if clients.checked_mul(requests_per_client).filter(|&n| n <= MAX_DEMO_REQUESTS).is_none() {
+    if clients.checked_mul(requests_per_client).filter(|&n| n <= MAX_QUEUE_CAP).is_none() {
         return Err(format!(
-            "--clients x --requests-per-client must be at most {MAX_DEMO_REQUESTS}, \
+            "--clients x --requests-per-client must be at most {MAX_QUEUE_CAP}, \
              got {clients} x {requests_per_client}"
         ));
     }
@@ -411,7 +408,6 @@ fn parse_serve_demo_options(args: &[String]) -> Result<ServeDemoOptions, String>
     let table = scenario.serve.unwrap_or_default();
     let config = GatewayConfig {
         max_batch: max_batch.or(table.max_batch).unwrap_or(defaults.max_batch),
-        linger_us: linger_us.or(table.linger_us).unwrap_or(defaults.linger_us),
         queue_cap: queue_cap.or(table.queue_cap).unwrap_or(defaults.queue_cap),
     };
     Ok(ServeDemoOptions { scenario, clients, requests_per_client, config, json })
@@ -509,13 +505,12 @@ fn cmd_serve_demo(args: &[String]) -> Result<(), String> {
 
     println!(
         "serve-demo `{}`: {} clients x {} requests · tenant v{} · max_batch {} · \
-         linger {} us · queue cap {}",
+         queue cap {}",
         opts.scenario.name,
         opts.clients,
         opts.requests_per_client,
         version,
         config.max_batch,
-        config.linger_us,
         config.queue_cap,
     );
     println!(
@@ -941,5 +936,27 @@ mod tests {
         );
         assert!(demo("256", "257").is_some());
         assert_eq!(demo("256", "256"), None);
+    }
+
+    #[test]
+    fn an_oversized_queue_cap_is_rejected() {
+        let demo = |cap: &str| {
+            let words = ["examples/scenarios/tiny.toml", "--queue-cap", cap];
+            parse_serve_demo_options(&args(&words)).map(|opts| opts.config.queue_cap)
+        };
+        assert_eq!(
+            demo("18446744073709551615"),
+            Err("--queue-cap must be between 1 and 65536, got `18446744073709551615`".into())
+        );
+        assert_eq!(demo("65536"), Ok(MAX_QUEUE_CAP));
+    }
+
+    #[test]
+    fn the_linger_flag_is_unknown() {
+        let words = ["examples/scenarios/tiny.toml", "--linger-us", "18446744073709551615"];
+        assert_eq!(
+            parse_serve_demo_options(&args(&words)).err().as_deref(),
+            Some("unknown flag `--linger-us`")
+        );
     }
 }

@@ -19,9 +19,11 @@
 //! 4. **Panic containment** — a panicking batch poisons only its own
 //!    tenant; other tenants keep serving, and a fresh publish revives
 //!    the poisoned one.
-//! 5. **Wake rules** — the gateway signals only threads that are parked
-//!    and waiting for the change. With a 30 s linger, a lost wakeup shows
-//!    up as a missed 5 s deadline, never as a hang.
+//! 5. **Wake rules** — a micro-batch is what queued while the previous
+//!    one ran, and the gateway signals only threads that are parked and
+//!    waiting for the change. A latch holds a batch in flight while the
+//!    test queues behind it, and a lost wakeup shows up as a missed 5 s
+//!    deadline, never as a hang.
 //! 6. **Interleavings** — a seeded fuzz of submits, timed submits,
 //!    publishes, pauses, panicking plans and shutdown keeps every
 //!    accounting and versioning invariant.
@@ -61,7 +63,7 @@ fn scenario(name: &str) -> Scenario {
 /// A paced gateway: dispatch is held with `pause` while the driver
 /// queues, so batch composition is exact, not timing-dependent.
 fn paced_gateway(max_batch: usize) -> Gateway {
-    Gateway::new(GatewayConfig { max_batch, linger_us: 0, queue_cap: 256 })
+    Gateway::new(GatewayConfig { max_batch, queue_cap: 256 })
 }
 
 /// The report of an `n`-shard request: the response's plain fold plus its
@@ -161,7 +163,7 @@ fn full_batch_gateway_requests_reproduce_the_golden_captures() {
 #[test]
 fn a_full_queue_rejects_deterministically_and_drains_cleanly() {
     let tiny = scenario("tiny.toml");
-    let gateway = Gateway::new(GatewayConfig { max_batch: 8, linger_us: 0, queue_cap: 2 });
+    let gateway = Gateway::new(GatewayConfig { max_batch: 8, queue_cap: 2 });
     gateway.publish("tiny", tiny.compile().expect("compiles")).expect("publish");
     gateway.pause("tiny").expect("pause");
 
@@ -321,7 +323,7 @@ fn gated_plan(gate: &Arc<StartGate>, delay: Duration) -> Plan {
 #[test]
 fn a_hot_swap_under_live_traffic_drops_nothing_and_mixes_no_versions() {
     let gate = Arc::new(StartGate::default());
-    let gateway = Gateway::new(GatewayConfig { max_batch: 4, linger_us: 0, queue_cap: 64 });
+    let gateway = Gateway::new(GatewayConfig { max_batch: 4, queue_cap: 64 });
     gateway.publish("svgg11", gated_plan(&gate, Duration::from_millis(150))).expect("publish v1");
 
     // In-flight: the dispatcher has provably started evaluating r1.
@@ -444,10 +446,6 @@ fn a_poisoned_tenant_contains_its_panic_and_revives_on_publish() {
 // 5. Wake rules
 // ---------------------------------------------------------------------------
 
-/// A linger no test waits out: a batch that closes at all closed because
-/// the dispatcher was woken for it.
-const LINGER_30S: u64 = 30_000_000;
-
 /// How long a test waits for what a correct wakeup delivers at once.
 const DEADLINE: Duration = Duration::from_secs(5);
 
@@ -494,56 +492,105 @@ fn wait_all(what: &str, handles: Vec<ResponseHandle>) -> Vec<GatewayResponse> {
     within(what, move || handles.into_iter().map(|h| h.wait().expect("served")).collect())
 }
 
-/// Block until the dispatcher has popped everything queued, i.e. until it
-/// lingers on the batch it opened (or runs it).
-fn until_dispatched(gateway: &Gateway) {
-    let start = std::time::Instant::now();
-    while gateway.stats().tenants[0].queue_depth > 0 {
-        assert!(start.elapsed() < DEADLINE, "the dispatcher never popped the queue");
-        std::thread::sleep(Duration::from_millis(1));
-    }
+/// The `(batch_samples, batch_requests)` each response rode in.
+fn shapes(responses: &[GatewayResponse]) -> Vec<(usize, usize)> {
+    responses.iter().map(|r| (r.batch_samples(), r.batch_requests())).collect()
 }
 
-fn lingering_gateway(max_batch: usize, queue_cap: usize) -> Gateway {
-    let gateway = Gateway::new(GatewayConfig { max_batch, linger_us: LINGER_30S, queue_cap });
+fn tiny_gateway(max_batch: usize, queue_cap: usize) -> Gateway {
+    let gateway = Gateway::new(GatewayConfig { max_batch, queue_cap });
     gateway.publish("tiny", scenario("tiny.toml").compile().expect("compiles")).expect("publish");
     gateway
 }
 
-#[test]
-fn a_lingering_batch_closes_as_soon_as_the_queued_samples_reach_max_batch() {
-    let gateway = lingering_gateway(4, 16);
-    let mut handles = vec![gateway.submit("tiny", &[0]).expect("submit")];
-    // The dispatcher lingers on one sample; the third request after it
-    // fills the batch and must wake it.
-    until_dispatched(&gateway);
-    handles.extend((1..4).map(|k| gateway.submit("tiny", &[k]).expect("submit")));
-    for response in wait_all("a batch filled to max_batch", handles) {
-        assert_eq!((response.batch_samples(), response.batch_requests()), (4, 4));
+/// A backend that marks `started` as each sample starts and holds the
+/// first one until the sender of `hold` sends or is dropped: that batch
+/// provably stays in flight while the test queues behind it.
+#[derive(Debug)]
+struct HeldBackend {
+    started: Arc<StartGate>,
+    hold: Mutex<Option<mpsc::Receiver<()>>>,
+}
+
+impl ExecutionBackend for HeldBackend {
+    fn name(&self) -> &'static str {
+        "held"
     }
-    assert_eq!(gateway.stats().batches, 1);
+
+    fn run_sample_with_scratch(
+        &self,
+        ctx: &SampleContext<'_>,
+        _sample: usize,
+        out: &mut Vec<LayerSample>,
+        _scratch: &mut LayerScratch,
+    ) {
+        self.started.mark();
+        let hold = self.hold.lock().expect("hold poisoned").take();
+        if let Some(hold) = hold {
+            let _ = hold.recv();
+        }
+        out.resize(ctx.network.len() * ctx.timesteps(), LayerSample::default());
+    }
+}
+
+/// Submit `first` to tenant `held` of a fresh gateway at `max_batch` and
+/// return once its batch has started, within [`DEADLINE`]: every later
+/// submission queues behind that batch until the returned sender is
+/// dropped. The sender is declared after the gateway, so a failing test
+/// drops it first and unwinds instead of joining a held dispatcher.
+fn hold_first(max_batch: usize, first: &[usize]) -> (Gateway, ResponseHandle, mpsc::Sender<()>) {
+    let gateway = Gateway::new(GatewayConfig { max_batch, queue_cap: 16 });
+    let (release, hold) = mpsc::channel();
+    let started = Arc::new(StartGate::default());
+    let backend = HeldBackend { started: Arc::clone(&started), hold: Mutex::new(Some(hold)) };
+    let plan = scenario("tiny.toml")
+        .engine()
+        .compiler()
+        .with_backend(Box::new(backend))
+        .compile(InferenceConfig {
+            batch: 16,
+            ..InferenceConfig::paper(KernelVariant::SpikeStream, FpFormat::Fp16)
+        })
+        .expect("compiles");
+    gateway.publish("held", plan).expect("publish");
+    // No public API shows the park, so a grace period lets the new
+    // dispatcher park idle: then only a wakeup runs `first`, at once and
+    // alone.
+    std::thread::sleep(Duration::from_millis(50));
+    let first = gateway.submit("held", first).expect("submit");
+    within("the first batch starts", move || started.wait_for(1));
+    (gateway, first, release)
 }
 
 #[test]
-fn a_request_that_would_overflow_a_lingering_batch_closes_it_and_runs_next() {
-    let gateway = lingering_gateway(4, 16);
-    let first = gateway.submit("tiny", &[0, 1, 2]).expect("submit");
-    // 3 + 2 samples overflow the cap of 4: `second` closes the lingering
-    // batch at 3 samples, then opens the next one, which `third` fills.
-    until_dispatched(&gateway);
-    let second = gateway.submit("tiny", &[3, 4]).expect("submit");
-    until_dispatched(&gateway);
-    let third = gateway.submit("tiny", &[5, 6]).expect("submit");
-    let responses = wait_all("an overflowing request", vec![first, second, third]);
-    let shapes: Vec<(usize, usize)> =
-        responses.iter().map(|r| (r.batch_samples(), r.batch_requests())).collect();
-    assert_eq!(shapes, [(3, 1), (4, 2), (4, 2)]);
-    assert_eq!(gateway.stats().batches, 2);
+fn requests_queued_while_a_batch_runs_form_the_next_batch_closed_at_max_batch() {
+    let (gateway, first, release) = hold_first(4, &[0]);
+    let mut handles = vec![first];
+    handles.extend((1..6).map(|k| gateway.submit("held", &[k]).expect("submit")));
+    drop(release);
+    let responses = wait_all("the queued requests", handles);
+    assert_eq!(shapes(&responses), [(1, 1), (4, 4), (4, 4), (4, 4), (4, 4), (1, 1)]);
+    assert_eq!(gateway.stats().batches, 3);
+}
+
+#[test]
+fn a_queued_request_that_does_not_fit_closes_the_batch_and_runs_next() {
+    let (gateway, first, release) = hold_first(4, &[0]);
+    let mut handles = vec![first];
+    // 3 + 2 samples overflow the cap of 4: `[4, 5]` closes the batch that
+    // `[1, 2, 3]` opens, then opens the next one, which `[6, 7]` fills.
+    for samples in [&[1, 2, 3][..], &[4, 5], &[6, 7]] {
+        handles.push(gateway.submit("held", samples).expect("submit"));
+    }
+    drop(release);
+    let responses = wait_all("an overflowing request", handles);
+    assert_eq!(shapes(&responses), [(1, 1), (3, 1), (4, 2), (4, 2)]);
+    assert_eq!(gateway.stats().batches, 3);
 }
 
 #[test]
 fn a_submitter_parked_on_a_full_queue_is_admitted_when_the_dispatcher_pops() {
-    let gateway = Arc::new(lingering_gateway(2, 1));
+    let gateway = Arc::new(tiny_gateway(2, 1));
     gateway.pause("tiny").expect("pause");
     let first = gateway.submit("tiny", &[0]).expect("fills the queue");
     let parked = {
@@ -553,39 +600,15 @@ fn a_submitter_parked_on_a_full_queue_is_admitted_when_the_dispatcher_pops() {
     gateway.resume("tiny").expect("resume");
     let second = within("a parked submitter", move || parked.join().expect("helper joins"))
         .expect("admitted, not timed out");
-    for response in wait_all("the admitted batch", vec![first, second]) {
-        assert_eq!(response.batch_samples(), 2);
-    }
-    assert_eq!(gateway.stats().rejected_full, 0);
-}
-
-#[test]
-fn a_queue_that_fills_behind_a_lingering_batch_drains_into_it() {
-    let gateway = Arc::new(lingering_gateway(8, 2));
-    // The first request opens a lingering batch and the next two fill the
-    // queue; the full queue wakes the dispatcher to move them into its
-    // batch, which makes room again.
-    let mut handles: Vec<ResponseHandle> =
-        (0..3).map(|k| gateway.submit_timeout("tiny", &[k], DEADLINE).expect("admitted")).collect();
-    let late = {
-        let gateway = Arc::clone(&gateway);
-        within("a submitter behind a full queue", move || {
-            gateway.submit_timeout("tiny", &[3], Duration::from_secs(30))
-        })
-    };
-    handles.push(late.expect("admitted, not timed out"));
-    // Fill the batch (4 + 4 = 8 samples) so that it closes.
-    handles.push(gateway.submit_timeout("tiny", &[4, 5, 6, 7], DEADLINE).expect("admitted"));
-    for response in wait_all("the drained batch", handles) {
-        assert_eq!(response.batch_samples(), 8);
-    }
+    // `first` was popped alone, and that pop admitted `second`.
+    assert_eq!(shapes(&wait_all("the admitted requests", vec![first, second])), [(1, 1), (1, 1)]);
     assert_eq!(gateway.stats().rejected_full, 0);
 }
 
 #[test]
 fn handles_waited_on_before_and_after_their_batch_runs_both_resolve() {
     // One sample per batch: `early` runs, then `late`.
-    let gateway = lingering_gateway(1, 16);
+    let gateway = tiny_gateway(1, 16);
     gateway.pause("tiny").expect("pause");
     let early = gateway.submit("tiny", &[0]).expect("submit");
     let late = gateway.submit("tiny", &[1]).expect("submit");
@@ -699,11 +722,7 @@ fn check_resolved(
 /// down and check that every request was accounted for exactly once.
 fn run_interleaving(seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let config = GatewayConfig {
-        max_batch: rng.gen_range(1..6),
-        linger_us: rng.gen_range(0..400),
-        queue_cap: rng.gen_range(1..6),
-    };
+    let config = GatewayConfig { max_batch: rng.gen_range(1..6), queue_cap: rng.gen_range(1..6) };
     let gateway = Arc::new(Gateway::new(config));
     let mut versions = [0u64; 2];
     for (t, tenant) in TENANTS.iter().enumerate() {

@@ -9,6 +9,7 @@ use std::path::Path;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use spikestream::scenario::MAX_QUEUE_CAP;
 use spikestream::sharding::MAX_SHARDS;
 use spikestream::{KernelVariant, NetworkChoice, Request, Scenario, TimingModel, WorkloadMode};
 
@@ -213,7 +214,8 @@ proptest! {
             }
             if let Some(serve) = scenario.serve {
                 prop_assert!(serve.max_batch.is_none_or(|n| n >= 1), "{name}:\n{text}");
-                prop_assert!(serve.queue_cap.is_none_or(|n| n >= 1), "{name}:\n{text}");
+                let bounded = |n: usize| (1..=MAX_QUEUE_CAP).contains(&n);
+                prop_assert!(serve.queue_cap.is_none_or(bounded), "{name}:\n{text}");
             }
             // Building S-VGG11's weights is too slow for a debug-build
             // property; the tiny networks compile in microseconds.
