@@ -1,9 +1,8 @@
 //! The cycle-level backend: exact stream programs interpreted on the
-//! `snitch-sim` cluster model.
+//! `snitch-sim` cluster model as the kernels emit them.
 
-use snitch_sim::{execute_program, ClusterModel};
+use snitch_sim::{ClusterModel, Interpreter, PhaseStats};
 use spikestream_energy::Activity;
-use spikestream_ir::StreamProgram;
 use spikestream_kernels::{LayerExecution, LayerInput, LayerScratch};
 use spikestream_snn::encoding::pad_spikes;
 use spikestream_snn::{
@@ -12,12 +11,12 @@ use spikestream_snn::{
 
 use super::{ExecutionBackend, LayerSample, SampleContext};
 
-/// Cycle-level backend: lowers every layer to its exact stream program
-/// through the context's
+/// Cycle-level backend: lowers every layer exactly through the context's
 /// [`LayerExecutor`](spikestream_kernels::LayerExecutor) kernel dispatch
-/// and interprets the programs on one reused [`ClusterModel`] — the one
-/// place the workspace runs the interpreter (slower than the analytic
-/// backend; used for validation and small batches).
+/// straight into an [`Interpreter`] on one reused [`ClusterModel`], so
+/// each work item runs as it is lowered and no layer's program is ever
+/// built — the one place the workspace runs the interpreter (slower than
+/// the analytic backend; used for validation and small batches).
 /// [`ClusterModel::finish_phase`] resets the cores and the DMA engine
 /// between layers while the instruction cache stays warm — kernels remain
 /// resident across layers, exactly as on the real cluster.
@@ -76,8 +75,10 @@ impl CycleLevelBackend {
                 LayerKind::Conv(_) if layer.encodes_input => LayerInput::Image(&workload.image),
                 _ => LayerInput::Spikes(workload.spikes_for_layer(idx)),
             };
-            let (program, exec) = ctx.executor.lower_exact(ctx.cluster, layer, input, scratch);
-            out.push(interpret(ctx, &mut cluster, &program, &exec));
+            let mut interpreter = Interpreter::new(&mut cluster, ctx.executor.format());
+            let exec =
+                ctx.executor.lower_exact(ctx.cluster, layer, input, scratch, &mut interpreter);
+            out.push(layer_sample(ctx, &cluster.finish_phase(&layer.name), &exec));
         }
     }
 
@@ -134,25 +135,25 @@ impl CycleLevelBackend {
                     };
                     LayerInput::Spikes(&staged)
                 };
-                let (program, exec, output) =
-                    ctx.executor.lower_temporal_step(ctx.cluster, layer, idx, input, scratch);
-                out.push(interpret(ctx, &mut cluster, &program, &exec));
+                let mut interpreter = Interpreter::new(&mut cluster, ctx.executor.format());
+                let (exec, output) = ctx.executor.lower_temporal_step(
+                    ctx.cluster,
+                    layer,
+                    idx,
+                    input,
+                    scratch,
+                    &mut interpreter,
+                );
+                out.push(layer_sample(ctx, &cluster.finish_phase(&layer.name), &exec));
                 carry = Some(output);
             }
         }
     }
 }
 
-/// Interpret one layer's exact program on `cluster` and collect the
-/// finished phase into a [`LayerSample`].
-fn interpret(
-    ctx: &SampleContext<'_>,
-    cluster: &mut ClusterModel,
-    program: &StreamProgram,
-    exec: &LayerExecution,
-) -> LayerSample {
-    execute_program(cluster, program);
-    let stats = cluster.finish_phase(&program.label);
+/// Assemble one layer's [`LayerSample`] from its finished phase and the
+/// structural measurements of its lowering.
+fn layer_sample(ctx: &SampleContext<'_>, stats: &PhaseStats, exec: &LayerExecution) -> LayerSample {
     let activity = Activity {
         cycles: stats.compute_cycles,
         int_instrs: stats.totals.int_instrs,

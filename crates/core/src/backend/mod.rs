@@ -18,8 +18,9 @@
 //! * [`AnalyticBackend`] — integrates the cost model over symbolic
 //!   lowerings, fast enough for full-batch figure sweeps;
 //! * [`CycleLevelBackend`] — lowers every layer exactly through the
-//!   [`LayerExecutor`] and interprets the programs on the cycle-level
-//!   cluster simulation, used for validation.
+//!   [`LayerExecutor`] straight into the cycle-level cluster simulation,
+//!   which interprets each work item as it is emitted, used for
+//!   validation.
 //!
 //! Third-party backends (accelerator models, event-driven simulators, …)
 //! implement the same trait — a name and one required method,

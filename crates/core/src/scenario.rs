@@ -72,7 +72,7 @@ use spikestream_snn::{
 };
 
 use crate::engine::{Engine, InferenceConfig, TimingModel};
-use crate::plan::Plan;
+use crate::plan::{Compiler, Plan};
 use crate::session::Request;
 use crate::sharding::MAX_SHARDS;
 
@@ -208,7 +208,9 @@ pub const MAX_QUEUE_CAP: usize = 1 << 16;
 /// values; the CLI folds them into `spikestream-serve`'s `GatewayConfig`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServeSettings {
-    /// Close a micro-batch once it holds this many samples.
+    /// Close a micro-batch once it holds this many samples
+    /// (`1..=`[`Compiler::MAX_LAYER_SAMPLES`]: a batch never folds more
+    /// layer samples than that, so a larger cap could never be reached).
     pub max_batch: Option<usize>,
     /// Bounded per-tenant queue capacity, in requests
     /// (`1..=`[`MAX_QUEUE_CAP`]).
@@ -346,11 +348,20 @@ impl Scenario {
             if section == Section::Serve {
                 match key {
                     "max_batch" => {
-                        let max_batch = parse_u64(lineno, value)? as usize;
+                        let max_batch = parse_u64(lineno, value)?;
                         if max_batch == 0 {
                             return Err(err(lineno, "max_batch must be at least 1"));
                         }
-                        serve.max_batch = Some(max_batch);
+                        if max_batch > Compiler::MAX_LAYER_SAMPLES as u64 {
+                            return Err(err(
+                                lineno,
+                                format!(
+                                    "max_batch must be at most {}",
+                                    Compiler::MAX_LAYER_SAMPLES
+                                ),
+                            ));
+                        }
+                        serve.max_batch = Some(max_batch as usize);
                     }
                     "queue_cap" => {
                         let queue_cap = parse_u64(lineno, value)?;
@@ -920,6 +931,8 @@ shards  = 4
     fn serve_table_errors_carry_line_numbers_and_spellings() {
         let cases = [
             ("[scenario]\n[serve]\nmax_batch = 0\n", 3, "at least 1"),
+            ("[scenario]\n[serve]\nmax_batch = 4194305\n", 3, "at most 4194304"),
+            ("[scenario]\n[serve]\nmax_batch = 18446744073709551615\n", 3, "at most 4194304"),
             ("[scenario]\n[serve]\nqueue_cap = 0\n", 3, "at least 1"),
             ("[scenario]\n[serve]\nqueue_cap = 65537\n", 3, "at most 65536"),
             ("[scenario]\n[serve]\nqueue_cap = \"x\"\n", 3, "unsigned integer"),

@@ -4,7 +4,7 @@
 //! as *streams*: indirection-capable SSRs feed the FPU while the DMA engine
 //! double-buffers tiles into the scratchpad. This crate makes that claim a
 //! first-class artifact. A kernel *lowers* a layer (plus its compressed
-//! spike input) into a [`StreamProgram`] — a small program of phases:
+//! spike input) into a stream program — a small program of phases:
 //!
 //! * [`DmaPhase`] — one tile transfer, annotated with whether it is
 //!   double-buffered (overlaps compute) or a prologue/epilogue transfer the
@@ -18,7 +18,11 @@
 //! Both execution backends consume the *same* program:
 //!
 //! * the cycle-level backend interprets it on the `snitch-sim` cluster model
-//!   (`snitch_sim::execute_program`), and
+//!   while the emitter writes it: an exact emitter lowers into a
+//!   [`ProgramSink`], and the simulator's `Interpreter` is a sink that runs
+//!   each work item as it arrives, in emission order, so the program is
+//!   never held ([`StreamProgram`] is the sink that collects it instead,
+//!   and `snitch_sim::execute_program` replays a collected program), and
 //! * the analytic backend integrates the [`CostModel`](snitch_arch::CostModel)
 //!   over it with the [`CostIntegrator`],
 //!
@@ -56,6 +60,6 @@ pub mod program;
 pub use cache::{CacheCounters, ProgramCache, ProgramKey, SparsityBucket};
 pub use cost::{CostIntegrator, ProgramCost};
 pub use program::{
-    CodeRegion, ComputePhase, DmaPhase, IndexStream, KernelOp, Phase, StreamProgram, StreamSpec,
-    WorkItem,
+    CodeRegion, ComputePhase, DmaPhase, IndexStream, KernelOp, Phase, ProgramSink, StreamProgram,
+    StreamSpec, WorkItem,
 };

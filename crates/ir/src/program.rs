@@ -18,6 +18,11 @@
 //! firing rate (fractional counts, [`IndexStream::Expected`]). The
 //! cycle-level interpreter only accepts the former; symbolic programs exist
 //! for the analytic cost integration.
+//!
+//! Exact emitters do not build a program: they write it, phase by phase and
+//! work item by work item, into a [`ProgramSink`]. A [`StreamProgram`] is
+//! the sink that collects what it is given; the cycle-level interpreter is
+//! the sink that runs each item as it arrives.
 
 use snitch_arch::fp::FpFormat;
 use snitch_arch::isa::{FpOp, IntOp, SsrId};
@@ -208,7 +213,7 @@ impl KernelOp {
 }
 
 /// One DMA tile transfer of the program.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DmaPhase {
     /// Transfer direction.
     pub direction: DmaDirection,
@@ -363,6 +368,45 @@ impl StreamProgram {
     }
 }
 
+/// The consumer an exact emitter writes its program into, in program
+/// order: DMA phases, and compute phases opened by
+/// [`ProgramSink::compute`], filled with one single-instance work item per
+/// [`ProgramSink::item`] call and closed by [`ProgramSink::end_compute`].
+///
+/// The sink sees each work item once, as a borrowed op slice the emitter
+/// reuses for the next item; a sink that keeps items copies them.
+pub trait ProgramSink {
+    /// Append one DMA tile transfer.
+    fn dma(&mut self, phase: DmaPhase);
+    /// Open a compute phase whose cores fetch `code` per item.
+    fn compute(&mut self, code: &[CodeRegion]);
+    /// Append one single-instance work item to the open compute phase.
+    fn item(&mut self, ops: &[KernelOp]);
+    /// Close the open compute phase.
+    fn end_compute(&mut self);
+}
+
+/// Collects the emitted phases, so a collected program equals what the
+/// emitter would have built.
+impl ProgramSink for StreamProgram {
+    fn dma(&mut self, phase: DmaPhase) {
+        self.push(Phase::Dma(phase));
+    }
+
+    fn compute(&mut self, code: &[CodeRegion]) {
+        self.push(Phase::Compute(ComputePhase { code: code.to_vec(), items: Vec::new() }));
+    }
+
+    fn item(&mut self, ops: &[KernelOp]) {
+        let Some(Phase::Compute(phase)) = self.phases.last_mut() else {
+            panic!("work item outside a compute phase");
+        };
+        phase.items.push(WorkItem::new(ops.to_vec()));
+    }
+
+    fn end_compute(&mut self) {}
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -414,6 +458,35 @@ mod tests {
         }));
         assert!(p.is_symbolic());
         assert_eq!(p.work_items(), 17.0);
+    }
+
+    #[test]
+    fn a_collected_program_holds_the_phases_in_emission_order() {
+        let code = [CodeRegion { id: 1, bytes: 512 }];
+        let items = [vec![KernelOp::amo(), KernelOp::branch()], vec![KernelOp::alu()]];
+        let mut p = StreamProgram::new("sink", FpFormat::Fp16);
+        p.dma(DmaPhase::contiguous(DmaDirection::In, 1024, false));
+        p.compute(&code);
+        for ops in &items {
+            p.item(ops);
+        }
+        p.end_compute();
+        p.dma(DmaPhase::contiguous(DmaDirection::Out, 256, false));
+
+        let mut expected = StreamProgram::new("sink", FpFormat::Fp16);
+        expected.push(Phase::Dma(DmaPhase::contiguous(DmaDirection::In, 1024, false)));
+        expected.push(Phase::Compute(ComputePhase {
+            code: code.to_vec(),
+            items: items.iter().cloned().map(WorkItem::new).collect(),
+        }));
+        expected.push(Phase::Dma(DmaPhase::contiguous(DmaDirection::Out, 256, false)));
+        assert_eq!(p, expected);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a compute phase")]
+    fn an_item_needs_an_open_compute_phase() {
+        StreamProgram::new("sink", FpFormat::Fp16).item(&[KernelOp::alu()]);
     }
 
     #[test]

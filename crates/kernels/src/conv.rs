@@ -17,15 +17,15 @@
 //!   weights while an FREP hardware loop keeps the FPU accumulating, so
 //!   the integer core merely sets up the next stream.
 //!
-//! The kernel is an *emitter*: [`LayerExecutor::lower_conv`] turns one
-//! layer invocation into a [`StreamProgram`] (computing the functional
-//! results along the way), and the symbolic lowering behind
-//! [`LayerExecutor::lower_symbolic`] emits the same structure from
-//! expected firing rates for the analytic backend.
+//! The kernel is an *emitter*: [`LayerExecutor::lower_conv`] writes one
+//! layer invocation into a [`ProgramSink`], one work item per receptive
+//! field (computing the functional results along the way), and the
+//! symbolic lowering behind [`LayerExecutor::lower_symbolic`] emits the
+//! same structure from expected firing rates for the analytic backend.
 
 use snitch_arch::ClusterConfig;
 use spikestream_ir::{
-    CodeRegion, ComputePhase, IndexStream, KernelOp, Phase, StreamProgram, WorkItem,
+    CodeRegion, ComputePhase, IndexStream, KernelOp, Phase, ProgramSink, StreamProgram, WorkItem,
 };
 use spikestream_snn::compress::INDEX_BYTES;
 use spikestream_snn::reference::max_pool_2x2;
@@ -116,9 +116,9 @@ fn expected_ifmap_spikes(spec: &ConvSpec, input_rate: f64) -> usize {
 }
 
 impl LayerExecutor {
-    /// Lower one convolutional layer invocation into its exact stream
-    /// program, computing the functional results (currents and spikes)
-    /// along the way.
+    /// Lower one convolutional layer invocation into `sink` as its exact
+    /// stream program, computing the functional results (currents and
+    /// spikes) along the way.
     ///
     /// `input` must be the compressed, padded ifmap of the layer and
     /// `state` the neuron state of its output neurons, which the call
@@ -135,7 +135,8 @@ impl LayerExecutor {
         layer: &Layer,
         input: &CompressedIfmap,
         state: &mut NeuronState,
-    ) -> (StreamProgram, ConvKernelOutput) {
+        sink: &mut dyn ProgramSink,
+    ) -> ConvKernelOutput {
         let LayerKind::Conv(spec) = &layer.kind else {
             panic!("lower_conv requires a convolutional layer");
         };
@@ -160,14 +161,14 @@ impl LayerExecutor {
             spm_bytes: config.spm_bytes.max(1),
         };
 
-        let mut program = StreamProgram::new(&layer.name, self.format);
         for dma in plan.dma_in_phases() {
-            program.push(Phase::Dma(dma));
+            sink.dma(dma);
         }
+        sink.compute(&code_regions(self.variant));
 
         let mut currents = Tensor3::zeros(out_shape);
         let mut spikes = SpikeMap::silent(out_shape);
-        let mut items = Vec::with_capacity(out_shape.h * out_shape.w);
+        let mut ops = Vec::new();
         // Weights are static across the layer: round them to the storage
         // format once instead of per (spike, lane) inside the RF loop.
         let qweights: Vec<f32> = layer.weights.iter().map(|&w| self.format.quantize(w)).collect();
@@ -176,12 +177,12 @@ impl LayerExecutor {
 
         for oh in 0..out_shape.h {
             for ow in 0..out_shape.w {
-                let mut ops = emit::claim();
+                emit::claim(&mut ops);
 
                 // Active input channels at every filter position of this RF,
                 // plus one shared gather-index list per position (every SIMD
-                // group streams through the same indices, so the program
-                // holds each list once).
+                // group streams through the same indices, so a collected
+                // program holds each list once).
                 rf_active.clear();
                 rf_active.extend((0..spec.kh * spec.kw).map(|k| {
                     let (kh, kw) = (k / spec.kw, k % spec.kw);
@@ -212,16 +213,16 @@ impl LayerExecutor {
                         state,
                     );
                 }
-                items.push(WorkItem::new(ops));
+                sink.item(&ops);
             }
         }
-        program.push(Phase::Compute(ComputePhase { code: code_regions(self.variant), items }));
+        sink.end_compute();
         for dma in plan.dma_out_phases() {
-            program.push(Phase::Dma(dma));
+            sink.dma(dma);
         }
 
         let output = if spec.pool { max_pool_2x2(&spikes) } else { spikes.clone() };
-        (program, ConvKernelOutput { currents, spikes, output })
+        ConvKernelOutput { currents, spikes, output }
     }
 
     /// Lower one conv layer symbolically from expected firing rates: the
@@ -291,7 +292,8 @@ impl LayerExecutor {
 
         // ... inside one representative receptive field, replicated over
         // every output position.
-        let mut ops = emit::claim();
+        let mut ops = Vec::new();
+        emit::claim(&mut ops);
         ops.push(KernelOp::Loop { body: group, reps: groups as f64 });
         program.push(Phase::Compute(ComputePhase {
             code: code_regions(self.variant),
@@ -444,11 +446,13 @@ mod tests {
     ) -> (StreamProgram, ConvKernelOutput, NeuronState) {
         let LayerKind::Conv(spec) = &layer.kind else { unreachable!() };
         let mut state = NeuronState::lif(spec.conv_output().len());
-        let (program, out) = LayerExecutor::new(variant, format).lower_conv(
+        let mut program = StreamProgram::new(&layer.name, format);
+        let out = LayerExecutor::new(variant, format).lower_conv(
             &ClusterConfig::default(),
             layer,
             input,
             &mut state,
+            &mut program,
         );
         (program, out, state)
     }

@@ -8,14 +8,14 @@
 //! two *affine* stream registers (one for the input row, one for the
 //! weights); the baseline executes the same matmul as a scalar SIMD loop.
 //!
-//! Like the sparse kernels, this kernel is an emitter: it lowers the layer
-//! into a [`StreamProgram`], exactly ([`LayerExecutor::lower_dense`]) or
-//! symbolically from expected rates.
+//! Like the sparse kernels, this kernel is an emitter: it writes the layer
+//! into a [`ProgramSink`] exactly ([`LayerExecutor::lower_dense`]), or
+//! lowers it to a [`StreamProgram`] symbolically from expected rates.
 
 use snitch_arch::ClusterConfig;
 use snitch_mem::dma::DmaDirection;
 use spikestream_ir::{
-    CodeRegion, ComputePhase, DmaPhase, KernelOp, Phase, StreamProgram, WorkItem,
+    CodeRegion, ComputePhase, DmaPhase, KernelOp, Phase, ProgramSink, StreamProgram, WorkItem,
 };
 use spikestream_snn::reference::max_pool_2x2;
 use spikestream_snn::{ConvSpec, Layer, LayerKind, NeuronModel, NeuronState, SpikeMap, Tensor3};
@@ -48,8 +48,8 @@ fn code_regions(variant: KernelVariant) -> Vec<CodeRegion> {
 }
 
 impl LayerExecutor {
-    /// Lower one spike-encoding invocation into its exact stream program,
-    /// computing the functional results along the way.
+    /// Lower one spike-encoding invocation into `sink` as its exact stream
+    /// program, computing the functional results along the way.
     ///
     /// `image` must be the padded input image in HWC layout and `state`
     /// the neuron state of the output neurons, which the call advances by
@@ -65,7 +65,8 @@ impl LayerExecutor {
         layer: &Layer,
         image: &Tensor3,
         state: &mut NeuronState,
-    ) -> (StreamProgram, DenseKernelOutput) {
+        sink: &mut dyn ProgramSink,
+    ) -> DenseKernelOutput {
         let LayerKind::Conv(spec) = &layer.kind else {
             panic!("lower_dense requires a convolutional layer");
         };
@@ -86,17 +87,17 @@ impl LayerExecutor {
             0,
             layer.neuron.state_vars(),
         );
-        let mut program = StreamProgram::new(&layer.name, self.format);
         for dma in plan.dma_in_phases() {
-            program.push(Phase::Dma(dma));
+            sink.dma(dma);
         }
         let row_bytes = (spec.kw * spec.input.c * 4) as u64;
-        program.push(Phase::Dma(DmaPhase::strided_2d(
+        sink.dma(DmaPhase::strided_2d(
             DmaDirection::In,
             row_bytes,
             (out_shape.h * spec.kh) as u64,
             false,
-        )));
+        ));
+        sink.compute(&code_regions(self.variant));
 
         let weights_base = plan.weights.base;
         let input_base = plan.ifmap_idcs.base;
@@ -104,7 +105,7 @@ impl LayerExecutor {
 
         let mut currents = Tensor3::zeros(out_shape);
         let mut spikes = SpikeMap::silent(out_shape);
-        let mut items = Vec::with_capacity(out_shape.h * out_shape.w);
+        let mut ops = Vec::new();
         // Weights are static across the layer: round them to the storage
         // format once instead of per (pixel, lane) in the position loop.
         let qweights: Vec<f32> = layer.weights.iter().map(|&w| self.format.quantize(w)).collect();
@@ -138,7 +139,7 @@ impl LayerExecutor {
                     currents.set(oh, ow, co, v);
                 }
 
-                let mut ops = emit::claim();
+                emit::claim(&mut ops);
                 for g in 0..groups {
                     // Timing of the dot product.
                     emit::model_group_prologue(&mut ops, &layer.neuron);
@@ -169,16 +170,16 @@ impl LayerExecutor {
                     }
                     emit::model_state_writeback(&mut ops, &layer.neuron);
                 }
-                items.push(WorkItem::new(ops));
+                sink.item(&ops);
             }
         }
-        program.push(Phase::Compute(ComputePhase { code: code_regions(self.variant), items }));
+        sink.end_compute();
         for dma in plan.dma_out_phases() {
-            program.push(Phase::Dma(dma));
+            sink.dma(dma);
         }
 
         let output = if spec.pool { max_pool_2x2(&spikes) } else { spikes.clone() };
-        (program, DenseKernelOutput { currents, spikes, output })
+        DenseKernelOutput { currents, spikes, output }
     }
 
     /// Symbolic lowering of the spike-encoding layer from the expected
@@ -229,7 +230,8 @@ impl LayerExecutor {
         emit::activation_tail_symbolic(&mut group, lanes as f64, lanes as f64 * output_rate);
         emit::model_state_writeback(&mut group, model);
 
-        let mut ops = emit::claim();
+        let mut ops = Vec::new();
+        emit::claim(&mut ops);
         ops.push(KernelOp::Loop { body: group, reps: groups as f64 });
         program.push(Phase::Compute(ComputePhase {
             code: code_regions(self.variant),
@@ -279,12 +281,15 @@ mod tests {
     ) -> (StreamProgram, DenseKernelOutput) {
         let LayerKind::Conv(spec) = &layer.kind else { unreachable!() };
         let mut state = NeuronState::lif(spec.conv_output().len());
-        LayerExecutor::new(variant, format).lower_dense(
+        let mut program = StreamProgram::new(&layer.name, format);
+        let out = LayerExecutor::new(variant, format).lower_dense(
             &ClusterConfig::default(),
             layer,
             image,
             &mut state,
-        )
+            &mut program,
+        );
+        (program, out)
     }
 
     #[test]

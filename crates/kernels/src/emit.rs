@@ -16,15 +16,14 @@ use spikestream_ir::{IndexStream, KernelOp, StreamSpec};
 use spikestream_snn::compress::INDEX_BYTES;
 use spikestream_snn::NeuronModel;
 
-/// The workload-stealing claim of one work item: the atomic `next_rf` bump
-/// plus the bookkeeping branch of the stealing loop (Fig. 2b).
-pub(crate) fn claim() -> Vec<KernelOp> {
-    // Work items routinely reach dozens of ops; starting with real capacity
-    // keeps the hot lowering loops from growing the vector step by step.
-    let mut ops = Vec::with_capacity(96);
+/// Start a work item in `ops` with its workload-stealing claim: the atomic
+/// `next_rf` bump plus the bookkeeping branch of the stealing loop
+/// (Fig. 2b). The previous item's ops are cleared first, so an exact
+/// emitter writes all its items through one reused buffer.
+pub(crate) fn claim(ops: &mut Vec<KernelOp>) {
+    ops.clear();
     ops.push(KernelOp::amo());
     ops.push(KernelOp::branch());
-    ops
 }
 
 /// SIMD-group prologue: load the group's per-neuron state into FP

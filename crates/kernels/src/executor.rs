@@ -11,16 +11,19 @@
 //! [`LayerExecutor::lower_pool`]).
 //!
 //! The executor only *emits*: [`LayerExecutor::lower_exact`] and
-//! [`LayerExecutor::lower_temporal_step`] return a layer's exact
-//! [`StreamProgram`] plus the structural measurements of the invocation
-//! ([`LayerExecution`]); the cycle-level backend interprets the program on
-//! its cluster model. [`LayerExecutor::lower_symbolic`] and
-//! [`LayerExecutor::bind_symbolic`] serve the analytic backend.
+//! [`LayerExecutor::lower_temporal_step`] write a layer's exact program
+//! into a caller's [`ProgramSink`], work item by work item, and return the
+//! structural measurements of the invocation ([`LayerExecution`]). The
+//! cycle-level backend passes its interpreter as the sink, so each item
+//! runs on the cluster model as it is lowered; a [`StreamProgram`] passed
+//! as the sink collects the program instead. [`LayerExecutor::lower_symbolic`]
+//! and [`LayerExecutor::bind_symbolic`] serve the analytic backend.
 
 use snitch_arch::fp::FpFormat;
 use snitch_arch::ClusterConfig;
 use spikestream_ir::{
-    CostIntegrator, ProgramCache, ProgramCost, ProgramKey, SparsityBucket, StreamProgram,
+    CostIntegrator, ProgramCache, ProgramCost, ProgramKey, ProgramSink, SparsityBucket,
+    StreamProgram,
 };
 use spikestream_snn::{
     AerEvent, CompressedFcInput, CompressedIfmap, Layer, LayerKind, Network, NeuronState, SpikeMap,
@@ -124,14 +127,16 @@ impl LayerScratch {
 ///
 /// `LayerExecutor` is stateless (variant + format only); reusable buffers
 /// live in a caller-owned [`LayerScratch`]. It emits programs and never
-/// runs them: a backend interprets or integrates what it returns.
+/// runs them: an exact lowering writes into the caller's [`ProgramSink`]
+/// (an interpreter, or a [`StreamProgram`] that collects it), and a backend
+/// integrates what a symbolic lowering returns.
 ///
 /// # Example
 ///
 /// ```
 /// use snitch_arch::fp::FpFormat;
 /// use snitch_arch::ClusterConfig;
-/// use spikestream_ir::CostIntegrator;
+/// use spikestream_ir::{CostIntegrator, StreamProgram};
 /// use spikestream_kernels::{KernelVariant, LayerExecutor, LayerInput, LayerScratch};
 /// use spikestream_snn::neuron::LifParams;
 /// use spikestream_snn::tensor::{SpikeMap, TensorShape};
@@ -152,11 +157,13 @@ impl LayerScratch {
 ///
 /// let mut scratch = LayerScratch::new();
 /// let executor = LayerExecutor::new(KernelVariant::SpikeStream, FpFormat::Fp16);
-/// let (program, exec) = executor.lower_exact(
+/// let mut program = StreamProgram::new(&layer.name, executor.format());
+/// let exec = executor.lower_exact(
 ///     &ClusterConfig::default(),
 ///     &layer,
 ///     LayerInput::Spikes(&spikes),
 ///     &mut scratch,
+///     &mut program,
 /// );
 /// assert_eq!(exec.input_spikes, 1);
 /// assert!(!program.is_symbolic());
@@ -184,8 +191,8 @@ impl LayerExecutor {
         self.format
     }
 
-    /// Lower one single-shot layer invocation into its exact stream
-    /// program, dispatching to the matching emitter and reusing the
+    /// Lower one single-shot layer invocation into `sink` as its exact
+    /// stream program, dispatching to the matching emitter and reusing the
     /// caller's scratch buffers for the neuron state and the compressed
     /// input (no allocation once the buffers reached steady-state
     /// capacity). The neuron state rests before the layer runs.
@@ -201,18 +208,18 @@ impl LayerExecutor {
         layer: &Layer,
         input: LayerInput<'_>,
         scratch: &mut LayerScratch,
-    ) -> (StreamProgram, LayerExecution) {
+        sink: &mut dyn ProgramSink,
+    ) -> LayerExecution {
         let LayerScratch { state, ifmap, fc, .. } = scratch;
-        let (program, exec, _) = self.dispatch(config, layer, input, state, ifmap, fc, true);
-        (program, exec)
+        self.dispatch(config, layer, input, state, ifmap, fc, true, sink).0
     }
 
     /// Lower one layer of one *timestep* of a temporal sample, advancing
     /// the layer's persistent membrane state in `scratch` instead of
-    /// resetting it. Returns the program and the structural measurements
-    /// plus the layer's output spike map (after pooling; `1 x 1 x F` for
-    /// fully connected layers), which *is* the next layer's input at this
-    /// timestep.
+    /// resetting it. Writes the program into `sink` and returns the
+    /// structural measurements plus the layer's output spike map (after
+    /// pooling; `1 x 1 x F` for fully connected layers), which *is* the
+    /// next layer's input at this timestep.
     ///
     /// The per-timestep program is the layer's regular stream program: its
     /// prologue DMA loads the membrane tile alongside the compressed
@@ -232,13 +239,14 @@ impl LayerExecutor {
         layer_idx: usize,
         input: LayerInput<'_>,
         scratch: &mut LayerScratch,
-    ) -> (StreamProgram, LayerExecution, SpikeMap) {
+        sink: &mut dyn ProgramSink,
+    ) -> (LayerExecution, SpikeMap) {
         assert!(
             layer_idx < scratch.states.len(),
             "LayerScratch::begin_sample must size the membrane states before temporal steps"
         );
         let LayerScratch { states, ifmap, fc, .. } = scratch;
-        self.dispatch(config, layer, input, &mut states[layer_idx], ifmap, fc, false)
+        self.dispatch(config, layer, input, &mut states[layer_idx], ifmap, fc, false, sink)
     }
 
     /// Lower one layer *symbolically* from expected firing rates,
@@ -315,8 +323,8 @@ impl LayerExecutor {
 
     /// The shared kernel dispatch behind [`LayerExecutor::lower_exact`]
     /// and [`LayerExecutor::lower_temporal_step`]: compress the input,
-    /// lower the matching kernel against `state`, and derive the structural
-    /// measurements. `fresh` selects single-shot semantics — the membrane
+    /// lower the matching kernel against `state` into `sink`, and derive
+    /// the structural measurements. `fresh` selects single-shot semantics — the membrane
     /// state is reset to rest before the layer runs, and the dense encoding
     /// layer reports its historical every-pixel input metrics (a temporal
     /// step instead counts the step's realized nonzero inputs, which is
@@ -331,13 +339,14 @@ impl LayerExecutor {
         ifmap: &mut CompressedIfmap,
         fc: &mut CompressedFcInput,
         fresh: bool,
-    ) -> (StreamProgram, LayerExecution, SpikeMap) {
+        sink: &mut dyn ProgramSink,
+    ) -> (LayerExecution, SpikeMap) {
         match (&layer.kind, input) {
             (LayerKind::Conv(spec), LayerInput::Image(image)) => {
                 if fresh {
                     state.reset_for(&layer.neuron, spec.conv_output().len());
                 }
-                let (program, out) = self.lower_dense(config, layer, image, state);
+                let out = self.lower_dense(config, layer, image, state, sink);
                 let padded = spec.padded_input();
                 let input_spikes = if fresh { padded.len() } else { image.count_nonzero() };
                 let exec = LayerExecution {
@@ -348,14 +357,14 @@ impl LayerExecutor {
                     aer_footprint_bytes: (padded.len() * 4) as f64,
                     output_spikes: out.output.count_spikes() as u64,
                 };
-                (program, exec, out.output)
+                (exec, out.output)
             }
             (LayerKind::Conv(spec), LayerInput::Spikes(spikes)) => {
                 ifmap.refill_from(spikes);
                 if fresh {
                     state.reset_for(&layer.neuron, spec.conv_output().len());
                 }
-                let (program, out) = self.lower_conv(config, layer, ifmap, state);
+                let out = self.lower_conv(config, layer, ifmap, state, sink);
                 let rate = ifmap.firing_rate();
                 let exec = LayerExecution {
                     input_rate: rate,
@@ -365,11 +374,11 @@ impl LayerExecutor {
                     aer_footprint_bytes: (ifmap.spike_count() * AerEvent::BYTES) as f64,
                     output_spikes: out.output.count_spikes() as u64,
                 };
-                (program, exec, out.output)
+                (exec, out.output)
             }
             (LayerKind::AvgPool(spec), LayerInput::Spikes(spikes)) => {
                 ifmap.refill_from(spikes);
-                let (program, output) = self.lower_pool(config, layer, spikes);
+                let output = self.lower_pool(config, layer, spikes, sink);
                 let rate = ifmap.firing_rate();
                 let exec = LayerExecution {
                     input_rate: rate,
@@ -379,14 +388,14 @@ impl LayerExecutor {
                     aer_footprint_bytes: (ifmap.spike_count() * AerEvent::BYTES) as f64,
                     output_spikes: output.count_spikes() as u64,
                 };
-                (program, exec, output)
+                (exec, output)
             }
             (LayerKind::Linear(spec), LayerInput::Spikes(spikes)) => {
                 fc.refill_from_map(spikes);
                 if fresh {
                     state.reset_for(&layer.neuron, spec.out_features);
                 }
-                let (program, out) = self.lower_fc(config, layer, fc, state);
+                let out = self.lower_fc(config, layer, fc, state, sink);
                 let exec = LayerExecution {
                     input_rate: fc.spike_count() as f64 / spec.in_features as f64,
                     input_spikes: fc.spike_count() as u64,
@@ -396,7 +405,7 @@ impl LayerExecutor {
                     aer_footprint_bytes: (fc.spike_count() * AerEvent::BYTES) as f64,
                     output_spikes: out.spikes.count_spikes() as u64,
                 };
-                (program, exec, out.spikes)
+                (exec, out.spikes)
             }
             (LayerKind::Linear(_) | LayerKind::AvgPool(_), LayerInput::Image(_)) => {
                 panic!("fully connected and pooling layers consume spikes, not dense images")
@@ -455,8 +464,14 @@ mod tests {
         let (layer, spec) = conv_layer(false);
         let spikes = random_spikes(spec.padded_input(), 0.3, 11);
         let compressed = CompressedIfmap::from_spike_map(&spikes);
-        let (program, exec) = LayerExecutor::new(KernelVariant::SpikeStream, FpFormat::Fp16)
-            .lower_exact(&config(), &layer, LayerInput::Spikes(&spikes), &mut LayerScratch::new());
+        let mut program = StreamProgram::new(&layer.name, FpFormat::Fp16);
+        let exec = LayerExecutor::new(KernelVariant::SpikeStream, FpFormat::Fp16).lower_exact(
+            &config(),
+            &layer,
+            LayerInput::Spikes(&spikes),
+            &mut LayerScratch::new(),
+            &mut program,
+        );
         assert_eq!(exec.input_spikes, compressed.spike_count() as u64);
         assert_eq!(exec.input_rate, compressed.firing_rate());
         assert_eq!(exec.csr_footprint_bytes, compressed.footprint_bytes() as f64);
@@ -472,15 +487,18 @@ mod tests {
         let executor = LayerExecutor::new(KernelVariant::Baseline, FpFormat::Fp16);
         let compressed = CompressedIfmap::from_spike_map(&spikes);
         let mut state = NeuronState::lif(spec.conv_output().len());
-        let (direct_program, direct_out) =
-            executor.lower_conv(&config(), &layer, &compressed, &mut state);
+        let mut direct_program = StreamProgram::new(&layer.name, FpFormat::Fp16);
+        let direct_out =
+            executor.lower_conv(&config(), &layer, &compressed, &mut state, &mut direct_program);
         let direct_stats = interpret(&direct_program);
 
-        let (program, exec) = executor.lower_exact(
+        let mut program = StreamProgram::new(&layer.name, FpFormat::Fp16);
+        let exec = executor.lower_exact(
             &config(),
             &layer,
             LayerInput::Spikes(&spikes),
             &mut LayerScratch::new(),
+            &mut program,
         );
         let exec_stats = interpret(&program);
 
@@ -496,18 +514,32 @@ mod tests {
         let mut scratch = LayerScratch::new();
         // Prime the scratch with a differently-shaped layer invocation.
         let warmup = random_spikes(spec.padded_input(), 0.5, 1);
-        executor.lower_exact(&config(), &layer, LayerInput::Spikes(&warmup), &mut scratch);
+        executor.lower_exact(
+            &config(),
+            &layer,
+            LayerInput::Spikes(&warmup),
+            &mut scratch,
+            &mut StreamProgram::new(&layer.name, FpFormat::Fp16),
+        );
 
         for seed in [2, 3, 4] {
             let spikes = random_spikes(spec.padded_input(), 0.2, seed);
-            let (fresh_program, fresh) = executor.lower_exact(
+            let mut fresh_program = StreamProgram::new(&layer.name, FpFormat::Fp16);
+            let fresh = executor.lower_exact(
                 &config(),
                 &layer,
                 LayerInput::Spikes(&spikes),
                 &mut LayerScratch::new(),
+                &mut fresh_program,
             );
-            let (reused_program, reused) =
-                executor.lower_exact(&config(), &layer, LayerInput::Spikes(&spikes), &mut scratch);
+            let mut reused_program = StreamProgram::new(&layer.name, FpFormat::Fp16);
+            let reused = executor.lower_exact(
+                &config(),
+                &layer,
+                LayerInput::Spikes(&spikes),
+                &mut scratch,
+                &mut reused_program,
+            );
             assert_eq!(fresh, reused);
             assert_eq!(
                 interpret(&fresh_program),
@@ -536,15 +568,23 @@ mod tests {
         let mut reference = NeuronState::lif(spec.conv_output().len());
         let compressed = CompressedIfmap::from_spike_map(&spikes);
         for step in 0..2 {
-            let (program, exec, out) = executor.lower_temporal_step(
+            let mut program = StreamProgram::new("conv", FpFormat::Fp32);
+            let (exec, out) = executor.lower_temporal_step(
                 &config(),
                 &net.layers()[0],
                 0,
                 LayerInput::Spikes(&spikes),
                 &mut scratch,
+                &mut program,
             );
-            let (direct_program, direct) =
-                executor.lower_conv(&config(), &net.layers()[0], &compressed, &mut reference);
+            let mut direct_program = StreamProgram::new("conv", FpFormat::Fp32);
+            let direct = executor.lower_conv(
+                &config(),
+                &net.layers()[0],
+                &compressed,
+                &mut reference,
+                &mut direct_program,
+            );
             assert_eq!(program, direct_program, "step {step} program");
             assert_eq!(out, direct.output, "step {step} spikes");
             assert_eq!(exec.output_spikes, direct.output.count_spikes() as u64);
@@ -567,6 +607,7 @@ mod tests {
             0,
             LayerInput::Spikes(&spikes),
             &mut LayerScratch::new(),
+            &mut StreamProgram::new(&layer.name, FpFormat::Fp16),
         );
     }
 
@@ -661,6 +702,7 @@ mod tests {
             &layer,
             LayerInput::Image(&image),
             &mut LayerScratch::new(),
+            &mut StreamProgram::new(&layer.name, FpFormat::Fp16),
         );
     }
 }

@@ -6,11 +6,13 @@
 //! Sparse Vector Accumulation whose length equals the number of active
 //! inputs, either as the scalar indirection loop (baseline) or as an
 //! indirect stream under FREP (SpikeStream). [`LayerExecutor::lower_fc`]
-//! lowers each invocation to a [`StreamProgram`] with one work item per
+//! writes each invocation into a [`ProgramSink`] with one work item per
 //! SIMD group.
 
 use snitch_arch::ClusterConfig;
-use spikestream_ir::{CodeRegion, ComputePhase, IndexStream, Phase, StreamProgram, WorkItem};
+use spikestream_ir::{
+    CodeRegion, ComputePhase, IndexStream, Phase, ProgramSink, StreamProgram, WorkItem,
+};
 use spikestream_snn::{
     CompressedFcInput, Layer, LayerKind, LinearSpec, NeuronModel, NeuronState, SpikeMap,
     TensorShape,
@@ -54,10 +56,10 @@ fn planned_active_inputs(spec: &LinearSpec, input_rate: f64) -> usize {
 }
 
 impl LayerExecutor {
-    /// Lower one fully connected invocation into its exact stream program,
-    /// computing the functional results along the way. `state` is the
-    /// neuron state of the output neurons, which the call advances by one
-    /// step.
+    /// Lower one fully connected invocation into `sink` as its exact
+    /// stream program, computing the functional results along the way.
+    /// `state` is the neuron state of the output neurons, which the call
+    /// advances by one step.
     ///
     /// # Panics
     ///
@@ -70,7 +72,8 @@ impl LayerExecutor {
         layer: &Layer,
         input: &CompressedFcInput,
         state: &mut NeuronState,
-    ) -> (StreamProgram, FcKernelOutput) {
+        sink: &mut dyn ProgramSink,
+    ) -> FcKernelOutput {
         let LayerKind::Linear(spec) = &layer.kind else {
             panic!("lower_fc requires a fully connected layer");
         };
@@ -91,16 +94,16 @@ impl LayerExecutor {
         let idcs_base = plan.ifmap_idcs.base;
         let spm_bytes = config.spm_bytes.max(1);
 
-        let mut program = StreamProgram::new(&layer.name, self.format);
         for dma in plan.dma_in_phases() {
-            program.push(Phase::Dma(dma));
+            sink.dma(dma);
         }
+        sink.compute(&code_regions(self.variant));
 
         let mut currents = vec![0.0f32; spec.out_features];
         let mut spikes = SpikeMap::silent(TensorShape::new(1, 1, spec.out_features));
-        let mut items = Vec::with_capacity(groups);
-        // Every SIMD group gathers through the same active-input list; the
-        // program holds it once, shared across groups.
+        let mut ops = Vec::new();
+        // Every SIMD group gathers through the same active-input list; a
+        // collected program holds it once, shared across groups.
         let idcs = IndexStream::exact(input.idcs().iter().map(|&i| i as u32));
 
         // Functional accumulation: every active input feature adds its
@@ -115,7 +118,7 @@ impl LayerExecutor {
         }
 
         for g in 0..groups {
-            let mut ops = emit::claim();
+            emit::claim(&mut ops);
             emit::model_group_prologue(&mut ops, &layer.neuron);
             if s_len > 0 {
                 ops.push(match self.variant {
@@ -145,13 +148,13 @@ impl LayerExecutor {
                 }
             }
             emit::model_state_writeback(&mut ops, &layer.neuron);
-            items.push(WorkItem::new(ops));
+            sink.item(&ops);
         }
-        program.push(Phase::Compute(ComputePhase { code: code_regions(self.variant), items }));
+        sink.end_compute();
         for dma in plan.dma_out_phases() {
-            program.push(Phase::Dma(dma));
+            sink.dma(dma);
         }
-        (program, FcKernelOutput { currents, spikes })
+        FcKernelOutput { currents, spikes }
     }
 
     /// Symbolic FC lowering from expected firing rates: one representative
@@ -185,7 +188,8 @@ impl LayerExecutor {
             program.push(Phase::Dma(dma));
         }
 
-        let mut ops = emit::claim();
+        let mut ops = Vec::new();
+        emit::claim(&mut ops);
         emit::model_group_prologue(&mut ops, model);
         if s_len > 0.0 {
             ops.push(match self.variant {
@@ -246,12 +250,15 @@ mod tests {
     ) -> (StreamProgram, FcKernelOutput) {
         let LayerKind::Linear(spec) = &layer.kind else { unreachable!() };
         let mut state = NeuronState::lif(spec.out_features);
-        LayerExecutor::new(variant, format).lower_fc(
+        let mut program = StreamProgram::new(&layer.name, format);
+        let out = LayerExecutor::new(variant, format).lower_fc(
             &ClusterConfig::default(),
             layer,
             input,
             &mut state,
-        )
+            &mut program,
+        );
+        (program, out)
     }
 
     #[test]

@@ -12,17 +12,19 @@
 //!   registers and FREP hardware loops (Listing 1c), and the dense
 //!   spike-encoding first layer mapped onto two affine SSRs.
 //!
-//! Every kernel *lowers* a layer invocation into a
-//! [`StreamProgram`](spikestream_ir::StreamProgram) — in **exact** form
-//! from a concrete compressed input (interpreted on the `snitch-sim`
-//! cluster by the cycle-level backend), or in **symbolic** form from
-//! expected firing rates (integrated by
-//! [`CostIntegrator`](spikestream_ir::CostIntegrator) in the analytic
-//! backend). Both variants are functionally identical; they differ only in
-//! the instruction structure they emit, which is what produces the paper's
-//! utilization and speedup differences. The shared op templates live in
-//! the private `emit` module, so the inner-loop structure of Listings
-//! 1a-1c is written down exactly once.
+//! Every kernel *lowers* a layer invocation to a stream program — in
+//! **exact** form from a concrete compressed input, written work item by
+//! work item into a caller's [`ProgramSink`](spikestream_ir::ProgramSink)
+//! (the cycle-level backend's `snitch-sim` interpreter, which runs each
+//! item as it arrives, or a collecting
+//! [`StreamProgram`](spikestream_ir::StreamProgram)), or in **symbolic**
+//! form from expected firing rates, returned as a `StreamProgram` that
+//! [`CostIntegrator`](spikestream_ir::CostIntegrator) integrates in the
+//! analytic backend. Both variants are functionally identical; they differ
+//! only in the instruction structure they emit, which is what produces the
+//! paper's utilization and speedup differences. The shared op templates
+//! live in the private `emit` module, so the inner-loop structure of
+//! Listings 1a-1c is written down exactly once.
 //!
 //! The crate only emits; it never runs a program. [`LayerExecutor`] — one
 //! code variant and one storage format — is the single kernel value, and

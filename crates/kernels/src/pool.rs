@@ -13,7 +13,7 @@
 use snitch_arch::isa::FpOp;
 use snitch_arch::{ClusterConfig, SsrId};
 use spikestream_ir::{
-    CodeRegion, ComputePhase, KernelOp, Phase, StreamProgram, StreamSpec, WorkItem,
+    CodeRegion, ComputePhase, KernelOp, Phase, ProgramSink, StreamProgram, StreamSpec, WorkItem,
 };
 use spikestream_snn::reference::avg_pool;
 use spikestream_snn::{Layer, LayerKind, PoolSpec, SpikeMap};
@@ -34,8 +34,8 @@ fn code_regions(variant: KernelVariant) -> Vec<CodeRegion> {
 }
 
 impl LayerExecutor {
-    /// Lower one pooling invocation into its exact stream program,
-    /// computing the output spikes along the way.
+    /// Lower one pooling invocation into `sink` as its exact stream
+    /// program, computing the output spikes along the way.
     ///
     /// # Panics
     ///
@@ -46,7 +46,8 @@ impl LayerExecutor {
         config: &ClusterConfig,
         layer: &Layer,
         input: &SpikeMap,
-    ) -> (StreamProgram, SpikeMap) {
+        sink: &mut dyn ProgramSink,
+    ) -> SpikeMap {
         let LayerKind::AvgPool(spec) = &layer.kind else {
             panic!("lower_pool requires an average-pooling layer");
         };
@@ -61,15 +62,15 @@ impl LayerExecutor {
         let in_base = plan.ifmap_idcs.base;
         let spm_bytes = config.spm_bytes.max(1);
 
-        let mut program = StreamProgram::new(&layer.name, self.format);
         for dma in plan.dma_in_phases() {
-            program.push(Phase::Dma(dma));
+            sink.dma(dma);
         }
+        sink.compute(&code_regions(self.variant));
 
-        let mut items = Vec::with_capacity(out.h * out.w);
+        let mut ops = Vec::new();
         for oh in 0..out.h {
             for ow in 0..out.w {
-                let mut ops = emit::claim();
+                emit::claim(&mut ops);
                 for g in 0..groups {
                     self.pool_window(&mut ops, spec, (oh, ow, g), in_base, spm_bytes);
                     ops.push(KernelOp::fp(FpOp::Mul)); // x 1/window^2
@@ -86,14 +87,14 @@ impl LayerExecutor {
                         }
                     }
                 }
-                items.push(WorkItem::new(ops));
+                sink.item(&ops);
             }
         }
-        program.push(Phase::Compute(ComputePhase { code: code_regions(self.variant), items }));
+        sink.end_compute();
         for dma in plan.dma_out_phases() {
-            program.push(Phase::Dma(dma));
+            sink.dma(dma);
         }
-        (program, fired)
+        fired
     }
 
     /// Symbolic variant of [`LayerExecutor::lower_pool`]: the same
@@ -127,7 +128,8 @@ impl LayerExecutor {
         group.push(KernelOp::mov());
         emit::activation_tail_symbolic(&mut group, lanes as f64, lanes as f64 * output_rate);
 
-        let mut ops = emit::claim();
+        let mut ops = Vec::new();
+        emit::claim(&mut ops);
         ops.push(KernelOp::Loop { body: group, reps: groups as f64 });
         program.push(Phase::Compute(ComputePhase {
             code: code_regions(self.variant),
@@ -215,11 +217,14 @@ mod tests {
     }
 
     fn lower(variant: KernelVariant, layer: &Layer, input: &SpikeMap) -> (StreamProgram, SpikeMap) {
-        LayerExecutor::new(variant, FpFormat::Fp16).lower_pool(
+        let mut program = StreamProgram::new(&layer.name, FpFormat::Fp16);
+        let output = LayerExecutor::new(variant, FpFormat::Fp16).lower_pool(
             &ClusterConfig::default(),
             layer,
             input,
-        )
+            &mut program,
+        );
+        (program, output)
     }
 
     #[test]

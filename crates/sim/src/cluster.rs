@@ -1,6 +1,6 @@
 //! Cluster-level aggregation: worker cores + DMA core + shared I-cache.
 //!
-//! The stream-program interpreter ([`crate::execute_program`]) hands each
+//! The stream-program interpreter ([`crate::Interpreter`]) hands each
 //! work item to the per-core [`WorkerCoreModel`] whose pipeline is least
 //! advanced (workload stealing), issues the program's tile transfers on the
 //! DMA engine, and finally the caller asks the cluster model to close the

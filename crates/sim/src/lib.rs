@@ -18,12 +18,15 @@
 //!   double buffering.
 //!
 //! The unit of execution is a *phase* (typically: one network layer).
-//! [`execute_program`] interprets a layer's exact `StreamProgram` on the
-//! cluster: work items are distributed over the [`WorkerCoreModel`]s by
+//! An [`Interpreter`] is the `spikestream_ir::ProgramSink` an exact emitter
+//! lowers a layer into: it runs each work item on the cluster as the
+//! emitter produces it, in emission order, so the layer's program is never
+//! held. Work items are distributed over the [`WorkerCoreModel`]s by
 //! workload stealing, each core executes its items' `KernelOp`s through
 //! [`WorkerCoreModel::exec`], DMA phases overlap compute according to their
 //! double-buffer annotations, and the [`ClusterModel`] finally aggregates
-//! per-core counters into a [`PhaseStats`].
+//! per-core counters into a [`PhaseStats`]. [`execute_program`] replays a
+//! collected `StreamProgram` into the same interpreter.
 //!
 //! The simulator models one cluster. Attributing the samples of a batch to
 //! a fleet of cluster replicas needs only each sample's cycle total, so it
@@ -64,4 +67,4 @@ pub mod program;
 pub use cluster::{ClusterModel, PhaseStats};
 pub use core_model::WorkerCoreModel;
 pub use counters::PerfCounters;
-pub use program::execute_program;
+pub use program::{execute_program, Interpreter};

@@ -1,26 +1,99 @@
 //! Stream-program interpreter.
 //!
-//! Executes an *exact* [`StreamProgram`] on a [`ClusterModel`]: DMA phases
-//! go to the cluster's DMA engine (double-buffered transfers overlap
-//! compute, prologue loads gate it, epilogue write-backs wait for it),
-//! compute phases distribute their work items over the worker cores by
-//! workload stealing — always handing the next item to the core whose
-//! pipeline is the least advanced in time, exactly the atomic `next_rf`
-//! scheme of the paper's Fig. 2b — and the claiming core executes the
-//! item's [`KernelOp`]s directly on its
-//! [`WorkerCoreModel`](crate::WorkerCoreModel).
+//! [`Interpreter`] runs an *exact* program on a [`ClusterModel`] as an
+//! emitter writes it, one phase and one work item at a time: it is the
+//! [`ProgramSink`] the cycle-level backend lowers each layer into, so no
+//! program is ever held. DMA phases go to the cluster's DMA engine
+//! (double-buffered transfers overlap compute, prologue loads gate it,
+//! epilogue write-backs wait for it), and each work item goes to the
+//! worker core whose pipeline is the least advanced in time — exactly the
+//! atomic `next_rf` workload-stealing scheme of the paper's Fig. 2b — which
+//! executes the item's [`KernelOp`]s directly on its
+//! [`WorkerCoreModel`](crate::WorkerCoreModel). [`execute_program`] replays
+//! a collected [`StreamProgram`] into the same interpreter.
 //!
 //! The analytic backend prices the *same* programs with
 //! `spikestream_ir::CostIntegrator`; this module is the other consumer of
 //! the IR, and the two are pinned against each other by the
 //! `ir_equivalence` property tests at the repository root.
 
+use snitch_arch::fp::FpFormat;
 use snitch_mem::dma::DmaDirection;
-use spikestream_ir::{KernelOp, Phase, StreamProgram};
+use spikestream_ir::{CodeRegion, DmaPhase, KernelOp, Phase, ProgramSink, StreamProgram};
 
 use crate::cluster::ClusterModel;
 
-/// Execute one exact stream program on the cluster.
+/// A [`ProgramSink`] that executes each phase and work item on the cluster
+/// as it arrives.
+///
+/// Timing accumulates in the cluster's cores and DMA engine; drop the
+/// interpreter and close the phase with [`ClusterModel::finish_phase`] to
+/// collect the statistics.
+///
+/// The interpreter takes the emitter's word that the program is exact
+/// (integral repetition counts, resolved gather indices); a symbolic
+/// program can only be integrated.
+#[derive(Debug)]
+pub struct Interpreter<'a> {
+    cluster: &'a mut ClusterModel,
+    format: FpFormat,
+    /// Completion cycle of the latest prologue load: compute waits for it.
+    prologue_floor: u64,
+    /// Code regions of the open compute phase, fetched per item.
+    code: Vec<CodeRegion>,
+}
+
+impl<'a> Interpreter<'a> {
+    /// An interpreter of `format` programs on `cluster`.
+    pub fn new(cluster: &'a mut ClusterModel, format: FpFormat) -> Self {
+        Interpreter { cluster, format, prologue_floor: 0, code: Vec::new() }
+    }
+}
+
+impl ProgramSink for Interpreter<'_> {
+    fn dma(&mut self, phase: DmaPhase) {
+        let at = if phase.direction == DmaDirection::Out && !phase.double_buffered {
+            // Epilogue write-back: wait for the compute stream.
+            compute_time(self.cluster)
+        } else {
+            // Prologue loads and double-buffered transfers issue as early
+            // as the engine allows.
+            0
+        };
+        let done = self.cluster.dma_issue(phase.request(), at);
+        if phase.direction == DmaDirection::In && !phase.double_buffered {
+            self.prologue_floor = self.prologue_floor.max(done);
+        }
+    }
+
+    fn compute(&mut self, code: &[CodeRegion]) {
+        self.cluster.stall_cores_until_dma(self.prologue_floor);
+        self.code.clear();
+        self.code.extend_from_slice(code);
+    }
+
+    fn item(&mut self, ops: &[KernelOp]) {
+        let core = self.cluster.least_busy_core();
+        for region in &self.code {
+            self.cluster.fetch_code(core, region.id, region.bytes);
+        }
+        let model = self.cluster.core_mut(core);
+        for op in ops {
+            model.exec(op, self.format);
+        }
+    }
+
+    fn end_compute(&mut self) {
+        // Implicit end-of-phase barrier: every core joins its outstanding
+        // FP work.
+        for core in 0..self.cluster.worker_cores() {
+            self.cluster.core_mut(core).exec(&KernelOp::Barrier, self.format);
+        }
+    }
+}
+
+/// Execute one collected exact stream program on the cluster: replay its
+/// phases into an [`Interpreter`], each item `instances` times.
 ///
 /// Timing accumulates in the cluster's cores and DMA engine; close the
 /// phase with [`ClusterModel::finish_phase`] to collect the statistics.
@@ -34,44 +107,18 @@ pub fn execute_program(cluster: &mut ClusterModel, program: &StreamProgram) {
         !program.is_symbolic(),
         "symbolic programs cannot be interpreted; use the analytic cost integration"
     );
-    let format = program.format;
-    let mut prologue_floor = 0u64;
-
+    let mut interpreter = Interpreter::new(cluster, program.format);
     for phase in &program.phases {
         match phase {
-            Phase::Dma(d) => {
-                let at = if d.direction == DmaDirection::Out && !d.double_buffered {
-                    // Epilogue write-back: wait for the compute stream.
-                    compute_time(cluster)
-                } else {
-                    // Prologue loads and double-buffered transfers issue as
-                    // early as the engine allows.
-                    0
-                };
-                let done = cluster.dma_issue(d.request(), at);
-                if d.direction == DmaDirection::In && !d.double_buffered {
-                    prologue_floor = prologue_floor.max(done);
-                }
-            }
+            Phase::Dma(d) => interpreter.dma(*d),
             Phase::Compute(c) => {
-                cluster.stall_cores_until_dma(prologue_floor);
+                interpreter.compute(&c.code);
                 for item in &c.items {
                     for _ in 0..item.instances as u64 {
-                        let core = cluster.least_busy_core();
-                        for region in &c.code {
-                            cluster.fetch_code(core, region.id, region.bytes);
-                        }
-                        let model = cluster.core_mut(core);
-                        for op in &item.ops {
-                            model.exec(op, format);
-                        }
+                        interpreter.item(&item.ops);
                     }
                 }
-                // Implicit end-of-phase barrier: every core joins its
-                // outstanding FP work.
-                for core in 0..cluster.worker_cores() {
-                    cluster.core_mut(core).exec(&KernelOp::Barrier, format);
-                }
+                interpreter.end_compute();
             }
         }
     }

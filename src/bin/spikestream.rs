@@ -60,7 +60,7 @@ SERVE-DEMO OPTIONS (defaults come from the scenario's [serve] table):
                             (default 4)
     --requests-per-client M Single-sample requests per client (default 8);
                             K*M is at most 65536
-    --max-batch B           Close a micro-batch at B samples
+    --max-batch B           Close a micro-batch at B samples, at most 4194304
     --queue-cap C           Bounded per-tenant queue capacity, at most 65536
                             (the demo raises it to K*M so the paced phase
                             never blocks)
@@ -98,6 +98,7 @@ Neuron-model keys (optional [neuron_model] table; overrides every layer):
 
 Serving keys (optional [serve] table; defaults for `serve-demo`):
     max_batch   = 64              close a micro-batch at this many samples
+                                  (1..=4194304)
     queue_cap   = 256             bounded per-tenant queue capacity (1..=65536)
 ";
 
@@ -374,7 +375,16 @@ fn parse_serve_demo_options(args: &[String]) -> Result<ServeDemoOptions, String>
             "--requests-per-client" => {
                 requests_per_client = positive(&mut it, "--requests-per-client")?
             }
-            "--max-batch" => max_batch = Some(positive(&mut it, "--max-batch")?),
+            "--max-batch" => {
+                let n = positive(&mut it, "--max-batch")?;
+                if n > Compiler::MAX_LAYER_SAMPLES {
+                    return Err(format!(
+                        "--max-batch must be between 1 and {}, got `{n}`",
+                        Compiler::MAX_LAYER_SAMPLES
+                    ));
+                }
+                max_batch = Some(n);
+            }
             "--queue-cap" => {
                 let n = positive(&mut it, "--queue-cap")?;
                 if n > MAX_QUEUE_CAP {
@@ -949,6 +959,19 @@ mod tests {
             Err("--queue-cap must be between 1 and 65536, got `18446744073709551615`".into())
         );
         assert_eq!(demo("65536"), Ok(MAX_QUEUE_CAP));
+    }
+
+    #[test]
+    fn an_oversized_max_batch_is_rejected() {
+        let demo = |cap: &str| {
+            let words = ["examples/scenarios/tiny.toml", "--max-batch", cap];
+            parse_serve_demo_options(&args(&words)).map(|opts| opts.config.max_batch)
+        };
+        assert_eq!(
+            demo("18446744073709551615"),
+            Err("--max-batch must be between 1 and 4194304, got `18446744073709551615`".into())
+        );
+        assert_eq!(demo("4194304"), Ok(Compiler::MAX_LAYER_SAMPLES));
     }
 
     #[test]

@@ -321,11 +321,13 @@ fn exact_programs_are_untouched_by_folding() {
     }
     let input = CompressedIfmap::from_spike_map(&map);
     let mut state = NeuronState::lif(spec.conv_output().len());
-    let (program, _) = LayerExecutor::new(KernelVariant::SpikeStream, FpFormat::Fp16).lower_conv(
+    let mut program = StreamProgram::new(&layer.name, FpFormat::Fp16);
+    LayerExecutor::new(KernelVariant::SpikeStream, FpFormat::Fp16).lower_conv(
         &ClusterConfig::default(),
         &layer,
         &input,
         &mut state,
+        &mut program,
     );
     assert_fold_exact("conv/exact", &CostIntegrator::snitch(), &program);
     assert_fold_exact(

@@ -6,7 +6,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use snitch_arch::{ClusterConfig, CostModel};
-use snitch_sim::{execute_program, ClusterModel};
+use snitch_sim::{ClusterModel, Interpreter};
 use spikestream::{FpFormat, KernelVariant};
 use spikestream_kernels::LayerExecutor;
 use spikestream_snn::encoding::{pad_image, pad_spikes, synthetic_image};
@@ -82,23 +82,24 @@ fn chained_inference_matches_the_reference_engine() {
     let executor = LayerExecutor::new(KernelVariant::SpikeStream, FpFormat::Fp32);
 
     let mut state1 = NeuronState::lif(spec1.conv_output().len());
-    let (program1, out1) = executor.lower_dense(&config, &layers[0], &padded_image, &mut state1);
-    execute_program(&mut cluster, &program1);
+    let mut interpreter = Interpreter::new(&mut cluster, FpFormat::Fp32);
+    let out1 =
+        executor.lower_dense(&config, &layers[0], &padded_image, &mut state1, &mut interpreter);
     let layer1_cycles = cluster.finish_phase("conv1").compute_cycles;
     assert_eq!(out1.output, ref_out1, "conv1 output spikes");
 
     let padded = pad_spikes(&out1.output, spec2.padding);
     let compressed = CompressedIfmap::from_spike_map(&padded);
     let mut state2 = NeuronState::lif(spec2.conv_output().len());
-    let (program2, out2) = executor.lower_conv(&config, &layers[1], &compressed, &mut state2);
-    execute_program(&mut cluster, &program2);
+    let mut interpreter = Interpreter::new(&mut cluster, FpFormat::Fp32);
+    let out2 = executor.lower_conv(&config, &layers[1], &compressed, &mut state2, &mut interpreter);
     let layer2_cycles = cluster.finish_phase("conv2").compute_cycles;
     assert_eq!(out2.output, ref_out2, "conv2 output spikes");
 
     let fc_input = CompressedFcInput::from_spike_map(&out2.output);
     let mut state3 = NeuronState::lif(spec3.out_features);
-    let (program3, out3) = executor.lower_fc(&config, &layers[2], &fc_input, &mut state3);
-    execute_program(&mut cluster, &program3);
+    let mut interpreter = Interpreter::new(&mut cluster, FpFormat::Fp32);
+    let out3 = executor.lower_fc(&config, &layers[2], &fc_input, &mut state3, &mut interpreter);
     let layer3_cycles = cluster.finish_phase("fc3").compute_cycles;
     assert_eq!(out3.spikes, ref_out3, "fc3 output spikes");
 

@@ -7,15 +7,19 @@
 //! point, so tiny rounding reorders are allowed).
 //!
 //! This is what lets the analytic and cycle-level backends agree by
-//! construction instead of by parallel reimplementation.
+//! construction instead of by parallel reimplementation. The cycle-level
+//! backend never collects a program: it lowers each layer straight into an
+//! `Interpreter`, so every case here is also streamed into one and must
+//! reproduce the collected program's interpretation exactly.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use snitch_arch::{ClusterConfig, CostModel};
-use snitch_sim::{execute_program, ClusterModel, PhaseStats};
+use snitch_mem::dma::DmaDirection;
+use snitch_sim::{execute_program, ClusterModel, Interpreter, PhaseStats};
 use spikestream::{FpFormat, KernelVariant};
-use spikestream_ir::{CostIntegrator, ProgramCost, StreamProgram};
+use spikestream_ir::{CostIntegrator, Phase, ProgramCost, ProgramSink, StreamProgram};
 use spikestream_kernels::LayerExecutor;
 use spikestream_snn::encoding::{pad_image, synthetic_image};
 use spikestream_snn::neuron::LifParams;
@@ -48,6 +52,33 @@ fn random_spikes(shape: TensorShape, rate: f64, border: usize, seed: u64) -> Spi
         }
     }
     map
+}
+
+/// A layer invocation's lowering into whichever sink it is given.
+type Lowering = Box<dyn Fn(&mut dyn ProgramSink)>;
+
+/// One layer invocation of the contract.
+struct Case {
+    label: &'static str,
+    format: FpFormat,
+    lower: Lowering,
+}
+
+impl Case {
+    /// The exact program the case emits, collected.
+    fn program(&self) -> StreamProgram {
+        let mut program = StreamProgram::new(self.label, self.format);
+        (self.lower)(&mut program);
+        program
+    }
+
+    /// The case lowered straight into an interpreter on a fresh cluster,
+    /// as the cycle-level backend runs it.
+    fn streamed(&self) -> PhaseStats {
+        let mut cl = cluster();
+        (self.lower)(&mut Interpreter::new(&mut cl, self.format));
+        cl.finish_phase(self.label)
+    }
 }
 
 /// Interpret and integrate one exact program; return both measurements.
@@ -86,14 +117,14 @@ fn assert_equivalent(label: &str, stats: &PhaseStats, cost: &ProgramCost) {
     );
 }
 
-fn conv_program(
+fn conv_case(
     variant: KernelVariant,
     format: FpFormat,
     in_c: usize,
     out_c: usize,
     rate: f64,
     seed: u64,
-) -> StreamProgram {
+) -> Case {
     let spec = ConvSpec {
         input: TensorShape::new(6, 6, in_c),
         out_channels: out_c,
@@ -108,13 +139,20 @@ fn conv_program(
     layer.randomize_weights(&mut rng, 0.1);
     let input =
         CompressedIfmap::from_spike_map(&random_spikes(spec.padded_input(), rate, 1, seed ^ 1));
-    let mut state = NeuronState::lif(spec.conv_output().len());
-    LayerExecutor::new(variant, format)
-        .lower_conv(&ClusterConfig::default(), &layer, &input, &mut state)
-        .0
+    let lower = move |sink: &mut dyn ProgramSink| {
+        let mut state = NeuronState::lif(spec.conv_output().len());
+        LayerExecutor::new(variant, format).lower_conv(
+            &ClusterConfig::default(),
+            &layer,
+            &input,
+            &mut state,
+            sink,
+        );
+    };
+    Case { label: "conv", format, lower: Box::new(lower) }
 }
 
-fn dense_program(variant: KernelVariant, format: FpFormat, seed: u64) -> StreamProgram {
+fn dense_case(variant: KernelVariant, format: FpFormat, seed: u64) -> Case {
     let spec = ConvSpec {
         input: TensorShape::new(6, 6, 3),
         out_channels: 8,
@@ -128,45 +166,69 @@ fn dense_program(variant: KernelVariant, format: FpFormat, seed: u64) -> StreamP
     let mut rng = StdRng::seed_from_u64(seed);
     layer.randomize_weights(&mut rng, 0.2);
     let image = pad_image(&synthetic_image(spec.input, &mut rng), spec.padding);
-    let mut state = NeuronState::lif(spec.conv_output().len());
-    LayerExecutor::new(variant, format)
-        .lower_dense(&ClusterConfig::default(), &layer, &image, &mut state)
-        .0
+    let lower = move |sink: &mut dyn ProgramSink| {
+        let mut state = NeuronState::lif(spec.conv_output().len());
+        LayerExecutor::new(variant, format).lower_dense(
+            &ClusterConfig::default(),
+            &layer,
+            &image,
+            &mut state,
+            sink,
+        );
+    };
+    Case { label: "dense", format, lower: Box::new(lower) }
 }
 
-fn fc_program(variant: KernelVariant, format: FpFormat, rate: f64, seed: u64) -> StreamProgram {
+fn fc_case(variant: KernelVariant, format: FpFormat, rate: f64, seed: u64) -> Case {
     let spec = LinearSpec { in_features: 128, out_features: 24 };
     let mut layer = Layer::new("fc", LayerKind::Linear(spec), LifParams::new(0.5, 0.15));
     let mut rng = StdRng::seed_from_u64(seed);
     layer.randomize_weights(&mut rng, 0.1);
     let spikes: Vec<bool> = (0..spec.in_features).map(|_| rng.gen_bool(rate)).collect();
     let input = CompressedFcInput::from_spikes(&spikes);
-    let mut state = NeuronState::lif(spec.out_features);
-    LayerExecutor::new(variant, format)
-        .lower_fc(&ClusterConfig::default(), &layer, &input, &mut state)
-        .0
+    let lower = move |sink: &mut dyn ProgramSink| {
+        let mut state = NeuronState::lif(spec.out_features);
+        LayerExecutor::new(variant, format).lower_fc(
+            &ClusterConfig::default(),
+            &layer,
+            &input,
+            &mut state,
+            sink,
+        );
+    };
+    Case { label: "fc", format, lower: Box::new(lower) }
 }
 
-fn pool_program(variant: KernelVariant, format: FpFormat, rate: f64, seed: u64) -> StreamProgram {
+fn pool_case(variant: KernelVariant, format: FpFormat, rate: f64, seed: u64) -> Case {
     let spec = PoolSpec { input: TensorShape::new(8, 8, 12), window: 2 };
     let layer = Layer::new("pool", LayerKind::AvgPool(spec), LifParams::default());
     let input = random_spikes(spec.input, rate, 0, seed);
-    LayerExecutor::new(variant, format).lower_pool(&ClusterConfig::default(), &layer, &input).0
+    let lower = move |sink: &mut dyn ProgramSink| {
+        LayerExecutor::new(variant, format).lower_pool(
+            &ClusterConfig::default(),
+            &layer,
+            &input,
+            sink,
+        );
+    };
+    Case { label: "pool", format, lower: Box::new(lower) }
 }
 
 #[test]
 fn every_kind_variant_and_format_integrates_to_the_interpreted_totals() {
     for variant in ALL_VARIANTS {
         for format in ALL_FORMATS {
-            let programs = [
-                ("conv", conv_program(variant, format, 12, 16, 0.3, 7)),
-                ("dense", dense_program(variant, format, 9)),
-                ("fc", fc_program(variant, format, 0.1, 11)),
-                ("pool", pool_program(variant, format, 0.35, 13)),
+            let cases = [
+                conv_case(variant, format, 12, 16, 0.3, 7),
+                dense_case(variant, format, 9),
+                fc_case(variant, format, 0.1, 11),
+                pool_case(variant, format, 0.35, 13),
             ];
-            for (kind, program) in programs {
-                let (stats, cost) = both_consumers(&program);
-                assert_equivalent(&format!("{kind}/{variant}/{format:?}"), &stats, &cost);
+            for case in cases {
+                let (stats, cost) = both_consumers(&case.program());
+                let label = format!("{}/{variant}/{format:?}", case.label);
+                assert_equivalent(&label, &stats, &cost);
+                assert_eq!(case.streamed(), stats, "{label}: streamed vs collected interpretation");
             }
         }
     }
@@ -178,10 +240,19 @@ fn double_buffered_conv_overlaps_dma_with_compute() {
     // tile is a prologue load, the remaining tiles stream in behind
     // compute. Total cycles must come in under the serial sum of compute
     // and DMA busy time — the acceptance criterion for double buffering.
-    let program = conv_program(KernelVariant::SpikeStream, FpFormat::Fp16, 96, 64, 0.3, 5);
+    let case = conv_case(KernelVariant::SpikeStream, FpFormat::Fp16, 96, 64, 0.3, 5);
+    let program = case.program();
+    assert!(
+        program.phases.iter().any(|phase| matches!(
+            phase,
+            Phase::Dma(d) if d.direction == DmaDirection::In && d.double_buffered
+        )),
+        "the weights tile into double-buffered inbound transfers"
+    );
     let mut cl = cluster();
     execute_program(&mut cl, &program);
     let stats = cl.finish_phase("conv");
+    assert_eq!(case.streamed(), stats, "streamed vs collected interpretation");
     assert!(stats.dma_busy_cycles > 0, "the layer moves tiles");
     assert!(
         stats.cycles < stats.compute_cycles + stats.dma_busy_cycles,
@@ -250,7 +321,7 @@ proptest! {
     ) {
         for variant in ALL_VARIANTS {
             let format = ALL_FORMATS[(seed % 3) as usize];
-            let program = conv_program(variant, format, in_c, out_c, rate, seed);
+            let program = conv_case(variant, format, in_c, out_c, rate, seed).program();
             let (stats, cost) = both_consumers(&program);
             prop_assert_eq!(stats.totals.int_instrs as f64, cost.int_instrs);
             prop_assert_eq!(stats.totals.fp_instrs as f64, cost.fp_instrs);
@@ -271,8 +342,8 @@ proptest! {
         for variant in ALL_VARIANTS {
             let format = ALL_FORMATS[(seed % 3) as usize];
             for program in [
-                fc_program(variant, format, rate, seed),
-                pool_program(variant, format, rate, seed),
+                fc_case(variant, format, rate, seed).program(),
+                pool_case(variant, format, rate, seed).program(),
             ] {
                 let (stats, cost) = both_consumers(&program);
                 prop_assert_eq!(stats.totals.int_instrs as f64, cost.int_instrs);

@@ -6,8 +6,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use snitch_arch::{ClusterConfig, CostModel};
-use snitch_sim::{execute_program, ClusterModel};
+use snitch_sim::{ClusterModel, Interpreter};
 use spikestream::{FpFormat, KernelVariant};
+use spikestream_ir::StreamProgram;
 use spikestream_kernels::LayerExecutor;
 use spikestream_snn::neuron::LifParams;
 use spikestream_snn::tensor::{SpikeMap, TensorShape};
@@ -59,11 +60,12 @@ fn conv_kernels_match_reference_for_every_format_and_variant() {
         let mut outputs = Vec::new();
         for variant in [KernelVariant::Baseline, KernelVariant::SpikeStream] {
             let mut state = NeuronState::lif(spec.conv_output().len());
-            let (_, out) = LayerExecutor::new(variant, format).lower_conv(
+            let out = LayerExecutor::new(variant, format).lower_conv(
                 &ClusterConfig::default(),
                 &layer,
                 &input,
                 &mut state,
+                &mut StreamProgram::new(&layer.name, format),
             );
             outputs.push(out);
         }
@@ -100,11 +102,12 @@ fn fc_kernels_match_reference_and_each_other() {
     let mut results = Vec::new();
     for variant in [KernelVariant::Baseline, KernelVariant::SpikeStream] {
         let mut state = NeuronState::lif(spec.out_features);
-        let (_, out) = LayerExecutor::new(variant, FpFormat::Fp32).lower_fc(
+        let out = LayerExecutor::new(variant, FpFormat::Fp32).lower_fc(
             &ClusterConfig::default(),
             &layer,
             &input,
             &mut state,
+            &mut StreamProgram::new(&layer.name, FpFormat::Fp32),
         );
         results.push(out);
     }
@@ -135,14 +138,15 @@ fn streaming_speedup_grows_with_channel_depth() {
         let mut cycles = Vec::new();
         for variant in [KernelVariant::Baseline, KernelVariant::SpikeStream] {
             let mut cluster = ClusterModel::new(ClusterConfig::default(), CostModel::default());
+            let config = cluster.config().clone();
             let mut state = NeuronState::lif(spec.conv_output().len());
-            let (program, _) = LayerExecutor::new(variant, FpFormat::Fp16).lower_conv(
-                cluster.config(),
+            LayerExecutor::new(variant, FpFormat::Fp16).lower_conv(
+                &config,
                 &layer,
                 &input,
                 &mut state,
+                &mut Interpreter::new(&mut cluster, FpFormat::Fp16),
             );
-            execute_program(&mut cluster, &program);
             cycles.push(cluster.finish_phase("x").compute_cycles as f64);
         }
         cycles[0] / cycles[1]

@@ -169,27 +169,30 @@ proptest! {
             );
             let ref_out3 = reference.linear_forward(&layers[2], &ref_out2, &mut ref_state3);
 
-            let (_, exec1, out1) = executor.lower_temporal_step(
+            let (exec1, out1) = executor.lower_temporal_step(
                 &config,
                 &layers[0],
                 0,
                 LayerInput::Image(&encoded),
                 &mut scratch,
+                &mut StreamProgram::new(&layers[0].name, FpFormat::Fp32),
             );
             let padded = pad_spikes(&out1, spec2.padding);
-            let (_, exec2, out2) = executor.lower_temporal_step(
+            let (exec2, out2) = executor.lower_temporal_step(
                 &config,
                 &layers[1],
                 1,
                 LayerInput::Spikes(&padded),
                 &mut scratch,
+                &mut StreamProgram::new(&layers[1].name, FpFormat::Fp32),
             );
-            let (_, exec3, out3) = executor.lower_temporal_step(
+            let (exec3, out3) = executor.lower_temporal_step(
                 &config,
                 &layers[2],
                 2,
                 LayerInput::Spikes(&out2),
                 &mut scratch,
+                &mut StreamProgram::new(&layers[2].name, FpFormat::Fp32),
             );
 
             let label =
@@ -240,11 +243,13 @@ proptest! {
         let input =
             CompressedIfmap::from_spike_map(&random_spikes(spec.padded_input(), 0.3, 1, seed ^ 1));
         let mut state = NeuronState::new(&model, spec.conv_output().len());
-        let (program, _) = LayerExecutor::new(variant, format).lower_conv(
+        let mut program = StreamProgram::new(&layer.name, format);
+        LayerExecutor::new(variant, format).lower_conv(
             &ClusterConfig::default(),
             &layer,
             &input,
             &mut state,
+            &mut program,
         );
         let (stats, cost) = both_consumers(&program);
         let label = format!("conv/{}/{variant}/{format:?}/seed {seed}", model.as_str());
@@ -263,11 +268,13 @@ proptest! {
         let spikes: Vec<bool> = (0..spec.in_features).map(|_| rng.gen_bool(0.3)).collect();
         let input = CompressedFcInput::from_spikes(&spikes);
         let mut state = NeuronState::new(&model, spec.out_features);
-        let (program, _) = LayerExecutor::new(variant, format).lower_fc(
+        let mut program = StreamProgram::new(&layer.name, format);
+        LayerExecutor::new(variant, format).lower_fc(
             &ClusterConfig::default(),
             &layer,
             &input,
             &mut state,
+            &mut program,
         );
         let (stats, cost) = both_consumers(&program);
         let label = format!("fc/{}/{variant}/{format:?}/seed {seed}", model.as_str());
@@ -297,14 +304,26 @@ fn izhikevich_programs_carry_the_two_variable_costs() {
         let kernel = LayerExecutor::new(variant, FpFormat::Fp16);
 
         let mut lif_state = NeuronState::lif(spec.conv_output().len());
-        let (lif_program, _) =
-            kernel.lower_conv(&ClusterConfig::default(), &lif_layer, &input, &mut lif_state);
+        let mut lif_program = StreamProgram::new(&lif_layer.name, FpFormat::Fp16);
+        kernel.lower_conv(
+            &ClusterConfig::default(),
+            &lif_layer,
+            &input,
+            &mut lif_state,
+            &mut lif_program,
+        );
         let (lif_stats, _) = both_consumers(&lif_program);
 
         let izhi_model = izhi_layer.neuron;
         let mut izhi_state = NeuronState::new(&izhi_model, spec.conv_output().len());
-        let (izhi_program, _) =
-            kernel.lower_conv(&ClusterConfig::default(), &izhi_layer, &input, &mut izhi_state);
+        let mut izhi_program = StreamProgram::new(&izhi_layer.name, FpFormat::Fp16);
+        kernel.lower_conv(
+            &ClusterConfig::default(),
+            &izhi_layer,
+            &input,
+            &mut izhi_state,
+            &mut izhi_program,
+        );
         let (izhi_stats, _) = both_consumers(&izhi_program);
 
         let state_tile = (spec.conv_output().len() * 4) as u64;
@@ -426,12 +445,13 @@ fn the_izhikevich_regime_produces_spikes_and_recovery_motion() {
     let image = pad_image(&synthetic_image(spec1.input, &mut rng), spec1.padding);
     let mut fired = 0u64;
     for _ in 0..4 {
-        let (_, exec, _) = executor.lower_temporal_step(
+        let (exec, _) = executor.lower_temporal_step(
             &ClusterConfig::default(),
             &net.layers()[0],
             0,
             LayerInput::Image(&image),
             &mut scratch,
+            &mut StreamProgram::new(&net.layers()[0].name, FpFormat::Fp32),
         );
         fired += exec.output_spikes;
     }

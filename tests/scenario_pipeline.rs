@@ -11,7 +11,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spikestream::scenario::MAX_QUEUE_CAP;
 use spikestream::sharding::MAX_SHARDS;
-use spikestream::{KernelVariant, NetworkChoice, Request, Scenario, TimingModel, WorkloadMode};
+use spikestream::{
+    Compiler, KernelVariant, NetworkChoice, Request, Scenario, TimingModel, WorkloadMode,
+};
 
 /// Serve one scenario through the compile-once lifecycle (what the CLI's
 /// `run` subcommand does).
@@ -213,7 +215,8 @@ proptest! {
                 prop_assert!(timesteps >= 1, "{name}:\n{text}");
             }
             if let Some(serve) = scenario.serve {
-                prop_assert!(serve.max_batch.is_none_or(|n| n >= 1), "{name}:\n{text}");
+                let batch_cap = |n: usize| (1..=Compiler::MAX_LAYER_SAMPLES).contains(&n);
+                prop_assert!(serve.max_batch.is_none_or(batch_cap), "{name}:\n{text}");
                 let bounded = |n: usize| (1..=MAX_QUEUE_CAP).contains(&n);
                 prop_assert!(serve.queue_cap.is_none_or(bounded), "{name}:\n{text}");
             }

@@ -15,7 +15,7 @@ use spikestream::{
     Engine, FnSink, FpFormat, InferenceConfig, KernelVariant, LayerSample, Request,
     TemporalEncoding, TimingModel,
 };
-use spikestream_ir::CostIntegrator;
+use spikestream_ir::{CostIntegrator, StreamProgram};
 use spikestream_kernels::{LayerExecutor, LayerInput, LayerScratch};
 use spikestream_snn::encoding::{pad_image, pad_spikes, synthetic_image, TemporalEncoder};
 use spikestream_snn::neuron::LifParams;
@@ -124,27 +124,30 @@ fn temporal_chain_matches_the_reference_engine_at_every_step() {
 
         // --- kernels -------------------------------------------------------
         encoder.encode_step_into(step, &mut encoded);
-        let (_, exec1, out1) = executor.lower_temporal_step(
+        let (exec1, out1) = executor.lower_temporal_step(
             &config,
             &layers[0],
             0,
             LayerInput::Image(&encoded),
             &mut scratch,
+            &mut StreamProgram::new(&layers[0].name, FpFormat::Fp32),
         );
         let padded = pad_spikes(&out1, spec2.padding);
-        let (_, exec2, out2) = executor.lower_temporal_step(
+        let (exec2, out2) = executor.lower_temporal_step(
             &config,
             &layers[1],
             1,
             LayerInput::Spikes(&padded),
             &mut scratch,
+            &mut StreamProgram::new(&layers[1].name, FpFormat::Fp32),
         );
-        let (_, exec3, out3) = executor.lower_temporal_step(
+        let (exec3, out3) = executor.lower_temporal_step(
             &config,
             &layers[2],
             2,
             LayerInput::Spikes(&out2),
             &mut scratch,
+            &mut StreamProgram::new(&layers[2].name, FpFormat::Fp32),
         );
 
         assert_eq!(out1, ref_out1, "step {step}: conv1 output spikes");
@@ -207,6 +210,7 @@ fn membrane_state_resets_between_samples() {
         0,
         LayerInput::Image(&image),
         &mut scratch,
+        &mut StreamProgram::new(&net.layers()[0].name, FpFormat::Fp16),
     );
     assert!(scratch.membrane(0).membrane().iter().any(|&v| v != 0.0), "the step charged membranes");
     scratch.begin_sample(&net);
@@ -305,8 +309,14 @@ fn per_timestep_programs_integrate_to_their_interpreted_totals() {
         let mut state = NeuronState::lif(spec.conv_output().len());
         let mut step_input = CompressedIfmap::from_spike_map(&input);
         for step in 0..3 {
-            let (program, out) =
-                kernel.lower_conv(&ClusterConfig::default(), &layer, &step_input, &mut state);
+            let mut program = StreamProgram::new(&layer.name, FpFormat::Fp16);
+            let out = kernel.lower_conv(
+                &ClusterConfig::default(),
+                &layer,
+                &step_input,
+                &mut state,
+                &mut program,
+            );
 
             let mut cluster = ClusterModel::new(ClusterConfig::default(), CostModel::default());
             execute_program(&mut cluster, &program);
