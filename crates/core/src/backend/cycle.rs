@@ -76,8 +76,14 @@ impl CycleLevelBackend {
                 _ => LayerInput::Spikes(workload.spikes_for_layer(idx)),
             };
             let mut interpreter = Interpreter::new(&mut cluster, ctx.executor.format());
-            let exec =
-                ctx.executor.lower_exact(ctx.cluster, layer, input, scratch, &mut interpreter);
+            let exec = ctx.executor.lower_exact(
+                ctx.cluster,
+                ctx.network,
+                idx,
+                input,
+                scratch,
+                &mut interpreter,
+            );
             out.push(layer_sample(ctx, &cluster.finish_phase(&layer.name), &exec));
         }
     }
@@ -138,7 +144,7 @@ impl CycleLevelBackend {
                 let mut interpreter = Interpreter::new(&mut cluster, ctx.executor.format());
                 let (exec, output) = ctx.executor.lower_temporal_step(
                     ctx.cluster,
-                    layer,
+                    ctx.network,
                     idx,
                     input,
                     scratch,

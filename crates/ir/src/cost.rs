@@ -392,7 +392,7 @@ impl CostIntegrator {
                     StraightSums::new(c, body, *reps, lanes).apply(core);
                 } else {
                     for _ in 0..reps.round() as u64 {
-                        for inner in body {
+                        for inner in body.iter() {
                             self.exec_op(core, inner, banks, lanes);
                         }
                     }
@@ -400,7 +400,7 @@ impl CostIntegrator {
             }
             KernelOp::Stream { ssrs, op } => {
                 let (mut reps, mut interval, mut conflicts) = (0.0f64, 1.0f64, 0.0f64);
-                for (_, spec) in ssrs {
+                for (_, spec) in ssrs.as_slice() {
                     let ssr = SsrSetup::new(c, banks, spec);
                     ssr.configure(core, &mut conflicts);
                     reps = reps.max(ssr.elements);
@@ -605,8 +605,8 @@ impl SsrSetup {
     fn new(c: &CostModel, banks: &BankConflictModel, spec: &StreamSpec) -> Self {
         let elements = spec.elements();
         let (writes, interval, accesses, exact) = match spec {
-            StreamSpec::Affine { strides, .. } => {
-                (2.0 + 2.0 * strides.len() as f64, c.affine_stream_interval, 1.0, None)
+            StreamSpec::Affine { dims, .. } => {
+                (2.0 + 2.0 * dims.len() as f64, c.affine_stream_interval, 1.0, None)
             }
             StreamSpec::Indirect { index_base, index_bytes, data_base, elem_bytes, indices } => {
                 // One stall per element whose index fetch and gather share
@@ -786,7 +786,7 @@ impl<'a> Tape<'a> {
                 KernelOp::Stream { ssrs, op } => {
                     let start = self.ssrs.len();
                     let (mut reps, mut interval) = (0.0f64, 1.0f64);
-                    for (_, spec) in ssrs {
+                    for (_, spec) in ssrs.as_slice() {
                         let ssr = SsrSetup::new(c, self.banks, spec);
                         reps = reps.max(ssr.elements);
                         interval = interval.max(ssr.interval);
@@ -1009,7 +1009,7 @@ fn flops_of(op: FpOp, lanes: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{CodeRegion, ComputePhase, DmaPhase, Phase, WorkItem};
+    use crate::program::{CodeRegion, ComputePhase, DmaPhase, Phase, Ssrs, WorkItem};
     use snitch_arch::fp::FpFormat;
     use snitch_arch::SsrId;
 
@@ -1017,30 +1017,32 @@ mod tests {
         CostIntegrator::snitch()
     }
 
-    fn indirect(n: u32) -> StreamSpec {
+    fn indirect(idcs: &[u16]) -> StreamSpec<'_> {
         StreamSpec::Indirect {
             index_base: 0x100,
             index_bytes: 2,
             data_base: 0x1000,
             elem_bytes: 8,
-            indices: IndexStream::Exact((0..n).collect()),
+            indices: IndexStream::Exact(idcs),
         }
     }
 
-    fn stream_item(n: u32) -> WorkItem {
+    /// A gather through `idcs` behind two ALU ops.
+    fn stream_item(idcs: &[u16]) -> WorkItem<'_> {
         WorkItem::new(vec![
             KernelOp::alu(),
             KernelOp::alu(),
-            KernelOp::Stream { ssrs: vec![(SsrId::Ssr0, indirect(n))], op: FpOp::Add },
+            KernelOp::Stream { ssrs: Ssrs::One((SsrId::Ssr0, indirect(idcs))), op: FpOp::Add },
         ])
     }
 
     #[test]
     fn streamed_program_reaches_high_utilization() {
+        let idcs: Vec<u16> = (0..256).collect();
         let mut p = StreamProgram::new("stream", FpFormat::Fp16);
         p.push(Phase::Compute(ComputePhase {
             code: vec![],
-            items: (0..64).map(|_| stream_item(256)).collect(),
+            items: (0..64).map(|_| stream_item(&idcs)).collect(),
         }));
         let cost = integrator().integrate(&p);
         assert!(cost.fpu_utilization > 0.5, "got {}", cost.fpu_utilization);
@@ -1063,7 +1065,7 @@ mod tests {
         let mut p = StreamProgram::new("scalar", FpFormat::Fp16);
         p.push(Phase::Compute(ComputePhase {
             code: vec![],
-            items: vec![WorkItem::new(vec![KernelOp::Loop { body: block, reps: 100.0 }])],
+            items: vec![WorkItem::new(vec![KernelOp::Loop { body: block.into(), reps: 100.0 }])],
         }));
         let cost = integrator().integrate(&p);
         // One useful FPU cycle against ~10 integer cycles per element.
@@ -1086,11 +1088,12 @@ mod tests {
 
     #[test]
     fn double_buffered_dma_overlaps_compute() {
+        let idcs: Vec<u16> = (0..512).collect();
         let mut p = StreamProgram::new("db", FpFormat::Fp16);
         p.push(Phase::Dma(DmaPhase::contiguous(DmaDirection::In, 1 << 16, true)));
         p.push(Phase::Compute(ComputePhase {
             code: vec![],
-            items: (0..64).map(|_| stream_item(512)).collect(),
+            items: (0..64).map(|_| stream_item(&idcs)).collect(),
         }));
         let cost = integrator().integrate(&p);
         assert!(
@@ -1102,12 +1105,13 @@ mod tests {
 
     #[test]
     fn replicated_items_match_unrolled_items_closely() {
+        let idcs: Vec<u16> = (0..64).collect();
         let make = |replicated: bool| {
             let mut p = StreamProgram::new("r", FpFormat::Fp16);
             let items = if replicated {
-                vec![WorkItem::replicated(64.0, stream_item(64).ops)]
+                vec![WorkItem::replicated(64.0, stream_item(&idcs).ops)]
             } else {
-                (0..64).map(|_| stream_item(64)).collect()
+                (0..64).map(|_| stream_item(&idcs)).collect()
             };
             p.push(Phase::Compute(ComputePhase { code: vec![], items }));
             p
@@ -1125,7 +1129,7 @@ mod tests {
         // The same stream shape with resolved and with expected indices:
         // only the resolved one pays its pairwise bank conflicts, which
         // land on the FPU's busy end and so on the compute time.
-        let program = |indices: IndexStream| {
+        fn program(indices: IndexStream<'_>) -> StreamProgram<'_> {
             let mut p = StreamProgram::new("gather", FpFormat::Fp16);
             let spec = StreamSpec::Indirect {
                 index_base: 0x100,
@@ -1137,17 +1141,17 @@ mod tests {
             p.push(Phase::Compute(ComputePhase {
                 code: vec![],
                 items: vec![WorkItem::new(vec![KernelOp::Stream {
-                    ssrs: vec![(SsrId::Ssr0, spec)],
+                    ssrs: Ssrs::One((SsrId::Ssr0, spec)),
                     op: FpOp::Add,
                 }])],
             }));
             p
-        };
-        let idcs: Vec<u32> = (0..40).collect();
+        }
+        let idcs: Vec<u16> = (0..40).collect();
         let conflicts = BankConflictModel::new(&ClusterConfig::default())
             .conflict_cycles_indexed(0x100, 2, 0x1000, 8, &idcs);
         assert!(conflicts > 0);
-        let exact = integrator().integrate(&program(IndexStream::exact(idcs)));
+        let exact = integrator().integrate(&program(IndexStream::Exact(&idcs)));
         let expected = integrator().integrate(&program(IndexStream::Expected(40.0)));
         assert_eq!(exact.compute_cycles - expected.compute_cycles, conflicts);
     }

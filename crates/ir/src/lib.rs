@@ -38,11 +38,19 @@
 //! Programs come in two flavours produced by the same emitters:
 //!
 //! * **exact** — lowered from a concrete compressed input: indirect streams
-//!   carry their resolved index vectors and every repetition count is
-//!   integral. Exact programs are interpretable and integrable.
+//!   borrow their resolved index lists from that input and every
+//!   repetition count is integral. Exact programs are interpretable and
+//!   integrable; the lifetime parameter of the IR types
+//!   ([`StreamProgram<'a>`](StreamProgram), [`KernelOp<'a>`](KernelOp),
+//!   [`IndexStream<'a>`](IndexStream), [`ProgramSink<'a>`](ProgramSink))
+//!   is that borrow. No op owns heap memory an emitter builds per op: a
+//!   `Stream` holds its [`Ssrs`] inline, an affine pattern its
+//!   [`AffineDims`], and a loop over a constant body borrows it
+//!   ([`LoopBody::Template`]).
 //! * **symbolic** — lowered from expected firing rates: indirect streams
 //!   carry an [`IndexStream::Expected`] element count and repetition counts
-//!   may be fractional. Symbolic programs integrate in `O(program size)`
+//!   may be fractional. A symbolic program borrows nothing
+//!   (`StreamProgram<'static>`). Symbolic programs integrate in `O(program size)`
 //!   independent of the layer's data, which is what keeps the analytic
 //!   backend fast enough for full-batch figure sweeps.
 //!
@@ -60,6 +68,6 @@ pub mod program;
 pub use cache::{CacheCounters, ProgramCache, ProgramKey, SparsityBucket};
 pub use cost::{CostIntegrator, ProgramCost};
 pub use program::{
-    CodeRegion, ComputePhase, DmaPhase, IndexStream, KernelOp, Phase, ProgramSink, StreamProgram,
-    StreamSpec, WorkItem,
+    AffineDims, CodeRegion, ComputePhase, DmaPhase, IndexStream, KernelOp, LoopBody, Phase,
+    ProgramSink, Ssrs, StreamProgram, StreamSpec, WorkItem, MAX_AFFINE_DIMS,
 };

@@ -3,14 +3,22 @@
 //! The grammar (see ARCHITECTURE.md for the prose version):
 //!
 //! ```text
-//! StreamProgram := { label, format, phases: [Phase] }
-//! Phase        := Dma(DmaPhase) | Compute(ComputePhase)
-//! DmaPhase     := { direction, row_bytes, rows, double_buffered }
-//! ComputePhase := { code: [CodeRegion], items: [WorkItem] }
-//! WorkItem     := { instances, ops: [KernelOp] }
-//! KernelOp     := Int{op, addr?, reps} | Fp{op, addr?, reps}
-//!               | Loop{body, reps} | Stream{ssrs: [(SsrId, StreamSpec)], op}
-//!               | Barrier
+//! StreamProgram<'a> := { label, format, phases: [Phase<'a>] }
+//! Phase<'a>         := Dma(DmaPhase) | Compute(ComputePhase<'a>)
+//! DmaPhase          := { direction, row_bytes, rows, double_buffered }
+//! ComputePhase<'a>  := { code: [CodeRegion], items: [WorkItem<'a>] }
+//! WorkItem<'a>      := { instances, ops: [KernelOp<'a>] }
+//! KernelOp<'a>      := Int{op, reps} | Fp{op, reps}
+//!                    | Loop{body: LoopBody<'a>, reps}
+//!                    | Stream{ssrs: Ssrs<'a>, op} | Barrier
+//! LoopBody<'a>      := Template(&'a [KernelOp<'a>]) | Built([KernelOp<'a>])
+//! Ssrs<'a>          := One((SsrId, StreamSpec<'a>))
+//!                    | Two([(SsrId, StreamSpec<'a>); 2])
+//! StreamSpec<'a>    := Affine{base, dims: AffineDims, elem_bytes}
+//!                    | Indirect{index_base, index_bytes, data_base,
+//!                               elem_bytes, indices: IndexStream<'a>}
+//! AffineDims        := up to MAX_AFFINE_DIMS (stride, bound) pairs
+//! IndexStream<'a>   := Exact(&'a [u16]) | Expected(f64)
 //! ```
 //!
 //! Repetition counts are `f64` so the same emitter can lower either a
@@ -18,6 +26,15 @@
 //! firing rate (fractional counts, [`IndexStream::Expected`]). The
 //! cycle-level interpreter only accepts the former; symbolic programs exist
 //! for the analytic cost integration.
+//!
+//! An op owns nothing on the heap that its emitter would have to build per
+//! op: a `Stream` holds its SSRs and an affine pattern its dimensions
+//! inline, and an exact gather borrows its index list from the compressed
+//! input being lowered, which is what the lifetime `'a` names. Symbolic
+//! programs borrow nothing and are `StreamProgram<'static>`. A `Loop` body
+//! is either a constant template the emitters share or an op list the
+//! emitter built. Every type is covariant in `'a`, so a `'static` op (a
+//! template, a symbolic stream) fits any program.
 //!
 //! Exact emitters do not build a program: they write it, phase by phase and
 //! work item by work item, into a [`ProgramSink`]. A [`StreamProgram`] is
@@ -39,37 +56,84 @@ pub struct CodeRegion {
 }
 
 /// The index source of an indirect stream.
-#[derive(Debug, Clone, PartialEq)]
-pub enum IndexStream {
-    /// Resolved index values (exact lowering from a compressed input).
-    /// Shared: the emitters reuse one index vector across every SIMD group
-    /// gathering through it, so a materialized program holds each list
-    /// once, not once per group.
-    Exact(std::sync::Arc<[u32]>),
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum IndexStream<'a> {
+    /// Resolved index values (exact lowering), borrowed from the compressed
+    /// input the emitter lowers: a conv position's active channels
+    /// (`CompressedIfmap::active_at`) or an FC input's active features
+    /// (`CompressedFcInput::idcs`). Every SIMD group gathering through one
+    /// list shares the borrow.
+    Exact(&'a [u16]),
     /// Expected element count only (symbolic lowering from a firing rate).
     Expected(f64),
 }
 
-impl IndexStream {
-    /// Exact indices from any iterable of index values.
-    pub fn exact(indices: impl IntoIterator<Item = u32>) -> Self {
-        IndexStream::Exact(indices.into_iter().collect())
+/// Deepest affine address pattern an op may carry: the pooling window's
+/// two loops.
+pub const MAX_AFFINE_DIMS: usize = 2;
+
+/// The loop dimensions of an affine stream, innermost first, held inline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AffineDims {
+    strides: [i32; MAX_AFFINE_DIMS],
+    bounds: [u32; MAX_AFFINE_DIMS],
+    len: u8,
+}
+
+impl AffineDims {
+    /// Dimensions from `(byte stride, trip count)` pairs, innermost first.
+    ///
+    /// # Panics
+    ///
+    /// Panics on more than [`MAX_AFFINE_DIMS`] dimensions.
+    pub fn new(dims: &[(i32, u32)]) -> Self {
+        assert!(
+            dims.len() <= MAX_AFFINE_DIMS,
+            "an affine stream has at most {MAX_AFFINE_DIMS} dimensions, got {}",
+            dims.len()
+        );
+        let mut out =
+            AffineDims { strides: [0; MAX_AFFINE_DIMS], bounds: [0; MAX_AFFINE_DIMS], len: 0 };
+        for (k, &(stride, bound)) in dims.iter().enumerate() {
+            out.strides[k] = stride;
+            out.bounds[k] = bound;
+        }
+        out.len = dims.len() as u8;
+        out
+    }
+
+    /// Number of dimensions.
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Whether the pattern has no dimension.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Byte strides, innermost first.
+    pub fn strides(&self) -> &[i32] {
+        &self.strides[..self.len()]
+    }
+
+    /// Trip counts, innermost first.
+    pub fn bounds(&self) -> &[u32] {
+        &self.bounds[..self.len()]
     }
 }
 
 /// Address-generation pattern of one stream semantic register, in either
 /// exact or symbolic form.
-#[derive(Debug, Clone, PartialEq)]
-pub enum StreamSpec {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum StreamSpec<'a> {
     /// Affine stream: `addr = base + Σ idx_d * stride_d`. Affine patterns
     /// are structural (never data dependent), so they are always exact.
     Affine {
         /// Base byte address in the scratchpad.
         base: u32,
-        /// Byte strides, innermost first.
-        strides: Vec<i64>,
-        /// Trip counts, innermost first.
-        bounds: Vec<u32>,
+        /// Strides and trip counts, innermost first.
+        dims: AffineDims,
         /// Element width in bytes.
         elem_bytes: u32,
     },
@@ -84,16 +148,18 @@ pub enum StreamSpec {
         /// Element width of the gathered data in bytes.
         elem_bytes: u32,
         /// Resolved indices or an expected element count.
-        indices: IndexStream,
+        indices: IndexStream<'a>,
     },
 }
 
-impl StreamSpec {
+impl StreamSpec<'_> {
     /// Number of elements the stream delivers (possibly fractional for
     /// symbolic indirect streams).
     pub fn elements(&self) -> f64 {
         match self {
-            StreamSpec::Affine { bounds, .. } => bounds.iter().map(|&b| b as f64).product::<f64>(),
+            StreamSpec::Affine { dims, .. } => {
+                dims.bounds().iter().map(|&b| b as f64).product::<f64>()
+            }
             StreamSpec::Indirect { indices: IndexStream::Exact(v), .. } => v.len() as f64,
             StreamSpec::Indirect { indices: IndexStream::Expected(n), .. } => *n,
         }
@@ -105,9 +171,61 @@ impl StreamSpec {
     }
 }
 
+/// The one or two SSRs a [`KernelOp::Stream`] configures, held inline.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Ssrs<'a> {
+    /// A single stream (a gather, or the pooling window).
+    One((SsrId, StreamSpec<'a>)),
+    /// Two streams feeding one FREP body (the dense dot product).
+    Two([(SsrId, StreamSpec<'a>); 2]),
+}
+
+impl<'a> Ssrs<'a> {
+    /// The configured SSRs in configuration order.
+    pub fn as_slice(&self) -> &[(SsrId, StreamSpec<'a>)] {
+        match self {
+            Ssrs::One(ssr) => std::slice::from_ref(ssr),
+            Ssrs::Two(ssrs) => ssrs,
+        }
+    }
+}
+
+/// The body of a [`KernelOp::Loop`]. Two loops are equal when their bodies
+/// hold equal ops, whichever form holds them.
+#[derive(Debug, Clone)]
+pub enum LoopBody<'a> {
+    /// A constant op sequence, such as a baseline inner-loop template.
+    Template(&'a [KernelOp<'a>]),
+    /// An op sequence the emitter built, such as a symbolic loop nest.
+    Built(Vec<KernelOp<'a>>),
+}
+
+impl<'a> std::ops::Deref for LoopBody<'a> {
+    type Target = [KernelOp<'a>];
+
+    fn deref(&self) -> &[KernelOp<'a>] {
+        match self {
+            LoopBody::Template(ops) => ops,
+            LoopBody::Built(ops) => ops,
+        }
+    }
+}
+
+impl<'a> From<Vec<KernelOp<'a>>> for LoopBody<'a> {
+    fn from(ops: Vec<KernelOp<'a>>) -> Self {
+        LoopBody::Built(ops)
+    }
+}
+
+impl PartialEq for LoopBody<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
 /// One operation of a work item.
 #[derive(Debug, Clone, PartialEq)]
-pub enum KernelOp {
+pub enum KernelOp<'a> {
     /// An integer-pipeline operation executed `reps` times.
     Int {
         /// The operation kind.
@@ -128,7 +246,7 @@ pub enum KernelOp {
     /// and multiplied); bodies containing streams are unrolled.
     Loop {
         /// Operations of one iteration.
-        body: Vec<KernelOp>,
+        body: LoopBody<'a>,
         /// Trip count.
         reps: f64,
     },
@@ -136,8 +254,8 @@ pub enum KernelOp {
     /// running stream) and drain them under an FREP hardware loop whose body
     /// is a single streamed FP operation.
     Stream {
-        /// The streams feeding the FREP body, one entry per SSR.
-        ssrs: Vec<(SsrId, StreamSpec)>,
+        /// The streams feeding the FREP body.
+        ssrs: Ssrs<'a>,
         /// The streamed FP operation (one issue per delivered element).
         op: FpOp,
     },
@@ -145,39 +263,39 @@ pub enum KernelOp {
     Barrier,
 }
 
-impl KernelOp {
+impl KernelOp<'_> {
     /// An ALU operation.
-    pub fn alu() -> Self {
+    pub const fn alu() -> Self {
         KernelOp::Int { op: IntOp::Alu, reps: 1.0 }
     }
 
     /// An integer load.
-    pub fn load() -> Self {
+    pub const fn load() -> Self {
         KernelOp::Int { op: IntOp::Load, reps: 1.0 }
     }
 
     /// An integer store.
-    pub fn store() -> Self {
+    pub const fn store() -> Self {
         KernelOp::Int { op: IntOp::Store, reps: 1.0 }
     }
 
     /// A taken branch.
-    pub fn branch() -> Self {
+    pub const fn branch() -> Self {
         KernelOp::Int { op: IntOp::Branch, reps: 1.0 }
     }
 
     /// An atomic read-modify-write.
-    pub fn amo() -> Self {
+    pub const fn amo() -> Self {
         KernelOp::Int { op: IntOp::Amo, reps: 1.0 }
     }
 
     /// An int<->FP move.
-    pub fn mov() -> Self {
+    pub const fn mov() -> Self {
         KernelOp::Int { op: IntOp::Move, reps: 1.0 }
     }
 
     /// A non-streamed FP operation (arithmetic, or a scalar FP load/store).
-    pub fn fp(op: FpOp) -> Self {
+    pub const fn fp(op: FpOp) -> Self {
         KernelOp::Fp { op, reps: 1.0 }
     }
 
@@ -206,7 +324,7 @@ impl KernelOp {
             KernelOp::Loop { body, reps } => {
                 reps.fract() != 0.0 || body.iter().any(KernelOp::is_symbolic)
             }
-            KernelOp::Stream { ssrs, .. } => ssrs.iter().any(|(_, s)| s.is_symbolic()),
+            KernelOp::Stream { ssrs, .. } => ssrs.as_slice().iter().any(|(_, s)| s.is_symbolic()),
             KernelOp::Barrier => false,
         }
     }
@@ -266,21 +384,21 @@ impl DmaPhase {
 /// copies are distributed independently (symbolic lowerings use a single
 /// representative item with `instances` set to the receptive-field count).
 #[derive(Debug, Clone, PartialEq)]
-pub struct WorkItem {
+pub struct WorkItem<'a> {
     /// How many identical copies of this item the phase contains.
     pub instances: f64,
     /// The item's operation sequence (including its work-stealing claim).
-    pub ops: Vec<KernelOp>,
+    pub ops: Vec<KernelOp<'a>>,
 }
 
-impl WorkItem {
+impl<'a> WorkItem<'a> {
     /// A single-instance item.
-    pub fn new(ops: Vec<KernelOp>) -> Self {
+    pub fn new(ops: Vec<KernelOp<'a>>) -> Self {
         WorkItem { instances: 1.0, ops }
     }
 
     /// An item standing for `instances` identical copies.
-    pub fn replicated(instances: f64, ops: Vec<KernelOp>) -> Self {
+    pub fn replicated(instances: f64, ops: Vec<KernelOp<'a>>) -> Self {
         WorkItem { instances, ops }
     }
 }
@@ -289,42 +407,43 @@ impl WorkItem {
 /// core joins its outstanding FP work in an implicit barrier when the phase
 /// ends.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ComputePhase {
+pub struct ComputePhase<'a> {
     /// Code regions each executing core fetches per item (shared I-cache).
     pub code: Vec<CodeRegion>,
     /// The phase's work items, claimed in order.
-    pub items: Vec<WorkItem>,
+    pub items: Vec<WorkItem<'a>>,
 }
 
 /// One phase of a stream program.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Phase {
+pub enum Phase<'a> {
     /// A DMA tile transfer.
     Dma(DmaPhase),
     /// A work-stolen compute phase.
-    Compute(ComputePhase),
+    Compute(ComputePhase<'a>),
 }
 
 /// A lowered layer: the complete phase program one layer invocation executes
-/// on the cluster.
+/// on the cluster. An exact program borrows its gather indices for `'a`; a
+/// symbolic one is `StreamProgram<'static>`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct StreamProgram {
+pub struct StreamProgram<'a> {
     /// Program label (the layer name).
     pub label: String,
     /// Storage format of the kernel (determines SIMD lane counts).
     pub format: FpFormat,
     /// Phases in program order.
-    pub phases: Vec<Phase>,
+    pub phases: Vec<Phase<'a>>,
 }
 
-impl StreamProgram {
+impl<'a> StreamProgram<'a> {
     /// Create an empty program.
     pub fn new(label: impl Into<String>, format: FpFormat) -> Self {
         StreamProgram { label: label.into(), format, phases: Vec::new() }
     }
 
     /// Append a phase.
-    pub fn push(&mut self, phase: Phase) {
+    pub fn push(&mut self, phase: Phase<'a>) {
         self.phases.push(phase);
     }
 
@@ -374,21 +493,23 @@ impl StreamProgram {
 /// [`ProgramSink::item`] call and closed by [`ProgramSink::end_compute`].
 ///
 /// The sink sees each work item once, as a borrowed op slice the emitter
-/// reuses for the next item; a sink that keeps items copies them.
-pub trait ProgramSink {
+/// reuses for the next item; a sink that keeps items copies them. The ops
+/// may borrow the lowered input for `'a`, so a collecting sink lives no
+/// longer than that input.
+pub trait ProgramSink<'a> {
     /// Append one DMA tile transfer.
     fn dma(&mut self, phase: DmaPhase);
     /// Open a compute phase whose cores fetch `code` per item.
     fn compute(&mut self, code: &[CodeRegion]);
     /// Append one single-instance work item to the open compute phase.
-    fn item(&mut self, ops: &[KernelOp]);
+    fn item(&mut self, ops: &[KernelOp<'a>]);
     /// Close the open compute phase.
     fn end_compute(&mut self);
 }
 
 /// Collects the emitted phases, so a collected program equals what the
 /// emitter would have built.
-impl ProgramSink for StreamProgram {
+impl<'a> ProgramSink<'a> for StreamProgram<'a> {
     fn dma(&mut self, phase: DmaPhase) {
         self.push(Phase::Dma(phase));
     }
@@ -397,7 +518,7 @@ impl ProgramSink for StreamProgram {
         self.push(Phase::Compute(ComputePhase { code: code.to_vec(), items: Vec::new() }));
     }
 
-    fn item(&mut self, ops: &[KernelOp]) {
+    fn item(&mut self, ops: &[KernelOp<'a>]) {
         let Some(Phase::Compute(phase)) = self.phases.last_mut() else {
             panic!("work item outside a compute phase");
         };
@@ -413,8 +534,9 @@ mod tests {
 
     #[test]
     fn stream_spec_elements_and_symbolism() {
-        let affine =
-            StreamSpec::Affine { base: 0, strides: vec![2, 64], bounds: vec![3, 4], elem_bytes: 2 };
+        let dims = AffineDims::new(&[(2, 3), (64, 4)]);
+        assert_eq!((dims.len(), dims.strides(), dims.bounds()), (2, &[2, 64][..], &[3, 4][..]));
+        let affine = StreamSpec::Affine { base: 0, dims, elem_bytes: 2 };
         assert_eq!(affine.elements(), 12.0);
         assert!(!affine.is_symbolic());
 
@@ -423,7 +545,7 @@ mod tests {
             index_bytes: 2,
             data_base: 0x100,
             elem_bytes: 8,
-            indices: IndexStream::exact([1, 5, 9]),
+            indices: IndexStream::Exact(&[1, 5, 9]),
         };
         assert_eq!(exact.elements(), 3.0);
         assert!(!exact.is_symbolic());
@@ -493,9 +615,37 @@ mod tests {
     fn op_constructors_cover_the_grammar() {
         assert!(matches!(KernelOp::amo(), KernelOp::Int { op: IntOp::Amo, .. }));
         assert!(matches!(KernelOp::mov(), KernelOp::Int { op: IntOp::Move, .. }));
-        let looped = KernelOp::Loop { body: vec![KernelOp::alu()], reps: 1.0 }.times(9.0);
+        let looped = KernelOp::Loop { body: vec![KernelOp::alu()].into(), reps: 1.0 }.times(9.0);
         assert!(matches!(looped, KernelOp::Loop { reps, .. } if reps == 9.0));
         assert!(!KernelOp::fp(FpOp::Add).is_symbolic());
         assert!(KernelOp::fp(FpOp::Add).times(0.5).is_symbolic());
+        let gather = |indices| StreamSpec::Indirect {
+            index_base: 0,
+            index_bytes: 2,
+            data_base: 0,
+            elem_bytes: 8,
+            indices,
+        };
+        let pair = Ssrs::Two([
+            (SsrId::Ssr0, gather(IndexStream::Exact(&[3]))),
+            (SsrId::Ssr1, gather(IndexStream::Expected(0.5))),
+        ]);
+        assert_eq!(
+            pair.as_slice().iter().map(|&(id, _)| id).collect::<Vec<_>>(),
+            [SsrId::Ssr0, SsrId::Ssr1]
+        );
+        assert!(KernelOp::Stream { ssrs: pair, op: FpOp::Add }.is_symbolic());
+        static BODY: [KernelOp<'static>; 1] = [KernelOp::alu()];
+        assert_eq!(
+            KernelOp::Loop { body: LoopBody::Template(&BODY), reps: 2.0 },
+            KernelOp::Loop { body: vec![KernelOp::alu()].into(), reps: 2.0 },
+            "loops compare by their ops"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 2 dimensions")]
+    fn affine_dims_are_bounded() {
+        AffineDims::new(&[(1, 1); MAX_AFFINE_DIMS + 1]);
     }
 }

@@ -35,7 +35,7 @@ use spikestream_snn::{
 
 use crate::emit;
 use crate::tiling::TilingPlanner;
-use crate::{KernelVariant, LayerExecutor};
+use crate::{KernelVariant, LayerExecutor, OpBuffer};
 
 /// Approximate code footprints (bytes) of the kernel regions, used by the
 /// instruction-cache model.
@@ -87,12 +87,11 @@ impl ConvAddresses {
 }
 
 /// The instruction-cache regions the conv programs of `variant` fetch.
-fn code_regions(variant: KernelVariant) -> Vec<CodeRegion> {
-    let region = match variant {
-        KernelVariant::Baseline => CODE_REGION_CONV_BASELINE,
-        KernelVariant::SpikeStream => CODE_REGION_CONV_SPIKESTREAM,
-    };
-    vec![region, CODE_REGION_ACTIVATION]
+fn code_regions(variant: KernelVariant) -> &'static [CodeRegion] {
+    match variant {
+        KernelVariant::Baseline => &[CODE_REGION_CONV_BASELINE, CODE_REGION_ACTIVATION],
+        KernelVariant::SpikeStream => &[CODE_REGION_CONV_SPIKESTREAM, CODE_REGION_ACTIVATION],
+    }
 }
 
 /// Expected stream length of one SpVA under `input_rate`: the active input
@@ -120,26 +119,34 @@ impl LayerExecutor {
     /// stream program, computing the functional results (currents and
     /// spikes) along the way.
     ///
-    /// `input` must be the compressed, padded ifmap of the layer and
-    /// `state` the neuron state of its output neurons, which the call
-    /// advances by one step.
+    /// `weights` are the layer's weights rounded to the executor's format
+    /// ([`Network::quantized_weights`](spikestream_snn::Network::quantized_weights)
+    /// or [`Layer::quantize_weights`]), `input` the compressed, padded ifmap
+    /// of the layer, whose per-position channel lists the program's gathers
+    /// borrow, and `state` the neuron state of its output neurons, which
+    /// the call advances by one step. Each work item is written into
+    /// `buffer` before it goes to the sink.
     ///
     /// # Panics
     ///
-    /// Panics if `layer` is not convolutional, if the input shape does not
-    /// match the padded layer input, or if the neuron state has the wrong
+    /// Panics if `layer` is not convolutional, if `weights` or the input
+    /// shape do not match the layer, or if the neuron state has the wrong
     /// size.
-    pub fn lower_conv(
+    #[allow(clippy::too_many_arguments)]
+    pub fn lower_conv<'a>(
         &self,
         config: &ClusterConfig,
         layer: &Layer,
-        input: &CompressedIfmap,
+        weights: &[f32],
+        input: &'a CompressedIfmap,
         state: &mut NeuronState,
-        sink: &mut dyn ProgramSink,
+        buffer: &mut OpBuffer,
+        sink: &mut dyn ProgramSink<'a>,
     ) -> ConvKernelOutput {
         let LayerKind::Conv(spec) = &layer.kind else {
             panic!("lower_conv requires a convolutional layer");
         };
+        assert_eq!(weights.len(), layer.weights.len(), "one quantized weight per layer weight");
         assert_eq!(input.shape(), spec.padded_input(), "input must be padded");
         let out_shape = spec.conv_output();
         assert_eq!(state.len(), out_shape.len(), "neuron state size mismatch");
@@ -164,36 +171,24 @@ impl LayerExecutor {
         for dma in plan.dma_in_phases() {
             sink.dma(dma);
         }
-        sink.compute(&code_regions(self.variant));
+        sink.compute(code_regions(self.variant));
 
         let mut currents = Tensor3::zeros(out_shape);
         let mut spikes = SpikeMap::silent(out_shape);
-        let mut ops = Vec::new();
-        // Weights are static across the layer: round them to the storage
-        // format once instead of per (spike, lane) inside the RF loop.
-        let qweights: Vec<f32> = layer.weights.iter().map(|&w| self.format.quantize(w)).collect();
+        let mut ops = buffer.lend();
         let mut rf_active: Vec<&[u16]> = Vec::with_capacity(spec.kh * spec.kw);
-        let mut rf_indices: Vec<IndexStream> = Vec::with_capacity(spec.kh * spec.kw);
 
         for oh in 0..out_shape.h {
             for ow in 0..out_shape.w {
                 emit::claim(&mut ops);
 
-                // Active input channels at every filter position of this RF,
-                // plus one shared gather-index list per position (every SIMD
-                // group streams through the same indices, so a collected
-                // program holds each list once).
+                // Active input channels at every filter position of this RF:
+                // every SIMD group gathers through the same borrowed list.
                 rf_active.clear();
                 rf_active.extend((0..spec.kh * spec.kw).map(|k| {
                     let (kh, kw) = (k / spec.kw, k % spec.kw);
                     input.active_at(oh * spec.stride + kh, ow * spec.stride + kw)
                 }));
-                rf_indices.clear();
-                rf_indices.extend(
-                    rf_active
-                        .iter()
-                        .map(|active| IndexStream::exact(active.iter().map(|&c| c as u32))),
-                );
 
                 for g in 0..groups {
                     self.lower_conv_group(
@@ -201,9 +196,8 @@ impl LayerExecutor {
                         layer,
                         spec,
                         input,
-                        &qweights,
+                        weights,
                         &rf_active,
-                        &rf_indices,
                         (oh, ow, g),
                         lanes,
                         groups,
@@ -216,6 +210,7 @@ impl LayerExecutor {
                 sink.item(&ops);
             }
         }
+        buffer.restore(ops);
         sink.end_compute();
         for dma in plan.dma_out_phases() {
             sink.dma(dma);
@@ -239,7 +234,7 @@ impl LayerExecutor {
         model: &NeuronModel,
         input_rate: f64,
         output_rate: f64,
-    ) -> StreamProgram {
+    ) -> StreamProgram<'static> {
         let lanes = self.format.simd_lanes() as usize;
         let groups = spec.out_channels.div_ceil(lanes);
         let out = spec.conv_output();
@@ -285,7 +280,7 @@ impl LayerExecutor {
         // ... inside one representative SIMD group ...
         let mut group = Vec::new();
         emit::model_group_prologue(&mut group, model);
-        group.push(KernelOp::Loop { body: position, reps: kk as f64 });
+        group.push(KernelOp::Loop { body: position.into(), reps: kk as f64 });
         emit::model_activation_head(&mut group, model);
         emit::activation_tail_symbolic(&mut group, lanes as f64, lanes as f64 * output_rate);
         emit::model_state_writeback(&mut group, model);
@@ -294,9 +289,9 @@ impl LayerExecutor {
         // every output position.
         let mut ops = Vec::new();
         emit::claim(&mut ops);
-        ops.push(KernelOp::Loop { body: group, reps: groups as f64 });
+        ops.push(KernelOp::Loop { body: group.into(), reps: groups as f64 });
         program.push(Phase::Compute(ComputePhase {
-            code: code_regions(self.variant),
+            code: code_regions(self.variant).to_vec(),
             items: vec![WorkItem::replicated((out.h * out.w) as f64, ops)],
         }));
         for dma in plan.dma_out_phases() {
@@ -308,15 +303,14 @@ impl LayerExecutor {
     /// Emit one SIMD output-channel group of one receptive field, updating
     /// the functional state.
     #[allow(clippy::too_many_arguments)]
-    fn lower_conv_group(
+    fn lower_conv_group<'a>(
         &self,
-        ops: &mut Vec<KernelOp>,
+        ops: &mut Vec<KernelOp<'a>>,
         layer: &Layer,
         spec: &ConvSpec,
         input: &CompressedIfmap,
-        qweights: &[f32],
-        rf_active: &[&[u16]],
-        rf_indices: &[IndexStream],
+        weights: &[f32],
+        rf_active: &[&'a [u16]],
         rf: (usize, usize, usize),
         lanes: usize,
         groups: usize,
@@ -345,7 +339,7 @@ impl LayerExecutor {
             // as the former scalar current updates.
             for &ci in active {
                 let row = spec.weight_index(kh, kw, ci as usize, lane_base);
-                for (a, &w) in acc[..lane_n].iter_mut().zip(&qweights[row..row + lane_n]) {
+                for (a, &w) in acc[..lane_n].iter_mut().zip(&weights[row..row + lane_n]) {
                     *a += w;
                 }
             }
@@ -360,7 +354,7 @@ impl LayerExecutor {
                     addrs.idcs_base + input.s_ptr()[coo] * INDEX_BYTES as u32,
                     addrs.weight_group_base(spec, groups, kh, kw, g),
                     addrs.word_bytes,
-                    rf_indices[k].clone(),
+                    IndexStream::Exact(active),
                 ),
             });
         }
@@ -438,20 +432,22 @@ mod tests {
 
     /// Lower `layer` on the default cluster from a resting LIF state;
     /// returns the program, the functional output and the advanced state.
-    fn lower(
+    fn lower<'a>(
         variant: KernelVariant,
         format: FpFormat,
         layer: &Layer,
-        input: &CompressedIfmap,
-    ) -> (StreamProgram, ConvKernelOutput, NeuronState) {
+        input: &'a CompressedIfmap,
+    ) -> (StreamProgram<'a>, ConvKernelOutput, NeuronState) {
         let LayerKind::Conv(spec) = &layer.kind else { unreachable!() };
         let mut state = NeuronState::lif(spec.conv_output().len());
         let mut program = StreamProgram::new(&layer.name, format);
         let out = LayerExecutor::new(variant, format).lower_conv(
             &ClusterConfig::default(),
             layer,
+            &layer.quantize_weights(format),
             input,
             &mut state,
+            &mut OpBuffer::new(),
             &mut program,
         );
         (program, out, state)

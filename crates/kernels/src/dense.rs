@@ -22,7 +22,7 @@ use spikestream_snn::{ConvSpec, Layer, LayerKind, NeuronModel, NeuronState, Spik
 
 use crate::emit;
 use crate::tiling::TilingPlanner;
-use crate::{KernelVariant, LayerExecutor};
+use crate::{KernelVariant, LayerExecutor, OpBuffer};
 
 const CODE_REGION_DENSE_BASELINE: CodeRegion = CodeRegion { id: 0x30, bytes: 1024 };
 const CODE_REGION_DENSE_SPIKESTREAM: CodeRegion = CodeRegion { id: 0x31, bytes: 1408 };
@@ -39,37 +39,43 @@ pub struct DenseKernelOutput {
 }
 
 /// The instruction-cache regions the dense programs of `variant` fetch.
-fn code_regions(variant: KernelVariant) -> Vec<CodeRegion> {
-    let region = match variant {
-        KernelVariant::Baseline => CODE_REGION_DENSE_BASELINE,
-        KernelVariant::SpikeStream => CODE_REGION_DENSE_SPIKESTREAM,
-    };
-    vec![region]
+fn code_regions(variant: KernelVariant) -> &'static [CodeRegion] {
+    match variant {
+        KernelVariant::Baseline => &[CODE_REGION_DENSE_BASELINE],
+        KernelVariant::SpikeStream => &[CODE_REGION_DENSE_SPIKESTREAM],
+    }
 }
 
 impl LayerExecutor {
     /// Lower one spike-encoding invocation into `sink` as its exact stream
     /// program, computing the functional results along the way.
     ///
-    /// `image` must be the padded input image in HWC layout and `state`
-    /// the neuron state of the output neurons, which the call advances by
-    /// one step.
+    /// `weights` are the layer's weights rounded to the executor's format
+    /// (see [`LayerExecutor::lower_conv`]), `image` the padded input image
+    /// in HWC layout and `state` the neuron state of the output neurons,
+    /// which the call advances by one step. Each work item is written into
+    /// `buffer` before it goes to the sink.
     ///
     /// # Panics
     ///
-    /// Panics if `layer` is not convolutional, the image shape does not
-    /// match the padded input, or the neuron state has the wrong size.
+    /// Panics if `layer` is not convolutional, `weights` or the image
+    /// shape do not match the layer, or the neuron state has the wrong
+    /// size.
+    #[allow(clippy::too_many_arguments)]
     pub fn lower_dense(
         &self,
         config: &ClusterConfig,
         layer: &Layer,
+        weights: &[f32],
         image: &Tensor3,
         state: &mut NeuronState,
-        sink: &mut dyn ProgramSink,
+        buffer: &mut OpBuffer,
+        sink: &mut dyn ProgramSink<'_>,
     ) -> DenseKernelOutput {
         let LayerKind::Conv(spec) = &layer.kind else {
             panic!("lower_dense requires a convolutional layer");
         };
+        assert_eq!(weights.len(), layer.weights.len(), "one quantized weight per layer weight");
         assert_eq!(image.shape(), spec.padded_input(), "image must be padded");
         let out_shape = spec.conv_output();
         assert_eq!(state.len(), out_shape.len(), "neuron state size mismatch");
@@ -97,7 +103,7 @@ impl LayerExecutor {
             (out_shape.h * spec.kh) as u64,
             false,
         ));
-        sink.compute(&code_regions(self.variant));
+        sink.compute(code_regions(self.variant));
 
         let weights_base = plan.weights.base;
         let input_base = plan.ifmap_idcs.base;
@@ -105,10 +111,10 @@ impl LayerExecutor {
 
         let mut currents = Tensor3::zeros(out_shape);
         let mut spikes = SpikeMap::silent(out_shape);
-        let mut ops = Vec::new();
-        // Weights are static across the layer: round them to the storage
-        // format once instead of per (pixel, lane) in the position loop.
-        let qweights: Vec<f32> = layer.weights.iter().map(|&w| self.format.quantize(w)).collect();
+        let mut ops = buffer.lend();
+        // Every pixel feeds up to kh x kw positions, so round the image to
+        // the storage format once.
+        let qimage: Vec<f32> = image.data().iter().map(|&x| self.format.quantize(x)).collect();
         let mut acc = vec![0.0f32; spec.out_channels];
 
         for oh in 0..out_shape.h {
@@ -121,14 +127,15 @@ impl LayerExecutor {
                 acc.fill(0.0);
                 for kh in 0..spec.kh {
                     for kw in 0..spec.kw {
-                        for ci in 0..spec.input.c {
-                            let x = image.get(oh * spec.stride + kh, ow * spec.stride + kw, ci);
+                        let at =
+                            image.shape().index(oh * spec.stride + kh, ow * spec.stride + kw, 0);
+                        let pixels = image.data()[at..at + spec.input.c].iter().zip(&qimage[at..]);
+                        for (ci, (&x, &qx)) in pixels.enumerate() {
                             if x == 0.0 {
                                 continue;
                             }
-                            let qx = self.format.quantize(x);
                             let row = spec.weight_index(kh, kw, ci, 0);
-                            let row = &qweights[row..row + spec.out_channels];
+                            let row = &weights[row..row + spec.out_channels];
                             for (a, &w) in acc.iter_mut().zip(row) {
                                 *a += qx * w;
                             }
@@ -173,6 +180,7 @@ impl LayerExecutor {
                 sink.item(&ops);
             }
         }
+        buffer.restore(ops);
         sink.end_compute();
         for dma in plan.dma_out_phases() {
             sink.dma(dma);
@@ -193,7 +201,7 @@ impl LayerExecutor {
         spec: &ConvSpec,
         model: &NeuronModel,
         output_rate: f64,
-    ) -> StreamProgram {
+    ) -> StreamProgram<'static> {
         let lanes = self.format.simd_lanes() as usize;
         let groups = spec.out_channels.div_ceil(lanes);
         let out = spec.conv_output();
@@ -232,9 +240,9 @@ impl LayerExecutor {
 
         let mut ops = Vec::new();
         emit::claim(&mut ops);
-        ops.push(KernelOp::Loop { body: group, reps: groups as f64 });
+        ops.push(KernelOp::Loop { body: group.into(), reps: groups as f64 });
         program.push(Phase::Compute(ComputePhase {
-            code: code_regions(self.variant),
+            code: code_regions(self.variant).to_vec(),
             items: vec![WorkItem::replicated((out.h * out.w) as f64, ops)],
         }));
         for dma in plan.dma_out_phases() {
@@ -278,15 +286,17 @@ mod tests {
         format: FpFormat,
         layer: &Layer,
         image: &Tensor3,
-    ) -> (StreamProgram, DenseKernelOutput) {
+    ) -> (StreamProgram<'static>, DenseKernelOutput) {
         let LayerKind::Conv(spec) = &layer.kind else { unreachable!() };
         let mut state = NeuronState::lif(spec.conv_output().len());
         let mut program = StreamProgram::new(&layer.name, format);
         let out = LayerExecutor::new(variant, format).lower_dense(
             &ClusterConfig::default(),
             layer,
+            &layer.quantize_weights(format),
             image,
             &mut state,
+            &mut OpBuffer::new(),
             &mut program,
         );
         (program, out)

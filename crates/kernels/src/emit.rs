@@ -12,7 +12,7 @@
 
 use snitch_arch::isa::FpOp;
 use snitch_arch::SsrId;
-use spikestream_ir::{IndexStream, KernelOp, StreamSpec};
+use spikestream_ir::{AffineDims, IndexStream, KernelOp, LoopBody, Ssrs, StreamSpec};
 use spikestream_snn::compress::INDEX_BYTES;
 use spikestream_snn::NeuronModel;
 
@@ -20,7 +20,7 @@ use spikestream_snn::NeuronModel;
 /// `next_rf` bump plus the bookkeeping branch of the stealing loop
 /// (Fig. 2b). The previous item's ops are cleared first, so an exact
 /// emitter writes all its items through one reused buffer.
-pub(crate) fn claim(ops: &mut Vec<KernelOp>) {
+pub(crate) fn claim(ops: &mut Vec<KernelOp<'_>>) {
     ops.clear();
     ops.push(KernelOp::amo());
     ops.push(KernelOp::branch());
@@ -29,7 +29,7 @@ pub(crate) fn claim(ops: &mut Vec<KernelOp>) {
 /// SIMD-group prologue: load the group's per-neuron state into FP
 /// registers (one load per state variable — two-variable models also pull
 /// the recovery tile) and compute the group's weight base address.
-pub(crate) fn model_group_prologue(ops: &mut Vec<KernelOp>, model: &NeuronModel) {
+pub(crate) fn model_group_prologue(ops: &mut Vec<KernelOp<'_>>, model: &NeuronModel) {
     for _ in 0..model.state_vars() {
         ops.push(KernelOp::fp(FpOp::Load));
     }
@@ -40,7 +40,7 @@ pub(crate) fn model_group_prologue(ops: &mut Vec<KernelOp>, model: &NeuronModel)
 /// Outer-loop control per filter position (Listing 1a): row-pointer
 /// bookkeeping, spatial-coordinate computation and the two `s_ptr` loads
 /// that give the stream base address and length.
-pub(crate) fn position_control(ops: &mut Vec<KernelOp>) {
+pub(crate) fn position_control(ops: &mut Vec<KernelOp<'_>>) {
     ops.push(KernelOp::branch());
     ops.push(KernelOp::alu());
     ops.push(KernelOp::alu());
@@ -49,22 +49,22 @@ pub(crate) fn position_control(ops: &mut Vec<KernelOp>) {
     ops.push(KernelOp::alu());
 }
 
-/// The scalar indirection loop of Listing 1b: per element, seven integer
+/// One element of the scalar indirection loop of Listing 1b: seven integer
 /// instructions surround a single useful `fadd`.
-pub(crate) fn baseline_spva(s_len: f64) -> KernelOp {
-    KernelOp::Loop {
-        body: vec![
-            KernelOp::load(),
-            KernelOp::alu(),
-            KernelOp::alu(),
-            KernelOp::fp(FpOp::Load),
-            KernelOp::alu(),
-            KernelOp::alu(),
-            KernelOp::fp(FpOp::Add),
-            KernelOp::branch(),
-        ],
-        reps: s_len,
-    }
+static BASELINE_SPVA_BODY: [KernelOp<'static>; 8] = [
+    KernelOp::load(),
+    KernelOp::alu(),
+    KernelOp::alu(),
+    KernelOp::fp(FpOp::Load),
+    KernelOp::alu(),
+    KernelOp::alu(),
+    KernelOp::fp(FpOp::Add),
+    KernelOp::branch(),
+];
+
+/// The scalar indirection loop of Listing 1b over `s_len` elements.
+pub(crate) fn baseline_spva(s_len: f64) -> KernelOp<'static> {
+    KernelOp::Loop { body: LoopBody::Template(&BASELINE_SPVA_BODY), reps: s_len }
 }
 
 /// The streamed SpVA of Listing 1c: an indirect stream register gathers the
@@ -73,10 +73,10 @@ pub(crate) fn streamed_spva(
     index_base: u32,
     data_base: u32,
     elem_bytes: u32,
-    indices: IndexStream,
-) -> KernelOp {
+    indices: IndexStream<'_>,
+) -> KernelOp<'_> {
     KernelOp::Stream {
-        ssrs: vec![(
+        ssrs: Ssrs::One((
             SsrId::Ssr0,
             StreamSpec::Indirect {
                 index_base,
@@ -85,24 +85,24 @@ pub(crate) fn streamed_spva(
                 elem_bytes,
                 indices,
             },
-        )],
+        )),
         op: FpOp::Add,
     }
 }
 
-/// The dense matmul inner loop of the spike-encoding layer, baseline
-/// variant: two loads, one FMA, pointer bump and loop branch per element.
-pub(crate) fn baseline_dense_dot(k_len: f64) -> KernelOp {
-    KernelOp::Loop {
-        body: vec![
-            KernelOp::fp(FpOp::Load),
-            KernelOp::fp(FpOp::Load),
-            KernelOp::fp(FpOp::Fma),
-            KernelOp::alu(),
-            KernelOp::branch(),
-        ],
-        reps: k_len,
-    }
+/// One element of the dense matmul inner loop of the spike-encoding layer,
+/// baseline variant: two loads, one FMA, pointer bump and loop branch.
+static BASELINE_DENSE_DOT_BODY: [KernelOp<'static>; 5] = [
+    KernelOp::fp(FpOp::Load),
+    KernelOp::fp(FpOp::Load),
+    KernelOp::fp(FpOp::Fma),
+    KernelOp::alu(),
+    KernelOp::branch(),
+];
+
+/// The baseline dense matmul inner loop over `k_len` elements.
+pub(crate) fn baseline_dense_dot(k_len: f64) -> KernelOp<'static> {
+    KernelOp::Loop { body: LoopBody::Template(&BASELINE_DENSE_DOT_BODY), reps: k_len }
 }
 
 /// The dense matmul inner loop, SpikeStream variant: two affine streams
@@ -112,15 +112,14 @@ pub(crate) fn streamed_dense_dot(
     weights_base: u32,
     lane_bytes: u32,
     k_len: u32,
-) -> KernelOp {
+) -> KernelOp<'static> {
     KernelOp::Stream {
-        ssrs: vec![
+        ssrs: Ssrs::Two([
             (
                 SsrId::Ssr0,
                 StreamSpec::Affine {
                     base: input_base,
-                    strides: vec![4],
-                    bounds: vec![k_len],
+                    dims: AffineDims::new(&[(4, k_len)]),
                     elem_bytes: 4,
                 },
             ),
@@ -128,12 +127,11 @@ pub(crate) fn streamed_dense_dot(
                 SsrId::Ssr1,
                 StreamSpec::Affine {
                     base: weights_base,
-                    strides: vec![lane_bytes as i64],
-                    bounds: vec![k_len],
+                    dims: AffineDims::new(&[(lane_bytes as i32, k_len)]),
                     elem_bytes: lane_bytes,
                 },
             ),
-        ],
+        ]),
         op: FpOp::Fma,
     }
 }
@@ -141,7 +139,7 @@ pub(crate) fn streamed_dense_dot(
 /// Head of the fused LIF activation (Section III-B/III-C): decay and
 /// integrate on the FPU, threshold compare, then move the spike mask to the
 /// integer core.
-fn activation_head(ops: &mut Vec<KernelOp>) {
+fn activation_head(ops: &mut Vec<KernelOp<'_>>) {
     ops.push(KernelOp::fp(FpOp::Fma)); // v*alpha + i
     ops.push(KernelOp::fp(FpOp::Cmp)); // >= v_th
     ops.push(KernelOp::mov());
@@ -154,7 +152,7 @@ fn activation_head(ops: &mut Vec<KernelOp>) {
 /// mask moves to the integer core. The op count is fixed per group — the
 /// resets are predicated selects, not branches — so exact and symbolic
 /// lowerings emit identical sequences by construction.
-fn izhikevich_activation_head(ops: &mut Vec<KernelOp>) {
+fn izhikevich_activation_head(ops: &mut Vec<KernelOp<'_>>) {
     ops.push(KernelOp::fp(FpOp::Fma)); // 0.04*v + 5
     ops.push(KernelOp::fp(FpOp::Fma)); // (.)*v + 140
     ops.push(KernelOp::fp(FpOp::Add)); // - u
@@ -171,7 +169,7 @@ fn izhikevich_activation_head(ops: &mut Vec<KernelOp>) {
 
 /// Model-dispatching activation head: LIF keeps the three-op fused form,
 /// Izhikevich the twelve-op two-variable form.
-pub(crate) fn model_activation_head(ops: &mut Vec<KernelOp>, model: &NeuronModel) {
+pub(crate) fn model_activation_head(ops: &mut Vec<KernelOp<'_>>, model: &NeuronModel) {
     match model {
         NeuronModel::Lif(_) => activation_head(ops),
         NeuronModel::Izhikevich(_) => izhikevich_activation_head(ops),
@@ -180,29 +178,30 @@ pub(crate) fn model_activation_head(ops: &mut Vec<KernelOp>, model: &NeuronModel
 
 /// State write-back closing a group's activation: one store per state
 /// variable, mirroring [`model_group_prologue`].
-pub(crate) fn model_state_writeback(ops: &mut Vec<KernelOp>, model: &NeuronModel) {
+pub(crate) fn model_state_writeback(ops: &mut Vec<KernelOp<'_>>, model: &NeuronModel) {
     for _ in 0..model.state_vars() {
         ops.push(KernelOp::fp(FpOp::Store));
     }
 }
 
 /// Per-lane unpacking of the spike mask: bit extraction plus branch.
-pub(crate) fn lane_unpack(ops: &mut Vec<KernelOp>) {
+pub(crate) fn lane_unpack(ops: &mut Vec<KernelOp<'_>>) {
     ops.push(KernelOp::alu());
     ops.push(KernelOp::branch());
 }
 
 /// Compressed-output update of one firing lane: append the channel index
 /// and atomically bump the spatial pointer.
-pub(crate) fn fired_update(ops: &mut Vec<KernelOp>) {
+pub(crate) fn fired_update(ops: &mut Vec<KernelOp<'_>>) {
     ops.push(KernelOp::store());
     ops.push(KernelOp::amo());
 }
 
 /// Symbolic form of the per-lane activation tail: `lanes` unpack pairs plus
 /// the expected number of compressed-output updates.
-pub(crate) fn activation_tail_symbolic(ops: &mut Vec<KernelOp>, lanes: f64, fired_lanes: f64) {
-    ops.push(KernelOp::Loop { body: vec![KernelOp::alu(), KernelOp::branch()], reps: lanes });
+pub(crate) fn activation_tail_symbolic(ops: &mut Vec<KernelOp<'_>>, lanes: f64, fired_lanes: f64) {
+    static LANE_UNPACK: [KernelOp<'static>; 2] = [KernelOp::alu(), KernelOp::branch()];
+    ops.push(KernelOp::Loop { body: LoopBody::Template(&LANE_UNPACK), reps: lanes });
     if fired_lanes > 0.0 {
         ops.push(KernelOp::store().times(fired_lanes));
         ops.push(KernelOp::amo().times(fired_lanes));

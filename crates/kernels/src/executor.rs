@@ -22,7 +22,7 @@
 use snitch_arch::fp::FpFormat;
 use snitch_arch::ClusterConfig;
 use spikestream_ir::{
-    CostIntegrator, ProgramCache, ProgramCost, ProgramKey, ProgramSink, SparsityBucket,
+    CostIntegrator, KernelOp, ProgramCache, ProgramCost, ProgramKey, ProgramSink, SparsityBucket,
     StreamProgram,
 };
 use spikestream_snn::{
@@ -60,12 +60,40 @@ pub struct LayerExecution {
     pub output_spikes: u64,
 }
 
+/// The buffer an exact emitter writes each work item into before handing
+/// it to its sink. Each call's ops borrow that call's input, yet the
+/// allocation outlives them: an emitter borrows the buffer typed for its
+/// input's lifetime and gives it back empty, so once it has grown to the
+/// largest item it never allocates again.
+#[derive(Debug, Clone, Default)]
+pub struct OpBuffer(Vec<KernelOp<'static>>);
+
+impl OpBuffer {
+    /// An empty buffer.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Lend the (empty) buffer to one emitter call.
+    pub(crate) fn lend<'a>(&mut self) -> Vec<KernelOp<'a>> {
+        std::mem::take(&mut self.0)
+    }
+
+    /// Take the buffer back from the call that borrowed it.
+    pub(crate) fn restore(&mut self, mut ops: Vec<KernelOp<'_>>) {
+        ops.clear();
+        // An empty vector borrows nothing, so it may serve the next input:
+        // collecting it in place re-types it and keeps its allocation.
+        self.0 = ops.into_iter().map(|_| unreachable!("the buffer was cleared")).collect();
+    }
+}
+
 /// Reusable buffers for repeated [`LayerExecutor::lower_exact`] and
 /// [`LayerExecutor::lower_temporal_step`] invocations: the neuron state, the
-/// compressed-input buffers and their backing allocations. A worker that
-/// evaluates many layers (or many batch samples) keeps one `LayerScratch`
-/// and avoids re-allocating these per layer once the buffers reach
-/// steady-state capacity.
+/// compressed-input buffers, the work-item [`OpBuffer`] and their backing
+/// allocations. A worker that evaluates many layers (or many batch samples)
+/// keeps one `LayerScratch` and avoids re-allocating these per layer once
+/// the buffers reach steady-state capacity.
 ///
 /// For temporal runs the scratch additionally owns one *persistent*
 /// [`NeuronState`] per network layer: [`LayerScratch::begin_sample`] resets
@@ -80,6 +108,7 @@ pub struct LayerScratch {
     state: NeuronState,
     ifmap: CompressedIfmap,
     fc: CompressedFcInput,
+    ops: OpBuffer,
     /// Per-layer persistent neuron states of the current temporal sample
     /// (empty until [`LayerScratch::begin_sample`] is called).
     states: Vec<NeuronState>,
@@ -140,7 +169,7 @@ impl LayerScratch {
 /// use spikestream_kernels::{KernelVariant, LayerExecutor, LayerInput, LayerScratch};
 /// use spikestream_snn::neuron::LifParams;
 /// use spikestream_snn::tensor::{SpikeMap, TensorShape};
-/// use spikestream_snn::{ConvSpec, Layer, LayerKind};
+/// use spikestream_snn::{ConvSpec, NetworkBuilder};
 ///
 /// let spec = ConvSpec {
 ///     input: TensorShape::new(4, 4, 4),
@@ -151,16 +180,19 @@ impl LayerScratch {
 ///     padding: 1,
 ///     pool: false,
 /// };
-/// let layer = Layer::new("conv", LayerKind::Conv(spec), LifParams::new(0.5, 0.25));
+/// let network = NetworkBuilder::new("one")
+///     .conv("conv", spec, LifParams::new(0.5, 0.25))
+///     .build_with_random_weights(1, 0.1);
 /// let mut spikes = SpikeMap::silent(spec.padded_input());
 /// spikes.set(2, 2, 1, true);
 ///
 /// let mut scratch = LayerScratch::new();
 /// let executor = LayerExecutor::new(KernelVariant::SpikeStream, FpFormat::Fp16);
-/// let mut program = StreamProgram::new(&layer.name, executor.format());
+/// let mut program = StreamProgram::new("conv", executor.format());
 /// let exec = executor.lower_exact(
 ///     &ClusterConfig::default(),
-///     &layer,
+///     &network,
+///     0,
 ///     LayerInput::Spikes(&spikes),
 ///     &mut scratch,
 ///     &mut program,
@@ -191,35 +223,41 @@ impl LayerExecutor {
         self.format
     }
 
-    /// Lower one single-shot layer invocation into `sink` as its exact
-    /// stream program, dispatching to the matching emitter and reusing the
-    /// caller's scratch buffers for the neuron state and the compressed
-    /// input (no allocation once the buffers reached steady-state
-    /// capacity). The neuron state rests before the layer runs.
+    /// Lower layer `idx` of `network` as one single-shot invocation into
+    /// `sink`, as its exact stream program, dispatching to the matching
+    /// emitter with the network's memoized
+    /// [quantized weights](Network::quantized_weights) and reusing the
+    /// caller's scratch buffers for the neuron state, the compressed input
+    /// and the work items (no allocation once the buffers reached
+    /// steady-state capacity). The neuron state rests before the layer
+    /// runs. The program's gathers borrow the compressed input in
+    /// `scratch`, so a collecting sink holds the scratch borrowed.
     ///
     /// # Panics
     ///
-    /// Panics if the input representation does not fit the layer (a dense
-    /// image on a fully connected layer, a spike map whose shape does not
-    /// match the layer input) — the same contract as the emitters.
-    pub fn lower_exact(
+    /// Panics if `idx` is out of range or the input representation does not
+    /// fit the layer (a dense image on a fully connected layer, a spike map
+    /// whose shape does not match the layer input) — the same contract as
+    /// the emitters.
+    pub fn lower_exact<'s>(
         &self,
         config: &ClusterConfig,
-        layer: &Layer,
+        network: &Network,
+        idx: usize,
         input: LayerInput<'_>,
-        scratch: &mut LayerScratch,
-        sink: &mut dyn ProgramSink,
+        scratch: &'s mut LayerScratch,
+        sink: &mut dyn ProgramSink<'s>,
     ) -> LayerExecution {
-        let LayerScratch { state, ifmap, fc, .. } = scratch;
-        self.dispatch(config, layer, input, state, ifmap, fc, true, sink).0
+        let LayerScratch { state, ifmap, fc, ops, .. } = scratch;
+        self.dispatch(config, network, idx, input, state, ifmap, fc, ops, true, sink).0
     }
 
-    /// Lower one layer of one *timestep* of a temporal sample, advancing
-    /// the layer's persistent membrane state in `scratch` instead of
-    /// resetting it. Writes the program into `sink` and returns the
-    /// structural measurements plus the layer's output spike map (after
-    /// pooling; `1 x 1 x F` for fully connected layers), which *is* the
-    /// next layer's input at this timestep.
+    /// Lower layer `idx` of `network` for one *timestep* of a temporal
+    /// sample, advancing the layer's persistent membrane state in
+    /// `scratch` instead of resetting it. Writes the program into `sink`
+    /// and returns the structural measurements plus the layer's output
+    /// spike map (after pooling; `1 x 1 x F` for fully connected layers),
+    /// which *is* the next layer's input at this timestep.
     ///
     /// The per-timestep program is the layer's regular stream program: its
     /// prologue DMA loads the membrane tile alongside the compressed
@@ -232,21 +270,21 @@ impl LayerExecutor {
     /// Panics if [`LayerScratch::begin_sample`] was not called for the
     /// current network (membrane state missing or mis-sized), or on the
     /// input-shape mismatches of [`LayerExecutor::lower_exact`].
-    pub fn lower_temporal_step(
+    pub fn lower_temporal_step<'s>(
         &self,
         config: &ClusterConfig,
-        layer: &Layer,
-        layer_idx: usize,
+        network: &Network,
+        idx: usize,
         input: LayerInput<'_>,
-        scratch: &mut LayerScratch,
-        sink: &mut dyn ProgramSink,
+        scratch: &'s mut LayerScratch,
+        sink: &mut dyn ProgramSink<'s>,
     ) -> (LayerExecution, SpikeMap) {
         assert!(
-            layer_idx < scratch.states.len(),
+            idx < scratch.states.len(),
             "LayerScratch::begin_sample must size the membrane states before temporal steps"
         );
-        let LayerScratch { states, ifmap, fc, .. } = scratch;
-        self.dispatch(config, layer, input, &mut states[layer_idx], ifmap, fc, false, sink)
+        let LayerScratch { states, ifmap, fc, ops, .. } = scratch;
+        self.dispatch(config, network, idx, input, &mut states[idx], ifmap, fc, ops, false, sink)
     }
 
     /// Lower one layer *symbolically* from expected firing rates,
@@ -260,7 +298,7 @@ impl LayerExecutor {
         layer: &Layer,
         input_rate: f64,
         output_rate: f64,
-    ) -> StreamProgram {
+    ) -> StreamProgram<'static> {
         let (label, model) = (&layer.name, &layer.neuron);
         match &layer.kind {
             LayerKind::Conv(spec) if layer.encodes_input => {
@@ -330,23 +368,27 @@ impl LayerExecutor {
     /// step instead counts the step's realized nonzero inputs, which is
     /// what rate coding sparsifies).
     #[allow(clippy::too_many_arguments)]
-    fn dispatch(
+    fn dispatch<'s>(
         &self,
         config: &ClusterConfig,
-        layer: &Layer,
+        network: &Network,
+        idx: usize,
         input: LayerInput<'_>,
         state: &mut NeuronState,
-        ifmap: &mut CompressedIfmap,
-        fc: &mut CompressedFcInput,
+        ifmap: &'s mut CompressedIfmap,
+        fc: &'s mut CompressedFcInput,
+        ops: &mut OpBuffer,
         fresh: bool,
-        sink: &mut dyn ProgramSink,
+        sink: &mut dyn ProgramSink<'s>,
     ) -> (LayerExecution, SpikeMap) {
+        let layer = &network.layers()[idx];
+        let weights = network.quantized_weights(idx, self.format);
         match (&layer.kind, input) {
             (LayerKind::Conv(spec), LayerInput::Image(image)) => {
                 if fresh {
                     state.reset_for(&layer.neuron, spec.conv_output().len());
                 }
-                let out = self.lower_dense(config, layer, image, state, sink);
+                let out = self.lower_dense(config, layer, weights, image, state, ops, sink);
                 let padded = spec.padded_input();
                 let input_spikes = if fresh { padded.len() } else { image.count_nonzero() };
                 let exec = LayerExecution {
@@ -361,10 +403,11 @@ impl LayerExecutor {
             }
             (LayerKind::Conv(spec), LayerInput::Spikes(spikes)) => {
                 ifmap.refill_from(spikes);
+                let ifmap: &'s CompressedIfmap = ifmap;
                 if fresh {
                     state.reset_for(&layer.neuron, spec.conv_output().len());
                 }
-                let out = self.lower_conv(config, layer, ifmap, state, sink);
+                let out = self.lower_conv(config, layer, weights, ifmap, state, ops, sink);
                 let rate = ifmap.firing_rate();
                 let exec = LayerExecution {
                     input_rate: rate,
@@ -378,7 +421,7 @@ impl LayerExecutor {
             }
             (LayerKind::AvgPool(spec), LayerInput::Spikes(spikes)) => {
                 ifmap.refill_from(spikes);
-                let output = self.lower_pool(config, layer, spikes, sink);
+                let output = self.lower_pool(config, layer, spikes, ops, sink);
                 let rate = ifmap.firing_rate();
                 let exec = LayerExecution {
                     input_rate: rate,
@@ -392,10 +435,11 @@ impl LayerExecutor {
             }
             (LayerKind::Linear(spec), LayerInput::Spikes(spikes)) => {
                 fc.refill_from_map(spikes);
+                let fc: &'s CompressedFcInput = fc;
                 if fresh {
                     state.reset_for(&layer.neuron, spec.out_features);
                 }
-                let out = self.lower_fc(config, layer, fc, state, sink);
+                let out = self.lower_fc(config, layer, weights, fc, state, ops, sink);
                 let exec = LayerExecution {
                     input_rate: fc.spike_count() as f64 / spec.in_features as f64,
                     input_spikes: fc.spike_count() as u64,
@@ -422,7 +466,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use spikestream_snn::neuron::LifParams;
     use spikestream_snn::tensor::TensorShape;
-    use spikestream_snn::ConvSpec;
+    use spikestream_snn::{ConvSpec, NetworkBuilder};
 
     fn config() -> ClusterConfig {
         ClusterConfig::default()
@@ -444,6 +488,14 @@ mod tests {
         (layer, spec)
     }
 
+    /// A one-layer network around [`conv_layer`]'s layer.
+    fn conv_network(pool: bool) -> (Network, ConvSpec) {
+        let (layer, spec) = conv_layer(pool);
+        let mut net = NetworkBuilder::new("one").conv("conv", spec, layer.neuron).build();
+        net.layers_mut()[0].weights = layer.weights;
+        (net, spec)
+    }
+
     fn random_spikes(shape: TensorShape, rate: f64, seed: u64) -> SpikeMap {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut map = SpikeMap::silent(shape);
@@ -461,15 +513,17 @@ mod tests {
 
     #[test]
     fn conv_dispatch_reports_the_compressed_input() {
-        let (layer, spec) = conv_layer(false);
+        let (net, spec) = conv_network(false);
         let spikes = random_spikes(spec.padded_input(), 0.3, 11);
         let compressed = CompressedIfmap::from_spike_map(&spikes);
-        let mut program = StreamProgram::new(&layer.name, FpFormat::Fp16);
+        let mut scratch = LayerScratch::new();
+        let mut program = StreamProgram::new("conv", FpFormat::Fp16);
         let exec = LayerExecutor::new(KernelVariant::SpikeStream, FpFormat::Fp16).lower_exact(
             &config(),
-            &layer,
+            &net,
+            0,
             LayerInput::Spikes(&spikes),
-            &mut LayerScratch::new(),
+            &mut scratch,
             &mut program,
         );
         assert_eq!(exec.input_spikes, compressed.spike_count() as u64);
@@ -481,23 +535,33 @@ mod tests {
 
     #[test]
     fn executors_match_direct_kernel_invocations() {
-        let (layer, spec) = conv_layer(true);
+        let (net, spec) = conv_network(true);
+        let layer = &net.layers()[0];
         let spikes = random_spikes(spec.padded_input(), 0.25, 7);
 
         let executor = LayerExecutor::new(KernelVariant::Baseline, FpFormat::Fp16);
         let compressed = CompressedIfmap::from_spike_map(&spikes);
         let mut state = NeuronState::lif(spec.conv_output().len());
         let mut direct_program = StreamProgram::new(&layer.name, FpFormat::Fp16);
-        let direct_out =
-            executor.lower_conv(&config(), &layer, &compressed, &mut state, &mut direct_program);
+        let direct_out = executor.lower_conv(
+            &config(),
+            layer,
+            &layer.quantize_weights(executor.format()),
+            &compressed,
+            &mut state,
+            &mut OpBuffer::new(),
+            &mut direct_program,
+        );
         let direct_stats = interpret(&direct_program);
 
+        let mut scratch = LayerScratch::new();
         let mut program = StreamProgram::new(&layer.name, FpFormat::Fp16);
         let exec = executor.lower_exact(
             &config(),
-            &layer,
+            &net,
+            0,
             LayerInput::Spikes(&spikes),
-            &mut LayerScratch::new(),
+            &mut scratch,
             &mut program,
         );
         let exec_stats = interpret(&program);
@@ -509,33 +573,37 @@ mod tests {
 
     #[test]
     fn scratch_reuse_is_bit_identical_to_fresh_buffers() {
-        let (layer, spec) = conv_layer(true);
+        let (net, spec) = conv_network(true);
         let executor = LayerExecutor::new(KernelVariant::SpikeStream, FpFormat::Fp16);
         let mut scratch = LayerScratch::new();
         // Prime the scratch with a differently-shaped layer invocation.
         let warmup = random_spikes(spec.padded_input(), 0.5, 1);
         executor.lower_exact(
             &config(),
-            &layer,
+            &net,
+            0,
             LayerInput::Spikes(&warmup),
             &mut scratch,
-            &mut StreamProgram::new(&layer.name, FpFormat::Fp16),
+            &mut StreamProgram::new("conv", FpFormat::Fp16),
         );
 
         for seed in [2, 3, 4] {
             let spikes = random_spikes(spec.padded_input(), 0.2, seed);
-            let mut fresh_program = StreamProgram::new(&layer.name, FpFormat::Fp16);
+            let mut fresh_scratch = LayerScratch::new();
+            let mut fresh_program = StreamProgram::new("conv", FpFormat::Fp16);
             let fresh = executor.lower_exact(
                 &config(),
-                &layer,
+                &net,
+                0,
                 LayerInput::Spikes(&spikes),
-                &mut LayerScratch::new(),
+                &mut fresh_scratch,
                 &mut fresh_program,
             );
-            let mut reused_program = StreamProgram::new(&layer.name, FpFormat::Fp16);
+            let mut reused_program = StreamProgram::new("conv", FpFormat::Fp16);
             let reused = executor.lower_exact(
                 &config(),
-                &layer,
+                &net,
+                0,
                 LayerInput::Spikes(&spikes),
                 &mut scratch,
                 &mut reused_program,
@@ -551,11 +619,7 @@ mod tests {
 
     #[test]
     fn temporal_steps_persist_membrane_state_between_invocations() {
-        use spikestream_snn::NetworkBuilder;
-        let (layer, spec) = conv_layer(false);
-        let net = NetworkBuilder::new("one").conv("conv", spec, layer.neuron).build();
-        let mut net = net;
-        net.layers_mut()[0].weights = layer.weights.clone();
+        let (net, spec) = conv_network(false);
 
         let executor = LayerExecutor::new(KernelVariant::SpikeStream, FpFormat::Fp32);
         let mut scratch = LayerScratch::new();
@@ -571,7 +635,7 @@ mod tests {
             let mut program = StreamProgram::new("conv", FpFormat::Fp32);
             let (exec, out) = executor.lower_temporal_step(
                 &config(),
-                &net.layers()[0],
+                &net,
                 0,
                 LayerInput::Spikes(&spikes),
                 &mut scratch,
@@ -581,8 +645,10 @@ mod tests {
             let direct = executor.lower_conv(
                 &config(),
                 &net.layers()[0],
+                &net.layers()[0].quantize_weights(executor.format()),
                 &compressed,
                 &mut reference,
+                &mut OpBuffer::new(),
                 &mut direct_program,
             );
             assert_eq!(program, direct_program, "step {step} program");
@@ -599,15 +665,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "begin_sample")]
     fn temporal_step_without_begin_sample_is_rejected() {
-        let (layer, spec) = conv_layer(false);
+        let (net, spec) = conv_network(false);
         let spikes = random_spikes(spec.padded_input(), 0.2, 3);
         LayerExecutor::new(KernelVariant::Baseline, FpFormat::Fp16).lower_temporal_step(
             &config(),
-            &layer,
+            &net,
             0,
             LayerInput::Spikes(&spikes),
             &mut LayerScratch::new(),
-            &mut StreamProgram::new(&layer.name, FpFormat::Fp16),
+            &mut StreamProgram::new("conv", FpFormat::Fp16),
         );
     }
 
@@ -691,18 +757,21 @@ mod tests {
     #[should_panic(expected = "consume spikes")]
     fn dense_input_on_a_linear_layer_is_rejected() {
         use spikestream_snn::LinearSpec;
-        let layer = Layer::new(
-            "fc",
-            LayerKind::Linear(LinearSpec { in_features: 16, out_features: 4 }),
-            LifParams::new(0.5, 0.25),
-        );
+        let net = NetworkBuilder::new("fc")
+            .linear(
+                "fc",
+                LinearSpec { in_features: 16, out_features: 4 },
+                LifParams::new(0.5, 0.25),
+            )
+            .build();
         let image = Tensor3::zeros(TensorShape::new(4, 4, 1));
         LayerExecutor::new(KernelVariant::Baseline, FpFormat::Fp16).lower_exact(
             &config(),
-            &layer,
+            &net,
+            0,
             LayerInput::Image(&image),
             &mut LayerScratch::new(),
-            &mut StreamProgram::new(&layer.name, FpFormat::Fp16),
+            &mut StreamProgram::new("fc", FpFormat::Fp16),
         );
     }
 }

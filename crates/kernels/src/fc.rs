@@ -20,7 +20,7 @@ use spikestream_snn::{
 
 use crate::emit;
 use crate::tiling::TilingPlanner;
-use crate::{KernelVariant, LayerExecutor};
+use crate::{KernelVariant, LayerExecutor, OpBuffer};
 
 const CODE_REGION_FC_BASELINE: CodeRegion = CodeRegion { id: 0x20, bytes: 896 };
 const CODE_REGION_FC_SPIKESTREAM: CodeRegion = CodeRegion { id: 0x21, bytes: 1152 };
@@ -35,12 +35,11 @@ pub struct FcKernelOutput {
 }
 
 /// The instruction-cache regions the FC programs of `variant` fetch.
-fn code_regions(variant: KernelVariant) -> Vec<CodeRegion> {
-    let region = match variant {
-        KernelVariant::Baseline => CODE_REGION_FC_BASELINE,
-        KernelVariant::SpikeStream => CODE_REGION_FC_SPIKESTREAM,
-    };
-    vec![region]
+fn code_regions(variant: KernelVariant) -> &'static [CodeRegion] {
+    match variant {
+        KernelVariant::Baseline => &[CODE_REGION_FC_BASELINE],
+        KernelVariant::SpikeStream => &[CODE_REGION_FC_SPIKESTREAM],
+    }
 }
 
 /// Expected stream length of the gather under `input_rate`: the active
@@ -58,25 +57,32 @@ fn planned_active_inputs(spec: &LinearSpec, input_rate: f64) -> usize {
 impl LayerExecutor {
     /// Lower one fully connected invocation into `sink` as its exact
     /// stream program, computing the functional results along the way.
-    /// `state` is the neuron state of the output neurons, which the call
-    /// advances by one step.
+    /// `weights` are the layer's weights rounded to the executor's format
+    /// (see [`LayerExecutor::lower_conv`]), the program's gathers borrow
+    /// `input`'s active-feature list, and `state` is the neuron state of
+    /// the output neurons, which the call advances by one step. Each work
+    /// item is written into `buffer` before it goes to the sink.
     ///
     /// # Panics
     ///
-    /// Panics if `layer` is not fully connected, if the compressed input
-    /// size does not match the layer, or if the neuron state has the wrong
-    /// size.
-    pub fn lower_fc(
+    /// Panics if `layer` is not fully connected, if `weights` or the
+    /// compressed input size do not match the layer, or if the neuron
+    /// state has the wrong size.
+    #[allow(clippy::too_many_arguments)]
+    pub fn lower_fc<'a>(
         &self,
         config: &ClusterConfig,
         layer: &Layer,
-        input: &CompressedFcInput,
+        weights: &[f32],
+        input: &'a CompressedFcInput,
         state: &mut NeuronState,
-        sink: &mut dyn ProgramSink,
+        buffer: &mut OpBuffer,
+        sink: &mut dyn ProgramSink<'a>,
     ) -> FcKernelOutput {
         let LayerKind::Linear(spec) = &layer.kind else {
             panic!("lower_fc requires a fully connected layer");
         };
+        assert_eq!(weights.len(), layer.weights.len(), "one quantized weight per layer weight");
         assert_eq!(input.in_features(), spec.in_features, "input width mismatch");
         assert_eq!(state.len(), spec.out_features, "neuron state size mismatch");
 
@@ -97,23 +103,19 @@ impl LayerExecutor {
         for dma in plan.dma_in_phases() {
             sink.dma(dma);
         }
-        sink.compute(&code_regions(self.variant));
+        sink.compute(code_regions(self.variant));
 
         let mut currents = vec![0.0f32; spec.out_features];
         let mut spikes = SpikeMap::silent(TensorShape::new(1, 1, spec.out_features));
-        let mut ops = Vec::new();
-        // Every SIMD group gathers through the same active-input list; a
-        // collected program holds it once, shared across groups.
-        let idcs = IndexStream::exact(input.idcs().iter().map(|&i| i as u32));
+        let mut ops = buffer.lend();
 
         // Functional accumulation: every active input feature adds its
-        // (output-contiguous) weight row, quantized on the fly — the same
+        // (output-contiguous, pre-quantized) weight row — the same
         // per-output addition order as the former per-group scalar loop.
         for &i in input.idcs() {
             let row = spec.weight_index(i as usize, 0);
-            let row = &layer.weights[row..row + spec.out_features];
-            for (c, &w) in currents.iter_mut().zip(row) {
-                *c += self.format.quantize(w);
+            for (c, &w) in currents.iter_mut().zip(&weights[row..row + spec.out_features]) {
+                *c += w;
             }
         }
 
@@ -123,12 +125,14 @@ impl LayerExecutor {
             if s_len > 0 {
                 ops.push(match self.variant {
                     KernelVariant::Baseline => emit::baseline_spva(s_len as f64),
+                    // Every SIMD group gathers through the same borrowed
+                    // active-input list.
                     KernelVariant::SpikeStream => emit::streamed_spva(
                         idcs_base,
                         weights_base
                             .wrapping_add(((g * lanes) as u32 * self.format.bytes()) % spm_bytes),
                         lanes as u32 * self.format.bytes(),
-                        idcs.clone(),
+                        IndexStream::Exact(input.idcs()),
                     ),
                 });
             }
@@ -150,6 +154,7 @@ impl LayerExecutor {
             emit::model_state_writeback(&mut ops, &layer.neuron);
             sink.item(&ops);
         }
+        buffer.restore(ops);
         sink.end_compute();
         for dma in plan.dma_out_phases() {
             sink.dma(dma);
@@ -168,7 +173,7 @@ impl LayerExecutor {
         model: &NeuronModel,
         input_rate: f64,
         output_rate: f64,
-    ) -> StreamProgram {
+    ) -> StreamProgram<'static> {
         let lanes = self.format.simd_lanes() as usize;
         let groups = spec.out_features.div_ceil(lanes);
         let output_rate = output_rate.clamp(0.0, 1.0);
@@ -207,7 +212,7 @@ impl LayerExecutor {
         emit::model_state_writeback(&mut ops, model);
 
         program.push(Phase::Compute(ComputePhase {
-            code: code_regions(self.variant),
+            code: code_regions(self.variant).to_vec(),
             items: vec![WorkItem::replicated(groups as f64, ops)],
         }));
         for dma in plan.dma_out_phases() {
@@ -242,20 +247,22 @@ mod tests {
     }
 
     /// Lower `layer` on the default cluster from a resting LIF state.
-    fn lower(
+    fn lower<'a>(
         variant: KernelVariant,
         format: FpFormat,
         layer: &Layer,
-        input: &CompressedFcInput,
-    ) -> (StreamProgram, FcKernelOutput) {
+        input: &'a CompressedFcInput,
+    ) -> (StreamProgram<'a>, FcKernelOutput) {
         let LayerKind::Linear(spec) = &layer.kind else { unreachable!() };
         let mut state = NeuronState::lif(spec.out_features);
         let mut program = StreamProgram::new(&layer.name, format);
         let out = LayerExecutor::new(variant, format).lower_fc(
             &ClusterConfig::default(),
             layer,
+            &layer.quantize_weights(format),
             input,
             &mut state,
+            &mut OpBuffer::new(),
             &mut program,
         );
         (program, out)

@@ -50,7 +50,7 @@ pub mod pool;
 pub mod tiling;
 
 pub use conv::ConvKernelOutput;
-pub use executor::{LayerExecution, LayerExecutor, LayerInput, LayerScratch};
+pub use executor::{LayerExecution, LayerExecutor, LayerInput, LayerScratch, OpBuffer};
 pub use tiling::{LayerTilePlan, TilingPlanner};
 
 /// Which code variant a kernel emits.
@@ -75,7 +75,7 @@ impl std::fmt::Display for KernelVariant {
 /// Interpret `program` on a fresh default cluster: the kernel tests'
 /// stand-in for the cycle-level backend.
 #[cfg(test)]
-fn interpret(program: &spikestream_ir::StreamProgram) -> snitch_sim::PhaseStats {
+fn interpret(program: &spikestream_ir::StreamProgram<'_>) -> snitch_sim::PhaseStats {
     let config = snitch_arch::ClusterConfig::default();
     let mut cluster = snitch_sim::ClusterModel::new(config, snitch_arch::CostModel::default());
     snitch_sim::execute_program(&mut cluster, program);

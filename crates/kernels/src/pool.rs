@@ -13,29 +13,36 @@
 use snitch_arch::isa::FpOp;
 use snitch_arch::{ClusterConfig, SsrId};
 use spikestream_ir::{
-    CodeRegion, ComputePhase, KernelOp, Phase, ProgramSink, StreamProgram, StreamSpec, WorkItem,
+    AffineDims, CodeRegion, ComputePhase, KernelOp, LoopBody, Phase, ProgramSink, Ssrs,
+    StreamProgram, StreamSpec, WorkItem,
 };
 use spikestream_snn::reference::avg_pool;
 use spikestream_snn::{Layer, LayerKind, PoolSpec, SpikeMap};
 
 use crate::emit;
 use crate::tiling::TilingPlanner;
-use crate::{KernelVariant, LayerExecutor};
+use crate::{KernelVariant, LayerExecutor, OpBuffer};
 
 const CODE_REGION_POOL_BASELINE: CodeRegion = CodeRegion { id: 0x40, bytes: 512 };
 const CODE_REGION_POOL_SPIKESTREAM: CodeRegion = CodeRegion { id: 0x41, bytes: 704 };
 
 /// The instruction-cache regions the pooling programs of `variant` fetch.
-fn code_regions(variant: KernelVariant) -> Vec<CodeRegion> {
-    vec![match variant {
-        KernelVariant::Baseline => CODE_REGION_POOL_BASELINE,
-        KernelVariant::SpikeStream => CODE_REGION_POOL_SPIKESTREAM,
-    }]
+fn code_regions(variant: KernelVariant) -> &'static [CodeRegion] {
+    match variant {
+        KernelVariant::Baseline => &[CODE_REGION_POOL_BASELINE],
+        KernelVariant::SpikeStream => &[CODE_REGION_POOL_SPIKESTREAM],
+    }
 }
+
+/// One window element of the baseline pooling loop: load the spike word,
+/// add it, bump the pointer, branch.
+static BASELINE_WINDOW_BODY: [KernelOp<'static>; 4] =
+    [KernelOp::fp(FpOp::Load), KernelOp::fp(FpOp::Add), KernelOp::alu(), KernelOp::branch()];
 
 impl LayerExecutor {
     /// Lower one pooling invocation into `sink` as its exact stream
-    /// program, computing the output spikes along the way.
+    /// program, computing the output spikes along the way. Each work item
+    /// is written into `buffer` before it goes to the sink.
     ///
     /// # Panics
     ///
@@ -46,7 +53,8 @@ impl LayerExecutor {
         config: &ClusterConfig,
         layer: &Layer,
         input: &SpikeMap,
-        sink: &mut dyn ProgramSink,
+        buffer: &mut OpBuffer,
+        sink: &mut dyn ProgramSink<'_>,
     ) -> SpikeMap {
         let LayerKind::AvgPool(spec) = &layer.kind else {
             panic!("lower_pool requires an average-pooling layer");
@@ -65,9 +73,9 @@ impl LayerExecutor {
         for dma in plan.dma_in_phases() {
             sink.dma(dma);
         }
-        sink.compute(&code_regions(self.variant));
+        sink.compute(code_regions(self.variant));
 
-        let mut ops = Vec::new();
+        let mut ops = buffer.lend();
         for oh in 0..out.h {
             for ow in 0..out.w {
                 emit::claim(&mut ops);
@@ -90,6 +98,7 @@ impl LayerExecutor {
                 sink.item(&ops);
             }
         }
+        buffer.restore(ops);
         sink.end_compute();
         for dma in plan.dma_out_phases() {
             sink.dma(dma);
@@ -106,7 +115,7 @@ impl LayerExecutor {
         label: &str,
         spec: &PoolSpec,
         output_rate: f64,
-    ) -> StreamProgram {
+    ) -> StreamProgram<'static> {
         let lanes = self.format.simd_lanes() as usize;
         let out = spec.output();
         let groups = spec.input.c.div_ceil(lanes);
@@ -130,9 +139,9 @@ impl LayerExecutor {
 
         let mut ops = Vec::new();
         emit::claim(&mut ops);
-        ops.push(KernelOp::Loop { body: group, reps: groups as f64 });
+        ops.push(KernelOp::Loop { body: group.into(), reps: groups as f64 });
         program.push(Phase::Compute(ComputePhase {
-            code: code_regions(self.variant),
+            code: code_regions(self.variant).to_vec(),
             items: vec![WorkItem::replicated((out.h * out.w) as f64, ops)],
         }));
         for dma in plan.dma_out_phases() {
@@ -144,7 +153,7 @@ impl LayerExecutor {
     /// Accumulate one window of spike words for one channel group.
     fn pool_window(
         &self,
-        ops: &mut Vec<KernelOp>,
+        ops: &mut Vec<KernelOp<'_>>,
         spec: &PoolSpec,
         pos: (usize, usize, usize),
         in_base: u32,
@@ -160,24 +169,21 @@ impl LayerExecutor {
         };
         match self.variant {
             KernelVariant::Baseline => ops.push(KernelOp::Loop {
-                body: vec![
-                    KernelOp::fp(FpOp::Load),
-                    KernelOp::fp(FpOp::Add),
-                    KernelOp::alu(),
-                    KernelOp::branch(),
-                ],
+                body: LoopBody::Template(&BASELINE_WINDOW_BODY),
                 reps: (window * window) as f64,
             }),
             KernelVariant::SpikeStream => ops.push(KernelOp::Stream {
-                ssrs: vec![(
+                ssrs: Ssrs::One((
                     SsrId::Ssr2,
                     StreamSpec::Affine {
                         base: cell_base,
-                        strides: vec![spec.input.c as i64, (spec.input.w * spec.input.c) as i64],
-                        bounds: vec![window as u32, window as u32],
+                        dims: AffineDims::new(&[
+                            (spec.input.c as i32, window as u32),
+                            ((spec.input.w * spec.input.c) as i32, window as u32),
+                        ]),
                         elem_bytes: lanes as u32,
                     },
-                )],
+                )),
                 op: FpOp::Add,
             }),
         }
@@ -216,12 +222,17 @@ mod tests {
         map
     }
 
-    fn lower(variant: KernelVariant, layer: &Layer, input: &SpikeMap) -> (StreamProgram, SpikeMap) {
+    fn lower(
+        variant: KernelVariant,
+        layer: &Layer,
+        input: &SpikeMap,
+    ) -> (StreamProgram<'static>, SpikeMap) {
         let mut program = StreamProgram::new(&layer.name, FpFormat::Fp16);
         let output = LayerExecutor::new(variant, FpFormat::Fp16).lower_pool(
             &ClusterConfig::default(),
             layer,
             input,
+            &mut OpBuffer::new(),
             &mut program,
         );
         (program, output)

@@ -40,12 +40,12 @@ impl BankConflictModel {
         index_bytes: u32,
         data_base: u32,
         elem_bytes: u32,
-        indices: &[u32],
+        indices: &[u16],
     ) -> u64 {
         let mut stalls = 0u64;
         for (k, &idx) in indices.iter().enumerate() {
             let index_addr = index_base + k as u32 * index_bytes;
-            let gather = data_base.wrapping_add(idx * elem_bytes);
+            let gather = data_base.wrapping_add(u32::from(idx) * elem_bytes);
             if self.bank_of(index_addr) == self.bank_of(gather) {
                 stalls += 1;
             }

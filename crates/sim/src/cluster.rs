@@ -178,7 +178,7 @@ mod tests {
     use snitch_arch::isa::FpOp;
     use snitch_arch::SsrId;
     use snitch_mem::dma::DmaDirection;
-    use spikestream_ir::{IndexStream, KernelOp, StreamSpec};
+    use spikestream_ir::{IndexStream, KernelOp, Ssrs, StreamSpec};
 
     fn cluster() -> ClusterModel {
         ClusterModel::new(ClusterConfig::default(), CostModel::default())
@@ -187,19 +187,20 @@ mod tests {
     #[test]
     fn phase_cycles_track_the_slowest_core() {
         let mut cl = cluster();
+        let idcs: Vec<u16> = (0..1000).collect();
         for core in 0..cl.worker_cores() {
             let reps = if core == 3 { 1000 } else { 10 };
             let spva = KernelOp::Stream {
-                ssrs: vec![(
+                ssrs: Ssrs::One((
                     SsrId::Ssr0,
                     StreamSpec::Indirect {
                         index_base: 0,
                         index_bytes: 2,
                         data_base: 0x1000,
                         elem_bytes: 8,
-                        indices: IndexStream::exact(0..reps),
+                        indices: IndexStream::Exact(&idcs[..reps]),
                     },
-                )],
+                )),
                 op: FpOp::Add,
             };
             cl.core_mut(core).exec(&spva, FpFormat::Fp16);

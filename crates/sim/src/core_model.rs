@@ -10,12 +10,14 @@
 //! what produces the per-layer utilization and speedup shapes in Fig. 3 of
 //! the paper.
 //!
-//! The model executes the stream-program IR directly: its one entry point,
-//! [`WorkerCoreModel::exec`], advances the core by one [`KernelOp`].
+//! The model executes the stream-program IR directly:
+//! [`WorkerCoreModel::exec`] advances the core by one [`KernelOp`], and
+//! [`WorkerCoreModel::exec_item`] by a work item's op sequence, folding each
+//! run of consecutive `Int` ops into one pipeline update.
 
 use std::collections::VecDeque;
 
-use snitch_arch::isa::{FpOp, IntOp};
+use snitch_arch::isa::FpOp;
 use snitch_arch::{ClusterConfig, CostModel, FpFormat, SsrId};
 use snitch_mem::BankConflictModel;
 use spikestream_ir::{IndexStream, KernelOp, StreamSpec};
@@ -72,9 +74,12 @@ impl WorkerCoreModel {
     /// Panics on a symbolic stream (`IndexStream::Expected`) and on an
     /// indirect stream bound to an SSR without indirection support. Only
     /// exact programs are executable; symbolic ones can only be integrated.
-    pub fn exec(&mut self, op: &KernelOp, format: FpFormat) {
+    pub fn exec(&mut self, op: &KernelOp<'_>, format: FpFormat) {
         match op {
-            KernelOp::Int { op, reps, .. } => self.exec_int_repeated(*op, int_reps(*reps)),
+            KernelOp::Int { op, reps } => {
+                let reps = int_reps(*reps);
+                self.issue_int(self.cost.int_cycles(*op) * reps, reps);
+            }
             KernelOp::Fp { op, reps, .. } => self.exec_fp_repeated(*op, format, int_reps(*reps)),
             KernelOp::Loop { body, reps } => {
                 let reps = int_reps(*reps);
@@ -85,13 +90,13 @@ impl WorkerCoreModel {
                     self.exec_straight_loop(body, format, reps);
                 } else {
                     for _ in 0..reps {
-                        for inner in body {
+                        for inner in body.iter() {
                             self.exec(inner, format);
                         }
                     }
                 }
             }
-            KernelOp::Stream { ssrs, op } => self.exec_stream(ssrs, *op, format),
+            KernelOp::Stream { ssrs, op } => self.exec_stream(ssrs.as_slice(), *op, format),
             KernelOp::Barrier => {
                 self.int_time = self.int_time.max(self.fpu_time);
                 self.outstanding_freps.clear();
@@ -102,13 +107,37 @@ impl WorkerCoreModel {
         }
     }
 
-    /// Execute the same integer operation `reps` times.
+    /// Execute a work item's ops in order, as [`WorkerCoreModel::exec`]
+    /// would one by one, except that each run of consecutive `Int` ops
+    /// advances the integer pipeline once by the run's summed cycles and
+    /// instructions. Integer timing is additive and carries no state
+    /// between ops, so the fold is exact.
     ///
-    /// Integer op timing carries no cross-iteration state, so the per-op
-    /// cost multiplies exactly.
-    fn exec_int_repeated(&mut self, op: IntOp, reps: u64) {
-        self.int_time += self.cost.int_cycles(op) * reps;
-        self.counters.int_instrs += reps;
+    /// # Panics
+    ///
+    /// Panics where [`WorkerCoreModel::exec`] does.
+    pub fn exec_item(&mut self, ops: &[KernelOp<'_>], format: FpFormat) {
+        let (mut cycles, mut instrs) = (0u64, 0u64);
+        for op in ops {
+            if let KernelOp::Int { op, reps } = op {
+                let reps = int_reps(*reps);
+                cycles += self.cost.int_cycles(*op) * reps;
+                instrs += reps;
+                continue;
+            }
+            self.issue_int(cycles, instrs);
+            (cycles, instrs) = (0, 0);
+            self.exec(op, format);
+        }
+        self.issue_int(cycles, instrs);
+    }
+
+    /// Advance the integer pipeline by `cycles` for `instrs` integer
+    /// instructions. Integer op timing carries no cross-op state, so any
+    /// number of integer ops costs the sum of their cycles.
+    fn issue_int(&mut self, cycles: u64, instrs: u64) {
+        self.int_time += cycles;
+        self.counters.int_instrs += instrs;
         self.counters.int_cycles = self.int_time;
     }
 
@@ -152,7 +181,7 @@ impl WorkerCoreModel {
     /// op through the integer core, so the FP subsystem finishes together
     /// with the integer pipeline. `CostIntegrator` prices such loops the
     /// same way.
-    fn exec_straight_loop(&mut self, body: &[KernelOp], format: FpFormat, reps: u64) {
+    fn exec_straight_loop(&mut self, body: &[KernelOp<'_>], format: FpFormat, reps: u64) {
         let lanes = format.simd_lanes() as u64;
         let mut int_cycles = 0u64;
         let mut int_instrs = 0u64;
@@ -161,7 +190,7 @@ impl WorkerCoreModel {
         let mut flops = 0u64;
         for op in body {
             match op {
-                KernelOp::Int { op, reps, .. } => {
+                KernelOp::Int { op, reps } => {
                     let n = int_reps(*reps);
                     int_cycles += self.cost.int_cycles(*op) * n;
                     int_instrs += n;
@@ -193,7 +222,7 @@ impl WorkerCoreModel {
     /// shadow registers (so setup overlaps the running stream) and drain
     /// them under a single-FP-op FREP region, walking the exact index words
     /// in place.
-    fn exec_stream(&mut self, ssrs: &[(SsrId, StreamSpec)], op: FpOp, format: FpFormat) {
+    fn exec_stream(&mut self, ssrs: &[(SsrId, StreamSpec<'_>)], op: FpOp, format: FpFormat) {
         // SSR configuration: the CSR writes of every pattern dimension.
         let mut reps = 0u64;
         for (ssr, spec) in ssrs {
@@ -201,7 +230,7 @@ impl WorkerCoreModel {
                 panic!("SSR {ssr:?} does not support indirect streams");
             }
             let writes = match spec {
-                StreamSpec::Affine { strides, .. } => 2 + 2 * strides.len() as u64,
+                StreamSpec::Affine { dims, .. } => 2 + 2 * dims.len() as u64,
                 StreamSpec::Indirect { .. } => 4,
             };
             self.int_time += writes * self.cost.ssr_config_write;
@@ -298,9 +327,9 @@ impl WorkerCoreModel {
     /// # Panics
     ///
     /// Panics on symbolic streams.
-    fn spec_length(spec: &StreamSpec) -> u64 {
+    fn spec_length(spec: &StreamSpec<'_>) -> u64 {
         match spec {
-            StreamSpec::Affine { bounds, .. } => bounds.iter().map(|&b| b as u64).product(),
+            StreamSpec::Affine { dims, .. } => dims.bounds().iter().map(|&b| b as u64).product(),
             StreamSpec::Indirect { indices: IndexStream::Exact(v), .. } => v.len() as u64,
             StreamSpec::Indirect { indices: IndexStream::Expected(_), .. } => {
                 panic!("symbolic streams cannot be interpreted, only integrated")
@@ -381,6 +410,7 @@ fn int_reps(reps: f64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spikestream_ir::Ssrs;
 
     const F: FpFormat = FpFormat::Fp16;
 
@@ -388,27 +418,38 @@ mod tests {
         WorkerCoreModel::new(&ClusterConfig::default(), CostModel::default(), 0)
     }
 
+    /// Gather indices `0..n` for the streams below.
+    static IOTA: [u16; 1024] = {
+        let mut iota = [0u16; 1024];
+        let mut i = 0;
+        while i < iota.len() {
+            iota[i] = i as u16;
+            i += 1;
+        }
+        iota
+    };
+
     /// A streamed SpVA (Listing 1c): one indirect stream of `n` gathered
     /// weights accumulated by a single-instruction FREP body.
-    fn gather(ssr: SsrId, n: u32) -> KernelOp {
+    fn gather(ssr: SsrId, n: usize) -> KernelOp<'static> {
         KernelOp::Stream {
-            ssrs: vec![(
+            ssrs: Ssrs::One((
                 ssr,
                 StreamSpec::Indirect {
                     index_base: 0x100,
                     index_bytes: 2,
                     data_base: 0x1000,
                     elem_bytes: 8,
-                    indices: IndexStream::exact(0..n),
+                    indices: IndexStream::Exact(&IOTA[..n]),
                 },
-            )],
+            )),
             op: FpOp::Add,
         }
     }
 
     /// One element of the baseline SpVA loop (Listing 1b): lw, slli, add,
     /// fld, addi, addi, fadd, bne.
-    fn baseline_spva_body() -> Vec<KernelOp> {
+    fn baseline_spva_body() -> Vec<KernelOp<'static>> {
         vec![
             KernelOp::load(),
             KernelOp::alu().times(2.0),
@@ -444,7 +485,7 @@ mod tests {
         // Per element the integer core executes 7 instructions plus the fld
         // and fadd; the FPU does one cycle of useful work.
         let mut c = core();
-        c.exec(&KernelOp::Loop { body: baseline_spva_body(), reps: 100.0 }, F);
+        c.exec(&KernelOp::Loop { body: baseline_spva_body().into(), reps: 100.0 }, F);
         let util = c.counters().fpu_utilization();
         assert!(util > 0.05 && util < 0.20, "baseline utilization ~10%, got {util}");
     }
@@ -452,7 +493,7 @@ mod tests {
     #[test]
     fn straight_line_loop_matches_its_unrolled_body() {
         let mut looped = core();
-        looped.exec(&KernelOp::Loop { body: baseline_spva_body(), reps: 100.0 }, F);
+        looped.exec(&KernelOp::Loop { body: baseline_spva_body().into(), reps: 100.0 }, F);
         let mut unrolled = core();
         for _ in 0..100 {
             for op in &baseline_spva_body() {
@@ -473,7 +514,7 @@ mod tests {
         let mut c = core();
         c.exec(&KernelOp::alu(), F);
         let before = c.clone();
-        c.exec(&KernelOp::Loop { body: baseline_spva_body(), reps: 0.0 }, F);
+        c.exec(&KernelOp::Loop { body: baseline_spva_body().into(), reps: 0.0 }, F);
         assert_eq!(c.fpu_time(), before.fpu_time(), "the FPU clock does not move");
         assert_eq!(c.counters(), before.counters());
     }
@@ -551,7 +592,7 @@ mod tests {
             elem_bytes: 8,
             indices: IndexStream::Expected(4.0),
         };
-        core().exec(&KernelOp::Stream { ssrs: vec![(SsrId::Ssr0, spec)], op: FpOp::Add }, F);
+        core().exec(&KernelOp::Stream { ssrs: Ssrs::One((SsrId::Ssr0, spec)), op: FpOp::Add }, F);
     }
 
     #[test]

@@ -42,17 +42,20 @@
 //! use snitch_arch::isa::FpOp;
 //! use snitch_arch::{ClusterConfig, CostModel, FpFormat, SsrId};
 //! use snitch_sim::WorkerCoreModel;
-//! use spikestream_ir::{IndexStream, KernelOp, StreamSpec};
+//! use spikestream_ir::{IndexStream, KernelOp, Ssrs, StreamSpec};
 //!
 //! let mut core = WorkerCoreModel::new(&ClusterConfig::default(), CostModel::default(), 0);
+//! // The active input channels the stream gathers through, as a compressed
+//! // ifmap stores them.
+//! let active: Vec<u16> = (0..64).collect();
 //! let gather = StreamSpec::Indirect {
 //!     index_base: 0x100,
 //!     index_bytes: 2,
 //!     data_base: 0x1000,
 //!     elem_bytes: 8,
-//!     indices: IndexStream::exact(0..64),
+//!     indices: IndexStream::Exact(&active),
 //! };
-//! let spva = KernelOp::Stream { ssrs: vec![(SsrId::Ssr0, gather)], op: FpOp::Add };
+//! let spva = KernelOp::Stream { ssrs: Ssrs::One((SsrId::Ssr0, gather)), op: FpOp::Add };
 //! core.exec(&spva, FpFormat::Fp16);
 //! core.exec(&KernelOp::Barrier, FpFormat::Fp16);
 //! assert_eq!(core.counters().stream_elements, 64);

@@ -9,8 +9,10 @@
 //! worker core whose pipeline is the least advanced in time — exactly the
 //! atomic `next_rf` workload-stealing scheme of the paper's Fig. 2b — which
 //! executes the item's [`KernelOp`]s directly on its
-//! [`WorkerCoreModel`](crate::WorkerCoreModel). [`execute_program`] replays
-//! a collected [`StreamProgram`] into the same interpreter.
+//! [`WorkerCoreModel`](crate::WorkerCoreModel), one pipeline update per run
+//! of consecutive integer ops ([`WorkerCoreModel::exec_item`](crate::WorkerCoreModel::exec_item)).
+//! [`execute_program`] replays a collected [`StreamProgram`] into the same
+//! interpreter.
 //!
 //! The analytic backend prices the *same* programs with
 //! `spikestream_ir::CostIntegrator`; this module is the other consumer of
@@ -50,7 +52,7 @@ impl<'a> Interpreter<'a> {
     }
 }
 
-impl ProgramSink for Interpreter<'_> {
+impl<'a> ProgramSink<'a> for Interpreter<'_> {
     fn dma(&mut self, phase: DmaPhase) {
         let at = if phase.direction == DmaDirection::Out && !phase.double_buffered {
             // Epilogue write-back: wait for the compute stream.
@@ -72,15 +74,12 @@ impl ProgramSink for Interpreter<'_> {
         self.code.extend_from_slice(code);
     }
 
-    fn item(&mut self, ops: &[KernelOp]) {
+    fn item(&mut self, ops: &[KernelOp<'a>]) {
         let core = self.cluster.least_busy_core();
         for region in &self.code {
             self.cluster.fetch_code(core, region.id, region.bytes);
         }
-        let model = self.cluster.core_mut(core);
-        for op in ops {
-            model.exec(op, self.format);
-        }
+        self.cluster.core_mut(core).exec_item(ops, self.format);
     }
 
     fn end_compute(&mut self) {
@@ -102,7 +101,7 @@ impl ProgramSink for Interpreter<'_> {
 ///
 /// Panics if the program is symbolic (fractional repetition counts or
 /// expected-length streams) — symbolic programs can only be integrated.
-pub fn execute_program(cluster: &mut ClusterModel, program: &StreamProgram) {
+pub fn execute_program(cluster: &mut ClusterModel, program: &StreamProgram<'_>) {
     assert!(
         !program.is_symbolic(),
         "symbolic programs cannot be interpreted; use the analytic cost integration"
@@ -135,34 +134,39 @@ mod tests {
     use snitch_arch::isa::FpOp;
     use snitch_arch::{ClusterConfig, CostModel, FpFormat, SsrId};
     use spikestream_ir::{
-        CodeRegion, ComputePhase, CostIntegrator, DmaPhase, IndexStream, StreamSpec, WorkItem,
+        CodeRegion, ComputePhase, CostIntegrator, DmaPhase, IndexStream, Ssrs, StreamSpec, WorkItem,
     };
 
     fn cluster() -> ClusterModel {
         ClusterModel::new(ClusterConfig::default(), CostModel::default())
     }
 
-    fn stream_item(n: u32) -> WorkItem {
+    /// A claimed gather through `idcs`.
+    fn stream_item(idcs: &[u16]) -> WorkItem<'_> {
         WorkItem::new(vec![
             KernelOp::amo(),
             KernelOp::branch(),
             KernelOp::Stream {
-                ssrs: vec![(
+                ssrs: Ssrs::One((
                     SsrId::Ssr0,
                     StreamSpec::Indirect {
                         index_base: 0x100,
                         index_bytes: 2,
                         data_base: 0x1000,
                         elem_bytes: 8,
-                        indices: IndexStream::Exact((0..n).collect()),
+                        indices: IndexStream::Exact(idcs),
                     },
-                )],
+                )),
                 op: FpOp::Add,
             },
         ])
     }
 
-    fn program(items: Vec<WorkItem>) -> StreamProgram {
+    fn iota(n: u16) -> Vec<u16> {
+        (0..n).collect()
+    }
+
+    fn program(items: Vec<WorkItem<'_>>) -> StreamProgram<'_> {
         let mut p = StreamProgram::new("test", FpFormat::Fp16);
         p.push(Phase::Dma(DmaPhase::contiguous(DmaDirection::In, 4096, false)));
         p.push(Phase::Compute(ComputePhase {
@@ -175,7 +179,8 @@ mod tests {
 
     #[test]
     fn interpreter_and_integrator_agree_exactly_on_totals() {
-        let p = program((0..32).map(|_| stream_item(128)).collect());
+        let idcs = iota(128);
+        let p = program((0..32).map(|_| stream_item(&idcs)).collect());
         let mut cl = cluster();
         execute_program(&mut cl, &p);
         let stats = cl.finish_phase("x");
@@ -216,6 +221,7 @@ mod tests {
 
     #[test]
     fn double_buffered_transfers_overlap_compute() {
+        let idcs = iota(256);
         let mut p = StreamProgram::new("db", FpFormat::Fp16);
         p.push(Phase::Dma(DmaPhase::contiguous(DmaDirection::In, 1 << 14, false)));
         for _ in 0..4 {
@@ -223,7 +229,7 @@ mod tests {
         }
         p.push(Phase::Compute(ComputePhase {
             code: vec![],
-            items: (0..64).map(|_| stream_item(256)).collect(),
+            items: (0..64).map(|_| stream_item(&idcs)).collect(),
         }));
         let mut cl = cluster();
         execute_program(&mut cl, &p);
@@ -239,10 +245,11 @@ mod tests {
 
     #[test]
     fn epilogue_writeback_waits_for_compute() {
+        let idcs = iota(512);
         let mut p = StreamProgram::new("ep", FpFormat::Fp16);
         p.push(Phase::Compute(ComputePhase {
             code: vec![],
-            items: (0..8).map(|_| stream_item(512)).collect(),
+            items: (0..8).map(|_| stream_item(&idcs)).collect(),
         }));
         p.push(Phase::Dma(DmaPhase::contiguous(DmaDirection::Out, 4096, false)));
         let mut cl = cluster();
@@ -265,7 +272,8 @@ mod tests {
 
     #[test]
     fn work_items_spread_over_all_cores() {
-        let p = program((0..16).map(|_| stream_item(64)).collect());
+        let idcs = iota(64);
+        let p = program((0..16).map(|_| stream_item(&idcs)).collect());
         let mut cl = cluster();
         execute_program(&mut cl, &p);
         assert!(cl.cores().iter().all(|c| c.counters().int_instrs > 0), "every core claims work");

@@ -6,6 +6,7 @@
 //! and can be read as one SIMD group (Section III-C of the paper).
 
 use rand::Rng;
+use snitch_arch::fp::FpFormat;
 
 use crate::neuron::NeuronModel;
 use crate::tensor::TensorShape;
@@ -200,6 +201,13 @@ impl Layer {
         for w in &mut self.weights {
             *w = rng.gen_range(-scale..=scale);
         }
+    }
+
+    /// The weights rounded to the storage `format`, in the same layout.
+    /// The exact emitters accumulate these; [`Network::quantized_weights`](crate::Network::quantized_weights)
+    /// keeps them per network so a layer is quantized once per format.
+    pub fn quantize_weights(&self, format: FpFormat) -> Vec<f32> {
+        self.weights.iter().map(|&w| format.quantize(w)).collect()
     }
 
     /// Memory footprint of the weights in bytes for the given element size.

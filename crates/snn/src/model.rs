@@ -1,7 +1,10 @@
 //! Network container and the S-VGG11 model used in the paper's evaluation.
 
+use std::sync::OnceLock;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use snitch_arch::fp::FpFormat;
 
 use crate::layer::{ConvSpec, Layer, LayerKind, LinearSpec, PoolSpec};
 use crate::neuron::{LifParams, NeuronModel};
@@ -13,6 +16,42 @@ pub struct Network {
     /// Name of the network (e.g. `S-VGG11`).
     pub name: String,
     layers: Vec<Layer>,
+    quantized: QuantizedWeights,
+}
+
+/// Number of [`FpFormat`]s, one memo slot each.
+const FORMATS: usize = 4;
+
+/// One layer's weights rounded to each storage format, indexed by format.
+type FormatSlots = [OnceLock<Box<[f32]>>; FORMATS];
+
+/// Every layer's weights rounded to each storage format, each filled on its
+/// first use. The memo is derived from the layers, so it takes no part in
+/// a network's equality.
+#[derive(Clone)]
+struct QuantizedWeights(Box<[FormatSlots]>);
+
+impl QuantizedWeights {
+    fn new(layers: usize) -> Self {
+        QuantizedWeights((0..layers).map(|_| Default::default()).collect())
+    }
+
+    /// Drop every memoized layer.
+    fn clear(&mut self) {
+        self.0.iter_mut().flatten().for_each(|slot| *slot = OnceLock::new());
+    }
+}
+
+impl PartialEq for QuantizedWeights {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl std::fmt::Debug for QuantizedWeights {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("QuantizedWeights").finish_non_exhaustive()
+    }
 }
 
 impl Network {
@@ -21,9 +60,25 @@ impl Network {
         &self.layers
     }
 
-    /// Mutable layer access.
+    /// Mutable layer access. Drops the memo of
+    /// [`Network::quantized_weights`], so weights changed through it are
+    /// quantized afresh on their next use.
     pub fn layers_mut(&mut self) -> &mut [Layer] {
+        self.quantized.clear();
         &mut self.layers
+    }
+
+    /// Layer `idx`'s weights rounded to `format`
+    /// ([`Layer::quantize_weights`]). The first call per (layer, format)
+    /// quantizes them; later calls, from any thread, return the same
+    /// slice until [`Network::layers_mut`] is next called.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of range.
+    pub fn quantized_weights(&self, idx: usize, format: FpFormat) -> &[f32] {
+        self.quantized.0[idx][format as usize]
+            .get_or_init(|| self.layers[idx].quantize_weights(format).into())
     }
 
     /// Number of layers.
@@ -39,7 +94,7 @@ impl Network {
     /// Set every layer's neuron model (how the scenario `[neuron_model]`
     /// table applies one model network-wide).
     pub fn set_neuron_model(&mut self, model: NeuronModel) {
-        for layer in &mut self.layers {
+        for layer in self.layers_mut() {
             layer.neuron = model;
         }
     }
@@ -106,7 +161,7 @@ impl Network {
             .linear("fc7", LinearSpec { in_features: 4 * 4 * 512, out_features: 1024 }, lif)
             .linear("fc8", LinearSpec { in_features: 1024, out_features: 10 }, lif);
         let mut net = b.build_with_random_weights(seed, 0.05);
-        net.layers[0].encodes_input = true;
+        net.layers_mut()[0].encodes_input = true;
         net
     }
 }
@@ -145,14 +200,15 @@ impl NetworkBuilder {
 
     /// Finish with zero weights.
     pub fn build(self) -> Network {
-        Network { name: self.name, layers: self.layers }
+        let quantized = QuantizedWeights::new(self.layers.len());
+        Network { name: self.name, layers: self.layers, quantized }
     }
 
     /// Finish and randomize all weights from `seed`.
     pub fn build_with_random_weights(self, seed: u64, scale: f32) -> Network {
         let mut net = self.build();
         let mut rng = StdRng::seed_from_u64(seed);
-        for layer in &mut net.layers {
+        for layer in net.layers_mut() {
             layer.randomize_weights(&mut rng, scale);
         }
         net
@@ -225,6 +281,23 @@ mod tests {
         let c = Network::svgg11(124);
         assert_eq!(a.layers()[0].weights, b.layers()[0].weights);
         assert_ne!(a.layers()[0].weights, c.layers()[0].weights);
+    }
+
+    #[test]
+    fn quantized_weights_are_memoized_until_the_layers_change() {
+        let mut net = Network::svgg11(5);
+        let fp8 = net.quantized_weights(7, FpFormat::Fp8);
+        assert_eq!(fp8, net.layers()[7].quantize_weights(FpFormat::Fp8));
+        assert!(std::ptr::eq(fp8, net.quantized_weights(7, FpFormat::Fp8)), "memoized");
+        assert_ne!(fp8, net.quantized_weights(7, FpFormat::Fp16), "one slot per format");
+        assert_eq!(net.clone(), net, "the memo is not part of the value");
+
+        net.layers_mut()[7].weights[0] = 0.75;
+        assert_eq!(net.quantized_weights(7, FpFormat::Fp8)[0], FpFormat::Fp8.quantize(0.75));
+        assert_eq!(
+            net.quantized_weights(7, FpFormat::Fp8),
+            net.layers()[7].quantize_weights(FpFormat::Fp8)
+        );
     }
 
     #[test]

@@ -633,11 +633,18 @@ fn parse_figures(args: &[String]) -> Result<(Vec<Figure>, usize), String> {
 
 fn cmd_figures(args: &[String]) -> Result<(), String> {
     let (figures, batch) = parse_figures(args)?;
-    println!("SpikeStream reproduction — batch size {batch}\n");
-    for figure in figures {
-        println!("{}", figure_table(figure, batch));
-    }
+    print!("{}", figures_report(&figures, batch));
     Ok(())
+}
+
+/// What `figures` prints: a header, then each table and a blank line.
+fn figures_report(figures: &[Figure], batch: usize) -> String {
+    let mut out = format!("SpikeStream reproduction — batch size {batch}\n\n");
+    for &figure in figures {
+        out.push_str(&figure_table(figure, batch));
+        out.push('\n');
+    }
+    out
 }
 
 /// Nearest-rank percentile of an ascending-sorted slice.
@@ -876,6 +883,14 @@ mod tests {
             let table = figure_table(figure, 2);
             assert!(table.len() > 40, "{figure:?} produced an implausibly short table");
         }
+    }
+
+    #[test]
+    fn figures_match_the_checked_in_golden() {
+        // The one golden of the Baseline S-VGG11 analytic path, the
+        // ablation's cost models and Fig. 5's accelerator models.
+        let golden = include_str!("../../tests/golden/figures_batch8.txt");
+        assert_eq!(figures_report(&Figure::ALL, 8), golden);
     }
 
     #[test]

@@ -14,20 +14,27 @@
 //! to fold, so the suite covers them too — cheaply, via the exact
 //! emitters — alongside randomized symbolic programs across every layer
 //! kind x `KernelVariant` x `FpFormat` x firing rate.
+//!
+//! The cycle-level interpreter folds too: `Interpreter::item` advances a
+//! core's integer pipeline once per run of consecutive `Int` ops. Both
+//! sides of `ir_equivalence` interpret through that fold, so the last
+//! property here checks it against op-by-op `WorkerCoreModel::exec` on
+//! random exact items.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use snitch_arch::{ClusterConfig, FpOp, SsrId};
+use rand::{Rng, SeedableRng};
+use snitch_arch::{ClusterConfig, FpOp, IntOp, SsrId};
+use snitch_sim::{ClusterModel, Interpreter};
 use spikestream::{
     CostModel, EnergyModel, Engine, FpFormat, InferenceConfig, KernelVariant, SampleContext,
     TemporalEncoding,
 };
 use spikestream_ir::{
-    CodeRegion, ComputePhase, CostIntegrator, IndexStream, KernelOp, Phase, ProgramCost,
-    StreamProgram, StreamSpec, WorkItem,
+    AffineDims, CodeRegion, ComputePhase, CostIntegrator, IndexStream, KernelOp, LoopBody, Phase,
+    ProgramCost, ProgramSink, Ssrs, StreamProgram, StreamSpec, WorkItem,
 };
-use spikestream_kernels::LayerExecutor;
+use spikestream_kernels::{LayerExecutor, OpBuffer};
 use spikestream_snn::neuron::LifParams;
 use spikestream_snn::tensor::TensorShape;
 use spikestream_snn::{ConvSpec, Layer, LayerKind, LinearSpec, PoolSpec};
@@ -40,7 +47,7 @@ const ALL_FORMATS: [FpFormat; 3] = [FpFormat::Fp32, FpFormat::Fp16, FpFormat::Fp
 /// `PartialEq` on `ProgramCost` compares `f64` fields with `==`, which
 /// would let `-0.0` pass for `0.0`; the `Debug` comparison closes that
 /// hole and doubles as a readable diff when a field diverges.
-fn assert_fold_exact(label: &str, integrator: &CostIntegrator, program: &StreamProgram) {
+fn assert_fold_exact(label: &str, integrator: &CostIntegrator, program: &StreamProgram<'_>) {
     let folded = integrator.integrate(program);
     let reference = integrator.integrate_reference(program);
     assert_eq!(folded, reference, "{label}: tape vs reference integration");
@@ -55,39 +62,45 @@ fn assert_fold_exact(label: &str, integrator: &CostIntegrator, program: &StreamP
 /// in an `Int` op right before another `Int` op, a loop that never runs,
 /// a barrier, fractional FP repetitions, an empty stream, a two-SSR
 /// affine stream and resolved gather indices that conflict on a bank.
-fn hand_built_ops() -> Vec<KernelOp> {
-    let gather = |n: u32| StreamSpec::Indirect {
+fn hand_built_ops() -> Vec<KernelOp<'static>> {
+    static IOTA: [u16; 64] = {
+        let mut iota = [0; 64];
+        let mut i = 0;
+        while i < iota.len() {
+            iota[i] = i as u16;
+            i += 1;
+        }
+        iota
+    };
+    let gather = |n: usize| StreamSpec::Indirect {
         index_base: 0x100,
         index_bytes: 2,
         data_base: 0x1000,
         elem_bytes: 8,
-        indices: IndexStream::exact(0..n),
+        indices: IndexStream::Exact(&IOTA[..n]),
     };
     let affine = |base: u32| StreamSpec::Affine {
         base,
-        strides: vec![8, 64],
-        bounds: vec![5, 3],
+        dims: AffineDims::new(&[(8, 5), (64, 3)]),
         elem_bytes: 8,
     };
-    let stream = |ssrs: Vec<StreamSpec>| KernelOp::Stream {
-        ssrs: ssrs.into_iter().zip([SsrId::Ssr0, SsrId::Ssr1]).map(|(s, id)| (id, s)).collect(),
-        op: FpOp::Fma,
-    };
+    let stream = |ssrs: Ssrs<'static>| KernelOp::Stream { ssrs, op: FpOp::Fma };
+    let one = |spec| stream(Ssrs::One((SsrId::Ssr0, spec)));
     vec![
         KernelOp::amo(),
-        KernelOp::Loop { body: vec![stream(vec![gather(40)]), KernelOp::alu()], reps: 3.0 },
+        KernelOp::Loop { body: vec![one(gather(40)), KernelOp::alu()].into(), reps: 3.0 },
         KernelOp::load(),
-        KernelOp::Loop { body: vec![stream(vec![gather(9)])], reps: 0.0 },
+        KernelOp::Loop { body: vec![one(gather(9))].into(), reps: 0.0 },
         KernelOp::fp(FpOp::Add).times(2.5),
-        stream(vec![gather(0)]),
+        one(gather(0)),
         KernelOp::Barrier,
-        stream(vec![affine(0x2000), affine(0x4000)]),
+        stream(Ssrs::Two([(SsrId::Ssr0, affine(0x2000)), (SsrId::Ssr1, affine(0x4000))])),
         KernelOp::store().times(0.75),
-        KernelOp::Loop { body: vec![KernelOp::alu(), KernelOp::fp(FpOp::Mul)], reps: 6.0 },
+        KernelOp::Loop { body: vec![KernelOp::alu(), KernelOp::fp(FpOp::Mul)].into(), reps: 6.0 },
     ]
 }
 
-fn hand_built_program(instances: &[f64]) -> StreamProgram {
+fn hand_built_program(instances: &[f64]) -> StreamProgram<'static> {
     let mut program = StreamProgram::new("hand-built", FpFormat::Fp16);
     program.push(Phase::Compute(ComputePhase {
         code: vec![CodeRegion { id: 0x77, bytes: 512 }],
@@ -325,8 +338,10 @@ fn exact_programs_are_untouched_by_folding() {
     LayerExecutor::new(KernelVariant::SpikeStream, FpFormat::Fp16).lower_conv(
         &ClusterConfig::default(),
         &layer,
+        &layer.quantize_weights(FpFormat::Fp16),
         &input,
         &mut state,
+        &mut OpBuffer::new(),
         &mut program,
     );
     assert_fold_exact("conv/exact", &CostIntegrator::snitch(), &program);
@@ -354,4 +369,115 @@ fn differential_suite_integrates_nonzero_work() {
     assert!(cost.compute_cycles > 0);
     assert!(cost.flops > 0.0);
     assert!(cost.stream_elements > 0.0);
+}
+
+/// One random exact op of [`random_exact_item`]: mostly integer ops, so
+/// runs of them form, between FP ops, streams over slices of `idcs`,
+/// loops (straight-line or streaming) and barriers.
+fn random_exact_op<'a>(rng: &mut StdRng, idcs: &'a [u16], depth: u32) -> KernelOp<'a> {
+    const INT_OPS: [IntOp; 8] = [
+        IntOp::Alu,
+        IntOp::Mul,
+        IntOp::Load,
+        IntOp::Store,
+        IntOp::Branch,
+        IntOp::Amo,
+        IntOp::Csr,
+        IntOp::Move,
+    ];
+    const FP_OPS: [FpOp; 8] = [
+        FpOp::Add,
+        FpOp::Mul,
+        FpOp::Fma,
+        FpOp::Cmp,
+        FpOp::Cvt,
+        FpOp::Load,
+        FpOp::Store,
+        FpOp::Move,
+    ];
+    let gather = |rng: &mut StdRng| {
+        let start = rng.gen_range(0..idcs.len());
+        let end = rng.gen_range(start..=idcs.len());
+        StreamSpec::Indirect {
+            index_base: rng.gen_range(0..64u32) * 2,
+            index_bytes: 2,
+            data_base: 0x1000 + rng.gen_range(0..64u32) * 8,
+            elem_bytes: 8,
+            indices: IndexStream::Exact(&idcs[start..end]),
+        }
+    };
+    let affine = |rng: &mut StdRng| {
+        let dims = [(8, rng.gen_range(0..6u32)), (64, rng.gen_range(1..4u32))];
+        let n = rng.gen_range(1..=2usize);
+        StreamSpec::Affine { base: 0x2000, dims: AffineDims::new(&dims[..n]), elem_bytes: 8 }
+    };
+    match rng.gen_range(0..16u32) {
+        0..=7 => KernelOp::Int {
+            op: INT_OPS[rng.gen_range(0..INT_OPS.len())],
+            reps: rng.gen_range(0..4u32) as f64,
+        },
+        8..=10 => KernelOp::Fp {
+            op: FP_OPS[rng.gen_range(0..FP_OPS.len())],
+            reps: rng.gen_range(0..3u32) as f64,
+        },
+        11 | 12 => KernelOp::Stream {
+            ssrs: match rng.gen_range(0..3u32) {
+                0 => Ssrs::One((SsrId::Ssr0, gather(rng))),
+                1 => Ssrs::One((SsrId::Ssr2, affine(rng))),
+                _ => Ssrs::Two([(SsrId::Ssr0, affine(rng)), (SsrId::Ssr1, gather(rng))]),
+            },
+            op: FP_OPS[rng.gen_range(0..3)],
+        },
+        13 | 14 if depth == 0 => {
+            let body = (0..rng.gen_range(1..5)).map(|_| random_exact_op(rng, idcs, 1)).collect();
+            KernelOp::Loop { body: LoopBody::Built(body), reps: rng.gen_range(0..4u32) as f64 }
+        }
+        _ => KernelOp::Barrier,
+    }
+}
+
+/// A random exact work item of up to 40 ops.
+fn random_exact_item<'a>(rng: &mut StdRng, idcs: &'a [u16]) -> Vec<KernelOp<'a>> {
+    (0..rng.gen_range(0..40)).map(|_| random_exact_op(rng, idcs, 0)).collect()
+}
+
+proptest! {
+    #[test]
+    fn interpreting_an_item_folds_integer_runs_exactly(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let formats = [FpFormat::Fp64, FpFormat::Fp32, FpFormat::Fp16, FpFormat::Fp8];
+        let format = formats[rng.gen_range(0..formats.len())];
+        let idcs: Vec<u16> = (0..48).map(|_| rng.gen_range(0..512)).collect();
+        let items: Vec<_> = (0..12).map(|_| random_exact_item(&mut rng, &idcs)).collect();
+
+        let new_cluster = || ClusterModel::new(ClusterConfig::default(), CostModel::default());
+        let mut folded = new_cluster();
+        let mut interpreter = Interpreter::new(&mut folded, format);
+        interpreter.compute(&[]);
+        for ops in &items {
+            interpreter.item(ops);
+        }
+        drop(interpreter);
+
+        // Op by op, on the core the interpreter's least-busy rule picks.
+        let mut reference = new_cluster();
+        for ops in &items {
+            let core = reference.least_busy_core();
+            for op in ops {
+                reference.core_mut(core).exec(op, format);
+            }
+        }
+
+        for (core, (a, b)) in folded.cores().iter().zip(reference.cores()).enumerate() {
+            prop_assert_eq!(
+                format!("{:?}", a.counters()),
+                format!("{:?}", b.counters()),
+                "seed {}: core {} counters",
+                seed,
+                core
+            );
+            prop_assert_eq!(a.int_time(), b.int_time(), "seed {}: core {} int_time", seed, core);
+            prop_assert_eq!(a.fpu_time(), b.fpu_time(), "seed {}: core {} fpu_time", seed, core);
+        }
+    }
 }

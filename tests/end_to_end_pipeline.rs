@@ -8,7 +8,7 @@ use rand::SeedableRng;
 use snitch_arch::{ClusterConfig, CostModel};
 use snitch_sim::{ClusterModel, Interpreter};
 use spikestream::{FpFormat, KernelVariant};
-use spikestream_kernels::LayerExecutor;
+use spikestream_kernels::{LayerExecutor, OpBuffer};
 use spikestream_snn::encoding::{pad_image, pad_spikes, synthetic_image};
 use spikestream_snn::neuron::LifParams;
 use spikestream_snn::tensor::TensorShape;
@@ -83,8 +83,15 @@ fn chained_inference_matches_the_reference_engine() {
 
     let mut state1 = NeuronState::lif(spec1.conv_output().len());
     let mut interpreter = Interpreter::new(&mut cluster, FpFormat::Fp32);
-    let out1 =
-        executor.lower_dense(&config, &layers[0], &padded_image, &mut state1, &mut interpreter);
+    let out1 = executor.lower_dense(
+        &config,
+        &layers[0],
+        &layers[0].quantize_weights(executor.format()),
+        &padded_image,
+        &mut state1,
+        &mut OpBuffer::new(),
+        &mut interpreter,
+    );
     let layer1_cycles = cluster.finish_phase("conv1").compute_cycles;
     assert_eq!(out1.output, ref_out1, "conv1 output spikes");
 
@@ -92,14 +99,30 @@ fn chained_inference_matches_the_reference_engine() {
     let compressed = CompressedIfmap::from_spike_map(&padded);
     let mut state2 = NeuronState::lif(spec2.conv_output().len());
     let mut interpreter = Interpreter::new(&mut cluster, FpFormat::Fp32);
-    let out2 = executor.lower_conv(&config, &layers[1], &compressed, &mut state2, &mut interpreter);
+    let out2 = executor.lower_conv(
+        &config,
+        &layers[1],
+        &layers[1].quantize_weights(executor.format()),
+        &compressed,
+        &mut state2,
+        &mut OpBuffer::new(),
+        &mut interpreter,
+    );
     let layer2_cycles = cluster.finish_phase("conv2").compute_cycles;
     assert_eq!(out2.output, ref_out2, "conv2 output spikes");
 
     let fc_input = CompressedFcInput::from_spike_map(&out2.output);
     let mut state3 = NeuronState::lif(spec3.out_features);
     let mut interpreter = Interpreter::new(&mut cluster, FpFormat::Fp32);
-    let out3 = executor.lower_fc(&config, &layers[2], &fc_input, &mut state3, &mut interpreter);
+    let out3 = executor.lower_fc(
+        &config,
+        &layers[2],
+        &layers[2].quantize_weights(executor.format()),
+        &fc_input,
+        &mut state3,
+        &mut OpBuffer::new(),
+        &mut interpreter,
+    );
     let layer3_cycles = cluster.finish_phase("fc3").compute_cycles;
     assert_eq!(out3.spikes, ref_out3, "fc3 output spikes");
 

@@ -20,13 +20,13 @@ use snitch_mem::dma::DmaDirection;
 use snitch_sim::{execute_program, ClusterModel, Interpreter, PhaseStats};
 use spikestream::{FpFormat, KernelVariant};
 use spikestream_ir::{CostIntegrator, Phase, ProgramCost, ProgramSink, StreamProgram};
-use spikestream_kernels::LayerExecutor;
+use spikestream_kernels::{LayerExecutor, OpBuffer};
 use spikestream_snn::encoding::{pad_image, synthetic_image};
 use spikestream_snn::neuron::LifParams;
 use spikestream_snn::tensor::{SpikeMap, TensorShape};
 use spikestream_snn::{
     CompressedFcInput, CompressedIfmap, ConvSpec, Layer, LayerKind, LinearSpec, NeuronState,
-    PoolSpec,
+    PoolSpec, Tensor3,
 };
 
 /// Relative cycle-count tolerance between integration and interpretation.
@@ -54,21 +54,55 @@ fn random_spikes(shape: TensorShape, rate: f64, border: usize, seed: u64) -> Spi
     map
 }
 
-/// A layer invocation's lowering into whichever sink it is given.
-type Lowering = Box<dyn Fn(&mut dyn ProgramSink)>;
+/// The input of one layer invocation.
+enum Input {
+    Conv(CompressedIfmap),
+    Dense(Tensor3),
+    Fc(CompressedFcInput),
+    Pool(SpikeMap),
+}
 
 /// One layer invocation of the contract.
 struct Case {
     label: &'static str,
-    format: FpFormat,
-    lower: Lowering,
+    executor: LayerExecutor,
+    layer: Layer,
+    input: Input,
 }
 
 impl Case {
+    /// Lower the invocation into `sink` from a resting LIF state; the
+    /// program's gathers borrow the case's input.
+    fn lower<'s>(&'s self, sink: &mut dyn ProgramSink<'s>) {
+        let (config, executor, layer) = (ClusterConfig::default(), self.executor, &self.layer);
+        let weights = layer.quantize_weights(executor.format());
+        let neurons = match &layer.kind {
+            LayerKind::Conv(spec) => spec.conv_output().len(),
+            LayerKind::Linear(spec) => spec.out_features,
+            LayerKind::AvgPool(_) => 0,
+        };
+        let mut state = NeuronState::lif(neurons);
+        let buffer = &mut OpBuffer::new();
+        match &self.input {
+            Input::Conv(input) => {
+                executor.lower_conv(&config, layer, &weights, input, &mut state, buffer, sink);
+            }
+            Input::Dense(image) => {
+                executor.lower_dense(&config, layer, &weights, image, &mut state, buffer, sink);
+            }
+            Input::Fc(input) => {
+                executor.lower_fc(&config, layer, &weights, input, &mut state, buffer, sink);
+            }
+            Input::Pool(input) => {
+                executor.lower_pool(&config, layer, input, buffer, sink);
+            }
+        }
+    }
+
     /// The exact program the case emits, collected.
-    fn program(&self) -> StreamProgram {
-        let mut program = StreamProgram::new(self.label, self.format);
-        (self.lower)(&mut program);
+    fn program(&self) -> StreamProgram<'_> {
+        let mut program = StreamProgram::new(self.label, self.executor.format());
+        self.lower(&mut program);
         program
     }
 
@@ -76,13 +110,13 @@ impl Case {
     /// as the cycle-level backend runs it.
     fn streamed(&self) -> PhaseStats {
         let mut cl = cluster();
-        (self.lower)(&mut Interpreter::new(&mut cl, self.format));
+        self.lower(&mut Interpreter::new(&mut cl, self.executor.format()));
         cl.finish_phase(self.label)
     }
 }
 
 /// Interpret and integrate one exact program; return both measurements.
-fn both_consumers(program: &StreamProgram) -> (PhaseStats, ProgramCost) {
+fn both_consumers(program: &StreamProgram<'_>) -> (PhaseStats, ProgramCost) {
     let mut cl = cluster();
     execute_program(&mut cl, program);
     let stats = cl.finish_phase(&program.label);
@@ -139,17 +173,8 @@ fn conv_case(
     layer.randomize_weights(&mut rng, 0.1);
     let input =
         CompressedIfmap::from_spike_map(&random_spikes(spec.padded_input(), rate, 1, seed ^ 1));
-    let lower = move |sink: &mut dyn ProgramSink| {
-        let mut state = NeuronState::lif(spec.conv_output().len());
-        LayerExecutor::new(variant, format).lower_conv(
-            &ClusterConfig::default(),
-            &layer,
-            &input,
-            &mut state,
-            sink,
-        );
-    };
-    Case { label: "conv", format, lower: Box::new(lower) }
+    let executor = LayerExecutor::new(variant, format);
+    Case { label: "conv", executor, layer, input: Input::Conv(input) }
 }
 
 fn dense_case(variant: KernelVariant, format: FpFormat, seed: u64) -> Case {
@@ -166,17 +191,8 @@ fn dense_case(variant: KernelVariant, format: FpFormat, seed: u64) -> Case {
     let mut rng = StdRng::seed_from_u64(seed);
     layer.randomize_weights(&mut rng, 0.2);
     let image = pad_image(&synthetic_image(spec.input, &mut rng), spec.padding);
-    let lower = move |sink: &mut dyn ProgramSink| {
-        let mut state = NeuronState::lif(spec.conv_output().len());
-        LayerExecutor::new(variant, format).lower_dense(
-            &ClusterConfig::default(),
-            &layer,
-            &image,
-            &mut state,
-            sink,
-        );
-    };
-    Case { label: "dense", format, lower: Box::new(lower) }
+    let executor = LayerExecutor::new(variant, format);
+    Case { label: "dense", executor, layer, input: Input::Dense(image) }
 }
 
 fn fc_case(variant: KernelVariant, format: FpFormat, rate: f64, seed: u64) -> Case {
@@ -186,32 +202,16 @@ fn fc_case(variant: KernelVariant, format: FpFormat, rate: f64, seed: u64) -> Ca
     layer.randomize_weights(&mut rng, 0.1);
     let spikes: Vec<bool> = (0..spec.in_features).map(|_| rng.gen_bool(rate)).collect();
     let input = CompressedFcInput::from_spikes(&spikes);
-    let lower = move |sink: &mut dyn ProgramSink| {
-        let mut state = NeuronState::lif(spec.out_features);
-        LayerExecutor::new(variant, format).lower_fc(
-            &ClusterConfig::default(),
-            &layer,
-            &input,
-            &mut state,
-            sink,
-        );
-    };
-    Case { label: "fc", format, lower: Box::new(lower) }
+    let executor = LayerExecutor::new(variant, format);
+    Case { label: "fc", executor, layer, input: Input::Fc(input) }
 }
 
 fn pool_case(variant: KernelVariant, format: FpFormat, rate: f64, seed: u64) -> Case {
     let spec = PoolSpec { input: TensorShape::new(8, 8, 12), window: 2 };
     let layer = Layer::new("pool", LayerKind::AvgPool(spec), LifParams::default());
     let input = random_spikes(spec.input, rate, 0, seed);
-    let lower = move |sink: &mut dyn ProgramSink| {
-        LayerExecutor::new(variant, format).lower_pool(
-            &ClusterConfig::default(),
-            &layer,
-            &input,
-            sink,
-        );
-    };
-    Case { label: "pool", format, lower: Box::new(lower) }
+    let executor = LayerExecutor::new(variant, format);
+    Case { label: "pool", executor, layer, input: Input::Pool(input) }
 }
 
 #[test]
@@ -285,23 +285,23 @@ fn empty_streams_integrate_exactly_like_they_interpret() {
     // the SSR configuration and skip the FREP.
     use snitch_arch::isa::FpOp;
     use snitch_arch::SsrId;
-    use spikestream_ir::{ComputePhase, IndexStream, KernelOp, Phase, StreamSpec, WorkItem};
+    use spikestream_ir::{ComputePhase, IndexStream, KernelOp, Phase, Ssrs, StreamSpec, WorkItem};
     let mut program = StreamProgram::new("empty-stream", FpFormat::Fp16);
     program.push(Phase::Compute(ComputePhase {
         code: vec![],
         items: vec![WorkItem::new(vec![
             KernelOp::alu(),
             KernelOp::Stream {
-                ssrs: vec![(
+                ssrs: Ssrs::One((
                     SsrId::Ssr0,
                     StreamSpec::Indirect {
                         index_base: 0,
                         index_bytes: 2,
                         data_base: 0x100,
                         elem_bytes: 8,
-                        indices: IndexStream::exact(Vec::new()),
+                        indices: IndexStream::Exact(&[]),
                     },
-                )],
+                )),
                 op: FpOp::Add,
             },
         ])],
@@ -321,8 +321,8 @@ proptest! {
     ) {
         for variant in ALL_VARIANTS {
             let format = ALL_FORMATS[(seed % 3) as usize];
-            let program = conv_case(variant, format, in_c, out_c, rate, seed).program();
-            let (stats, cost) = both_consumers(&program);
+            let case = conv_case(variant, format, in_c, out_c, rate, seed);
+            let (stats, cost) = both_consumers(&case.program());
             prop_assert_eq!(stats.totals.int_instrs as f64, cost.int_instrs);
             prop_assert_eq!(stats.totals.fp_instrs as f64, cost.fp_instrs);
             prop_assert_eq!(stats.totals.flops as f64, cost.flops);
@@ -341,11 +341,8 @@ proptest! {
     ) {
         for variant in ALL_VARIANTS {
             let format = ALL_FORMATS[(seed % 3) as usize];
-            for program in [
-                fc_case(variant, format, rate, seed).program(),
-                pool_case(variant, format, rate, seed).program(),
-            ] {
-                let (stats, cost) = both_consumers(&program);
+            for case in [fc_case(variant, format, rate, seed), pool_case(variant, format, rate, seed)] {
+                let (stats, cost) = both_consumers(&case.program());
                 prop_assert_eq!(stats.totals.int_instrs as f64, cost.int_instrs);
                 prop_assert_eq!(stats.totals.flops as f64, cost.flops);
                 prop_assert_eq!(stats.totals.stream_elements as f64, cost.stream_elements);

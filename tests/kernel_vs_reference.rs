@@ -9,7 +9,7 @@ use snitch_arch::{ClusterConfig, CostModel};
 use snitch_sim::{ClusterModel, Interpreter};
 use spikestream::{FpFormat, KernelVariant};
 use spikestream_ir::StreamProgram;
-use spikestream_kernels::LayerExecutor;
+use spikestream_kernels::{LayerExecutor, OpBuffer};
 use spikestream_snn::neuron::LifParams;
 use spikestream_snn::tensor::{SpikeMap, TensorShape};
 use spikestream_snn::{
@@ -63,8 +63,10 @@ fn conv_kernels_match_reference_for_every_format_and_variant() {
             let out = LayerExecutor::new(variant, format).lower_conv(
                 &ClusterConfig::default(),
                 &layer,
+                &layer.quantize_weights(format),
                 &input,
                 &mut state,
+                &mut OpBuffer::new(),
                 &mut StreamProgram::new(&layer.name, format),
             );
             outputs.push(out);
@@ -105,8 +107,10 @@ fn fc_kernels_match_reference_and_each_other() {
         let out = LayerExecutor::new(variant, FpFormat::Fp32).lower_fc(
             &ClusterConfig::default(),
             &layer,
+            &layer.quantize_weights(FpFormat::Fp32),
             &input,
             &mut state,
+            &mut OpBuffer::new(),
             &mut StreamProgram::new(&layer.name, FpFormat::Fp32),
         );
         results.push(out);
@@ -143,8 +147,10 @@ fn streaming_speedup_grows_with_channel_depth() {
             LayerExecutor::new(variant, FpFormat::Fp16).lower_conv(
                 &config,
                 &layer,
+                &layer.quantize_weights(FpFormat::Fp16),
                 &input,
                 &mut state,
+                &mut OpBuffer::new(),
                 &mut Interpreter::new(&mut cluster, FpFormat::Fp16),
             );
             cycles.push(cluster.finish_phase("x").compute_cycles as f64);

@@ -1,0 +1,159 @@
+//! Heap allocations of the exact path. Lowering writes every work item
+//! into a reused op buffer; its ops hold their SSRs and affine dimensions
+//! inline, borrow their gather indices from the compressed input, and loop
+//! over constant templates, and each layer's weights are quantized once per
+//! (network, format). So a warmed cycle-level sample allocates a few times
+//! per layer and never per work item.
+//!
+//! A counting global allocator counts per thread, so the tests of this
+//! binary running in parallel do not see each other's allocations; every
+//! measured call runs on the test's own thread (sequential requests are
+//! served on the calling thread).
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::path::Path;
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use snitch_arch::{ClusterConfig, CostModel};
+use snitch_sim::{ClusterModel, Interpreter};
+use spikestream::{FpFormat, KernelVariant, Request, Scenario};
+use spikestream_kernels::{LayerExecutor, LayerInput, LayerScratch};
+use spikestream_snn::neuron::LifParams;
+use spikestream_snn::tensor::{SpikeMap, TensorShape};
+use spikestream_snn::{ConvSpec, Network, NetworkBuilder};
+
+struct CountingAllocator;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: a thread that is being torn down still frees memory.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` unchanged; counting touches
+// only a const-initialized thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// Heap allocations (including reallocations) `f` makes on this thread.
+fn allocations_of<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+/// Upper bound on the allocations of one warmed tiny-cnn T=4 sample; the
+/// exact path made 4,653 per sample before items stopped allocating.
+const SAMPLE_ALLOCATIONS: u64 = 300;
+
+#[test]
+fn a_warmed_temporal_sample_allocates_a_bounded_number_of_times() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/scenarios/tiny_temporal.toml");
+    let scenario = Scenario::from_file(&path).expect("the tiny temporal scenario parses");
+    assert_eq!(scenario.config.timesteps(), 4);
+    assert_eq!(
+        (scenario.config.variant, scenario.config.format),
+        (KernelVariant::SpikeStream, FpFormat::Fp16)
+    );
+    let plan = scenario.compile().expect("the scenario compiles");
+    let mut session = plan.open_session();
+    // Warm the session arena, the kernel scratch and the weight memo.
+    session.infer(&Request::samples(0..4).sequential());
+
+    for sample in 100..108 {
+        let (allocations, report) =
+            allocations_of(|| session.infer(&Request::samples(sample..sample + 1).sequential()));
+        assert!(report.total_cycles() > 0.0);
+        assert!(
+            allocations <= SAMPLE_ALLOCATIONS,
+            "sample {sample} allocated {allocations} times (bound {SAMPLE_ALLOCATIONS})"
+        );
+    }
+}
+
+/// A one-conv-layer network with `hw x hw` output positions.
+fn conv_network(hw: usize) -> (Network, SpikeMap) {
+    let spec = ConvSpec {
+        input: TensorShape::new(hw, hw, 16),
+        out_channels: 16,
+        kh: 3,
+        kw: 3,
+        stride: 1,
+        padding: 1,
+        pool: false,
+    };
+    let net = NetworkBuilder::new("conv")
+        .conv("conv", spec, LifParams::new(0.5, 0.2))
+        .build_with_random_weights(3, 0.2);
+    let shape = spec.padded_input();
+    let mut spikes = SpikeMap::silent(shape);
+    let mut rng = StdRng::seed_from_u64(hw as u64);
+    for h in 1..shape.h - 1 {
+        for w in 1..shape.w - 1 {
+            for c in 0..shape.c {
+                if rng.gen_bool(0.3) {
+                    spikes.set(h, w, c, true);
+                }
+            }
+        }
+    }
+    (net, spikes)
+}
+
+/// Allocations of one warmed conv lowering into an interpreter.
+fn conv_lowering_allocations(executor: LayerExecutor, hw: usize) -> u64 {
+    let (net, spikes) = conv_network(hw);
+    let config = ClusterConfig::default();
+    let mut cluster = ClusterModel::new(config.clone(), CostModel::default());
+    let mut scratch = LayerScratch::new();
+    let lower = |scratch: &mut LayerScratch, cluster: &mut ClusterModel| {
+        let mut interpreter = Interpreter::new(cluster, executor.format());
+        let input = LayerInput::Spikes(&spikes);
+        executor.lower_exact(&config, &net, 0, input, scratch, &mut interpreter)
+    };
+    let warm = lower(&mut scratch, &mut cluster);
+    cluster.finish_phase("warm");
+    let (allocations, exec) = allocations_of(|| lower(&mut scratch, &mut cluster));
+    assert_eq!(exec, warm, "the same input lowers the same way");
+    allocations
+}
+
+#[test]
+fn no_work_item_allocates() {
+    // 64 and 256 output positions, one work item each: a per-item
+    // allocation would show up as a difference of at least 192.
+    for variant in [KernelVariant::Baseline, KernelVariant::SpikeStream] {
+        for format in [FpFormat::Fp16, FpFormat::Fp8] {
+            let executor = LayerExecutor::new(variant, format);
+            let small = conv_lowering_allocations(executor, 8);
+            let large = conv_lowering_allocations(executor, 16);
+            assert_eq!(small, large, "{variant}/{format:?}: 8x8 vs 16x16 positions");
+        }
+    }
+}

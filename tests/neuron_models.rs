@@ -29,7 +29,7 @@ use spikestream::{
     TemporalEncoding, TimingModel,
 };
 use spikestream_ir::{CostIntegrator, ProgramCost, StreamProgram};
-use spikestream_kernels::{LayerExecutor, LayerInput, LayerScratch};
+use spikestream_kernels::{LayerExecutor, LayerInput, LayerScratch, OpBuffer};
 use spikestream_snn::encoding::{pad_image, pad_spikes, synthetic_image, TemporalEncoder};
 use spikestream_snn::neuron::LifParams;
 use spikestream_snn::tensor::{SpikeMap, TensorShape};
@@ -171,7 +171,7 @@ proptest! {
 
             let (exec1, out1) = executor.lower_temporal_step(
                 &config,
-                &layers[0],
+                &net,
                 0,
                 LayerInput::Image(&encoded),
                 &mut scratch,
@@ -180,7 +180,7 @@ proptest! {
             let padded = pad_spikes(&out1, spec2.padding);
             let (exec2, out2) = executor.lower_temporal_step(
                 &config,
-                &layers[1],
+                &net,
                 1,
                 LayerInput::Spikes(&padded),
                 &mut scratch,
@@ -188,7 +188,7 @@ proptest! {
             );
             let (exec3, out3) = executor.lower_temporal_step(
                 &config,
-                &layers[2],
+                &net,
                 2,
                 LayerInput::Spikes(&out2),
                 &mut scratch,
@@ -244,13 +244,7 @@ proptest! {
             CompressedIfmap::from_spike_map(&random_spikes(spec.padded_input(), 0.3, 1, seed ^ 1));
         let mut state = NeuronState::new(&model, spec.conv_output().len());
         let mut program = StreamProgram::new(&layer.name, format);
-        LayerExecutor::new(variant, format).lower_conv(
-            &ClusterConfig::default(),
-            &layer,
-            &input,
-            &mut state,
-            &mut program,
-        );
+        LayerExecutor::new(variant, format).lower_conv(&ClusterConfig::default(), &layer, &layer.quantize_weights(format), &input, &mut state, &mut OpBuffer::new(), &mut program);
         let (stats, cost) = both_consumers(&program);
         let label = format!("conv/{}/{variant}/{format:?}/seed {seed}", model.as_str());
         assert_backends_equal(&label, &stats, &cost);
@@ -269,13 +263,7 @@ proptest! {
         let input = CompressedFcInput::from_spikes(&spikes);
         let mut state = NeuronState::new(&model, spec.out_features);
         let mut program = StreamProgram::new(&layer.name, format);
-        LayerExecutor::new(variant, format).lower_fc(
-            &ClusterConfig::default(),
-            &layer,
-            &input,
-            &mut state,
-            &mut program,
-        );
+        LayerExecutor::new(variant, format).lower_fc(&ClusterConfig::default(), &layer, &layer.quantize_weights(format), &input, &mut state, &mut OpBuffer::new(), &mut program);
         let (stats, cost) = both_consumers(&program);
         let label = format!("fc/{}/{variant}/{format:?}/seed {seed}", model.as_str());
         assert_backends_equal(&label, &stats, &cost);
@@ -308,8 +296,10 @@ fn izhikevich_programs_carry_the_two_variable_costs() {
         kernel.lower_conv(
             &ClusterConfig::default(),
             &lif_layer,
+            &lif_layer.quantize_weights(kernel.format()),
             &input,
             &mut lif_state,
+            &mut OpBuffer::new(),
             &mut lif_program,
         );
         let (lif_stats, _) = both_consumers(&lif_program);
@@ -320,8 +310,10 @@ fn izhikevich_programs_carry_the_two_variable_costs() {
         kernel.lower_conv(
             &ClusterConfig::default(),
             &izhi_layer,
+            &izhi_layer.quantize_weights(kernel.format()),
             &input,
             &mut izhi_state,
+            &mut OpBuffer::new(),
             &mut izhi_program,
         );
         let (izhi_stats, _) = both_consumers(&izhi_program);
@@ -447,7 +439,7 @@ fn the_izhikevich_regime_produces_spikes_and_recovery_motion() {
     for _ in 0..4 {
         let (exec, _) = executor.lower_temporal_step(
             &ClusterConfig::default(),
-            &net.layers()[0],
+            &net,
             0,
             LayerInput::Image(&image),
             &mut scratch,

@@ -12,11 +12,11 @@ use rand::SeedableRng;
 use snitch_arch::{ClusterConfig, CostModel};
 use snitch_sim::{execute_program, ClusterModel};
 use spikestream::{
-    Engine, FnSink, FpFormat, InferenceConfig, KernelVariant, LayerSample, Request,
-    TemporalEncoding, TimingModel,
+    CycleLevelBackend, EnergyModel, Engine, ExecutionBackend, FnSink, FpFormat, InferenceConfig,
+    KernelVariant, LayerSample, Request, SampleContext, TemporalEncoding, TimingModel,
 };
 use spikestream_ir::{CostIntegrator, StreamProgram};
-use spikestream_kernels::{LayerExecutor, LayerInput, LayerScratch};
+use spikestream_kernels::{LayerExecutor, LayerInput, LayerScratch, OpBuffer};
 use spikestream_snn::encoding::{pad_image, pad_spikes, synthetic_image, TemporalEncoder};
 use spikestream_snn::neuron::LifParams;
 use spikestream_snn::tensor::{SpikeMap, TensorShape};
@@ -126,7 +126,7 @@ fn temporal_chain_matches_the_reference_engine_at_every_step() {
         encoder.encode_step_into(step, &mut encoded);
         let (exec1, out1) = executor.lower_temporal_step(
             &config,
-            &layers[0],
+            &net,
             0,
             LayerInput::Image(&encoded),
             &mut scratch,
@@ -135,7 +135,7 @@ fn temporal_chain_matches_the_reference_engine_at_every_step() {
         let padded = pad_spikes(&out1, spec2.padding);
         let (exec2, out2) = executor.lower_temporal_step(
             &config,
-            &layers[1],
+            &net,
             1,
             LayerInput::Spikes(&padded),
             &mut scratch,
@@ -143,7 +143,7 @@ fn temporal_chain_matches_the_reference_engine_at_every_step() {
         );
         let (exec3, out3) = executor.lower_temporal_step(
             &config,
-            &layers[2],
+            &net,
             2,
             LayerInput::Spikes(&out2),
             &mut scratch,
@@ -206,7 +206,7 @@ fn membrane_state_resets_between_samples() {
     let image = pad_image(&synthetic_image(spec1.input, &mut rng), spec1.padding);
     executor.lower_temporal_step(
         &ClusterConfig::default(),
-        &net.layers()[0],
+        &net,
         0,
         LayerInput::Image(&image),
         &mut scratch,
@@ -313,8 +313,10 @@ fn per_timestep_programs_integrate_to_their_interpreted_totals() {
             let out = kernel.lower_conv(
                 &ClusterConfig::default(),
                 &layer,
+                &layer.quantize_weights(kernel.format()),
                 &step_input,
                 &mut state,
+                &mut OpBuffer::new(),
                 &mut program,
             );
 
@@ -348,4 +350,45 @@ fn per_timestep_programs_integrate_to_their_interpreted_totals() {
             step_input = CompressedIfmap::from_spike_map(&pad_spikes(&out.output, spec.padding));
         }
     }
+}
+
+/// The cycle-level backend reads each layer's weights through the
+/// network's quantized-weight memo. Changing weights through
+/// `Network::layers_mut` drops the memo, so the next sample sees the new
+/// weights exactly as a network built with them from the start does.
+#[test]
+fn changed_weights_reach_the_next_cycle_level_sample() {
+    let config = temporal_config(TimingModel::CycleLevel, 1, TemporalEncoding::Rate);
+    let profile = FiringProfile::uniform(3, 0.25);
+    let (cluster, cost) = (ClusterConfig::default(), CostModel::default());
+    let energy = EnergyModel::calibrated();
+    let integrator = CostIntegrator::new(cluster.clone(), cost.clone());
+    let serve = |network: &Network, sample: usize| {
+        let ctx = SampleContext {
+            network,
+            profile: &profile,
+            cluster: &cluster,
+            cost: &cost,
+            energy: &energy,
+            config: &config,
+            programs: None,
+            integrator: &integrator,
+            executor: LayerExecutor::new(config.variant, config.format),
+        };
+        let mut out = Vec::new();
+        CycleLevelBackend.run_sample_with_scratch(&ctx, sample, &mut out, &mut LayerScratch::new());
+        out
+    };
+
+    let mut network = tiny_network(5);
+    let before = serve(&network, 3);
+    for w in &mut network.layers_mut()[1].weights {
+        *w = 4.0 * w.abs();
+    }
+    let after = serve(&network, 3);
+
+    let mut rebuilt = tiny_network(5);
+    rebuilt.layers_mut()[1].weights = network.layers()[1].weights.clone();
+    assert_eq!(after, serve(&rebuilt, 3), "the served sample uses the new weights");
+    assert_ne!(after, before, "the new weights change the sample");
 }
