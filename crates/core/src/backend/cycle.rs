@@ -84,7 +84,7 @@ impl CycleLevelBackend {
                 scratch,
                 &mut interpreter,
             );
-            out.push(layer_sample(ctx, &cluster.finish_phase(&layer.name), &exec));
+            out.push(layer_sample(ctx, &cluster.finish_phase(), &exec));
         }
     }
 
@@ -150,7 +150,7 @@ impl CycleLevelBackend {
                     scratch,
                     &mut interpreter,
                 );
-                out.push(layer_sample(ctx, &cluster.finish_phase(&layer.name), &exec));
+                out.push(layer_sample(ctx, &cluster.finish_phase(), &exec));
                 carry = Some(output);
             }
         }

@@ -307,7 +307,7 @@ impl CostIntegrator {
                     // are linearized so integration stays O(program size)
                     // regardless of layer size.
                     for item in &c.items {
-                        price(&mut states, &mut icache, &c.code, item);
+                        price(&mut states, &mut icache, c.code, item);
                     }
                     // Implicit end-of-phase barrier on every core.
                     for core in states.iter_mut() {
@@ -1041,7 +1041,7 @@ mod tests {
         let idcs: Vec<u16> = (0..256).collect();
         let mut p = StreamProgram::new("stream", FpFormat::Fp16);
         p.push(Phase::Compute(ComputePhase {
-            code: vec![],
+            code: &[],
             items: (0..64).map(|_| stream_item(&idcs)).collect(),
         }));
         let cost = integrator().integrate(&p);
@@ -1064,7 +1064,7 @@ mod tests {
         ];
         let mut p = StreamProgram::new("scalar", FpFormat::Fp16);
         p.push(Phase::Compute(ComputePhase {
-            code: vec![],
+            code: &[],
             items: vec![WorkItem::new(vec![KernelOp::Loop { body: block.into(), reps: 100.0 }])],
         }));
         let cost = integrator().integrate(&p);
@@ -1078,7 +1078,7 @@ mod tests {
         let mut with_dma = StreamProgram::new("dma", FpFormat::Fp16);
         with_dma.push(Phase::Dma(DmaPhase::contiguous(DmaDirection::In, 1 << 16, false)));
         with_dma.push(Phase::Compute(ComputePhase {
-            code: vec![],
+            code: &[],
             items: vec![WorkItem::new(vec![KernelOp::alu().times(100.0)])],
         }));
         let cost = integrator().integrate(&with_dma);
@@ -1092,7 +1092,7 @@ mod tests {
         let mut p = StreamProgram::new("db", FpFormat::Fp16);
         p.push(Phase::Dma(DmaPhase::contiguous(DmaDirection::In, 1 << 16, true)));
         p.push(Phase::Compute(ComputePhase {
-            code: vec![],
+            code: &[],
             items: (0..64).map(|_| stream_item(&idcs)).collect(),
         }));
         let cost = integrator().integrate(&p);
@@ -1113,7 +1113,7 @@ mod tests {
             } else {
                 (0..64).map(|_| stream_item(&idcs)).collect()
             };
-            p.push(Phase::Compute(ComputePhase { code: vec![], items }));
+            p.push(Phase::Compute(ComputePhase { code: &[], items }));
             p
         };
         let a = integrator().integrate(&make(false));
@@ -1139,7 +1139,7 @@ mod tests {
                 indices,
             };
             p.push(Phase::Compute(ComputePhase {
-                code: vec![],
+                code: &[],
                 items: vec![WorkItem::new(vec![KernelOp::Stream {
                     ssrs: Ssrs::One((SsrId::Ssr0, spec)),
                     op: FpOp::Add,
@@ -1160,7 +1160,7 @@ mod tests {
     fn icache_refill_is_charged_once() {
         let mut p = StreamProgram::new("icache", FpFormat::Fp16);
         p.push(Phase::Compute(ComputePhase {
-            code: vec![CodeRegion { id: 7, bytes: 1024 }],
+            code: &[CodeRegion { id: 7, bytes: 1024 }],
             items: (0..4).map(|_| WorkItem::new(vec![KernelOp::alu()])).collect(),
         }));
         let cost = integrator().integrate(&p);

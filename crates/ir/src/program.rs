@@ -6,7 +6,7 @@
 //! StreamProgram<'a> := { label, format, phases: [Phase<'a>] }
 //! Phase<'a>         := Dma(DmaPhase) | Compute(ComputePhase<'a>)
 //! DmaPhase          := { direction, row_bytes, rows, double_buffered }
-//! ComputePhase<'a>  := { code: [CodeRegion], items: [WorkItem<'a>] }
+//! ComputePhase<'a>  := { code: &'static [CodeRegion], items: [WorkItem<'a>] }
 //! WorkItem<'a>      := { instances, ops: [KernelOp<'a>] }
 //! KernelOp<'a>      := Int{op, reps} | Fp{op, reps}
 //!                    | Loop{body: LoopBody<'a>, reps}
@@ -34,7 +34,8 @@
 //! programs borrow nothing and are `StreamProgram<'static>`. A `Loop` body
 //! is either a constant template the emitters share or an op list the
 //! emitter built. Every type is covariant in `'a`, so a `'static` op (a
-//! template, a symbolic stream) fits any program.
+//! template, a symbolic stream) fits any program. A compute phase's code
+//! regions are the emitter's constant table, borrowed for `'static`.
 //!
 //! Exact emitters do not build a program: they write it, phase by phase and
 //! work item by work item, into a [`ProgramSink`]. A [`StreamProgram`] is
@@ -408,8 +409,9 @@ impl<'a> WorkItem<'a> {
 /// ends.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ComputePhase<'a> {
-    /// Code regions each executing core fetches per item (shared I-cache).
-    pub code: Vec<CodeRegion>,
+    /// Code regions each executing core fetches per item (shared I-cache):
+    /// the emitter's constant table.
+    pub code: &'static [CodeRegion],
     /// The phase's work items, claimed in order.
     pub items: Vec<WorkItem<'a>>,
 }
@@ -500,7 +502,7 @@ pub trait ProgramSink<'a> {
     /// Append one DMA tile transfer.
     fn dma(&mut self, phase: DmaPhase);
     /// Open a compute phase whose cores fetch `code` per item.
-    fn compute(&mut self, code: &[CodeRegion]);
+    fn compute(&mut self, code: &'static [CodeRegion]);
     /// Append one single-instance work item to the open compute phase.
     fn item(&mut self, ops: &[KernelOp<'a>]);
     /// Close the open compute phase.
@@ -514,8 +516,8 @@ impl<'a> ProgramSink<'a> for StreamProgram<'a> {
         self.push(Phase::Dma(phase));
     }
 
-    fn compute(&mut self, code: &[CodeRegion]) {
-        self.push(Phase::Compute(ComputePhase { code: code.to_vec(), items: Vec::new() }));
+    fn compute(&mut self, code: &'static [CodeRegion]) {
+        self.push(Phase::Compute(ComputePhase { code, items: Vec::new() }));
     }
 
     fn item(&mut self, ops: &[KernelOp<'a>]) {
@@ -567,7 +569,7 @@ mod tests {
         p.push(Phase::Dma(DmaPhase::contiguous(DmaDirection::In, 1024, false)));
         p.push(Phase::Dma(DmaPhase::contiguous(DmaDirection::Out, 256, true)));
         p.push(Phase::Compute(ComputePhase {
-            code: vec![CodeRegion { id: 1, bytes: 512 }],
+            code: &[CodeRegion { id: 1, bytes: 512 }],
             items: vec![WorkItem::new(vec![KernelOp::alu(), KernelOp::branch()])],
         }));
         assert!(!p.is_symbolic());
@@ -575,7 +577,7 @@ mod tests {
         assert_eq!(p.work_items(), 1.0);
 
         p.push(Phase::Compute(ComputePhase {
-            code: vec![],
+            code: &[],
             items: vec![WorkItem::replicated(16.0, vec![KernelOp::alu().times(2.5)])],
         }));
         assert!(p.is_symbolic());
@@ -584,11 +586,11 @@ mod tests {
 
     #[test]
     fn a_collected_program_holds_the_phases_in_emission_order() {
-        let code = [CodeRegion { id: 1, bytes: 512 }];
+        let code: &'static [CodeRegion] = &[CodeRegion { id: 1, bytes: 512 }];
         let items = [vec![KernelOp::amo(), KernelOp::branch()], vec![KernelOp::alu()]];
         let mut p = StreamProgram::new("sink", FpFormat::Fp16);
         p.dma(DmaPhase::contiguous(DmaDirection::In, 1024, false));
-        p.compute(&code);
+        p.compute(code);
         for ops in &items {
             p.item(ops);
         }
@@ -598,7 +600,7 @@ mod tests {
         let mut expected = StreamProgram::new("sink", FpFormat::Fp16);
         expected.push(Phase::Dma(DmaPhase::contiguous(DmaDirection::In, 1024, false)));
         expected.push(Phase::Compute(ComputePhase {
-            code: code.to_vec(),
+            code,
             items: items.iter().cloned().map(WorkItem::new).collect(),
         }));
         expected.push(Phase::Dma(DmaPhase::contiguous(DmaDirection::Out, 256, false)));

@@ -19,18 +19,19 @@
 //!
 //! The kernel is an *emitter*: [`LayerExecutor::lower_conv`] writes one
 //! layer invocation into a [`ProgramSink`], one work item per receptive
-//! field (computing the functional results along the way), and the
-//! symbolic lowering behind [`LayerExecutor::lower_symbolic`] emits the
-//! same structure from expected firing rates for the analytic backend.
+//! field, and returns the spikes the layer fires (each group's lane
+//! accumulators feed its neuron update directly, and only the fired
+//! spikes are kept); the symbolic lowering behind
+//! [`LayerExecutor::lower_symbolic`] emits the same structure from
+//! expected firing rates for the analytic backend.
 
 use snitch_arch::ClusterConfig;
 use spikestream_ir::{
     CodeRegion, ComputePhase, IndexStream, KernelOp, Phase, ProgramSink, StreamProgram, WorkItem,
 };
 use spikestream_snn::compress::INDEX_BYTES;
-use spikestream_snn::reference::max_pool_2x2;
 use spikestream_snn::{
-    CompressedIfmap, ConvSpec, Layer, LayerKind, NeuronModel, NeuronState, SpikeMap, Tensor3,
+    CompressedIfmap, ConvSpec, Layer, LayerKind, NeuronModel, NeuronState, SpikeMap,
 };
 
 use crate::emit;
@@ -46,18 +47,6 @@ pub(crate) const CODE_REGION_ACTIVATION: CodeRegion = CodeRegion { id: 0x12, byt
 /// Widest SIMD group any format produces (FP8 lanes on the 64-bit
 /// datapath); bounds the stack-allocated lane accumulators of the emitters.
 pub(crate) const MAX_SIMD_LANES: usize = (snitch_arch::fp::FPU_DATAPATH_BITS / 8) as usize;
-
-/// Functional result of one convolutional layer invocation.
-#[derive(Debug, Clone)]
-pub struct ConvKernelOutput {
-    /// Accumulated input currents of every output neuron (quantized to the
-    /// kernel's storage format).
-    pub currents: Tensor3,
-    /// Output spikes before pooling.
-    pub spikes: SpikeMap,
-    /// Output spikes after the optional 2x2 pooling stage.
-    pub output: SpikeMap,
-}
 
 /// Scratchpad base addresses of one conv lowering.
 struct ConvAddresses {
@@ -83,6 +72,18 @@ impl ConvAddresses {
         let offset =
             (((kh * spec.kw + kw) * groups + g) as u32) * self.group_words * self.word_bytes;
         self.weights_base.wrapping_add(offset % self.spm_bytes)
+    }
+}
+
+/// Record that conv output neuron `(oh, ow, co)` fired in the layer's
+/// output map: at its own position, or in the 2x2 max-pool cell that
+/// covers it when the layer pools (a pooled neuron fires when any neuron
+/// of its window does; an odd last row or column has no cell).
+pub(crate) fn set_fired(spec: &ConvSpec, output: &mut SpikeMap, oh: usize, ow: usize, co: usize) {
+    if !spec.pool {
+        output.set(oh, ow, co, true);
+    } else if oh / 2 < output.shape().h && ow / 2 < output.shape().w {
+        output.set(oh / 2, ow / 2, co, true);
     }
 }
 
@@ -116,8 +117,8 @@ fn expected_ifmap_spikes(spec: &ConvSpec, input_rate: f64) -> usize {
 
 impl LayerExecutor {
     /// Lower one convolutional layer invocation into `sink` as its exact
-    /// stream program, computing the functional results (currents and
-    /// spikes) along the way.
+    /// stream program, advancing the output neurons along the way, and
+    /// return the spikes they fire, after the optional 2x2 max-pool.
     ///
     /// `weights` are the layer's weights rounded to the executor's format
     /// ([`Network::quantized_weights`](spikestream_snn::Network::quantized_weights)
@@ -142,7 +143,7 @@ impl LayerExecutor {
         state: &mut NeuronState,
         buffer: &mut OpBuffer,
         sink: &mut dyn ProgramSink<'a>,
-    ) -> ConvKernelOutput {
+    ) -> SpikeMap {
         let LayerKind::Conv(spec) = &layer.kind else {
             panic!("lower_conv requires a convolutional layer");
         };
@@ -173,8 +174,7 @@ impl LayerExecutor {
         }
         sink.compute(code_regions(self.variant));
 
-        let mut currents = Tensor3::zeros(out_shape);
-        let mut spikes = SpikeMap::silent(out_shape);
+        let mut output = SpikeMap::silent(spec.output());
         let mut ops = buffer.lend();
         let mut rf_active: Vec<&[u16]> = Vec::with_capacity(spec.kh * spec.kw);
 
@@ -202,8 +202,7 @@ impl LayerExecutor {
                         lanes,
                         groups,
                         &addrs,
-                        &mut currents,
-                        &mut spikes,
+                        &mut output,
                         state,
                     );
                 }
@@ -215,9 +214,7 @@ impl LayerExecutor {
         for dma in plan.dma_out_phases() {
             sink.dma(dma);
         }
-
-        let output = if spec.pool { max_pool_2x2(&spikes) } else { spikes.clone() };
-        ConvKernelOutput { currents, spikes, output }
+        output
     }
 
     /// Lower one conv layer symbolically from expected firing rates: the
@@ -291,7 +288,7 @@ impl LayerExecutor {
         emit::claim(&mut ops);
         ops.push(KernelOp::Loop { body: group.into(), reps: groups as f64 });
         program.push(Phase::Compute(ComputePhase {
-            code: code_regions(self.variant).to_vec(),
+            code: code_regions(self.variant),
             items: vec![WorkItem::replicated((out.h * out.w) as f64, ops)],
         }));
         for dma in plan.dma_out_phases() {
@@ -300,8 +297,8 @@ impl LayerExecutor {
         program
     }
 
-    /// Emit one SIMD output-channel group of one receptive field, updating
-    /// the functional state.
+    /// Emit one SIMD output-channel group of one receptive field, stepping
+    /// its neurons and recording the ones that fire in `output`.
     #[allow(clippy::too_many_arguments)]
     fn lower_conv_group<'a>(
         &self,
@@ -315,8 +312,7 @@ impl LayerExecutor {
         lanes: usize,
         groups: usize,
         addrs: &ConvAddresses,
-        currents: &mut Tensor3,
-        spikes: &mut SpikeMap,
+        output: &mut SpikeMap,
         state: &mut NeuronState,
     ) {
         let (oh, ow, g) = rf;
@@ -359,25 +355,18 @@ impl LayerExecutor {
             });
         }
 
-        for (lane, &v) in acc[..lane_n].iter().enumerate() {
-            currents.set(oh, ow, lane_base + lane, v);
-        }
-
         // Fused activation of the group (Section III-B/III-C): the model's
-        // state update runs on the FPU, then threshold and unpack the SIMD
-        // lanes with bit masking and branches; spiking lanes atomically
-        // update the compressed ofmap buffers.
+        // state update runs on the FPU straight from the lane accumulators,
+        // then threshold and unpack the SIMD lanes with bit masking and
+        // branches; spiking lanes atomically update the compressed ofmap
+        // buffers.
         emit::model_activation_head(ops, &layer.neuron);
-        for lane in 0..lanes {
-            let co = g * lanes + lane;
-            if co >= spec.out_channels {
-                break;
-            }
+        for (lane, &current) in acc[..lane_n].iter().enumerate() {
+            let co = lane_base + lane;
             emit::lane_unpack(ops);
             let neuron = out_shape.index(oh, ow, co);
-            let current = self.format.quantize(currents.get(oh, ow, co));
-            if state.step_single(&layer.neuron, neuron, current) {
-                spikes.set(oh, ow, co, true);
+            if state.step_single(&layer.neuron, neuron, self.format.quantize(current)) {
+                set_fired(spec, output, oh, ow, co);
                 emit::fired_update(ops);
             }
         }
@@ -395,6 +384,7 @@ mod tests {
     use snitch_arch::CostModel;
     use spikestream_ir::CostIntegrator;
     use spikestream_snn::neuron::LifParams;
+    use spikestream_snn::reference::max_pool_2x2;
     use spikestream_snn::tensor::TensorShape;
     use spikestream_snn::{Layer, ReferenceEngine};
 
@@ -431,17 +421,17 @@ mod tests {
     }
 
     /// Lower `layer` on the default cluster from a resting LIF state;
-    /// returns the program, the functional output and the advanced state.
+    /// returns the program, the output spikes and the advanced state.
     fn lower<'a>(
         variant: KernelVariant,
         format: FpFormat,
         layer: &Layer,
         input: &'a CompressedIfmap,
-    ) -> (StreamProgram<'a>, ConvKernelOutput, NeuronState) {
+    ) -> (StreamProgram<'a>, SpikeMap, NeuronState) {
         let LayerKind::Conv(spec) = &layer.kind else { unreachable!() };
         let mut state = NeuronState::lif(spec.conv_output().len());
         let mut program = StreamProgram::new(&layer.name, format);
-        let out = LayerExecutor::new(variant, format).lower_conv(
+        let output = LayerExecutor::new(variant, format).lower_conv(
             &ClusterConfig::default(),
             layer,
             &layer.quantize_weights(format),
@@ -450,7 +440,7 @@ mod tests {
             &mut OpBuffer::new(),
             &mut program,
         );
-        (program, out, state)
+        (program, output, state)
     }
 
     #[test]
@@ -458,17 +448,20 @@ mod tests {
         let (layer, spec) = test_layer(8, 8, 6, false);
         let input = random_input(&spec, 0.3, 3);
         for variant in [KernelVariant::Baseline, KernelVariant::SpikeStream] {
-            let (_, out, _) = lower(variant, FpFormat::Fp32, &layer, &input);
+            let (_, spikes, state) = lower(variant, FpFormat::Fp32, &layer, &input);
 
             let eng = ReferenceEngine::new();
             let mut ref_state = NeuronState::lif(spec.conv_output().len());
             let ref_currents = eng.conv_currents(&layer, &spec, &input.decompress());
             let ref_spikes = eng.activate_conv(&layer, &spec, &ref_currents, &mut ref_state);
 
-            for (a, b) in out.currents.data().iter().zip(ref_currents.data()) {
-                assert!((a - b).abs() < 1e-4, "{variant} current mismatch: {a} vs {b}");
+            // One step from rest leaves each membrane at its input current,
+            // less the reset where the neuron fired.
+            for (a, b) in state.membrane().iter().zip(ref_state.membrane()) {
+                assert!((a - b).abs() < 1e-4, "{variant} membrane mismatch: {a} vs {b}");
             }
-            assert_eq!(out.spikes, ref_spikes, "{variant} spike mismatch");
+            assert!(ref_spikes.count_spikes() > 0, "the layer fires");
+            assert_eq!(spikes, ref_spikes, "{variant} spike mismatch");
         }
     }
 
@@ -478,8 +471,7 @@ mod tests {
         let input = random_input(&spec, 0.25, 5);
         let (_, base, s1) = lower(KernelVariant::Baseline, FpFormat::Fp16, &layer, &input);
         let (_, fast, s2) = lower(KernelVariant::SpikeStream, FpFormat::Fp16, &layer, &input);
-        assert_eq!(base.spikes, fast.spikes);
-        assert_eq!(base.output, fast.output);
+        assert_eq!(base, fast);
         assert_eq!(s1.membrane(), s2.membrane());
     }
 
@@ -519,9 +511,10 @@ mod tests {
     fn empty_input_produces_no_spikes_but_still_runs() {
         let (layer, spec) = test_layer(8, 8, 4, false);
         let input = CompressedIfmap::from_spike_map(&SpikeMap::silent(spec.padded_input()));
-        let (program, out, _) = lower(KernelVariant::SpikeStream, FpFormat::Fp16, &layer, &input);
-        assert_eq!(out.spikes.count_spikes(), 0);
-        assert!(out.currents.data().iter().all(|&v| v == 0.0));
+        let (program, output, state) =
+            lower(KernelVariant::SpikeStream, FpFormat::Fp16, &layer, &input);
+        assert_eq!(output.count_spikes(), 0);
+        assert!(state.membrane().iter().all(|&v| v == 0.0), "no current charged a membrane");
         let stats = interpret(&program);
         assert!(stats.cycles > 0, "control overhead and DMA still cost cycles");
     }
@@ -530,9 +523,18 @@ mod tests {
     fn pooling_shrinks_the_compressed_output() {
         let (layer, spec) = test_layer(8, 8, 6, true);
         let input = random_input(&spec, 0.4, 13);
-        let (_, out, _) = lower(KernelVariant::Baseline, FpFormat::Fp16, &layer, &input);
-        assert_eq!(out.output.shape(), TensorShape::new(3, 3, 8));
-        assert_eq!(out.output, max_pool_2x2(&out.spikes), "the output is the pooled spikes");
+        let (_, output, state) = lower(KernelVariant::Baseline, FpFormat::Fp16, &layer, &input);
+        assert_eq!(output.shape(), TensorShape::new(3, 3, 8));
+
+        // The same layer without the pool fires the unpooled spikes from
+        // the same membranes; pooling them gives the output.
+        let unpooled =
+            Layer { kind: LayerKind::Conv(ConvSpec { pool: false, ..spec }), ..layer.clone() };
+        let (_, spikes, unpooled_state) =
+            lower(KernelVariant::Baseline, FpFormat::Fp16, &unpooled, &input);
+        assert_eq!(state, unpooled_state);
+        assert!(output.count_spikes() > 0);
+        assert_eq!(output, max_pool_2x2(&spikes), "the output is the pooled spikes");
     }
 
     #[test]
@@ -556,10 +558,10 @@ mod tests {
         };
         let config = ClusterConfig::default();
         for variant in [KernelVariant::Baseline, KernelVariant::SpikeStream] {
-            let (program, out, _) = lower(variant, FpFormat::Fp16, &layer, &input);
+            let (program, spikes, _) = lower(variant, FpFormat::Fp16, &layer, &input);
             let stats = interpret(&program);
 
-            let out_rate = out.spikes.count_spikes() as f64 / spec.conv_output().len() as f64;
+            let out_rate = spikes.count_spikes() as f64 / spec.conv_output().len() as f64;
             let symbolic = LayerExecutor::new(variant, FpFormat::Fp16).lower_conv_symbolic(
                 &config,
                 "sym",

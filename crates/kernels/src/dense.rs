@@ -9,34 +9,24 @@
 //! weights); the baseline executes the same matmul as a scalar SIMD loop.
 //!
 //! Like the sparse kernels, this kernel is an emitter: it writes the layer
-//! into a [`ProgramSink`] exactly ([`LayerExecutor::lower_dense`]), or
-//! lowers it to a [`StreamProgram`] symbolically from expected rates.
+//! into a [`ProgramSink`] exactly and returns the spikes it fires
+//! ([`LayerExecutor::lower_dense`]), or lowers it to a [`StreamProgram`]
+//! symbolically from expected rates.
 
 use snitch_arch::ClusterConfig;
 use snitch_mem::dma::DmaDirection;
 use spikestream_ir::{
     CodeRegion, ComputePhase, DmaPhase, KernelOp, Phase, ProgramSink, StreamProgram, WorkItem,
 };
-use spikestream_snn::reference::max_pool_2x2;
 use spikestream_snn::{ConvSpec, Layer, LayerKind, NeuronModel, NeuronState, SpikeMap, Tensor3};
 
+use crate::conv::set_fired;
 use crate::emit;
 use crate::tiling::TilingPlanner;
 use crate::{KernelVariant, LayerExecutor, OpBuffer};
 
 const CODE_REGION_DENSE_BASELINE: CodeRegion = CodeRegion { id: 0x30, bytes: 1024 };
 const CODE_REGION_DENSE_SPIKESTREAM: CodeRegion = CodeRegion { id: 0x31, bytes: 1408 };
-
-/// Result of the spike-encoding layer.
-#[derive(Debug, Clone)]
-pub struct DenseKernelOutput {
-    /// Input currents of every output neuron.
-    pub currents: Tensor3,
-    /// Output spikes before pooling.
-    pub spikes: SpikeMap,
-    /// Output spikes after the optional pooling stage.
-    pub output: SpikeMap,
-}
 
 /// The instruction-cache regions the dense programs of `variant` fetch.
 fn code_regions(variant: KernelVariant) -> &'static [CodeRegion] {
@@ -48,7 +38,8 @@ fn code_regions(variant: KernelVariant) -> &'static [CodeRegion] {
 
 impl LayerExecutor {
     /// Lower one spike-encoding invocation into `sink` as its exact stream
-    /// program, computing the functional results along the way.
+    /// program, advancing the output neurons along the way, and return the
+    /// spikes they fire, after the optional 2x2 max-pool.
     ///
     /// `weights` are the layer's weights rounded to the executor's format
     /// (see [`LayerExecutor::lower_conv`]), `image` the padded input image
@@ -71,7 +62,7 @@ impl LayerExecutor {
         state: &mut NeuronState,
         buffer: &mut OpBuffer,
         sink: &mut dyn ProgramSink<'_>,
-    ) -> DenseKernelOutput {
+    ) -> SpikeMap {
         let LayerKind::Conv(spec) = &layer.kind else {
             panic!("lower_dense requires a convolutional layer");
         };
@@ -109,8 +100,7 @@ impl LayerExecutor {
         let input_base = plan.ifmap_idcs.base;
         let lane_bytes = lanes as u32 * self.format.bytes();
 
-        let mut currents = Tensor3::zeros(out_shape);
-        let mut spikes = SpikeMap::silent(out_shape);
+        let mut output = SpikeMap::silent(spec.output());
         let mut ops = buffer.lend();
         // Every pixel feeds up to kh x kw positions, so round the image to
         // the storage format once.
@@ -142,9 +132,6 @@ impl LayerExecutor {
                         }
                     }
                 }
-                for (co, &v) in acc.iter().enumerate() {
-                    currents.set(oh, ow, co, v);
-                }
 
                 emit::claim(&mut ops);
                 for g in 0..groups {
@@ -160,18 +147,17 @@ impl LayerExecutor {
                         ),
                     });
 
-                    // Fused activation, identical to the sparse layers.
+                    // Fused activation from the group's accumulators,
+                    // identical to the sparse layers.
                     emit::model_activation_head(&mut ops, &layer.neuron);
-                    for lane in 0..lanes {
-                        let co = g * lanes + lane;
-                        if co >= spec.out_channels {
-                            break;
-                        }
+                    let lane_base = g * lanes;
+                    let group = &acc[lane_base..spec.out_channels.min(lane_base + lanes)];
+                    for (lane, &current) in group.iter().enumerate() {
+                        let co = lane_base + lane;
                         emit::lane_unpack(&mut ops);
                         let neuron = out_shape.index(oh, ow, co);
-                        let current = self.format.quantize(currents.get(oh, ow, co));
-                        if state.step_single(&layer.neuron, neuron, current) {
-                            spikes.set(oh, ow, co, true);
+                        if state.step_single(&layer.neuron, neuron, self.format.quantize(current)) {
+                            set_fired(spec, &mut output, oh, ow, co);
                             emit::fired_update(&mut ops);
                         }
                     }
@@ -185,9 +171,7 @@ impl LayerExecutor {
         for dma in plan.dma_out_phases() {
             sink.dma(dma);
         }
-
-        let output = if spec.pool { max_pool_2x2(&spikes) } else { spikes.clone() };
-        DenseKernelOutput { currents, spikes, output }
+        output
     }
 
     /// Symbolic lowering of the spike-encoding layer from the expected
@@ -242,7 +226,7 @@ impl LayerExecutor {
         emit::claim(&mut ops);
         ops.push(KernelOp::Loop { body: group.into(), reps: groups as f64 });
         program.push(Phase::Compute(ComputePhase {
-            code: code_regions(self.variant).to_vec(),
+            code: code_regions(self.variant),
             items: vec![WorkItem::replicated((out.h * out.w) as f64, ops)],
         }));
         for dma in plan.dma_out_phases() {
@@ -280,17 +264,18 @@ mod tests {
         (layer, spec)
     }
 
-    /// Lower `layer` on the default cluster from a resting LIF state.
+    /// Lower `layer` on the default cluster from a resting LIF state;
+    /// returns the program, the output spikes and the advanced state.
     fn lower(
         variant: KernelVariant,
         format: FpFormat,
         layer: &Layer,
         image: &Tensor3,
-    ) -> (StreamProgram<'static>, DenseKernelOutput) {
+    ) -> (StreamProgram<'static>, SpikeMap, NeuronState) {
         let LayerKind::Conv(spec) = &layer.kind else { unreachable!() };
         let mut state = NeuronState::lif(spec.conv_output().len());
         let mut program = StreamProgram::new(&layer.name, format);
-        let out = LayerExecutor::new(variant, format).lower_dense(
+        let output = LayerExecutor::new(variant, format).lower_dense(
             &ClusterConfig::default(),
             layer,
             &layer.quantize_weights(format),
@@ -299,7 +284,7 @@ mod tests {
             &mut OpBuffer::new(),
             &mut program,
         );
-        (program, out)
+        (program, output, state)
     }
 
     #[test]
@@ -307,13 +292,19 @@ mod tests {
         let (layer, spec) = test_layer(8, 8);
         let mut rng = StdRng::seed_from_u64(4);
         let image = pad_image(&synthetic_image(spec.input, &mut rng), spec.padding);
-        let (_, out) = lower(KernelVariant::SpikeStream, FpFormat::Fp32, &layer, &image);
+        let (_, spikes, state) = lower(KernelVariant::SpikeStream, FpFormat::Fp32, &layer, &image);
 
         let eng = ReferenceEngine::new();
         let ref_currents = eng.conv_currents_dense(&layer, &spec, &image);
-        for (a, b) in out.currents.data().iter().zip(ref_currents.data()) {
+        let mut ref_state = NeuronState::lif(spec.conv_output().len());
+        let ref_spikes = eng.activate_conv(&layer, &spec, &ref_currents, &mut ref_state);
+        // One step from rest leaves each membrane at its input current, less
+        // the reset where the neuron fired.
+        for (a, b) in state.membrane().iter().zip(ref_state.membrane()) {
             assert!((a - b).abs() < 1e-3, "{a} vs {b}");
         }
+        assert!(ref_spikes.count_spikes() > 0, "the layer fires");
+        assert_eq!(spikes, ref_spikes);
     }
 
     #[test]
@@ -335,8 +326,9 @@ mod tests {
         let (layer, spec) = test_layer(6, 8);
         let mut rng = StdRng::seed_from_u64(9);
         let image = pad_image(&synthetic_image(spec.input, &mut rng), spec.padding);
-        let (_, a) = lower(KernelVariant::Baseline, FpFormat::Fp16, &layer, &image);
-        let (_, b) = lower(KernelVariant::SpikeStream, FpFormat::Fp16, &layer, &image);
-        assert_eq!(a.spikes, b.spikes);
+        let (_, a, sa) = lower(KernelVariant::Baseline, FpFormat::Fp16, &layer, &image);
+        let (_, b, sb) = lower(KernelVariant::SpikeStream, FpFormat::Fp16, &layer, &image);
+        assert_eq!(a, b);
+        assert_eq!(sa, sb);
     }
 }

@@ -9,6 +9,9 @@
 //! compose the *same* templates under `Loop` nodes with expected
 //! (fractional) counts. This module is what replaced the duplicated
 //! closed-form loop math of the old `analytic` module.
+//!
+//! The straight-line templates are constant op arrays that [`extend`]
+//! copies into the item being written, each op in place.
 
 use snitch_arch::isa::FpOp;
 use snitch_arch::SsrId;
@@ -21,32 +24,47 @@ use spikestream_snn::NeuronModel;
 /// (Fig. 2b). The previous item's ops are cleared first, so an exact
 /// emitter writes all its items through one reused buffer.
 pub(crate) fn claim(ops: &mut Vec<KernelOp<'_>>) {
+    static CLAIM: [KernelOp<'static>; 2] = [KernelOp::amo(), KernelOp::branch()];
     ops.clear();
-    ops.push(KernelOp::amo());
-    ops.push(KernelOp::branch());
+    extend(ops, &CLAIM);
+}
+
+/// Append the ops of a straight-line (`Int`/`Fp`) template. The buffer
+/// grows before any op exists, and each op is then written in place,
+/// field by field. A pushed op is instead built whole on the stack (104
+/// bytes), to be dropped should the push's growth unwind, and copied over
+/// unless its drop glue inlines to nothing, which depends on how the crate
+/// falls into codegen units; those copies can double an emitter's time.
+fn extend(ops: &mut Vec<KernelOp<'_>>, template: &[KernelOp<'static>]) {
+    ops.extend(template.iter().map(|op| match *op {
+        KernelOp::Int { op, reps } => KernelOp::Int { op, reps },
+        KernelOp::Fp { op, reps } => KernelOp::Fp { op, reps },
+        _ => unreachable!("op templates are straight-line"),
+    }));
 }
 
 /// SIMD-group prologue: load the group's per-neuron state into FP
 /// registers (one load per state variable — two-variable models also pull
 /// the recovery tile) and compute the group's weight base address.
 pub(crate) fn model_group_prologue(ops: &mut Vec<KernelOp<'_>>, model: &NeuronModel) {
-    for _ in 0..model.state_vars() {
-        ops.push(KernelOp::fp(FpOp::Load));
-    }
-    ops.push(KernelOp::alu());
-    ops.push(KernelOp::alu());
+    static PROLOGUE: [KernelOp<'static>; 4] =
+        [KernelOp::fp(FpOp::Load), KernelOp::fp(FpOp::Load), KernelOp::alu(), KernelOp::alu()];
+    extend(ops, &PROLOGUE[2 - model.state_vars()..]);
 }
 
 /// Outer-loop control per filter position (Listing 1a): row-pointer
 /// bookkeeping, spatial-coordinate computation and the two `s_ptr` loads
 /// that give the stream base address and length.
 pub(crate) fn position_control(ops: &mut Vec<KernelOp<'_>>) {
-    ops.push(KernelOp::branch());
-    ops.push(KernelOp::alu());
-    ops.push(KernelOp::alu());
-    ops.push(KernelOp::load());
-    ops.push(KernelOp::load());
-    ops.push(KernelOp::alu());
+    static CONTROL: [KernelOp<'static>; 6] = [
+        KernelOp::branch(),
+        KernelOp::alu(),
+        KernelOp::alu(),
+        KernelOp::load(),
+        KernelOp::load(),
+        KernelOp::alu(),
+    ];
+    extend(ops, &CONTROL);
 }
 
 /// One element of the scalar indirection loop of Listing 1b: seven integer
@@ -139,11 +157,11 @@ pub(crate) fn streamed_dense_dot(
 /// Head of the fused LIF activation (Section III-B/III-C): decay and
 /// integrate on the FPU, threshold compare, then move the spike mask to the
 /// integer core.
-fn activation_head(ops: &mut Vec<KernelOp<'_>>) {
-    ops.push(KernelOp::fp(FpOp::Fma)); // v*alpha + i
-    ops.push(KernelOp::fp(FpOp::Cmp)); // >= v_th
-    ops.push(KernelOp::mov());
-}
+static LIF_HEAD: [KernelOp<'static>; 3] = [
+    KernelOp::fp(FpOp::Fma), // v*alpha + i
+    KernelOp::fp(FpOp::Cmp), // >= v_th
+    KernelOp::mov(),
+];
 
 /// Head of the fused Izhikevich activation: the quadratic membrane update
 /// `v += 0.04v^2 + 5v + 140 - u + I`, the recovery update
@@ -152,55 +170,59 @@ fn activation_head(ops: &mut Vec<KernelOp<'_>>) {
 /// mask moves to the integer core. The op count is fixed per group — the
 /// resets are predicated selects, not branches — so exact and symbolic
 /// lowerings emit identical sequences by construction.
-fn izhikevich_activation_head(ops: &mut Vec<KernelOp<'_>>) {
-    ops.push(KernelOp::fp(FpOp::Fma)); // 0.04*v + 5
-    ops.push(KernelOp::fp(FpOp::Fma)); // (.)*v + 140
-    ops.push(KernelOp::fp(FpOp::Add)); // - u
-    ops.push(KernelOp::fp(FpOp::Add)); // + I
-    ops.push(KernelOp::fp(FpOp::Add)); // v' = v + dv
-    ops.push(KernelOp::fp(FpOp::Fma)); // b*v' - u
-    ops.push(KernelOp::fp(FpOp::Fma)); // u' = u + a*(.)
-    ops.push(KernelOp::fp(FpOp::Cmp)); // v' >= v_th
-    ops.push(KernelOp::fp(FpOp::Add)); // u' + d (spike-reset operand)
-    ops.push(KernelOp::fp(FpOp::Move)); // select v' / c
-    ops.push(KernelOp::fp(FpOp::Move)); // select u' / u'+d
-    ops.push(KernelOp::mov());
-}
+static IZHIKEVICH_HEAD: [KernelOp<'static>; 12] = [
+    KernelOp::fp(FpOp::Fma),  // 0.04*v + 5
+    KernelOp::fp(FpOp::Fma),  // (.)*v + 140
+    KernelOp::fp(FpOp::Add),  // - u
+    KernelOp::fp(FpOp::Add),  // + I
+    KernelOp::fp(FpOp::Add),  // v' = v + dv
+    KernelOp::fp(FpOp::Fma),  // b*v' - u
+    KernelOp::fp(FpOp::Fma),  // u' = u + a*(.)
+    KernelOp::fp(FpOp::Cmp),  // v' >= v_th
+    KernelOp::fp(FpOp::Add),  // u' + d (spike-reset operand)
+    KernelOp::fp(FpOp::Move), // select v' / c
+    KernelOp::fp(FpOp::Move), // select u' / u'+d
+    KernelOp::mov(),
+];
 
 /// Model-dispatching activation head: LIF keeps the three-op fused form,
 /// Izhikevich the twelve-op two-variable form.
 pub(crate) fn model_activation_head(ops: &mut Vec<KernelOp<'_>>, model: &NeuronModel) {
-    match model {
-        NeuronModel::Lif(_) => activation_head(ops),
-        NeuronModel::Izhikevich(_) => izhikevich_activation_head(ops),
-    }
+    extend(
+        ops,
+        match model {
+            NeuronModel::Lif(_) => &LIF_HEAD,
+            NeuronModel::Izhikevich(_) => &IZHIKEVICH_HEAD,
+        },
+    );
 }
 
 /// State write-back closing a group's activation: one store per state
 /// variable, mirroring [`model_group_prologue`].
 pub(crate) fn model_state_writeback(ops: &mut Vec<KernelOp<'_>>, model: &NeuronModel) {
-    for _ in 0..model.state_vars() {
-        ops.push(KernelOp::fp(FpOp::Store));
-    }
+    static WRITEBACK: [KernelOp<'static>; 2] =
+        [KernelOp::fp(FpOp::Store), KernelOp::fp(FpOp::Store)];
+    extend(ops, &WRITEBACK[..model.state_vars()]);
 }
 
 /// Per-lane unpacking of the spike mask: bit extraction plus branch.
+static LANE_UNPACK: [KernelOp<'static>; 2] = [KernelOp::alu(), KernelOp::branch()];
+
+/// Unpack one lane of the spike mask ([`LANE_UNPACK`]).
 pub(crate) fn lane_unpack(ops: &mut Vec<KernelOp<'_>>) {
-    ops.push(KernelOp::alu());
-    ops.push(KernelOp::branch());
+    extend(ops, &LANE_UNPACK);
 }
 
 /// Compressed-output update of one firing lane: append the channel index
 /// and atomically bump the spatial pointer.
 pub(crate) fn fired_update(ops: &mut Vec<KernelOp<'_>>) {
-    ops.push(KernelOp::store());
-    ops.push(KernelOp::amo());
+    static FIRED: [KernelOp<'static>; 2] = [KernelOp::store(), KernelOp::amo()];
+    extend(ops, &FIRED);
 }
 
 /// Symbolic form of the per-lane activation tail: `lanes` unpack pairs plus
 /// the expected number of compressed-output updates.
 pub(crate) fn activation_tail_symbolic(ops: &mut Vec<KernelOp<'_>>, lanes: f64, fired_lanes: f64) {
-    static LANE_UNPACK: [KernelOp<'static>; 2] = [KernelOp::alu(), KernelOp::branch()];
     ops.push(KernelOp::Loop { body: LoopBody::Template(&LANE_UNPACK), reps: lanes });
     if fired_lanes > 0.0 {
         ops.push(KernelOp::store().times(fired_lanes));

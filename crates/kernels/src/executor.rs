@@ -388,7 +388,7 @@ impl LayerExecutor {
                 if fresh {
                     state.reset_for(&layer.neuron, spec.conv_output().len());
                 }
-                let out = self.lower_dense(config, layer, weights, image, state, ops, sink);
+                let output = self.lower_dense(config, layer, weights, image, state, ops, sink);
                 let padded = spec.padded_input();
                 let input_spikes = if fresh { padded.len() } else { image.count_nonzero() };
                 let exec = LayerExecution {
@@ -397,9 +397,9 @@ impl LayerExecutor {
                     synops: spec.dense_synops() as f64,
                     csr_footprint_bytes: (padded.len() * 4) as f64,
                     aer_footprint_bytes: (padded.len() * 4) as f64,
-                    output_spikes: out.output.count_spikes() as u64,
+                    output_spikes: output.count_spikes() as u64,
                 };
-                (exec, out.output)
+                (exec, output)
             }
             (LayerKind::Conv(spec), LayerInput::Spikes(spikes)) => {
                 ifmap.refill_from(spikes);
@@ -407,7 +407,7 @@ impl LayerExecutor {
                 if fresh {
                     state.reset_for(&layer.neuron, spec.conv_output().len());
                 }
-                let out = self.lower_conv(config, layer, weights, ifmap, state, ops, sink);
+                let output = self.lower_conv(config, layer, weights, ifmap, state, ops, sink);
                 let rate = ifmap.firing_rate();
                 let exec = LayerExecution {
                     input_rate: rate,
@@ -415,9 +415,9 @@ impl LayerExecutor {
                     synops: spec.dense_synops() as f64 * rate,
                     csr_footprint_bytes: ifmap.footprint_bytes() as f64,
                     aer_footprint_bytes: (ifmap.spike_count() * AerEvent::BYTES) as f64,
-                    output_spikes: out.output.count_spikes() as u64,
+                    output_spikes: output.count_spikes() as u64,
                 };
-                (exec, out.output)
+                (exec, output)
             }
             (LayerKind::AvgPool(spec), LayerInput::Spikes(spikes)) => {
                 ifmap.refill_from(spikes);
@@ -439,7 +439,7 @@ impl LayerExecutor {
                 if fresh {
                     state.reset_for(&layer.neuron, spec.out_features);
                 }
-                let out = self.lower_fc(config, layer, weights, fc, state, ops, sink);
+                let output = self.lower_fc(config, layer, weights, fc, state, ops, sink);
                 let exec = LayerExecution {
                     input_rate: fc.spike_count() as f64 / spec.in_features as f64,
                     input_spikes: fc.spike_count() as u64,
@@ -447,9 +447,9 @@ impl LayerExecutor {
                         / spec.in_features as f64,
                     csr_footprint_bytes: fc.footprint_bytes() as f64,
                     aer_footprint_bytes: (fc.spike_count() * AerEvent::BYTES) as f64,
-                    output_spikes: out.spikes.count_spikes() as u64,
+                    output_spikes: output.count_spikes() as u64,
                 };
-                (exec, out.spikes)
+                (exec, output)
             }
             (LayerKind::Linear(_) | LayerKind::AvgPool(_), LayerInput::Image(_)) => {
                 panic!("fully connected and pooling layers consume spikes, not dense images")
@@ -543,7 +543,7 @@ mod tests {
         let compressed = CompressedIfmap::from_spike_map(&spikes);
         let mut state = NeuronState::lif(spec.conv_output().len());
         let mut direct_program = StreamProgram::new(&layer.name, FpFormat::Fp16);
-        let direct_out = executor.lower_conv(
+        let direct_output = executor.lower_conv(
             &config(),
             layer,
             &layer.quantize_weights(executor.format()),
@@ -566,7 +566,7 @@ mod tests {
         );
         let exec_stats = interpret(&program);
 
-        assert_eq!(exec.output_spikes, direct_out.output.count_spikes() as u64);
+        assert_eq!(exec.output_spikes, direct_output.count_spikes() as u64);
         assert_eq!(exec_stats.cycles, direct_stats.cycles);
         assert_eq!(exec_stats.totals.int_instrs, direct_stats.totals.int_instrs);
     }
@@ -652,8 +652,8 @@ mod tests {
                 &mut direct_program,
             );
             assert_eq!(program, direct_program, "step {step} program");
-            assert_eq!(out, direct.output, "step {step} spikes");
-            assert_eq!(exec.output_spikes, direct.output.count_spikes() as u64);
+            assert_eq!(out, direct, "step {step} spikes");
+            assert_eq!(exec.output_spikes, direct.count_spikes() as u64);
             assert_eq!(scratch.membrane(0).membrane(), reference.membrane(), "step {step}");
         }
 

@@ -7,7 +7,8 @@
 //! inputs, either as the scalar indirection loop (baseline) or as an
 //! indirect stream under FREP (SpikeStream). [`LayerExecutor::lower_fc`]
 //! writes each invocation into a [`ProgramSink`] with one work item per
-//! SIMD group.
+//! SIMD group, whose lane accumulators feed the group's neuron update, and
+//! returns the spikes the layer fires.
 
 use snitch_arch::ClusterConfig;
 use spikestream_ir::{
@@ -18,21 +19,13 @@ use spikestream_snn::{
     TensorShape,
 };
 
+use crate::conv::MAX_SIMD_LANES;
 use crate::emit;
 use crate::tiling::TilingPlanner;
 use crate::{KernelVariant, LayerExecutor, OpBuffer};
 
 const CODE_REGION_FC_BASELINE: CodeRegion = CodeRegion { id: 0x20, bytes: 896 };
 const CODE_REGION_FC_SPIKESTREAM: CodeRegion = CodeRegion { id: 0x21, bytes: 1152 };
-
-/// Functional result of one fully connected layer invocation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FcKernelOutput {
-    /// Input currents of every output neuron (quantized to the format).
-    pub currents: Vec<f32>,
-    /// Output spikes, packed as a `(1, 1, out_features)` map.
-    pub spikes: SpikeMap,
-}
 
 /// The instruction-cache regions the FC programs of `variant` fetch.
 fn code_regions(variant: KernelVariant) -> &'static [CodeRegion] {
@@ -56,7 +49,8 @@ fn planned_active_inputs(spec: &LinearSpec, input_rate: f64) -> usize {
 
 impl LayerExecutor {
     /// Lower one fully connected invocation into `sink` as its exact
-    /// stream program, computing the functional results along the way.
+    /// stream program, advancing the output neurons along the way, and
+    /// return the spikes they fire as a `(1, 1, out_features)` map.
     /// `weights` are the layer's weights rounded to the executor's format
     /// (see [`LayerExecutor::lower_conv`]), the program's gathers borrow
     /// `input`'s active-feature list, and `state` is the neuron state of
@@ -78,7 +72,7 @@ impl LayerExecutor {
         state: &mut NeuronState,
         buffer: &mut OpBuffer,
         sink: &mut dyn ProgramSink<'a>,
-    ) -> FcKernelOutput {
+    ) -> SpikeMap {
         let LayerKind::Linear(spec) = &layer.kind else {
             panic!("lower_fc requires a fully connected layer");
         };
@@ -105,21 +99,23 @@ impl LayerExecutor {
         }
         sink.compute(code_regions(self.variant));
 
-        let mut currents = vec![0.0f32; spec.out_features];
-        let mut spikes = SpikeMap::silent(TensorShape::new(1, 1, spec.out_features));
+        let mut output = SpikeMap::silent(TensorShape::new(1, 1, spec.out_features));
         let mut ops = buffer.lend();
 
-        // Functional accumulation: every active input feature adds its
-        // (output-contiguous, pre-quantized) weight row — the same
-        // per-output addition order as the former per-group scalar loop.
-        for &i in input.idcs() {
-            let row = spec.weight_index(i as usize, 0);
-            for (c, &w) in currents.iter_mut().zip(&weights[row..row + spec.out_features]) {
-                *c += w;
-            }
-        }
-
         for g in 0..groups {
+            // Functional accumulation: every active input feature adds the
+            // group's SIMD word of its (output-contiguous, pre-quantized)
+            // weight row to the lane accumulators, in active-list order.
+            let lane_base = g * lanes;
+            let lane_n = lanes.min(spec.out_features - lane_base);
+            let mut acc = [0.0f32; MAX_SIMD_LANES];
+            for &i in input.idcs() {
+                let row = spec.weight_index(i as usize, lane_base);
+                for (a, &w) in acc[..lane_n].iter_mut().zip(&weights[row..row + lane_n]) {
+                    *a += w;
+                }
+            }
+
             emit::claim(&mut ops);
             emit::model_group_prologue(&mut ops, &layer.neuron);
             if s_len > 0 {
@@ -130,7 +126,7 @@ impl LayerExecutor {
                     KernelVariant::SpikeStream => emit::streamed_spva(
                         idcs_base,
                         weights_base
-                            .wrapping_add(((g * lanes) as u32 * self.format.bytes()) % spm_bytes),
+                            .wrapping_add((lane_base as u32 * self.format.bytes()) % spm_bytes),
                         lanes as u32 * self.format.bytes(),
                         IndexStream::Exact(input.idcs()),
                     ),
@@ -139,15 +135,11 @@ impl LayerExecutor {
 
             // Fused activation and compressed output update.
             emit::model_activation_head(&mut ops, &layer.neuron);
-            for lane in 0..lanes {
-                let o = g * lanes + lane;
-                if o >= spec.out_features {
-                    break;
-                }
+            for (lane, &current) in acc[..lane_n].iter().enumerate() {
+                let o = lane_base + lane;
                 emit::lane_unpack(&mut ops);
-                let current = self.format.quantize(currents[o]);
-                if state.step_single(&layer.neuron, o, current) {
-                    spikes.set(0, 0, o, true);
+                if state.step_single(&layer.neuron, o, self.format.quantize(current)) {
+                    output.set(0, 0, o, true);
                     emit::fired_update(&mut ops);
                 }
             }
@@ -159,7 +151,7 @@ impl LayerExecutor {
         for dma in plan.dma_out_phases() {
             sink.dma(dma);
         }
-        FcKernelOutput { currents, spikes }
+        output
     }
 
     /// Symbolic FC lowering from expected firing rates: one representative
@@ -212,7 +204,7 @@ impl LayerExecutor {
         emit::model_state_writeback(&mut ops, model);
 
         program.push(Phase::Compute(ComputePhase {
-            code: code_regions(self.variant).to_vec(),
+            code: code_regions(self.variant),
             items: vec![WorkItem::replicated(groups as f64, ops)],
         }));
         for dma in plan.dma_out_phases() {
@@ -246,17 +238,18 @@ mod tests {
         CompressedFcInput::from_spikes(&spikes)
     }
 
-    /// Lower `layer` on the default cluster from a resting LIF state.
+    /// Lower `layer` on the default cluster from a resting LIF state;
+    /// returns the program, the output spikes and the advanced state.
     fn lower<'a>(
         variant: KernelVariant,
         format: FpFormat,
         layer: &Layer,
         input: &'a CompressedFcInput,
-    ) -> (StreamProgram<'a>, FcKernelOutput) {
+    ) -> (StreamProgram<'a>, SpikeMap, NeuronState) {
         let LayerKind::Linear(spec) = &layer.kind else { unreachable!() };
         let mut state = NeuronState::lif(spec.out_features);
         let mut program = StreamProgram::new(&layer.name, format);
-        let out = LayerExecutor::new(variant, format).lower_fc(
+        let output = LayerExecutor::new(variant, format).lower_fc(
             &ClusterConfig::default(),
             layer,
             &layer.quantize_weights(format),
@@ -265,34 +258,36 @@ mod tests {
             &mut OpBuffer::new(),
             &mut program,
         );
-        (program, out)
+        (program, output, state)
     }
 
     #[test]
     fn fp32_fc_matches_reference() {
         let (layer, spec) = test_layer(256, 32);
         let input = sparse_input(256, 0.1, 1);
-        let (_, out) = lower(KernelVariant::SpikeStream, FpFormat::Fp32, &layer, &input);
+        let (_, spikes, state) = lower(KernelVariant::SpikeStream, FpFormat::Fp32, &layer, &input);
 
-        let eng = ReferenceEngine::new();
         let ref_input =
             SpikeMap::from_vec(TensorShape::new(1, 1, spec.in_features), input.decompress());
-        let ref_currents = eng.linear_currents(&layer, &spec, &ref_input);
-        for (a, b) in out.currents.iter().zip(ref_currents.iter()) {
+        let mut ref_state = NeuronState::lif(spec.out_features);
+        let ref_spikes = ReferenceEngine::new().linear_forward(&layer, &ref_input, &mut ref_state);
+        // One step from rest leaves each membrane at its input current, less
+        // the reset where the neuron fired.
+        for (a, b) in state.membrane().iter().zip(ref_state.membrane()) {
             assert!((a - b).abs() < 1e-4);
         }
-        let mut ref_state = NeuronState::lif(spec.out_features);
-        let ref_spikes = ref_state.step(&layer.neuron, &ref_currents);
-        assert_eq!(out.spikes.to_bools(), ref_spikes);
+        assert!(ref_spikes.count_spikes() > 0, "the layer fires");
+        assert_eq!(spikes, ref_spikes);
     }
 
     #[test]
     fn variants_agree_functionally() {
         let (layer, _) = test_layer(512, 64);
         let input = sparse_input(512, 0.05, 3);
-        let (_, a) = lower(KernelVariant::Baseline, FpFormat::Fp16, &layer, &input);
-        let (_, b) = lower(KernelVariant::SpikeStream, FpFormat::Fp16, &layer, &input);
-        assert_eq!(a.spikes, b.spikes);
+        let (_, a, sa) = lower(KernelVariant::Baseline, FpFormat::Fp16, &layer, &input);
+        let (_, b, sb) = lower(KernelVariant::SpikeStream, FpFormat::Fp16, &layer, &input);
+        assert_eq!(a, b);
+        assert_eq!(sa, sb);
     }
 
     #[test]
@@ -322,8 +317,8 @@ mod tests {
     fn empty_input_is_handled() {
         let (layer, _) = test_layer(128, 16);
         let input = CompressedFcInput::from_spikes(&[false; 128]);
-        let (program, out) = lower(KernelVariant::SpikeStream, FpFormat::Fp8, &layer, &input);
-        assert_eq!(out.spikes.count_spikes(), 0);
+        let (program, output, _) = lower(KernelVariant::SpikeStream, FpFormat::Fp8, &layer, &input);
+        assert_eq!(output.count_spikes(), 0);
         assert!(interpret(&program).cycles > 0);
     }
 

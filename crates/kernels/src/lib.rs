@@ -30,7 +30,12 @@
 //! code variant and one storage format — is the single kernel value, and
 //! each kernel module adds its lowering to it
 //! ([`LayerExecutor::lower_conv`], [`LayerExecutor::lower_dense`],
-//! [`LayerExecutor::lower_fc`], [`LayerExecutor::lower_pool`]). Backends
+//! [`LayerExecutor::lower_fc`], [`LayerExecutor::lower_pool`]). An exact
+//! lowering steps the layer's neurons as it emits their activation and
+//! returns only the spikes they fire: each SIMD group's lane accumulators
+//! feed the group's neuron update, and a pooling conv layer writes each
+//! fired neuron straight into its 2x2 max-pool cell, as the paper's
+//! kernels write only the compressed output spikes back. Backends
 //! go through the uniform dispatch: single-shot synthetic evaluation uses
 //! [`LayerExecutor::lower_exact`] (membranes reset per invocation); the
 //! T-timestep temporal pipeline uses [`LayerExecutor::lower_temporal_step`],
@@ -49,7 +54,6 @@ pub mod fc;
 pub mod pool;
 pub mod tiling;
 
-pub use conv::ConvKernelOutput;
 pub use executor::{LayerExecution, LayerExecutor, LayerInput, LayerScratch, OpBuffer};
 pub use tiling::{LayerTilePlan, TilingPlanner};
 
@@ -79,5 +83,5 @@ fn interpret(program: &spikestream_ir::StreamProgram<'_>) -> snitch_sim::PhaseSt
     let config = snitch_arch::ClusterConfig::default();
     let mut cluster = snitch_sim::ClusterModel::new(config, snitch_arch::CostModel::default());
     snitch_sim::execute_program(&mut cluster, program);
-    cluster.finish_phase(&program.label)
+    cluster.finish_phase()
 }

@@ -141,7 +141,7 @@ impl LayerExecutor {
         emit::claim(&mut ops);
         ops.push(KernelOp::Loop { body: group.into(), reps: groups as f64 });
         program.push(Phase::Compute(ComputePhase {
-            code: code_regions(self.variant).to_vec(),
+            code: code_regions(self.variant),
             items: vec![WorkItem::replicated((out.h * out.w) as f64, ops)],
         }));
         for dma in plan.dma_out_phases() {

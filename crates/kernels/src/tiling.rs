@@ -51,18 +51,14 @@ impl LayerTilePlan {
     /// the compressed ifmap and the neuron state are prologue loads the
     /// compute stream waits for; the remaining weight tiles are
     /// double-buffered behind compute.
-    pub fn dma_in_phases(&self) -> Vec<DmaPhase> {
-        self.dma_in
-            .iter()
-            .enumerate()
-            .map(|(i, req)| DmaPhase {
-                direction: req.direction,
-                row_bytes: req.row_bytes,
-                rows: req.rows,
-                row_stride_overhead: req.row_stride_overhead,
-                double_buffered: i > 0 && i < self.weight_tiles,
-            })
-            .collect()
+    pub fn dma_in_phases(&self) -> impl Iterator<Item = DmaPhase> + '_ {
+        self.dma_in.iter().enumerate().map(|(i, req)| DmaPhase {
+            direction: req.direction,
+            row_bytes: req.row_bytes,
+            rows: req.rows,
+            row_stride_overhead: req.row_stride_overhead,
+            double_buffered: i > 0 && i < self.weight_tiles,
+        })
     }
 
     /// The plan's outbound transfers, emitted *after* the compute phase:
@@ -70,19 +66,15 @@ impl LayerTilePlan {
     /// (double-buffered, so the engine issues them as early as it is free)
     /// while the final membrane write-back is an epilogue transfer that
     /// waits for the last group to complete.
-    pub fn dma_out_phases(&self) -> Vec<DmaPhase> {
+    pub fn dma_out_phases(&self) -> impl Iterator<Item = DmaPhase> + '_ {
         let last_out = self.dma_out.len().saturating_sub(1);
-        self.dma_out
-            .iter()
-            .enumerate()
-            .map(|(i, req)| DmaPhase {
-                direction: req.direction,
-                row_bytes: req.row_bytes,
-                rows: req.rows,
-                row_stride_overhead: req.row_stride_overhead,
-                double_buffered: i < last_out,
-            })
-            .collect()
+        self.dma_out.iter().enumerate().map(move |(i, req)| DmaPhase {
+            direction: req.direction,
+            row_bytes: req.row_bytes,
+            rows: req.rows,
+            row_stride_overhead: req.row_stride_overhead,
+            double_buffered: i < last_out,
+        })
     }
 }
 
@@ -343,8 +335,8 @@ mod tests {
         };
         let input = CompressedIfmap::from_spike_map(&SpikeMap::silent(spec.padded_input()));
         let plan = planner().plan_conv(&spec, FpFormat::Fp16, &input, 1);
-        let ins = plan.dma_in_phases();
-        let outs = plan.dma_out_phases();
+        let ins: Vec<_> = plan.dma_in_phases().collect();
+        let outs: Vec<_> = plan.dma_out_phases().collect();
 
         // Prologue: first weight tile + ifmap + state; every further weight
         // tile is double-buffered behind compute.

@@ -18,8 +18,6 @@ use crate::counters::PerfCounters;
 /// Aggregated statistics of one execution phase (one layer).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseStats {
-    /// Phase label (for example the layer name).
-    pub label: String,
     /// Phase duration in cycles: slowest worker core or DMA completion.
     /// Guaranteed nonzero (an empty phase reports one cycle).
     pub cycles: u64,
@@ -132,7 +130,7 @@ impl ClusterModel {
     /// The returned `cycles` and `compute_cycles` are guaranteed nonzero:
     /// even an empty phase costs one cycle, which lets downstream consumers
     /// divide by phase durations without clamping.
-    pub fn finish_phase(&mut self, label: impl Into<String>) -> PhaseStats {
+    pub fn finish_phase(&mut self) -> PhaseStats {
         let compute_cycles =
             self.cores.iter().map(|c| c.counters().total_cycles()).max().unwrap_or(0).max(1);
         let dma_cycles = self.dma.busy_until();
@@ -151,7 +149,6 @@ impl ClusterModel {
         let (dma_in, dma_out) = self.dma.bytes_moved();
 
         let stats = PhaseStats {
-            label: label.into(),
             cycles,
             compute_cycles,
             dma_cycles,
@@ -205,7 +202,7 @@ mod tests {
             };
             cl.core_mut(core).exec(&spva, FpFormat::Fp16);
         }
-        let stats = cl.finish_phase("test");
+        let stats = cl.finish_phase();
         assert!(stats.compute_cycles >= 1000);
         assert_eq!(stats.cycles, stats.compute_cycles, "no DMA traffic issued");
     }
@@ -215,7 +212,7 @@ mod tests {
         let mut cl = cluster();
         cl.core_mut(0).exec(&KernelOp::alu(), FpFormat::Fp16);
         let done = cl.dma_issue(DmaRequest::contiguous(DmaDirection::In, 1 << 20), 0);
-        let stats = cl.finish_phase("dma-bound");
+        let stats = cl.finish_phase();
         assert_eq!(stats.cycles, done);
         assert!(stats.dma_cycles > stats.compute_cycles);
         assert_eq!(stats.dma_bytes_in, 1 << 20);
@@ -226,9 +223,9 @@ mod tests {
         let mut cl = cluster();
         cl.core_mut(0).exec(&KernelOp::alu(), FpFormat::Fp16);
         cl.dma_issue(DmaRequest::contiguous(DmaDirection::Out, 4096), 0);
-        let first = cl.finish_phase("a");
+        let first = cl.finish_phase();
         assert!(first.cycles > 1);
-        let second = cl.finish_phase("b");
+        let second = cl.finish_phase();
         assert_eq!(second.cycles, 1, "empty phases report the guaranteed one cycle");
         assert_eq!(second.compute_cycles, 1);
         assert_eq!(second.dma_bytes_out, 0);

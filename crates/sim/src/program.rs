@@ -42,13 +42,13 @@ pub struct Interpreter<'a> {
     /// Completion cycle of the latest prologue load: compute waits for it.
     prologue_floor: u64,
     /// Code regions of the open compute phase, fetched per item.
-    code: Vec<CodeRegion>,
+    code: &'static [CodeRegion],
 }
 
 impl<'a> Interpreter<'a> {
     /// An interpreter of `format` programs on `cluster`.
     pub fn new(cluster: &'a mut ClusterModel, format: FpFormat) -> Self {
-        Interpreter { cluster, format, prologue_floor: 0, code: Vec::new() }
+        Interpreter { cluster, format, prologue_floor: 0, code: &[] }
     }
 }
 
@@ -68,15 +68,14 @@ impl<'a> ProgramSink<'a> for Interpreter<'_> {
         }
     }
 
-    fn compute(&mut self, code: &[CodeRegion]) {
+    fn compute(&mut self, code: &'static [CodeRegion]) {
         self.cluster.stall_cores_until_dma(self.prologue_floor);
-        self.code.clear();
-        self.code.extend_from_slice(code);
+        self.code = code;
     }
 
     fn item(&mut self, ops: &[KernelOp<'a>]) {
         let core = self.cluster.least_busy_core();
-        for region in &self.code {
+        for region in self.code {
             self.cluster.fetch_code(core, region.id, region.bytes);
         }
         self.cluster.core_mut(core).exec_item(ops, self.format);
@@ -111,7 +110,7 @@ pub fn execute_program(cluster: &mut ClusterModel, program: &StreamProgram<'_>) 
         match phase {
             Phase::Dma(d) => interpreter.dma(*d),
             Phase::Compute(c) => {
-                interpreter.compute(&c.code);
+                interpreter.compute(c.code);
                 for item in &c.items {
                     for _ in 0..item.instances as u64 {
                         interpreter.item(&item.ops);
@@ -170,7 +169,7 @@ mod tests {
         let mut p = StreamProgram::new("test", FpFormat::Fp16);
         p.push(Phase::Dma(DmaPhase::contiguous(DmaDirection::In, 4096, false)));
         p.push(Phase::Compute(ComputePhase {
-            code: vec![CodeRegion { id: 0x99, bytes: 512 }],
+            code: &[CodeRegion { id: 0x99, bytes: 512 }],
             items,
         }));
         p.push(Phase::Dma(DmaPhase::contiguous(DmaDirection::Out, 256, false)));
@@ -183,7 +182,7 @@ mod tests {
         let p = program((0..32).map(|_| stream_item(&idcs)).collect());
         let mut cl = cluster();
         execute_program(&mut cl, &p);
-        let stats = cl.finish_phase("x");
+        let stats = cl.finish_phase();
 
         let cost = CostIntegrator::snitch().integrate(&p);
         assert_eq!(stats.totals.int_instrs as f64, cost.int_instrs);
@@ -209,12 +208,12 @@ mod tests {
         let mut p = StreamProgram::new("gate", FpFormat::Fp16);
         p.push(Phase::Dma(DmaPhase::contiguous(DmaDirection::In, 1 << 16, false)));
         p.push(Phase::Compute(ComputePhase {
-            code: vec![],
+            code: &[],
             items: vec![WorkItem::new(vec![KernelOp::alu()])],
         }));
         let mut cl = cluster();
         execute_program(&mut cl, &p);
-        let stats = cl.finish_phase("gate");
+        let stats = cl.finish_phase();
         assert!(stats.compute_cycles > 1000, "cores wait for the tile load");
         assert!(stats.totals.stall_dma_wait > 0);
     }
@@ -228,12 +227,12 @@ mod tests {
             p.push(Phase::Dma(DmaPhase::contiguous(DmaDirection::In, 1 << 14, true)));
         }
         p.push(Phase::Compute(ComputePhase {
-            code: vec![],
+            code: &[],
             items: (0..64).map(|_| stream_item(&idcs)).collect(),
         }));
         let mut cl = cluster();
         execute_program(&mut cl, &p);
-        let stats = cl.finish_phase("db");
+        let stats = cl.finish_phase();
         assert!(
             stats.cycles < stats.compute_cycles + stats.dma_busy_cycles,
             "double-buffered tiles must hide behind compute: cycles {} compute {} dma busy {}",
@@ -248,13 +247,13 @@ mod tests {
         let idcs = iota(512);
         let mut p = StreamProgram::new("ep", FpFormat::Fp16);
         p.push(Phase::Compute(ComputePhase {
-            code: vec![],
+            code: &[],
             items: (0..8).map(|_| stream_item(&idcs)).collect(),
         }));
         p.push(Phase::Dma(DmaPhase::contiguous(DmaDirection::Out, 4096, false)));
         let mut cl = cluster();
         execute_program(&mut cl, &p);
-        let stats = cl.finish_phase("ep");
+        let stats = cl.finish_phase();
         assert!(stats.dma_cycles > stats.compute_cycles, "write-back lands after compute");
         assert_eq!(stats.cycles, stats.dma_cycles);
     }
@@ -264,7 +263,7 @@ mod tests {
     fn symbolic_program_is_rejected() {
         let mut p = StreamProgram::new("sym", FpFormat::Fp16);
         p.push(Phase::Compute(ComputePhase {
-            code: vec![],
+            code: &[],
             items: vec![WorkItem::new(vec![KernelOp::alu().times(0.5)])],
         }));
         execute_program(&mut cluster(), &p);

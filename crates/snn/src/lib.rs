@@ -33,7 +33,7 @@ pub use compress::{AerEvent, AerFrame, CompressedFcInput, CompressedIfmap};
 pub use encoding::{TemporalEncoder, TemporalEncoding};
 pub use layer::{ConvSpec, Layer, LayerKind, LinearSpec, PoolSpec};
 pub use model::{Network, NetworkBuilder};
-pub use neuron::{IzhiParams, IzhiState, LifParams, LifState, NeuronModel, NeuronState};
+pub use neuron::{IzhiParams, LifParams, NeuronModel, NeuronState};
 pub use reference::ReferenceEngine;
 pub use tensor::{ActiveBits, ActiveChannels, SpikeMap, Tensor3, TensorShape};
 pub use workload::{

@@ -73,127 +73,6 @@ impl Default for LifParams {
     }
 }
 
-/// Membrane state of a population of LIF neurons.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LifState {
-    membrane: Vec<f32>,
-}
-
-impl Default for LifState {
-    /// An empty population (scratch seed for [`LifState::reset_to`]).
-    fn default() -> Self {
-        LifState::new(0)
-    }
-}
-
-impl LifState {
-    /// A resting population of `n` neurons.
-    pub fn new(n: usize) -> Self {
-        LifState { membrane: vec![0.0; n] }
-    }
-
-    /// Number of neurons.
-    pub fn len(&self) -> usize {
-        self.membrane.len()
-    }
-
-    /// Whether the population is empty.
-    pub fn is_empty(&self) -> bool {
-        self.membrane.is_empty()
-    }
-
-    /// Membrane potentials.
-    pub fn membrane(&self) -> &[f32] {
-        &self.membrane
-    }
-
-    /// Mutable membrane potentials (used by the kernels, which keep the
-    /// neuron state dense in the scratchpad).
-    pub fn membrane_mut(&mut self) -> &mut [f32] {
-        &mut self.membrane
-    }
-
-    /// Advance every neuron by one timestep given its input current.
-    ///
-    /// Returns the output spike vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `currents.len()` differs from the population size.
-    pub fn step(&mut self, params: &LifParams, currents: &[f32]) -> Vec<bool> {
-        assert_eq!(currents.len(), self.membrane.len(), "current vector length mismatch");
-        let mut spikes = Vec::with_capacity(self.membrane.len());
-        for (v, &i) in self.membrane.iter_mut().zip(currents.iter()) {
-            *v = *v * params.alpha + params.resistance * i;
-            let fired = *v >= params.v_threshold;
-            if fired {
-                *v -= params.v_reset;
-            }
-            spikes.push(fired);
-        }
-        spikes
-    }
-
-    /// Advance every neuron by one timestep, packing the threshold
-    /// crossings directly into the words of `out` — 64 neurons per word,
-    /// with no intermediate `bool` buffer. The temporal pipeline's no-alloc
-    /// activation path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `currents.len()` or `out.shape().len()` differs from the
-    /// population size.
-    pub fn step_into_map(&mut self, params: &LifParams, currents: &[f32], out: &mut SpikeMap) {
-        assert_eq!(currents.len(), self.membrane.len(), "current vector length mismatch");
-        assert_eq!(
-            out.shape().len(),
-            self.membrane.len(),
-            "spike map {} does not hold one bit per neuron of the population ({})",
-            out.shape(),
-            self.membrane.len(),
-        );
-        let words = out.words_mut();
-        for (word, (vs, is)) in words
-            .iter_mut()
-            .zip(self.membrane.chunks_mut(WORD_BITS).zip(currents.chunks(WORD_BITS)))
-        {
-            let mut packed = 0u64;
-            for (bit, (v, &i)) in vs.iter_mut().zip(is.iter()).enumerate() {
-                *v = *v * params.alpha + params.resistance * i;
-                if *v >= params.v_threshold {
-                    *v -= params.v_reset;
-                    packed |= 1 << bit;
-                }
-            }
-            *word = packed;
-        }
-    }
-
-    /// Advance one neuron (used by the per-neuron fused kernels).
-    pub fn step_single(&mut self, params: &LifParams, neuron: usize, current: f32) -> bool {
-        let v = &mut self.membrane[neuron];
-        *v = *v * params.alpha + params.resistance * current;
-        let fired = *v >= params.v_threshold;
-        if fired {
-            *v -= params.v_reset;
-        }
-        fired
-    }
-
-    /// Reset all membranes to the resting potential.
-    pub fn reset(&mut self) {
-        self.membrane.iter_mut().for_each(|v| *v = 0.0);
-    }
-
-    /// Reset to a resting population of `n` neurons, reusing the existing
-    /// allocation when its capacity allows (the batch driver's per-worker
-    /// scratch path).
-    pub fn reset_to(&mut self, n: usize) {
-        self.membrane.clear();
-        self.membrane.resize(n, 0.0);
-    }
-}
-
 /// Parameters of the Izhikevich neuron model.
 ///
 /// The quadratic two-variable dynamics of Izhikevich (2003):
@@ -269,8 +148,8 @@ impl IzhiParams {
     }
 
     /// Advance one neuron by one quantized Euler step; the single source
-    /// of the Izhikevich arithmetic shared by every stepping path, so the
-    /// scalar, vector and word-packed trajectories are bit-identical.
+    /// of the Izhikevich arithmetic shared by both stepping paths, so the
+    /// per-neuron and word-packed trajectories are bit-identical.
     #[inline]
     fn step_one(&self, v: &mut f32, u: &mut f32, current: f32) -> bool {
         let v0 = *v;
@@ -367,239 +246,151 @@ impl std::fmt::Display for NeuronModel {
     }
 }
 
-/// State of a population of Izhikevich neurons: membrane `v` plus the
-/// recovery variable `u`, both dense `f32` vectors.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IzhiState {
-    v: Vec<f32>,
-    u: Vec<f32>,
+/// Per-neuron state of one population: the membrane potential `v` of every
+/// neuron and, for Izhikevich, the recovery variable `u` next to it (empty
+/// for LIF). What the kernels, the reference engine and the temporal
+/// pipeline carry per layer. The state holds the variables of the model it
+/// was made or last reset for; each step matches on the layer's
+/// [`NeuronModel`], and stepping with a model whose variables the state
+/// does not hold panics.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct NeuronState {
+    membrane: Vec<f32>,
+    recovery: Vec<f32>,
 }
 
-impl IzhiState {
-    /// A resting population of `n` neurons (`v = c`, `u = b·c`).
-    pub fn new(params: &IzhiParams, n: usize) -> Self {
-        IzhiState { v: vec![params.v_rest(); n], u: vec![params.u_rest(); n] }
+impl NeuronState {
+    /// A resting population of `n` neurons of the given model.
+    pub fn new(model: &NeuronModel, n: usize) -> Self {
+        let mut state = NeuronState::default();
+        state.reset_for(model, n);
+        state
+    }
+
+    /// A resting LIF population of `n` neurons.
+    pub fn lif(n: usize) -> Self {
+        NeuronState { membrane: vec![0.0; n], recovery: Vec::new() }
     }
 
     /// Number of neurons.
     pub fn len(&self) -> usize {
-        self.v.len()
+        self.membrane.len()
     }
 
     /// Whether the population is empty.
     pub fn is_empty(&self) -> bool {
-        self.v.is_empty()
+        self.membrane.is_empty()
     }
 
     /// Membrane potentials `v`.
-    pub fn v(&self) -> &[f32] {
-        &self.v
+    pub fn membrane(&self) -> &[f32] {
+        &self.membrane
     }
 
-    /// Recovery variables `u`.
-    pub fn u(&self) -> &[f32] {
-        &self.u
+    /// Recovery variables `u` — empty for LIF populations.
+    pub fn recovery(&self) -> &[f32] {
+        &self.recovery
     }
 
-    /// Advance every neuron by one timestep; returns the spike vector.
+    /// Panic unless the state holds the variables of `model`: no recovery
+    /// value for LIF, one per neuron for Izhikevich.
+    #[inline]
+    fn check_model(&self, model: &NeuronModel) {
+        let recovery = (model.state_vars() - 1) * self.membrane.len();
+        assert!(
+            self.recovery.len() == recovery,
+            "neuron state ({} neurons, {} recovery values) does not match model `{model}`",
+            self.membrane.len(),
+            self.recovery.len(),
+        );
+    }
+
+    /// Advance one neuron by one timestep of `model`; returns whether it
+    /// fired. The fused kernels step each SIMD lane this way as they
+    /// unpack it.
     ///
     /// # Panics
     ///
-    /// Panics if `currents.len()` differs from the population size.
-    pub fn step(&mut self, params: &IzhiParams, currents: &[f32]) -> Vec<bool> {
-        assert_eq!(currents.len(), self.v.len(), "current vector length mismatch");
-        let mut spikes = Vec::with_capacity(self.v.len());
-        for ((v, u), &i) in self.v.iter_mut().zip(self.u.iter_mut()).zip(currents.iter()) {
-            spikes.push(params.step_one(v, u, i));
+    /// Panics if the state does not hold the variables of `model` or
+    /// `neuron` is out of range.
+    pub fn step_single(&mut self, model: &NeuronModel, neuron: usize, current: f32) -> bool {
+        self.check_model(model);
+        let v = &mut self.membrane[neuron];
+        match model {
+            NeuronModel::Lif(p) => {
+                *v = *v * p.alpha + p.resistance * current;
+                let fired = *v >= p.v_threshold;
+                if fired {
+                    *v -= p.v_reset;
+                }
+                fired
+            }
+            NeuronModel::Izhikevich(p) => p.step_one(v, &mut self.recovery[neuron], current),
         }
-        spikes
     }
 
-    /// Advance every neuron, packing the spikes word-wise into `out`.
+    /// Advance every neuron by one timestep of `model`, packing the
+    /// threshold crossings directly into the words of `out` — 64 neurons
+    /// per word, with no intermediate `bool` buffer. The reference
+    /// engine's path. Its LIF arithmetic is written apart from
+    /// [`NeuronState::step_single`]'s, so the differential tests compare
+    /// two implementations of Eq. (1).
     ///
     /// # Panics
     ///
-    /// Panics if `currents.len()` or `out.shape().len()` differs from the
-    /// population size.
-    pub fn step_into_map(&mut self, params: &IzhiParams, currents: &[f32], out: &mut SpikeMap) {
-        assert_eq!(currents.len(), self.v.len(), "current vector length mismatch");
+    /// Panics if the state does not hold the variables of `model`, or if
+    /// `currents.len()` or `out.shape().len()` differs from the population
+    /// size.
+    pub fn step_into_map(&mut self, model: &NeuronModel, currents: &[f32], out: &mut SpikeMap) {
+        self.check_model(model);
+        let n = self.membrane.len();
+        assert_eq!(currents.len(), n, "current vector length mismatch");
         assert_eq!(
             out.shape().len(),
-            self.v.len(),
-            "spike map {} does not hold one bit per neuron of the population ({})",
+            n,
+            "spike map {} does not hold one bit per neuron of the population ({n})",
             out.shape(),
-            self.v.len(),
         );
-        let words = out.words_mut();
-        for (word, ((vs, us), is)) in words.iter_mut().zip(
-            self.v
-                .chunks_mut(WORD_BITS)
-                .zip(self.u.chunks_mut(WORD_BITS))
-                .zip(currents.chunks(WORD_BITS)),
-        ) {
+        let (membrane, recovery) = (&mut self.membrane, &mut self.recovery);
+        let mut fire = |i: usize| match model {
+            NeuronModel::Lif(p) => {
+                let v = &mut membrane[i];
+                *v = *v * p.alpha + p.resistance * currents[i];
+                let fired = *v >= p.v_threshold;
+                if fired {
+                    *v -= p.v_reset;
+                }
+                fired
+            }
+            NeuronModel::Izhikevich(p) => {
+                p.step_one(&mut membrane[i], &mut recovery[i], currents[i])
+            }
+        };
+        for (w, word) in out.words_mut().iter_mut().enumerate() {
+            let first = w * WORD_BITS;
             let mut packed = 0u64;
-            for (bit, ((v, u), &i)) in vs.iter_mut().zip(us.iter_mut()).zip(is.iter()).enumerate() {
-                if params.step_one(v, u, i) {
-                    packed |= 1 << bit;
+            for i in first..n.min(first + WORD_BITS) {
+                if fire(i) {
+                    packed |= 1 << (i - first);
                 }
             }
             *word = packed;
         }
     }
 
-    /// Advance one neuron (used by the per-neuron fused kernels).
-    pub fn step_single(&mut self, params: &IzhiParams, neuron: usize, current: f32) -> bool {
-        let (v, u) = (&mut self.v[neuron], &mut self.u[neuron]);
-        params.step_one(v, u, current)
-    }
-
-    /// Reset to a resting population of `n` neurons, reusing allocations.
-    pub fn reset_to(&mut self, params: &IzhiParams, n: usize) {
-        self.v.clear();
-        self.v.resize(n, params.v_rest());
-        self.u.clear();
-        self.u.resize(n, params.u_rest());
-    }
-}
-
-/// Model-generic per-neuron state: what the kernels, the reference engine
-/// and the temporal pipeline carry per layer. The variant always matches
-/// the layer's [`NeuronModel`]; stepping with a mismatched model panics.
-#[derive(Debug, Clone, PartialEq)]
-pub enum NeuronState {
-    /// One membrane potential per neuron.
-    Lif(LifState),
-    /// Membrane plus recovery variable per neuron.
-    Izhikevich(IzhiState),
-}
-
-impl Default for NeuronState {
-    /// An empty LIF population (scratch seed for [`NeuronState::reset_for`]).
-    fn default() -> Self {
-        NeuronState::Lif(LifState::default())
-    }
-}
-
-impl NeuronState {
-    /// A resting population of `n` neurons of the given model.
-    pub fn new(model: &NeuronModel, n: usize) -> Self {
-        match model {
-            NeuronModel::Lif(_) => NeuronState::Lif(LifState::new(n)),
-            NeuronModel::Izhikevich(p) => NeuronState::Izhikevich(IzhiState::new(p, n)),
-        }
-    }
-
-    /// A resting LIF population of `n` neurons.
-    pub fn lif(n: usize) -> Self {
-        NeuronState::Lif(LifState::new(n))
-    }
-
-    /// Number of neurons.
-    pub fn len(&self) -> usize {
-        match self {
-            NeuronState::Lif(s) => s.len(),
-            NeuronState::Izhikevich(s) => s.len(),
-        }
-    }
-
-    /// Whether the population is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Membrane potentials `v`.
-    pub fn membrane(&self) -> &[f32] {
-        match self {
-            NeuronState::Lif(s) => s.membrane(),
-            NeuronState::Izhikevich(s) => s.v(),
-        }
-    }
-
-    /// Mutable membrane potentials (used by the kernels, which keep the
-    /// neuron state dense in the scratchpad).
-    pub fn membrane_mut(&mut self) -> &mut [f32] {
-        match self {
-            NeuronState::Lif(s) => s.membrane_mut(),
-            NeuronState::Izhikevich(s) => &mut s.v,
-        }
-    }
-
-    /// Recovery variables `u` — empty for LIF populations.
-    pub fn recovery(&self) -> &[f32] {
-        match self {
-            NeuronState::Lif(_) => &[],
-            NeuronState::Izhikevich(s) => s.u(),
-        }
-    }
-
-    /// Number of per-neuron state variables this state carries.
-    pub fn state_vars(&self) -> usize {
-        match self {
-            NeuronState::Lif(_) => 1,
-            NeuronState::Izhikevich(_) => 2,
-        }
-    }
-
-    /// Advance every neuron by one timestep of `model`; returns the spike
-    /// vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model does not match the state variant or the current
-    /// vector length differs from the population size.
-    pub fn step(&mut self, model: &NeuronModel, currents: &[f32]) -> Vec<bool> {
-        match (self, model) {
-            (NeuronState::Lif(s), NeuronModel::Lif(p)) => s.step(p, currents),
-            (NeuronState::Izhikevich(s), NeuronModel::Izhikevich(p)) => s.step(p, currents),
-            (state, model) => {
-                panic!("neuron state ({} vars) does not match model `{model}`", state.state_vars())
-            }
-        }
-    }
-
-    /// Advance every neuron, packing the spikes word-wise into `out`.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`NeuronState::step`], plus the spike-map shape
-    /// check of the underlying state.
-    pub fn step_into_map(&mut self, model: &NeuronModel, currents: &[f32], out: &mut SpikeMap) {
-        match (self, model) {
-            (NeuronState::Lif(s), NeuronModel::Lif(p)) => s.step_into_map(p, currents, out),
-            (NeuronState::Izhikevich(s), NeuronModel::Izhikevich(p)) => {
-                s.step_into_map(p, currents, out)
-            }
-            (state, model) => {
-                panic!("neuron state ({} vars) does not match model `{model}`", state.state_vars())
-            }
-        }
-    }
-
-    /// Advance one neuron (used by the per-neuron fused kernels).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model does not match the state variant.
-    pub fn step_single(&mut self, model: &NeuronModel, neuron: usize, current: f32) -> bool {
-        match (self, model) {
-            (NeuronState::Lif(s), NeuronModel::Lif(p)) => s.step_single(p, neuron, current),
-            (NeuronState::Izhikevich(s), NeuronModel::Izhikevich(p)) => {
-                s.step_single(p, neuron, current)
-            }
-            (state, model) => {
-                panic!("neuron state ({} vars) does not match model `{model}`", state.state_vars())
-            }
-        }
-    }
-
-    /// Reset to a resting population of `n` neurons of `model`, switching
-    /// the variant when needed and reusing allocations when it already
-    /// matches (the per-worker scratch path).
+    /// Reset to a resting population of `n` neurons of `model` (LIF
+    /// membranes at 0, Izhikevich at `v = c`, `u = b·c`), reusing the
+    /// allocations (the per-worker scratch path).
     pub fn reset_for(&mut self, model: &NeuronModel, n: usize) {
-        match (&mut *self, model) {
-            (NeuronState::Lif(s), NeuronModel::Lif(_)) => s.reset_to(n),
-            (NeuronState::Izhikevich(s), NeuronModel::Izhikevich(p)) => s.reset_to(p, n),
-            (state, model) => *state = NeuronState::new(model, n),
+        let (v_rest, u_rest) = match model {
+            NeuronModel::Lif(_) => (0.0, None),
+            NeuronModel::Izhikevich(p) => (p.v_rest(), Some(p.u_rest())),
+        };
+        self.membrane.clear();
+        self.membrane.resize(n, v_rest);
+        self.recovery.clear();
+        if let Some(u_rest) = u_rest {
+            self.recovery.resize(n, u_rest);
         }
     }
 }
@@ -607,50 +398,44 @@ impl NeuronState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tensor::TensorShape;
+
+    /// Step every neuron of `state` once through `step_single`.
+    fn step_each(state: &mut NeuronState, model: &NeuronModel, currents: &[f32]) -> Vec<bool> {
+        currents.iter().enumerate().map(|(n, &i)| state.step_single(model, n, i)).collect()
+    }
 
     #[test]
     fn neuron_fires_when_threshold_is_reached() {
-        let params = LifParams::new(0.5, 1.0);
-        let mut state = LifState::new(1);
-        assert_eq!(state.step(&params, &[0.6]), vec![false]);
+        let model = NeuronModel::Lif(LifParams::new(0.5, 1.0));
+        let mut state = NeuronState::lif(1);
+        assert!(!state.step_single(&model, 0, 0.6));
         // v = 0.6*0.5 + 0.8 = 1.1 >= 1.0 -> fire, reset by subtraction.
-        assert_eq!(state.step(&params, &[0.8]), vec![true]);
+        assert!(state.step_single(&model, 0, 0.8));
         assert!((state.membrane()[0] - 0.1).abs() < 1e-6);
     }
 
     #[test]
     fn silent_input_decays_membrane() {
-        let params = LifParams::new(0.5, 1.0);
-        let mut state = LifState::new(1);
-        state.membrane_mut()[0] = 0.8;
-        state.step(&params, &[0.0]);
+        let model = NeuronModel::Lif(LifParams::new(0.5, 1.0));
+        let mut state = NeuronState::lif(1);
+        state.step_single(&model, 0, 0.8);
+        state.step_single(&model, 0, 0.0);
         assert!((state.membrane()[0] - 0.4).abs() < 1e-6);
     }
 
     #[test]
-    fn step_single_matches_vector_step() {
-        let params = LifParams::default();
-        let mut a = LifState::new(3);
-        let mut b = LifState::new(3);
-        let currents = [0.3, 1.5, 0.9];
-        let spikes_a = a.step(&params, &currents);
-        let spikes_b: Vec<bool> = (0..3).map(|n| b.step_single(&params, n, currents[n])).collect();
-        assert_eq!(spikes_a, spikes_b);
-        assert_eq!(a.membrane(), b.membrane());
-    }
-
-    #[test]
-    fn step_into_map_matches_vector_step() {
-        use crate::tensor::TensorShape;
-        let params = LifParams::default();
+    fn lif_step_paths_are_bit_identical() {
+        let model = NeuronModel::Lif(LifParams::default());
         let n = 130; // spans two full words plus a slack word
-        let mut a = LifState::new(n);
-        let mut b = LifState::new(n);
+        let mut a = NeuronState::lif(n);
+        let mut b = NeuronState::lif(n);
         let currents: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37) % 2.0).collect();
         let mut map = SpikeMap::silent(TensorShape::new(1, 1, n));
         for _ in 0..3 {
-            let spikes = a.step(&params, &currents);
-            b.step_into_map(&params, &currents, &mut map);
+            let spikes = step_each(&mut a, &model, &currents);
+            b.step_into_map(&model, &currents, &mut map);
+            assert!(spikes.contains(&true) && spikes.contains(&false));
             assert_eq!(map.to_bools(), spikes);
             assert_eq!(a.membrane(), b.membrane());
         }
@@ -665,54 +450,50 @@ mod tests {
 
     #[test]
     fn reset_returns_to_rest() {
-        let mut s = LifState::new(4);
-        s.membrane_mut().copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
-        s.reset();
+        let model = NeuronModel::Lif(LifParams::new(0.5, 1.0));
+        let mut s = NeuronState::lif(4);
+        step_each(&mut s, &model, &[0.1, 0.2, 0.3, 0.4]);
+        assert!(s.membrane().iter().all(|&v| v > 0.0));
+        s.reset_for(&model, 4);
         assert!(s.membrane().iter().all(|&v| v == 0.0));
     }
 
     #[test]
     fn izhikevich_rests_at_c_and_spikes_reset_to_c() {
         let params = IzhiParams::regular_spiking();
-        let mut state = IzhiState::new(&params, 1);
-        assert_eq!(state.v(), &[-65.0]);
-        assert_eq!(state.u(), &[params.b * -65.0]);
+        let model = NeuronModel::Izhikevich(params);
+        let mut state = NeuronState::new(&model, 1);
+        assert_eq!(state.membrane(), &[-65.0]);
+        assert_eq!(state.recovery(), &[params.b * -65.0]);
         // Strong sustained current drives the neuron over threshold within
         // a few steps; the spike resets v to c and bumps u by d.
         let mut fired = None;
         for step in 0..200 {
-            let u_before = state.u()[0];
-            if state.step(&params, &[20.0])[0] {
+            let u_before = state.recovery()[0];
+            if state.step_single(&model, 0, 20.0) {
                 fired = Some((step, u_before));
                 break;
             }
         }
         let (_, u_before) = fired.expect("a 20 mV current must elicit a spike");
-        assert_eq!(state.v()[0], params.c, "spike resets v to c");
-        assert!(state.u()[0] > u_before, "spike bumps u by d");
+        assert_eq!(state.membrane()[0], params.c, "spike resets v to c");
+        assert!(state.recovery()[0] > u_before, "spike bumps u by d");
     }
 
     #[test]
     fn izhikevich_step_paths_are_bit_identical() {
-        use crate::tensor::TensorShape;
-        let params = IzhiParams::regular_spiking();
+        let model = NeuronModel::Izhikevich(IzhiParams::regular_spiking());
         let n = 130; // spans two full words plus a slack word
-        let mut a = IzhiState::new(&params, n);
-        let mut b = IzhiState::new(&params, n);
-        let mut c = IzhiState::new(&params, n);
+        let mut a = NeuronState::new(&model, n);
+        let mut b = NeuronState::new(&model, n);
         let currents: Vec<f32> = (0..n).map(|i| (i as f32 * 0.83) % 9.0).collect();
         let mut map = SpikeMap::silent(TensorShape::new(1, 1, n));
         for _ in 0..6 {
-            let spikes = a.step(&params, &currents);
-            b.step_into_map(&params, &currents, &mut map);
-            let singles: Vec<bool> =
-                (0..n).map(|i| c.step_single(&params, i, currents[i])).collect();
+            let spikes = step_each(&mut a, &model, &currents);
+            b.step_into_map(&model, &currents, &mut map);
             assert_eq!(map.to_bools(), spikes);
-            assert_eq!(singles, spikes);
-            assert_eq!(a.v(), b.v());
-            assert_eq!(a.u(), b.u());
-            assert_eq!(a.v(), c.v());
-            assert_eq!(a.u(), c.u());
+            assert_eq!(a.membrane(), b.membrane());
+            assert_eq!(a.recovery(), b.recovery());
         }
     }
 
@@ -738,39 +519,60 @@ mod tests {
         let mut state = NeuronState::default();
         state.reset_for(&lif, 4);
         assert_eq!(state.len(), 4);
-        assert_eq!(state.state_vars(), 1);
         assert!(state.recovery().is_empty());
-        state.step(&lif, &[0.3, 0.2, 0.1, 0.0]);
+        step_each(&mut state, &lif, &[0.3, 0.2, 0.1, 0.0]);
 
-        // Switching the model re-seats the variant and rests it.
+        // Switching the model re-seats the variables and rests them.
         state.reset_for(&izhi, 3);
         assert_eq!(state.len(), 3);
-        assert_eq!(state.state_vars(), 2);
         assert_eq!(state.membrane(), &[-65.0; 3]);
         assert_eq!(state.recovery().len(), 3);
-        let spikes = state.step(&izhi, &[0.0; 3]);
-        assert_eq!(spikes, vec![false; 3]);
+        assert_eq!(step_each(&mut state, &izhi, &[0.0; 3]), vec![false; 3]);
+
+        // And back: a LIF state carries no recovery values.
+        state.reset_for(&lif, 2);
+        assert_eq!(state, NeuronState::lif(2));
     }
 
     #[test]
     #[should_panic(expected = "does not match model")]
     fn stepping_with_a_mismatched_model_panics() {
         let mut state = NeuronState::lif(2);
-        state.step(&NeuronModel::Izhikevich(IzhiParams::regular_spiking()), &[0.0, 0.0]);
+        state.step_single(&NeuronModel::Izhikevich(IzhiParams::regular_spiking()), 0, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match model")]
+    fn packing_with_a_mismatched_model_panics() {
+        let mut state = NeuronState::new(&NeuronModel::Izhikevich(IzhiParams::default()), 2);
+        let mut map = SpikeMap::silent(TensorShape::new(1, 1, 2));
+        state.step_into_map(&NeuronModel::Lif(LifParams::default()), &[0.0; 2], &mut map);
     }
 
     #[test]
     fn neuron_state_lif_path_matches_plain_lif_state() {
+        // The state's LIF step against Eq. (1) written out over a plain
+        // membrane vector.
         let params = LifParams::new(0.5, 1.0);
         let model = NeuronModel::Lif(params);
-        let mut plain = LifState::new(3);
+        let mut plain = [0.0f32; 3];
         let mut generic = NeuronState::new(&model, 3);
         let currents = [0.4, 1.3, 0.9];
         for _ in 0..4 {
-            let a = plain.step(&params, &currents);
-            let b = generic.step(&model, &currents);
-            assert_eq!(a, b);
-            assert_eq!(plain.membrane(), generic.membrane());
+            let expected: Vec<bool> = plain
+                .iter_mut()
+                .zip(currents)
+                .map(|(v, i)| {
+                    *v = *v * params.alpha + params.resistance * i;
+                    let fired = *v >= params.v_threshold;
+                    if fired {
+                        *v -= params.v_reset;
+                    }
+                    fired
+                })
+                .collect();
+            assert_eq!(step_each(&mut generic, &model, &currents), expected);
+            assert_eq!(generic.membrane(), plain);
         }
     }
 }

@@ -231,10 +231,10 @@ impl SpikeMap {
     }
 
     /// Mutable packed words, for in-crate producers that write whole words
-    /// (e.g. [`LifState::step_into_map`]). Writers must preserve the
+    /// (e.g. [`NeuronState::step_into_map`]). Writers must preserve the
     /// slack-bit invariant.
     ///
-    /// [`LifState::step_into_map`]: crate::neuron::LifState::step_into_map
+    /// [`NeuronState::step_into_map`]: crate::neuron::NeuronState::step_into_map
     pub(crate) fn words_mut(&mut self) -> &mut [u64] {
         &mut self.words
     }

@@ -103,7 +103,7 @@ fn hand_built_ops() -> Vec<KernelOp<'static>> {
 fn hand_built_program(instances: &[f64]) -> StreamProgram<'static> {
     let mut program = StreamProgram::new("hand-built", FpFormat::Fp16);
     program.push(Phase::Compute(ComputePhase {
-        code: vec![CodeRegion { id: 0x77, bytes: 512 }],
+        code: &[CodeRegion { id: 0x77, bytes: 512 }],
         items: instances.iter().map(|&n| WorkItem::replicated(n, hand_built_ops())).collect(),
     }));
     program
@@ -457,7 +457,6 @@ proptest! {
         for ops in &items {
             interpreter.item(ops);
         }
-        drop(interpreter);
 
         // Op by op, on the core the interpreter's least-busy rule picks.
         let mut reference = new_cluster();

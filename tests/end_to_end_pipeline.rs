@@ -92,10 +92,10 @@ fn chained_inference_matches_the_reference_engine() {
         &mut OpBuffer::new(),
         &mut interpreter,
     );
-    let layer1_cycles = cluster.finish_phase("conv1").compute_cycles;
-    assert_eq!(out1.output, ref_out1, "conv1 output spikes");
+    let layer1_cycles = cluster.finish_phase().compute_cycles;
+    assert_eq!(out1, ref_out1, "conv1 output spikes");
 
-    let padded = pad_spikes(&out1.output, spec2.padding);
+    let padded = pad_spikes(&out1, spec2.padding);
     let compressed = CompressedIfmap::from_spike_map(&padded);
     let mut state2 = NeuronState::lif(spec2.conv_output().len());
     let mut interpreter = Interpreter::new(&mut cluster, FpFormat::Fp32);
@@ -108,10 +108,10 @@ fn chained_inference_matches_the_reference_engine() {
         &mut OpBuffer::new(),
         &mut interpreter,
     );
-    let layer2_cycles = cluster.finish_phase("conv2").compute_cycles;
-    assert_eq!(out2.output, ref_out2, "conv2 output spikes");
+    let layer2_cycles = cluster.finish_phase().compute_cycles;
+    assert_eq!(out2, ref_out2, "conv2 output spikes");
 
-    let fc_input = CompressedFcInput::from_spike_map(&out2.output);
+    let fc_input = CompressedFcInput::from_spike_map(&out2);
     let mut state3 = NeuronState::lif(spec3.out_features);
     let mut interpreter = Interpreter::new(&mut cluster, FpFormat::Fp32);
     let out3 = executor.lower_fc(
@@ -123,8 +123,8 @@ fn chained_inference_matches_the_reference_engine() {
         &mut OpBuffer::new(),
         &mut interpreter,
     );
-    let layer3_cycles = cluster.finish_phase("fc3").compute_cycles;
-    assert_eq!(out3.spikes, ref_out3, "fc3 output spikes");
+    let layer3_cycles = cluster.finish_phase().compute_cycles;
+    assert_eq!(out3, ref_out3, "fc3 output spikes");
 
     // Timing sanity: every layer costs cycles and the conv layers dominate.
     assert!(layer1_cycles > 0 && layer2_cycles > 0 && layer3_cycles > 0);

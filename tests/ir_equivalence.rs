@@ -111,7 +111,7 @@ impl Case {
     fn streamed(&self) -> PhaseStats {
         let mut cl = cluster();
         self.lower(&mut Interpreter::new(&mut cl, self.executor.format()));
-        cl.finish_phase(self.label)
+        cl.finish_phase()
     }
 }
 
@@ -119,7 +119,7 @@ impl Case {
 fn both_consumers(program: &StreamProgram<'_>) -> (PhaseStats, ProgramCost) {
     let mut cl = cluster();
     execute_program(&mut cl, program);
-    let stats = cl.finish_phase(&program.label);
+    let stats = cl.finish_phase();
     let cost = CostIntegrator::snitch().integrate(program);
     (stats, cost)
 }
@@ -251,7 +251,7 @@ fn double_buffered_conv_overlaps_dma_with_compute() {
     );
     let mut cl = cluster();
     execute_program(&mut cl, &program);
-    let stats = cl.finish_phase("conv");
+    let stats = cl.finish_phase();
     assert_eq!(case.streamed(), stats, "streamed vs collected interpretation");
     assert!(stats.dma_busy_cycles > 0, "the layer moves tiles");
     assert!(
@@ -288,7 +288,7 @@ fn empty_streams_integrate_exactly_like_they_interpret() {
     use spikestream_ir::{ComputePhase, IndexStream, KernelOp, Phase, Ssrs, StreamSpec, WorkItem};
     let mut program = StreamProgram::new("empty-stream", FpFormat::Fp16);
     program.push(Phase::Compute(ComputePhase {
-        code: vec![],
+        code: &[],
         items: vec![WorkItem::new(vec![
             KernelOp::alu(),
             KernelOp::Stream {

@@ -49,41 +49,72 @@ fn conv_input(spec: &ConvSpec, rate: f64) -> CompressedIfmap {
     CompressedIfmap::from_spike_map(&map)
 }
 
+/// `layer` with a threshold no input current reaches. After one step from
+/// rest, each of its LIF neurons holds exactly its quantized input current.
+fn never_firing(layer: &Layer) -> Layer {
+    Layer { neuron: LifParams::new(0.5, f32::MAX).into(), ..layer.clone() }
+}
+
+/// Lower `layer` (conv or fully connected) once from a resting LIF state;
+/// returns the output spikes and the post-step neuron state.
+fn lower(
+    variant: KernelVariant,
+    format: FpFormat,
+    layer: &Layer,
+    input: &Input,
+) -> (SpikeMap, NeuronState) {
+    let executor = LayerExecutor::new(variant, format);
+    let (config, weights) = (ClusterConfig::default(), layer.quantize_weights(format));
+    let (buffer, sink) = (&mut OpBuffer::new(), &mut StreamProgram::new(&layer.name, format));
+    let (output, state) = match (&layer.kind, input) {
+        (LayerKind::Conv(spec), Input::Conv(input)) => {
+            let mut state = NeuronState::lif(spec.conv_output().len());
+            (executor.lower_conv(&config, layer, &weights, input, &mut state, buffer, sink), state)
+        }
+        (LayerKind::Linear(spec), Input::Fc(input)) => {
+            let mut state = NeuronState::lif(spec.out_features);
+            (executor.lower_fc(&config, layer, &weights, input, &mut state, buffer, sink), state)
+        }
+        _ => unreachable!("the tests pair each layer with its input"),
+    };
+    (output, state)
+}
+
+/// The compressed input of a conv or fully connected layer.
+enum Input {
+    Conv(CompressedIfmap),
+    Fc(CompressedFcInput),
+}
+
 #[test]
 fn conv_kernels_match_reference_for_every_format_and_variant() {
     let (layer, spec) = conv_layer();
-    let input = conv_input(&spec, 0.3);
-    let reference = ReferenceEngine::new();
-    let ref_currents = reference.conv_currents(&layer, &spec, &input.decompress());
+    let compressed = conv_input(&spec, 0.3);
+    let ref_currents =
+        ReferenceEngine::new().conv_currents(&layer, &spec, &compressed.decompress());
+    let input = Input::Conv(compressed);
 
     for format in [FpFormat::Fp32, FpFormat::Fp16, FpFormat::Fp8] {
-        let mut outputs = Vec::new();
-        for variant in [KernelVariant::Baseline, KernelVariant::SpikeStream] {
-            let mut state = NeuronState::lif(spec.conv_output().len());
-            let out = LayerExecutor::new(variant, format).lower_conv(
-                &ClusterConfig::default(),
-                &layer,
-                &layer.quantize_weights(format),
-                &input,
-                &mut state,
-                &mut OpBuffer::new(),
-                &mut StreamProgram::new(&layer.name, format),
-            );
-            outputs.push(out);
-        }
-        // The two variants are always bit-identical to each other.
-        assert_eq!(outputs[0].spikes, outputs[1].spikes, "{format}");
-        assert_eq!(outputs[0].currents, outputs[1].currents, "{format}");
+        // The two variants are always bit-identical to each other: the same
+        // spikes from the same post-step membranes.
+        let (base, base_state) = lower(KernelVariant::Baseline, format, &layer, &input);
+        let (fast, fast_state) = lower(KernelVariant::SpikeStream, format, &layer, &input);
+        assert!(base.count_spikes() > 0, "{format}: the layer fires");
+        assert_eq!(base, fast, "{format}");
+        assert_eq!(base_state, fast_state, "{format}");
 
-        // And close to the unquantized reference (tolerance scales with the
-        // format's precision).
+        // And the currents they step on are close to the unquantized
+        // reference (tolerance scales with the format's precision).
         let tol = match format {
             FpFormat::Fp32 => 1e-4,
             FpFormat::Fp16 => 2e-2,
             _ => 0.4,
         };
-        for (a, b) in outputs[0].currents.data().iter().zip(ref_currents.data()) {
-            assert!((a - b).abs() <= tol, "{format}: {a} vs {b}");
+        for variant in [KernelVariant::Baseline, KernelVariant::SpikeStream] {
+            let (_, currents) = lower(variant, format, &never_firing(&layer), &input);
+            for (a, b) in currents.membrane().iter().zip(ref_currents.data()) {
+                assert!((a - b).abs() <= tol, "{variant}/{format}: {a} vs {b}");
+            }
         }
     }
 }
@@ -95,29 +126,22 @@ fn fc_kernels_match_reference_and_each_other() {
     let mut rng = StdRng::seed_from_u64(300);
     layer.randomize_weights(&mut rng, 0.1);
     let spikes: Vec<bool> = (0..300).map(|_| rng.gen_bool(0.08)).collect();
-    let input = CompressedFcInput::from_spikes(&spikes);
+    let input = Input::Fc(CompressedFcInput::from_spikes(&spikes));
 
     let reference = ReferenceEngine::new();
     let ref_input = SpikeMap::from_vec(TensorShape::new(1, 1, 300), spikes);
     let ref_currents = reference.linear_currents(&layer, &spec, &ref_input);
 
-    let mut results = Vec::new();
+    let (base, base_state) = lower(KernelVariant::Baseline, FpFormat::Fp32, &layer, &input);
+    let (fast, fast_state) = lower(KernelVariant::SpikeStream, FpFormat::Fp32, &layer, &input);
+    assert!(base.count_spikes() > 0, "the layer fires");
+    assert_eq!(base, fast);
+    assert_eq!(base_state, fast_state);
     for variant in [KernelVariant::Baseline, KernelVariant::SpikeStream] {
-        let mut state = NeuronState::lif(spec.out_features);
-        let out = LayerExecutor::new(variant, FpFormat::Fp32).lower_fc(
-            &ClusterConfig::default(),
-            &layer,
-            &layer.quantize_weights(FpFormat::Fp32),
-            &input,
-            &mut state,
-            &mut OpBuffer::new(),
-            &mut StreamProgram::new(&layer.name, FpFormat::Fp32),
-        );
-        results.push(out);
-    }
-    assert_eq!(results[0].spikes, results[1].spikes);
-    for (a, b) in results[0].currents.iter().zip(ref_currents.iter()) {
-        assert!((a - b).abs() < 1e-4);
+        let (_, currents) = lower(variant, FpFormat::Fp32, &never_firing(&layer), &input);
+        for (a, b) in currents.membrane().iter().zip(ref_currents.iter()) {
+            assert!((a - b).abs() < 1e-4, "{variant}: {a} vs {b}");
+        }
     }
 }
 
@@ -153,7 +177,7 @@ fn streaming_speedup_grows_with_channel_depth() {
                 &mut OpBuffer::new(),
                 &mut Interpreter::new(&mut cluster, FpFormat::Fp16),
             );
-            cycles.push(cluster.finish_phase("x").compute_cycles as f64);
+            cycles.push(cluster.finish_phase().compute_cycles as f64);
         }
         cycles[0] / cycles[1]
     };

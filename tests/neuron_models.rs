@@ -70,7 +70,7 @@ fn random_spikes(shape: TensorShape, rate: f64, border: usize, seed: u64) -> Spi
 fn both_consumers(program: &StreamProgram) -> (PhaseStats, ProgramCost) {
     let mut cluster = ClusterModel::new(ClusterConfig::default(), CostModel::default());
     execute_program(&mut cluster, program);
-    let stats = cluster.finish_phase(&program.label);
+    let stats = cluster.finish_phase();
     let cost = CostIntegrator::snitch().integrate(program);
     (stats, cost)
 }
@@ -449,7 +449,7 @@ fn the_izhikevich_regime_produces_spikes_and_recovery_motion() {
     }
     assert!(fired > 0, "the calibrated weight amplitude must drive spikes in 4 steps");
     let state = scratch.membrane(0);
-    assert_eq!(state.state_vars(), 2);
+    assert_eq!(state.recovery().len(), state.len(), "one recovery value per neuron");
     let u_rest = IzhiParams::regular_spiking().u_rest();
     assert!(state.recovery().iter().any(|&u| u != u_rest), "recovery variables must move off rest");
 }

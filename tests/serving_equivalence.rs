@@ -8,9 +8,11 @@
 //! `Session::infer`) and compares the reports byte for byte against the
 //! JSON captured from the pre-redesign code (`tests/golden/*.json`).
 //! `tiny_izhikevich` extends the set with a two-state-variable temporal
-//! capture pinning the Izhikevich path, and `tiny_baseline` with the
+//! capture pinning the Izhikevich path, `tiny_baseline` with the
 //! Baseline variant on the cycle-level backend (the only exact programs
-//! that carry `Loop` ops).
+//! that carry `Loop` ops), and `svgg11_cycle` with S-VGG11 on the
+//! cycle-level backend (the only exact programs whose conv layers tile
+//! their weights).
 //!
 //! Refreshing a golden after an *intentional* behavior change:
 //!
@@ -61,6 +63,16 @@ fn cycle_level_and_temporal_scenarios_match_the_pre_redesign_captures() {
             assert_eq!(serve(&scenario, shards), expected, "{name} @ {shards} shards");
         }
     }
+}
+
+#[test]
+fn the_cycle_level_svgg11_scenario_matches_its_capture() {
+    // `spikestream run svgg11_cycle.toml --shards 2 --json`: paper-scale
+    // exact lowering, with double-buffered inbound weight tiles.
+    let scenario = scenario("svgg11_cycle.toml");
+    assert_eq!(scenario.config.timing, TimingModel::CycleLevel);
+    let expected = golden("svgg11_cycle_shards2.json");
+    assert_eq!(serve(&scenario, 2), expected, "svgg11 cycle-level");
 }
 
 #[test]

@@ -310,7 +310,7 @@ fn per_timestep_programs_integrate_to_their_interpreted_totals() {
         let mut step_input = CompressedIfmap::from_spike_map(&input);
         for step in 0..3 {
             let mut program = StreamProgram::new(&layer.name, FpFormat::Fp16);
-            let out = kernel.lower_conv(
+            let output = kernel.lower_conv(
                 &ClusterConfig::default(),
                 &layer,
                 &layer.quantize_weights(kernel.format()),
@@ -322,7 +322,7 @@ fn per_timestep_programs_integrate_to_their_interpreted_totals() {
 
             let mut cluster = ClusterModel::new(ClusterConfig::default(), CostModel::default());
             execute_program(&mut cluster, &program);
-            let stats = cluster.finish_phase("step");
+            let stats = cluster.finish_phase();
             let cost = CostIntegrator::snitch().integrate(&program);
 
             let label = format!("{variant} step {step}");
@@ -347,7 +347,7 @@ fn per_timestep_programs_integrate_to_their_interpreted_totals() {
 
             // Feed the step's own output back in (padded) so later steps
             // run on emergent, state-dependent spike patterns.
-            step_input = CompressedIfmap::from_spike_map(&pad_spikes(&out.output, spec.padding));
+            step_input = CompressedIfmap::from_spike_map(&pad_spikes(&output, spec.padding));
         }
     }
 }
