@@ -405,6 +405,23 @@ mod tests {
         currents.iter().enumerate().map(|(n, &i)| state.step_single(model, n, i)).collect()
     }
 
+    /// Eq. (1) written out over a plain membrane vector: the vector step
+    /// both of the state's LIF paths are checked against.
+    fn vector_step(params: &LifParams, membrane: &mut [f32], currents: &[f32]) -> Vec<bool> {
+        membrane
+            .iter_mut()
+            .zip(currents)
+            .map(|(v, &i)| {
+                *v = *v * params.alpha + params.resistance * i;
+                let fired = *v >= params.v_threshold;
+                if fired {
+                    *v -= params.v_reset;
+                }
+                fired
+            })
+            .collect()
+    }
+
     #[test]
     fn neuron_fires_when_threshold_is_reached() {
         let model = NeuronModel::Lif(LifParams::new(0.5, 1.0));
@@ -425,19 +442,32 @@ mod tests {
     }
 
     #[test]
-    fn lif_step_paths_are_bit_identical() {
-        let model = NeuronModel::Lif(LifParams::default());
+    fn step_single_matches_vector_step() {
+        let params = LifParams::default();
+        let model = NeuronModel::Lif(params);
+        let mut plain = [0.0f32; 3];
+        let mut state = NeuronState::lif(3);
+        let currents = [0.3, 1.5, 0.9];
+        let spikes = vector_step(&params, &mut plain, &currents);
+        assert_eq!(step_each(&mut state, &model, &currents), spikes);
+        assert_eq!(state.membrane(), plain);
+    }
+
+    #[test]
+    fn step_into_map_matches_vector_step() {
+        let params = LifParams::default();
+        let model = NeuronModel::Lif(params);
         let n = 130; // spans two full words plus a slack word
-        let mut a = NeuronState::lif(n);
-        let mut b = NeuronState::lif(n);
+        let mut plain = vec![0.0f32; n];
+        let mut state = NeuronState::lif(n);
         let currents: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37) % 2.0).collect();
         let mut map = SpikeMap::silent(TensorShape::new(1, 1, n));
         for _ in 0..3 {
-            let spikes = step_each(&mut a, &model, &currents);
-            b.step_into_map(&model, &currents, &mut map);
+            let spikes = vector_step(&params, &mut plain, &currents);
+            state.step_into_map(&model, &currents, &mut map);
             assert!(spikes.contains(&true) && spikes.contains(&false));
             assert_eq!(map.to_bools(), spikes);
-            assert_eq!(a.membrane(), b.membrane());
+            assert_eq!(state.membrane(), plain);
         }
     }
 
@@ -559,18 +589,7 @@ mod tests {
         let mut generic = NeuronState::new(&model, 3);
         let currents = [0.4, 1.3, 0.9];
         for _ in 0..4 {
-            let expected: Vec<bool> = plain
-                .iter_mut()
-                .zip(currents)
-                .map(|(v, i)| {
-                    *v = *v * params.alpha + params.resistance * i;
-                    let fired = *v >= params.v_threshold;
-                    if fired {
-                        *v -= params.v_reset;
-                    }
-                    fired
-                })
-                .collect();
+            let expected = vector_step(&params, &mut plain, &currents);
             assert_eq!(step_each(&mut generic, &model, &currents), expected);
             assert_eq!(generic.membrane(), plain);
         }
