@@ -65,14 +65,20 @@ impl ClusterConfig {
     /// # Errors
     ///
     /// Returns a human-readable description of the first violated constraint
-    /// (zero cores, non-power-of-two bank count, SPM not divisible by the
-    /// bank layout, or a zero clock).
+    /// (zero cores, non-power-of-two bank count or bank width, SPM not
+    /// divisible by the bank layout, or a zero clock).
     pub fn validate(&self) -> Result<(), String> {
         if self.worker_cores == 0 {
             return Err("cluster must have at least one worker core".into());
         }
         if !self.spm_banks.is_power_of_two() {
             return Err(format!("SPM bank count {} must be a power of two", self.spm_banks));
+        }
+        if !self.spm_bank_width_bytes.is_power_of_two() {
+            return Err(format!(
+                "SPM bank width {} B must be a power of two",
+                self.spm_bank_width_bytes
+            ));
         }
         if !self.spm_bytes.is_multiple_of(self.spm_banks * self.spm_bank_width_bytes) {
             return Err("SPM size must be a multiple of banks * bank width".into());
@@ -119,6 +125,18 @@ mod tests {
 
         let c = ClusterConfig { clock_hz: 0.0, ..ClusterConfig::default() };
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_a_bank_width_that_is_no_power_of_two() {
+        for width in [0, 3, 12] {
+            let c = ClusterConfig { spm_bank_width_bytes: width, ..ClusterConfig::default() };
+            assert_eq!(
+                c.validate(),
+                Err(format!("SPM bank width {width} B must be a power of two")),
+                "width {width}"
+            );
+        }
     }
 
     #[test]

@@ -114,6 +114,12 @@ impl CostModel {
         }
     }
 
+    /// [`CostModel::int_cycles`] of every integer class, indexed by
+    /// [`IntOp::index`]: the table an integer-op mix is priced against.
+    pub fn int_cycle_table(&self) -> [f64; IntOp::COUNT] {
+        IntOp::ALL.map(|op| self.int_cycles(op) as f64)
+    }
+
     /// FPU occupancy of an operation (issue slots, not latency).
     pub fn fp_cycles(&self, op: FpOp) -> u64 {
         match op {

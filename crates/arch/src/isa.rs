@@ -66,6 +66,28 @@ pub enum IntOp {
     Move,
 }
 
+impl IntOp {
+    /// Number of integer-operation classes.
+    pub const COUNT: usize = 8;
+
+    /// Every class, in [`IntOp::index`] order.
+    pub const ALL: [IntOp; IntOp::COUNT] = [
+        IntOp::Alu,
+        IntOp::Mul,
+        IntOp::Load,
+        IntOp::Store,
+        IntOp::Branch,
+        IntOp::Amo,
+        IntOp::Csr,
+        IntOp::Move,
+    ];
+
+    /// Index of the class (0..[`IntOp::COUNT`]), its position in [`IntOp::ALL`].
+    pub const fn index(self) -> usize {
+        self as usize
+    }
+}
+
 /// Floating-point operation kinds executed by the (SIMD) FPU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FpOp {
@@ -90,6 +112,13 @@ pub enum FpOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn int_op_indices_follow_all() {
+        for (k, op) in IntOp::ALL.into_iter().enumerate() {
+            assert_eq!(op.index(), k);
+        }
+    }
 
     #[test]
     fn ssr_indirect_capability() {

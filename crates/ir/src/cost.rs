@@ -16,10 +16,10 @@
 //! unrolling every instance.
 //!
 //! [`CostIntegrator::integrate`] never walks `KernelOp` trees. It compiles
-//! each work item into a flat, constant-resolved tape: a run of `Int` ops
-//! becomes one op over `(cycles × reps, reps)` pairs, a straight-line loop
-//! its body sums, a `Stream` op its resolved SSR constants, and any other
-//! loop an index range evaluated `reps` times. A replicated item is folded
+//! each work item into a flat, constant-resolved tape: an `Int` run
+//! becomes its one `(cycles, instructions)` pair, a straight-line loop its
+//! body sums, a `Stream` op its resolved SSR constants, and any other loop
+//! an index range evaluated `reps` times. A replicated item is folded
 //! over core-equivalence classes: cores entering it with bitwise-identical
 //! state and instance share are sorted into classes first (typically the
 //! refill-paying core 0 and everyone else), then the classes are priced
@@ -37,7 +37,7 @@
 //! now lives in the emitters (once), and this module only knows how to
 //! price IR operations.
 
-use snitch_arch::isa::FpOp;
+use snitch_arch::isa::{FpOp, IntOp};
 use snitch_arch::{ClusterConfig, CostModel};
 use snitch_mem::dma::DmaDirection;
 use snitch_mem::{BankConflictModel, DmaEngine, InstructionCache};
@@ -382,9 +382,10 @@ impl CostIntegrator {
     fn exec_op(&self, core: &mut CoreState, op: &KernelOp, banks: &BankConflictModel, lanes: f64) {
         let c = &self.cost;
         match op {
-            KernelOp::Int { op, reps, .. } => {
-                core.int_time += c.int_cycles(*op) as f64 * reps;
-                core.int_instrs += reps;
+            KernelOp::Int(mix) => {
+                let (cycles, instrs) = mix.price(&c.int_cycle_table());
+                core.int_time += cycles;
+                core.int_instrs += instrs;
             }
             KernelOp::Fp { op, reps, .. } => FpIssue::new(c, *op, *reps, lanes).apply(core),
             KernelOp::Loop { body, reps } => {
@@ -540,6 +541,7 @@ struct StraightSums {
 
 impl StraightSums {
     fn new(c: &CostModel, body: &[KernelOp], reps: f64, lanes: f64) -> Self {
+        let int_table = c.int_cycle_table();
         let mut int_cycles = 0.0;
         let mut int_instrs = 0.0;
         let mut fp_busy = 0.0;
@@ -547,9 +549,10 @@ impl StraightSums {
         let mut flops = 0.0;
         for op in body {
             match op {
-                KernelOp::Int { op, reps, .. } => {
-                    int_cycles += c.int_cycles(*op) as f64 * reps;
-                    int_instrs += reps;
+                KernelOp::Int(mix) => {
+                    let (cycles, instrs) = mix.price(&int_table);
+                    int_cycles += cycles;
+                    int_instrs += instrs;
                 }
                 KernelOp::Fp { op, reps, .. } => {
                     int_cycles += reps; // issue slot on the integer core
@@ -707,21 +710,21 @@ impl Frep {
 #[derive(Debug)]
 struct Tape<'a> {
     cost: &'a CostModel,
+    /// The cost model's cycles per integer class.
+    int_table: [f64; IntOp::COUNT],
     banks: &'a BankConflictModel,
     lanes: f64,
     ops: Vec<TapeOp>,
-    /// `(cycles × reps, reps)` of every `Int` op, referenced by the runs.
-    ints: Vec<(f64, f64)>,
     /// The SSR setups of every `Stream` op, in program order.
     ssrs: Vec<SsrSetup>,
 }
 
 #[derive(Debug, Clone, Copy)]
 enum TapeOp {
-    /// Consecutive `Int` ops: `Tape::ints[start..end]`.
+    /// An `Int` run, priced.
     Int {
-        start: usize,
-        end: usize,
+        cycles: f64,
+        instrs: f64,
     },
     Fp(FpIssue),
     Straight(StraightSums),
@@ -743,30 +746,24 @@ enum TapeOp {
 
 impl<'a> Tape<'a> {
     fn new(cost: &'a CostModel, banks: &'a BankConflictModel, lanes: f64) -> Self {
-        Tape { cost, banks, lanes, ops: Vec::new(), ints: Vec::new(), ssrs: Vec::new() }
+        let int_table = cost.int_cycle_table();
+        Tape { cost, int_table, banks, lanes, ops: Vec::new(), ssrs: Vec::new() }
     }
 
     /// Replace the tape with the compiled `ops` of one work item.
     fn compile(&mut self, ops: &[KernelOp]) {
         self.ops.clear();
-        self.ints.clear();
         self.ssrs.clear();
         self.push(ops);
     }
 
     fn push(&mut self, ops: &[KernelOp]) {
         let c = self.cost;
-        // Whether the last tape op is an `Int` run of this op sequence.
-        let mut in_run = false;
         for op in ops {
             match op {
-                KernelOp::Int { op, reps } => {
-                    self.ints.push((c.int_cycles(*op) as f64 * reps, *reps));
-                    let end = self.ints.len();
-                    match self.ops.last_mut() {
-                        Some(TapeOp::Int { end: run_end, .. }) if in_run => *run_end = end,
-                        _ => self.ops.push(TapeOp::Int { start: end - 1, end }),
-                    }
+                KernelOp::Int(mix) => {
+                    let (cycles, instrs) = mix.price(&self.int_table);
+                    self.ops.push(TapeOp::Int { cycles, instrs });
                 }
                 KernelOp::Fp { op, reps } => {
                     self.ops.push(TapeOp::Fp(FpIssue::new(c, *op, *reps, self.lanes)));
@@ -797,7 +794,6 @@ impl<'a> Tape<'a> {
                 }
                 KernelOp::Barrier => self.ops.push(TapeOp::Barrier),
             }
-            in_run = matches!(op, KernelOp::Int { .. });
         }
     }
 
@@ -814,12 +810,10 @@ impl<'a> Tape<'a> {
         let mut i = 0;
         while i < ops.len() {
             match ops[i] {
-                TapeOp::Int { start, end } => {
-                    for &(cycles, reps) in &self.ints[start..end] {
-                        for core in cores.iter_mut() {
-                            core.int_time += cycles;
-                            core.int_instrs += reps;
-                        }
+                TapeOp::Int { cycles, instrs } => {
+                    for core in cores.iter_mut() {
+                        core.int_time += cycles;
+                        core.int_instrs += instrs;
                     }
                 }
                 TapeOp::Fp(fp) => cores.iter_mut().for_each(|core| fp.apply(core)),
@@ -991,7 +985,7 @@ fn argmin(states: &[CoreState]) -> usize {
 }
 
 fn is_straight_line(body: &[KernelOp]) -> bool {
-    body.iter().all(|op| matches!(op, KernelOp::Int { .. } | KernelOp::Fp { .. }))
+    body.iter().all(|op| matches!(op, KernelOp::Int(_) | KernelOp::Fp { .. }))
 }
 
 fn is_useful_fp(op: FpOp) -> bool {

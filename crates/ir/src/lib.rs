@@ -10,10 +10,9 @@
 //!   double-buffered (overlaps compute) or a prologue/epilogue transfer the
 //!   compute stream must serialize against;
 //! * [`ComputePhase`] — work items distributed over the worker cores by
-//!   workload stealing, each a sequence of [`KernelOp`]s: scalar integer or
-//!   FP operations (`Scalar{op, reps}` in the paper's terms), straight-line
-//!   loops, and SSR-fed FREP stream operations
-//!   (`Stream{pattern, ssr, op, format, reps}`).
+//!   workload stealing, each a sequence of [`KernelOp`]s: runs of integer
+//!   instructions counted per class ([`IntMix`]), scalar FP operations,
+//!   straight-line loops, and SSR-fed FREP stream operations.
 //!
 //! Both execution backends consume the *same* program:
 //!
@@ -68,6 +67,6 @@ pub mod program;
 pub use cache::{CacheCounters, ProgramCache, ProgramKey, SparsityBucket};
 pub use cost::{CostIntegrator, ProgramCost};
 pub use program::{
-    AffineDims, CodeRegion, ComputePhase, DmaPhase, IndexStream, KernelOp, LoopBody, Phase,
+    AffineDims, CodeRegion, ComputePhase, DmaPhase, IndexStream, IntMix, KernelOp, LoopBody, Phase,
     ProgramSink, Ssrs, StreamProgram, StreamSpec, WorkItem, MAX_AFFINE_DIMS,
 };

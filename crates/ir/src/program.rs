@@ -8,9 +8,11 @@
 //! DmaPhase          := { direction, row_bytes, rows, double_buffered }
 //! ComputePhase<'a>  := { code: &'static [CodeRegion], items: [WorkItem<'a>] }
 //! WorkItem<'a>      := { instances, ops: [KernelOp<'a>] }
-//! KernelOp<'a>      := Int{op, reps} | Fp{op, reps}
+//! KernelOp<'a>      := Int(IntMix) | Fp{op, reps}
 //!                    | Loop{body: LoopBody<'a>, reps}
 //!                    | Stream{ssrs: Ssrs<'a>, op} | Barrier
+//! IntMix            := a count per IntOp class (Alu, Mul, Load, Store,
+//!                      Branch, Amo, Csr, Move)
 //! LoopBody<'a>      := Template(&'a [KernelOp<'a>]) | Built([KernelOp<'a>])
 //! Ssrs<'a>          := One((SsrId, StreamSpec<'a>))
 //!                    | Two([(SsrId, StreamSpec<'a>); 2])
@@ -26,6 +28,13 @@
 //! firing rate (fractional counts, [`IndexStream::Expected`]). The
 //! cycle-level interpreter only accepts the former; symbolic programs exist
 //! for the analytic cost integration.
+//!
+//! Integer work is counted, not listed: one `Int` op carries how many
+//! instructions of each [`IntOp`] class run ([`IntMix`]). Integer timing
+//! carries no state from one instruction to the next, so a run of them
+//! costs Σ cycles × count whatever its order, and an exact emitter writes
+//! each run between two other ops as one `Int`. The IR carries counts,
+//! never cycles: each consumer prices a mix against its own cost table.
 //!
 //! An op owns nothing on the heap that its emitter would have to build per
 //! op: a `Stream` holds its SSRs and an affine pattern its dimensions
@@ -224,16 +233,67 @@ impl PartialEq for LoopBody<'_> {
     }
 }
 
+/// A run of integer-pipeline instructions: how many of each [`IntOp`]
+/// class run. Counts are `f64`, so a symbolic lowering can carry expected
+/// (fractional) counts.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct IntMix([f64; IntOp::COUNT]);
+
+impl IntMix {
+    /// One instruction of each listed class (a class listed twice counts
+    /// twice).
+    pub const fn of(ops: &[IntOp]) -> Self {
+        let mut counts = [0.0; IntOp::COUNT];
+        let mut i = 0;
+        while i < ops.len() {
+            counts[ops[i].index()] += 1.0;
+            i += 1;
+        }
+        IntMix(counts)
+    }
+
+    /// Instructions of class `op`.
+    pub fn count(&self, op: IntOp) -> f64 {
+        self.0[op.index()]
+    }
+
+    /// The run `k` times over: every count multiplied by `k`.
+    pub fn times(self, k: f64) -> Self {
+        IntMix(self.0.map(|n| n * k))
+    }
+
+    /// `(cycles, instructions)` of the run, given each class's cycles
+    /// indexed by [`IntOp::index`] (`CostModel::int_cycle_table`): Σ
+    /// cycles × count and Σ count, summed in class order. A one-class run
+    /// prices to exactly its cycles × count.
+    pub fn price(&self, cycles: &[f64; IntOp::COUNT]) -> (f64, f64) {
+        let mut total = (0.0, 0.0);
+        for (&n, &c) in self.0.iter().zip(cycles) {
+            total.0 += c * n;
+            total.1 += n;
+        }
+        total
+    }
+
+    /// Whether any count is fractional.
+    pub fn is_symbolic(&self) -> bool {
+        self.0.iter().any(|n| n.fract() != 0.0)
+    }
+}
+
+impl std::ops::AddAssign for IntMix {
+    fn add_assign(&mut self, other: IntMix) {
+        for (n, m) in self.0.iter_mut().zip(other.0) {
+            *n += m;
+        }
+    }
+}
+
 /// One operation of a work item.
 #[derive(Debug, Clone, PartialEq)]
 pub enum KernelOp<'a> {
-    /// An integer-pipeline operation executed `reps` times.
-    Int {
-        /// The operation kind.
-        op: IntOp,
-        /// Repetition count.
-        reps: f64,
-    },
+    /// A run of integer-pipeline instructions, counted per class.
+    Int(IntMix),
     /// A non-streamed FP operation issued through the integer core `reps`
     /// times.
     Fp {
@@ -265,34 +325,39 @@ pub enum KernelOp<'a> {
 }
 
 impl KernelOp<'_> {
+    /// A run of integer instructions, one of each listed class.
+    pub const fn int(ops: &[IntOp]) -> Self {
+        KernelOp::Int(IntMix::of(ops))
+    }
+
     /// An ALU operation.
     pub const fn alu() -> Self {
-        KernelOp::Int { op: IntOp::Alu, reps: 1.0 }
+        KernelOp::int(&[IntOp::Alu])
     }
 
     /// An integer load.
     pub const fn load() -> Self {
-        KernelOp::Int { op: IntOp::Load, reps: 1.0 }
+        KernelOp::int(&[IntOp::Load])
     }
 
     /// An integer store.
     pub const fn store() -> Self {
-        KernelOp::Int { op: IntOp::Store, reps: 1.0 }
+        KernelOp::int(&[IntOp::Store])
     }
 
     /// A taken branch.
     pub const fn branch() -> Self {
-        KernelOp::Int { op: IntOp::Branch, reps: 1.0 }
+        KernelOp::int(&[IntOp::Branch])
     }
 
     /// An atomic read-modify-write.
     pub const fn amo() -> Self {
-        KernelOp::Int { op: IntOp::Amo, reps: 1.0 }
+        KernelOp::int(&[IntOp::Amo])
     }
 
     /// An int<->FP move.
     pub const fn mov() -> Self {
-        KernelOp::Int { op: IntOp::Move, reps: 1.0 }
+        KernelOp::int(&[IntOp::Move])
     }
 
     /// A non-streamed FP operation (arithmetic, or a scalar FP load/store).
@@ -300,7 +365,9 @@ impl KernelOp<'_> {
         KernelOp::Fp { op, reps: 1.0 }
     }
 
-    /// The same operation repeated `reps` times.
+    /// The same operation repeated `reps` times: an `Int` run's counts, an
+    /// `Fp` op's repetition count or a loop's trip count multiplied by
+    /// `reps`.
     ///
     /// # Panics
     ///
@@ -308,9 +375,9 @@ impl KernelOp<'_> {
     /// repetition count — wrap them in a [`KernelOp::Loop`] instead.
     pub fn times(self, reps: f64) -> Self {
         match self {
-            KernelOp::Int { op, .. } => KernelOp::Int { op, reps },
-            KernelOp::Fp { op, .. } => KernelOp::Fp { op, reps },
-            KernelOp::Loop { body, .. } => KernelOp::Loop { body, reps },
+            KernelOp::Int(mix) => KernelOp::Int(mix.times(reps)),
+            KernelOp::Fp { op, reps: n } => KernelOp::Fp { op, reps: n * reps },
+            KernelOp::Loop { body, reps: n } => KernelOp::Loop { body, reps: n * reps },
             KernelOp::Stream { .. } | KernelOp::Barrier => {
                 panic!("Stream/Barrier ops carry no repetition count; wrap them in a Loop")
             }
@@ -321,7 +388,8 @@ impl KernelOp<'_> {
     /// repetition counts or expected-count streams.
     pub fn is_symbolic(&self) -> bool {
         match self {
-            KernelOp::Int { reps, .. } | KernelOp::Fp { reps, .. } => reps.fract() != 0.0,
+            KernelOp::Int(mix) => mix.is_symbolic(),
+            KernelOp::Fp { reps, .. } => reps.fract() != 0.0,
             KernelOp::Loop { body, reps } => {
                 reps.fract() != 0.0 || body.iter().any(KernelOp::is_symbolic)
             }
@@ -615,8 +683,8 @@ mod tests {
 
     #[test]
     fn op_constructors_cover_the_grammar() {
-        assert!(matches!(KernelOp::amo(), KernelOp::Int { op: IntOp::Amo, .. }));
-        assert!(matches!(KernelOp::mov(), KernelOp::Int { op: IntOp::Move, .. }));
+        assert_eq!(KernelOp::amo(), KernelOp::Int(IntMix::of(&[IntOp::Amo])));
+        assert_eq!(KernelOp::mov(), KernelOp::Int(IntMix::of(&[IntOp::Move])));
         let looped = KernelOp::Loop { body: vec![KernelOp::alu()].into(), reps: 1.0 }.times(9.0);
         assert!(matches!(looped, KernelOp::Loop { reps, .. } if reps == 9.0));
         assert!(!KernelOp::fp(FpOp::Add).is_symbolic());
@@ -642,6 +710,45 @@ mod tests {
             KernelOp::Loop { body: LoopBody::Template(&BODY), reps: 2.0 },
             KernelOp::Loop { body: vec![KernelOp::alu()].into(), reps: 2.0 },
             "loops compare by their ops"
+        );
+    }
+
+    #[test]
+    fn int_mixes_count_price_and_scale_per_class() {
+        let mut run = IntMix::of(&[IntOp::Amo, IntOp::Branch, IntOp::Alu, IntOp::Alu]);
+        assert_eq!((run.count(IntOp::Alu), run.count(IntOp::Amo)), (2.0, 1.0));
+        run += IntMix::of(&[IntOp::Load, IntOp::Alu]);
+        assert_eq!((run.count(IntOp::Alu), run.count(IntOp::Load)), (3.0, 1.0));
+        let cost = snitch_arch::CostModel::default();
+        let table = cost.int_cycle_table();
+        // 3 ALU (1) + load (2) + branch (2) + AMO (4).
+        assert_eq!(run.price(&table), (11.0, 6.0));
+        for class in IntOp::ALL {
+            let cycles = cost.int_cycles(class) as f64;
+            assert_eq!(IntMix::of(&[class]).times(3.0).price(&table), (3.0 * cycles, 3.0));
+        }
+        let every: u64 = IntOp::ALL.iter().map(|&class| cost.int_cycles(class)).sum();
+        assert_eq!(IntMix::of(&IntOp::ALL).price(&table), (every as f64, 8.0));
+        assert!(!run.is_symbolic());
+        let scaled = KernelOp::Int(run).times(0.5);
+        assert_eq!(scaled, KernelOp::Int(run.times(0.5)));
+        assert!(scaled.is_symbolic());
+        assert_eq!(run.times(0.5).price(&table), (5.5, 3.0));
+        // A one-class run prices to exactly its cycles x count.
+        let third = IntMix::of(&[IntOp::Store]).times(1.0 / 3.0);
+        assert_eq!(third.price(&table), (table[IntOp::Store.index()] * (1.0 / 3.0), 1.0 / 3.0));
+        assert_eq!(
+            KernelOp::load().times(2.0).times(3.0),
+            KernelOp::Int(IntMix::of(&[IntOp::Load]).times(6.0))
+        );
+    }
+
+    #[test]
+    fn an_op_is_no_wider_than_a_two_ssr_stream() {
+        assert!(
+            std::mem::size_of::<KernelOp<'_>>() <= 104,
+            "{}",
+            std::mem::size_of::<KernelOp<'_>>()
         );
     }
 

@@ -104,8 +104,8 @@ impl LayerExecutor {
         let mut ops = buffer.lend();
         // Every pixel feeds up to kh x kw positions, so round the image to
         // the storage format once.
-        let qimage: Vec<f32> = image.data().iter().map(|&x| self.format.quantize(x)).collect();
-        let mut acc = vec![0.0f32; spec.out_channels];
+        let (qimage, acc) =
+            buffer.dense_rows(image.data(), |x| self.format.quantize(x), spec.out_channels);
 
         for oh in 0..out_shape.h {
             for ow in 0..out_shape.w {

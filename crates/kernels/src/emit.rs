@@ -11,9 +11,14 @@
 //! closed-form loop math of the old `analytic` module.
 //!
 //! The straight-line templates are constant op arrays that [`extend`]
-//! copies into the item being written, each op in place.
+//! copies into the item being written, each op in place. Integer work is
+//! counted per class, so each run of integer instructions in a template is
+//! one `Int` op, and [`extend`] adds a template's leading run to the run
+//! the item ends in: an exact work item holds one op per integer run,
+//! however many templates wrote it. Symbolic emitters push their
+//! fractional counts (`store().times(f)`) as separate ops.
 
-use snitch_arch::isa::FpOp;
+use snitch_arch::isa::{FpOp, IntOp};
 use snitch_arch::SsrId;
 use spikestream_ir::{AffineDims, IndexStream, KernelOp, LoopBody, Ssrs, StreamSpec};
 use spikestream_snn::compress::INDEX_BYTES;
@@ -24,20 +29,29 @@ use spikestream_snn::NeuronModel;
 /// (Fig. 2b). The previous item's ops are cleared first, so an exact
 /// emitter writes all its items through one reused buffer.
 pub(crate) fn claim(ops: &mut Vec<KernelOp<'_>>) {
-    static CLAIM: [KernelOp<'static>; 2] = [KernelOp::amo(), KernelOp::branch()];
+    static CLAIM: [KernelOp<'static>; 1] = [KernelOp::int(&[IntOp::Amo, IntOp::Branch])];
     ops.clear();
     extend(ops, &CLAIM);
 }
 
-/// Append the ops of a straight-line (`Int`/`Fp`) template. The buffer
-/// grows before any op exists, and each op is then written in place,
-/// field by field. A pushed op is instead built whole on the stack (104
-/// bytes), to be dropped should the push's growth unwind, and copied over
-/// unless its drop glue inlines to nothing, which depends on how the crate
-/// falls into codegen units; those copies can double an emitter's time.
+/// Append the ops of a straight-line (`Int`/`Fp`) template, adding its
+/// leading `Int` run to the item's trailing one, so no two `Int` ops end
+/// up adjacent. The buffer grows before any op exists, and each op is then
+/// written in place, field by field. A pushed op is instead built whole on
+/// the stack (104 bytes), to be dropped should the push's growth unwind,
+/// and copied over unless its drop glue inlines to nothing, which depends
+/// on how the crate falls into codegen units; those copies can double an
+/// emitter's time.
 fn extend(ops: &mut Vec<KernelOp<'_>>, template: &[KernelOp<'static>]) {
+    let template = match (ops.last_mut(), template) {
+        (Some(KernelOp::Int(run)), [KernelOp::Int(lead), rest @ ..]) => {
+            *run += *lead;
+            rest
+        }
+        _ => template,
+    };
     ops.extend(template.iter().map(|op| match *op {
-        KernelOp::Int { op, reps } => KernelOp::Int { op, reps },
+        KernelOp::Int(mix) => KernelOp::Int(mix),
         KernelOp::Fp { op, reps } => KernelOp::Fp { op, reps },
         _ => unreachable!("op templates are straight-line"),
     }));
@@ -47,8 +61,11 @@ fn extend(ops: &mut Vec<KernelOp<'_>>, template: &[KernelOp<'static>]) {
 /// registers (one load per state variable — two-variable models also pull
 /// the recovery tile) and compute the group's weight base address.
 pub(crate) fn model_group_prologue(ops: &mut Vec<KernelOp<'_>>, model: &NeuronModel) {
-    static PROLOGUE: [KernelOp<'static>; 4] =
-        [KernelOp::fp(FpOp::Load), KernelOp::fp(FpOp::Load), KernelOp::alu(), KernelOp::alu()];
+    static PROLOGUE: [KernelOp<'static>; 3] = [
+        KernelOp::fp(FpOp::Load),
+        KernelOp::fp(FpOp::Load),
+        KernelOp::int(&[IntOp::Alu, IntOp::Alu]),
+    ];
     extend(ops, &PROLOGUE[2 - model.state_vars()..]);
 }
 
@@ -56,26 +73,24 @@ pub(crate) fn model_group_prologue(ops: &mut Vec<KernelOp<'_>>, model: &NeuronMo
 /// bookkeeping, spatial-coordinate computation and the two `s_ptr` loads
 /// that give the stream base address and length.
 pub(crate) fn position_control(ops: &mut Vec<KernelOp<'_>>) {
-    static CONTROL: [KernelOp<'static>; 6] = [
-        KernelOp::branch(),
-        KernelOp::alu(),
-        KernelOp::alu(),
-        KernelOp::load(),
-        KernelOp::load(),
-        KernelOp::alu(),
-    ];
+    static CONTROL: [KernelOp<'static>; 1] = [KernelOp::int(&[
+        IntOp::Branch,
+        IntOp::Alu,
+        IntOp::Alu,
+        IntOp::Load,
+        IntOp::Load,
+        IntOp::Alu,
+    ])];
     extend(ops, &CONTROL);
 }
 
 /// One element of the scalar indirection loop of Listing 1b: seven integer
-/// instructions surround a single useful `fadd`.
-static BASELINE_SPVA_BODY: [KernelOp<'static>; 8] = [
-    KernelOp::load(),
-    KernelOp::alu(),
-    KernelOp::alu(),
+/// instructions (`lw`, `slli`, `add`; `addi`, `addi`; `bne`) surround the
+/// `fld` and a single useful `fadd`.
+static BASELINE_SPVA_BODY: [KernelOp<'static>; 5] = [
+    KernelOp::int(&[IntOp::Load, IntOp::Alu, IntOp::Alu]),
     KernelOp::fp(FpOp::Load),
-    KernelOp::alu(),
-    KernelOp::alu(),
+    KernelOp::int(&[IntOp::Alu, IntOp::Alu]),
     KernelOp::fp(FpOp::Add),
     KernelOp::branch(),
 ];
@@ -110,12 +125,11 @@ pub(crate) fn streamed_spva(
 
 /// One element of the dense matmul inner loop of the spike-encoding layer,
 /// baseline variant: two loads, one FMA, pointer bump and loop branch.
-static BASELINE_DENSE_DOT_BODY: [KernelOp<'static>; 5] = [
+static BASELINE_DENSE_DOT_BODY: [KernelOp<'static>; 4] = [
     KernelOp::fp(FpOp::Load),
     KernelOp::fp(FpOp::Load),
     KernelOp::fp(FpOp::Fma),
-    KernelOp::alu(),
-    KernelOp::branch(),
+    KernelOp::int(&[IntOp::Alu, IntOp::Branch]),
 ];
 
 /// The baseline dense matmul inner loop over `k_len` elements.
@@ -206,7 +220,7 @@ pub(crate) fn model_state_writeback(ops: &mut Vec<KernelOp<'_>>, model: &NeuronM
 }
 
 /// Per-lane unpacking of the spike mask: bit extraction plus branch.
-static LANE_UNPACK: [KernelOp<'static>; 2] = [KernelOp::alu(), KernelOp::branch()];
+static LANE_UNPACK: [KernelOp<'static>; 1] = [KernelOp::int(&[IntOp::Alu, IntOp::Branch])];
 
 /// Unpack one lane of the spike mask ([`LANE_UNPACK`]).
 pub(crate) fn lane_unpack(ops: &mut Vec<KernelOp<'_>>) {
@@ -216,7 +230,7 @@ pub(crate) fn lane_unpack(ops: &mut Vec<KernelOp<'_>>) {
 /// Compressed-output update of one firing lane: append the channel index
 /// and atomically bump the spatial pointer.
 pub(crate) fn fired_update(ops: &mut Vec<KernelOp<'_>>) {
-    static FIRED: [KernelOp<'static>; 2] = [KernelOp::store(), KernelOp::amo()];
+    static FIRED: [KernelOp<'static>; 1] = [KernelOp::int(&[IntOp::Store, IntOp::Amo])];
     extend(ops, &FIRED);
 }
 

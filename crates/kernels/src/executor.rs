@@ -60,13 +60,18 @@ pub struct LayerExecution {
     pub output_spikes: u64,
 }
 
-/// The buffer an exact emitter writes each work item into before handing
-/// it to its sink. Each call's ops borrow that call's input, yet the
-/// allocation outlives them: an emitter borrows the buffer typed for its
-/// input's lifetime and gives it back empty, so once it has grown to the
-/// largest item it never allocates again.
+/// The buffers an exact emitter reuses from call to call: the work item
+/// it writes before handing it to its sink, and the dense emitter's
+/// quantized image and accumulator row. Each call's ops borrow that call's
+/// input, yet the allocation outlives them: an emitter borrows the op
+/// buffer typed for its input's lifetime and gives it back empty, so once
+/// the buffers have grown to the largest call they never allocate again.
 #[derive(Debug, Clone, Default)]
-pub struct OpBuffer(Vec<KernelOp<'static>>);
+pub struct OpBuffer {
+    ops: Vec<KernelOp<'static>>,
+    /// The dense emitter's rows, back to back.
+    values: Vec<f32>,
+}
 
 impl OpBuffer {
     /// An empty buffer.
@@ -74,17 +79,32 @@ impl OpBuffer {
         Self::default()
     }
 
-    /// Lend the (empty) buffer to one emitter call.
+    /// Lend the (empty) op buffer to one emitter call.
     pub(crate) fn lend<'a>(&mut self) -> Vec<KernelOp<'a>> {
-        std::mem::take(&mut self.0)
+        std::mem::take(&mut self.ops)
     }
 
-    /// Take the buffer back from the call that borrowed it.
+    /// Take the op buffer back from the call that borrowed it.
     pub(crate) fn restore(&mut self, mut ops: Vec<KernelOp<'_>>) {
         ops.clear();
         // An empty vector borrows nothing, so it may serve the next input:
         // collecting it in place re-types it and keeps its allocation.
-        self.0 = ops.into_iter().map(|_| unreachable!("the buffer was cleared")).collect();
+        self.ops = ops.into_iter().map(|_| unreachable!("the buffer was cleared")).collect();
+    }
+
+    /// The dense emitter's rows: `image` with `round` applied to every
+    /// value, and a zeroed accumulator row of `width` values.
+    pub(crate) fn dense_rows(
+        &mut self,
+        image: &[f32],
+        round: impl Fn(f32) -> f32,
+        width: usize,
+    ) -> (&[f32], &mut [f32]) {
+        self.values.clear();
+        self.values.extend(image.iter().map(|&x| round(x)));
+        self.values.resize(image.len() + width, 0.0);
+        let (rounded, acc) = self.values.split_at_mut(image.len());
+        (rounded, acc)
     }
 }
 

@@ -10,7 +10,7 @@
 //! writes the firing channels to the compressed output. No weights, no membrane state: the DMA traffic is
 //! the dense spike tile in and the compressed output back out.
 
-use snitch_arch::isa::FpOp;
+use snitch_arch::isa::{FpOp, IntOp};
 use snitch_arch::{ClusterConfig, SsrId};
 use spikestream_ir::{
     AffineDims, CodeRegion, ComputePhase, KernelOp, LoopBody, Phase, ProgramSink, Ssrs,
@@ -36,8 +36,11 @@ fn code_regions(variant: KernelVariant) -> &'static [CodeRegion] {
 
 /// One window element of the baseline pooling loop: load the spike word,
 /// add it, bump the pointer, branch.
-static BASELINE_WINDOW_BODY: [KernelOp<'static>; 4] =
-    [KernelOp::fp(FpOp::Load), KernelOp::fp(FpOp::Add), KernelOp::alu(), KernelOp::branch()];
+static BASELINE_WINDOW_BODY: [KernelOp<'static>; 3] = [
+    KernelOp::fp(FpOp::Load),
+    KernelOp::fp(FpOp::Add),
+    KernelOp::int(&[IntOp::Alu, IntOp::Branch]),
+];
 
 impl LayerExecutor {
     /// Lower one pooling invocation into `sink` as its exact stream

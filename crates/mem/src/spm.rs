@@ -13,19 +13,30 @@ use snitch_arch::ClusterConfig;
 /// Maps addresses to banks and estimates arbitration conflicts.
 #[derive(Debug, Clone)]
 pub struct BankConflictModel {
-    banks: u32,
-    bank_width_bytes: u32,
+    /// `log2` of the bank width in bytes.
+    width_shift: u32,
+    /// The bank count less one.
+    bank_mask: u32,
 }
 
 impl BankConflictModel {
     /// Create a conflict model for the given cluster configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the bank count and the bank width are powers of two,
+    /// as [`ClusterConfig::validate`] requires: the model maps addresses
+    /// with a shift and a mask.
     pub fn new(config: &ClusterConfig) -> Self {
-        BankConflictModel { banks: config.spm_banks, bank_width_bytes: config.spm_bank_width_bytes }
+        let (banks, width) = (config.spm_banks, config.spm_bank_width_bytes);
+        assert!(banks.is_power_of_two(), "SPM bank count {banks} must be a power of two");
+        assert!(width.is_power_of_two(), "SPM bank width {width} B must be a power of two");
+        BankConflictModel { width_shift: width.trailing_zeros(), bank_mask: banks - 1 }
     }
 
-    /// Bank index serving the given byte address.
+    /// Bank index serving the given byte address: `(addr / width) % banks`.
     pub fn bank_of(&self, addr: u32) -> u32 {
-        (addr / self.bank_width_bytes) % self.banks
+        (addr >> self.width_shift) & self.bank_mask
     }
 
     /// Conflict stalls of one indirect stream: element `k` fetches its
@@ -148,6 +159,27 @@ mod tests {
         assert_eq!(m.bank_of(8 * 32), 0);
         // Sub-word addresses stay in the same bank.
         assert_eq!(m.bank_of(4), 0);
+    }
+
+    #[test]
+    fn shift_and_mask_match_division_and_remainder() {
+        for (banks, width) in [(32, 8), (16, 4), (1, 1), (64, 16)] {
+            let config = ClusterConfig {
+                spm_banks: banks,
+                spm_bank_width_bytes: width,
+                ..Default::default()
+            };
+            let m = BankConflictModel::new(&config);
+            for addr in (0..4096).chain([u32::MAX - 7, u32::MAX]) {
+                assert_eq!(m.bank_of(addr), (addr / width) % banks, "{banks}x{width} B @ {addr}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "bank width 12 B must be a power of two")]
+    fn a_bank_width_that_is_no_power_of_two_is_refused() {
+        BankConflictModel::new(&ClusterConfig { spm_bank_width_bytes: 12, ..Default::default() });
     }
 
     #[test]

@@ -11,16 +11,17 @@
 //! the paper.
 //!
 //! The model executes the stream-program IR directly:
-//! [`WorkerCoreModel::exec`] advances the core by one [`KernelOp`], and
-//! [`WorkerCoreModel::exec_item`] by a work item's op sequence, folding each
-//! run of consecutive `Int` ops into one pipeline update.
+//! [`WorkerCoreModel::exec`] advances the core by one [`KernelOp`]. An
+//! `Int` op is a whole run of integer instructions counted per class, which
+//! the core prices in one step against its per-class cycle table; the
+//! emitters fold each run into one op, so no fold happens here.
 
 use std::collections::VecDeque;
 
-use snitch_arch::isa::FpOp;
+use snitch_arch::isa::{FpOp, IntOp};
 use snitch_arch::{ClusterConfig, CostModel, FpFormat, SsrId};
 use snitch_mem::BankConflictModel;
-use spikestream_ir::{IndexStream, KernelOp, StreamSpec};
+use spikestream_ir::{IndexStream, IntMix, KernelOp, StreamSpec};
 
 use crate::counters::PerfCounters;
 
@@ -33,6 +34,8 @@ const MAX_OUTSTANDING_FREPS: usize = 2;
 pub struct WorkerCoreModel {
     core_id: usize,
     cost: CostModel,
+    /// `cost`'s cycles per integer class.
+    int_table: [f64; IntOp::COUNT],
     banks: BankConflictModel,
     /// Completion time of the integer pipeline.
     int_time: u64,
@@ -50,6 +53,7 @@ impl WorkerCoreModel {
     pub fn new(config: &ClusterConfig, cost: CostModel, core_id: usize) -> Self {
         WorkerCoreModel {
             core_id,
+            int_table: cost.int_cycle_table(),
             cost,
             banks: BankConflictModel::new(config),
             int_time: 0,
@@ -76,9 +80,9 @@ impl WorkerCoreModel {
     /// exact programs are executable; symbolic ones can only be integrated.
     pub fn exec(&mut self, op: &KernelOp<'_>, format: FpFormat) {
         match op {
-            KernelOp::Int { op, reps } => {
-                let reps = int_reps(*reps);
-                self.issue_int(self.cost.int_cycles(*op) * reps, reps);
+            KernelOp::Int(mix) => {
+                let (cycles, instrs) = self.price_int(mix);
+                self.issue_int(cycles, instrs);
             }
             KernelOp::Fp { op, reps, .. } => self.exec_fp_repeated(*op, format, int_reps(*reps)),
             KernelOp::Loop { body, reps } => {
@@ -86,7 +90,7 @@ impl WorkerCoreModel {
                 if reps == 0 {
                     return;
                 }
-                if body.iter().all(|op| matches!(op, KernelOp::Int { .. } | KernelOp::Fp { .. })) {
+                if body.iter().all(|op| matches!(op, KernelOp::Int(_) | KernelOp::Fp { .. })) {
                     self.exec_straight_loop(body, format, reps);
                 } else {
                     for _ in 0..reps {
@@ -107,29 +111,13 @@ impl WorkerCoreModel {
         }
     }
 
-    /// Execute a work item's ops in order, as [`WorkerCoreModel::exec`]
-    /// would one by one, except that each run of consecutive `Int` ops
-    /// advances the integer pipeline once by the run's summed cycles and
-    /// instructions. Integer timing is additive and carries no state
-    /// between ops, so the fold is exact.
-    ///
-    /// # Panics
-    ///
-    /// Panics where [`WorkerCoreModel::exec`] does.
-    pub fn exec_item(&mut self, ops: &[KernelOp<'_>], format: FpFormat) {
-        let (mut cycles, mut instrs) = (0u64, 0u64);
-        for op in ops {
-            if let KernelOp::Int { op, reps } = op {
-                let reps = int_reps(*reps);
-                cycles += self.cost.int_cycles(*op) * reps;
-                instrs += reps;
-                continue;
-            }
-            self.issue_int(cycles, instrs);
-            (cycles, instrs) = (0, 0);
-            self.exec(op, format);
-        }
-        self.issue_int(cycles, instrs);
+    /// `(cycles, instructions)` of an integer run: Σ cycles × count over
+    /// its classes, in one conversion each. Exact counts are integral and
+    /// far below 2^53, so the `f64` sums are exact.
+    fn price_int(&self, mix: &IntMix) -> (u64, u64) {
+        debug_assert!(!mix.is_symbolic(), "exact programs carry integral repetition counts");
+        let (cycles, instrs) = mix.price(&self.int_table);
+        (cycles as u64, instrs as u64)
     }
 
     /// Advance the integer pipeline by `cycles` for `instrs` integer
@@ -190,10 +178,10 @@ impl WorkerCoreModel {
         let mut flops = 0u64;
         for op in body {
             match op {
-                KernelOp::Int { op, reps } => {
-                    let n = int_reps(*reps);
-                    int_cycles += self.cost.int_cycles(*op) * n;
-                    int_instrs += n;
+                KernelOp::Int(mix) => {
+                    let (cycles, instrs) = self.price_int(mix);
+                    int_cycles += cycles;
+                    int_instrs += instrs;
                 }
                 KernelOp::Fp { op, reps, .. } => {
                     let n = int_reps(*reps);
@@ -294,7 +282,8 @@ impl WorkerCoreModel {
             let expected =
                 elems as f64 * accesses_per_element * self.cost.cross_conflict_per_access
                     + self.conflict_carry;
-            let cross = expected.floor() as u64;
+            // `expected` is finite and non-negative, so truncation floors.
+            let cross = expected as u64;
             self.conflict_carry = expected - cross as f64;
             conflict_stalls += cross;
             elements += elems;
@@ -303,7 +292,11 @@ impl WorkerCoreModel {
         // Streamed operands arrive at the sustained interval of the slowest
         // stream feeding the body.
         let total_issue = self.cost.fp_cycles(op) * reps;
-        let total_occupancy = (total_issue as f64 * stream_interval).ceil() as u64;
+        let occupancy = total_issue as f64 * stream_interval;
+        // The ceiling of a finite, non-negative `occupancy`: truncate, then
+        // bump if anything was cut off.
+        let whole = occupancy as u64;
+        let total_occupancy = whole + u64::from((whole as f64) < occupancy);
         let start = self.int_time.max(self.fpu_time);
         let busy_end = start
             + self.cost.fpu_latency
@@ -468,6 +461,28 @@ mod tests {
         assert_eq!(c.int_time(), 3);
         assert_eq!(c.fpu_time(), 0);
         assert_eq!(c.counters().int_instrs, 2);
+    }
+
+    #[test]
+    fn a_mixed_integer_run_equals_its_classes_one_at_a_time() {
+        let run = [IntOp::Amo, IntOp::Branch, IntOp::Alu, IntOp::Load, IntOp::Alu, IntOp::Csr];
+        let mut mixed = core();
+        let mut one_at_a_time = core();
+        for c in [&mut mixed, &mut one_at_a_time] {
+            c.exec(&gather(SsrId::Ssr0, 64), F);
+        }
+        mixed.exec(&KernelOp::int(&run).times(3.0), F);
+        for class in IntOp::ALL {
+            let n = run.iter().filter(|&&op| op == class).count() as f64;
+            one_at_a_time.exec(&KernelOp::int(&[class]).times(3.0 * n), F);
+        }
+        assert_eq!(mixed.counters(), one_at_a_time.counters());
+        assert_eq!(mixed.int_time(), one_at_a_time.int_time());
+        assert_eq!(mixed.fpu_time(), one_at_a_time.fpu_time());
+        // 3 x (AMO 4 + branch 2 + 2 ALU 1 + load 2 + CSR 1) behind the
+        // stream's four SSR writes and FREP launch.
+        assert_eq!(mixed.counters().int_instrs, 3 * 6 + 4 + 1);
+        assert_eq!(mixed.int_time(), 3 * 11 + 4 + 1);
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //! epilogue write-backs wait for it), and each work item goes to the
 //! worker core whose pipeline is the least advanced in time — exactly the
 //! atomic `next_rf` workload-stealing scheme of the paper's Fig. 2b — which
-//! executes the item's [`KernelOp`]s directly on its
-//! [`WorkerCoreModel`](crate::WorkerCoreModel), one pipeline update per run
-//! of consecutive integer ops ([`WorkerCoreModel::exec_item`](crate::WorkerCoreModel::exec_item)).
-//! [`execute_program`] replays a collected [`StreamProgram`] into the same
-//! interpreter.
+//! executes the item's [`KernelOp`]s one by one on its
+//! [`WorkerCoreModel`](crate::WorkerCoreModel). An exact item holds one
+//! `Int` op per run of integer instructions, so each run is one pipeline
+//! update. [`execute_program`] replays a collected [`StreamProgram`] into
+//! the same interpreter.
 //!
 //! The analytic backend prices the *same* programs with
 //! `spikestream_ir::CostIntegrator`; this module is the other consumer of
@@ -78,7 +78,10 @@ impl<'a> ProgramSink<'a> for Interpreter<'_> {
         for region in self.code {
             self.cluster.fetch_code(core, region.id, region.bytes);
         }
-        self.cluster.core_mut(core).exec_item(ops, self.format);
+        let core = self.cluster.core_mut(core);
+        for op in ops {
+            core.exec(op, self.format);
+        }
     }
 
     fn end_compute(&mut self) {

@@ -15,11 +15,11 @@
 //! emitters — alongside randomized symbolic programs across every layer
 //! kind x `KernelVariant` x `FpFormat` x firing rate.
 //!
-//! The cycle-level interpreter folds too: `Interpreter::item` advances a
-//! core's integer pipeline once per run of consecutive `Int` ops. Both
-//! sides of `ir_equivalence` interpret through that fold, so the last
-//! property here checks it against op-by-op `WorkerCoreModel::exec` on
-//! random exact items.
+//! The emitters fold too: an `Int` op is a whole run of integer
+//! instructions counted per class, which both consumers price in one step.
+//! Both sides of `ir_equivalence` interpret such runs, so the last property
+//! here checks `Interpreter::item` on random exact items with mixed runs
+//! against `WorkerCoreModel::exec` of each run's classes one at a time.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -31,8 +31,8 @@ use spikestream::{
     TemporalEncoding,
 };
 use spikestream_ir::{
-    AffineDims, CodeRegion, ComputePhase, CostIntegrator, IndexStream, KernelOp, LoopBody, Phase,
-    ProgramCost, ProgramSink, Ssrs, StreamProgram, StreamSpec, WorkItem,
+    AffineDims, CodeRegion, ComputePhase, CostIntegrator, IndexStream, IntMix, KernelOp, LoopBody,
+    Phase, ProgramCost, ProgramSink, Ssrs, StreamProgram, StreamSpec, WorkItem,
 };
 use spikestream_kernels::{LayerExecutor, OpBuffer};
 use spikestream_snn::neuron::LifParams;
@@ -61,7 +61,9 @@ fn assert_fold_exact(label: &str, integrator: &CostIntegrator, program: &StreamP
 /// An item with the op shapes no emitter produces: a loop whose body ends
 /// in an `Int` op right before another `Int` op, a loop that never runs,
 /// a barrier, fractional FP repetitions, an empty stream, a two-SSR
-/// affine stream and resolved gather indices that conflict on a bank.
+/// affine stream, resolved gather indices that conflict on a bank, and
+/// integer runs mixing classes: at the top level, in a straight-line loop
+/// body, in a streaming loop body and scaled by a fraction.
 fn hand_built_ops() -> Vec<KernelOp<'static>> {
     static IOTA: [u16; 64] = {
         let mut iota = [0; 64];
@@ -86,17 +88,25 @@ fn hand_built_ops() -> Vec<KernelOp<'static>> {
     };
     let stream = |ssrs: Ssrs<'static>| KernelOp::Stream { ssrs, op: FpOp::Fma };
     let one = |spec| stream(Ssrs::One((SsrId::Ssr0, spec)));
+    let run = KernelOp::int(&[IntOp::Amo, IntOp::Branch, IntOp::Alu, IntOp::Load, IntOp::Alu]);
     vec![
         KernelOp::amo(),
         KernelOp::Loop { body: vec![one(gather(40)), KernelOp::alu()].into(), reps: 3.0 },
         KernelOp::load(),
+        run.clone(),
         KernelOp::Loop { body: vec![one(gather(9))].into(), reps: 0.0 },
         KernelOp::fp(FpOp::Add).times(2.5),
         one(gather(0)),
         KernelOp::Barrier,
         stream(Ssrs::Two([(SsrId::Ssr0, affine(0x2000)), (SsrId::Ssr1, affine(0x4000))])),
         KernelOp::store().times(0.75),
+        KernelOp::int(&[IntOp::Mul, IntOp::Csr, IntOp::Move, IntOp::Store]).times(1.25),
         KernelOp::Loop { body: vec![KernelOp::alu(), KernelOp::fp(FpOp::Mul)].into(), reps: 6.0 },
+        KernelOp::Loop {
+            body: vec![run.clone(), KernelOp::fp(FpOp::Cmp), run.clone().times(2.0)].into(),
+            reps: 4.0,
+        },
+        KernelOp::Loop { body: vec![one(gather(12)), run.times(3.0)].into(), reps: 2.0 },
     ]
 }
 
@@ -371,20 +381,11 @@ fn differential_suite_integrates_nonzero_work() {
     assert!(cost.stream_elements > 0.0);
 }
 
-/// One random exact op of [`random_exact_item`]: mostly integer ops, so
-/// runs of them form, between FP ops, streams over slices of `idcs`,
+/// One random exact op of [`random_exact_item`]: mostly integer runs of
+/// up to five instructions of random classes (sometimes repeated), so
+/// adjacent runs form too, between FP ops, streams over slices of `idcs`,
 /// loops (straight-line or streaming) and barriers.
 fn random_exact_op<'a>(rng: &mut StdRng, idcs: &'a [u16], depth: u32) -> KernelOp<'a> {
-    const INT_OPS: [IntOp; 8] = [
-        IntOp::Alu,
-        IntOp::Mul,
-        IntOp::Load,
-        IntOp::Store,
-        IntOp::Branch,
-        IntOp::Amo,
-        IntOp::Csr,
-        IntOp::Move,
-    ];
     const FP_OPS: [FpOp; 8] = [
         FpOp::Add,
         FpOp::Mul,
@@ -412,10 +413,12 @@ fn random_exact_op<'a>(rng: &mut StdRng, idcs: &'a [u16], depth: u32) -> KernelO
         StreamSpec::Affine { base: 0x2000, dims: AffineDims::new(&dims[..n]), elem_bytes: 8 }
     };
     match rng.gen_range(0..16u32) {
-        0..=7 => KernelOp::Int {
-            op: INT_OPS[rng.gen_range(0..INT_OPS.len())],
-            reps: rng.gen_range(0..4u32) as f64,
-        },
+        0..=7 => {
+            let run: Vec<IntOp> = (0..rng.gen_range(0..6))
+                .map(|_| IntOp::ALL[rng.gen_range(0..IntOp::COUNT)])
+                .collect();
+            KernelOp::int(&run).times(rng.gen_range(0..4u32) as f64)
+        }
         8..=10 => KernelOp::Fp {
             op: FP_OPS[rng.gen_range(0..FP_OPS.len())],
             reps: rng.gen_range(0..3u32) as f64,
@@ -441,6 +444,26 @@ fn random_exact_item<'a>(rng: &mut StdRng, idcs: &'a [u16]) -> Vec<KernelOp<'a>>
     (0..rng.gen_range(0..40)).map(|_| random_exact_op(rng, idcs, 0)).collect()
 }
 
+/// `ops` with every integer run, loop bodies included, split into one
+/// one-class `Int` op per class it counts, in class order.
+fn one_class_at_a_time<'a>(ops: &[KernelOp<'a>]) -> Vec<KernelOp<'a>> {
+    let mut out = Vec::new();
+    for op in ops {
+        match op {
+            KernelOp::Int(run) => out.extend(IntOp::ALL.into_iter().filter_map(|class| {
+                let n = run.count(class);
+                (n != 0.0).then(|| KernelOp::Int(IntMix::of(&[class]).times(n)))
+            })),
+            KernelOp::Loop { body, reps } => out.push(KernelOp::Loop {
+                body: LoopBody::Built(one_class_at_a_time(body)),
+                reps: *reps,
+            }),
+            op => out.push(op.clone()),
+        }
+    }
+    out
+}
+
 proptest! {
     #[test]
     fn interpreting_an_item_folds_integer_runs_exactly(seed in any::<u64>()) {
@@ -458,11 +481,12 @@ proptest! {
             interpreter.item(ops);
         }
 
-        // Op by op, on the core the interpreter's least-busy rule picks.
+        // Op by op, each integer run one class at a time, on the core the
+        // interpreter's least-busy rule picks.
         let mut reference = new_cluster();
         for ops in &items {
             let core = reference.least_busy_core();
-            for op in ops {
+            for op in &one_class_at_a_time(ops) {
                 reference.core_mut(core).exec(op, format);
             }
         }

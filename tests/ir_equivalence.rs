@@ -19,7 +19,7 @@ use snitch_arch::{ClusterConfig, CostModel};
 use snitch_mem::dma::DmaDirection;
 use snitch_sim::{execute_program, ClusterModel, Interpreter, PhaseStats};
 use spikestream::{FpFormat, KernelVariant};
-use spikestream_ir::{CostIntegrator, Phase, ProgramCost, ProgramSink, StreamProgram};
+use spikestream_ir::{CostIntegrator, KernelOp, Phase, ProgramCost, ProgramSink, StreamProgram};
 use spikestream_kernels::{LayerExecutor, OpBuffer};
 use spikestream_snn::encoding::{pad_image, synthetic_image};
 use spikestream_snn::neuron::LifParams;
@@ -214,21 +214,58 @@ fn pool_case(variant: KernelVariant, format: FpFormat, rate: f64, seed: u64) -> 
     Case { label: "pool", executor, layer, input: Input::Pool(input) }
 }
 
+/// One case per layer kind for `variant` and `format`.
+fn cases(variant: KernelVariant, format: FpFormat) -> [Case; 4] {
+    [
+        conv_case(variant, format, 12, 16, 0.3, 7),
+        dense_case(variant, format, 9),
+        fc_case(variant, format, 0.1, 11),
+        pool_case(variant, format, 0.35, 13),
+    ]
+}
+
 #[test]
 fn every_kind_variant_and_format_integrates_to_the_interpreted_totals() {
     for variant in ALL_VARIANTS {
         for format in ALL_FORMATS {
-            let cases = [
-                conv_case(variant, format, 12, 16, 0.3, 7),
-                dense_case(variant, format, 9),
-                fc_case(variant, format, 0.1, 11),
-                pool_case(variant, format, 0.35, 13),
-            ];
-            for case in cases {
+            for case in cases(variant, format) {
                 let (stats, cost) = both_consumers(&case.program());
                 let label = format!("{}/{variant}/{format:?}", case.label);
                 assert_equivalent(&label, &stats, &cost);
                 assert_eq!(case.streamed(), stats, "{label}: streamed vs collected interpretation");
+            }
+        }
+    }
+}
+
+/// Whether `ops`, or a loop body below them, holds two adjacent `Int` ops.
+fn has_adjacent_int_ops(ops: &[KernelOp<'_>]) -> bool {
+    ops.windows(2).any(|pair| matches!(pair, [KernelOp::Int(_), KernelOp::Int(_)]))
+        || ops
+            .iter()
+            .any(|op| matches!(op, KernelOp::Loop { body, .. } if has_adjacent_int_ops(body)))
+}
+
+#[test]
+fn exact_items_hold_one_op_per_integer_run() {
+    // The emitters write each run of integer instructions between two
+    // other ops as one `Int` op, counted per class, so an exact work item
+    // never holds two adjacent `Int` ops (nor does a loop body in it).
+    for variant in ALL_VARIANTS {
+        for format in ALL_FORMATS {
+            for case in cases(variant, format) {
+                let program = case.program();
+                let label = format!("{}/{variant}/{format:?}", case.label);
+                let items = program.phases.iter().flat_map(|phase| match phase {
+                    Phase::Compute(c) => c.items.as_slice(),
+                    Phase::Dma(_) => &[],
+                });
+                let mut ints = 0;
+                for (i, item) in items.enumerate() {
+                    assert!(!has_adjacent_int_ops(&item.ops), "{label}: item {i}: {:?}", item.ops);
+                    ints += item.ops.iter().filter(|op| matches!(op, KernelOp::Int(_))).count();
+                }
+                assert!(ints > 0, "{label}: the items hold integer runs");
             }
         }
     }
@@ -285,7 +322,7 @@ fn empty_streams_integrate_exactly_like_they_interpret() {
     // the SSR configuration and skip the FREP.
     use snitch_arch::isa::FpOp;
     use snitch_arch::SsrId;
-    use spikestream_ir::{ComputePhase, IndexStream, KernelOp, Phase, Ssrs, StreamSpec, WorkItem};
+    use spikestream_ir::{ComputePhase, IndexStream, Ssrs, StreamSpec, WorkItem};
     let mut program = StreamProgram::new("empty-stream", FpFormat::Fp16);
     program.push(Phase::Compute(ComputePhase {
         code: &[],
