@@ -54,6 +54,7 @@ impl FpFormat {
     /// Round an `f32` value to this storage format and back.
     ///
     /// This models the precision loss of storing a value in the format.
+    #[inline]
     pub fn quantize(self, value: f32) -> f32 {
         match self {
             FpFormat::Fp64 | FpFormat::Fp32 => value,
@@ -81,6 +82,7 @@ impl std::fmt::Display for FpFormat {
 }
 
 /// Convert an `f32` to IEEE 754 binary16 bits (round-to-nearest-even).
+#[inline]
 pub fn f32_to_f16(value: f32) -> u16 {
     let bits = value.to_bits();
     let sign = ((bits >> 16) & 0x8000) as u16;
@@ -134,6 +136,7 @@ pub fn f32_to_f16(value: f32) -> u16 {
 }
 
 /// Convert IEEE 754 binary16 bits to an `f32`.
+#[inline]
 pub fn f16_to_f32(bits: u16) -> f32 {
     let sign = ((bits & 0x8000) as u32) << 16;
     let exp = ((bits >> 10) & 0x1f) as u32;

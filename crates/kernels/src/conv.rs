@@ -176,7 +176,7 @@ impl LayerExecutor {
 
         let mut output = SpikeMap::silent(spec.output());
         let mut ops = buffer.lend();
-        let mut rf_active: Vec<&[u16]> = Vec::with_capacity(spec.kh * spec.kw);
+        let mut rf_active = buffer.lend_active();
 
         for oh in 0..out_shape.h {
             for ow in 0..out_shape.w {
@@ -210,6 +210,7 @@ impl LayerExecutor {
             }
         }
         buffer.restore(ops);
+        buffer.restore_active(rf_active);
         sink.end_compute();
         for dma in plan.dma_out_phases() {
             sink.dma(dma);

@@ -12,6 +12,14 @@
 //! into a [`ProgramSink`] exactly and returns the spikes it fires
 //! ([`LayerExecutor::lower_dense`]), or lowers it to a [`StreamProgram`]
 //! symbolically from expected rates.
+//!
+//! The exact lowering computes its dot products as the FPU's SIMD lanes
+//! do, a group of output channels at a time: before it emits an output
+//! row, it sums the row's products four positions by one
+//! `MAX_SIMD_LANES`-wide channel group per pass, branch-free, with each
+//! product ANDed with its pixel's mask word so that a zero pixel adds
+//! +0.0. The sums are bit for bit those of a per-position loop that skips
+//! zero pixels (see `dot_row`).
 
 use snitch_arch::ClusterConfig;
 use snitch_mem::dma::DmaDirection;
@@ -20,7 +28,7 @@ use spikestream_ir::{
 };
 use spikestream_snn::{ConvSpec, Layer, LayerKind, NeuronModel, NeuronState, SpikeMap, Tensor3};
 
-use crate::conv::set_fired;
+use crate::conv::{set_fired, MAX_SIMD_LANES};
 use crate::emit;
 use crate::tiling::TilingPlanner;
 use crate::{KernelVariant, LayerExecutor, OpBuffer};
@@ -33,6 +41,82 @@ fn code_regions(variant: KernelVariant) -> &'static [CodeRegion] {
     match variant {
         KernelVariant::Baseline => &[CODE_REGION_DENSE_BASELINE],
         KernelVariant::SpikeStream => &[CODE_REGION_DENSE_SPIKESTREAM],
+    }
+}
+
+/// Output positions whose dot products one pass of [`dot_row`] sums.
+const BLOCK: usize = 4;
+
+/// Write the dot products of output row `oh` into `row`: `row[ow * blocks
+/// + b]` holds channels `b * MAX_SIMD_LANES..` of position `ow`, where
+/// `blocks` is `out_channels.div_ceil(MAX_SIMD_LANES)`.
+///
+/// `rounded` is the padded image rounded to the storage format and `masks`
+/// its mask words, all ones unless the pixel is 0.0. A pass sums [`BLOCK`]
+/// positions by one lane group: per tap, one product per lane and
+/// position, ANDed with the pixel's mask word. The sums are bit for bit
+/// those of a per-position loop that skips zero pixels:
+/// - per channel, the taps keep their order;
+/// - a masked product is +0.0, and an accumulator starts at +0.0 and so
+///   never becomes -0.0, so adding +0.0 changes no bit;
+/// - Rust never fuses `a + x * w` into a fused multiply-add;
+/// - the mask, unlike a multiply by zero, keeps an infinite weight next to
+///   a zero pixel from turning into NaN.
+///
+/// The four positions give four independent chains of adds per lane, and
+/// no branch depends on the pixels.
+fn dot_row(
+    spec: &ConvSpec,
+    weights: &[f32],
+    rounded: &[f32],
+    masks: &[u32],
+    oh: usize,
+    row: &mut [[f32; MAX_SIMD_LANES]],
+) {
+    let padded = spec.padded_input();
+    let out_w = spec.conv_output().w;
+    let blocks = spec.out_channels.div_ceil(MAX_SIMD_LANES);
+    // The taps of one filter row are `kw * c` contiguous pixels, and their
+    // weight rows follow each other too.
+    let taps = spec.kw * padded.c;
+    for ow0 in (0..out_w).step_by(BLOCK) {
+        // A short last block repeats its last position and keeps only the
+        // positions that exist.
+        let cols: [usize; BLOCK] =
+            std::array::from_fn(|p| (ow0 + p).min(out_w - 1) * spec.stride * padded.c);
+        for b in 0..blocks {
+            let co = b * MAX_SIMD_LANES;
+            let mut acc = [[0.0f32; MAX_SIMD_LANES]; BLOCK];
+            for kh in 0..spec.kh {
+                let line = padded.index(oh * spec.stride + kh, 0, 0);
+                let pixels: [_; BLOCK] = std::array::from_fn(|p| {
+                    let at = line + cols[p];
+                    (&rounded[at..at + taps], &masks[at..at + taps])
+                });
+                let first = spec.weight_index(kh, 0, 0, co);
+                for t in 0..taps {
+                    let at = first + t * spec.out_channels;
+                    // A short last group reads on into the next tap's
+                    // weights, in lanes no position keeps; only the last
+                    // tap of the layer pads them with zeros.
+                    let w: [f32; MAX_SIMD_LANES] = match weights.get(at..at + MAX_SIMD_LANES) {
+                        Some(w) => w.try_into().expect("one lane group"),
+                        None => {
+                            std::array::from_fn(|l| weights.get(at + l).copied().unwrap_or(0.0))
+                        }
+                    };
+                    for (acc, &(xs, masks)) in acc.iter_mut().zip(&pixels) {
+                        let (x, mask) = (xs[t], masks[t]);
+                        for (a, &w) in acc.iter_mut().zip(&w) {
+                            *a += f32::from_bits((x * w).to_bits() & mask);
+                        }
+                    }
+                }
+            }
+            for (p, acc) in acc.iter().enumerate().take(out_w - ow0) {
+                row[(ow0 + p) * blocks + b] = *acc;
+            }
+        }
     }
 }
 
@@ -103,36 +187,15 @@ impl LayerExecutor {
         let mut output = SpikeMap::silent(spec.output());
         let mut ops = buffer.lend();
         // Every pixel feeds up to kh x kw positions, so round the image to
-        // the storage format once.
-        let (qimage, acc) =
-            buffer.dense_rows(image.data(), |x| self.format.quantize(x), spec.out_channels);
+        // the storage format, and mark its zero pixels, once.
+        let blocks = spec.out_channels.div_ceil(MAX_SIMD_LANES);
+        let (rounded, masks, row) =
+            buffer.dense_rows(image.data(), |x| self.format.quantize(x), out_shape.w * blocks);
 
         for oh in 0..out_shape.h {
+            dot_row(spec, weights, rounded, masks, oh, row);
             for ow in 0..out_shape.w {
-                // Functional dot product for every output channel of this
-                // position: each nonzero input pixel adds its quantized
-                // value times the (channel-contiguous) weight row. The
-                // per-channel accumulation order matches the former
-                // per-group scalar loop exactly.
-                acc.fill(0.0);
-                for kh in 0..spec.kh {
-                    for kw in 0..spec.kw {
-                        let at =
-                            image.shape().index(oh * spec.stride + kh, ow * spec.stride + kw, 0);
-                        let pixels = image.data()[at..at + spec.input.c].iter().zip(&qimage[at..]);
-                        for (ci, (&x, &qx)) in pixels.enumerate() {
-                            if x == 0.0 {
-                                continue;
-                            }
-                            let row = spec.weight_index(kh, kw, ci, 0);
-                            let row = &weights[row..row + spec.out_channels];
-                            for (a, &w) in acc.iter_mut().zip(row) {
-                                *a += qx * w;
-                            }
-                        }
-                    }
-                }
-
+                let acc = row[ow * blocks..][..blocks].as_flattened();
                 emit::claim(&mut ops);
                 for g in 0..groups {
                     // Timing of the dot product.
@@ -241,7 +304,7 @@ mod tests {
     use super::*;
     use crate::interpret;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use snitch_arch::fp::FpFormat;
     use spikestream_snn::encoding::{pad_image, synthetic_image};
     use spikestream_snn::neuron::LifParams;
@@ -319,6 +382,123 @@ mod tests {
         assert!(base.fpu_utilization > 0.12 && base.fpu_utilization < 0.40);
         assert!(fast.fpu_utilization > base.fpu_utilization * 1.5);
         assert!(fast.cycles < base.cycles);
+    }
+
+    /// The per-position loop [`dot_row`] must equal bit for bit: each
+    /// channel sums its taps in order, skipping zero pixels.
+    fn per_position_row(
+        spec: &ConvSpec,
+        weights: &[f32],
+        image: &[f32],
+        format: FpFormat,
+        oh: usize,
+    ) -> Vec<Vec<f32>> {
+        let padded = spec.padded_input();
+        let position = |ow: usize| {
+            let mut acc = vec![0.0f32; spec.out_channels];
+            for kh in 0..spec.kh {
+                for kw in 0..spec.kw {
+                    for ci in 0..spec.input.c {
+                        let x =
+                            image[padded.index(oh * spec.stride + kh, ow * spec.stride + kw, ci)];
+                        if x == 0.0 {
+                            continue;
+                        }
+                        for (co, a) in acc.iter_mut().enumerate() {
+                            *a += format.quantize(x) * weights[spec.weight_index(kh, kw, ci, co)];
+                        }
+                    }
+                }
+            }
+            acc
+        };
+        (0..spec.conv_output().w).map(position).collect()
+    }
+
+    /// Compare [`dot_row`] with [`per_position_row`] on every row of a
+    /// random image under a layer with one infinite weight; returns how
+    /// many sums a zero pixel kept that weight out of.
+    fn check_blocked_rows(
+        spec: &ConvSpec,
+        format: FpFormat,
+        rng: &mut StdRng,
+        buffer: &mut OpBuffer,
+    ) -> usize {
+        let (out, padded) = (spec.conv_output(), spec.padded_input());
+        let mut image: Vec<f32> = (0..padded.len())
+            .map(|_| match rng.gen_range(0..6) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => 1e-40,
+                3 => -3e-41,
+                _ => rng.gen_range(-2.0f32..2.0),
+            })
+            .collect();
+        let mut weights: Vec<f32> = (0..spec.kh * spec.kw * spec.input.c * out.c)
+            .map(|_| format.quantize(rng.gen_range(-0.5f32..0.5)))
+            .collect();
+        // One infinite weight at the centre tap, over a zero pixel at every
+        // other position.
+        weights[spec.weight_index(1, 1, 0, out.c - 1)] = f32::INFINITY;
+        for oh in 0..out.h {
+            for ow in (0..out.w).step_by(2) {
+                image[padded.index(oh * spec.stride + 1, ow * spec.stride + 1, 0)] = 0.0;
+            }
+        }
+
+        let blocks = out.c.div_ceil(MAX_SIMD_LANES);
+        let (rounded, masks, row) =
+            buffer.dense_rows(&image, |x| format.quantize(x), out.w * blocks);
+        let mut shielded = 0;
+        for oh in 0..out.h {
+            dot_row(spec, &weights, rounded, masks, oh, row);
+            let expected = per_position_row(spec, &weights, &image, format, oh);
+            for (ow, expected) in expected.iter().enumerate() {
+                let blocked = row[ow * blocks..][..blocks].as_flattened();
+                for (co, want) in expected.iter().enumerate() {
+                    let got = blocked[co];
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{format:?}, stride {}, {} x {}: ({oh}, {ow}, {co}) is {got}, not {want}",
+                        spec.stride,
+                        out.w,
+                        out.c,
+                    );
+                }
+                shielded += usize::from(ow % 2 == 0 && expected[out.c - 1].is_finite());
+            }
+        }
+        shielded
+    }
+
+    #[test]
+    fn blocked_rows_equal_the_per_position_loop_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(26);
+        let mut buffer = OpBuffer::new();
+        let mut shielded = 0;
+        // Widths that are no multiple of the block, and channel counts that
+        // are no multiple of the lane group.
+        for out_w in [1, 3, 5, 10] {
+            for out_c in [3, 12, 64] {
+                for stride in [1, 2] {
+                    let spec = ConvSpec {
+                        input: TensorShape::new(2 * stride + 1, (out_w - 1) * stride + 1, 3),
+                        out_channels: out_c,
+                        kh: 3,
+                        kw: 3,
+                        stride,
+                        padding: 1,
+                        pool: false,
+                    };
+                    assert_eq!(spec.conv_output(), TensorShape::new(3, out_w, out_c));
+                    for format in FpFormat::all() {
+                        shielded += check_blocked_rows(&spec, format, &mut rng, &mut buffer);
+                    }
+                }
+            }
+        }
+        assert!(shielded > 100, "only {shielded} sums had a zero pixel under the infinite weight");
     }
 
     #[test]

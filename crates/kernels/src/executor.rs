@@ -30,6 +30,7 @@ use spikestream_snn::{
     Tensor3,
 };
 
+use crate::conv::MAX_SIMD_LANES;
 use crate::KernelVariant;
 
 /// The input of one layer invocation.
@@ -61,16 +62,31 @@ pub struct LayerExecution {
 }
 
 /// The buffers an exact emitter reuses from call to call: the work item
-/// it writes before handing it to its sink, and the dense emitter's
-/// quantized image and accumulator row. Each call's ops borrow that call's
-/// input, yet the allocation outlives them: an emitter borrows the op
-/// buffer typed for its input's lifetime and gives it back empty, so once
-/// the buffers have grown to the largest call they never allocate again.
+/// it writes before handing it to its sink, the conv emitter's
+/// active-channel lists of one receptive field, and the dense emitter's
+/// rounded image, pixel masks and row of dot products. Each call's ops and
+/// lists borrow that call's input, yet the allocations outlive them: an
+/// emitter borrows a buffer typed for its input's lifetime and gives it
+/// back empty, so once the buffers have grown to the largest call they
+/// never allocate again.
 #[derive(Debug, Clone, Default)]
 pub struct OpBuffer {
     ops: Vec<KernelOp<'static>>,
-    /// The dense emitter's rows, back to back.
-    values: Vec<f32>,
+    active: Vec<&'static [u16]>,
+    /// The dense emitter's image, rounded to the storage format.
+    rounded: Vec<f32>,
+    /// Per dense pixel: all ones, or zero where the pixel is 0.0.
+    masks: Vec<u32>,
+    /// The dense emitter's dot products of one output row.
+    row: Vec<[f32; MAX_SIMD_LANES]>,
+}
+
+/// `v` emptied and re-typed for the next call: an empty vector borrows
+/// nothing, so it may serve the next input, and collecting it in place
+/// keeps its allocation.
+fn emptied<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.into_iter().map(|_| unreachable!("the buffer was cleared")).collect()
 }
 
 impl OpBuffer {
@@ -85,26 +101,36 @@ impl OpBuffer {
     }
 
     /// Take the op buffer back from the call that borrowed it.
-    pub(crate) fn restore(&mut self, mut ops: Vec<KernelOp<'_>>) {
-        ops.clear();
-        // An empty vector borrows nothing, so it may serve the next input:
-        // collecting it in place re-types it and keeps its allocation.
-        self.ops = ops.into_iter().map(|_| unreachable!("the buffer was cleared")).collect();
+    pub(crate) fn restore(&mut self, ops: Vec<KernelOp<'_>>) {
+        self.ops = emptied(ops);
     }
 
-    /// The dense emitter's rows: `image` with `round` applied to every
-    /// value, and a zeroed accumulator row of `width` values.
+    /// Lend the (empty) active-channel list buffer to one conv call.
+    pub(crate) fn lend_active<'a>(&mut self) -> Vec<&'a [u16]> {
+        std::mem::take(&mut self.active)
+    }
+
+    /// Take the active-channel list buffer back from its conv call.
+    pub(crate) fn restore_active(&mut self, active: Vec<&[u16]>) {
+        self.active = emptied(active);
+    }
+
+    /// The dense emitter's buffers: `image` with `round` applied to every
+    /// pixel, one mask word per pixel (all ones unless the pixel is 0.0),
+    /// and a row of `row_len` zeroed lane groups.
     pub(crate) fn dense_rows(
         &mut self,
         image: &[f32],
         round: impl Fn(f32) -> f32,
-        width: usize,
-    ) -> (&[f32], &mut [f32]) {
-        self.values.clear();
-        self.values.extend(image.iter().map(|&x| round(x)));
-        self.values.resize(image.len() + width, 0.0);
-        let (rounded, acc) = self.values.split_at_mut(image.len());
-        (rounded, acc)
+        row_len: usize,
+    ) -> (&[f32], &[u32], &mut [[f32; MAX_SIMD_LANES]]) {
+        self.rounded.clear();
+        self.rounded.extend(image.iter().map(|&x| round(x)));
+        self.masks.clear();
+        self.masks.extend(image.iter().map(|&x| u32::from(x != 0.0).wrapping_neg()));
+        self.row.clear();
+        self.row.resize(row_len, [0.0; MAX_SIMD_LANES]);
+        (&self.rounded, &self.masks, &mut self.row)
     }
 }
 

@@ -313,6 +313,7 @@ impl NeuronState {
     ///
     /// Panics if the state does not hold the variables of `model` or
     /// `neuron` is out of range.
+    #[inline]
     pub fn step_single(&mut self, model: &NeuronModel, neuron: usize, current: f32) -> bool {
         self.check_model(model);
         let v = &mut self.membrane[neuron];

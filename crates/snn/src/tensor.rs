@@ -57,6 +57,7 @@ impl TensorShape {
     /// # Panics
     ///
     /// Panics if any coordinate is out of range.
+    #[inline]
     pub fn index(&self, h: usize, w: usize, c: usize) -> usize {
         debug_assert!(
             h < self.h && w < self.w && c < self.c,

@@ -4,10 +4,11 @@
 //! over constant templates, and each layer's weights are quantized once per
 //! (network, format). An emitter keeps no per-neuron currents: each SIMD
 //! group's lane accumulators feed its neuron update, and only the output
-//! spike map (pooled as it fills) is built; the dense encoding layer
-//! rounds its image and sums its dot products in rows the op buffer keeps.
-//! So a warmed cycle-level sample allocates a few times per layer and
-//! never per work item.
+//! spike map (pooled as it fills) is built. The op buffer also keeps the
+//! conv emitter's active-channel lists and the dense encoding layer's
+//! rounded image, pixel masks and row of dot products. So a warmed
+//! cycle-level sample allocates a few times per layer and never per work
+//! item.
 //!
 //! A counting global allocator counts per thread, so the tests of this
 //! binary running in parallel do not see each other's allocations; every
@@ -24,9 +25,10 @@ use snitch_arch::{ClusterConfig, CostModel};
 use snitch_sim::{ClusterModel, Interpreter};
 use spikestream::{FpFormat, KernelVariant, Request, Scenario};
 use spikestream_kernels::{LayerExecutor, LayerInput, LayerScratch};
+use spikestream_snn::encoding::{pad_image, synthetic_image};
 use spikestream_snn::neuron::LifParams;
 use spikestream_snn::tensor::{SpikeMap, TensorShape};
-use spikestream_snn::{ConvSpec, Network, NetworkBuilder};
+use spikestream_snn::{ConvSpec, Network, NetworkBuilder, Tensor3};
 
 struct CountingAllocator;
 
@@ -72,15 +74,15 @@ fn allocations_of<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (ALLOCATIONS.with(Cell::get) - before, out)
 }
 
-/// Upper bound on the allocations of one warmed tiny-cnn T=4 sample: 75
-/// are measured, and one more allocation per layer invocation (12 per
-/// sample) crosses it.
-const SAMPLE_ALLOCATIONS: u64 = 82;
+/// Upper bound on the allocations of one warmed tiny-cnn T=4 sample: 71
+/// are measured; one more allocation per layer invocation (12 per sample)
+/// crosses it, and so does a conv lowering that allocates its
+/// active-channel lists per call (75).
+const SAMPLE_ALLOCATIONS: u64 = 74;
 
-/// Allocations of one warmed, unpooled conv lowering: the tile plan's two
-/// DMA request lists, the per-position list of active-channel slices and
-/// the output spike map.
-const CONV_LOWERING_ALLOCATIONS: u64 = 4;
+/// Allocations of one warmed, unpooled conv lowering, sparse or dense: the
+/// tile plan's two DMA request lists and the output spike map.
+const CONV_LOWERING_ALLOCATIONS: u64 = 3;
 
 #[test]
 fn a_warmed_temporal_sample_allocates_a_bounded_number_of_times() {
@@ -136,16 +138,36 @@ fn conv_network(hw: usize) -> (Network, SpikeMap) {
     (net, spikes)
 }
 
-/// Allocations of one warmed conv lowering into an interpreter.
-fn conv_lowering_allocations(executor: LayerExecutor, hw: usize) -> u64 {
-    let (net, spikes) = conv_network(hw);
+/// A one-layer network whose spike-encoding conv has `hw x hw` output
+/// positions and 12 output channels, and a padded image for it.
+fn dense_network(hw: usize) -> (Network, Tensor3) {
+    let spec = ConvSpec {
+        input: TensorShape::new(hw, hw, 3),
+        out_channels: 12,
+        kh: 3,
+        kw: 3,
+        stride: 1,
+        padding: 1,
+        pool: false,
+    };
+    let mut net = NetworkBuilder::new("dense")
+        .conv("conv", spec, LifParams::new(0.5, 0.2))
+        .build_with_random_weights(5, 0.2);
+    net.layers_mut()[0].encodes_input = true;
+    let mut rng = StdRng::seed_from_u64(hw as u64);
+    let image = synthetic_image(spec.input, &mut rng);
+    (net, pad_image(&image, spec.padding))
+}
+
+/// Allocations of one warmed lowering of `net`'s only layer into an
+/// interpreter.
+fn lowering_allocations(executor: LayerExecutor, net: &Network, input: LayerInput<'_>) -> u64 {
     let config = ClusterConfig::default();
     let mut cluster = ClusterModel::new(config.clone(), CostModel::default());
     let mut scratch = LayerScratch::new();
     let lower = |scratch: &mut LayerScratch, cluster: &mut ClusterModel| {
         let mut interpreter = Interpreter::new(cluster, executor.format());
-        let input = LayerInput::Spikes(&spikes);
-        executor.lower_exact(&config, &net, 0, input, scratch, &mut interpreter)
+        executor.lower_exact(&config, net, 0, input, scratch, &mut interpreter)
     };
     let warm = lower(&mut scratch, &mut cluster);
     cluster.finish_phase();
@@ -159,13 +181,21 @@ fn no_work_item_allocates() {
     // 64 and 256 output positions, one work item each: a per-item
     // allocation would show up as a difference of at least 192, and a
     // per-invocation buffer as a count above the plan and the output.
+    let conv = [conv_network(8), conv_network(16)];
+    let dense = [dense_network(8), dense_network(16)];
     for variant in [KernelVariant::Baseline, KernelVariant::SpikeStream] {
         for format in [FpFormat::Fp16, FpFormat::Fp8] {
             let executor = LayerExecutor::new(variant, format);
-            let small = conv_lowering_allocations(executor, 8);
-            let large = conv_lowering_allocations(executor, 16);
-            assert_eq!(small, large, "{variant}/{format:?}: 8x8 vs 16x16 positions");
-            assert_eq!(small, CONV_LOWERING_ALLOCATIONS, "{variant}/{format:?}");
+            let [small, large] = conv.each_ref().map(|(net, spikes)| {
+                lowering_allocations(executor, net, LayerInput::Spikes(spikes))
+            });
+            assert_eq!(small, large, "conv {variant}/{format:?}: 8x8 vs 16x16 positions");
+            assert_eq!(small, CONV_LOWERING_ALLOCATIONS, "conv {variant}/{format:?}");
+            let [small, large] = dense
+                .each_ref()
+                .map(|(net, image)| lowering_allocations(executor, net, LayerInput::Image(image)));
+            assert_eq!(small, large, "dense {variant}/{format:?}: 8x8 vs 16x16 positions");
+            assert_eq!(small, CONV_LOWERING_ALLOCATIONS, "dense {variant}/{format:?}");
         }
     }
 }

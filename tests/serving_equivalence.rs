@@ -10,9 +10,11 @@
 //! `tiny_izhikevich` extends the set with a two-state-variable temporal
 //! capture pinning the Izhikevich path, `tiny_baseline` with the
 //! Baseline variant on the cycle-level backend (the only exact programs
-//! that carry `Loop` ops), and `svgg11_cycle` with S-VGG11 on the
+//! that carry `Loop` ops), `svgg11_cycle` with S-VGG11 on the
 //! cycle-level backend (the only exact programs whose conv layers tile
-//! their weights).
+//! their weights), and `tiny_temporal_fp8`/`tiny_temporal_fp32` with
+//! `tiny_temporal` at FP8 and FP32, whose SIMD groups are eight and two
+//! lanes wide where every other cycle-level capture's are four.
 //!
 //! Refreshing a golden after an *intentional* behavior change:
 //!
@@ -30,7 +32,7 @@
 
 use std::path::{Path, PathBuf};
 
-use spikestream::{Request, Scenario, TimingModel};
+use spikestream::{FpFormat, Request, Scenario, TimingModel};
 
 fn repo_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).to_path_buf()
@@ -62,6 +64,18 @@ fn cycle_level_and_temporal_scenarios_match_the_pre_redesign_captures() {
             let expected = golden(&format!("{name}_shards{shards}.json"));
             assert_eq!(serve(&scenario, shards), expected, "{name} @ {shards} shards");
         }
+    }
+}
+
+#[test]
+fn the_temporal_scenario_matches_its_fp8_and_fp32_captures() {
+    // `tiny_temporal.toml` with `format = "fp8"` or `"fp32"`, run with
+    // `--shards 2 --json`.
+    for (format, name) in [(FpFormat::Fp8, "fp8"), (FpFormat::Fp32, "fp32")] {
+        let mut scenario = scenario("tiny_temporal.toml");
+        scenario.config.format = format;
+        let expected = golden(&format!("tiny_temporal_{name}_shards2.json"));
+        assert_eq!(serve(&scenario, 2), expected, "tiny_temporal at {format}");
     }
 }
 
