@@ -1,55 +1,51 @@
 //! Declarative scenario files for the `spikestream` CLI.
 //!
-//! A scenario is a small key/value file (a strict TOML subset — one
-//! `[scenario]` table, `key = value` lines, `#` comments) that names
-//! everything one batch-inference run needs: the network, the code
-//! variant, the storage format, the timing model, the batch size, the
-//! seed and the shard count. The CLI's `run`, `bench` and `compare`
-//! subcommands all start from a scenario file, so every fleet experiment
-//! is reproducible from a checked-in artifact.
+//! A scenario is a small key/value file (a strict TOML subset: `[table]`
+//! headers, `key = value` lines, `#` comments) that names everything one
+//! batch-inference run needs: the network, the code variant, the storage
+//! format, the timing model, the batch size, the seed and the shard count.
+//! The CLI's `run`, `bench` and `compare` subcommands all start from a
+//! scenario file, so every fleet experiment is reproducible from a
+//! checked-in artifact.
 //!
 //! ```text
-//! # examples/scenarios/svgg11_fp16.toml
+//! # examples/scenarios/tiny_temporal.toml
 //! [scenario]
-//! name      = "svgg11-fp16"
-//! network   = "svgg11"        # svgg11 | tiny-cnn | tiny-pool
+//! name      = "tiny-temporal"
+//! network   = "tiny-cnn"      # svgg11 | tiny-cnn | tiny-pool
 //! variant   = "spikestream"   # baseline | spikestream
 //! format    = "fp16"          # fp64 | fp32 | fp16 | fp8
-//! timing    = "analytic"      # analytic | cycle-level
-//! batch     = 128
-//! seed      = 0xC1FA
-//! shards    = 8
-//! # Optional temporal-pipeline keys: setting either switches the run from
-//! # the synthetic single-shot path to a real T-timestep inference.
-//! timesteps = 4
-//! encoding  = "rate"          # rate | direct
-//!
-//! # Optional neuron-model override applied to every layer of the network.
-//! [neuron_model]
-//! model       = "izhikevich"  # lif | izhikevich
-//! a           = 0.02          # izhikevich: a b c d v_threshold
-//! b           = 0.2           # lif:        alpha resistance v_threshold v_reset
-//! c           = -65.0
-//! d           = 8.0
-//! v_threshold = 30.0
-//!
-//! # Optional serving-gateway policy for `spikestream serve-demo` (each
-//! # key falls back to the gateway default when omitted).
-//! [serve]
-//! max_batch = 16
-//! queue_cap = 256
+//! timing    = "cycle-level"   # analytic | cycle-level
+//! batch     = 2
+//! seed      = 7
+//! shards    = 2
+//! timesteps = 4               # either temporal key switches the run to
+//! encoding  = "rate"          # the T-timestep pipeline
 //! ```
 //!
-//! The parser is hand-rolled (no external TOML dependency) and rejects
-//! anything outside the subset with a line-numbered error; unknown keys
-//! and sections additionally name the nearest valid spelling.
+//! An optional `[neuron_model]` table overrides every layer's neuron model,
+//! and an optional `[serve]` table sets the serving gateway's policy;
+//! [`KEY_REFERENCE`] lists every key of the three tables.
+//!
+//! The parser is hand-rolled (no TOML dependency) and driven by one key
+//! table per section, whose rows name each key and its setter; the "did you
+//! mean" half of an unknown-key error picks from the same rows. A file line
+//! and a CLI override ([`Scenario::set`]) reach a scenario through the same
+//! row lookup and setter. The setters share three parsers: a spelling list for
+//! the enum keys; a [`Limit`] row for every integer (its name, its range
+//! `1..=max` and the one wording of its errors; the CLI's own numbers have
+//! rows too); and the quoted-string and finite-float parsers. Anything else
+//! is a line-numbered error: an unknown section or key, a malformed or
+//! out-of-range value, a section or key given twice (naming the line that
+//! gave it first), and a quoted string holding a `"`, a `\` or a control
+//! character, since the subset has no escapes.
 //!
 //! # Example
 //!
 //! ```
 //! use spikestream::Scenario;
 //!
-//! let scenario = Scenario::parse(
+//! let mut scenario = Scenario::parse(
 //!     "[scenario]\n\
 //!      name = \"quick\"\n\
 //!      batch = 4\n\
@@ -57,10 +53,15 @@
 //! )
 //! .unwrap();
 //! assert_eq!(scenario.name, "quick");
+//! // What `spikestream run --shards 3` does to the scenario it read.
+//! scenario.set("scenario", "shards", "3").unwrap();
 //! let report = scenario.compile().unwrap().open_session().infer(&scenario.request());
 //! assert_eq!(report.batch, 4);
-//! assert_eq!(report.shards.as_ref().unwrap().shards.len(), 2);
+//! assert_eq!(report.shards.as_ref().unwrap().shards.len(), 3);
 //! ```
+
+use std::borrow::Cow;
+use std::fmt;
 
 use snitch_arch::fp::FpFormat;
 use spikestream_kernels::KernelVariant;
@@ -68,13 +69,17 @@ use spikestream_snn::neuron::LifParams;
 use spikestream_snn::tensor::TensorShape;
 use spikestream_snn::{
     ConvSpec, FiringProfile, IzhiParams, LinearSpec, Network, NetworkBuilder, NeuronModel,
-    PoolSpec, TemporalEncoding, WorkloadMode,
+    PoolSpec, TemporalEncoding,
 };
 
 use crate::engine::{Engine, InferenceConfig, TimingModel};
 use crate::plan::{Compiler, Plan};
 use crate::session::Request;
-use crate::sharding::MAX_SHARDS;
+use crate::sharding::{MAX_SHARDS, MAX_WORKERS};
+use FpFormat::{Fp16, Fp32, Fp64, Fp8};
+use NetworkChoice::{Svgg11, TinyCnn, TinyPool};
+use Setter::{Int, Param, Value};
+use TimingModel::{Analytic, CycleLevel};
 
 /// The networks a scenario can name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,11 +165,7 @@ impl NetworkChoice {
 
     /// The scenario-file spelling of this choice.
     pub fn as_str(self) -> &'static str {
-        match self {
-            NetworkChoice::Svgg11 => "svgg11",
-            NetworkChoice::TinyCnn => "tiny-cnn",
-            NetworkChoice::TinyPool => "tiny-pool",
-        }
+        NETWORKS.iter().find(|&&(_, network)| network == self).expect("every network is spelled").0
     }
 }
 
@@ -194,12 +195,82 @@ fn err(line: usize, message: impl Into<String>) -> ScenarioError {
     ScenarioError { line, message: message.into() }
 }
 
-/// Upper bound on a serving-gateway tenant's queue capacity, in requests.
-/// The `[serve]` table's `queue_cap` and the CLI's `--queue-cap` reject
-/// larger values, and the gateway clamps its configured capacity to it. The
-/// `serve-demo` CLI queues every request of a run at once, so it bounds
-/// that run's request count too.
+/// Upper bound on a serving-gateway tenant's queue capacity, in requests:
+/// the range of [`Limit::QUEUE_CAP`] and [`Limit::FAN_OUT`], and what the
+/// gateway clamps its configured capacity to.
 pub const MAX_QUEUE_CAP: usize = 1 << 16;
+
+/// The range of one integer input, `1..=max`, and the one wording of its
+/// errors. Every integer a scenario key or a CLI flag takes is bounded by
+/// exactly one of these rows; the session and the gateway clamp what
+/// reaches them in code to the same constants.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Limit {
+    /// The key or flag its errors name.
+    pub name: &'static str,
+    /// The largest value accepted; `usize::MAX` bounds only the minimum.
+    pub max: usize,
+}
+
+impl Limit {
+    /// `batch`, bounded only below: compilation bounds `batch × layers ×
+    /// timesteps` by [`Compiler::MAX_LAYER_SAMPLES`].
+    pub const BATCH: Limit = Limit { name: "batch", max: usize::MAX };
+    /// `timesteps`, bounded like `batch`.
+    pub const TIMESTEPS: Limit = Limit { name: "timesteps", max: usize::MAX };
+    /// `shards`, and each entry of `bench --shards`.
+    pub const SHARDS: Limit = Limit { name: "shards", max: MAX_SHARDS };
+    /// `max_batch`: a batch never folds more layer samples than this.
+    pub const MAX_BATCH: Limit = Limit { name: "max_batch", max: Compiler::MAX_LAYER_SAMPLES };
+    /// `queue_cap`.
+    pub const QUEUE_CAP: Limit = Limit { name: "queue_cap", max: MAX_QUEUE_CAP };
+    /// `run --workers`.
+    pub const WORKERS: Limit = Limit { name: "--workers", max: MAX_WORKERS };
+    /// `serve-demo --clients`, one thread each.
+    pub const CLIENTS: Limit = Limit { name: "--clients", max: MAX_WORKERS };
+    /// `serve-demo --requests-per-client`.
+    pub const REQUESTS_PER_CLIENT: Limit =
+        Limit { name: "--requests-per-client", max: MAX_QUEUE_CAP };
+    /// `serve-demo`'s K × M requests, all queued at once.
+    pub const FAN_OUT: Limit =
+        Limit { name: "--clients x --requests-per-client", max: MAX_QUEUE_CAP };
+    /// `figures --batch`: the paper's S-VGG11 folds `batch × 8` layer samples.
+    pub const FIGURES_BATCH: Limit =
+        Limit { name: "--batch", max: Compiler::MAX_LAYER_SAMPLES / 8 };
+
+    /// `value` as an integer within the limit (decimal, or hex after `0x`;
+    /// `_` separates digits), or the limit's one error message.
+    pub fn parse(&self, value: &str) -> Result<usize, String> {
+        integer(value)
+            .and_then(|n| usize::try_from(n).ok())
+            .filter(|&n| self.contains(n))
+            .ok_or_else(|| self.error(value))
+    }
+
+    /// `n` if it lies within the limit, or the limit's one error message.
+    pub fn check(&self, n: usize) -> Result<usize, String> {
+        Some(n).filter(|&n| self.contains(n)).ok_or_else(|| self.error(n))
+    }
+
+    fn contains(&self, n: usize) -> bool {
+        (1..=self.max).contains(&n)
+    }
+
+    fn error(&self, got: impl fmt::Display) -> String {
+        format!("{} must be an integer ({self}), got `{got}`", self.name)
+    }
+}
+
+/// The accepted range, as errors and [`KEY_REFERENCE`] print it.
+impl fmt::Display for Limit {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.max == usize::MAX {
+            f.write_str(">= 1")
+        } else {
+            write!(f, "1..={}", self.max)
+        }
+    }
+}
 
 /// Serving-gateway policy from a scenario's optional `[serve]` table.
 ///
@@ -208,12 +279,11 @@ pub const MAX_QUEUE_CAP: usize = 1 << 16;
 /// values; the CLI folds them into `spikestream-serve`'s `GatewayConfig`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServeSettings {
-    /// Close a micro-batch once it holds this many samples
-    /// (`1..=`[`Compiler::MAX_LAYER_SAMPLES`]: a batch never folds more
-    /// layer samples than that, so a larger cap could never be reached).
+    /// Close a micro-batch once it holds this many samples (within
+    /// [`Limit::MAX_BATCH`]).
     pub max_batch: Option<usize>,
-    /// Bounded per-tenant queue capacity, in requests
-    /// (`1..=`[`MAX_QUEUE_CAP`]).
+    /// Bounded per-tenant queue capacity, in requests (within
+    /// [`Limit::QUEUE_CAP`]).
     pub queue_cap: Option<usize>,
 }
 
@@ -226,8 +296,8 @@ pub struct Scenario {
     pub network: NetworkChoice,
     /// Inference configuration (variant, format, timing, batch, seed).
     pub config: InferenceConfig,
-    /// Number of simulated cluster shards the batch is spread over
-    /// (`1..=`[`MAX_SHARDS`] in a scenario file).
+    /// Number of simulated cluster shards the batch is spread over (within
+    /// [`Limit::SHARDS`] when a file or flag sets it).
     pub shards: usize,
     /// Optional neuron-model override applied to every layer (from the
     /// `[neuron_model]` table); `None` keeps each network's built-in LIF
@@ -253,37 +323,26 @@ impl Scenario {
         }
     }
 
-    /// Parse a scenario from the TOML-subset text format.
+    /// Parse a scenario from the TOML-subset text format: each `[section]`
+    /// header opens its table once, and each `key = value` line goes through
+    /// its row's setter once, as [`Scenario::set`] does.
     ///
     /// # Errors
     ///
     /// Returns a line-numbered [`ScenarioError`] for anything outside the
-    /// subset: unknown sections or keys, malformed values, missing
-    /// `[scenario]` header.
+    /// subset: unknown or repeated sections and keys, malformed or
+    /// out-of-range values, a missing `[scenario]` header.
     pub fn parse(text: &str) -> Result<Self, ScenarioError> {
-        #[derive(PartialEq)]
-        enum Section {
-            None,
-            Scenario,
-            NeuronModel,
-            Serve,
-        }
-
         let mut scenario = Scenario::defaults();
-        let mut section = Section::None;
-        let mut saw_scenario = false;
-        let mut saw_neuron = false;
-        let mut serve = ServeSettings::default();
-        let mut saw_serve = false;
-        let mut timesteps: Option<usize> = None;
-        let mut encoding: Option<TemporalEncoding> = None;
-        // `[neuron_model]` keys, collected raw and assembled after the loop
-        // so the `model` selector may appear anywhere in its table.
-        let mut neuron_choice: Option<(usize, String)> = None;
-        let mut neuron_params: Vec<(usize, String, f32)> = Vec::new();
-
-        for (idx, raw) in text.lines().enumerate() {
-            let lineno = idx + 1;
+        let mut section = None;
+        // The line each section was opened on, and each key row given on (no
+        // table has more than 16 rows).
+        let mut opened = [0; SECTIONS.len()];
+        let mut given = [[0; 16]; SECTIONS.len()];
+        // `model` may follow the `[neuron_model]` parameters it selects, so
+        // they are set once every other line has been.
+        let mut params = Vec::new();
+        for (lineno, raw) in (1..).zip(text.lines()) {
             let line = strip_comment(raw).trim();
             if line.is_empty() {
                 continue;
@@ -293,223 +352,97 @@ impl Scenario {
                     .strip_suffix(']')
                     .ok_or_else(|| err(lineno, "unterminated section header"))?
                     .trim();
-                section = match name {
-                    "scenario" => {
-                        saw_scenario = true;
-                        Section::Scenario
-                    }
-                    "neuron_model" => {
-                        saw_neuron = true;
-                        Section::NeuronModel
-                    }
-                    "serve" => {
-                        saw_serve = true;
-                        Section::Serve
-                    }
-                    other => {
-                        return Err(err(
-                            lineno,
-                            format!(
-                                "unknown section `[{other}]` (did you mean `[{}]`?)",
-                                nearest(other, SECTION_NAMES)
-                            ),
-                        ))
-                    }
-                };
+                let at = section_index(name).map_err(|message| err(lineno, message))?;
+                if opened[at] != 0 {
+                    let first = opened[at];
+                    return Err(err(lineno, format!("section `[{name}]` repeats line {first}")));
+                }
+                opened[at] = lineno;
+                (SECTIONS[at].open)(&mut scenario);
+                section = Some(at);
                 continue;
             }
             let (key, value) = line
                 .split_once('=')
                 .ok_or_else(|| err(lineno, format!("expected `key = value`, got `{line}`")))?;
-            let key = key.trim();
-            let value = value.trim();
-            if section == Section::None {
-                return Err(err(lineno, "keys must appear inside the `[scenario]` section"));
+            let (key, value) = (key.trim(), value.trim());
+            let at = section
+                .ok_or_else(|| err(lineno, "keys must appear inside the `[scenario]` section"))?;
+            let row = row_index(&SECTIONS[at], key).map_err(|message| err(lineno, message))?;
+            if given[at][row] != 0 {
+                let first = given[at][row];
+                return Err(err(lineno, format!("key `{key}` repeats line {first}")));
             }
-            if section == Section::NeuronModel {
-                match key {
-                    "model" => neuron_choice = Some((lineno, parse_string(lineno, value)?)),
-                    "alpha" | "resistance" | "v_reset" | "v_threshold" | "a" | "b" | "c" | "d" => {
-                        neuron_params.push((lineno, key.to_string(), parse_f32(lineno, value)?))
-                    }
-                    other => {
-                        return Err(err(
-                            lineno,
-                            format!(
-                                "unknown key `{other}` in `[neuron_model]` (did you mean \
-                                 `{}`?)",
-                                nearest(other, NEURON_KEYS)
-                            ),
-                        ))
-                    }
-                }
-                continue;
-            }
-            if section == Section::Serve {
-                match key {
-                    "max_batch" => {
-                        let max_batch = parse_u64(lineno, value)?;
-                        if max_batch == 0 {
-                            return Err(err(lineno, "max_batch must be at least 1"));
-                        }
-                        if max_batch > Compiler::MAX_LAYER_SAMPLES as u64 {
-                            return Err(err(
-                                lineno,
-                                format!(
-                                    "max_batch must be at most {}",
-                                    Compiler::MAX_LAYER_SAMPLES
-                                ),
-                            ));
-                        }
-                        serve.max_batch = Some(max_batch as usize);
-                    }
-                    "queue_cap" => {
-                        let queue_cap = parse_u64(lineno, value)?;
-                        if queue_cap == 0 {
-                            return Err(err(lineno, "queue_cap must be at least 1"));
-                        }
-                        if queue_cap > MAX_QUEUE_CAP as u64 {
-                            return Err(err(
-                                lineno,
-                                format!("queue_cap must be at most {MAX_QUEUE_CAP}"),
-                            ));
-                        }
-                        serve.queue_cap = Some(queue_cap as usize);
-                    }
-                    other => {
-                        return Err(err(
-                            lineno,
-                            format!(
-                                "unknown key `{other}` in `[serve]` (did you mean `{}`?)",
-                                nearest(other, SERVE_KEYS)
-                            ),
-                        ))
-                    }
-                }
-                continue;
-            }
-            match key {
-                "name" => scenario.name = parse_string(lineno, value)?,
-                "network" => {
-                    scenario.network = match parse_string(lineno, value)?.as_str() {
-                        "svgg11" => NetworkChoice::Svgg11,
-                        "tiny-cnn" | "tiny" => NetworkChoice::TinyCnn,
-                        "tiny-pool" => NetworkChoice::TinyPool,
-                        other => {
-                            return Err(err(
-                                lineno,
-                                format!(
-                                    "unknown network `{other}` (svgg11 | tiny-cnn | tiny-pool)"
-                                ),
-                            ))
-                        }
-                    }
-                }
-                "variant" => {
-                    scenario.config.variant = match parse_string(lineno, value)?.as_str() {
-                        "baseline" => KernelVariant::Baseline,
-                        "spikestream" => KernelVariant::SpikeStream,
-                        other => {
-                            return Err(err(
-                                lineno,
-                                format!("unknown variant `{other}` (baseline | spikestream)"),
-                            ))
-                        }
-                    }
-                }
-                "format" => {
-                    scenario.config.format = match parse_string(lineno, value)?.as_str() {
-                        "fp64" => FpFormat::Fp64,
-                        "fp32" => FpFormat::Fp32,
-                        "fp16" => FpFormat::Fp16,
-                        "fp8" => FpFormat::Fp8,
-                        other => {
-                            return Err(err(
-                                lineno,
-                                format!("unknown format `{other}` (fp64 | fp32 | fp16 | fp8)"),
-                            ))
-                        }
-                    }
-                }
-                "timing" => {
-                    scenario.config.timing = match parse_string(lineno, value)?.as_str() {
-                        "analytic" => TimingModel::Analytic,
-                        "cycle-level" | "cycle" => TimingModel::CycleLevel,
-                        other => {
-                            return Err(err(
-                                lineno,
-                                format!("unknown timing `{other}` (analytic | cycle-level)"),
-                            ))
-                        }
-                    }
-                }
-                "batch" => {
-                    let batch = parse_u64(lineno, value)? as usize;
-                    if batch == 0 {
-                        return Err(err(lineno, "batch must be at least 1"));
-                    }
-                    scenario.config.batch = batch;
-                }
-                "seed" => scenario.config.seed = parse_u64(lineno, value)?,
-                "timesteps" => {
-                    let steps = parse_u64(lineno, value)? as usize;
-                    if steps == 0 {
-                        return Err(err(lineno, "timesteps must be at least 1"));
-                    }
-                    timesteps = Some(steps);
-                }
-                "encoding" => {
-                    encoding = Some(match parse_string(lineno, value)?.as_str() {
-                        "rate" => TemporalEncoding::Rate,
-                        "direct" => TemporalEncoding::Direct,
-                        other => {
-                            return Err(err(
-                                lineno,
-                                format!("unknown encoding `{other}` (rate | direct)"),
-                            ))
-                        }
-                    });
-                }
-                "shards" => {
-                    let shards = parse_u64(lineno, value)?;
-                    if shards == 0 {
-                        return Err(err(lineno, "shards must be at least 1"));
-                    }
-                    if shards > MAX_SHARDS as u64 {
-                        return Err(err(lineno, format!("shards must be at most {MAX_SHARDS}")));
-                    }
-                    scenario.shards = shards as usize;
-                }
-                other => {
-                    return Err(err(
-                        lineno,
-                        format!(
-                            "unknown key `{other}` (did you mean `{}`?)",
-                            nearest(other, SCENARIO_KEYS)
-                        ),
-                    ))
-                }
+            given[at][row] = lineno;
+            if let Param(..) = SECTIONS[at].keys[row].1 {
+                params.push((lineno, at, row, value));
+            } else {
+                scenario
+                    .apply(&SECTIONS[at], row, value)
+                    .map_err(|message| err(lineno, message))?;
             }
         }
-
-        if !saw_scenario {
+        if opened[0] == 0 {
             return Err(err(0, "missing `[scenario]` section"));
         }
-        if saw_neuron {
-            scenario.neuron = Some(assemble_neuron_model(neuron_choice, &neuron_params)?);
-        }
-        if saw_serve {
-            scenario.serve = Some(serve);
-        }
-        // Either temporal key switches the run to the temporal pipeline;
-        // unspecified halves fall back to T = 1 / direct coding.
-        if timesteps.is_some() || encoding.is_some() {
-            scenario.config.mode = WorkloadMode::Temporal {
-                timesteps: timesteps.unwrap_or(1),
-                encoding: encoding.unwrap_or(TemporalEncoding::Direct),
-            };
+        for (lineno, at, row, value) in params {
+            scenario.apply(&SECTIONS[at], row, value).map_err(|message| err(lineno, message))?;
         }
         Ok(scenario)
+    }
+
+    /// Set `key` of the `[section]` table from `value`, spelled as in a
+    /// scenario file (strings quoted): the path of a CLI override, through
+    /// the row setter a file line takes, so both accept the same spellings,
+    /// number syntax and bounds.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ScenarioError`] on line 0 for an unknown section or key,
+    /// or for a value the key's row rejects; a rejected value's message
+    /// starts with the key.
+    pub fn set(&mut self, section: &str, key: &str, value: &str) -> Result<(), ScenarioError> {
+        let table = &SECTIONS[section_index(section).map_err(|message| err(0, message))?];
+        let row = row_index(table, key).map_err(|message| err(0, message))?;
+        self.apply(table, row, value).map_err(|message| err(0, message))
+    }
+
+    /// Set the key of `table`'s row `row` from `value`.
+    fn apply(&mut self, table: &Section, row: usize, value: &str) -> Result<(), String> {
+        let (key, setter) = table.keys[row];
+        let (lif, izhikevich) = match setter {
+            Value(set) => return set(self, key, value),
+            Int(limit, store) => return limit.parse(value).map(|n| store(self, n)),
+            Param(lif, izhikevich) => (lif, izhikevich),
+        };
+        // A `[neuron_model]` parameter sets a field of the selected model (LIF
+        // until a `model` key selects another), or names the keys it takes.
+        let x = finite(key, value)?;
+        let model = self.neuron.get_or_insert_with(NeuronModel::default);
+        let applied = match model {
+            NeuronModel::Lif(p) => lif.map(|set| set(p, x)),
+            NeuronModel::Izhikevich(p) => izhikevich.map(|set| set(p, x)),
+        };
+        applied.ok_or_else(|| {
+            let lif_model = matches!(model, NeuronModel::Lif(_));
+            let takes = |&(name, setter): &(&'static str, Setter)| match (lif_model, setter) {
+                (true, Param(Some(_), _)) | (false, Param(_, Some(_))) => Some(name),
+                _ => None,
+            };
+            let names: Vec<&str> = table.keys.iter().filter_map(takes).collect();
+            format!("{key} does not apply to the {} model ({})", model.as_str(), names.join(" | "))
+        })
+    }
+
+    /// Every key row: its section, its name, and the [`Limit`] of an integer
+    /// key.
+    pub fn keys() -> impl Iterator<Item = (&'static str, &'static str, Option<Limit>)> {
+        SECTIONS.iter().flat_map(|section| {
+            section.keys.iter().map(move |&(key, setter)| match setter {
+                Int(limit, _) => (section.name, key, Some(limit)),
+                Value(_) | Param(..) => (section.name, key, None),
+            })
+        })
     }
 
     /// Read and parse a scenario file.
@@ -550,40 +483,156 @@ impl Scenario {
     pub fn request(&self) -> Request {
         Request::batch(self.config.batch).with_shards(self.shards)
     }
+
+    /// The `[serve]` settings, created on first use.
+    fn serve_mut(&mut self) -> &mut ServeSettings {
+        self.serve.get_or_insert_with(ServeSettings::default)
+    }
 }
 
-/// Section headers the parser accepts.
-const SECTION_NAMES: &[&str] = &["scenario", "neuron_model", "serve"];
+/// One `[section]` of a scenario file: its key table, and what opening it
+/// sets before any of its keys.
+struct Section {
+    name: &'static str,
+    open: fn(&mut Scenario),
+    keys: &'static [(&'static str, Setter)],
+}
 
-/// Keys of the `[scenario]` table.
-const SCENARIO_KEYS: &[&str] = &[
-    "name",
-    "network",
-    "variant",
-    "format",
-    "timing",
-    "batch",
-    "seed",
-    "timesteps",
-    "encoding",
-    "shards",
+type LifField = fn(&mut LifParams, f32);
+type IzhiField = fn(&mut IzhiParams, f32);
+
+/// How a key row's value reaches the scenario.
+#[derive(Clone, Copy)]
+enum Setter {
+    /// A string, spelling or seed parser and a store; it takes the key,
+    /// which its errors name.
+    Value(fn(&mut Scenario, &str, &str) -> Result<(), String>),
+    /// An integer within its [`Limit`] row, and its store.
+    Int(Limit, fn(&mut Scenario, usize)),
+    /// A `[neuron_model]` parameter, a finite float: the field it sets on
+    /// each model that takes it.
+    Param(Option<LifField>, Option<IzhiField>),
+}
+
+/// Every section and its key table: all that a scenario file can say.
+static SECTIONS: [Section; 3] = [
+    Section {
+        name: "scenario",
+        open: |_| {},
+        keys: &[
+            ("name", Value(|s, k, v| quoted(k, v).map(|name| s.name = name.to_owned()))),
+            ("network", Value(|s, k, v| spelling(k, v, NETWORKS).map(|n| s.network = n))),
+            ("variant", Value(|s, k, v| spelling(k, v, VARIANTS).map(|x| s.config.variant = x))),
+            ("format", Value(|s, k, v| spelling(k, v, FORMATS).map(|x| s.config.format = x))),
+            ("timing", Value(|s, k, v| spelling(k, v, TIMINGS).map(|x| s.config.timing = x))),
+            ("batch", Int(Limit::BATCH, |s, n| s.config.batch = n)),
+            ("seed", Value(|s, k, v| unsigned(k, v).map(|seed| s.config.seed = seed))),
+            ("timesteps", Int(Limit::TIMESTEPS, |s, n| s.config = s.config.temporal_steps(n))),
+            (
+                "encoding",
+                Value(|s, k, v| {
+                    let encoding = spelling(k, v, ENCODINGS)?;
+                    s.config = s.config.temporal(s.config.timesteps(), encoding);
+                    Ok(())
+                }),
+            ),
+            ("shards", Int(Limit::SHARDS, |s, n| s.shards = n)),
+        ],
+    },
+    Section {
+        name: "neuron_model",
+        open: |s| s.neuron = Some(NeuronModel::default()),
+        keys: &[
+            ("model", Value(|s, k, v| spelling(k, v, MODELS).map(|m| s.neuron = Some(m())))),
+            ("alpha", Param(Some(|p, x| p.alpha = x), None)),
+            ("resistance", Param(Some(|p, x| p.resistance = x), None)),
+            ("v_threshold", Param(Some(|p, x| p.v_threshold = x), Some(|p, x| p.v_threshold = x))),
+            ("v_reset", Param(Some(|p, x| p.v_reset = x), None)),
+            ("a", Param(None, Some(|p, x| p.a = x))),
+            ("b", Param(None, Some(|p, x| p.b = x))),
+            ("c", Param(None, Some(|p, x| p.c = x))),
+            ("d", Param(None, Some(|p, x| p.d = x))),
+        ],
+    },
+    Section {
+        name: "serve",
+        open: |s| s.serve = Some(ServeSettings::default()),
+        keys: &[
+            ("max_batch", Int(Limit::MAX_BATCH, |s, n| s.serve_mut().max_batch = Some(n))),
+            ("queue_cap", Int(Limit::QUEUE_CAP, |s, n| s.serve_mut().queue_cap = Some(n))),
+        ],
+    },
 ];
 
-/// Keys of the `[neuron_model]` table (the union of both models' fields).
-const NEURON_KEYS: &[&str] =
-    &["model", "alpha", "resistance", "v_reset", "v_threshold", "a", "b", "c", "d"];
+/// The key reference `spikestream help` prints: every row of the key
+/// tables on a line of its own, with the range of its [`Limit`] if it has one.
+pub const KEY_REFERENCE: &str = "\
+Scenario keys (all optional except the [scenario] header; each table and key
+may appear once, and strings are double-quoted with no escapes):
+    name      = \"string\"         scenario name, used in output headers
+    network   = \"svgg11\"         svgg11 | tiny-cnn | tiny-pool
+    variant   = \"spikestream\"    baseline | spikestream
+    format    = \"fp16\"           fp64 | fp32 | fp16 | fp8
+    timing    = \"analytic\"       analytic | cycle-level
+    batch     = 128               batch samples (>= 1)
+    seed      = 0xC1FA            workload seed (decimal or 0x hex)
+    shards    = 1                 simulated cluster shards (1..=1024)
+    timesteps = 4                 temporal-pipeline steps (>= 1; setting this
+                                  or `encoding` enables real spike propagation)
+    encoding  = \"rate\"           rate | direct (temporal input coding)
 
-/// Keys of the `[serve]` table.
-const SERVE_KEYS: &[&str] = &["max_batch", "queue_cap"];
+Neuron-model keys (optional [neuron_model] table; overrides every layer):
+    model       = \"lif\"          lif | izhikevich (default lif)
+    alpha       = 0.5             lif: decay factor in [0, 1]
+    resistance  = 1.0             lif: membrane resistance (> 0)
+    v_threshold = 1.0             firing threshold (lif: > 0; izhikevich: > c)
+    v_reset     = 1.0             lif: reset potential (>= 0)
+    a           = 0.02            izhikevich: recovery time scale in (0, 1]
+    b           = 0.2             izhikevich: recovery sensitivity
+    c           = -65.0           izhikevich: after-spike reset potential
+    d           = 8.0             izhikevich: after-spike recovery increment
+
+Serving keys (optional [serve] table; defaults for `serve-demo`):
+    max_batch   = 64              micro-batch size cap (1..=4194304)
+    queue_cap   = 256             per-tenant queue capacity (1..=65536)
+";
+
+/// The spellings of the enum keys' values, aliases last.
+const NETWORKS: &[(&str, NetworkChoice)] =
+    &[("svgg11", Svgg11), ("tiny-cnn", TinyCnn), ("tiny-pool", TinyPool), ("tiny", TinyCnn)];
+const VARIANTS: &[(&str, KernelVariant)] =
+    &[("baseline", KernelVariant::Baseline), ("spikestream", KernelVariant::SpikeStream)];
+const FORMATS: &[(&str, FpFormat)] =
+    &[("fp64", Fp64), ("fp32", Fp32), ("fp16", Fp16), ("fp8", Fp8)];
+const TIMINGS: &[(&str, TimingModel)] =
+    &[("analytic", Analytic), ("cycle-level", CycleLevel), ("cycle", CycleLevel)];
+const ENCODINGS: &[(&str, TemporalEncoding)] =
+    &[("rate", TemporalEncoding::Rate), ("direct", TemporalEncoding::Direct)];
+/// Each model starts from its canonical parameters.
+type NewModel = fn() -> NeuronModel;
+const MODELS: &[(&str, NewModel)] =
+    &[("lif", NeuronModel::default), ("izhikevich", || IzhiParams::regular_spiking().into())];
+
+/// The index of the section named `name` in [`SECTIONS`].
+fn section_index(name: &str) -> Result<usize, String> {
+    SECTIONS.iter().position(|s| s.name == name).ok_or_else(|| {
+        let names = SECTIONS.iter().map(|s| s.name);
+        format!("unknown section `[{name}]` (did you mean `[{}]`?)", nearest(name, names))
+    })
+}
+
+/// The row of `key` in `table`'s key table.
+fn row_index(table: &Section, key: &str) -> Result<usize, String> {
+    table.keys.iter().position(|&(name, _)| name == key).ok_or_else(|| {
+        let nearest = nearest(key, table.keys.iter().map(|&(name, _)| name));
+        format!("unknown key `{key}` in `[{}]` (did you mean `{nearest}`?)", table.name)
+    })
+}
 
 /// The candidate with the smallest edit distance to `key` — what the
 /// "did you mean" half of an unknown-key error names.
-fn nearest<'a>(key: &str, candidates: &[&'a str]) -> &'a str {
-    candidates
-        .iter()
-        .copied()
-        .min_by_key(|c| edit_distance(key, c))
-        .expect("candidate lists are non-empty")
+fn nearest<'a>(key: &str, candidates: impl Iterator<Item = &'a str>) -> &'a str {
+    candidates.min_by_key(|c| edit_distance(key, c)).expect("key tables are non-empty")
 }
 
 /// Levenshtein distance over bytes, small-string sized.
@@ -602,64 +651,6 @@ fn edit_distance(a: &str, b: &str) -> usize {
     row[b.len()]
 }
 
-/// Turn the collected `[neuron_model]` keys into a [`NeuronModel`],
-/// starting each model from its canonical defaults and rejecting keys
-/// that belong to the other model with a line-numbered error.
-fn assemble_neuron_model(
-    choice: Option<(usize, String)>,
-    params: &[(usize, String, f32)],
-) -> Result<NeuronModel, ScenarioError> {
-    let model = match &choice {
-        None => "lif".to_string(),
-        Some((line, name)) => match name.as_str() {
-            "lif" | "izhikevich" => name.clone(),
-            other => return Err(err(*line, format!("unknown model `{other}` (lif | izhikevich)"))),
-        },
-    };
-    if model == "lif" {
-        let mut p = LifParams::default();
-        for (line, key, value) in params {
-            match key.as_str() {
-                "alpha" => p.alpha = *value,
-                "resistance" => p.resistance = *value,
-                "v_threshold" => p.v_threshold = *value,
-                "v_reset" => p.v_reset = *value,
-                other => {
-                    return Err(err(
-                        *line,
-                        format!(
-                            "key `{other}` does not apply to the lif model \
-                             (alpha | resistance | v_threshold | v_reset)"
-                        ),
-                    ))
-                }
-            }
-        }
-        Ok(NeuronModel::Lif(p))
-    } else {
-        let mut p = IzhiParams::regular_spiking();
-        for (line, key, value) in params {
-            match key.as_str() {
-                "a" => p.a = *value,
-                "b" => p.b = *value,
-                "c" => p.c = *value,
-                "d" => p.d = *value,
-                "v_threshold" => p.v_threshold = *value,
-                other => {
-                    return Err(err(
-                        *line,
-                        format!(
-                            "key `{other}` does not apply to the izhikevich model \
-                             (a | b | c | d | v_threshold)"
-                        ),
-                    ))
-                }
-            }
-        }
-        Ok(NeuronModel::Izhikevich(p))
-    }
-}
-
 /// Strip a `#` comment, respecting quoted strings.
 fn strip_comment(line: &str) -> &str {
     let mut in_string = false;
@@ -673,41 +664,62 @@ fn strip_comment(line: &str) -> &str {
     line
 }
 
-/// Parse a double-quoted string value.
-fn parse_string(line: usize, value: &str) -> Result<String, ScenarioError> {
-    let inner = value
-        .strip_prefix('"')
-        .and_then(|v| v.strip_suffix('"'))
-        .ok_or_else(|| err(line, format!("expected a quoted string, got `{value}`")))?;
-    if inner.contains('"') {
-        return Err(err(line, "embedded quotes are not supported"));
+/// A double-quoted string value. The subset has no escapes, so the string
+/// may hold no `"`, `\` or control character.
+fn quoted<'a>(key: &str, value: &'a str) -> Result<&'a str, String> {
+    let inner = value.strip_prefix('"').and_then(|v| v.strip_suffix('"'));
+    let plain = |s: &&str| !s.contains(|c: char| c == '"' || c == '\\' || c.is_control());
+    inner.filter(plain).ok_or_else(|| {
+        format!(
+            "{key} must be a quoted string without `\"`, `\\` or control characters, got `{value}`"
+        )
+    })
+}
+
+/// The value a quoted spelling names, from its key's spelling list.
+fn spelling<T: Copy>(key: &str, value: &str, spellings: &[(&str, T)]) -> Result<T, String> {
+    let word = quoted(key, value)?;
+    spellings.iter().find(|(s, _)| *s == word).map(|&(_, t)| t).ok_or_else(|| {
+        let names: Vec<&str> = spellings.iter().map(|(s, _)| *s).collect();
+        format!("{key} must be one of {}, got `{word}`", names.join(" | "))
+    })
+}
+
+/// `value` without its `_` digit separators (borrowed when it has none).
+fn digits(value: &str) -> Cow<'_, str> {
+    if value.contains('_') {
+        Cow::Owned(value.replace('_', ""))
+    } else {
+        Cow::Borrowed(value)
     }
-    Ok(inner.to_string())
 }
 
-/// Parse an unsigned integer (decimal, or hex with an `0x` prefix;
-/// underscores allowed as digit separators).
-fn parse_u64(line: usize, value: &str) -> Result<u64, ScenarioError> {
-    let cleaned = value.replace('_', "");
-    let parsed = match cleaned.strip_prefix("0x").or_else(|| cleaned.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => cleaned.parse(),
-    };
-    parsed.map_err(|_| err(line, format!("expected an unsigned integer, got `{value}`")))
+/// An unsigned integer, with no bound beyond `u64`.
+fn unsigned(key: &str, value: &str) -> Result<u64, String> {
+    integer(value).ok_or_else(|| format!("{key} must be an unsigned integer, got `{value}`"))
 }
 
-/// Parse a finite float (negative values allowed; underscores allowed as
-/// digit separators).
-fn parse_f32(line: usize, value: &str) -> Result<f32, ScenarioError> {
-    let cleaned = value.replace('_', "");
-    match cleaned.parse::<f32>() {
-        Ok(v) if v.is_finite() => Ok(v),
-        _ => Err(err(line, format!("expected a finite number, got `{value}`"))),
+/// An unsigned integer: decimal, or hex after `0x`.
+fn integer(value: &str) -> Option<u64> {
+    let digits = digits(value);
+    match digits.strip_prefix("0x").or_else(|| digits.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => digits.parse().ok(),
+    }
+}
+
+/// A finite float (negative values allowed).
+fn finite(key: &str, value: &str) -> Result<f32, String> {
+    match digits(value).parse::<f32>() {
+        Ok(x) if x.is_finite() => Ok(x),
+        _ => Err(format!("{key} must be a finite number, got `{value}`")),
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use spikestream_snn::WorkloadMode;
+
     use super::*;
 
     const FULL: &str = r#"
@@ -749,15 +761,40 @@ shards  = 4
         let cases = [
             ("[fleet]\n", 1, "unknown section"),
             ("[scenario]\nbogus = 1\n", 2, "unknown key"),
-            ("[scenario]\nbatch = \"x\"\n", 2, "unsigned integer"),
-            ("[scenario]\nbatch = 0\n", 2, "at least 1"),
-            ("[scenario]\nshards = 0\n", 2, "at least 1"),
-            ("[scenario]\nshards = 4000000000\n", 2, "at most 1024"),
-            ("[scenario]\nnetwork = \"resnet\"\n", 2, "unknown network"),
+            ("[scenario]\nbatch = \"x\"\n", 2, "batch must be an integer (>= 1), got `\"x\"`"),
+            ("[scenario]\nbatch = 0\n", 2, "batch must be an integer (>= 1), got `0`"),
+            ("[scenario]\nshards = 0\n", 2, "shards must be an integer (1..=1024), got `0`"),
+            (
+                "[scenario]\nshards = 4000000000\n",
+                2,
+                "shards must be an integer (1..=1024), got `4000000000`",
+            ),
+            (
+                "[scenario]\nnetwork = \"resnet\"\n",
+                2,
+                "network must be one of svgg11 | tiny-cnn | tiny-pool | tiny, got `resnet`",
+            ),
             ("[scenario]\nname = unquoted\n", 2, "quoted string"),
             ("[scenario]\nnonsense\n", 2, "key = value"),
             ("name = \"early\"\n", 1, "inside the `[scenario]` section"),
             ("", 0, "missing `[scenario]`"),
+            // A key or a table given twice names the line that gave it first.
+            (
+                "[scenario]\nnetwork = \"tiny-cnn\"\nbatch = 2\nbatch = 3\n",
+                4,
+                "key `batch` repeats line 3",
+            ),
+            (
+                "[scenario]\nbatch = 2\n[serve]\n[scenario]\n",
+                4,
+                "section `[scenario]` repeats line 1",
+            ),
+            ("[scenario]\n[neuron_model]\na = 0.1\na = 0.2\n", 4, "key `a` repeats line 3"),
+            (
+                "[scenario]\n[serve]\nqueue_cap = 8\n[serve]\n",
+                4,
+                "section `[serve]` repeats line 2",
+            ),
         ];
         for (text, line, needle) in cases {
             let e = Scenario::parse(text).unwrap_err();
@@ -788,16 +825,30 @@ shards  = 4
             WorkloadMode::Temporal { timesteps: 1, encoding: TemporalEncoding::Direct }
         );
         // No temporal keys: the synthetic single-shot path.
-        let plain = Scenario::parse("[scenario]\nname = \"p\"\n").unwrap();
+        let mut plain = Scenario::parse("[scenario]\nname = \"p\"\n").unwrap();
         assert_eq!(plain.config.mode, WorkloadMode::Synthetic);
+        // `--timesteps` sets the key as a file line would, keeping the
+        // encoding.
+        let mut rate = Scenario::parse("[scenario]\nencoding = \"rate\"\n").unwrap();
+        rate.set("scenario", "timesteps", "0x3").unwrap();
+        assert_eq!(
+            rate.config.mode,
+            WorkloadMode::Temporal { timesteps: 3, encoding: TemporalEncoding::Rate }
+        );
+        plain.set("scenario", "timesteps", "2").unwrap();
+        assert_eq!(plain.config.mode, only_steps.config.mode);
     }
 
     #[test]
     fn temporal_key_errors_carry_line_numbers() {
         let cases = [
-            ("[scenario]\ntimesteps = 0\n", 2, "at least 1"),
-            ("[scenario]\ntimesteps = \"x\"\n", 2, "unsigned integer"),
-            ("[scenario]\nencoding = \"poisson2\"\n", 2, "unknown encoding"),
+            ("[scenario]\ntimesteps = 0\n", 2, "timesteps must be an integer (>= 1), got `0`"),
+            ("[scenario]\ntimesteps = \"x\"\n", 2, "timesteps must be an integer (>= 1)"),
+            (
+                "[scenario]\nencoding = \"poisson2\"\n",
+                2,
+                "encoding must be one of rate | direct, got `poisson2`",
+            ),
             ("[scenario]\nencoding = rate\n", 2, "quoted string"),
         ];
         for (text, line, needle) in cases {
@@ -879,7 +930,11 @@ shards  = 4
     #[test]
     fn neuron_model_errors_carry_line_numbers() {
         let cases = [
-            ("[scenario]\n[neuron_model]\nmodel = \"hodgkin\"\n", 3, "unknown model"),
+            (
+                "[scenario]\n[neuron_model]\nmodel = \"hodgkin\"\n",
+                3,
+                "model must be one of lif | izhikevich, got `hodgkin`",
+            ),
             ("[scenario]\n[neuron_model]\na = \"x\"\n", 3, "finite number"),
             ("[scenario]\n[neuron_model]\nc = nan\n", 3, "finite number"),
             ("[scenario]\n[neuron_model]\nmodel = lif\n", 3, "quoted string"),
@@ -930,12 +985,20 @@ shards  = 4
     #[test]
     fn serve_table_errors_carry_line_numbers_and_spellings() {
         let cases = [
-            ("[scenario]\n[serve]\nmax_batch = 0\n", 3, "at least 1"),
-            ("[scenario]\n[serve]\nmax_batch = 4194305\n", 3, "at most 4194304"),
-            ("[scenario]\n[serve]\nmax_batch = 18446744073709551615\n", 3, "at most 4194304"),
-            ("[scenario]\n[serve]\nqueue_cap = 0\n", 3, "at least 1"),
-            ("[scenario]\n[serve]\nqueue_cap = 65537\n", 3, "at most 65536"),
-            ("[scenario]\n[serve]\nqueue_cap = \"x\"\n", 3, "unsigned integer"),
+            (
+                "[scenario]\n[serve]\nmax_batch = 0\n",
+                3,
+                "max_batch must be an integer (1..=4194304)",
+            ),
+            ("[scenario]\n[serve]\nmax_batch = 4194305\n", 3, "(1..=4194304), got `4194305`"),
+            (
+                "[scenario]\n[serve]\nmax_batch = 18446744073709551615\n",
+                3,
+                "(1..=4194304), got `18446744073709551615`",
+            ),
+            ("[scenario]\n[serve]\nqueue_cap = 0\n", 3, "queue_cap must be an integer (1..=65536)"),
+            ("[scenario]\n[serve]\nqueue_cap = 65537\n", 3, "(1..=65536), got `65537`"),
+            ("[scenario]\n[serve]\nqueue_cap = \"x\"\n", 3, "(1..=65536), got `\"x\"`"),
             ("[scenario]\n[serve]\nlinger_us = 0\n", 3, "unknown key `linger_us` in `[serve]`"),
         ];
         for (text, line, needle) in cases {
@@ -949,12 +1012,57 @@ shards  = 4
         assert!(e.message.contains("did you mean `max_batch`"), "{e}");
         let e = Scenario::parse("[sevre]\n").unwrap_err();
         assert!(e.message.contains("did you mean `[serve]`"), "{e}");
+        // `Scenario::set`, the CLI's path, reports on line 0.
+        let mut s = Scenario::defaults();
+        let e = s.set("serve", "queue_cap", "65537").unwrap_err();
+        let message = "queue_cap must be an integer (1..=65536), got `65537`".to_string();
+        assert_eq!(e, ScenarioError { line: 0, message });
+        let e = s.set("sevre", "queue_cap", "8").unwrap_err();
+        assert_eq!(e.message, "unknown section `[sevre]` (did you mean `[serve]`?)");
     }
 
     #[test]
     fn comments_do_not_break_quoted_values() {
         let s = Scenario::parse("[scenario]\nname = \"has # hash\"\n").unwrap();
         assert_eq!(s.name, "has # hash");
+    }
+
+    #[test]
+    fn quoted_strings_take_no_escapes_or_control_characters() {
+        // The subset has no escapes: a backslash, an embedded quote or a
+        // control character would reach the CLI's JSON output raw.
+        for (text, value) in [
+            ("[scenario]\nname = \"a\\q\tb\"\n", "\"a\\q\tb\""),
+            ("[scenario]\nname = \"a\\\"\n", "\"a\\\""),
+            ("[scenario]\nname = \"a\u{1}b\"\n", "\"a\u{1}b\""),
+            ("[scenario]\nnetwork = \"tiny\tcnn\"\n", "\"tiny\tcnn\""),
+        ] {
+            let e = Scenario::parse(text).unwrap_err();
+            let key = text[11..].split(' ').next().unwrap();
+            let message = format!(
+                "{key} must be a quoted string without `\"`, `\\` or control characters, \
+                 got `{value}`"
+            );
+            assert_eq!(e, ScenarioError { line: 2, message }, "{text:?}");
+        }
+        let s = Scenario::parse("[scenario]\nname = \"tiny-cnn / 8 x 8, T=4\"\n").unwrap();
+        assert_eq!(s.name, "tiny-cnn / 8 x 8, T=4");
+    }
+
+    #[test]
+    fn the_key_reference_lists_every_row_and_its_bound() {
+        for (section, key, limit) in Scenario::keys() {
+            let line = KEY_REFERENCE
+                .lines()
+                .find(|line| line.split_once('=').is_some_and(|(name, _)| name.trim() == key))
+                .unwrap_or_else(|| panic!("`[{section}] {key}` is missing from the reference"));
+            if let Some(limit) = limit {
+                assert!(line.contains(&format!("({limit}")), "{key}: {line}");
+            }
+        }
+        for section in ["[scenario]", "[neuron_model]", "[serve]"] {
+            assert!(KEY_REFERENCE.contains(section), "{section}");
+        }
     }
 
     #[test]

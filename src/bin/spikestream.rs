@@ -14,15 +14,13 @@
 //!   and drive it from K concurrent client threads, printing the gateway
 //!   counters plus per-request latency percentiles.
 
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use spikestream::experiments::{self, PAPER_BATCH};
-use spikestream::scenario::MAX_QUEUE_CAP;
-use spikestream::sharding::{MAX_SHARDS, MAX_WORKERS};
-use spikestream::{
-    CompileError, Compiler, FiringProfile, InferenceReport, Request, Scenario, WorkloadMode,
-};
+use spikestream::scenario::{Limit, KEY_REFERENCE};
+use spikestream::{InferenceReport, Request, Scenario, WorkloadMode};
 use spikestream_serve::{Gateway, GatewayConfig, ResponseHandle, ServeError, BATCH_HIST_LABELS};
 
 const USAGE: &str = "\
@@ -38,68 +36,37 @@ USAGE:
     spikestream help
 
 Scenario files are a strict TOML subset; see examples/scenarios/ for
-checked-in examples and `spikestream help` for the key reference.
+checked-in examples and `spikestream help` for the key reference. Numbers
+are written as in scenario files: decimal or 0x hex, `_` between digits.
 
 OPTIONS:
-    --shards N        Override the scenario's shard count, at most 1024
-                      (for bench: comma-separated list, default 1,2,4,8)
-    --batch N         Override the scenario's batch size
-    --timesteps N     Run the temporal pipeline for N timesteps (real spike
-                      propagation with persistent membranes; keeps the
+    --shards N        Override the scenario's shard count (1..=1024; for
+                      bench: a comma-separated list, default 1,2,4,8)
+    --batch N         Override the scenario's batch size (>= 1)
+    --timesteps N     Run the temporal pipeline for N timesteps (>= 1; real
+                      spike propagation with persistent membranes; keeps the
                       scenario's encoding, or direct coding by default)
-    --workers N       Serve the request with N host worker threads, at most
-                      256 (default: host parallelism; 1 = strictly
-                      sequential; the report is bit-identical for every
-                      worker count)
+    --workers N       Serve the request with N host worker threads (1..=256;
+                      default: host parallelism; 1 = strictly sequential;
+                      the report is bit-identical for every worker count)
     --json            Print the deterministic report JSON instead of tables
                       (for serve-demo: counters + result digest, latencies
                       excluded)
 
 SERVE-DEMO OPTIONS (defaults come from the scenario's [serve] table):
-    --clients K             Concurrent submitter threads, at most 256
-                            (default 4)
-    --requests-per-client M Single-sample requests per client (default 8);
-                            K*M is at most 65536
-    --max-batch B           Close a micro-batch at B samples, at most 4194304
-    --queue-cap C           Bounded per-tenant queue capacity, at most 65536
-                            (the demo raises it to K*M so the paced phase
+    --clients K             Concurrent submitter threads (1..=256; default 4)
+    --requests-per-client M Single-sample requests per client (1..=65536;
+                            default 8); K*M must lie in 1..=65536 too
+    --max-batch B           Close a micro-batch at B samples (1..=4194304)
+    --queue-cap C           Bounded per-tenant queue capacity (1..=65536;
+                            the demo raises it to K*M so the paced phase
                             never blocks)
 
 FIGURES (the paper's S-VGG11 evaluation on the analytic backend):
     FIG               3a | 3b | 3c | 4 | 5 | 5a | 5b | headline | ablation
                       (default: all seven tables, in paper order)
-    --batch N         Batch samples per configuration (default 128)
-";
-
-const KEY_REFERENCE: &str = "\
-Scenario keys (all optional except the [scenario] header):
-    name      = \"string\"         scenario name, used in output headers
-    network   = \"svgg11\"         svgg11 | tiny-cnn | tiny-pool
-    variant   = \"spikestream\"    baseline | spikestream
-    format    = \"fp16\"           fp64 | fp32 | fp16 | fp8
-    timing    = \"analytic\"       analytic | cycle-level
-    batch     = 128               batch samples (>= 1)
-    seed      = 0xC1FA            workload seed (decimal or 0x hex)
-    shards    = 1                 simulated cluster shards (1..=1024)
-    timesteps = 4                 temporal-pipeline steps (>= 1; setting this
-                                  or `encoding` enables real spike propagation)
-    encoding  = \"rate\"           rate | direct (temporal input coding)
-
-Neuron-model keys (optional [neuron_model] table; overrides every layer):
-    model       = \"lif\"          lif | izhikevich (default lif)
-    alpha       = 0.5             lif: decay factor in [0, 1]
-    resistance  = 1.0             lif: membrane resistance (> 0)
-    v_threshold = 1.0             firing threshold (lif: > 0; izhikevich: > c)
-    v_reset     = 1.0             lif: reset potential (>= 0)
-    a           = 0.02            izhikevich: recovery time scale in (0, 1]
-    b           = 0.2             izhikevich: recovery sensitivity
-    c           = -65.0           izhikevich: after-spike reset potential
-    d           = 8.0             izhikevich: after-spike recovery increment
-
-Serving keys (optional [serve] table; defaults for `serve-demo`):
-    max_batch   = 64              close a micro-batch at this many samples
-                                  (1..=4194304)
-    queue_cap   = 256             bounded per-tenant queue capacity (1..=65536)
+    --batch N         Batch samples per configuration (1..=524288;
+                      default 128)
 ";
 
 fn main() -> ExitCode {
@@ -129,109 +96,120 @@ fn main() -> ExitCode {
     }
 }
 
-/// The value after `flag`, parsed as an integer of at least 1.
-fn positive(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<usize, String> {
-    let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-    let parsed: usize = value.parse().map_err(|_| format!("bad {flag} value `{value}`"))?;
-    if parsed == 0 {
-        return Err(format!("{flag} must be >= 1"));
-    }
-    Ok(parsed)
+/// What a flag does with the value after it.
+#[derive(Clone, Copy)]
+enum Action {
+    /// Overrides `[section] key` through `Scenario::set` once the scenario
+    /// file is read, so the flag takes what the key takes.
+    Key(&'static str, &'static str),
+    /// A number only the CLI takes, within its `Limit` row.
+    Number(Limit),
+    /// `bench`'s comma-separated shard counts, each within `Limit::SHARDS`.
+    ShardList,
+    /// `--json`, which takes no value.
+    Json,
 }
 
-/// Parsed common flags of every subcommand.
+/// The flags one subcommand accepts; any other flag is an error.
+type Flags = &'static [(&'static str, Action)];
+
+const RUN: Flags = &[
+    ("--shards", Action::Key("scenario", "shards")),
+    ("--batch", Action::Key("scenario", "batch")),
+    ("--timesteps", Action::Key("scenario", "timesteps")),
+    ("--workers", Action::Number(Limit::WORKERS)),
+    ("--json", Action::Json),
+];
+const BENCH: Flags = &[
+    ("--shards", Action::ShardList),
+    ("--batch", Action::Key("scenario", "batch")),
+    ("--timesteps", Action::Key("scenario", "timesteps")),
+];
+const COMPARE: Flags = &[
+    ("--shards", Action::Key("scenario", "shards")),
+    ("--batch", Action::Key("scenario", "batch")),
+    ("--timesteps", Action::Key("scenario", "timesteps")),
+];
+const SERVE_DEMO: Flags = &[
+    ("--clients", Action::Number(Limit::CLIENTS)),
+    ("--requests-per-client", Action::Number(Limit::REQUESTS_PER_CLIENT)),
+    ("--max-batch", Action::Key("serve", "max_batch")),
+    ("--queue-cap", Action::Key("serve", "queue_cap")),
+    ("--json", Action::Json),
+];
+const FIGURES: Flags = &[("--batch", Action::Number(Limit::FIGURES_BATCH))];
+
+/// A subcommand's parsed arguments.
+#[derive(Default)]
 struct Options {
-    scenario: Scenario,
-    shards_list: Option<Vec<usize>>,
-    workers: Option<usize>,
+    /// Positional arguments: the scenario file, or the figures to print.
+    positional: Vec<String>,
+    /// `(section, key, value)` overrides, in flag order.
+    overrides: Vec<(&'static str, &'static str, String)>,
+    /// CLI-only numbers, with the `Limit` row of the flag that gave each.
+    numbers: Vec<(Limit, usize)>,
+    /// `bench --shards`.
+    shard_list: Option<Vec<usize>>,
     json: bool,
 }
 
-/// Which subcommand the shared flag parser is serving; gates the flags
-/// that only some subcommands support instead of silently ignoring them.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Command {
-    Run,
-    Bench,
-    Compare,
-}
-
-fn parse_options(command: Command, args: &[String]) -> Result<Options, String> {
-    let mut path = None;
-    let mut shards_list = None;
-    let mut batch = None;
-    let mut timesteps = None;
-    let mut workers = None;
-    let mut json = false;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--shards" => {
-                let value = it.next().ok_or("--shards needs a value")?;
-                let list: Result<Vec<usize>, _> =
-                    value.split(',').map(|v| v.trim().parse::<usize>()).collect();
-                let list = list.map_err(|_| format!("bad --shards value `{value}`"))?;
-                if list.is_empty() || list.iter().any(|n| !(1..=MAX_SHARDS).contains(n)) {
-                    return Err(format!(
-                        "--shards entries must be between 1 and {MAX_SHARDS}, got `{value}`"
-                    ));
-                }
-                if command != Command::Bench && list.len() > 1 {
-                    return Err(format!(
-                        "--shards takes a single value here (lists are for `bench`), got `{value}`"
-                    ));
-                }
-                shards_list = Some(list);
+/// Parse a subcommand's arguments against the flags it accepts.
+fn parse(flags: Flags, args: &[String]) -> Result<Options, String> {
+    let mut opts = Options::default();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let Some(&(flag, action)) = flags.iter().find(|(name, _)| *name == *arg) else {
+            if arg.starts_with('-') {
+                return Err(format!("unknown flag `{arg}`"));
             }
-            "--batch" => batch = Some(positive(&mut it, "--batch")?),
-            "--timesteps" => timesteps = Some(positive(&mut it, "--timesteps")?),
-            "--workers" => {
-                if command != Command::Run {
-                    return Err("--workers is only supported by `run`".into());
-                }
-                let n = positive(&mut it, "--workers")?;
-                if n > MAX_WORKERS {
-                    return Err(format!(
-                        "--workers must be between 1 and {MAX_WORKERS}, got `{n}`"
-                    ));
-                }
-                workers = Some(n);
+            opts.positional.push(arg.clone());
+            continue;
+        };
+        let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+        match action {
+            Action::Key(section, key) => opts.overrides.push((section, key, value()?.clone())),
+            Action::Number(limit) => opts.numbers.push((limit, limit.parse(value()?)?)),
+            Action::ShardList => {
+                let list = value()?.split(',').map(|n| Limit::SHARDS.parse(n.trim()));
+                opts.shard_list = Some(list.collect::<Result<_, _>>()?);
             }
-            "--json" => {
-                if command != Command::Run {
-                    return Err("--json is only supported by `run`".into());
-                }
-                json = true;
-            }
-            other if other.starts_with('-') => return Err(format!("unknown flag `{other}`")),
-            other if path.is_none() => path = Some(other.to_string()),
-            other => return Err(format!("unexpected argument `{other}`")),
+            Action::Json => opts.json = true,
         }
     }
+    Ok(opts)
+}
 
-    let path = path.ok_or_else(|| format!("missing scenario file\n\n{USAGE}"))?;
-    let mut scenario =
-        Scenario::from_file(std::path::Path::new(&path)).map_err(|e| e.to_string())?;
-    if let Some(batch) = batch {
-        scenario.config.batch = batch;
+impl Options {
+    /// The scenario file the arguments name, with the flag overrides set
+    /// through `Scenario::set` in the order given.
+    fn scenario(&self) -> Result<Scenario, String> {
+        let path = match self.positional.as_slice() {
+            [path] => path,
+            [] => return Err(format!("missing scenario file\n\n{USAGE}")),
+            [_, extra, ..] => return Err(format!("unexpected argument `{extra}`")),
+        };
+        let mut scenario = Scenario::from_file(Path::new(path)).map_err(|e| e.to_string())?;
+        for (section, key, value) in &self.overrides {
+            scenario.set(section, key, value).map_err(|e| e.message)?;
+        }
+        Ok(scenario)
     }
-    if let Some(steps) = timesteps {
-        scenario.config = scenario.config.temporal_steps(steps);
+
+    /// The number the flag bounded by `limit` gave (the last one, if
+    /// repeated).
+    fn number(&self, limit: Limit) -> Option<usize> {
+        self.numbers.iter().rev().find(|(row, _)| *row == limit).map(|&(_, n)| n)
     }
-    if let Some(list) = &shards_list {
-        scenario.shards = list[0];
-    }
-    Ok(Options { scenario, shards_list, workers, json })
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
-    let opts = parse_options(Command::Run, args)?;
+    let opts = parse(RUN, args)?;
+    let scenario = opts.scenario()?;
     // Compile once, then serve the request through a session — the CLI
     // never assembles backends by hand and never re-lowers per call.
-    let plan = opts.scenario.compile().map_err(|e| e.to_string())?;
-    let mut request = opts.scenario.request();
-    if let Some(workers) = opts.workers {
+    let plan = scenario.compile().map_err(|e| e.to_string())?;
+    let mut request = scenario.request();
+    if let Some(workers) = opts.number(Limit::WORKERS) {
         request = request.with_workers(workers);
     }
     let mut session = plan.open_session();
@@ -242,22 +220,22 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         println!("{}", report.to_json());
         return Ok(());
     }
-    let mode = match opts.scenario.config.mode {
+    let mode = match scenario.config.mode {
         WorkloadMode::Synthetic => "synthetic".to_string(),
         WorkloadMode::Temporal { timesteps, encoding } => {
             format!("temporal T={timesteps} ({encoding})")
         }
     };
-    let neuron = opts.scenario.neuron.map_or("lif", |m| m.as_str());
+    let neuron = scenario.neuron.map_or("lif", |m| m.as_str());
     println!(
         "scenario `{}`: {} · {} · {} · {} neurons · batch {} · {} shard(s) · {}",
-        opts.scenario.name,
+        scenario.name,
         report.network,
         report.variant,
         report.format,
         neuron,
         report.batch,
-        opts.scenario.shards,
+        scenario.shards,
         mode,
     );
     print_layer_table(&report);
@@ -268,12 +246,10 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let opts = parse_options(Command::Bench, args)?;
-    let shard_counts = opts.shards_list.unwrap_or_else(|| vec![1, 2, 4, 8]);
-    println!(
-        "scenario `{}`: shard sweep over batch {}",
-        opts.scenario.name, opts.scenario.config.batch
-    );
+    let opts = parse(BENCH, args)?;
+    let scenario = opts.scenario()?;
+    let shard_counts = opts.shard_list.unwrap_or_else(|| vec![1, 2, 4, 8]);
+    println!("scenario `{}`: shard sweep over batch {}", scenario.name, scenario.config.batch);
     println!(
         "{:>7} {:>16} {:>10} {:>10} {:>12} {:>12}",
         "shards", "makespan [cyc]", "speedup", "imbalance", "util(min)", "util(max)"
@@ -281,11 +257,11 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     // One compiled plan and one long-lived session serve the whole sweep:
     // only the fleet attribution changes between shard counts, so the
     // lowering is paid exactly once.
-    let plan = opts.scenario.compile().map_err(|e| e.to_string())?;
+    let plan = scenario.compile().map_err(|e| e.to_string())?;
     let mut session = plan.open_session();
     let mut aggregate_json: Option<String> = None;
     for &shards in &shard_counts {
-        let report = session.infer(&Request::batch(opts.scenario.config.batch).with_shards(shards));
+        let report = session.infer(&Request::batch(scenario.config.batch).with_shards(shards));
         let fleet = report.shards.as_ref().expect("sharded runs carry fleet stats");
         let util_min = fleet.shards.iter().map(|s| s.utilization).fold(f64::INFINITY, f64::min);
         let util_max = fleet.shards.iter().map(|s| s.utilization).fold(0.0, f64::max);
@@ -311,10 +287,10 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
 
 fn cmd_compare(args: &[String]) -> Result<(), String> {
     use spikestream::KernelVariant;
-    let opts = parse_options(Command::Compare, args)?;
-    let mut baseline_scenario = opts.scenario.clone();
+    let scenario = parse(COMPARE, args)?.scenario()?;
+    let mut baseline_scenario = scenario.clone();
     baseline_scenario.config.variant = KernelVariant::Baseline;
-    let mut streamed_scenario = opts.scenario.clone();
+    let mut streamed_scenario = scenario.clone();
     streamed_scenario.config.variant = KernelVariant::SpikeStream;
 
     let baseline_plan = baseline_scenario.compile().map_err(|e| e.to_string())?;
@@ -323,7 +299,7 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
     let streamed = streamed_plan.open_session().infer(&streamed_scenario.request());
     println!(
         "scenario `{}`: Baseline vs SpikeStream · {} · {} · batch {} · {} shard(s)",
-        opts.scenario.name, baseline.network, baseline.format, baseline.batch, opts.scenario.shards,
+        scenario.name, baseline.network, baseline.format, baseline.batch, scenario.shards,
     );
     println!(
         "{:<10} {:>16} {:>16} {:>9} {:>12}",
@@ -350,92 +326,41 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Parsed `serve-demo` flags: the driver shape plus gateway-policy
-/// overrides (CLI flag beats `[serve]` table beats gateway default).
-struct ServeDemoOptions {
+/// What `serve-demo` runs: K clients submitting M requests each, to a
+/// gateway whose policy comes from the flags, else the scenario's `[serve]`
+/// table, else the gateway defaults.
+struct Demo {
     scenario: Scenario,
     clients: usize,
     requests_per_client: usize,
     config: GatewayConfig,
-    json: bool,
 }
 
-fn parse_serve_demo_options(args: &[String]) -> Result<ServeDemoOptions, String> {
-    let mut path = None;
-    let mut clients = 4usize;
-    let mut requests_per_client = 8usize;
-    let mut max_batch = None;
-    let mut queue_cap = None;
-    let mut json = false;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--clients" => clients = positive(&mut it, "--clients")?,
-            "--requests-per-client" => {
-                requests_per_client = positive(&mut it, "--requests-per-client")?
-            }
-            "--max-batch" => {
-                let n = positive(&mut it, "--max-batch")?;
-                if n > Compiler::MAX_LAYER_SAMPLES {
-                    return Err(format!(
-                        "--max-batch must be between 1 and {}, got `{n}`",
-                        Compiler::MAX_LAYER_SAMPLES
-                    ));
-                }
-                max_batch = Some(n);
-            }
-            "--queue-cap" => {
-                let n = positive(&mut it, "--queue-cap")?;
-                if n > MAX_QUEUE_CAP {
-                    return Err(format!(
-                        "--queue-cap must be between 1 and {MAX_QUEUE_CAP}, got `{n}`"
-                    ));
-                }
-                queue_cap = Some(n);
-            }
-            "--json" => json = true,
-            other if other.starts_with('-') => return Err(format!("unknown flag `{other}`")),
-            other if path.is_none() => path = Some(other.to_string()),
-            other => return Err(format!("unexpected argument `{other}`")),
-        }
-    }
-    // One scoped thread per client, and every request queued at once: the
-    // demo raises the queue capacity to K x M, so the queue bound caps it.
-    if clients > MAX_WORKERS {
-        return Err(format!("--clients must be between 1 and {MAX_WORKERS}, got `{clients}`"));
-    }
-    if clients.checked_mul(requests_per_client).filter(|&n| n <= MAX_QUEUE_CAP).is_none() {
-        return Err(format!(
-            "--clients x --requests-per-client must be at most {MAX_QUEUE_CAP}, \
-             got {clients} x {requests_per_client}"
-        ));
-    }
-
-    let path = path.ok_or_else(|| format!("missing scenario file\n\n{USAGE}"))?;
-    let scenario = Scenario::from_file(std::path::Path::new(&path)).map_err(|e| e.to_string())?;
-    let defaults = GatewayConfig::default();
-    let table = scenario.serve.unwrap_or_default();
-    let config = GatewayConfig {
-        max_batch: max_batch.or(table.max_batch).unwrap_or(defaults.max_batch),
-        queue_cap: queue_cap.or(table.queue_cap).unwrap_or(defaults.queue_cap),
-    };
-    Ok(ServeDemoOptions { scenario, clients, requests_per_client, config, json })
-}
-
-fn cmd_serve_demo(args: &[String]) -> Result<(), String> {
-    let opts = parse_serve_demo_options(args)?;
-    let total = opts.clients * opts.requests_per_client;
+fn demo(opts: &Options) -> Result<Demo, String> {
+    let clients = opts.number(Limit::CLIENTS).unwrap_or(4);
+    let requests_per_client = opts.number(Limit::REQUESTS_PER_CLIENT).unwrap_or(8);
     // The demo pauses the tenant while every client enqueues (so the batch
     // composition — and therefore every counter — is a pure function of
     // the flags, never of thread scheduling), which requires the queue to
     // hold all K*M requests at once.
-    let mut config = opts.config;
-    config.queue_cap = config.queue_cap.max(total);
+    let total = Limit::FAN_OUT.check(clients * requests_per_client)?;
+    let scenario = opts.scenario()?;
+    let table = scenario.serve.unwrap_or_default();
+    let defaults = GatewayConfig::default();
+    let config = GatewayConfig {
+        max_batch: table.max_batch.unwrap_or(defaults.max_batch),
+        queue_cap: table.queue_cap.unwrap_or(defaults.queue_cap).max(total),
+    };
+    Ok(Demo { scenario, clients, requests_per_client, config })
+}
 
-    let plan = opts.scenario.compile().map_err(|e| e.to_string())?;
-    let batch = opts.scenario.config.batch;
-    let tenant = opts.scenario.name.clone();
+fn cmd_serve_demo(args: &[String]) -> Result<(), String> {
+    let opts = parse(SERVE_DEMO, args)?;
+    let Demo { scenario, clients, requests_per_client, config } = demo(&opts)?;
+    let total = clients * requests_per_client;
+    let plan = scenario.compile().map_err(|e| e.to_string())?;
+    let batch = scenario.config.batch;
+    let tenant = scenario.name.clone();
     let gateway = Gateway::new(config);
     let version = gateway.publish(&tenant, plan).map_err(|e| e.to_string())?;
     gateway.pause(&tenant).map_err(|e| e.to_string())?;
@@ -445,11 +370,11 @@ fn cmd_serve_demo(args: &[String]) -> Result<(), String> {
     // Joining the scope proves every request is queued before resume.
     type Submitted = Vec<Result<(Instant, ResponseHandle), ServeError>>;
     let submitted: Vec<Submitted> = std::thread::scope(|scope| {
-        let joins: Vec<_> = (0..opts.clients)
+        let joins: Vec<_> = (0..clients)
             .map(|client| {
                 let gateway = &gateway;
                 let tenant = tenant.as_str();
-                let per_client = opts.requests_per_client;
+                let per_client = requests_per_client;
                 scope.spawn(move || {
                     (0..per_client)
                         .map(|i| {
@@ -493,10 +418,10 @@ fn cmd_serve_demo(args: &[String]) -> Result<(), String> {
              \"submitted\":{},\"completed\":{},\"rejected_full\":{},\"batches\":{},\
              \"coalesced\":{},\"hot_swaps\":{},\"panics\":{},\"queue_depth\":{},\
              \"batch_hist\":[{}],\"report_digest\":\"{:#018x}\"}}",
-            opts.scenario.name,
+            scenario.name,
             version,
-            opts.clients,
-            opts.requests_per_client,
+            clients,
+            requests_per_client,
             config.max_batch,
             config.queue_cap,
             stats.submitted,
@@ -516,12 +441,7 @@ fn cmd_serve_demo(args: &[String]) -> Result<(), String> {
     println!(
         "serve-demo `{}`: {} clients x {} requests · tenant v{} · max_batch {} · \
          queue cap {}",
-        opts.scenario.name,
-        opts.clients,
-        opts.requests_per_client,
-        version,
-        config.max_batch,
-        config.queue_cap,
+        scenario.name, clients, requests_per_client, version, config.max_batch, config.queue_cap,
     );
     println!(
         "gateway: {} submitted · {} completed · {} rejected · {} batches \
@@ -608,27 +528,20 @@ impl Figure {
 /// the batch, rejecting a batch S-VGG11 cannot compile before anything
 /// runs.
 fn parse_figures(args: &[String]) -> Result<(Vec<Figure>, usize), String> {
-    let mut figures = Vec::new();
-    let mut batch = PAPER_BATCH;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--batch" => batch = positive(&mut it, "--batch")?,
-            other if other.starts_with('-') => return Err(format!("unknown flag `{other}`")),
-            other => figures.push(Figure::parse(other).ok_or_else(|| {
-                format!("unknown figure `{other}` (3a|3b|3c|4|5|5a|5b|headline|ablation)")
-            })?),
-        }
-    }
-    // The paper profile carries one firing rate per S-VGG11 layer.
-    let layers = FiringProfile::paper_svgg11().len();
-    if Compiler::layer_samples(batch, layers, 1).is_none() {
-        return Err(CompileError::BatchTooLarge { batch, layers, timesteps: 1 }.to_string());
-    }
+    let opts = parse(FIGURES, args)?;
+    let mut figures = opts
+        .positional
+        .iter()
+        .map(|name| {
+            Figure::parse(name).ok_or_else(|| {
+                format!("unknown figure `{name}` (3a|3b|3c|4|5|5a|5b|headline|ablation)")
+            })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     if figures.is_empty() {
         figures = Figure::ALL.to_vec();
     }
-    Ok((figures, batch))
+    Ok((figures, opts.number(Limit::FIGURES_BATCH).unwrap_or(PAPER_BATCH)))
 }
 
 fn cmd_figures(args: &[String]) -> Result<(), String> {
@@ -871,6 +784,10 @@ fn print_shard_table(report: &InferenceReport) {
 
 #[cfg(test)]
 mod tests {
+    use spikestream::scenario::MAX_QUEUE_CAP;
+    use spikestream::sharding::MAX_WORKERS;
+    use spikestream::{Compiler, FiringProfile};
+
     use super::*;
 
     fn args(words: &[&str]) -> Vec<String> {
@@ -915,85 +832,190 @@ mod tests {
         ] {
             assert!(parse_figures(&args(bad)).is_err(), "{bad:?}");
         }
+        // The batch row's max is the largest batch the paper's S-VGG11
+        // compiles.
+        let layers = FiringProfile::paper_svgg11().len();
+        assert!(Compiler::layer_samples(Limit::FIGURES_BATCH.max, layers, 1).is_some());
+        assert!(Compiler::layer_samples(Limit::FIGURES_BATCH.max + 1, layers, 1).is_none());
+    }
+
+    const TINY: &str = "examples/scenarios/tiny.toml";
+
+    /// The scenario `run`, `bench` or `compare` serves under these words.
+    fn scenario(flags: Flags, words: &[&str]) -> Result<Scenario, String> {
+        parse(flags, &args(words))?.scenario()
+    }
+
+    /// What `serve-demo` runs under these words.
+    fn serve_demo(words: &[&str]) -> Result<Demo, String> {
+        demo(&parse(SERVE_DEMO, &args(words))?)
     }
 
     #[test]
     fn an_oversized_shard_count_is_rejected() {
-        let tiny = "examples/scenarios/tiny.toml";
-        for command in [Command::Run, Command::Bench, Command::Compare] {
-            let err = parse_options(command, &args(&[tiny, "--shards", "4000000000"])).err();
+        for flags in [RUN, BENCH, COMPARE] {
+            let err = scenario(flags, &[TINY, "--shards", "4000000000"]).err();
             assert_eq!(
                 err.as_deref(),
-                Some("--shards entries must be between 1 and 1024, got `4000000000`")
+                Some("shards must be an integer (1..=1024), got `4000000000`")
             );
         }
-        assert!(parse_options(Command::Bench, &args(&[tiny, "--shards", "1,2,2048"])).is_err());
+        assert!(parse(BENCH, &args(&[TINY, "--shards", "1,2,2048"])).is_err());
     }
 
     #[test]
     fn an_oversized_worker_count_is_rejected() {
-        let tiny = "examples/scenarios/tiny.toml";
-        let err = parse_options(Command::Run, &args(&[tiny, "--workers", "1000000"])).err();
-        assert_eq!(err.as_deref(), Some("--workers must be between 1 and 256, got `1000000`"));
-        let opts = parse_options(Command::Run, &args(&[tiny, "--workers", "256"]));
-        assert_eq!(opts.map(|o| o.workers).ok(), Some(Some(MAX_WORKERS)));
+        let err = parse(RUN, &args(&[TINY, "--workers", "1000000"])).err();
+        assert_eq!(err.as_deref(), Some("--workers must be an integer (1..=256), got `1000000`"));
+        let opts = parse(RUN, &args(&[TINY, "--workers", "256"]));
+        assert_eq!(opts.map(|o| o.number(Limit::WORKERS)).ok(), Some(Some(MAX_WORKERS)));
     }
 
     #[test]
     fn an_oversized_client_fan_out_is_rejected() {
-        let tiny = "examples/scenarios/tiny.toml";
         let demo = |clients: &str, per_client: &str| {
-            let words = [tiny, "--clients", clients, "--requests-per-client", per_client];
-            parse_serve_demo_options(&args(&words)).err()
+            serve_demo(&[TINY, "--clients", clients, "--requests-per-client", per_client]).err()
         };
         let max = "18446744073709551615";
         assert_eq!(
             demo(max, "2").as_deref(),
-            Some("--clients must be between 1 and 256, got `18446744073709551615`")
+            Some("--clients must be an integer (1..=256), got `18446744073709551615`")
         );
-        // 256 x (2^64 - 1) overflows; 256 x 257 fits but exceeds the bound.
+        // Each factor has its own row, and so has their product: 256 x 257
+        // passes both factors' rows but not the product's.
         assert_eq!(
             demo("256", max).as_deref(),
             Some(
-                "--clients x --requests-per-client must be at most 65536, \
-                 got 256 x 18446744073709551615"
+                "--requests-per-client must be an integer (1..=65536), got `18446744073709551615`"
             )
         );
-        assert!(demo("256", "257").is_some());
+        assert_eq!(
+            demo("256", "257").as_deref(),
+            Some("--clients x --requests-per-client must be an integer (1..=65536), got `65792`")
+        );
         assert_eq!(demo("256", "256"), None);
     }
 
     #[test]
     fn an_oversized_queue_cap_is_rejected() {
-        let demo = |cap: &str| {
-            let words = ["examples/scenarios/tiny.toml", "--queue-cap", cap];
-            parse_serve_demo_options(&args(&words)).map(|opts| opts.config.queue_cap)
-        };
+        let demo = |cap: &str| serve_demo(&[TINY, "--queue-cap", cap]).map(|d| d.config.queue_cap);
         assert_eq!(
             demo("18446744073709551615"),
-            Err("--queue-cap must be between 1 and 65536, got `18446744073709551615`".into())
+            Err("queue_cap must be an integer (1..=65536), got `18446744073709551615`".into())
         );
         assert_eq!(demo("65536"), Ok(MAX_QUEUE_CAP));
     }
 
     #[test]
     fn an_oversized_max_batch_is_rejected() {
-        let demo = |cap: &str| {
-            let words = ["examples/scenarios/tiny.toml", "--max-batch", cap];
-            parse_serve_demo_options(&args(&words)).map(|opts| opts.config.max_batch)
-        };
+        let demo = |cap: &str| serve_demo(&[TINY, "--max-batch", cap]).map(|d| d.config.max_batch);
         assert_eq!(
             demo("18446744073709551615"),
-            Err("--max-batch must be between 1 and 4194304, got `18446744073709551615`".into())
+            Err("max_batch must be an integer (1..=4194304), got `18446744073709551615`".into())
         );
         assert_eq!(demo("4194304"), Ok(Compiler::MAX_LAYER_SAMPLES));
     }
 
     #[test]
+    fn flags_take_the_scenario_files_number_syntax() {
+        // A flag takes its number as a scenario file spells it.
+        let batch = |value: &str| scenario(RUN, &[TINY, "--batch", value]).map(|s| s.config.batch);
+        assert_eq!(batch("0x10"), Ok(16));
+        assert_eq!(batch("1_6"), Ok(16));
+        let workers = parse(RUN, &args(&[TINY, "--workers", "0x10"]));
+        assert_eq!(workers.map(|o| o.number(Limit::WORKERS)), Ok(Some(16)));
+        let shards = parse(BENCH, &args(&[TINY, "--shards", "0x1, 2,0X4"]));
+        assert_eq!(shards.map(|o| o.shard_list), Ok(Some(vec![1, 2, 4])));
+    }
+
+    /// The values a bounded input is fed: 0, its max, max + 1, `u64::MAX`
+    /// and a non-number.
+    fn probes(max: Option<usize>) -> Vec<String> {
+        let max = max.map(|m| m as u64);
+        [Some(0), max, max.and_then(|m| m.checked_add(1)), Some(u64::MAX)]
+            .into_iter()
+            .flatten()
+            .map(|n| n.to_string())
+            .chain(["x".to_string()])
+            .collect()
+    }
+
+    /// What an input bounded by `limit` must make of `value`: the number
+    /// back, or the row's one message.
+    fn expected(limit: Limit, value: &str) -> Result<usize, String> {
+        match value.parse::<usize>() {
+            Ok(n) if n >= 1 && n <= limit.max => Ok(n),
+            _ => Err(format!("{} must be an integer ({limit}), got `{value}`", limit.name)),
+        }
+    }
+
+    /// The integer `scenario` holds in the field named `key` (read from its
+    /// `Debug` form, where `Some(..)` wraps the `[serve]` fields).
+    fn field(scenario: &Scenario, key: &str) -> usize {
+        let debug = format!("{scenario:?}");
+        let at = debug.find(&format!(" {key}: ")).expect("a field per key") + key.len() + 3;
+        let digits = debug[at..].trim_start_matches("Some(");
+        let end = digits.find(|c: char| !c.is_ascii_digit()).expect("the field ends");
+        digits[..end].parse().expect("an integer field")
+    }
+
+    #[test]
+    fn every_bound_is_checked_on_both_surfaces() {
+        // The file: every key row of every table, as `[section]\nkey = v`.
+        for (section, key, limit) in Scenario::keys() {
+            for value in probes(limit.map(|l| l.max)) {
+                let mut text = format!("[{section}]\n{key} = {value}\n");
+                if section != "scenario" {
+                    text.push_str("[scenario]\n");
+                }
+                let parsed = Scenario::parse(&text);
+                if let Err(e) = &parsed {
+                    assert_eq!(e.line, 2, "{text:?}: {e}");
+                    assert!(e.message.starts_with(&format!("{key} ")), "{text:?}: {e}");
+                }
+                if let Some(limit) = limit {
+                    let got = parsed.map(|s| field(&s, key)).map_err(|e| e.message);
+                    assert_eq!(got, expected(limit, &value), "{text:?}");
+                }
+            }
+        }
+        // The flags: every flag of every subcommand that takes a number.
+        for flags in [RUN, BENCH, COMPARE, SERVE_DEMO, FIGURES] {
+            for &(flag, action) in flags {
+                let limit = match action {
+                    Action::Key(_, key) => Scenario::keys()
+                        .find_map(|(_, name, limit)| (name == key).then_some(limit)?)
+                        .expect("an override flag sets an integer key"),
+                    Action::Number(limit) => limit,
+                    Action::ShardList => Limit::SHARDS,
+                    Action::Json => continue,
+                };
+                assert!(USAGE.contains(flag) && USAGE.contains(&format!("{limit}")), "{flag}");
+                for value in probes(Some(limit.max)) {
+                    let opts = parse(flags, &args(&[TINY, flag, &value]));
+                    let got = match action {
+                        Action::Key(_, key) => {
+                            opts.and_then(|o| o.scenario()).map(|s| field(&s, key))
+                        }
+                        Action::Number(limit) => opts.map(|o| o.number(limit).expect("given")),
+                        Action::ShardList => opts.map(|o| o.shard_list.expect("given")[0]),
+                        Action::Json => unreachable!("skipped above"),
+                    };
+                    assert_eq!(got, expected(limit, &value), "{flag} {value}");
+                }
+            }
+        }
+        // The one row no flag reaches alone, `serve-demo`'s K x M.
+        for value in probes(Some(Limit::FAN_OUT.max)) {
+            assert_eq!(Limit::FAN_OUT.parse(&value), expected(Limit::FAN_OUT, &value));
+        }
+    }
+
+    #[test]
     fn the_linger_flag_is_unknown() {
-        let words = ["examples/scenarios/tiny.toml", "--linger-us", "18446744073709551615"];
+        let words = [TINY, "--linger-us", "18446744073709551615"];
         assert_eq!(
-            parse_serve_demo_options(&args(&words)).err().as_deref(),
+            parse(SERVE_DEMO, &args(&words)).err().as_deref(),
             Some("unknown flag `--linger-us`")
         );
     }

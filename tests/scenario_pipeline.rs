@@ -9,11 +9,8 @@ use std::path::Path;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use spikestream::scenario::MAX_QUEUE_CAP;
-use spikestream::sharding::MAX_SHARDS;
-use spikestream::{
-    Compiler, KernelVariant, NetworkChoice, Request, Scenario, TimingModel, WorkloadMode,
-};
+use spikestream::scenario::Limit;
+use spikestream::{KernelVariant, NetworkChoice, Request, Scenario, TimingModel, WorkloadMode};
 
 /// Serve one scenario through the compile-once lifecycle (what the CLI's
 /// `run` subcommand does).
@@ -114,8 +111,8 @@ fn the_headline_scenario_matches_the_paper_configuration() {
 fn scenario_overrides_compose_like_the_cli_flags() {
     let mut scenario = Scenario::from_file(&scenario_dir().join("svgg11_fp16.toml")).unwrap();
     // What `spikestream run --batch 16 --shards 3` does to the scenario.
-    scenario.config.batch = 16;
-    scenario.shards = 3;
+    scenario.set("scenario", "batch", "16").unwrap();
+    scenario.set("scenario", "shards", "3").unwrap();
     let report = serve(&scenario);
     assert_eq!(report.batch, 16);
     assert_eq!(report.shards.expect("fleet stats").shards.len(), 3);
@@ -209,16 +206,17 @@ proptest! {
                 }
                 Ok(scenario) => scenario,
             };
-            prop_assert!((1..=MAX_SHARDS).contains(&scenario.shards), "{name}:\n{text}");
-            prop_assert!(scenario.config.batch >= 1, "{name}:\n{text}");
+            let within = |limit: Limit, n: usize| limit.check(n).is_ok();
+            prop_assert!(within(Limit::SHARDS, scenario.shards), "{name}:\n{text}");
+            prop_assert!(within(Limit::BATCH, scenario.config.batch), "{name}:\n{text}");
             if let WorkloadMode::Temporal { timesteps, .. } = scenario.config.mode {
-                prop_assert!(timesteps >= 1, "{name}:\n{text}");
+                prop_assert!(within(Limit::TIMESTEPS, timesteps), "{name}:\n{text}");
             }
             if let Some(serve) = scenario.serve {
-                let batch_cap = |n: usize| (1..=Compiler::MAX_LAYER_SAMPLES).contains(&n);
-                prop_assert!(serve.max_batch.is_none_or(batch_cap), "{name}:\n{text}");
-                let bounded = |n: usize| (1..=MAX_QUEUE_CAP).contains(&n);
-                prop_assert!(serve.queue_cap.is_none_or(bounded), "{name}:\n{text}");
+                let max_batch = serve.max_batch.is_none_or(|n| within(Limit::MAX_BATCH, n));
+                prop_assert!(max_batch, "{name}:\n{text}");
+                let queue_cap = serve.queue_cap.is_none_or(|n| within(Limit::QUEUE_CAP, n));
+                prop_assert!(queue_cap, "{name}:\n{text}");
             }
             // Building S-VGG11's weights is too slow for a debug-build
             // property; the tiny networks compile in microseconds.
