@@ -291,6 +291,17 @@ impl WorkerArena {
         &self.samples
     }
 
+    /// Size the staging buffer for a sample of `units` layer samples (one
+    /// per layer per timestep), counting the growth this makes. Serving
+    /// sizes every arena a request may use before its fan-out, so an arena
+    /// that a request hands no sample still reaches steady state in it.
+    pub(crate) fn reserve(&mut self, units: usize) {
+        let capacity = self.samples.capacity();
+        self.samples.clear();
+        self.samples.reserve(units);
+        self.grows += u64::from(self.samples.capacity() != capacity);
+    }
+
     /// Samples this arena has evaluated since construction.
     pub fn runs(&self) -> u64 {
         self.runs

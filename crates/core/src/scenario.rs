@@ -100,40 +100,7 @@ impl NetworkChoice {
     pub fn build(self, seed: u64) -> (Network, FiringProfile) {
         match self {
             NetworkChoice::Svgg11 => (Network::svgg11(seed), FiringProfile::paper_svgg11()),
-            NetworkChoice::TinyCnn => {
-                let lif = LifParams::new(0.5, 0.3);
-                let mut net = NetworkBuilder::new("tiny-cnn")
-                    .conv(
-                        "conv1",
-                        ConvSpec {
-                            input: TensorShape::new(8, 8, 3),
-                            out_channels: 8,
-                            kh: 3,
-                            kw: 3,
-                            stride: 1,
-                            padding: 1,
-                            pool: true,
-                        },
-                        lif,
-                    )
-                    .conv(
-                        "conv2",
-                        ConvSpec {
-                            input: TensorShape::new(4, 4, 8),
-                            out_channels: 16,
-                            kh: 3,
-                            kw: 3,
-                            stride: 1,
-                            padding: 1,
-                            pool: false,
-                        },
-                        lif,
-                    )
-                    .linear("fc3", LinearSpec { in_features: 4 * 4 * 16, out_features: 10 }, lif)
-                    .build_with_random_weights(seed, 0.1);
-                net.layers_mut()[0].encodes_input = true;
-                (net, FiringProfile::uniform(3, 0.25))
-            }
+            NetworkChoice::TinyCnn => (Network::tiny_cnn(seed), FiringProfile::uniform(3, 0.25)),
             NetworkChoice::TinyPool => {
                 let lif = LifParams::new(0.5, 0.3);
                 let mut net = NetworkBuilder::new("tiny-pool")
@@ -685,13 +652,22 @@ fn spelling<T: Copy>(key: &str, value: &str, spellings: &[(&str, T)]) -> Result<
     })
 }
 
-/// `value` without its `_` digit separators (borrowed when it has none).
-fn digits(value: &str) -> Cow<'_, str> {
-    if value.contains('_') {
-        Cow::Owned(value.replace('_', ""))
-    } else {
-        Cow::Borrowed(value)
+/// `value` without its `_` digit separators (borrowed when it has none),
+/// or `None` if a `_` does not sit between two digits (hex digits after
+/// `0x`), the one place TOML allows it.
+fn digits(value: &str) -> Option<Cow<'_, str>> {
+    if !value.contains('_') {
+        return Some(Cow::Borrowed(value));
     }
+    let hex = value.starts_with("0x") || value.starts_with("0X");
+    let bytes = value.as_bytes();
+    let digit = |b: u8| if hex { b.is_ascii_hexdigit() } else { b.is_ascii_digit() };
+    let separates =
+        |i: usize| i > 0 && i + 1 < bytes.len() && digit(bytes[i - 1]) && digit(bytes[i + 1]);
+    (0..bytes.len())
+        .filter(|&i| bytes[i] == b'_')
+        .all(separates)
+        .then(|| Cow::Owned(value.replace('_', "")))
 }
 
 /// An unsigned integer, with no bound beyond `u64`.
@@ -699,10 +675,11 @@ fn unsigned(key: &str, value: &str) -> Result<u64, String> {
     integer(value).ok_or_else(|| format!("{key} must be an unsigned integer, got `{value}`"))
 }
 
-/// An unsigned integer: decimal, or hex after `0x`.
+/// An unsigned integer: decimal, or hex after `0x` (unsigned, as in TOML).
 fn integer(value: &str) -> Option<u64> {
-    let digits = digits(value);
+    let digits = digits(value)?;
     match digits.strip_prefix("0x").or_else(|| digits.strip_prefix("0X")) {
+        Some(hex) if hex.starts_with('+') => None,
         Some(hex) => u64::from_str_radix(hex, 16).ok(),
         None => digits.parse().ok(),
     }
@@ -710,8 +687,8 @@ fn integer(value: &str) -> Option<u64> {
 
 /// A finite float (negative values allowed).
 fn finite(key: &str, value: &str) -> Result<f32, String> {
-    match digits(value).parse::<f32>() {
-        Ok(x) if x.is_finite() => Ok(x),
+    match digits(value).map(|digits| digits.parse::<f32>()) {
+        Some(Ok(x)) if x.is_finite() => Ok(x),
         _ => Err(format!("{key} must be a finite number, got `{value}`")),
     }
 }
@@ -763,6 +740,15 @@ shards  = 4
             ("[scenario]\nbogus = 1\n", 2, "unknown key"),
             ("[scenario]\nbatch = \"x\"\n", 2, "batch must be an integer (>= 1), got `\"x\"`"),
             ("[scenario]\nbatch = 0\n", 2, "batch must be an integer (>= 1), got `0`"),
+            // `_` only separates two digits: `0_x10` is no hex 16.
+            ("[scenario]\nbatch = 0_x10\n", 2, "batch must be an integer (>= 1), got `0_x10`"),
+            ("[scenario]\nbatch = _5\n", 2, "batch must be an integer (>= 1), got `_5`"),
+            ("[scenario]\nbatch = 5_\n", 2, "batch must be an integer (>= 1), got `5_`"),
+            ("[scenario]\nbatch = 1__0\n", 2, "batch must be an integer (>= 1), got `1__0`"),
+            ("[scenario]\nbatch = 0x_10\n", 2, "batch must be an integer (>= 1), got `0x_10`"),
+            ("[scenario]\nseed = 1_\n", 2, "seed must be an unsigned integer, got `1_`"),
+            ("[scenario]\n[neuron_model]\nalpha = 0_.5\n", 3, "alpha must be a finite number"),
+            ("[scenario]\n[neuron_model]\nalpha = 0.5_\n", 3, "alpha must be a finite number"),
             ("[scenario]\nshards = 0\n", 2, "shards must be an integer (1..=1024), got `0`"),
             (
                 "[scenario]\nshards = 4000000000\n",
@@ -800,6 +786,20 @@ shards  = 4
             let e = Scenario::parse(text).unwrap_err();
             assert_eq!(e.line, line, "{text:?}: {e}");
             assert!(e.message.contains(needle), "{text:?}: {e}");
+        }
+    }
+
+    #[test]
+    fn underscores_separate_two_digits_only() {
+        assert_eq!(integer("1_000"), Some(1000));
+        assert_eq!(integer("0x1_0"), Some(16));
+        assert_eq!(integer("0Xa_B"), Some(0xAB));
+        assert_eq!(finite("alpha", "1_0.2_5"), Ok(10.25));
+        assert_eq!(finite("alpha", "-1_0e1_0"), Ok(-10e10));
+        assert_eq!(integer("0x+10"), None, "a hex integer has no sign");
+        for bad in ["0_x10", "_5", "5_", "1__0", "0x_10", "1_.5", "1._5", "1_e5"] {
+            assert_eq!(integer(bad), None, "{bad}");
+            assert!(finite("alpha", bad).is_err(), "{bad}");
         }
     }
 

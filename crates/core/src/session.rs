@@ -330,6 +330,12 @@ impl<'p> Session<'p> {
         if self.arenas.len() < workers {
             self.arenas.resize_with(workers, WorkerArena::new);
         }
+        // Size every participating arena up front: the claim loop may hand
+        // a slot no sample, and its first sample must not grow it later.
+        let units = self.units();
+        for arena in &mut self.arenas[..workers] {
+            arena.reserve(units);
+        }
 
         let ctx = self.plan.context();
         if workers == 1 {
@@ -378,9 +384,14 @@ impl<'p> Session<'p> {
         self.publish_stats();
     }
 
+    /// Layer samples per sample: one per layer per timestep.
+    fn units(&self) -> usize {
+        self.plan.network().len() * self.plan.config().timesteps()
+    }
+
     /// Serve `ids` and fold the stream into an [`InferenceReport`].
     fn fold(&mut self, request: &Request, ids: SampleIds<'_>) -> InferenceReport {
-        let units = self.plan.network().len() * self.plan.config().timesteps();
+        let units = self.units();
         let batch = ids.len();
 
         let mut flat = std::mem::take(&mut self.flat);

@@ -651,8 +651,18 @@ impl SsrSetup {
         }
         // Cross-core interference, accumulated fractionally so short
         // streams are not over-penalized (mirrors the core model).
+        // `expected` is finite and at least +0.0: `cross` is a product of
+        // non-negative factors, and the carry starts at +0.0 and is then
+        // always `expected - trunc(expected)`, in [0, 1) and never -0.0
+        // (`x - x` is +0.0). So truncating floors it, as the interpreter
+        // does, without a call to the software `floor` of targets that
+        // lack SSE4.1.
         let expected = self.cross + core.conflict_carry;
-        let cross = expected.floor();
+        debug_assert!(
+            expected.is_sign_positive() && expected < u64::MAX as f64,
+            "the expected cross-core conflicts {expected} are not a non-negative finite count"
+        );
+        let cross = expected as u64 as f64;
         core.conflict_carry = expected - cross;
         *conflicts += cross;
     }

@@ -147,7 +147,11 @@ impl LayerExecutor {
         let LayerKind::Conv(spec) = &layer.kind else {
             panic!("lower_conv requires a convolutional layer");
         };
-        assert_eq!(weights.len(), layer.weights.len(), "one quantized weight per layer weight");
+        assert_eq!(
+            weights.len(),
+            layer.kind.weight_count(),
+            "one quantized weight per layer weight"
+        );
         assert_eq!(input.shape(), spec.padded_input(), "input must be padded");
         let out_shape = spec.conv_output();
         assert_eq!(state.len(), out_shape.len(), "neuron state size mismatch");
@@ -529,8 +533,8 @@ mod tests {
 
         // The same layer without the pool fires the unpooled spikes from
         // the same membranes; pooling them gives the output.
-        let unpooled =
-            Layer { kind: LayerKind::Conv(ConvSpec { pool: false, ..spec }), ..layer.clone() };
+        let mut unpooled = layer.clone();
+        unpooled.kind = LayerKind::Conv(ConvSpec { pool: false, ..spec });
         let (_, spikes, unpooled_state) =
             lower(KernelVariant::Baseline, FpFormat::Fp16, &unpooled, &input);
         assert_eq!(state, unpooled_state);

@@ -150,7 +150,11 @@ impl LayerExecutor {
         let LayerKind::Conv(spec) = &layer.kind else {
             panic!("lower_dense requires a convolutional layer");
         };
-        assert_eq!(weights.len(), layer.weights.len(), "one quantized weight per layer weight");
+        assert_eq!(
+            weights.len(),
+            layer.kind.weight_count(),
+            "one quantized weight per layer weight"
+        );
         assert_eq!(image.shape(), spec.padded_input(), "image must be padded");
         let out_shape = spec.conv_output();
         assert_eq!(state.len(), out_shape.len(), "neuron state size mismatch");

@@ -538,7 +538,7 @@ mod tests {
     fn conv_network(pool: bool) -> (Network, ConvSpec) {
         let (layer, spec) = conv_layer(pool);
         let mut net = NetworkBuilder::new("one").conv("conv", spec, layer.neuron).build();
-        net.layers_mut()[0].weights = layer.weights;
+        net.layers_mut()[0].set_weights(layer.weights().to_vec());
         (net, spec)
     }
 

@@ -76,7 +76,11 @@ impl LayerExecutor {
         let LayerKind::Linear(spec) = &layer.kind else {
             panic!("lower_fc requires a fully connected layer");
         };
-        assert_eq!(weights.len(), layer.weights.len(), "one quantized weight per layer weight");
+        assert_eq!(
+            weights.len(),
+            layer.kind.weight_count(),
+            "one quantized weight per layer weight"
+        );
         assert_eq!(input.in_features(), spec.in_features, "input width mismatch");
         assert_eq!(state.len(), spec.out_features, "neuron state size mismatch");
 

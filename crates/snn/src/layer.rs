@@ -4,8 +4,18 @@
 //! convolution, the innermost dimension is the output channel, so the
 //! weights of all filters at one `(kh, kw, ci)` coordinate are contiguous
 //! and can be read as one SIMD group (Section III-C of the paper).
+//!
+//! A layer's weights are drawn where they are read. Until then the layer
+//! holds only their source: zeros, or a seed, a scale and the number of
+//! draws of the layers before it in one stream. [`Layer::weights`] draws
+//! them on the first read and keeps them, so a layer nothing reads (every
+//! layer of an analytic plan) never draws its weights, and the values are
+//! bit for bit those of one sequential draw over the whole network.
 
-use rand::Rng;
+use std::sync::OnceLock;
+
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore, SeedableRng};
 use snitch_arch::fp::FpFormat;
 
 use crate::neuron::NeuronModel;
@@ -167,14 +177,15 @@ impl LayerKind {
 }
 
 /// A network layer: geometry, weights and neuron parameters.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Layer {
     /// Human-readable name (e.g. `conv3`).
     pub name: String,
     /// Geometry of the layer.
     pub kind: LayerKind,
-    /// Weights in the batched HWC layout (see [`ConvSpec::weight_index`]).
-    pub weights: Vec<f32>,
+    /// Weights in the batched HWC layout (see [`ConvSpec::weight_index`]),
+    /// held or drawn on their first read.
+    weights: Weights,
     /// Neuron model (and its parameters) of the layer's neurons.
     pub neuron: NeuronModel,
     /// Whether this layer performs spike encoding from a dense input
@@ -182,37 +193,139 @@ pub struct Layer {
     pub encodes_input: bool,
 }
 
+/// Where a layer's undrawn weights come from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum WeightSource {
+    /// All zero ([`Layer::new`]).
+    Zeros,
+    /// Uniform in `[-scale, scale]`, one draw per weight, from the stream
+    /// seeded with `seed` after its first `skip` draws: the draws of the
+    /// layers before this one.
+    Uniform { seed: u64, skip: u64, scale: f32 },
+}
+
+impl WeightSource {
+    /// The `count` weights of the source, each passed through `map`.
+    fn draw(self, count: usize, map: impl Fn(f32) -> f32) -> Vec<f32> {
+        match self {
+            WeightSource::Zeros => vec![map(0.0); count],
+            WeightSource::Uniform { seed, skip, scale } => {
+                let mut rng = StdRng::seed_from_u64(seed);
+                // A uniform f32 takes one `next_u64` and rejects none, so
+                // the weights before this layer took exactly `skip` steps.
+                for _ in 0..skip {
+                    rng.next_u64();
+                }
+                (0..count).map(|_| map(rng.gen_range(-scale..=scale))).collect()
+            }
+        }
+    }
+}
+
+/// A layer's weights: drawn from their source on the first read, or held
+/// once set or lent out mutably.
+#[derive(Debug, Clone)]
+enum Weights {
+    Source(WeightSource, OnceLock<Vec<f32>>),
+    Held(Vec<f32>),
+}
+
+/// Two layers are equal when their fields are, and their weights come from
+/// the same source (neither is drawn to tell) or have the same values.
+impl PartialEq for Layer {
+    fn eq(&self, other: &Self) -> bool {
+        let same_weights = || match (&self.weights, &other.weights) {
+            (Weights::Source(a, _), Weights::Source(b, _)) if a == b => true,
+            _ => self.weights() == other.weights(),
+        };
+        self.name == other.name
+            && self.kind == other.kind
+            && self.neuron == other.neuron
+            && self.encodes_input == other.encodes_input
+            && same_weights()
+    }
+}
+
 impl Layer {
-    /// Create a layer with zero-initialized weights. The neuron model is
-    /// anything convertible into a [`NeuronModel`] — passing bare
+    /// Create a layer with zero weights. The neuron model is anything
+    /// convertible into a [`NeuronModel`] — passing bare
     /// [`LifParams`](crate::neuron::LifParams) keeps working.
     pub fn new(name: impl Into<String>, kind: LayerKind, neuron: impl Into<NeuronModel>) -> Self {
         Layer {
             name: name.into(),
             kind,
-            weights: vec![0.0; kind.weight_count()],
+            weights: Weights::Source(WeightSource::Zeros, OnceLock::new()),
             neuron: neuron.into(),
             encodes_input: false,
         }
     }
 
-    /// Randomize the weights with a uniform distribution in `[-scale, scale]`.
-    pub fn randomize_weights<R: Rng>(&mut self, rng: &mut R, scale: f32) {
-        for w in &mut self.weights {
-            *w = rng.gen_range(-scale..=scale);
+    /// The weights, one per [`LayerKind::weight_count`]. Weights that are
+    /// not held are drawn from their source on the first read, once even
+    /// when threads race to read them, and then kept.
+    pub fn weights(&self) -> &[f32] {
+        match &self.weights {
+            Weights::Source(source, drawn) => {
+                drawn.get_or_init(|| source.draw(self.kind.weight_count(), |w| w))
+            }
+            Weights::Held(weights) => weights,
         }
+    }
+
+    /// The weights, drawn if they are not yet, and held from then on.
+    pub fn weights_mut(&mut self) -> &mut [f32] {
+        if let Weights::Source(source, drawn) = &mut self.weights {
+            let count = self.kind.weight_count();
+            let weights = drawn.take().unwrap_or_else(|| source.draw(count, |w| w));
+            self.weights = Weights::Held(weights);
+        }
+        match &mut self.weights {
+            Weights::Held(weights) => weights,
+            Weights::Source(..) => unreachable!("the weights were just set"),
+        }
+    }
+
+    /// Hold `weights` in place of the layer's current ones.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one value per [`LayerKind::weight_count`].
+    pub fn set_weights(&mut self, weights: Vec<f32>) {
+        assert_eq!(weights.len(), self.kind.weight_count(), "one value per layer weight");
+        self.weights = Weights::Held(weights);
+    }
+
+    /// Randomize the weights with a uniform distribution in `[-scale, scale]`,
+    /// one draw from `rng` per weight.
+    pub fn randomize_weights<R: Rng>(&mut self, rng: &mut R, scale: f32) {
+        let weights =
+            (0..self.kind.weight_count()).map(|_| rng.gen_range(-scale..=scale)).collect();
+        self.weights = Weights::Held(weights);
+    }
+
+    /// Draw this layer's weights from the stream seeded with `seed`, after
+    /// the `skip` draws that come before them, on their first read.
+    pub(crate) fn draw_weights_from(&mut self, seed: u64, skip: u64, scale: f32) {
+        self.weights =
+            Weights::Source(WeightSource::Uniform { seed, skip, scale }, OnceLock::new());
     }
 
     /// The weights rounded to the storage `format`, in the same layout.
     /// The exact emitters accumulate these; [`Network::quantized_weights`](crate::Network::quantized_weights)
     /// keeps them per network so a layer is quantized once per format.
+    /// Undrawn weights are rounded as they are drawn and are not kept.
     pub fn quantize_weights(&self, format: FpFormat) -> Vec<f32> {
-        self.weights.iter().map(|&w| format.quantize(w)).collect()
+        match &self.weights {
+            Weights::Source(source, drawn) if drawn.get().is_none() => {
+                source.draw(self.kind.weight_count(), |w| format.quantize(w))
+            }
+            _ => self.weights().iter().map(|&w| format.quantize(w)).collect(),
+        }
     }
 
     /// Memory footprint of the weights in bytes for the given element size.
     pub fn weight_bytes(&self, elem_bytes: usize) -> usize {
-        self.weights.len() * elem_bytes
+        self.kind.weight_count() * elem_bytes
     }
 }
 
@@ -281,10 +394,47 @@ mod tests {
         use crate::neuron::LifParams;
         let mut layer = Layer::new("conv1", LayerKind::Conv(spec()), LifParams::default());
         assert_eq!(layer.neuron, NeuronModel::Lif(LifParams::default()));
-        assert!(layer.weights.iter().all(|&w| w == 0.0));
+        assert!(layer.weights().iter().all(|&w| w == 0.0));
         let mut rng = rand::rngs::mock::StepRng::new(1, 7);
         layer.randomize_weights(&mut rng, 0.5);
-        assert!(layer.weights.iter().any(|&w| w != 0.0));
-        assert_eq!(layer.weight_bytes(2), layer.weights.len() * 2);
+        assert!(layer.weights().iter().any(|&w| w != 0.0));
+        assert_eq!(layer.weight_bytes(2), layer.weights().len() * 2);
+    }
+
+    fn undrawn(layer: &Layer) -> bool {
+        matches!(&layer.weights, Weights::Source(_, drawn) if drawn.get().is_none())
+    }
+
+    #[test]
+    fn undrawn_layers_compare_by_source_and_draw_on_first_read() {
+        use crate::neuron::LifParams;
+        let mut a = Layer::new("conv1", LayerKind::Conv(spec()), LifParams::default());
+        a.draw_weights_from(9, 100, 0.5);
+        let b = a.clone();
+        assert_eq!(a, b);
+        assert!(undrawn(&a) && undrawn(&b), "equal sources are compared without drawing");
+        assert_eq!(a.weight_bytes(2), spec().weight_count() * 2);
+        assert!(undrawn(&a), "the footprint reads no weight");
+
+        // A held copy of the same values is equal, and so is a drawn layer.
+        let mut held = b.clone();
+        held.set_weights(b.weights().to_vec());
+        assert_eq!(held, a);
+        assert!(!undrawn(&b));
+        assert_eq!(a, b);
+
+        let mut c = a.clone();
+        c.draw_weights_from(9, 101, 0.5);
+        assert_ne!(a, c, "another skip draws other values");
+        c.weights_mut()[0] = 2.0;
+        assert_eq!(c.weights()[0], 2.0, "mutated weights are held");
+    }
+
+    #[test]
+    #[should_panic(expected = "one value per layer weight")]
+    fn set_weights_checks_the_count() {
+        use crate::neuron::LifParams;
+        let mut layer = Layer::new("conv1", LayerKind::Conv(spec()), LifParams::default());
+        layer.set_weights(vec![0.0; 3]);
     }
 }

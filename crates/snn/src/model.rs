@@ -1,9 +1,18 @@
-//! Network container and the S-VGG11 model used in the paper's evaluation.
+//! Network container, the S-VGG11 model used in the paper's evaluation and
+//! the tiny CNN that the cycle-level timing model serves in test and smoke
+//! time budgets.
+//!
+//! A network built with random weights draws none of them: each layer
+//! draws its own where they are read ([`crate::layer`]). The exact
+//! emitters read them rounded to the storage format through
+//! [`Network::quantized_weights`]. For FP16 and FP8 it rounds each weight as
+//! it is drawn and keeps only the rounded copy; FP64 and FP32 round to the
+//! same values, so it lends the layer's own weights. A network serving one
+//! format thus holds one copy of each layer's weights, and a network whose
+//! weights no one reads (the analytic path's) holds none.
 
 use std::sync::OnceLock;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use snitch_arch::fp::FpFormat;
 
 use crate::layer::{ConvSpec, Layer, LayerKind, LinearSpec, PoolSpec};
@@ -19,15 +28,13 @@ pub struct Network {
     quantized: QuantizedWeights,
 }
 
-/// Number of [`FpFormat`]s, one memo slot each.
-const FORMATS: usize = 4;
+/// One layer's weights rounded to FP16 and to FP8. Rounding to FP64 or FP32
+/// is the identity, so those formats have no slot.
+type FormatSlots = [OnceLock<Box<[f32]>>; 2];
 
-/// One layer's weights rounded to each storage format, indexed by format.
-type FormatSlots = [OnceLock<Box<[f32]>>; FORMATS];
-
-/// Every layer's weights rounded to each storage format, each filled on its
-/// first use. The memo is derived from the layers, so it takes no part in
-/// a network's equality.
+/// Every layer's weights rounded to each storage format that changes them,
+/// each filled on its first use. The memo is derived from the layers, so
+/// it takes no part in a network's equality.
 #[derive(Clone)]
 struct QuantizedWeights(Box<[FormatSlots]>);
 
@@ -69,16 +76,24 @@ impl Network {
     }
 
     /// Layer `idx`'s weights rounded to `format`
-    /// ([`Layer::quantize_weights`]). The first call per (layer, format)
-    /// quantizes them; later calls, from any thread, return the same
-    /// slice until [`Network::layers_mut`] is next called.
+    /// ([`Layer::quantize_weights`]). FP64 and FP32 round to the same
+    /// values, so they lend the layer's own [`Layer::weights`]. The first
+    /// FP16 or FP8 call per layer quantizes its weights, as they are drawn
+    /// if they are not yet, without keeping the originals; later calls,
+    /// from any thread, return the same slice until
+    /// [`Network::layers_mut`] is next called.
     ///
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
     pub fn quantized_weights(&self, idx: usize, format: FpFormat) -> &[f32] {
-        self.quantized.0[idx][format as usize]
-            .get_or_init(|| self.layers[idx].quantize_weights(format).into())
+        let layer = &self.layers[idx];
+        let slot = match format {
+            FpFormat::Fp64 | FpFormat::Fp32 => return layer.weights(),
+            FpFormat::Fp16 => 0,
+            FpFormat::Fp8 => 1,
+        };
+        self.quantized.0[idx][slot].get_or_init(|| layer.quantize_weights(format).into())
     }
 
     /// Number of layers.
@@ -164,6 +179,29 @@ impl Network {
         net.layers_mut()[0].encodes_input = true;
         net
     }
+
+    /// A small two-conv-plus-FC network (8x8x3 input, the first conv
+    /// encoding it) that the cycle-level timing model can evaluate in
+    /// test and smoke time budgets.
+    pub fn tiny_cnn(seed: u64) -> Network {
+        let lif = LifParams::new(0.5, 0.3);
+        let conv = |input: TensorShape, out_channels: usize, pool: bool| ConvSpec {
+            input,
+            out_channels,
+            kh: 3,
+            kw: 3,
+            stride: 1,
+            padding: 1,
+            pool,
+        };
+        let mut net = NetworkBuilder::new("tiny-cnn")
+            .conv("conv1", conv(TensorShape::new(8, 8, 3), 8, true), lif)
+            .conv("conv2", conv(TensorShape::new(4, 4, 8), 16, false), lif)
+            .linear("fc3", LinearSpec { in_features: 4 * 4 * 16, out_features: 10 }, lif)
+            .build_with_random_weights(seed, 0.1);
+        net.layers_mut()[0].encodes_input = true;
+        net
+    }
 }
 
 /// Incremental builder for [`Network`].
@@ -204,12 +242,17 @@ impl NetworkBuilder {
         Network { name: self.name, layers: self.layers, quantized }
     }
 
-    /// Finish and randomize all weights from `seed`.
+    /// Finish with weights uniform in `[-scale, scale]`, drawn layer after
+    /// layer from the stream seeded with `seed`. Each layer records where
+    /// its draws start and draws them on its first read
+    /// ([`Layer::weights`]), so weights that are never read are never
+    /// drawn, and the values are those of one sequential draw.
     pub fn build_with_random_weights(self, seed: u64, scale: f32) -> Network {
         let mut net = self.build();
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut skip = 0;
         for layer in net.layers_mut() {
-            layer.randomize_weights(&mut rng, scale);
+            layer.draw_weights_from(seed, skip, scale);
+            skip += layer.kind.weight_count() as u64;
         }
         net
     }
@@ -217,6 +260,11 @@ impl NetworkBuilder {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Barrier;
+
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
     use super::*;
 
     #[test]
@@ -279,8 +327,8 @@ mod tests {
         let a = Network::svgg11(123);
         let b = Network::svgg11(123);
         let c = Network::svgg11(124);
-        assert_eq!(a.layers()[0].weights, b.layers()[0].weights);
-        assert_ne!(a.layers()[0].weights, c.layers()[0].weights);
+        assert_eq!(a.layers()[0].weights(), b.layers()[0].weights());
+        assert_ne!(a.layers()[0].weights(), c.layers()[0].weights());
     }
 
     #[test]
@@ -292,7 +340,7 @@ mod tests {
         assert_ne!(fp8, net.quantized_weights(7, FpFormat::Fp16), "one slot per format");
         assert_eq!(net.clone(), net, "the memo is not part of the value");
 
-        net.layers_mut()[7].weights[0] = 0.75;
+        net.layers_mut()[7].weights_mut()[0] = 0.75;
         assert_eq!(net.quantized_weights(7, FpFormat::Fp8)[0], FpFormat::Fp8.quantize(0.75));
         assert_eq!(
             net.quantized_weights(7, FpFormat::Fp8),
@@ -300,11 +348,83 @@ mod tests {
         );
     }
 
+    /// The old `build_with_random_weights`: every layer's weights drawn in
+    /// order from one stream, kept only as the oracle of the lazy draw.
+    fn eager_draw(net: &Network, seed: u64, scale: f32) -> Vec<Vec<f32>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let eager = |layer: &Layer| {
+            let mut eager = Layer::new(layer.name.clone(), layer.kind, layer.neuron);
+            eager.randomize_weights(&mut rng, scale);
+            eager.weights().to_vec()
+        };
+        net.layers().iter().map(eager).collect()
+    }
+
+    /// Assert that `actual` is `expected` bit for bit, naming the first
+    /// weight that differs.
+    fn assert_same_bits(actual: &[f32], expected: &[f32], what: &str) {
+        assert_eq!(actual.len(), expected.len(), "{what}: weight count");
+        let differs = actual.iter().zip(expected).position(|(a, e)| a.to_bits() != e.to_bits());
+        if let Some(i) = differs {
+            panic!("{what}: weight {i} is {}, the sequential draw's {}", actual[i], expected[i]);
+        }
+    }
+
+    /// S-VGG11 and tiny-cnn with the seeds and scales they are built with.
+    fn lazy_networks() -> [(Network, Vec<Vec<f32>>); 2] {
+        let svgg11 = Network::svgg11(7);
+        let tiny = Network::tiny_cnn(7);
+        let (svgg11_oracle, tiny_oracle) =
+            (eager_draw(&svgg11, 7, 0.05), eager_draw(&tiny, 7, 0.1));
+        [(svgg11, svgg11_oracle), (tiny, tiny_oracle)]
+    }
+
+    #[test]
+    fn lazily_drawn_weights_are_the_sequential_draw_bit_for_bit() {
+        for (net, oracle) in lazy_networks() {
+            // Two threads read every layer at once, last layer first.
+            let start = Barrier::new(2);
+            let read = || {
+                start.wait();
+                net.layers().iter().rev().map(Layer::weights).collect::<Vec<_>>()
+            };
+            let [mut a, mut b] = std::thread::scope(|s| {
+                [s.spawn(read), s.spawn(read)].map(|t| t.join().expect("reader panicked"))
+            });
+            a.reverse();
+            b.reverse();
+            for (idx, layer) in net.layers().iter().enumerate() {
+                assert_same_bits(a[idx], &oracle[idx], &format!("{} {}", net.name, layer.name));
+                assert!(std::ptr::eq(a[idx], b[idx]), "{} drawn once", layer.name);
+                assert!(std::ptr::eq(a[idx], layer.weights()), "{} kept", layer.name);
+            }
+        }
+    }
+
+    #[test]
+    fn quantized_weights_lend_or_round_the_sequential_draw() {
+        for (net, oracle) in lazy_networks() {
+            for (idx, layer) in net.layers().iter().enumerate() {
+                for format in [FpFormat::Fp16, FpFormat::Fp8] {
+                    let rounded: Vec<f32> =
+                        oracle[idx].iter().map(|&w| format.quantize(w)).collect();
+                    let memo = net.quantized_weights(idx, format);
+                    assert_same_bits(memo, &rounded, &format!("{} {format:?}", layer.name));
+                }
+                for format in [FpFormat::Fp32, FpFormat::Fp64] {
+                    let lent = net.quantized_weights(idx, format);
+                    assert!(std::ptr::eq(lent, layer.weights()), "{} {format:?}", layer.name);
+                }
+                assert_same_bits(layer.weights(), &oracle[idx], &layer.name);
+            }
+        }
+    }
+
     #[test]
     fn synop_totals_are_positive() {
         let net = Network::svgg11(3);
         let synops: u64 = net.layers().iter().map(|l| l.kind.dense_synops()).sum();
-        let weights: usize = net.layers().iter().map(|l| l.weights.len()).sum();
+        let weights: usize = net.layers().iter().map(|l| l.kind.weight_count()).sum();
         assert!(synops > 100_000_000);
         assert!(weights > 5_000_000);
     }

@@ -32,6 +32,7 @@ impl ReferenceEngine {
     /// Panics if the input shape does not match the padded layer input.
     pub fn conv_currents(&self, layer: &Layer, spec: &ConvSpec, input: &SpikeMap) -> Tensor3 {
         assert_eq!(input.shape(), spec.padded_input(), "input must be padded");
+        let weights = layer.weights();
         let out_shape = spec.conv_output();
         let mut currents = Tensor3::zeros(out_shape);
         for oh in 0..out_shape.h {
@@ -43,7 +44,7 @@ impl ReferenceEngine {
                         for ci in input.active_channels_iter(ih, iw) {
                             let ci = ci as usize;
                             for co in 0..spec.out_channels {
-                                let w = layer.weights[spec.weight_index(kh, kw, ci, co)];
+                                let w = weights[spec.weight_index(kh, kw, ci, co)];
                                 let v = currents.get(oh, ow, co) + w;
                                 currents.set(oh, ow, co, v);
                             }
@@ -59,6 +60,7 @@ impl ReferenceEngine {
     /// values act as input currents; the convolution is a real matmul).
     pub fn conv_currents_dense(&self, layer: &Layer, spec: &ConvSpec, image: &Tensor3) -> Tensor3 {
         assert_eq!(image.shape(), spec.padded_input(), "image must be padded");
+        let weights = layer.weights();
         let out_shape = spec.conv_output();
         let mut currents = Tensor3::zeros(out_shape);
         for oh in 0..out_shape.h {
@@ -73,7 +75,7 @@ impl ReferenceEngine {
                                 continue;
                             }
                             for co in 0..spec.out_channels {
-                                let w = layer.weights[spec.weight_index(kh, kw, ci, co)];
+                                let w = weights[spec.weight_index(kh, kw, ci, co)];
                                 let v = currents.get(oh, ow, co) + x * w;
                                 currents.set(oh, ow, co, v);
                             }
@@ -91,10 +93,11 @@ impl ReferenceEngine {
     /// skipped in one comparison each.
     pub fn linear_currents(&self, layer: &Layer, spec: &LinearSpec, input: &SpikeMap) -> Vec<f32> {
         assert_eq!(input.shape().len(), spec.in_features, "input length mismatch");
+        let weights = layer.weights();
         let mut currents = vec![0.0f32; spec.out_features];
         for i in input.iter_active() {
             for (o, current) in currents.iter_mut().enumerate() {
-                *current += layer.weights[spec.weight_index(i, o)];
+                *current += weights[spec.weight_index(i, o)];
             }
         }
         currents
@@ -264,7 +267,7 @@ mod tests {
             pool: false,
         };
         let mut layer = Layer::new("c", LayerKind::Conv(spec), LifParams::new(0.5, 0.5));
-        for (i, w) in layer.weights.iter_mut().enumerate() {
+        for (i, w) in layer.weights_mut().iter_mut().enumerate() {
             *w = 0.01 * (i as f32 % 11.0) - 0.03;
         }
         (layer, spec)
@@ -288,10 +291,10 @@ mod tests {
         let eng = ReferenceEngine::new();
         let currents = eng.conv_currents(&layer, &spec, &input);
         // Output position (1, 1) sees this input at kernel offset (1, 1).
-        let expected = layer.weights[spec.weight_index(1, 1, 1, 0)];
+        let expected = layer.weights()[spec.weight_index(1, 1, 1, 0)];
         assert!((currents.get(1, 1, 0) - expected).abs() < 1e-6);
         // Output position (2, 2) sees it at kernel offset (0, 0).
-        let expected = layer.weights[spec.weight_index(0, 0, 1, 2)];
+        let expected = layer.weights()[spec.weight_index(0, 0, 1, 2)];
         assert!((currents.get(2, 2, 2) - expected).abs() < 1e-6);
     }
 
@@ -302,7 +305,7 @@ mod tests {
         image.set(2, 2, 0, 0.5);
         let eng = ReferenceEngine::new();
         let currents = eng.conv_currents_dense(&layer, &spec, &image);
-        let expected = 0.5 * layer.weights[spec.weight_index(1, 1, 0, 0)];
+        let expected = 0.5 * layer.weights()[spec.weight_index(1, 1, 0, 0)];
         assert!((currents.get(1, 1, 0) - expected).abs() < 1e-6);
     }
 
@@ -310,7 +313,7 @@ mod tests {
     fn linear_currents_sum_active_rows() {
         let spec = LinearSpec { in_features: 4, out_features: 2 };
         let mut layer = Layer::new("fc", LayerKind::Linear(spec), LifParams::default());
-        layer.weights = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
+        layer.set_weights(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
         let eng = ReferenceEngine::new();
         let input = SpikeMap::from_vec(TensorShape::new(1, 1, 4), vec![true, false, true, false]);
         let currents = eng.linear_currents(&layer, &spec, &input);
@@ -329,7 +332,7 @@ mod tests {
             pool: true,
         };
         let mut layer = Layer::new("c", LayerKind::Conv(spec), LifParams::new(0.0, 0.5));
-        layer.weights = vec![1.0];
+        layer.set_weights(vec![1.0]);
         let mut input = SpikeMap::silent(spec.padded_input());
         input.set(0, 0, 0, true);
         input.set(3, 3, 0, true);

@@ -928,15 +928,15 @@ mod tests {
         assert_eq!(shards.map(|o| o.shard_list), Ok(Some(vec![1, 2, 4])));
     }
 
-    /// The values a bounded input is fed: 0, its max, max + 1, `u64::MAX`
-    /// and a non-number.
+    /// The values a bounded input is fed: 0, its max, max + 1, `u64::MAX`,
+    /// a non-number and `_` anywhere but between two digits.
     fn probes(max: Option<usize>) -> Vec<String> {
         let max = max.map(|m| m as u64);
         [Some(0), max, max.and_then(|m| m.checked_add(1)), Some(u64::MAX)]
             .into_iter()
             .flatten()
             .map(|n| n.to_string())
-            .chain(["x".to_string()])
+            .chain(["x", "0_x10", "_5", "5_", "1__0"].map(String::from))
             .collect()
     }
 

@@ -52,7 +52,9 @@ fn conv_input(spec: &ConvSpec, rate: f64) -> CompressedIfmap {
 /// `layer` with a threshold no input current reaches. After one step from
 /// rest, each of its LIF neurons holds exactly its quantized input current.
 fn never_firing(layer: &Layer) -> Layer {
-    Layer { neuron: LifParams::new(0.5, f32::MAX).into(), ..layer.clone() }
+    let mut never = layer.clone();
+    never.neuron = LifParams::new(0.5, f32::MAX).into();
+    never
 }
 
 /// Lower `layer` (conv or fully connected) once from a resting LIF state;

@@ -10,10 +10,14 @@
 //! cycle-level sample allocates a few times per layer and never per work
 //! item.
 //!
-//! A counting global allocator counts per thread, so the tests of this
-//! binary running in parallel do not see each other's allocations; every
-//! measured call runs on the test's own thread (sequential requests are
-//! served on the calling thread).
+//! A network draws each layer's weights where they are read, so an analytic
+//! plan, which reads none, holds none, and a cycle-level plan holds one
+//! copy per layer, in the format it runs. Two heap budgets pin both.
+//!
+//! A counting global allocator counts allocations and live bytes per
+//! thread, so the tests of this binary running in parallel do not see each
+//! other's; every measured call runs on the test's own thread (sequential
+//! requests are served on the calling thread).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -23,7 +27,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use snitch_arch::{ClusterConfig, CostModel};
 use snitch_sim::{ClusterModel, Interpreter};
-use spikestream::{FpFormat, KernelVariant, Request, Scenario};
+use spikestream::{FpFormat, KernelVariant, Request, Scenario, TimingModel};
 use spikestream_kernels::{LayerExecutor, LayerInput, LayerScratch};
 use spikestream_snn::encoding::{pad_image, synthetic_image};
 use spikestream_snn::neuron::LifParams;
@@ -34,32 +38,43 @@ struct CountingAllocator;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed on this thread (a block freed on
+    /// another thread counts there).
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The most `LIVE` has been since it was last reset.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
-fn count() {
+/// Count one allocation if `allocates`, and `bytes` more live bytes.
+fn count(allocates: bool, bytes: i64) {
     // `try_with`: a thread that is being torn down still frees memory.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + u64::from(allocates)));
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + bytes);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
 }
 
 // SAFETY: every method forwards to `System` unchanged; counting touches
-// only a const-initialized thread-local `Cell`, which never allocates.
+// only const-initialized thread-local `Cell`s, which never allocate.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(true, layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(true, layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(true, new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(false, -(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -73,6 +88,28 @@ fn allocations_of<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let out = f();
     (ALLOCATIONS.with(Cell::get) - before, out)
 }
+
+/// The peak of this thread's live heap while `f` runs, in bytes above what
+/// was live when it started.
+fn peak_heap_of<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let start = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(start));
+    let out = f();
+    ((PEAK.with(Cell::get) - start) as u64, out)
+}
+
+const MIB: u64 = 1 << 20;
+
+/// Peak live heap of compiling the analytic S-VGG11 scenario and serving 8
+/// fresh samples: no weight is drawn (0.06 MiB measured). A network that
+/// draws its 12.9M weights when it is built needs 49.3 MiB.
+const ANALYTIC_PEAK_HEAP: u64 = 2 * MIB;
+
+/// Peak live heap of building S-VGG11 and filling every layer's FP16 memo:
+/// one f32 copy of its weights, drawn and rounded straight into the memo
+/// (49.20 MiB measured). Keeping the unrounded weights beside it needs
+/// 98.4 MiB.
+const FP16_MEMO_PEAK_HEAP: u64 = 52 * MIB;
 
 /// Upper bound on the allocations of one warmed tiny-cnn T=4 sample: 71
 /// are measured; one more allocation per layer invocation (12 per sample)
@@ -107,6 +144,40 @@ fn a_warmed_temporal_sample_allocates_a_bounded_number_of_times() {
             "sample {sample} allocated {allocations} times (bound {SAMPLE_ALLOCATIONS})"
         );
     }
+}
+
+#[test]
+fn an_analytic_plan_draws_no_weight() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/scenarios/svgg11_fp16.toml");
+    let (peak, report) = peak_heap_of(|| {
+        let scenario = Scenario::from_file(&path).expect("the analytic S-VGG11 scenario parses");
+        assert_eq!(scenario.config.timing, TimingModel::Analytic);
+        let plan = scenario.compile().expect("the scenario compiles");
+        let report = plan.open_session().infer(&Request::samples(0..8).sequential());
+        report
+    });
+    assert_eq!(report.batch, 8);
+    assert!(
+        peak <= ANALYTIC_PEAK_HEAP,
+        "peak live heap {:.2} MiB (bound {} MiB)",
+        peak as f64 / MIB as f64,
+        ANALYTIC_PEAK_HEAP / MIB
+    );
+}
+
+#[test]
+fn the_fp16_memo_is_the_one_copy_of_the_weights() {
+    let (peak, weights) = peak_heap_of(|| {
+        let net = Network::svgg11(7);
+        (0..net.len()).map(|idx| net.quantized_weights(idx, FpFormat::Fp16).len()).sum::<usize>()
+    });
+    assert!(weights > 12_000_000, "every layer's memo is filled ({weights} weights)");
+    assert!(
+        peak <= FP16_MEMO_PEAK_HEAP,
+        "peak live heap {:.2} MiB (bound {} MiB)",
+        peak as f64 / MIB as f64,
+        FP16_MEMO_PEAK_HEAP / MIB
+    );
 }
 
 /// A one-conv-layer network with `hw x hw` output positions.

@@ -382,13 +382,13 @@ fn changed_weights_reach_the_next_cycle_level_sample() {
 
     let mut network = tiny_network(5);
     let before = serve(&network, 3);
-    for w in &mut network.layers_mut()[1].weights {
+    for w in network.layers_mut()[1].weights_mut() {
         *w = 4.0 * w.abs();
     }
     let after = serve(&network, 3);
 
     let mut rebuilt = tiny_network(5);
-    rebuilt.layers_mut()[1].weights = network.layers()[1].weights.clone();
+    rebuilt.layers_mut()[1].set_weights(network.layers()[1].weights().to_vec());
     assert_eq!(after, serve(&rebuilt, 3), "the served sample uses the new weights");
     assert_ne!(after, before, "the new weights change the sample");
 }

@@ -20,6 +20,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 use spikestream::{
     AnalyticBackend, Engine, ExecutionBackend, FpFormat, InferenceConfig, KernelVariant,
@@ -221,12 +222,31 @@ fn a_panicking_backend_propagates_and_leaves_the_pool_serviceable() {
     assert_eq!(session.stats().pool.spawned, spawned, "no thread was lost or respawned");
 }
 
+/// `count` once it has held for 100 ms (or after 5 s). Taking this test's
+/// lock races the harness, which ends the previous test's thread and starts
+/// the next test's; that thread then waits on the lock until this test
+/// ends, so a task count read before it starts is one short.
+fn settled(count: impl Fn() -> usize) -> usize {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut last = count();
+    let mut quiet = Instant::now();
+    while quiet.elapsed() < Duration::from_millis(100) && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+        let now = count();
+        if now != last {
+            last = now;
+            quiet = Instant::now();
+        }
+    }
+    last
+}
+
 #[test]
 fn dropping_the_session_joins_every_pool_thread() {
     let _serial = serial();
     let count = || std::fs::read_dir("/proc/self/task").map(|d| d.count()).unwrap_or(0);
     let plan = svgg11_plan(64);
-    let before = count();
+    let before = settled(count);
     {
         let mut session = plan.open_session();
         session.infer(&Request::batch(64).with_workers(8));
