@@ -13,7 +13,7 @@
 //! realized spikes.
 
 use spikestream_energy::Activity;
-use spikestream_ir::ProgramCost;
+use spikestream_ir::ServedCost;
 use spikestream_kernels::LayerScratch;
 use spikestream_snn::compress::INDEX_BYTES;
 use spikestream_snn::{AerEvent, Layer, LayerKind};
@@ -49,13 +49,18 @@ impl ExecutionBackend for AnalyticBackend {
         // configuration nor the cost model.
         let integrator = ctx.integrator;
         let executor = ctx.executor;
-        let n = ctx.network.len();
+        let layers = ctx.network.layers();
+        let Some(last) = layers.len().checked_sub(1) else { return };
         let timesteps = ctx.timesteps();
-        out.reserve(n * timesteps);
+        out.reserve(layers.len() * timesteps);
         for step in 0..timesteps {
-            for (idx, layer) in ctx.network.layers().iter().enumerate() {
-                let input_rate = ctx.sample_rate_at(idx, sample, step);
-                let output_rate = ctx.sample_rate_at((idx + 1).min(n - 1), sample, step);
+            // Each layer's rate is drawn once per step: a layer's output
+            // rate is the next layer's input rate, and the last layer's
+            // output rate is its own input rate.
+            let mut input_rate = ctx.sample_rate_at(0, sample, step);
+            for (idx, layer) in layers.iter().enumerate() {
+                let output_rate =
+                    if idx < last { ctx.sample_rate_at(idx + 1, sample, step) } else { input_rate };
                 // Plan-driven runs price through the plan's cost memo, so a
                 // realized sparsity bucket is lowered and integrated once
                 // and hit afterwards. A bare context lowers inline; both
@@ -70,14 +75,15 @@ impl ExecutionBackend for AnalyticBackend {
                         input_rate,
                         output_rate,
                     ),
-                    None => integrator.integrate(&executor.lower_symbolic(
+                    None => ServedCost::from(&integrator.integrate(&executor.lower_symbolic(
                         ctx.cluster,
                         layer,
                         input_rate,
                         output_rate,
-                    )),
+                    ))),
                 };
                 out.push(layer_sample(ctx, layer, input_rate, &cost));
+                input_rate = output_rate;
             }
         }
     }
@@ -87,13 +93,13 @@ fn layer_sample(
     ctx: &SampleContext<'_>,
     layer: &Layer,
     input_rate: f64,
-    cost: &ProgramCost,
+    cost: &ServedCost,
 ) -> LayerSample {
     let activity = Activity {
         cycles: cost.compute_cycles,
         int_instrs: cost.int_instrs.round() as u64,
         flops: cost.flops.round() as u64,
-        dma_bytes: cost.dma_bytes_in + cost.dma_bytes_out,
+        dma_bytes: cost.dma_bytes,
         format: ctx.config.format,
     };
     let energy_j = ctx.energy.energy_j(&activity);
@@ -111,7 +117,7 @@ fn layer_sample(
         input_spikes: expected_input_spikes(kind, encodes, input_rate),
         synops: expected_synops(kind, encodes, input_rate),
         energy_j,
-        dma_bytes: (cost.dma_bytes_in + cost.dma_bytes_out) as f64,
+        dma_bytes: cost.dma_bytes as f64,
         csr_footprint_bytes: csr,
         aer_footprint_bytes: aer,
     }

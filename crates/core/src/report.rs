@@ -269,14 +269,8 @@ impl InferenceReport {
             .map(|(idx, layer)| {
                 // An empty batch (a manually built empty sample range)
                 // folds to all-zero rows rather than slicing out of range.
-                let samples: Vec<LayerSample> = per_layer
-                    .get(idx..)
-                    .unwrap_or(&[])
-                    .iter()
-                    .step_by(layer_count)
-                    .copied()
-                    .collect();
-                summarize_layer(layer.name.clone(), clock_hz, &samples)
+                let samples = per_layer.get(idx..).unwrap_or(&[]).iter().step_by(layer_count);
+                summarize_layer(layer.name.clone(), clock_hz, samples)
             })
             .collect();
 
@@ -292,12 +286,17 @@ impl InferenceReport {
     }
 }
 
-/// Average one layer's per-sample measurements into its report row.
-fn summarize_layer(name: String, clock_hz: f64, samples: &[LayerSample]) -> LayerReport {
+/// Average one layer's per-sample measurements, read in place from the
+/// batch's buffer, into its report row.
+fn summarize_layer<'a>(
+    name: String,
+    clock_hz: f64,
+    samples: impl ExactSizeIterator<Item = &'a LayerSample> + Clone,
+) -> LayerReport {
     let n = samples.len().max(1) as f64;
-    let mean = |f: fn(&LayerSample) -> f64| samples.iter().map(f).sum::<f64>() / n;
+    let mean = |f: fn(&LayerSample) -> f64| samples.clone().map(f).sum::<f64>() / n;
     let cycles_mean = mean(|s| s.cycles);
-    let cycles_var = samples.iter().map(|s| (s.cycles - cycles_mean).powi(2)).sum::<f64>() / n;
+    let cycles_var = samples.clone().map(|s| (s.cycles - cycles_mean).powi(2)).sum::<f64>() / n;
     let seconds = cycles_mean / clock_hz;
     let energy = mean(|s| s.energy_j);
     LayerReport {

@@ -15,7 +15,7 @@ use snitch_arch::ClusterConfig;
 
 /// Activity counters of one layer or kernel invocation, in whatever units
 /// the timing model provides (the cluster simulator's `PhaseStats` and the
-/// IR cost integration's `ProgramCost` both convert into this).
+/// IR cost integration's served cost, `ServedCost`, both convert into this).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Activity {
     /// Runtime in cycles.

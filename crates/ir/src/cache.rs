@@ -9,21 +9,25 @@
 //!
 //! * a [`ProgramKey`] identifies one binding of one layer — kernel class,
 //!   storage format and the [`SparsityBucket`] of realized firing rates;
-//! * [`ProgramCache::get_or_emit`] returns the memoized [`ProgramCost`] on
+//! * [`ProgramCache::get_or_emit`] returns the memoized [`ServedCost`] on
 //!   a hit, and otherwise runs the caller's lower-and-integrate closure and
 //!   caches its result while the cache is below capacity.
 //!
-//! The cache holds costs only, never the programs they were integrated
-//! from, and is filled only by serving lookups. It is internally
-//! synchronized, so a `Plan` can share one instance across all the worker
-//! threads of its sessions. The map is split into 16 shards, each on cache
-//! lines of its own with its own `RwLock` and hit counter, and a key picks
-//! its shard from a cheap mix of its fields. Within a shard, hits take a
-//! read lock, and only the cold path writes; two threads hitting keys of
-//! different shards share no written cache line.
+//! The cache holds the [`ServedCost`] projection of each integrated
+//! [`ProgramCost`] — the figures serving reads — never the programs they
+//! were integrated from, and is filled only by serving lookups. It is
+//! internally synchronized, so a `Plan` can share one instance across all
+//! the worker threads of its sessions. The map is split into 16 shards,
+//! each on cache lines of its own with its own `RwLock` and hit counter.
+//! A key folds its fields into one word; an unkeyed multiply of that word
+//! picks the shard, and a multiply keyed per cache hashes it within the
+//! shard's map. Within a shard, hits take a read lock, and only the cold
+//! path writes; two threads hitting keys of different shards share no
+//! written cache line.
 
-use std::collections::hash_map::Entry;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::RwLock;
 
@@ -69,7 +73,7 @@ impl SparsityBucket {
 /// Cache key of one priced binding: which layer, which kernel class (the
 /// emitting crate's variant discriminator), which storage format, which
 /// sparsity bucket.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProgramKey {
     /// Layer index within the network.
     pub layer: u32,
@@ -80,6 +84,115 @@ pub struct ProgramKey {
     pub format: FpFormat,
     /// Realized sparsity of the binding.
     pub bucket: SparsityBucket,
+}
+
+impl ProgramKey {
+    /// Every field folded into one word. The realized rates' low mantissa
+    /// bits are what varies between bindings of one layer, so every field
+    /// feeds it; equal keys fold equally.
+    fn fold(&self) -> u64 {
+        (u64::from(self.layer) << 40)
+            ^ (u64::from(self.class) << 48)
+            ^ ((self.format as u64) << 56)
+            ^ self.bucket.input_bits
+            ^ self.bucket.output_bits.rotate_left(32)
+    }
+}
+
+impl Hash for ProgramKey {
+    /// One word, the fold, which the shard maps' keyed hasher finishes.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.fold());
+    }
+}
+
+/// The part of a [`ProgramCost`] that serving reads: the figures the
+/// analytic backend turns into a layer sample and its energy. A cache
+/// entry holds this 48-byte projection instead of the 112-byte cost, so a
+/// resident binding, key and value, takes 80 bytes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ServedCost {
+    /// [`ProgramCost::compute_cycles`].
+    pub compute_cycles: u64,
+    /// [`ProgramCost::int_instrs`].
+    pub int_instrs: f64,
+    /// [`ProgramCost::flops`].
+    pub flops: f64,
+    /// [`ProgramCost::dma_bytes_in`] plus [`ProgramCost::dma_bytes_out`].
+    pub dma_bytes: u64,
+    /// [`ProgramCost::fpu_utilization`].
+    pub fpu_utilization: f64,
+    /// [`ProgramCost::ipc`].
+    pub ipc: f64,
+}
+
+impl From<&ProgramCost> for ServedCost {
+    fn from(cost: &ProgramCost) -> Self {
+        ServedCost {
+            compute_cycles: cost.compute_cycles,
+            int_instrs: cost.int_instrs,
+            flops: cost.flops,
+            dma_bytes: cost.dma_bytes_in + cost.dma_bytes_out,
+            fpu_utilization: cost.fpu_utilization,
+            ipc: cost.ipc,
+        }
+    }
+}
+
+/// The [`BuildHasher`] of one cache's shard maps: one random word, drawn
+/// from [`RandomState`] when the cache is built.
+#[derive(Debug, Clone, Copy)]
+struct KeyedFold {
+    key: u64,
+}
+
+impl KeyedFold {
+    /// Odd, with its set bits spread over the word (wyhash's first secret).
+    const MULTIPLIER: u64 = 0xA076_1D64_78BD_642F;
+
+    fn random() -> Self {
+        KeyedFold { key: RandomState::new().build_hasher().finish() }
+    }
+}
+
+impl BuildHasher for KeyedFold {
+    type Hasher = FoldHasher;
+
+    fn build_hasher(&self) -> FoldHasher {
+        FoldHasher { key: self.key, fold: 0 }
+    }
+}
+
+/// The hasher of a [`KeyedFold`]: [`ProgramKey`] writes its one-word fold,
+/// and `finish` XORs in the cache's key and mixes the word by one
+/// 64×64→128-bit multiply, folding the product's halves together, so every
+/// bit of the fold reaches both the low bits that pick a bucket and the
+/// high bits that tag it. A binding's rates follow from a sample index a
+/// client chooses; with the per-cache key, no client can work out ahead of
+/// time which indices share a bucket.
+#[derive(Debug, Clone, Copy)]
+struct FoldHasher {
+    key: u64,
+    fold: u64,
+}
+
+impl Hasher for FoldHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // `ProgramKey` writes one word; anything else still hashes, a byte
+        // at a time.
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.fold = self.fold.rotate_left(8) ^ word;
+    }
+
+    fn finish(&self) -> u64 {
+        let product = u128::from(self.fold ^ self.key) * u128::from(KeyedFold::MULTIPLIER);
+        (product as u64) ^ (product >> 64) as u64
+    }
 }
 
 /// Monotonic cache statistics (since construction).
@@ -111,10 +224,10 @@ const _: () = assert!(SHARDS.is_power_of_two(), "the shard index is the top bits
 /// One shard of a [`ProgramCache`]: its slice of the map and its own hit
 /// counter, aligned to 128 bytes (two cache lines, covering adjacent-line
 /// prefetch) so that a hit writes no line another shard uses.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 #[repr(align(128))]
 struct Shard {
-    costs: RwLock<HashMap<ProgramKey, ProgramCost>>,
+    costs: RwLock<HashMap<ProgramKey, ServedCost, KeyedFold>>,
     hits: AtomicU64,
 }
 
@@ -155,8 +268,17 @@ impl ProgramCache {
     /// An empty cache bounded to at most `capacity` resident costs
     /// (clamped to at least 1).
     pub fn bounded(capacity: usize) -> Self {
+        let hasher = KeyedFold::random();
+        let shard =
+            || Shard { costs: RwLock::new(HashMap::with_hasher(hasher)), hits: AtomicU64::new(0) };
         ProgramCache {
-            shards: Default::default(),
+            // `SHARDS` calls written out, so the 2 KiB array is built in
+            // place: `std::array::from_fn` made a cache 4x slower to build.
+            #[rustfmt::skip]
+            shards: [
+                shard(), shard(), shard(), shard(), shard(), shard(), shard(), shard(),
+                shard(), shard(), shard(), shard(), shard(), shard(), shard(), shard(),
+            ],
             capacity: capacity.max(1),
             resident: AtomicUsize::new(0),
             emits: AtomicU64::new(0),
@@ -190,35 +312,36 @@ impl ProgramCache {
     /// The serving lookup: return the memoized cost for `key` if present
     /// (one hit); otherwise run `emit`, cache its cost while below capacity
     /// and return it (one emit).
-    pub fn get_or_emit(&self, key: ProgramKey, emit: impl FnOnce() -> ProgramCost) -> ProgramCost {
+    pub fn get_or_emit(&self, key: ProgramKey, emit: impl FnOnce() -> ServedCost) -> ServedCost {
         let shard = self.shard(&key);
-        if let Some(cost) = shard.costs.read().expect("program cache poisoned").get(&key) {
+        // Never poisoned: under this guard only the map's lookup runs, and
+        // neither `KeyedFold` nor `ProgramKey`'s `Eq` can panic.
+        if let Some(&cost) = shard.costs.read().expect("program cache poisoned").get(&key) {
             shard.hits.fetch_add(1, Ordering::Relaxed);
-            return cost.clone();
+            return cost;
         }
+        // `emit` runs with no guard held, so its panic poisons nothing
+        // (`a_panicking_emit_poisons_no_lock`).
         let cost = emit();
         self.emits.fetch_add(1, Ordering::Relaxed);
+        // Never poisoned: under this guard run only the entry lookup (the
+        // same hasher and `Eq`), the slot reservation and the insert, none
+        // of which can panic; a failed allocation aborts, it does not unwind.
         let mut costs = shard.costs.write().expect("program cache poisoned");
         // A racing emit of the same key may have inserted it meanwhile:
         // insert only if still absent, and only into a reserved slot.
         if let Entry::Vacant(slot) = costs.entry(key) {
             if self.reserve() {
-                slot.insert(cost.clone());
+                slot.insert(cost);
             }
         }
         cost
     }
 
-    /// The shard `key` lives in: a multiplicative mix of the key's fields,
-    /// top bits. The realized rates' low mantissa bits are what varies
-    /// between bindings of one layer, so every field feeds the product.
+    /// The shard `key` lives in: the top bits of its fold times a fixed
+    /// odd constant. Unkeyed, so a key's shard is the same in every cache.
     fn shard(&self, key: &ProgramKey) -> &Shard {
-        let fields = (u64::from(key.layer) << 40)
-            ^ (u64::from(key.class) << 48)
-            ^ ((key.format as u64) << 56)
-            ^ key.bucket.input_bits
-            ^ key.bucket.output_bits.rotate_left(32);
-        let mixed = fields.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mixed = key.fold().wrapping_mul(0x9E37_79B9_7F4A_7C15);
         &self.shards[(mixed >> (u64::BITS - SHARDS.trailing_zeros())) as usize]
     }
 
@@ -237,8 +360,9 @@ mod tests {
     use super::*;
     use crate::StreamProgram;
 
-    fn cost(label: &str) -> ProgramCost {
-        crate::CostIntegrator::snitch().integrate(&StreamProgram::new(label, FpFormat::Fp16))
+    fn cost(label: &str) -> ServedCost {
+        let program = StreamProgram::new(label, FpFormat::Fp16);
+        ServedCost::from(&crate::CostIntegrator::snitch().integrate(&program))
     }
 
     fn key(layer: u32, rate: f64) -> ProgramKey {
@@ -283,6 +407,39 @@ mod tests {
         // Resident entries keep hitting.
         cache.get_or_emit(key(0, 0.25), || panic!("resident"));
         assert_eq!(cache.counters().hits, 1);
+    }
+
+    #[test]
+    fn a_panicking_emit_poisons_no_lock() {
+        let cache = ProgramCache::new();
+        let k = key(3, 0.25);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.get_or_emit(k, || panic!("emit fails"))
+        }));
+        assert!(unwound.is_err(), "the emit's panic reaches the caller");
+        assert!(!cache.shard(&k).costs.is_poisoned());
+        // The failed emit counted and cached nothing: the key emits once,
+        // then hits once.
+        assert_eq!(cache.get_or_emit(k, || cost("p")), cost("p"));
+        assert_eq!(cache.get_or_emit(k, || panic!("resident")), cost("p"));
+        let c = cache.counters();
+        assert_eq!((c.hits, c.emits), (1, 1));
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn two_caches_hash_one_key_differently() {
+        let k = key(3, 0.25);
+        let [a, b] = [ProgramCache::new(), ProgramCache::new()].map(|cache| {
+            let hashes: Vec<u64> = cache
+                .shards
+                .iter()
+                .map(|shard| shard.costs.read().unwrap().hasher().hash_one(k))
+                .collect();
+            assert!(hashes.iter().all(|&h| h == hashes[0]), "one key per cache");
+            hashes[0]
+        });
+        assert_ne!(a, b, "each cache draws its own key");
     }
 
     #[test]

@@ -57,14 +57,14 @@
 //! integrated cost of every symbolic binding it prices. The [`cache`]
 //! module holds the plan-owned [`ProgramCache`], a bounded map from
 //! [`ProgramKey`] (layer, kernel class, format and [`SparsityBucket`]) to
-//! [`ProgramCost`]: a binding either hits a memoized cost or is lowered
-//! and integrated on the spot.
+//! the [`ServedCost`] projection of a [`ProgramCost`]: a binding either
+//! hits a memoized cost or is lowered and integrated on the spot.
 
 pub mod cache;
 pub mod cost;
 pub mod program;
 
-pub use cache::{CacheCounters, ProgramCache, ProgramKey, SparsityBucket};
+pub use cache::{CacheCounters, ProgramCache, ProgramKey, ServedCost, SparsityBucket};
 pub use cost::{CostIntegrator, ProgramCost};
 pub use program::{
     AffineDims, CodeRegion, ComputePhase, DmaPhase, IndexStream, IntMix, KernelOp, LoopBody, Phase,

@@ -22,7 +22,7 @@
 use snitch_arch::fp::FpFormat;
 use snitch_arch::ClusterConfig;
 use spikestream_ir::{
-    CostIntegrator, KernelOp, ProgramCache, ProgramCost, ProgramKey, ProgramSink, SparsityBucket,
+    CostIntegrator, KernelOp, ProgramCache, ProgramKey, ProgramSink, ServedCost, SparsityBucket,
     StreamProgram,
 };
 use spikestream_snn::{
@@ -375,11 +375,12 @@ impl LayerExecutor {
 
     /// Price `layer` at the realized `(input_rate, output_rate)` sparsity
     /// through the plan-owned cost memo: a hit returns the memoized
-    /// [`ProgramCost`]; a miss lowers the layer with
+    /// [`ServedCost`]; a miss lowers the layer with
     /// [`LayerExecutor::lower_symbolic`], integrates the program, caches
-    /// the cost (while the cache is below capacity) and returns it. This
-    /// is the entry point the analytic serving hot path uses, so a sample
-    /// population served again never re-lowers or re-integrates a layer.
+    /// the cost's served projection (while the cache is below capacity)
+    /// and returns it. This is the entry point the analytic serving hot
+    /// path uses, so a sample population served again never re-lowers or
+    /// re-integrates a layer.
     pub fn bind_symbolic(
         &self,
         cache: &ProgramCache,
@@ -388,7 +389,7 @@ impl LayerExecutor {
         layer: &Layer,
         input_rate: f64,
         output_rate: f64,
-    ) -> ProgramCost {
+    ) -> ServedCost {
         let key = ProgramKey {
             layer: layer_idx as u32,
             class: self.class(layer),
@@ -396,12 +397,8 @@ impl LayerExecutor {
             bucket: SparsityBucket::of(input_rate, output_rate),
         };
         cache.get_or_emit(key, || {
-            integrator.integrate(&self.lower_symbolic(
-                integrator.config(),
-                layer,
-                input_rate,
-                output_rate,
-            ))
+            let program = self.lower_symbolic(integrator.config(), layer, input_rate, output_rate);
+            ServedCost::from(&integrator.integrate(&program))
         })
     }
 
@@ -775,8 +772,9 @@ mod tests {
                     0.3,
                     0.4,
                 ));
-                assert_eq!(first, fresh, "{variant} {}: emit == integrate(lower)", layer.name);
-                assert_eq!(second, fresh, "{variant} {}: hit == integrate(lower)", layer.name);
+                let served = ServedCost::from(&fresh);
+                assert_eq!(first, served, "{variant} {}: emit == integrate(lower)", layer.name);
+                assert_eq!(second, served, "{variant} {}: hit == integrate(lower)", layer.name);
                 assert!(fresh.cycles > 0, "sanity: bound programs integrate");
             }
         }

@@ -14,6 +14,12 @@
 //! plan, which reads none, holds none, and a cycle-level plan holds one
 //! copy per layer, in the format it runs. Two heap budgets pin both.
 //!
+//! A warm analytic sample allocates nothing: every layer hits the plan's
+//! program cache, which returns its 48-byte served cost by value, and the
+//! report folds each layer in place from the session's buffer. A cache
+//! entry is that cost and its 32-byte key, so a resident binding keeps a
+//! bounded share of the heap.
+//!
 //! A counting global allocator counts allocations and live bytes per
 //! thread, so the tests of this binary running in parallel do not see each
 //! other's; every measured call runs on the test's own thread (sequential
@@ -27,7 +33,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use snitch_arch::{ClusterConfig, CostModel};
 use snitch_sim::{ClusterModel, Interpreter};
-use spikestream::{FpFormat, KernelVariant, Request, Scenario, TimingModel};
+use spikestream::{
+    AnalyticBackend, EnergyModel, ExecutionBackend, FpFormat, KernelVariant, Request,
+    SampleContext, Scenario, TimingModel,
+};
+use spikestream_ir::CostIntegrator;
 use spikestream_kernels::{LayerExecutor, LayerInput, LayerScratch};
 use spikestream_snn::encoding::{pad_image, synthetic_image};
 use spikestream_snn::neuron::LifParams;
@@ -89,6 +99,13 @@ fn allocations_of<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (ALLOCATIONS.with(Cell::get) - before, out)
 }
 
+/// Bytes of this thread's heap that `f` leaves live.
+fn heap_kept_by(f: impl FnOnce()) -> i64 {
+    let start = LIVE.with(Cell::get);
+    f();
+    LIVE.with(Cell::get) - start
+}
+
 /// The peak of this thread's live heap while `f` runs, in bytes above what
 /// was live when it started.
 fn peak_heap_of<R>(f: impl FnOnce() -> R) -> (u64, R) {
@@ -121,6 +138,25 @@ const SAMPLE_ALLOCATIONS: u64 = 74;
 /// tile plan's two DMA request lists and the output spike map.
 const CONV_LOWERING_ALLOCATIONS: u64 = 3;
 
+/// Allocations of a warm, sequential one-sample request on the analytic
+/// S-VGG11 plan: the report's layer vector, its 8 layer names and the
+/// network name. Collecting each layer's samples into a vector before
+/// averaging them makes 18.
+const WARM_ANALYTIC_REQUEST_ALLOCATIONS: u64 = 10;
+
+/// Live heap a warm analytic S-VGG11 plan keeps per resident binding once
+/// 16,384 of them fill each of its 16 cache shards to half load: an 80-byte
+/// entry and its control byte in 2,048-bucket maps (162 B measured).
+/// Entries that hold the whole 112-byte program cost keep 290 B.
+const HEAP_PER_RESIDENT_BINDING: i64 = 200;
+
+fn svgg11_fp16() -> Scenario {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/scenarios/svgg11_fp16.toml");
+    let scenario = Scenario::from_file(&path).expect("the analytic S-VGG11 scenario parses");
+    assert_eq!(scenario.config.timing, TimingModel::Analytic);
+    scenario
+}
+
 #[test]
 fn a_warmed_temporal_sample_allocates_a_bounded_number_of_times() {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/scenarios/tiny_temporal.toml");
@@ -147,11 +183,69 @@ fn a_warmed_temporal_sample_allocates_a_bounded_number_of_times() {
 }
 
 #[test]
+fn a_warm_analytic_sample_allocates_only_its_report() {
+    let scenario = svgg11_fp16();
+    let plan = scenario.compile().expect("the scenario compiles");
+    let mut session = plan.open_session();
+    for sample in [0, 5, 1000] {
+        let request = Request::samples(sample..sample + 1).sequential();
+        let cold = session.infer(&request);
+        let (allocations, warm) = allocations_of(|| session.infer(&request));
+        assert_eq!(warm, cold, "sample {sample}: a hit prices what the emit priced");
+        assert_eq!(
+            allocations, WARM_ANALYTIC_REQUEST_ALLOCATIONS,
+            "sample {sample}: a warm request allocates its report only"
+        );
+    }
+
+    // The backend alone, on a context over the plan's cache.
+    let engine = scenario.engine();
+    let (cost, energy) = (CostModel::default(), EnergyModel::calibrated());
+    let integrator = CostIntegrator::new(engine.cluster_config().clone(), cost.clone());
+    let ctx = SampleContext {
+        network: engine.network(),
+        profile: engine.profile(),
+        cluster: engine.cluster_config(),
+        cost: &cost,
+        energy: &energy,
+        config: &scenario.config,
+        programs: Some(plan.programs()),
+        integrator: &integrator,
+        executor: spikestream_kernels::LayerExecutor::new(
+            scenario.config.variant,
+            scenario.config.format,
+        ),
+    };
+    let (mut out, mut scratch) = (Vec::new(), LayerScratch::new());
+    AnalyticBackend.run_sample_with_scratch(&ctx, 7, &mut out, &mut scratch);
+    let cold = std::mem::take(&mut out);
+    out.reserve(cold.len());
+    let (allocations, ()) =
+        allocations_of(|| AnalyticBackend.run_sample_with_scratch(&ctx, 7, &mut out, &mut scratch));
+    assert_eq!(out, cold);
+    assert_eq!(allocations, 0, "a warm sample allocates nothing");
+}
+
+#[test]
+fn a_resident_binding_keeps_a_bounded_heap() {
+    let plan = svgg11_fp16().compile().expect("the scenario compiles");
+    let kept = heap_kept_by(|| {
+        let report = plan.open_session().infer(&Request::samples(0..2048).sequential());
+        assert_eq!(report.batch, 2048);
+    });
+    let resident = plan.programs().len();
+    assert_eq!(resident, 2048 * plan.network().len(), "every binding is fresh and resident");
+    let per_binding = kept / resident as i64;
+    assert!(
+        per_binding <= HEAP_PER_RESIDENT_BINDING,
+        "{per_binding} B kept per resident binding (bound {HEAP_PER_RESIDENT_BINDING} B)"
+    );
+}
+
+#[test]
 fn an_analytic_plan_draws_no_weight() {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/scenarios/svgg11_fp16.toml");
     let (peak, report) = peak_heap_of(|| {
-        let scenario = Scenario::from_file(&path).expect("the analytic S-VGG11 scenario parses");
-        assert_eq!(scenario.config.timing, TimingModel::Analytic);
+        let scenario = svgg11_fp16();
         let plan = scenario.compile().expect("the scenario compiles");
         let report = plan.open_session().infer(&Request::samples(0..8).sequential());
         report

@@ -83,7 +83,7 @@ fn new_sample_populations_miss_into_new_buckets() {
 
 #[test]
 fn distinct_neuron_models_never_cross_serve_cached_programs() {
-    use spikestream_ir::ProgramCache;
+    use spikestream_ir::{ProgramCache, ServedCost};
     use spikestream_snn::neuron::LifParams;
     use spikestream_snn::tensor::TensorShape;
     use spikestream_snn::{ConvSpec, IzhiParams, Layer, LayerKind, NeuronModel};
@@ -132,7 +132,8 @@ fn distinct_neuron_models_never_cross_serve_cached_programs() {
 
     // Each cached cost is exactly what its own emitter's program integrates to.
     let price = |layer| {
-        integrator.integrate(&executor.lower_symbolic(integrator.config(), layer, 0.2, 0.15))
+        let program = executor.lower_symbolic(integrator.config(), layer, 0.2, 0.15);
+        ServedCost::from(&integrator.integrate(&program))
     };
     assert_eq!(lif, price(&lif_layer));
     assert_eq!(izhi, price(&izhi_layer));
