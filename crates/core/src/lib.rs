@@ -19,7 +19,7 @@
 //! The public API is a three-stage, compile-once serving lifecycle:
 //!
 //! ```text
-//! Compiler ──compile──▶ Plan ──open_session──▶ Session ──run──▶ ResultSink
+//! Compiler ──compile──▶ Plan ──open_session──▶ Session ──serve_into──▶ &mut [LayerSample]
 //! ```
 //!
 //! * [`Engine`] is the one model value (network, firing profile, hardware
@@ -32,9 +32,9 @@
 //! * [`Plan`] is the immutable, `Send + Sync` servable artifact; its
 //!   [`Session`]s own the worker scratch arenas, per-sample membrane
 //!   state and a parked [`pool::WorkerPool`] of serving threads, and
-//!   serve [`Request`]s, streaming per-sample results through a
-//!   [`ResultSink`] as they complete ([`Session::infer`] folds the stream
-//!   into an [`InferenceReport`]);
+//!   serve [`Request`]s, each position's results into its own slot of one
+//!   slot-major buffer ([`Session::serve_into`]; [`Session::infer`] folds
+//!   the buffer into an [`InferenceReport`]);
 //! * [`backend`] is the pluggable execution layer: the analytic and
 //!   cycle-level timing models are [`ExecutionBackend`] implementations
 //!   (one required method,
@@ -114,7 +114,7 @@ pub use plan::{CompileError, Compiler, Plan};
 pub use pool::PoolStats;
 pub use report::{InferenceReport, LayerReport, ShardSummary, ShardUtilization, TimestepReport};
 pub use scenario::{NetworkChoice, Scenario, ScenarioError, ServeSettings};
-pub use session::{FnSink, Request, ResultSink, Session, SessionStats, SessionStatsHandle};
+pub use session::{Request, ResultSink, Session, SessionStats, SessionStatsHandle};
 pub use sharding::attribute_shards;
 
 // Re-export the vocabulary types users need to drive the engine.

@@ -5,11 +5,11 @@
 //! *request*:
 //!
 //! ```text
-//! Compiler ──compile──▶ Plan ──open_session──▶ Session ──run──▶ ResultSink
-//! (Engine + optional    (Engine, validated     (worker scratch   (per-sample
-//!  custom backend)       config, bound          arenas, per-      LayerSamples,
-//!                        backend, empty         sample membrane   fleet stats;
-//!                        program-cost cache)    state)            fold ⇒ report)
+//! Compiler ──compile──▶ Plan ──open_session──▶ Session ──serve_into──▶ &mut [LayerSample]
+//! (Engine + optional    (Engine, validated     (worker scratch         (one slot per
+//!  custom backend)       config, bound          arenas, per-            position, slot-
+//!                        backend, empty         sample membrane         major; fold ⇒
+//!                        program-cost cache)    state)                  report + fleet)
 //! ```
 //!
 //! The [`Engine`] is the one model value (network, firing profile,
@@ -295,14 +295,24 @@ impl Plan {
     }
 
     /// Fold a slot-major flat buffer of per-layer measurements (the layout
-    /// a [`ResultSink`](crate::session::ResultSink) demultiplexer
-    /// accumulates: `batch` samples × one [`LayerSample`] per layer per
-    /// timestep) into the unsharded [`InferenceReport`] a bare session
-    /// would produce over the same samples — the demux half of a coalescing
-    /// gateway, which re-folds each client's slice of a shared run
-    /// separately.
+    /// [`Session::serve_into`] writes: `batch` samples × one
+    /// [`LayerSample`] per layer per timestep) into the unsharded
+    /// [`InferenceReport`] a bare session would produce over the same
+    /// samples — the demux half of a coalescing gateway, which re-folds
+    /// each client's slots of a shared run separately.
     pub fn fold_report(&self, flat: &[LayerSample], batch: usize) -> InferenceReport {
         InferenceReport::fold_batch(self.network(), self.clock_hz(), &self.config, flat, batch)
+    }
+
+    /// Per-sample cycle totals of the same buffer, in slot order, each
+    /// summed over its slot in buffer order: what
+    /// [`attribute_shards`](crate::attribute_shards) attributes to a fleet,
+    /// as a sharded [`Session::infer`] does.
+    pub fn sample_cycles(&self, flat: &[LayerSample], batch: usize) -> Vec<f64> {
+        let units = self.network().len() * self.config.timesteps();
+        (0..batch)
+            .map(|i| flat[i * units..(i + 1) * units].iter().map(|l| l.cycles).sum())
+            .collect()
     }
 
     /// The shared per-sample evaluation context, bound to the plan's

@@ -16,15 +16,16 @@
 //! touching the job. The dispatcher blocks until every participating slot
 //! has checked in, which is what makes the one `unsafe` lifetime erasure
 //! in `WorkerPool::run_stealing` sound: the job closure — which borrows
-//! the session's arenas, the request's context and the caller's sink —
-//! cannot be observed by any pool thread after the dispatch returns.
+//! the session's arenas, the request's context and the caller's output
+//! buffer — cannot be observed by any pool thread after the dispatch
+//! returns.
 //!
-//! **Panic policy:** a panicking job (a backend panic, a poisoned sink)
-//! is caught on the worker that raised it, the remaining workers drain
-//! the claim loop, and the first payload is re-raised on the calling
-//! thread once every slot has finished. The pool's own state is never
-//! left locked or mid-epoch, so the *next* request serves normally — a
-//! panicking backend costs its request, not the session.
+//! **Panic policy:** a panicking job (a backend panic) is caught on the
+//! worker that raised it, the remaining workers drain the claim loop, and
+//! the first payload is re-raised on the calling thread once every slot
+//! has finished. The pool's own state is never left locked or mid-epoch,
+//! so the *next* request serves normally — a panicking backend costs its
+//! request, not the session.
 //!
 //! Counters ([`PoolStats`]) make the steady state observable: `spawned`
 //! must stay flat once a session is warm (tests assert it), `wakeups`
@@ -321,8 +322,8 @@ fn worker_loop(shared: &Shared, slot: usize) {
 
         let mut state = shared.state.lock().expect("pool state poisoned");
         if let Err(payload) = result {
-            // Keep the first payload; later ones are usually knock-on
-            // poisoned-lock panics from sibling workers.
+            // Keep the first payload: it is the cause, and a later one
+            // may be a sibling slot's knock-on panic.
             state.panic.get_or_insert(payload);
         }
         state.active -= 1;

@@ -1,14 +1,13 @@
 //! Inference reports: per-layer and end-to-end statistics.
 //!
 //! Since the serving redesign the monolithic [`InferenceReport`] is a
-//! *fold* over the per-sample result stream a
-//! [`Session`](crate::Session) emits: the crate-internal
-//! `InferenceReport::fold_batch` collapses the flat sample-major
-//! measurement buffer into batch-averaged
-//! layer (and, for temporal runs, per-timestep) statistics. Every
-//! execution path — streaming sinks, one-shot sessions, the gateway's
-//! per-request demux — funnels through this one fold, which is what keeps
-//! their reports bit-identical.
+//! *fold* over the slot-major buffer a [`Session`](crate::Session)
+//! serves into: the crate-internal `InferenceReport::fold_batch`
+//! collapses that flat sample-major measurement buffer into
+//! batch-averaged layer (and, for temporal runs, per-timestep)
+//! statistics. Every execution path — sessions, one-shot plans, the
+//! gateway's per-request demux — funnels through this one fold, which is
+//! what keeps their reports bit-identical.
 
 use snitch_arch::fp::FpFormat;
 use spikestream_kernels::KernelVariant;

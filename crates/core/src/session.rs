@@ -1,4 +1,4 @@
-//! Long-lived serving sessions: [`Session`], [`Request`], [`ResultSink`].
+//! Long-lived serving sessions: [`Session`], [`Request`].
 //!
 //! A [`Session`] is the per-process serving handle of a compiled
 //! [`Plan`]. It owns what a *running* service owns — one
@@ -9,16 +9,16 @@
 //! spawn/join, and the reusable batch bookkeeping — and serves
 //! [`Request`]s against the plan's shared program-cost cache.
 //!
-//! Results *stream*: every completed sample is handed to a caller-supplied
-//! [`ResultSink`] as soon as its worker finishes it, instead of
-//! materializing one monolithic report. [`InferenceReport`] is literally a
-//! fold over that stream — [`Session::infer`] plugs in the folding sink.
+//! Results are *slot-addressed*: every position of a request owns one
+//! chunk of a slot-major buffer of [`LayerSample`]s, and the worker that
+//! claims the position writes that chunk and nothing else.
+//! [`Session::serve_into`] serves into a caller's buffer;
+//! [`Session::infer`] serves into the session's own and folds it into an
+//! [`InferenceReport`] — the monolithic report is that fold, nothing more.
 //!
 //! Determinism: samples are seeded independently and land in their own
-//! slot of the fold, so the report is independent of worker scheduling.
-//! The *callback order* of a parallel session is not deterministic;
-//! order-sensitive sinks should serve sequential requests
-//! ([`Request::sequential`]).
+//! slot, so the buffer, and every report folded from it, is independent
+//! of worker scheduling.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,7 +27,7 @@ use std::sync::{Arc, Mutex};
 use crate::backend::{LayerSample, WorkerArena};
 use crate::plan::Plan;
 use crate::pool::{PoolStats, WorkerPool};
-use crate::report::{InferenceReport, ShardSummary};
+use crate::report::InferenceReport;
 use crate::sharding::{attribute_shards, clamp_workers};
 
 /// One serving request: which batch samples to evaluate, plus the two
@@ -39,13 +39,14 @@ pub struct Request {
     /// Sample indices to evaluate (each is an independently seeded batch
     /// sample of the plan's workload).
     pub samples: Range<usize>,
-    /// Attribute the request to a fleet of N simulated cluster shards and
-    /// deliver the [`ShardSummary`] through [`ResultSink::on_fleet`]. N is
-    /// clamped to `1..=`[`MAX_SHARDS`](crate::sharding::MAX_SHARDS).
+    /// Attribute the request to a fleet of N simulated cluster shards: the
+    /// folded report carries the [`ShardSummary`](crate::ShardSummary) in
+    /// its `shards`. N is clamped to
+    /// `1..=`[`MAX_SHARDS`](crate::sharding::MAX_SHARDS).
     pub shards: Option<usize>,
     /// Host worker override: `Some(1)` serves the request strictly
-    /// sequentially on the calling thread (deterministic callback order);
-    /// `None` uses the session default.
+    /// sequentially on the calling thread, in ascending slot order; `None`
+    /// uses the session default. The worker count never changes a result.
     pub workers: Option<usize>,
 }
 
@@ -92,94 +93,13 @@ impl Request {
     }
 }
 
-/// A streaming consumer of session results.
-///
-/// Sinks receive each sample's measurements as soon as a worker completes
-/// them. Implementations must tolerate arbitrary arrival order for
-/// parallel requests (each callback carries its sample index); sequential
-/// requests call back in ascending sample order.
-pub trait ResultSink: Send {
-    /// One completed batch sample: `layers` holds one [`LayerSample`] per
-    /// network layer per timestep, step-major — exactly the layout
-    /// [`ExecutionBackend::run_sample_with_scratch`](crate::ExecutionBackend::run_sample_with_scratch)
-    /// appends.
+/// A per-position consumer of [`Session::run_gather`], which goes with it
+/// (see there); serving code reads slots of a [`Session::serve_into`]
+/// buffer instead.
+pub trait ResultSink {
+    /// One position, in list order: the batch `sample` it names and its
+    /// slot, one [`LayerSample`] per layer per timestep, step-major.
     fn on_sample(&mut self, sample: usize, layers: &[LayerSample]);
-
-    /// One completed sample with its *position* in the request: `slot` is
-    /// the index into the request's sample sequence (`0..request.len()`),
-    /// `sample` the batch sample that position names. For range requests
-    /// `sample == request.samples.start + slot`, so the default forwards
-    /// to [`ResultSink::on_sample`]; gather requests
-    /// ([`Session::run_gather`]) may evaluate the *same* sample at several
-    /// positions (two coalesced clients asking for sample 0), and a
-    /// demultiplexing sink must key on `slot`, not `sample`, to route each
-    /// result to its requester.
-    fn on_slot(&mut self, _slot: usize, sample: usize, layers: &[LayerSample]) {
-        self.on_sample(sample, layers);
-    }
-
-    /// Fleet statistics of a sharded request, delivered once after the
-    /// last sample. Not called for unsharded requests.
-    fn on_fleet(&mut self, _summary: &ShardSummary) {}
-}
-
-/// A [`ResultSink`] adapter over a closure (sample index + samples).
-pub struct FnSink<F: FnMut(usize, &[LayerSample]) + Send>(pub F);
-
-impl<F: FnMut(usize, &[LayerSample]) + Send> ResultSink for FnSink<F> {
-    fn on_sample(&mut self, sample: usize, layers: &[LayerSample]) {
-        (self.0)(sample, layers)
-    }
-}
-
-/// The folding sink behind [`Session::infer`]: collects every sample into
-/// its slot of one flat buffer (so the fold is independent of arrival
-/// order) and folds the buffer into an [`InferenceReport`] — the
-/// monolithic report is this fold, nothing more.
-struct ReportSink<'a> {
-    units: usize,
-    flat: &'a mut Vec<LayerSample>,
-    fleet: Option<ShardSummary>,
-}
-
-impl ResultSink for ReportSink<'_> {
-    fn on_sample(&mut self, _sample: usize, _layers: &[LayerSample]) {
-        unreachable!("the folding sink is slot-addressed");
-    }
-
-    fn on_slot(&mut self, slot: usize, _sample: usize, layers: &[LayerSample]) {
-        let at = slot * self.units;
-        debug_assert_eq!(layers.len(), self.units, "one LayerSample per layer per timestep");
-        self.flat[at..at + self.units].copy_from_slice(layers);
-    }
-
-    fn on_fleet(&mut self, summary: &ShardSummary) {
-        self.fleet = Some(summary.clone());
-    }
-}
-
-/// The sample positions one serving call evaluates: a contiguous range
-/// ([`Request::samples`]) or an explicit, possibly non-contiguous (and
-/// possibly repeating) gather list ([`Session::run_gather`]).
-enum SampleIds<'a> {
-    Range(Range<usize>),
-    List(&'a [usize]),
-}
-
-impl SampleIds<'_> {
-    fn len(&self) -> usize {
-        match self {
-            SampleIds::Range(r) => r.len(),
-            SampleIds::List(l) => l.len(),
-        }
-    }
-
-    fn get(&self, slot: usize) -> usize {
-        match self {
-            SampleIds::Range(r) => r.start + slot,
-            SampleIds::List(l) => l[slot],
-        }
-    }
 }
 
 /// A long-lived serving session over a compiled [`Plan`].
@@ -209,7 +129,6 @@ pub struct Session<'p> {
     pool: WorkerPool,
     workers: usize,
     flat: Vec<LayerSample>,
-    cycles: Vec<f64>,
     mirror: SessionStatsHandle,
 }
 
@@ -222,7 +141,6 @@ impl<'p> Session<'p> {
             pool: WorkerPool::new(),
             workers: host,
             flat: Vec::new(),
-            cycles: Vec::new(),
             mirror: SessionStatsHandle::default(),
         }
     }
@@ -273,55 +191,66 @@ impl<'p> Session<'p> {
         self.mirror.clone()
     }
 
-    /// Store the current counters into the atomic mirror the stats
-    /// handles read. Called at the end of every serving call.
-    fn publish_stats(&self) {
-        self.mirror.publish(self.stats());
-    }
-
-    /// Serve `request`, streaming every completed sample into `sink`.
-    pub fn run(&mut self, request: &Request, sink: &mut dyn ResultSink) {
-        self.serve(request, SampleIds::Range(request.samples.clone()), sink)
-    }
-
-    /// Serve `request` and fold the stream into an [`InferenceReport`].
+    /// Serve `request` and fold its samples into an [`InferenceReport`].
     pub fn infer(&mut self, request: &Request) -> InferenceReport {
-        self.fold(request, SampleIds::Range(request.samples.clone()))
+        let start = request.samples.start;
+        self.fold(request, request.len(), |i| start + i)
+    }
+
+    /// [`Session::infer`] over an explicit — possibly non-contiguous,
+    /// possibly repeating — list of batch sample indices, folded in list
+    /// order (`request.samples` itself is ignored): the report a bare
+    /// session would produce for an equivalent range request.
+    pub fn infer_gather(&mut self, request: &Request, samples: &[usize]) -> InferenceReport {
+        self.fold(request, samples.len(), |i| samples[i])
     }
 
     /// Serve an explicit — possibly non-contiguous, possibly repeating —
-    /// list of batch sample indices with the `shards` and `workers` of
-    /// `request` (`request.samples` itself is ignored), streaming every
-    /// completed sample into `sink` via [`ResultSink::on_slot`] with its
-    /// position in `samples`.
+    /// list of batch sample indices into `out`, slot-major: position `i`
+    /// fills `out[i * units..(i + 1) * units]` with one [`LayerSample`] per
+    /// layer per timestep, step-major (`units` = the plan's layers ×
+    /// timesteps), the layout [`Plan::fold_report`] and
+    /// [`Plan::sample_cycles`] read. Of `request`, only `workers` is read.
     ///
-    /// This is the serving entry point of a coalescing gateway: several
-    /// clients' sample lists are concatenated into one gather list, the
-    /// whole batch runs as one sharded request over the session's arenas
-    /// and pool, and the sink demultiplexes results back per client by
-    /// slot. Each evaluated sample is bit-identical to serving it alone
-    /// through [`Session::run`] — samples are independently seeded, so
-    /// batch composition can never change a result.
+    /// A coalescing gateway serves each micro-batch here and hands every
+    /// client its own slots. Samples are independently seeded, so each
+    /// slot is bit-identical to serving its sample alone.
+    ///
+    /// # Panics
+    ///
+    /// If `out.len()` is not `samples.len() * units`, or if the backend
+    /// panics (the session stays serviceable).
+    pub fn serve_into(&mut self, request: &Request, samples: &[usize], out: &mut [LayerSample]) {
+        self.serve(request, samples.len(), |i| samples[i], out)
+    }
+
+    /// [`Session::serve_into`] the session's own buffer, then hand each
+    /// position's slot to `sink` in list order. It stays only because the
+    /// repository benchmark (`perfbench`) drains requests through it, and
+    /// goes once that benchmark drains through [`Session::infer_gather`]
+    /// (ROADMAP item 1).
     pub fn run_gather(&mut self, request: &Request, samples: &[usize], sink: &mut dyn ResultSink) {
-        self.serve(request, SampleIds::List(samples), sink)
+        let units = self.units();
+        let flat = self.serve_own(request, samples.len(), |i| samples[i]);
+        for (i, &sample) in samples.iter().enumerate() {
+            sink.on_sample(sample, &flat[i * units..(i + 1) * units]);
+        }
     }
 
-    /// [`Session::run_gather`] folded into an [`InferenceReport`] over the
-    /// listed samples (in list order) — the report a bare session would
-    /// produce for an equivalent range request.
-    pub fn infer_gather(&mut self, request: &Request, samples: &[usize]) -> InferenceReport {
-        self.fold(request, SampleIds::List(samples))
-    }
-
-    /// The one serving loop behind every entry point: evaluate the sample
-    /// at each position of `ids` through the plan's bound backend and
-    /// stream results into `sink`.
-    fn serve(&mut self, request: &Request, ids: SampleIds<'_>, sink: &mut dyn ResultSink) {
+    /// The one serving loop behind every entry point: evaluate sample
+    /// `id(i)` for each position `i < batch` through the plan's bound
+    /// backend into position `i`'s chunk of `out`.
+    fn serve(
+        &mut self,
+        request: &Request,
+        batch: usize,
+        id: impl Fn(usize) -> usize + Sync,
+        out: &mut [LayerSample],
+    ) {
         let backend = self.plan.backend();
-        let batch = ids.len();
+        let units = self.units();
+        assert_eq!(out.len(), batch * units, "one LayerSample per layer per timestep per position");
 
-        self.cycles.clear();
-        self.cycles.resize(batch, 0.0);
         // The one shared sizing policy (`sharding::clamp_workers`): never
         // run more workers than there are samples to claim.
         let workers = clamp_workers(request.workers.unwrap_or(self.workers), batch);
@@ -332,7 +261,6 @@ impl<'p> Session<'p> {
         }
         // Size every participating arena up front: the claim loop may hand
         // a slot no sample, and its first sample must not grow it later.
-        let units = self.units();
         for arena in &mut self.arenas[..workers] {
             arena.reserve(units);
         }
@@ -342,46 +270,43 @@ impl<'p> Session<'p> {
             // Strictly sequential: ascending slot order on this thread.
             let arena = &mut self.arenas[0];
             for i in 0..batch {
-                let sample = ids.get(i);
-                let layers = arena.run_sample(backend, &ctx, sample);
-                self.cycles[i] = layers.iter().map(|l| l.cycles).sum();
-                sink.on_slot(i, sample, layers);
+                let layers = arena.run_sample(backend, &ctx, id(i));
+                out[i * units..(i + 1) * units].copy_from_slice(layers);
             }
         } else {
             // The claim loop over the session's parked worker pool, one
             // sample per claim, so a request of n samples keeps up to n
-            // workers busy; results stream through one serialized sink
-            // handle as they complete. Delivery is a per-sample critical
-            // section — a small copy for the folding sink, cheap next to
-            // evaluating the sample.
-            let shared = Mutex::new((&mut *sink, self.cycles.as_mut_slice()));
-            let ids = &ids;
-            // Worker slot `s` owns arena `s` for the whole request, so
-            // per-worker kernel scratch and membrane buffers keep their
-            // locality across requests; the mutexes only hand the `&mut`
-            // arenas across the parked threads and are each locked by
-            // their own slot only, once per claim.
-            let slots: Vec<Mutex<&mut WorkerArena>> =
+            // workers busy. Worker slot `s` owns arena `s` for the whole
+            // request (its scratch and membranes keep their locality across
+            // requests), and a claim copies its sample into its position's
+            // own chunk of `out`, so no lock is shared by all workers; the
+            // mutexes only hand the `&mut`s across the parked threads.
+            let arenas: Vec<Mutex<&mut WorkerArena>> =
                 self.arenas[..workers].iter_mut().map(Mutex::new).collect();
+            // Split by hand: `chunks_mut` panics on the zero-length chunks
+            // of a layerless plan.
+            let mut rest = out;
+            let chunks: Vec<Mutex<&mut [LayerSample]>> = (0..batch)
+                .map(|_| {
+                    let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(units);
+                    rest = tail;
+                    Mutex::new(chunk)
+                })
+                .collect();
+            let id = &id;
             self.pool.run_stealing(workers, batch, |slot, i| {
-                let arena = &mut *slots[slot].lock().expect("arena slot poisoned");
-                let sample = ids.get(i);
-                let layers = arena.run_sample(backend, &ctx, sample);
-                let cycles: f64 = layers.iter().map(|l| l.cycles).sum();
-                let mut guard = shared.lock().expect("result sink poisoned");
-                let (sink, cycle_slots) = &mut *guard;
-                cycle_slots[i] = cycles;
-                sink.on_slot(i, sample, layers);
+                // Neither `expect` can fire. Each mutex is locked only by
+                // the worker slot (arena) or the claim (chunk) that owns
+                // it; a panic ends that slot's claim loop, so no later
+                // lock finds a mutex it poisoned; and both vectors are
+                // rebuilt per request, so no poison outlives its request.
+                let arena = &mut *arenas[slot].lock().expect("arena slot poisoned");
+                let layers = arena.run_sample(backend, &ctx, id(i));
+                chunks[i].lock().expect("output slot poisoned").copy_from_slice(layers);
             });
         }
-
-        // Deterministic fleet attribution in simulated time: a pure
-        // function of the per-sample cycle totals, identical no matter how
-        // the host threads raced.
-        if let Some(shards) = request.shards {
-            sink.on_fleet(&attribute_shards(&self.cycles, shards));
-        }
-        self.publish_stats();
+        // The stats handles read the counters as of the last request.
+        self.mirror.publish(self.stats());
     }
 
     /// Layer samples per sample: one per layer per timestep.
@@ -389,21 +314,38 @@ impl<'p> Session<'p> {
         self.plan.network().len() * self.plan.config().timesteps()
     }
 
-    /// Serve `ids` and fold the stream into an [`InferenceReport`].
-    fn fold(&mut self, request: &Request, ids: SampleIds<'_>) -> InferenceReport {
-        let units = self.units();
-        let batch = ids.len();
-
+    /// Serve into the session's own buffer, reused across requests, and
+    /// return it.
+    fn serve_own(
+        &mut self,
+        request: &Request,
+        batch: usize,
+        id: impl Fn(usize) -> usize + Sync,
+    ) -> &[LayerSample] {
         let mut flat = std::mem::take(&mut self.flat);
         flat.clear();
-        flat.resize(batch * units, LayerSample::default());
-        let mut sink = ReportSink { units, flat: &mut flat, fleet: None };
-        self.serve(request, ids, &mut sink);
-
-        let fleet = sink.fleet.take();
-        let mut report = self.plan.fold_report(&flat, batch);
-        report.shards = fleet;
+        flat.resize(batch * self.units(), LayerSample::default());
+        self.serve(request, batch, id, &mut flat);
         self.flat = flat;
+        &self.flat
+    }
+
+    /// Serve into the session's own buffer and fold it into an
+    /// [`InferenceReport`].
+    fn fold(
+        &mut self,
+        request: &Request,
+        batch: usize,
+        id: impl Fn(usize) -> usize + Sync,
+    ) -> InferenceReport {
+        let plan = self.plan;
+        let flat = self.serve_own(request, batch, id);
+        let mut report = plan.fold_report(flat, batch);
+        // Deterministic fleet attribution in simulated time: a pure
+        // function of the per-sample cycle totals, identical no matter how
+        // the host threads raced.
+        report.shards =
+            request.shards.map(|shards| attribute_shards(&plan.sample_cycles(flat, batch), shards));
         report
     }
 }
@@ -530,35 +472,53 @@ mod tests {
         assert_eq!(parallel.to_json(), sequential.to_json());
     }
 
+    /// `samples` served into a fresh slot-major buffer.
+    fn serve_slots(
+        session: &mut Session<'_>,
+        request: &Request,
+        samples: &[usize],
+    ) -> Vec<LayerSample> {
+        let mut out = vec![LayerSample::default(); samples.len() * session.units()];
+        session.serve_into(request, samples, &mut out);
+        out
+    }
+
     #[test]
-    fn streaming_sink_sees_every_sample_exactly_once() {
+    fn run_gather_hands_each_position_to_the_sink_once_in_list_order() {
+        struct Collect(Vec<(usize, Vec<LayerSample>)>);
+        impl ResultSink for Collect {
+            fn on_sample(&mut self, sample: usize, layers: &[LayerSample]) {
+                self.0.push((sample, layers.to_vec()));
+            }
+        }
         let plan = plan();
         let mut session = plan.open_session();
-        let seen = std::sync::Mutex::new(vec![0u32; 12]);
-        let mut sink = FnSink(|sample: usize, layers: &[LayerSample]| {
-            assert_eq!(layers.len(), 8);
-            seen.lock().unwrap()[sample] += 1;
-        });
-        session.run(&Request::batch(12), &mut sink);
-        assert!(seen.lock().unwrap().iter().all(|&n| n == 1));
+        let list = [3, 0, 3, 7];
+        let request = Request::batch(1).with_workers(4);
+        let mut sink = Collect(Vec::new());
+        session.run_gather(&request, &list, &mut sink);
+        let slots = serve_slots(&mut session, &request, &list);
+        assert_eq!(sink.0.len(), list.len(), "one delivery per position");
+        let chunks = slots.chunks(session.units());
+        for (i, ((sample, layers), chunk)) in sink.0.iter().zip(chunks).enumerate() {
+            assert_eq!(*sample, list[i], "position {i} is delivered in list order");
+            assert_eq!(layers.as_slice(), chunk, "position {i} carries its serve_into slot");
+        }
+        assert_eq!(sink.0[0].1, sink.0[2].1, "a repeated sample measures the same");
     }
 
     #[test]
     fn sample_subranges_serve_the_same_measurements_as_full_batches() {
         let plan = plan();
         let mut session = plan.open_session();
-        let full = session.infer(&Request::batch(12));
-        // Samples are independently seeded, so serving sample 4..8 alone
+        let all: Vec<usize> = (0..12).collect();
+        let full = serve_slots(&mut session, &Request::batch(12).with_workers(4), &all);
+        // Samples are independently seeded, so serving samples 4..8 alone
         // reproduces those samples' measurements exactly.
-        let sub = std::sync::Mutex::new(Vec::new());
-        let mut sink = FnSink(|sample: usize, layers: &[LayerSample]| {
-            sub.lock().unwrap().push((sample, layers.to_vec()));
-        });
-        session.run(&Request::samples(4..8).sequential(), &mut sink);
-        let sub = sub.into_inner().unwrap();
-        assert_eq!(sub.len(), 4);
-        assert_eq!(sub[0].0, 4);
-        assert!(full.total_cycles() > 0.0);
+        let sub = serve_slots(&mut session, &Request::batch(4).sequential(), &all[4..8]);
+        let units = session.units();
+        assert_eq!(sub, full[4 * units..8 * units]);
+        assert!(sub.iter().all(|l| l.cycles > 0.0));
     }
 
     #[test]

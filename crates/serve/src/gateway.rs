@@ -4,8 +4,8 @@
 //! drains a bounded submission queue. Each micro-batch is the queue head
 //! plus the FIFO prefix that fits under the batch cap — whatever queued
 //! while the previous batch ran — served at once as a single
-//! [`Session::run_gather`] call, and the per-slot results are
-//! demultiplexed back to each caller's [`ResponseHandle`]. Samples are
+//! [`Session::serve_into`] call into one slot-major buffer, and each
+//! caller's [`ResponseHandle`] receives its own range of slots. Samples are
 //! independently seeded by the core, so coalescing can never change a
 //! result: every per-request response is bit-identical to serving that
 //! request alone on a bare session.
@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 
 use spikestream::scenario::MAX_QUEUE_CAP;
 use spikestream::{
-    Compiler, InferenceReport, LayerSample, Plan, Request, ResultSink, Session, SessionStatsHandle,
+    Compiler, InferenceReport, LayerSample, Plan, Request, Session, SessionStatsHandle,
 };
 
 use crate::registry::{PlanRegistry, VersionedPlan};
@@ -111,8 +111,9 @@ impl ResponseHandle {
 /// layer samples.
 pub struct GatewayResponse {
     plan: Arc<VersionedPlan>,
-    batch: Arc<FlatSink>,
+    batch: Arc<Vec<LayerSample>>,
     slots: Range<usize>,
+    batch_samples: usize,
     batch_requests: usize,
 }
 
@@ -128,25 +129,25 @@ impl GatewayResponse {
     }
 
     /// Raw per-layer measurements, sample-major then step-major — the
-    /// exact stream a bare session would have delivered to a
-    /// [`ResultSink`].
+    /// exact slots a bare [`Session::serve_into`] over the same samples
+    /// would have written.
     pub fn layers(&self) -> &[LayerSample] {
-        let units = self.batch.units;
-        &self.batch.flat[self.slots.start * units..self.slots.end * units]
+        let units = PlanShape::of(&self.plan.plan).units();
+        &self.batch[self.slots.start * units..self.slots.end * units]
     }
 
-    /// Per-sample cycle totals, in request order. Fleet statistics of the
-    /// request are
-    /// [`attribute_shards(response.cycles(), n)`](spikestream::attribute_shards),
+    /// Per-sample cycle totals, in request order, summed from this
+    /// request's slots on each call. Fleet statistics of the request are
+    /// [`attribute_shards(&response.cycles(), n)`](spikestream::attribute_shards),
     /// which clamps `n` to
     /// [`MAX_SHARDS`](spikestream::sharding::MAX_SHARDS).
-    pub fn cycles(&self) -> &[f64] {
-        &self.batch.cycles[self.slots.clone()]
+    pub fn cycles(&self) -> Vec<f64> {
+        self.plan.plan.sample_cycles(self.layers(), self.samples())
     }
 
     /// Total samples in the coalesced batch this request rode in.
     pub fn batch_samples(&self) -> usize {
-        self.batch.cycles.len()
+        self.batch_samples
     }
 
     /// Number of requests coalesced into that batch.
@@ -158,7 +159,7 @@ impl GatewayResponse {
     /// unsharded `Session::infer` over the same samples would return —
     /// byte-identical. For the report of an `n`-shard request, set its
     /// `shards` to
-    /// [`attribute_shards(response.cycles(), n)`](spikestream::attribute_shards).
+    /// [`attribute_shards(&response.cycles(), n)`](spikestream::attribute_shards).
     pub fn report(&self) -> InferenceReport {
         self.plan.plan.fold_report(self.layers(), self.samples())
     }
@@ -526,29 +527,6 @@ impl std::fmt::Debug for Gateway {
     }
 }
 
-/// The slot-addressed demultiplex sink of one coalesced batch: every
-/// sample lands at its slot of one flat buffer, with per-slot cycle
-/// totals recorded for [`GatewayResponse::cycles`]. Once the batch has
-/// run, the sink is the batch's shared result buffer.
-struct FlatSink {
-    units: usize,
-    flat: Vec<LayerSample>,
-    cycles: Vec<f64>,
-}
-
-impl ResultSink for FlatSink {
-    fn on_sample(&mut self, _sample: usize, _layers: &[LayerSample]) {
-        unreachable!("the gateway sink is slot-addressed");
-    }
-
-    fn on_slot(&mut self, slot: usize, _sample: usize, layers: &[LayerSample]) {
-        let at = slot * self.units;
-        debug_assert_eq!(layers.len(), self.units, "one LayerSample per layer per timestep");
-        self.flat[at..at + self.units].copy_from_slice(layers);
-        self.cycles[slot] = layers.iter().map(|l| l.cycles).sum();
-    }
-}
-
 /// Why a dispatcher left its current plan generation.
 enum EraExit {
     /// A newer version was published; reopen the session on it.
@@ -643,22 +621,19 @@ fn serve_era(
         }
 
         // Execute outside the queue lock: submitters keep queueing while
-        // the batch runs.
+        // the batch runs. The batch's one result buffer is shared by all
+        // of its responses, each naming its own slot range: no copy.
         let gather: Vec<usize> =
             batch.iter().flat_map(|pending| pending.samples.iter().copied()).collect();
-        let request = Request::batch(total);
-        let mut sink = FlatSink {
-            units,
-            flat: vec![LayerSample::default(); total * units],
-            cycles: vec![0.0; total],
-        };
-        let run =
-            catch_unwind(AssertUnwindSafe(|| session.run_gather(&request, &gather, &mut sink)));
+        let mut flat = vec![LayerSample::default(); total * units];
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            session.serve_into(&Request::batch(total), &gather, &mut flat)
+        }));
         match run {
             Ok(()) => {
                 shared.counters.on_batch(batch.len(), total);
                 let requests = batch.len();
-                let results = Arc::new(sink);
+                let results = Arc::new(flat);
                 let mut at = 0usize;
                 for pending in batch {
                     let n = pending.samples.len();
@@ -666,6 +641,7 @@ fn serve_era(
                         plan: Arc::clone(era),
                         batch: Arc::clone(&results),
                         slots: at..at + n,
+                        batch_samples: total,
                         batch_requests: requests,
                     };
                     at += n;

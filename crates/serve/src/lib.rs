@@ -18,11 +18,11 @@
 //!   timeout backpressure); a per-tenant dispatcher thread pops the queue
 //!   head plus the FIFO prefix that fits under `max_batch` samples —
 //!   whatever queued while its previous batch ran — and runs them at once
-//!   as one dynamically micro-batched `Session::run_gather` call. Samples
+//!   as one dynamically micro-batched `Session::serve_into` call. Samples
 //!   are independently seeded by the core, so a coalesced request's
 //!   results are byte-identical to running it alone on a bare session.
 //!   Fleet statistics of a response are
-//!   [`attribute_shards(response.cycles(), n)`](spikestream::attribute_shards).
+//!   [`attribute_shards(&response.cycles(), n)`](spikestream::attribute_shards).
 //! - [`GatewayStats`] — deterministic counters (submissions, batches and
 //!   their size histogram, rejections, hot swaps, per-tenant queue
 //!   depth), all readable without contending with serving.
@@ -45,7 +45,7 @@
 //! assert_eq!(response.plan_version(), 1);
 //! assert!(response.report().total_cycles() > 0.0);
 //! // Fleet statistics: the request's samples on two simulated shards.
-//! let fleet = spikestream::attribute_shards(response.cycles(), 2);
+//! let fleet = spikestream::attribute_shards(&response.cycles(), 2);
 //! assert_eq!(fleet.shards.len(), 2);
 //! ```
 

@@ -39,7 +39,7 @@ pub struct GatewayStats {
     /// Requests rejected because a tenant queue was at capacity (includes
     /// submitters that timed out waiting for space).
     pub rejected_full: u64,
-    /// Micro-batches dispatched (each one `Session::run_gather` call).
+    /// Micro-batches dispatched (each one `Session::serve_into` call).
     pub batches: u64,
     /// Requests that shared their batch with at least one other request.
     pub coalesced: u64,

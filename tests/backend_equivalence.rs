@@ -5,8 +5,8 @@
 //! bit-identical to a sequential run of the same backend.
 
 use spikestream::{
-    Engine, FiringProfile, FnSink, FpFormat, InferenceConfig, InferenceReport, KernelVariant,
-    LayerSample, Request, TimingModel, WorkloadMode,
+    Engine, FiringProfile, FpFormat, InferenceConfig, InferenceReport, KernelVariant, LayerSample,
+    Request, TimingModel, WorkloadMode,
 };
 use spikestream_snn::neuron::LifParams;
 use spikestream_snn::tensor::TensorShape;
@@ -67,12 +67,14 @@ fn config(timing: TimingModel, batch: usize) -> InferenceConfig {
 }
 
 /// Every sample of `cfg`'s batch, served sequentially (in sample order)
-/// through the backend its timing model binds.
+/// through the backend its timing model binds: one slot each.
 fn per_sample(engine: &Engine, cfg: &InferenceConfig) -> Vec<Vec<LayerSample>> {
-    let mut samples = Vec::new();
-    let mut sink = FnSink(|_, layers: &[LayerSample]| samples.push(layers.to_vec()));
-    engine.compile(cfg).open_session().run(&Request::batch(cfg.batch).sequential(), &mut sink);
-    samples
+    let plan = engine.compile(cfg);
+    let samples: Vec<usize> = (0..cfg.batch).collect();
+    let units = plan.network().len() * cfg.timesteps();
+    let mut out = vec![LayerSample::default(); samples.len() * units];
+    plan.open_session().serve_into(&Request::batch(cfg.batch).sequential(), &samples, &mut out);
+    out.chunks(units).map(<[_]>::to_vec).collect()
 }
 
 #[test]

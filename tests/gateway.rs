@@ -38,11 +38,13 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spikestream::{
-    attribute_shards, Engine, ExecutionBackend, FpFormat, InferenceConfig, InferenceReport,
-    KernelVariant, LayerSample, NetworkChoice, Plan, Request, SampleContext, Scenario,
+    attribute_shards, Engine, ExecutionBackend, FiringProfile, FpFormat, InferenceConfig,
+    InferenceReport, KernelVariant, LayerSample, NetworkChoice, Plan, Request, SampleContext,
+    Scenario,
 };
 use spikestream_kernels::LayerScratch;
 use spikestream_serve::{Gateway, GatewayConfig, GatewayResponse, ResponseHandle, ServeError};
+use spikestream_snn::NetworkBuilder;
 
 fn repo_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).to_path_buf()
@@ -71,7 +73,7 @@ fn paced_gateway(max_batch: usize) -> Gateway {
 /// `Request::with_shards(n)` renders it.
 fn fleet_report(response: &GatewayResponse, shards: usize) -> InferenceReport {
     let mut report = response.report();
-    report.shards = Some(attribute_shards(response.cycles(), shards));
+    report.shards = Some(attribute_shards(&response.cycles(), shards));
     report
 }
 
@@ -154,6 +156,41 @@ fn full_batch_gateway_requests_reproduce_the_golden_captures() {
         golden("svgg11_analytic_t3_shards2.json"),
         "svgg11 fp16 t3 through the gateway"
     );
+}
+
+/// A plan with no layers serves at every worker count and through every
+/// entry point: each position's slot is empty, so its cycle total is the
+/// empty sum (-0.0), and a fleet sees only the dispatch cycles.
+#[test]
+fn a_layerless_plan_serves_at_every_worker_count_and_through_the_gateway() {
+    let empty = NetworkBuilder::new("empty").build();
+    let engine = Engine::new(empty, FiringProfile::uniform(0, 0.1));
+    let config = InferenceConfig {
+        batch: 4,
+        ..InferenceConfig::paper(KernelVariant::SpikeStream, FpFormat::Fp16)
+    };
+    let plan = engine.compile(&config);
+    let head = r#"{"network":"empty","variant":"SpikeStream","format":"FP16""#;
+    let fleet = r#""shards":{"makespan_cycles":4.0,"imbalance":1.0,"batch_speedup":2.0,"per_shard":[{"shard":0,"samples":2,"busy_cycles":4.0,"utilization":1.0},{"shard":1,"samples":2,"busy_cycles":4.0,"utilization":1.0}]}"#;
+    let sharded = format!(r#"{head},"batch":4,"layers":[],{fleet}}}"#);
+    let unsharded = format!(r#"{head},"batch":3,"layers":[]}}"#);
+    for workers in [1, 2, 4, 8] {
+        let mut session = plan.open_session();
+        let request = Request::batch(4).with_shards(2).with_workers(workers);
+        assert_eq!(session.infer(&request).to_json(), sharded, "{workers} workers");
+        let request = Request::batch(1).with_workers(workers);
+        assert_eq!(session.infer_gather(&request, &[0, 0, 2]).to_json(), unsharded);
+        session.serve_into(&request, &[0, 0, 2], &mut []);
+        assert_eq!(session.stats().runs, 4 + 3 + 3, "{workers} workers run every position");
+    }
+
+    let gateway = paced_gateway(64);
+    gateway.publish("empty", engine.compile(&config)).expect("publish");
+    let response = gateway.submit("empty", &[0, 1, 1]).expect("submit").wait().expect("serve");
+    assert_eq!((response.samples(), response.layers().len()), (3, 0));
+    let cycles: Vec<u64> = response.cycles().iter().map(|c| c.to_bits()).collect();
+    assert_eq!(cycles, [(-0.0f64).to_bits(); 3], "empty sums");
+    assert_eq!(response.report().to_json(), unsharded);
 }
 
 // ---------------------------------------------------------------------------

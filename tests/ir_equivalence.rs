@@ -1,10 +1,11 @@
 //! The IR equivalence contract: for every layer kind x `KernelVariant` x
 //! `FpFormat`, integrating the cost model over a kernel's *exact* stream
 //! program must match interpreting that same program on the cycle-level
-//! cluster — exactly for instruction / FLOP / stream-element / DMA-byte
-//! totals, and within a stated tolerance for cycle counts (the integrator
-//! distributes work stealing with the same greedy rule but in floating
-//! point, so tiny rounding reorders are allowed).
+//! cluster exactly — instruction / FLOP / stream-element / DMA-byte totals
+//! and compute cycles alike. The integrator distributes work with the
+//! interpreter's greedy work-stealing rule, so on one exact program the
+//! two cycle models agree to the cycle, and a skew of one cycle in either
+//! fails here.
 //!
 //! This is what lets the analytic and cycle-level backends agree by
 //! construction instead of by parallel reimplementation. The cycle-level
@@ -28,9 +29,6 @@ use spikestream_snn::{
     CompressedFcInput, CompressedIfmap, ConvSpec, Layer, LayerKind, LinearSpec, NeuronState,
     PoolSpec, Tensor3,
 };
-
-/// Relative cycle-count tolerance between integration and interpretation.
-const CYCLE_TOLERANCE: f64 = 0.05;
 
 const ALL_VARIANTS: [KernelVariant; 2] = [KernelVariant::Baseline, KernelVariant::SpikeStream];
 const ALL_FORMATS: [FpFormat; 3] = [FpFormat::Fp32, FpFormat::Fp16, FpFormat::Fp8];
@@ -139,16 +137,7 @@ fn assert_equivalent(label: &str, stats: &PhaseStats, cost: &ProgramCost) {
     );
     assert_eq!(stats.dma_bytes_in, cost.dma_bytes_in, "{label}: dma bytes in");
     assert_eq!(stats.dma_bytes_out, cost.dma_bytes_out, "{label}: dma bytes out");
-
-    let rel = (stats.compute_cycles as f64 - cost.compute_cycles as f64).abs()
-        / stats.compute_cycles as f64;
-    assert!(
-        rel <= CYCLE_TOLERANCE,
-        "{label}: compute cycles diverge by {:.2}% (sim {} vs integrator {})",
-        100.0 * rel,
-        stats.compute_cycles,
-        cost.compute_cycles
-    );
+    assert_eq!(stats.compute_cycles, cost.compute_cycles, "{label}: compute cycles");
 }
 
 fn conv_case(
@@ -365,9 +354,7 @@ proptest! {
             prop_assert_eq!(stats.totals.flops as f64, cost.flops);
             prop_assert_eq!(stats.dma_bytes_in, cost.dma_bytes_in);
             prop_assert_eq!(stats.dma_bytes_out, cost.dma_bytes_out);
-            let rel = (stats.compute_cycles as f64 - cost.compute_cycles as f64).abs()
-                / stats.compute_cycles as f64;
-            prop_assert!(rel <= CYCLE_TOLERANCE, "cycles diverge by {:.2}%", 100.0 * rel);
+            prop_assert_eq!(stats.compute_cycles, cost.compute_cycles);
         }
     }
 
@@ -383,9 +370,7 @@ proptest! {
                 prop_assert_eq!(stats.totals.int_instrs as f64, cost.int_instrs);
                 prop_assert_eq!(stats.totals.flops as f64, cost.flops);
                 prop_assert_eq!(stats.totals.stream_elements as f64, cost.stream_elements);
-                let rel = (stats.compute_cycles as f64 - cost.compute_cycles as f64).abs()
-                    / stats.compute_cycles as f64;
-                prop_assert!(rel <= CYCLE_TOLERANCE, "cycles diverge by {:.2}%", 100.0 * rel);
+                prop_assert_eq!(stats.compute_cycles, cost.compute_cycles);
             }
         }
     }

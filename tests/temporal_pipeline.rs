@@ -4,15 +4,15 @@
 //! samples, and the whole pipeline staying deterministic no matter how the
 //! batch is scheduled across workers or shards. Per-timestep programs must
 //! also satisfy the IR-equivalence contract (exact instruction / FLOP /
-//! stream / DMA totals between integrator and interpreter, cycles within
-//! tolerance) even as the membrane state evolves.
+//! stream / DMA totals and compute cycles between integrator and
+//! interpreter) even as the membrane state evolves.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use snitch_arch::{ClusterConfig, CostModel};
 use snitch_sim::{execute_program, ClusterModel};
 use spikestream::{
-    CycleLevelBackend, EnergyModel, Engine, ExecutionBackend, FnSink, FpFormat, InferenceConfig,
+    CycleLevelBackend, EnergyModel, Engine, ExecutionBackend, FpFormat, InferenceConfig,
     KernelVariant, LayerSample, Request, SampleContext, TemporalEncoding, TimingModel,
 };
 use spikestream_ir::{CostIntegrator, StreamProgram};
@@ -181,10 +181,10 @@ fn membrane_state_resets_between_samples() {
     // Session level: serving sample 0, then sample 1, then sample 0 again
     // through one sequential session (one arena, one kernel scratch)
     // yields the first result bit-for-bit — no state can leak.
+    let units = plan.network().len() * plan.config().timesteps();
     let mut serve = |sample: usize| {
-        let mut layers = Vec::new();
-        let mut sink = FnSink(|_, out: &[LayerSample]| layers = out.to_vec());
-        session.run(&Request::samples(sample..sample + 1).sequential(), &mut sink);
+        let mut layers = vec![LayerSample::default(); units];
+        session.serve_into(&Request::batch(1).sequential(), &[sample], &mut layers);
         layers
     };
     let first = serve(0);
@@ -270,11 +270,10 @@ fn temporal_firing_rates_warm_up_from_rest() {
 
 /// Per-timestep programs keep the IR-equivalence contract as the membrane
 /// state evolves: at every step, integrating the step's exact stream
-/// program matches interpreting it — instruction/FLOP/stream/DMA totals
-/// exactly, cycles within 5%.
+/// program matches interpreting it exactly — instruction/FLOP/stream/DMA
+/// totals and compute cycles.
 #[test]
 fn per_timestep_programs_integrate_to_their_interpreted_totals() {
-    const CYCLE_TOLERANCE: f64 = 0.05;
     // Channel-preserving layer so each step's output (padded) can feed the
     // next step's lowering — the state-dependent spike patterns a temporal
     // run produces.
@@ -334,9 +333,7 @@ fn per_timestep_programs_integrate_to_their_interpreted_totals() {
             );
             assert_eq!(stats.dma_bytes_in, cost.dma_bytes_in, "{label}: dma in");
             assert_eq!(stats.dma_bytes_out, cost.dma_bytes_out, "{label}: dma out");
-            let rel = (stats.compute_cycles as f64 - cost.compute_cycles as f64).abs()
-                / stats.compute_cycles as f64;
-            assert!(rel <= CYCLE_TOLERANCE, "{label}: cycles diverge by {:.2}%", 100.0 * rel);
+            assert_eq!(stats.compute_cycles, cost.compute_cycles, "{label}: compute cycles");
 
             // The membrane write-back is part of every per-step program: the
             // outbound DMA covers at least the FP32 membrane tile.
