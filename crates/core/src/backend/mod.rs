@@ -41,7 +41,7 @@ use snitch_arch::{ClusterConfig, CostModel};
 use spikestream_energy::EnergyModel;
 use spikestream_ir::{CostIntegrator, ProgramCache};
 use spikestream_kernels::{LayerExecutor, LayerScratch};
-use spikestream_snn::{FiringProfile, Network, TemporalSparsityModel, WorkloadMode};
+use spikestream_snn::{temporal_step_factor, FiringProfile, Network, WorkloadMode};
 
 use crate::engine::{InferenceConfig, TimingModel};
 
@@ -99,9 +99,9 @@ impl SampleContext<'_> {
     }
 
     /// Expected firing rate of layer `idx` at timestep `step` of a batch
-    /// sample: the jittered profile rate modulated by the
-    /// [`TemporalSparsityModel`] warm-up ramp (membranes charge from rest,
-    /// so early steps under-fire). Identical to
+    /// sample: the jittered profile rate times the warm-up ramp
+    /// [`temporal_step_factor`] (membranes charge from rest, so early steps
+    /// under-fire). Identical to
     /// [`SampleContext::sample_rate`] in synthetic mode and for the dense
     /// encoding layer, whose input does not depend on membrane history.
     pub fn sample_rate_at(&self, idx: usize, sample: usize, step: usize) -> f64 {
@@ -109,9 +109,7 @@ impl SampleContext<'_> {
         match self.config.mode {
             WorkloadMode::Synthetic => base,
             WorkloadMode::Temporal { .. } if idx == 0 => base,
-            WorkloadMode::Temporal { .. } => {
-                (base * TemporalSparsityModel::calibrated().step_factor(step)).clamp(0.0, 1.0)
-            }
+            WorkloadMode::Temporal { .. } => (base * temporal_step_factor(step)).clamp(0.0, 1.0),
         }
     }
 

@@ -114,7 +114,7 @@ pub use plan::{CompileError, Compiler, Plan};
 pub use pool::PoolStats;
 pub use report::{InferenceReport, LayerReport, ShardSummary, ShardUtilization, TimestepReport};
 pub use scenario::{NetworkChoice, Scenario, ScenarioError, ServeSettings};
-pub use session::{Request, ResultSink, Session, SessionStats, SessionStatsHandle};
+pub use session::{Request, ResultSink, Session, SessionStats};
 pub use sharding::attribute_shards;
 
 // Re-export the vocabulary types users need to drive the engine.
@@ -124,6 +124,5 @@ pub use snitch_arch::{ClusterConfig, CostModel};
 pub use spikestream_energy::{Activity, EnergyModel};
 pub use spikestream_kernels::KernelVariant;
 pub use spikestream_snn::{
-    FiringProfile, IzhiParams, LifParams, Network, NeuronModel, TemporalEncoding,
-    TemporalSparsityModel, WorkloadMode,
+    FiringProfile, IzhiParams, LifParams, Network, NeuronModel, TemporalEncoding, WorkloadMode,
 };

@@ -114,13 +114,11 @@ struct Shared {
 pub struct WorkerPool {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
-    // Atomics like the `Shared` counters — not for the pool's own threads
-    // (only the dispatcher mutates them) but so a stats mirror handed to a
-    // monitoring thread (`Session::stats_handle`) can read a coherent
-    // snapshot without ever contending with a dispatch in progress.
-    spawned: AtomicU64,
-    jobs: AtomicU64,
-    steals: AtomicU64,
+    // Written only through `&mut self`; `wakeups` and `park_ns` live in
+    // `Shared` as atomics because the pool threads write them.
+    spawned: u64,
+    jobs: u64,
+    steals: u64,
 }
 
 impl WorkerPool {
@@ -142,9 +140,9 @@ impl WorkerPool {
                 park_ns: AtomicU64::new(0),
             }),
             handles: Vec::new(),
-            spawned: AtomicU64::new(0),
-            jobs: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
+            spawned: 0,
+            jobs: 0,
+            steals: 0,
         }
     }
 
@@ -156,10 +154,10 @@ impl WorkerPool {
     /// Counter snapshot.
     pub fn stats(&self) -> PoolStats {
         PoolStats {
-            spawned: self.spawned.load(Ordering::Relaxed),
-            jobs: self.jobs.load(Ordering::Relaxed),
+            spawned: self.spawned,
+            jobs: self.jobs,
             wakeups: self.shared.wakeups.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
+            steals: self.steals,
             park_ns: self.shared.park_ns.load(Ordering::Relaxed),
         }
     }
@@ -192,11 +190,11 @@ impl WorkerPool {
 
         if workers <= 1 {
             job(0);
-            self.steals.fetch_add(items as u64, Ordering::Relaxed);
+            self.steals += items as u64;
             return;
         }
         self.ensure_spawned(workers - 1);
-        self.jobs.fetch_add(1, Ordering::Relaxed);
+        self.jobs += 1;
 
         let erased: &(dyn Fn(usize) + Sync) = &job;
         // SAFETY: we erase the closure's lifetime to park it in the shared
@@ -232,7 +230,7 @@ impl WorkerPool {
             state.job = None;
             state.panic.take()
         };
-        self.steals.fetch_add(items as u64, Ordering::Relaxed);
+        self.steals += items as u64;
 
         if let Err(payload) = caller {
             std::panic::resume_unwind(payload);
@@ -254,7 +252,7 @@ impl WorkerPool {
                 .spawn(move || worker_loop(&shared, slot))
                 .expect("failed to spawn session worker thread");
             self.handles.push(handle);
-            self.spawned.fetch_add(1, Ordering::Relaxed);
+            self.spawned += 1;
         }
     }
 }

@@ -21,8 +21,7 @@
 //! of worker scheduling.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use crate::backend::{LayerSample, WorkerArena};
 use crate::plan::Plan;
@@ -129,7 +128,6 @@ pub struct Session<'p> {
     pool: WorkerPool,
     workers: usize,
     flat: Vec<LayerSample>,
-    mirror: SessionStatsHandle,
 }
 
 impl<'p> Session<'p> {
@@ -141,7 +139,6 @@ impl<'p> Session<'p> {
             pool: WorkerPool::new(),
             workers: host,
             flat: Vec::new(),
-            mirror: SessionStatsHandle::default(),
         }
     }
 
@@ -175,20 +172,6 @@ impl<'p> Session<'p> {
         let (runs, grows) =
             self.arenas.iter().fold((0, 0), |(r, g), a| (r + a.runs(), g + a.grows()));
         SessionStats { runs, grows, pool: self.pool.stats() }
-    }
-
-    /// A cloneable, `Send + Sync` handle onto this session's steady-state
-    /// counters that stays readable while the session itself is serving.
-    ///
-    /// [`Session::stats`] needs `&self`, which a serving dispatcher that
-    /// holds the session `&mut` for the duration of a batch cannot share;
-    /// the handle reads a set of interior atomic mirrors instead, updated
-    /// by the session at the end of every request, so a monitoring thread
-    /// (a gateway's stats endpoint) never contends with serving — a
-    /// snapshot is a handful of relaxed loads and reflects the state as of
-    /// the last completed request.
-    pub fn stats_handle(&self) -> SessionStatsHandle {
-        self.mirror.clone()
     }
 
     /// Serve `request` and fold its samples into an [`InferenceReport`].
@@ -305,8 +288,6 @@ impl<'p> Session<'p> {
                 chunks[i].lock().expect("output slot poisoned").copy_from_slice(layers);
             });
         }
-        // The stats handles read the counters as of the last request.
-        self.mirror.publish(self.stats());
     }
 
     /// Layer samples per sample: one per layer per timestep.
@@ -360,57 +341,6 @@ pub struct SessionStats {
     pub grows: u64,
     /// Parked worker-pool counters; `pool.spawned` is flat after warm-up.
     pub pool: PoolStats,
-}
-
-/// A cloneable, lock-free view onto a [`Session`]'s counters (see
-/// [`Session::stats_handle`]). The session publishes into the shared
-/// atomic cells at the end of every serving call; readers snapshot with
-/// relaxed loads and never touch the session itself, so a stats poll
-/// can run concurrently with serving without contending on anything.
-#[derive(Clone, Debug, Default)]
-pub struct SessionStatsHandle {
-    cells: Arc<StatsCells>,
-}
-
-#[derive(Debug, Default)]
-struct StatsCells {
-    runs: AtomicU64,
-    grows: AtomicU64,
-    spawned: AtomicU64,
-    jobs: AtomicU64,
-    wakeups: AtomicU64,
-    steals: AtomicU64,
-    park_ns: AtomicU64,
-}
-
-impl SessionStatsHandle {
-    /// The counters as of the last completed request. All-zero before the
-    /// first request finishes.
-    pub fn snapshot(&self) -> SessionStats {
-        let c = &*self.cells;
-        SessionStats {
-            runs: c.runs.load(Ordering::Relaxed),
-            grows: c.grows.load(Ordering::Relaxed),
-            pool: PoolStats {
-                spawned: c.spawned.load(Ordering::Relaxed),
-                jobs: c.jobs.load(Ordering::Relaxed),
-                wakeups: c.wakeups.load(Ordering::Relaxed),
-                steals: c.steals.load(Ordering::Relaxed),
-                park_ns: c.park_ns.load(Ordering::Relaxed),
-            },
-        }
-    }
-
-    fn publish(&self, stats: SessionStats) {
-        let c = &*self.cells;
-        c.runs.store(stats.runs, Ordering::Relaxed);
-        c.grows.store(stats.grows, Ordering::Relaxed);
-        c.spawned.store(stats.pool.spawned, Ordering::Relaxed);
-        c.jobs.store(stats.pool.jobs, Ordering::Relaxed);
-        c.wakeups.store(stats.pool.wakeups, Ordering::Relaxed);
-        c.steals.store(stats.pool.steals, Ordering::Relaxed);
-        c.park_ns.store(stats.pool.park_ns, Ordering::Relaxed);
-    }
 }
 
 impl std::fmt::Debug for Session<'_> {

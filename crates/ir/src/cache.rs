@@ -360,8 +360,8 @@ mod tests {
     use super::*;
     use crate::StreamProgram;
 
-    fn cost(label: &str) -> ServedCost {
-        let program = StreamProgram::new(label, FpFormat::Fp16);
+    fn cost() -> ServedCost {
+        let program = StreamProgram::new(FpFormat::Fp16);
         ServedCost::from(&crate::CostIntegrator::snitch().integrate(&program))
     }
 
@@ -387,7 +387,7 @@ mod tests {
     fn repeated_lookups_hit_after_the_first_emit() {
         let cache = ProgramCache::new();
         for _ in 0..3 {
-            assert_eq!(cache.get_or_emit(key(0, 0.25), || cost("a")), cost("a"));
+            assert_eq!(cache.get_or_emit(key(0, 0.25), cost), cost());
         }
         let c = cache.counters();
         assert_eq!((c.hits, c.rebinds, c.emits), (2, 0, 1));
@@ -400,7 +400,7 @@ mod tests {
         let cache = ProgramCache::bounded(2);
         assert_eq!(cache.capacity(), 2);
         for i in 0..5 {
-            cache.get_or_emit(key(i, 0.25), || cost("x"));
+            cache.get_or_emit(key(i, 0.25), cost);
         }
         assert_eq!(cache.len(), 2, "growth stops at the bound");
         assert_eq!(cache.counters().emits, 5, "cold bindings still serve");
@@ -420,8 +420,8 @@ mod tests {
         assert!(!cache.shard(&k).costs.is_poisoned());
         // The failed emit counted and cached nothing: the key emits once,
         // then hits once.
-        assert_eq!(cache.get_or_emit(k, || cost("p")), cost("p"));
-        assert_eq!(cache.get_or_emit(k, || panic!("resident")), cost("p"));
+        assert_eq!(cache.get_or_emit(k, cost), cost());
+        assert_eq!(cache.get_or_emit(k, || panic!("resident")), cost());
         let c = cache.counters();
         assert_eq!((c.hits, c.emits), (1, 1));
         assert_eq!(cache.len(), 1);
@@ -453,7 +453,7 @@ mod tests {
                 let cache = cache.clone();
                 s.spawn(move || {
                     for i in 0..16 {
-                        cache.get_or_emit(key(i % 4, 0.25), || cost("t"));
+                        cache.get_or_emit(key(i % 4, 0.25), cost);
                     }
                 });
             }
@@ -474,7 +474,7 @@ mod tests {
         let keys: Vec<ProgramKey> =
             (0..8).flat_map(|layer| [0.125, 0.25, 0.5].map(|rate| key(layer, rate))).collect();
         for &k in &keys {
-            cache.get_or_emit(k, || cost("r"));
+            cache.get_or_emit(k, cost);
         }
         let mut shards: Vec<*const Shard> =
             keys.iter().map(|k| cache.shard(k) as *const _).collect();
@@ -508,7 +508,7 @@ mod tests {
                 let cache = &cache;
                 s.spawn(move || {
                     for &k in chunk {
-                        cache.get_or_emit(k, || cost("b"));
+                        cache.get_or_emit(k, cost);
                     }
                 });
             }
@@ -520,7 +520,7 @@ mod tests {
             let mut emitted = false;
             cache.get_or_emit(k, || {
                 emitted = true;
-                cost("b")
+                cost()
             });
             emitted
         });

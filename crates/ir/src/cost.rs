@@ -8,12 +8,12 @@
 //! term otherwise), instruction-cache refills, and the DMA engine's
 //! serialization and double-buffer overlap. On an *exact* program the
 //! integrator therefore reproduces the interpreter's instruction, FLOP,
-//! stream-element and DMA-byte totals exactly, and its cycle counts to
-//! within the distribution error of work stealing; on a *symbolic* program
-//! (fractional repetition counts, expected-length streams) it degrades
-//! gracefully into the closed-form expectation, evaluating replicated work
-//! items twice and extrapolating the steady-state deltas instead of
-//! unrolling every instance.
+//! stream-element and DMA-byte totals and its compute cycles exactly, since
+//! it distributes work with the same greedy work-stealing rule; on a
+//! *symbolic* program (fractional repetition counts, expected-length
+//! streams) it degrades gracefully into the closed-form expectation,
+//! evaluating replicated work items twice and extrapolating the
+//! steady-state deltas instead of unrolling every instance.
 //!
 //! [`CostIntegrator::integrate`] never walks `KernelOp` trees. It compiles
 //! each work item into a flat, constant-resolved tape: an `Int` run
@@ -1043,7 +1043,7 @@ mod tests {
     #[test]
     fn streamed_program_reaches_high_utilization() {
         let idcs: Vec<u16> = (0..256).collect();
-        let mut p = StreamProgram::new("stream", FpFormat::Fp16);
+        let mut p = StreamProgram::new(FpFormat::Fp16);
         p.push(Phase::Compute(ComputePhase {
             code: &[],
             items: (0..64).map(|_| stream_item(&idcs)).collect(),
@@ -1066,7 +1066,7 @@ mod tests {
             KernelOp::fp(FpOp::Add),
             KernelOp::branch(),
         ];
-        let mut p = StreamProgram::new("scalar", FpFormat::Fp16);
+        let mut p = StreamProgram::new(FpFormat::Fp16);
         p.push(Phase::Compute(ComputePhase {
             code: &[],
             items: vec![WorkItem::new(vec![KernelOp::Loop { body: block.into(), reps: 100.0 }])],
@@ -1079,7 +1079,7 @@ mod tests {
 
     #[test]
     fn prologue_dma_delays_compute() {
-        let mut with_dma = StreamProgram::new("dma", FpFormat::Fp16);
+        let mut with_dma = StreamProgram::new(FpFormat::Fp16);
         with_dma.push(Phase::Dma(DmaPhase::contiguous(DmaDirection::In, 1 << 16, false)));
         with_dma.push(Phase::Compute(ComputePhase {
             code: &[],
@@ -1093,7 +1093,7 @@ mod tests {
     #[test]
     fn double_buffered_dma_overlaps_compute() {
         let idcs: Vec<u16> = (0..512).collect();
-        let mut p = StreamProgram::new("db", FpFormat::Fp16);
+        let mut p = StreamProgram::new(FpFormat::Fp16);
         p.push(Phase::Dma(DmaPhase::contiguous(DmaDirection::In, 1 << 16, true)));
         p.push(Phase::Compute(ComputePhase {
             code: &[],
@@ -1111,7 +1111,7 @@ mod tests {
     fn replicated_items_match_unrolled_items_closely() {
         let idcs: Vec<u16> = (0..64).collect();
         let make = |replicated: bool| {
-            let mut p = StreamProgram::new("r", FpFormat::Fp16);
+            let mut p = StreamProgram::new(FpFormat::Fp16);
             let items = if replicated {
                 vec![WorkItem::replicated(64.0, stream_item(&idcs).ops)]
             } else {
@@ -1134,7 +1134,7 @@ mod tests {
         // only the resolved one pays its pairwise bank conflicts, which
         // land on the FPU's busy end and so on the compute time.
         fn program(indices: IndexStream<'_>) -> StreamProgram<'_> {
-            let mut p = StreamProgram::new("gather", FpFormat::Fp16);
+            let mut p = StreamProgram::new(FpFormat::Fp16);
             let spec = StreamSpec::Indirect {
                 index_base: 0x100,
                 index_bytes: 2,
@@ -1162,7 +1162,7 @@ mod tests {
 
     #[test]
     fn icache_refill_is_charged_once() {
-        let mut p = StreamProgram::new("icache", FpFormat::Fp16);
+        let mut p = StreamProgram::new(FpFormat::Fp16);
         p.push(Phase::Compute(ComputePhase {
             code: &[CodeRegion { id: 7, bytes: 1024 }],
             items: (0..4).map(|_| WorkItem::new(vec![KernelOp::alu()])).collect(),

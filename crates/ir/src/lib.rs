@@ -25,14 +25,14 @@
 //! * the analytic backend integrates the [`CostModel`](snitch_arch::CostModel)
 //!   over it with the [`CostIntegrator`],
 //!
-//! so on one program the two backends agree by construction: instruction,
-//! FLOP and DMA-byte totals are *exactly* equal on any concrete
-//! (non-symbolic) program, and cycle counts agree within the small
-//! tolerance introduced by the integrator's closed-form work-stealing
-//! distribution (5% in `tests/ir_equivalence.rs`). The agreement covers
-//! the program, not the workload: the analytic backend integrates
-//! *symbolic* programs lowered from firing rates, whose cycles differ from
-//! a cycle-level run of the exact programs.
+//! so on one program the two backends agree by construction: on any
+//! concrete (non-symbolic) program, instruction, FLOP and DMA-byte totals
+//! and compute cycles are *exactly* equal, since the integrator
+//! distributes work with the interpreter's greedy work-stealing rule
+//! (`tests/ir_equivalence.rs` asserts each with `assert_eq!`). The
+//! agreement covers the program, not the workload: the analytic backend
+//! integrates *symbolic* programs lowered from firing rates, whose cycles
+//! differ from a cycle-level run of the exact programs.
 //!
 //! Programs come in two flavours produced by the same emitters:
 //!

@@ -3,7 +3,7 @@
 //! The grammar (see ARCHITECTURE.md for the prose version):
 //!
 //! ```text
-//! StreamProgram<'a> := { label, format, phases: [Phase<'a>] }
+//! StreamProgram<'a> := { format, phases: [Phase<'a>] }
 //! Phase<'a>         := Dma(DmaPhase) | Compute(ComputePhase<'a>)
 //! DmaPhase          := { direction, row_bytes, rows, double_buffered }
 //! ComputePhase<'a>  := { code: &'static [CodeRegion], items: [WorkItem<'a>] }
@@ -498,8 +498,6 @@ pub enum Phase<'a> {
 /// symbolic one is `StreamProgram<'static>`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamProgram<'a> {
-    /// Program label (the layer name).
-    pub label: String,
     /// Storage format of the kernel (determines SIMD lane counts).
     pub format: FpFormat,
     /// Phases in program order.
@@ -508,8 +506,8 @@ pub struct StreamProgram<'a> {
 
 impl<'a> StreamProgram<'a> {
     /// Create an empty program.
-    pub fn new(label: impl Into<String>, format: FpFormat) -> Self {
-        StreamProgram { label: label.into(), format, phases: Vec::new() }
+    pub fn new(format: FpFormat) -> Self {
+        StreamProgram { format, phases: Vec::new() }
     }
 
     /// Append a phase.
@@ -633,7 +631,7 @@ mod tests {
 
     #[test]
     fn program_symbolism_and_dma_totals() {
-        let mut p = StreamProgram::new("test", FpFormat::Fp16);
+        let mut p = StreamProgram::new(FpFormat::Fp16);
         p.push(Phase::Dma(DmaPhase::contiguous(DmaDirection::In, 1024, false)));
         p.push(Phase::Dma(DmaPhase::contiguous(DmaDirection::Out, 256, true)));
         p.push(Phase::Compute(ComputePhase {
@@ -656,7 +654,7 @@ mod tests {
     fn a_collected_program_holds_the_phases_in_emission_order() {
         let code: &'static [CodeRegion] = &[CodeRegion { id: 1, bytes: 512 }];
         let items = [vec![KernelOp::amo(), KernelOp::branch()], vec![KernelOp::alu()]];
-        let mut p = StreamProgram::new("sink", FpFormat::Fp16);
+        let mut p = StreamProgram::new(FpFormat::Fp16);
         p.dma(DmaPhase::contiguous(DmaDirection::In, 1024, false));
         p.compute(code);
         for ops in &items {
@@ -665,7 +663,7 @@ mod tests {
         p.end_compute();
         p.dma(DmaPhase::contiguous(DmaDirection::Out, 256, false));
 
-        let mut expected = StreamProgram::new("sink", FpFormat::Fp16);
+        let mut expected = StreamProgram::new(FpFormat::Fp16);
         expected.push(Phase::Dma(DmaPhase::contiguous(DmaDirection::In, 1024, false)));
         expected.push(Phase::Compute(ComputePhase {
             code,
@@ -678,7 +676,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside a compute phase")]
     fn an_item_needs_an_open_compute_phase() {
-        StreamProgram::new("sink", FpFormat::Fp16).item(&[KernelOp::alu()]);
+        StreamProgram::new(FpFormat::Fp16).item(&[KernelOp::alu()]);
     }
 
     #[test]

@@ -231,7 +231,6 @@ impl LayerExecutor {
     pub(crate) fn lower_conv_symbolic(
         &self,
         config: &ClusterConfig,
-        label: &str,
         spec: &ConvSpec,
         model: &NeuronModel,
         input_rate: f64,
@@ -259,7 +258,7 @@ impl LayerExecutor {
             spm_bytes: config.spm_bytes.max(1),
         };
 
-        let mut program = StreamProgram::new(label, self.format);
+        let mut program = StreamProgram::new(self.format);
         for dma in plan.dma_in_phases() {
             program.push(Phase::Dma(dma));
         }
@@ -435,7 +434,7 @@ mod tests {
     ) -> (StreamProgram<'a>, SpikeMap, NeuronState) {
         let LayerKind::Conv(spec) = &layer.kind else { unreachable!() };
         let mut state = NeuronState::lif(spec.conv_output().len());
-        let mut program = StreamProgram::new(&layer.name, format);
+        let mut program = StreamProgram::new(format);
         let output = LayerExecutor::new(variant, format).lower_conv(
             &ClusterConfig::default(),
             layer,
@@ -569,7 +568,6 @@ mod tests {
             let out_rate = spikes.count_spikes() as f64 / spec.conv_output().len() as f64;
             let symbolic = LayerExecutor::new(variant, FpFormat::Fp16).lower_conv_symbolic(
                 &config,
-                "sym",
                 &spec,
                 &layer.neuron,
                 realized_rate,

@@ -248,7 +248,6 @@ impl LayerExecutor {
     pub(crate) fn lower_dense_symbolic(
         &self,
         config: &ClusterConfig,
-        label: &str,
         spec: &ConvSpec,
         model: &NeuronModel,
         output_rate: f64,
@@ -261,7 +260,7 @@ impl LayerExecutor {
 
         let plan =
             TilingPlanner::new(config).plan_conv_spikes(spec, self.format, 0, model.state_vars());
-        let mut program = StreamProgram::new(label, self.format);
+        let mut program = StreamProgram::new(self.format);
         for dma in plan.dma_in_phases() {
             program.push(Phase::Dma(dma));
         }
@@ -341,7 +340,7 @@ mod tests {
     ) -> (StreamProgram<'static>, SpikeMap, NeuronState) {
         let LayerKind::Conv(spec) = &layer.kind else { unreachable!() };
         let mut state = NeuronState::lif(spec.conv_output().len());
-        let mut program = StreamProgram::new(&layer.name, format);
+        let mut program = StreamProgram::new(format);
         let output = LayerExecutor::new(variant, format).lower_dense(
             &ClusterConfig::default(),
             layer,

@@ -234,7 +234,7 @@ impl LayerScratch {
 ///
 /// let mut scratch = LayerScratch::new();
 /// let executor = LayerExecutor::new(KernelVariant::SpikeStream, FpFormat::Fp16);
-/// let mut program = StreamProgram::new("conv", executor.format());
+/// let mut program = StreamProgram::new(executor.format());
 /// let exec = executor.lower_exact(
 ///     &ClusterConfig::default(),
 ///     &network,
@@ -345,17 +345,17 @@ impl LayerExecutor {
         input_rate: f64,
         output_rate: f64,
     ) -> StreamProgram<'static> {
-        let (label, model) = (&layer.name, &layer.neuron);
+        let model = &layer.neuron;
         match &layer.kind {
             LayerKind::Conv(spec) if layer.encodes_input => {
-                self.lower_dense_symbolic(config, label, spec, model, output_rate)
+                self.lower_dense_symbolic(config, spec, model, output_rate)
             }
             LayerKind::Conv(spec) => {
-                self.lower_conv_symbolic(config, label, spec, model, input_rate, output_rate)
+                self.lower_conv_symbolic(config, spec, model, input_rate, output_rate)
             }
-            LayerKind::AvgPool(spec) => self.lower_pool_symbolic(config, label, spec, output_rate),
+            LayerKind::AvgPool(spec) => self.lower_pool_symbolic(config, spec, output_rate),
             LayerKind::Linear(spec) => {
-                self.lower_fc_symbolic(config, label, spec, model, input_rate, output_rate)
+                self.lower_fc_symbolic(config, spec, model, input_rate, output_rate)
             }
         }
     }
@@ -560,7 +560,7 @@ mod tests {
         let spikes = random_spikes(spec.padded_input(), 0.3, 11);
         let compressed = CompressedIfmap::from_spike_map(&spikes);
         let mut scratch = LayerScratch::new();
-        let mut program = StreamProgram::new("conv", FpFormat::Fp16);
+        let mut program = StreamProgram::new(FpFormat::Fp16);
         let exec = LayerExecutor::new(KernelVariant::SpikeStream, FpFormat::Fp16).lower_exact(
             &config(),
             &net,
@@ -585,7 +585,7 @@ mod tests {
         let executor = LayerExecutor::new(KernelVariant::Baseline, FpFormat::Fp16);
         let compressed = CompressedIfmap::from_spike_map(&spikes);
         let mut state = NeuronState::lif(spec.conv_output().len());
-        let mut direct_program = StreamProgram::new(&layer.name, FpFormat::Fp16);
+        let mut direct_program = StreamProgram::new(FpFormat::Fp16);
         let direct_output = executor.lower_conv(
             &config(),
             layer,
@@ -598,7 +598,7 @@ mod tests {
         let direct_stats = interpret(&direct_program);
 
         let mut scratch = LayerScratch::new();
-        let mut program = StreamProgram::new(&layer.name, FpFormat::Fp16);
+        let mut program = StreamProgram::new(FpFormat::Fp16);
         let exec = executor.lower_exact(
             &config(),
             &net,
@@ -627,13 +627,13 @@ mod tests {
             0,
             LayerInput::Spikes(&warmup),
             &mut scratch,
-            &mut StreamProgram::new("conv", FpFormat::Fp16),
+            &mut StreamProgram::new(FpFormat::Fp16),
         );
 
         for seed in [2, 3, 4] {
             let spikes = random_spikes(spec.padded_input(), 0.2, seed);
             let mut fresh_scratch = LayerScratch::new();
-            let mut fresh_program = StreamProgram::new("conv", FpFormat::Fp16);
+            let mut fresh_program = StreamProgram::new(FpFormat::Fp16);
             let fresh = executor.lower_exact(
                 &config(),
                 &net,
@@ -642,7 +642,7 @@ mod tests {
                 &mut fresh_scratch,
                 &mut fresh_program,
             );
-            let mut reused_program = StreamProgram::new("conv", FpFormat::Fp16);
+            let mut reused_program = StreamProgram::new(FpFormat::Fp16);
             let reused = executor.lower_exact(
                 &config(),
                 &net,
@@ -675,7 +675,7 @@ mod tests {
         let mut reference = NeuronState::lif(spec.conv_output().len());
         let compressed = CompressedIfmap::from_spike_map(&spikes);
         for step in 0..2 {
-            let mut program = StreamProgram::new("conv", FpFormat::Fp32);
+            let mut program = StreamProgram::new(FpFormat::Fp32);
             let (exec, out) = executor.lower_temporal_step(
                 &config(),
                 &net,
@@ -684,7 +684,7 @@ mod tests {
                 &mut scratch,
                 &mut program,
             );
-            let mut direct_program = StreamProgram::new("conv", FpFormat::Fp32);
+            let mut direct_program = StreamProgram::new(FpFormat::Fp32);
             let direct = executor.lower_conv(
                 &config(),
                 &net.layers()[0],
@@ -716,7 +716,7 @@ mod tests {
             0,
             LayerInput::Spikes(&spikes),
             &mut LayerScratch::new(),
-            &mut StreamProgram::new("conv", FpFormat::Fp16),
+            &mut StreamProgram::new(FpFormat::Fp16),
         );
     }
 
@@ -815,7 +815,7 @@ mod tests {
             0,
             LayerInput::Image(&image),
             &mut LayerScratch::new(),
-            &mut StreamProgram::new("fc", FpFormat::Fp16),
+            &mut StreamProgram::new(FpFormat::Fp16),
         );
     }
 }

@@ -164,7 +164,6 @@ impl LayerExecutor {
     pub(crate) fn lower_fc_symbolic(
         &self,
         config: &ClusterConfig,
-        label: &str,
         spec: &LinearSpec,
         model: &NeuronModel,
         input_rate: f64,
@@ -184,7 +183,7 @@ impl LayerExecutor {
         let weights_base = plan.weights.base;
         let idcs_base = plan.ifmap_idcs.base;
 
-        let mut program = StreamProgram::new(label, self.format);
+        let mut program = StreamProgram::new(self.format);
         for dma in plan.dma_in_phases() {
             program.push(Phase::Dma(dma));
         }
@@ -252,7 +251,7 @@ mod tests {
     ) -> (StreamProgram<'a>, SpikeMap, NeuronState) {
         let LayerKind::Linear(spec) = &layer.kind else { unreachable!() };
         let mut state = NeuronState::lif(spec.out_features);
-        let mut program = StreamProgram::new(&layer.name, format);
+        let mut program = StreamProgram::new(format);
         let output = LayerExecutor::new(variant, format).lower_fc(
             &ClusterConfig::default(),
             layer,

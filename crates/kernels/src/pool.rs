@@ -115,7 +115,6 @@ impl LayerExecutor {
     pub(crate) fn lower_pool_symbolic(
         &self,
         config: &ClusterConfig,
-        label: &str,
         spec: &PoolSpec,
         output_rate: f64,
     ) -> StreamProgram<'static> {
@@ -128,7 +127,7 @@ impl LayerExecutor {
         let in_base = plan.ifmap_idcs.base;
         let spm_bytes = config.spm_bytes.max(1);
 
-        let mut program = StreamProgram::new(label, self.format);
+        let mut program = StreamProgram::new(self.format);
         for dma in plan.dma_in_phases() {
             program.push(Phase::Dma(dma));
         }
@@ -230,7 +229,7 @@ mod tests {
         layer: &Layer,
         input: &SpikeMap,
     ) -> (StreamProgram<'static>, SpikeMap) {
-        let mut program = StreamProgram::new(&layer.name, FpFormat::Fp16);
+        let mut program = StreamProgram::new(FpFormat::Fp16);
         let output = LayerExecutor::new(variant, FpFormat::Fp16).lower_pool(
             &ClusterConfig::default(),
             layer,
@@ -267,7 +266,7 @@ mod tests {
         use spikestream_ir::CostIntegrator;
         let (_, spec) = pool_layer(8, 16);
         let executor = LayerExecutor::new(KernelVariant::SpikeStream, FpFormat::Fp16);
-        let program = executor.lower_pool_symbolic(&ClusterConfig::default(), "pool", &spec, 0.3);
+        let program = executor.lower_pool_symbolic(&ClusterConfig::default(), &spec, 0.3);
         assert!(program.work_items() > 1.0);
         let cost = CostIntegrator::snitch().integrate(&program);
         assert!(cost.compute_cycles > 0);

@@ -26,6 +26,15 @@
 //!   in [`ResponseHandle::wait`].
 //!
 //! Publish, resume and shutdown always wake everyone.
+//!
+//! No gateway mutex — the tenant table, a tenant's state, a response cell,
+//! the dispatcher handle list — can be poisoned, so every `expect` on one
+//! states an invariant. Backend code runs only inside
+//! [`Session::serve_into`], under `catch_unwind`, with no gateway guard
+//! held. Under the gateway's guards run only queue, flag, map and `Arc`
+//! operations, which do not unwind, and a replaced plan generation (whose
+//! drop runs its backend's `Drop`) is dropped after its tenant's guard is
+//! released.
 
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
@@ -37,9 +46,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use spikestream::scenario::MAX_QUEUE_CAP;
-use spikestream::{
-    Compiler, InferenceReport, LayerSample, Plan, Request, Session, SessionStatsHandle,
-};
+use spikestream::{Compiler, InferenceReport, LayerSample, Plan, Request, Session, SessionStats};
 
 use crate::registry::{PlanRegistry, VersionedPlan};
 use crate::stats::{Counters, GatewayStats, TenantStats};
@@ -61,12 +68,18 @@ struct ResponseCell {
 }
 
 impl ResponseCell {
+    /// Lock the cell. Never poisoned (see the module docs): under this
+    /// guard a result only moves in or out, and the parked flag flips.
+    fn lock(&self) -> MutexGuard<'_, CellState> {
+        self.state.lock().expect("response cell poisoned")
+    }
+
     /// Deliver `result`, waking the client only if it is parked in
     /// [`ResponseHandle::wait`]. A handle has one owner, so at most one
     /// thread waits.
     fn fulfill(&self, result: Result<GatewayResponse, ServeError>) {
         let parked = {
-            let mut cell = self.state.lock().expect("response cell poisoned");
+            let mut cell = self.lock();
             cell.result = Some(result);
             cell.parked
         };
@@ -85,7 +98,7 @@ pub struct ResponseHandle {
 impl ResponseHandle {
     /// Block until the request completes, consuming the handle.
     pub fn wait(self) -> Result<GatewayResponse, ServeError> {
-        let mut cell = self.cell.state.lock().expect("response cell poisoned");
+        let mut cell = self.cell.lock();
         loop {
             if let Some(result) = cell.result.take() {
                 return result;
@@ -173,7 +186,7 @@ struct Pending {
 
 /// The layer count and timesteps of a plan generation: what a request's
 /// size is checked against.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct PlanShape {
     layers: usize,
     timesteps: usize,
@@ -209,8 +222,10 @@ fn batch_cap(max_batch: usize, units: usize) -> usize {
 }
 
 /// Mutable per-tenant state, guarded by [`Tenant::state`].
-#[derive(Default)]
-struct TenantState {
+pub(crate) struct TenantState {
+    /// The tenant's current plan generation: the one place a tenant's
+    /// version is kept. Publishing replaces it.
+    pub(crate) plan: Arc<VersionedPlan>,
     queue: VecDeque<Pending>,
     /// Whether the dispatcher is parked idle, so that a submission must
     /// wake it: false while it runs, is paused, or has already been
@@ -223,16 +238,16 @@ struct TenantState {
     shutdown: bool,
     dispatcher_alive: bool,
     poisoned: Option<String>,
+    /// The version the dispatcher's session is open on.
     serving_version: u64,
-    session_stats: Option<SessionStatsHandle>,
-    /// The shape of the latest published generation, set at publish.
-    shape: PlanShape,
+    /// That session's counters, copied in after each completed batch and
+    /// before any of its responses is delivered.
+    session: SessionStats,
 }
 
-/// One tenant: a bounded queue plus the two condvars its dispatcher and
-/// submitters park on.
-struct Tenant {
-    name: String,
+/// One tenant: its state (current plan, bounded queue, dispatcher flags)
+/// plus the two condvars its dispatcher and submitters park on.
+pub(crate) struct Tenant {
     state: Mutex<TenantState>,
     /// Dispatcher parks here while the queue is empty or paused. A
     /// submission signals it only while it is parked idle
@@ -245,13 +260,31 @@ struct Tenant {
 }
 
 impl Tenant {
-    fn new(name: &str) -> Self {
+    /// A tenant serving `plan` as its version 1, with no dispatcher yet.
+    fn new(plan: Plan) -> Self {
         Tenant {
-            name: name.to_string(),
-            state: Mutex::new(TenantState::default()),
+            state: Mutex::new(TenantState {
+                plan: Arc::new(VersionedPlan { plan: Arc::new(plan), version: 1 }),
+                queue: VecDeque::new(),
+                parked_idle: false,
+                space_waiters: 0,
+                paused: false,
+                shutdown: false,
+                dispatcher_alive: false,
+                poisoned: None,
+                serving_version: 0,
+                session: SessionStats::default(),
+            }),
             work: Condvar::new(),
             space: Condvar::new(),
         }
+    }
+
+    /// Lock the tenant's state. Never poisoned (see the module docs):
+    /// under this guard run only queue, flag and `Arc` operations, and a
+    /// replaced generation is dropped after the guard is released.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, TenantState> {
+        self.state.lock().expect("tenant state poisoned")
     }
 
     /// Park the dispatcher on `work` until a publish, resume or shutdown,
@@ -278,21 +311,10 @@ impl Tenant {
 /// State shared between the gateway handle and every dispatcher thread.
 struct Shared {
     config: GatewayConfig,
+    /// The tenant table.
     registry: Arc<PlanRegistry>,
-    tenants: Mutex<BTreeMap<String, Arc<Tenant>>>,
     counters: Counters,
     closed: AtomicBool,
-}
-
-impl Shared {
-    fn tenant(&self, name: &str) -> Result<Arc<Tenant>, ServeError> {
-        self.tenants
-            .lock()
-            .expect("tenant map poisoned")
-            .get(name)
-            .cloned()
-            .ok_or_else(|| ServeError::UnknownTenant(name.to_string()))
-    }
 }
 
 /// The serving gateway: a [`PlanRegistry`] of named, versioned tenants,
@@ -311,8 +333,7 @@ impl Gateway {
         Gateway {
             shared: Arc::new(Shared {
                 config,
-                registry: Arc::new(PlanRegistry::new()),
-                tenants: Mutex::new(BTreeMap::new()),
+                registry: Arc::new(PlanRegistry { tenants: Mutex::new(BTreeMap::new()) }),
                 counters: Counters::default(),
                 closed: AtomicBool::new(false),
             }),
@@ -320,13 +341,19 @@ impl Gateway {
         }
     }
 
-    /// The underlying plan registry (for version lookups; publish through
-    /// [`Gateway::publish`] so dispatcher lifecycle stays managed).
+    /// The gateway's tenant table, for reading a tenant's current
+    /// generation ([`PlanRegistry::get`]).
     pub fn registry(&self) -> Arc<PlanRegistry> {
         Arc::clone(&self.shared.registry)
     }
 
-    /// Install `plan` as tenant `tenant`'s current generation and return
+    /// The dispatcher threads to join at shutdown. Never poisoned (see the
+    /// module docs): under this guard run only a push and a take.
+    fn handles(&self) -> MutexGuard<'_, Vec<JoinHandle<()>>> {
+        self.handles.lock().expect("handle list poisoned")
+    }
+
+    /// Install `plan` as tenant `name`'s current generation and return
     /// the new version number (1 on first publish).
     ///
     /// Hot swap: a republish over a live tenant never drops queued
@@ -336,37 +363,55 @@ impl Gateway {
     /// later submission, runs on the new version. Publishing also clears a
     /// poisoned tenant (see [`ServeError::Poisoned`]) by restarting its
     /// dispatcher on the fresh plan.
-    pub fn publish(&self, tenant: &str, plan: Plan) -> Result<u64, ServeError> {
+    pub fn publish(&self, name: &str, plan: Plan) -> Result<u64, ServeError> {
         if self.shared.closed.load(Ordering::Acquire) {
             return Err(ServeError::Shutdown);
         }
-        let shape = PlanShape::of(&plan);
-        let version = self.shared.registry.publish(tenant, plan);
-        if version > 1 {
-            self.shared.counters.on_hot_swap();
-        }
-        let tenant = {
-            let mut tenants = self.shared.tenants.lock().expect("tenant map poisoned");
-            Arc::clone(
-                tenants.entry(tenant.to_string()).or_insert_with(|| Arc::new(Tenant::new(tenant))),
-            )
+        let (tenant, swap) = {
+            let mut tenants = self.shared.registry.lock();
+            match tenants.get(name) {
+                Some(tenant) => (Arc::clone(tenant), Some(plan)),
+                None => {
+                    let tenant = Arc::new(Tenant::new(plan));
+                    tenants.insert(name.to_string(), Arc::clone(&tenant));
+                    (tenant, None)
+                }
+            }
         };
-        let mut state = tenant.state.lock().expect("tenant state poisoned");
+        let mut state = tenant.lock();
+        // The publisher that created the tenant returns 1 without reading
+        // the state back: a racing republish may already have bumped it.
+        let (version, replaced) = match swap {
+            None => (1, None),
+            Some(plan) => {
+                let version = state.plan.version + 1;
+                let next = Arc::new(VersionedPlan { plan: Arc::new(plan), version });
+                self.shared.counters.on_hot_swap();
+                (version, Some(std::mem::replace(&mut state.plan, next)))
+            }
+        };
         state.poisoned = None;
-        state.shape = shape;
-        if state.dispatcher_alive {
+        let spawn = !std::mem::replace(&mut state.dispatcher_alive, true);
+        if !spawn {
             // Wake the parked dispatcher so it notices the version bump at
             // its next batch boundary.
             tenant.work.notify_all();
-        } else {
-            state.dispatcher_alive = true;
-            let shared = Arc::clone(&self.shared);
-            let worker = Arc::clone(&tenant);
-            let handle = std::thread::Builder::new()
-                .name(format!("serve-{}", tenant.name))
-                .spawn(move || run_dispatcher(&shared, &worker))
-                .expect("failed to spawn gateway dispatcher thread");
-            self.handles.lock().expect("handle list poisoned").push(handle);
+        }
+        drop(state);
+        // Dropping the last `Arc` of the replaced plan runs its backend's
+        // `Drop`, so it happens with no guard held.
+        drop(replaced);
+        if spawn {
+            let (shared, worker) = (Arc::clone(&self.shared), Arc::clone(&tenant));
+            let spawned = std::thread::Builder::new()
+                .name(format!("serve-{name}"))
+                .spawn(move || run_dispatcher(&shared, &worker));
+            let handle = spawned.unwrap_or_else(|error| {
+                // Leave the tenant for a later publish to revive.
+                tenant.lock().dispatcher_alive = false;
+                panic!("failed to spawn gateway dispatcher thread: {error}")
+            });
+            self.handles().push(handle);
         }
         Ok(version)
     }
@@ -405,10 +450,10 @@ impl Gateway {
         if self.shared.closed.load(Ordering::Acquire) {
             return Err(ServeError::Shutdown);
         }
-        let tenant = self.shared.tenant(name)?;
+        let tenant = self.shared.registry.tenant(name)?;
         let cap = self.shared.config.queue_cap.clamp(1, MAX_QUEUE_CAP);
         let deadline = wait.map(|timeout| Instant::now() + timeout);
-        let mut state = tenant.state.lock().expect("tenant state poisoned");
+        let mut state = tenant.lock();
         loop {
             if state.shutdown {
                 return Err(ServeError::Shutdown);
@@ -416,7 +461,7 @@ impl Gateway {
             if let Some(message) = &state.poisoned {
                 return Err(ServeError::Poisoned(message.clone()));
             }
-            state.shape.check(samples.len())?;
+            PlanShape::of(&state.plan.plan).check(samples.len())?;
             if state.queue.len() < cap {
                 break;
             }
@@ -451,40 +496,36 @@ impl Gateway {
     /// [`Gateway::resume`]. Deterministic drivers (the tests and the
     /// demo CLI) use this to pin exact batch compositions.
     pub fn pause(&self, tenant: &str) -> Result<(), ServeError> {
-        let tenant = self.shared.tenant(tenant)?;
-        tenant.state.lock().expect("tenant state poisoned").paused = true;
+        let tenant = self.shared.registry.tenant(tenant)?;
+        tenant.lock().paused = true;
         Ok(())
     }
 
     /// Release a paused tenant's dispatcher.
     pub fn resume(&self, tenant: &str) -> Result<(), ServeError> {
-        let tenant = self.shared.tenant(tenant)?;
-        tenant.state.lock().expect("tenant state poisoned").paused = false;
+        let tenant = self.shared.registry.tenant(tenant)?;
+        tenant.lock().paused = false;
         tenant.work.notify_all();
         Ok(())
     }
 
     /// Snapshot the gateway counters (see [`GatewayStats`]): the global
-    /// cells are relaxed atomic loads, and each tenant's entry takes that
-    /// tenant's queue lock only for the length/flag reads — session
-    /// counters come from the lock-free
-    /// [`stats handle`](spikestream::Session::stats_handle) mirror.
+    /// cells are relaxed atomic loads, and each tenant's entry is read
+    /// under the table's lock, then that tenant's — its version, queue and
+    /// the session counters its dispatcher copied in after its last
+    /// completed batch.
     pub fn stats(&self) -> GatewayStats {
         let mut stats = self.shared.counters.snapshot();
-        let tenants = self.shared.tenants.lock().expect("tenant map poisoned");
+        let tenants = self.shared.registry.lock();
         for (name, tenant) in tenants.iter() {
-            let state = tenant.state.lock().expect("tenant state poisoned");
+            let state = tenant.lock();
             stats.tenants.push(TenantStats {
                 name: name.clone(),
-                version: self.shared.registry.version(name).unwrap_or(0),
+                version: state.plan.version,
                 serving_version: state.serving_version,
                 queue_depth: state.queue.len(),
                 poisoned: state.poisoned.is_some(),
-                session: state
-                    .session_stats
-                    .as_ref()
-                    .map(SessionStatsHandle::snapshot)
-                    .unwrap_or_default(),
+                session: state.session,
             });
         }
         stats
@@ -496,16 +537,15 @@ impl Gateway {
     pub fn shutdown(&self) {
         self.shared.closed.store(true, Ordering::Release);
         {
-            let tenants = self.shared.tenants.lock().expect("tenant map poisoned");
+            let tenants = self.shared.registry.lock();
             for tenant in tenants.values() {
-                let mut state = tenant.state.lock().expect("tenant state poisoned");
+                let mut state = tenant.lock();
                 state.shutdown = true;
                 tenant.work.notify_all();
                 tenant.space.notify_all();
             }
         }
-        let handles: Vec<JoinHandle<()>> =
-            std::mem::take(&mut *self.handles.lock().expect("handle list poisoned"));
+        let handles = std::mem::take(&mut *self.handles());
         for handle in handles {
             let _ = handle.join();
         }
@@ -522,7 +562,7 @@ impl std::fmt::Debug for Gateway {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Gateway")
             .field("config", &self.shared.config)
-            .field("tenants", &self.shared.registry.names())
+            .field("tenants", &self.shared.registry)
             .finish_non_exhaustive()
     }
 }
@@ -541,17 +581,13 @@ enum EraExit {
 /// until shutdown or poison.
 fn run_dispatcher(shared: &Shared, tenant: &Tenant) {
     loop {
-        let Some(era) = shared.registry.get(&tenant.name) else {
-            tenant.state.lock().expect("tenant state poisoned").dispatcher_alive = false;
-            return;
+        let era = {
+            let mut state = tenant.lock();
+            state.serving_version = state.plan.version;
+            state.session = SessionStats::default();
+            Arc::clone(&state.plan)
         };
-        let plan = Arc::clone(&era.plan);
-        let mut session = plan.open_session();
-        {
-            let mut state = tenant.state.lock().expect("tenant state poisoned");
-            state.serving_version = era.version;
-            state.session_stats = Some(session.stats_handle());
-        }
+        let mut session = era.plan.open_session();
         match serve_era(shared, tenant, &era, &mut session) {
             EraExit::Swap => continue,
             EraExit::Shutdown | EraExit::Poisoned => return,
@@ -574,7 +610,7 @@ fn serve_era(
     let cap = batch_cap(shared.config.max_batch.max(1), units);
     loop {
         let (batch, total) = {
-            let mut state = tenant.state.lock().expect("tenant state poisoned");
+            let mut state = tenant.lock();
             let head = loop {
                 if state.shutdown && state.queue.is_empty() {
                     state.dispatcher_alive = false;
@@ -583,7 +619,7 @@ fn serve_era(
                 // Batch-boundary staleness check: a publish happened, so
                 // hand back to `run_dispatcher` to reopen on the new
                 // generation. Everything still queued runs on it.
-                if shared.registry.version(&tenant.name) != Some(era.version) {
+                if state.plan.version != era.version {
                     return EraExit::Swap;
                 }
                 let serving = !state.paused || state.shutdown;
@@ -631,6 +667,9 @@ fn serve_era(
         }));
         match run {
             Ok(()) => {
+                // Counters before responses: a client that holds every
+                // response of its batches reads their counters.
+                tenant.lock().session = session.stats();
                 shared.counters.on_batch(batch.len(), total);
                 let requests = batch.len();
                 let results = Arc::new(flat);
@@ -660,7 +699,7 @@ fn serve_era(
                 for pending in batch {
                     pending.cell.fulfill(Err(error.clone()));
                 }
-                let mut state = tenant.state.lock().expect("tenant state poisoned");
+                let mut state = tenant.lock();
                 state.poisoned = Some(message);
                 state.dispatcher_alive = false;
                 for pending in state.queue.drain(..) {

@@ -4,9 +4,10 @@
 //! The crate turns the single-caller [`Session`](spikestream::Session)
 //! into a multi-tenant service front end, in three pieces:
 //!
-//! - [`PlanRegistry`] — named tenants, each holding the current
-//!   [`Plan`](spikestream::Plan) generation with a monotonically
-//!   increasing version. [`Gateway::publish`] hot-swaps a tenant's plan
+//! - [`PlanRegistry`] — the gateway's tenant table: named tenants, each
+//!   holding its current [`Plan`](spikestream::Plan) generation with a
+//!   monotonically increasing version, next to its queue and its
+//!   dispatcher's counters. [`Gateway::publish`] hot-swaps a tenant's plan
 //!   under live traffic: in-flight batches finish on the old generation
 //!   (their results name the version they ran under), queued and later
 //!   requests run on the new one, and nothing is dropped.
@@ -24,8 +25,8 @@
 //!   Fleet statistics of a response are
 //!   [`attribute_shards(&response.cycles(), n)`](spikestream::attribute_shards).
 //! - [`GatewayStats`] — deterministic counters (submissions, batches and
-//!   their size histogram, rejections, hot swaps, per-tenant queue
-//!   depth), all readable without contending with serving.
+//!   their size histogram, rejections, hot swaps, per-tenant versions,
+//!   queue depth and session counters), readable while serving goes on.
 //!
 //! Everything is std threads and condvars — the same parked epoch/condvar
 //! idiom as the core's worker pool; no async runtime.

@@ -1,24 +1,30 @@
-//! The versioned multi-tenant plan store: [`PlanRegistry`].
+//! The gateway's tenant table: [`PlanRegistry`].
 //!
-//! A registry maps tenant names to the plan currently serving them.
-//! Publishing is a *hot swap*: the new plan is installed atomically under
-//! the registry lock while readers that resolved the previous
-//! [`VersionedPlan`] keep serving from their own `Arc` until they next
-//! look the tenant up — nothing in flight is invalidated, and every
-//! result can name the exact version it ran under.
+//! The table maps tenant names to tenants, and each tenant's state holds
+//! the plan generation currently serving it, so a tenant's version, queue
+//! and session counters live in one place, under one lock. Publishing
+//! ([`Gateway::publish`](crate::Gateway::publish)) is a *hot swap*: the
+//! new generation replaces the old one under the tenant's lock, while
+//! readers that resolved the previous [`VersionedPlan`] keep serving from
+//! their own `Arc` until they next look the tenant up — nothing in flight
+//! is invalidated, and every result can name the exact version it ran
+//! under.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use spikestream::Plan;
 
+use crate::gateway::Tenant;
+use crate::ServeError;
+
 /// One published plan generation of a tenant: the immutable compiled
-/// [`Plan`] plus the monotonically increasing version number the registry
+/// [`Plan`] plus the monotonically increasing version number its publish
 /// stamped it with (first publish is version 1).
 ///
 /// Holders of a `VersionedPlan` own the plan for as long as they keep the
-/// `Arc` — a later [`PlanRegistry::publish`] never tears a generation out
-/// from under a dispatcher that is mid-batch on it.
+/// `Arc` — a later publish never tears a generation out from under a
+/// dispatcher that is mid-batch on it.
 #[derive(Debug, Clone)]
 pub struct VersionedPlan {
     /// The compiled plan of this generation.
@@ -27,85 +33,38 @@ pub struct VersionedPlan {
     pub version: u64,
 }
 
-/// A thread-safe map from tenant name to the current [`VersionedPlan`].
-///
-/// All methods take `&self`; the registry is shared across submitter and
-/// dispatcher threads behind one `Arc`. Lookups clone an `Arc`, so the
-/// lock is held only for the map access, never for serving.
-#[derive(Debug, Default)]
+/// The gateway's tenant table, from tenant name to tenant. Its public side
+/// reads: [`PlanRegistry::get`]. Tenants are added and swapped only by
+/// [`Gateway::publish`](crate::Gateway::publish), which also keeps each
+/// tenant's dispatcher running.
 pub struct PlanRegistry {
-    slots: Mutex<BTreeMap<String, Arc<VersionedPlan>>>,
+    pub(crate) tenants: Mutex<BTreeMap<String, Arc<Tenant>>>,
 }
 
 impl PlanRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Install `plan` as tenant `name`'s current generation, creating the
-    /// tenant on first publish. Returns the new version number: 1 for a
-    /// new tenant, `previous + 1` for a hot swap.
-    pub fn publish(&self, name: &str, plan: Plan) -> u64 {
-        let mut slots = self.slots.lock().expect("plan registry poisoned");
-        let version = slots.get(name).map_or(1, |prev| prev.version + 1);
-        slots.insert(name.to_string(), Arc::new(VersionedPlan { plan: Arc::new(plan), version }));
-        version
-    }
-
     /// The current generation of tenant `name`, if published.
     pub fn get(&self, name: &str) -> Option<Arc<VersionedPlan>> {
-        self.slots.lock().expect("plan registry poisoned").get(name).cloned()
+        let tenant = self.tenant(name).ok()?;
+        let plan = Arc::clone(&tenant.lock().plan);
+        Some(plan)
     }
 
-    /// The current version of tenant `name`, if published. Cheaper than
-    /// [`PlanRegistry::get`] for the dispatcher's batch-boundary staleness
-    /// check.
-    pub fn version(&self, name: &str) -> Option<u64> {
-        self.slots.lock().expect("plan registry poisoned").get(name).map(|v| v.version)
+    /// Tenant `name`, or [`ServeError::UnknownTenant`] if it was never
+    /// published.
+    pub(crate) fn tenant(&self, name: &str) -> Result<Arc<Tenant>, ServeError> {
+        self.lock().get(name).cloned().ok_or_else(|| ServeError::UnknownTenant(name.to_string()))
     }
 
-    /// All published tenant names, in sorted order.
-    pub fn names(&self) -> Vec<String> {
-        self.slots.lock().expect("plan registry poisoned").keys().cloned().collect()
+    /// Lock the table. Never poisoned (see the gateway module's docs):
+    /// under this guard run only map lookups and inserts, and the tenant
+    /// guards taken inside it.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, BTreeMap<String, Arc<Tenant>>> {
+        self.tenants.lock().expect("tenant table poisoned")
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use spikestream::{Engine, FpFormat, InferenceConfig, KernelVariant};
-
-    fn plan() -> Plan {
-        Engine::svgg11(1).compile(&InferenceConfig {
-            batch: 2,
-            ..InferenceConfig::paper(KernelVariant::SpikeStream, FpFormat::Fp16)
-        })
-    }
-
-    #[test]
-    fn versions_are_monotonic_per_tenant() {
-        let registry = PlanRegistry::new();
-        assert_eq!(registry.publish("a", plan()), 1);
-        assert_eq!(registry.publish("b", plan()), 1);
-        assert_eq!(registry.publish("a", plan()), 2);
-        assert_eq!(registry.version("a"), Some(2));
-        assert_eq!(registry.version("b"), Some(1));
-        assert_eq!(registry.version("c"), None);
-        assert_eq!(registry.names(), vec!["a".to_string(), "b".to_string()]);
-    }
-
-    #[test]
-    fn old_generations_survive_a_hot_swap() {
-        let registry = PlanRegistry::new();
-        registry.publish("a", plan());
-        let old = registry.get("a").expect("published");
-        registry.publish("a", plan());
-        // The swapped-out generation is still fully usable through the
-        // retained Arc — in-flight batches finish on it.
-        assert_eq!(old.version, 1);
-        let report = old.plan.open_session().infer(&spikestream::Request::batch(2));
-        assert!(report.total_cycles() > 0.0);
-        assert_eq!(registry.get("a").expect("published").version, 2);
+impl std::fmt::Debug for PlanRegistry {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_set().entries(self.lock().keys()).finish()
     }
 }

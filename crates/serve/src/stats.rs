@@ -1,12 +1,13 @@
 //! Deterministic gateway observability: [`GatewayStats`].
 //!
-//! Counters live in relaxed atomics on the gateway's shared state, so a
-//! monitoring thread snapshots them without ever contending with
-//! submitters or dispatchers — the same discipline as
-//! [`SessionStatsHandle::snapshot`](spikestream::SessionStatsHandle::snapshot).
-//! Every counter is a deterministic function of the request/batch/publish
-//! history, never of wall-clock timing, so a paced driver (the
-//! `serve-demo` CLI, the CI smoke) can pin a snapshot against a golden.
+//! The gateway-wide counters live in relaxed atomics on the gateway's
+//! shared state, so a monitoring thread snapshots them without ever
+//! contending with submitters or dispatchers. Each tenant's entry is read
+//! under that tenant's lock, where its dispatcher copies its session's
+//! counters after every completed batch. Every counter is a deterministic
+//! function of the request/batch/publish history, never of wall-clock
+//! timing, so a paced driver (the `serve-demo` CLI, the CI smoke) can pin
+//! a snapshot against a golden.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

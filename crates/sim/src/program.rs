@@ -169,7 +169,7 @@ mod tests {
     }
 
     fn program(items: Vec<WorkItem<'_>>) -> StreamProgram<'_> {
-        let mut p = StreamProgram::new("test", FpFormat::Fp16);
+        let mut p = StreamProgram::new(FpFormat::Fp16);
         p.push(Phase::Dma(DmaPhase::contiguous(DmaDirection::In, 4096, false)));
         p.push(Phase::Compute(ComputePhase {
             code: &[CodeRegion { id: 0x99, bytes: 512 }],
@@ -208,7 +208,7 @@ mod tests {
 
     #[test]
     fn prologue_load_gates_compute() {
-        let mut p = StreamProgram::new("gate", FpFormat::Fp16);
+        let mut p = StreamProgram::new(FpFormat::Fp16);
         p.push(Phase::Dma(DmaPhase::contiguous(DmaDirection::In, 1 << 16, false)));
         p.push(Phase::Compute(ComputePhase {
             code: &[],
@@ -224,7 +224,7 @@ mod tests {
     #[test]
     fn double_buffered_transfers_overlap_compute() {
         let idcs = iota(256);
-        let mut p = StreamProgram::new("db", FpFormat::Fp16);
+        let mut p = StreamProgram::new(FpFormat::Fp16);
         p.push(Phase::Dma(DmaPhase::contiguous(DmaDirection::In, 1 << 14, false)));
         for _ in 0..4 {
             p.push(Phase::Dma(DmaPhase::contiguous(DmaDirection::In, 1 << 14, true)));
@@ -248,7 +248,7 @@ mod tests {
     #[test]
     fn epilogue_writeback_waits_for_compute() {
         let idcs = iota(512);
-        let mut p = StreamProgram::new("ep", FpFormat::Fp16);
+        let mut p = StreamProgram::new(FpFormat::Fp16);
         p.push(Phase::Compute(ComputePhase {
             code: &[],
             items: (0..8).map(|_| stream_item(&idcs)).collect(),
@@ -264,7 +264,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "symbolic programs")]
     fn symbolic_program_is_rejected() {
-        let mut p = StreamProgram::new("sym", FpFormat::Fp16);
+        let mut p = StreamProgram::new(FpFormat::Fp16);
         p.push(Phase::Compute(ComputePhase {
             code: &[],
             items: vec![WorkItem::new(vec![KernelOp::alu().times(0.5)])],

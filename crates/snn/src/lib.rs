@@ -37,5 +37,5 @@ pub use neuron::{IzhiParams, LifParams, NeuronModel, NeuronState};
 pub use reference::ReferenceEngine;
 pub use tensor::{ActiveBits, ActiveChannels, SpikeMap, Tensor3, TensorShape};
 pub use workload::{
-    FiringProfile, SpikeWorkload, TemporalSparsityModel, WorkloadGenerator, WorkloadMode,
+    temporal_step_factor, FiringProfile, SpikeWorkload, WorkloadGenerator, WorkloadMode,
 };

@@ -68,37 +68,21 @@ impl Default for WorkloadMode {
     }
 }
 
-/// Expected per-timestep firing-rate modulation of a temporal run.
+/// Residual charge fraction per step of a temporal run: the default LIF
+/// decay (`alpha = 0.5`).
+const WARMUP: f64 = 0.5;
+
+/// Expected activity factor of timestep `step` of a temporal run, in
+/// `[0, 1]`: `1 - 0.5^(step+1)`.
 ///
 /// Starting from resting membranes, the network's activity ramps up over
-/// the first timesteps as the LIF potentials charge toward threshold; the
-/// steady state matches the calibrated profile rate. The analytic backend
-/// integrates per-step programs from these expected rates, mirroring the
-/// emergent per-step sparsity the cycle-level backend measures.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TemporalSparsityModel {
-    /// Residual charge fraction per step (the LIF decay constant); the
-    /// step-`t` activity factor is `1 - warmup^(t+1)`.
-    pub warmup: f64,
-}
-
-impl TemporalSparsityModel {
-    /// Model matching the default LIF decay (`alpha = 0.5`).
-    pub fn calibrated() -> Self {
-        TemporalSparsityModel { warmup: 0.5 }
-    }
-
-    /// Activity factor of timestep `step` in `[0, 1]`: `1 - warmup^(t+1)`,
-    /// so step 0 under-fires and the factor converges to 1.
-    pub fn step_factor(&self, step: usize) -> f64 {
-        (1.0 - self.warmup.clamp(0.0, 1.0).powi(step as i32 + 1)).clamp(0.0, 1.0)
-    }
-}
-
-impl Default for TemporalSparsityModel {
-    fn default() -> Self {
-        Self::calibrated()
-    }
+/// the first timesteps as the LIF potentials charge toward threshold, so
+/// step 0 under-fires and the factor converges to 1, where the calibrated
+/// profile rate holds. The analytic backend integrates per-step programs
+/// from the profile rate times this factor, mirroring the emergent
+/// per-step sparsity the cycle-level backend measures.
+pub fn temporal_step_factor(step: usize) -> f64 {
+    (1.0 - WARMUP.powi(step as i32 + 1)).clamp(0.0, 1.0)
 }
 
 /// Per-layer input firing rates.
@@ -429,12 +413,11 @@ mod tests {
 
     #[test]
     fn temporal_sparsity_ramps_toward_the_profile_rate() {
-        let m = TemporalSparsityModel::calibrated();
-        assert!((m.step_factor(0) - 0.5).abs() < 1e-12);
-        assert!(m.step_factor(1) > m.step_factor(0));
-        assert!(m.step_factor(20) > 0.999);
+        assert!((temporal_step_factor(0) - 0.5).abs() < 1e-12);
+        assert!(temporal_step_factor(1) > temporal_step_factor(0));
+        assert!(temporal_step_factor(20) > 0.999);
         for t in 0..8 {
-            let f = m.step_factor(t);
+            let f = temporal_step_factor(t);
             assert!((0.0..=1.0).contains(&f));
         }
     }

@@ -111,7 +111,7 @@ fn hand_built_ops() -> Vec<KernelOp<'static>> {
 }
 
 fn hand_built_program(instances: &[f64]) -> StreamProgram<'static> {
-    let mut program = StreamProgram::new("hand-built", FpFormat::Fp16);
+    let mut program = StreamProgram::new(FpFormat::Fp16);
     program.push(Phase::Compute(ComputePhase {
         code: &[CodeRegion { id: 0x77, bytes: 512 }],
         items: instances.iter().map(|&n| WorkItem::replicated(n, hand_built_ops())).collect(),
@@ -344,7 +344,7 @@ fn exact_programs_are_untouched_by_folding() {
     }
     let input = CompressedIfmap::from_spike_map(&map);
     let mut state = NeuronState::lif(spec.conv_output().len());
-    let mut program = StreamProgram::new(&layer.name, FpFormat::Fp16);
+    let mut program = StreamProgram::new(FpFormat::Fp16);
     LayerExecutor::new(KernelVariant::SpikeStream, FpFormat::Fp16).lower_conv(
         &ClusterConfig::default(),
         &layer,

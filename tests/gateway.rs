@@ -294,6 +294,51 @@ fn a_published_plan_serves_the_engine_network() {
     assert!(std::ptr::eq(published.plan.network(), engine.network()), "weights are shared");
 }
 
+#[test]
+fn the_tenant_table_reads_each_tenants_current_generation() {
+    let tiny = scenario("tiny.toml");
+    let gateway = paced_gateway(8);
+    let publish = |name| gateway.publish(name, tiny.compile().expect("compiles"));
+    assert_eq!([publish("a"), publish("b")], [Ok(1), Ok(1)]);
+    let old = gateway.registry().get("a").expect("published");
+    assert_eq!(publish("a"), Ok(2));
+    let registry = gateway.registry();
+    assert_eq!(registry.get("a").map(|generation| generation.version), Some(2));
+    assert!(registry.get("c").is_none());
+    let versions: Vec<u64> = gateway.stats().tenants.iter().map(|t| t.version).collect();
+    assert_eq!(versions, [2, 1]);
+    // The swapped-out generation still serves through its own `Arc`, as an
+    // in-flight batch does.
+    assert_eq!(old.version, 1);
+    assert!(old.plan.open_session().infer(&Request::batch(2)).total_cycles() > 0.0);
+}
+
+#[test]
+fn session_counters_are_current_once_every_response_is_delivered() {
+    let gateway = tiny_gateway(8, 16);
+    // One paused-then-resumed burst of single-sample requests, coalesced
+    // into one batch; read once every response is in the client's hands.
+    let burst = |size: usize| {
+        gateway.pause("tiny").expect("pause");
+        let handles = (0..size).map(|k| gateway.submit("tiny", &[k % 6]).expect("submit"));
+        let handles = handles.collect();
+        gateway.resume("tiny").expect("resume");
+        wait_all("a burst", handles);
+        let stats = gateway.stats();
+        let tenant = &stats.tenants[0];
+        (tenant.version, tenant.serving_version, tenant.session.runs)
+    };
+    let mut served = 0;
+    for i in 0..50 {
+        let size = 1 + i % 7;
+        served += size as u64;
+        assert_eq!(burst(size), (1, 1, served), "burst {i}: counters as of its batch");
+    }
+    let republished = gateway.publish("tiny", scenario("tiny.toml").compile().expect("compiles"));
+    assert_eq!(republished, Ok(2));
+    assert_eq!(burst(5), (2, 2, 5), "a hot swap opens a fresh session");
+}
+
 /// Tracks how many samples have *started* evaluating, so the driver can
 /// publish a new plan while a batch is provably in flight.
 #[derive(Debug, Default)]

@@ -99,7 +99,7 @@ impl Case {
 
     /// The exact program the case emits, collected.
     fn program(&self) -> StreamProgram<'_> {
-        let mut program = StreamProgram::new(self.label, self.executor.format());
+        let mut program = StreamProgram::new(self.executor.format());
         self.lower(&mut program);
         program
     }
@@ -312,7 +312,7 @@ fn empty_streams_integrate_exactly_like_they_interpret() {
     use snitch_arch::isa::FpOp;
     use snitch_arch::SsrId;
     use spikestream_ir::{ComputePhase, IndexStream, Ssrs, StreamSpec, WorkItem};
-    let mut program = StreamProgram::new("empty-stream", FpFormat::Fp16);
+    let mut program = StreamProgram::new(FpFormat::Fp16);
     program.push(Phase::Compute(ComputePhase {
         code: &[],
         items: vec![WorkItem::new(vec![

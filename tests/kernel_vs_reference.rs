@@ -67,7 +67,7 @@ fn lower(
 ) -> (SpikeMap, NeuronState) {
     let executor = LayerExecutor::new(variant, format);
     let (config, weights) = (ClusterConfig::default(), layer.quantize_weights(format));
-    let (buffer, sink) = (&mut OpBuffer::new(), &mut StreamProgram::new(&layer.name, format));
+    let (buffer, sink) = (&mut OpBuffer::new(), &mut StreamProgram::new(format));
     let (output, state) = match (&layer.kind, input) {
         (LayerKind::Conv(spec), Input::Conv(input)) => {
             let mut state = NeuronState::lif(spec.conv_output().len());

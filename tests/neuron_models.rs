@@ -163,7 +163,7 @@ proptest! {
                 0,
                 LayerInput::Image(&encoded),
                 &mut scratch,
-                &mut StreamProgram::new(&layers[0].name, FpFormat::Fp32),
+                &mut StreamProgram::new(FpFormat::Fp32),
             );
             let padded = pad_spikes(&out1, spec2.padding);
             let (exec2, out2) = executor.lower_temporal_step(
@@ -172,7 +172,7 @@ proptest! {
                 1,
                 LayerInput::Spikes(&padded),
                 &mut scratch,
-                &mut StreamProgram::new(&layers[1].name, FpFormat::Fp32),
+                &mut StreamProgram::new(FpFormat::Fp32),
             );
             let (exec3, out3) = executor.lower_temporal_step(
                 &config,
@@ -180,7 +180,7 @@ proptest! {
                 2,
                 LayerInput::Spikes(&out2),
                 &mut scratch,
-                &mut StreamProgram::new(&layers[2].name, FpFormat::Fp32),
+                &mut StreamProgram::new(FpFormat::Fp32),
             );
 
             let label =
@@ -231,7 +231,7 @@ proptest! {
         let input =
             CompressedIfmap::from_spike_map(&random_spikes(spec.padded_input(), 0.3, 1, seed ^ 1));
         let mut state = NeuronState::new(&model, spec.conv_output().len());
-        let mut program = StreamProgram::new(&layer.name, format);
+        let mut program = StreamProgram::new(format);
         LayerExecutor::new(variant, format).lower_conv(&ClusterConfig::default(), &layer, &layer.quantize_weights(format), &input, &mut state, &mut OpBuffer::new(), &mut program);
         let (stats, cost) = both_consumers(&program);
         let label = format!("conv/{}/{variant}/{format:?}/seed {seed}", model.as_str());
@@ -250,7 +250,7 @@ proptest! {
         let spikes: Vec<bool> = (0..spec.in_features).map(|_| rng.gen_bool(0.3)).collect();
         let input = CompressedFcInput::from_spikes(&spikes);
         let mut state = NeuronState::new(&model, spec.out_features);
-        let mut program = StreamProgram::new(&layer.name, format);
+        let mut program = StreamProgram::new(format);
         LayerExecutor::new(variant, format).lower_fc(&ClusterConfig::default(), &layer, &layer.quantize_weights(format), &input, &mut state, &mut OpBuffer::new(), &mut program);
         let (stats, cost) = both_consumers(&program);
         let label = format!("fc/{}/{variant}/{format:?}/seed {seed}", model.as_str());
@@ -280,7 +280,7 @@ fn izhikevich_programs_carry_the_two_variable_costs() {
         let kernel = LayerExecutor::new(variant, FpFormat::Fp16);
 
         let mut lif_state = NeuronState::lif(spec.conv_output().len());
-        let mut lif_program = StreamProgram::new(&lif_layer.name, FpFormat::Fp16);
+        let mut lif_program = StreamProgram::new(FpFormat::Fp16);
         kernel.lower_conv(
             &ClusterConfig::default(),
             &lif_layer,
@@ -294,7 +294,7 @@ fn izhikevich_programs_carry_the_two_variable_costs() {
 
         let izhi_model = izhi_layer.neuron;
         let mut izhi_state = NeuronState::new(&izhi_model, spec.conv_output().len());
-        let mut izhi_program = StreamProgram::new(&izhi_layer.name, FpFormat::Fp16);
+        let mut izhi_program = StreamProgram::new(FpFormat::Fp16);
         kernel.lower_conv(
             &ClusterConfig::default(),
             &izhi_layer,
@@ -433,7 +433,7 @@ fn the_izhikevich_regime_produces_spikes_and_recovery_motion() {
             0,
             LayerInput::Image(&image),
             &mut scratch,
-            &mut StreamProgram::new(&net.layers()[0].name, FpFormat::Fp32),
+            &mut StreamProgram::new(FpFormat::Fp32),
         );
         fired += exec.output_spikes;
     }

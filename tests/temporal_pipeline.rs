@@ -130,7 +130,7 @@ fn temporal_chain_matches_the_reference_engine_at_every_step() {
             0,
             LayerInput::Image(&encoded),
             &mut scratch,
-            &mut StreamProgram::new(&layers[0].name, FpFormat::Fp32),
+            &mut StreamProgram::new(FpFormat::Fp32),
         );
         let padded = pad_spikes(&out1, spec2.padding);
         let (exec2, out2) = executor.lower_temporal_step(
@@ -139,7 +139,7 @@ fn temporal_chain_matches_the_reference_engine_at_every_step() {
             1,
             LayerInput::Spikes(&padded),
             &mut scratch,
-            &mut StreamProgram::new(&layers[1].name, FpFormat::Fp32),
+            &mut StreamProgram::new(FpFormat::Fp32),
         );
         let (exec3, out3) = executor.lower_temporal_step(
             &config,
@@ -147,7 +147,7 @@ fn temporal_chain_matches_the_reference_engine_at_every_step() {
             2,
             LayerInput::Spikes(&out2),
             &mut scratch,
-            &mut StreamProgram::new(&layers[2].name, FpFormat::Fp32),
+            &mut StreamProgram::new(FpFormat::Fp32),
         );
 
         assert_eq!(out1, ref_out1, "step {step}: conv1 output spikes");
@@ -210,7 +210,7 @@ fn membrane_state_resets_between_samples() {
         0,
         LayerInput::Image(&image),
         &mut scratch,
-        &mut StreamProgram::new(&net.layers()[0].name, FpFormat::Fp16),
+        &mut StreamProgram::new(FpFormat::Fp16),
     );
     assert!(scratch.membrane(0).membrane().iter().any(|&v| v != 0.0), "the step charged membranes");
     scratch.begin_sample(&net);
@@ -308,7 +308,7 @@ fn per_timestep_programs_integrate_to_their_interpreted_totals() {
         let mut state = NeuronState::lif(spec.conv_output().len());
         let mut step_input = CompressedIfmap::from_spike_map(&input);
         for step in 0..3 {
-            let mut program = StreamProgram::new(&layer.name, FpFormat::Fp16);
+            let mut program = StreamProgram::new(FpFormat::Fp16);
             let output = kernel.lower_conv(
                 &ClusterConfig::default(),
                 &layer,
