@@ -68,3 +68,42 @@ impl std::fmt::Debug for PlanRegistry {
         f.debug_set().entries(self.lock().keys()).finish()
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use crate::{Gateway, GatewayConfig};
+    use spikestream::{Engine, FpFormat, InferenceConfig, KernelVariant, Plan};
+
+    fn plan() -> Plan {
+        Engine::svgg11(1).compile(&InferenceConfig {
+            batch: 2,
+            ..InferenceConfig::paper(KernelVariant::SpikeStream, FpFormat::Fp16)
+        })
+    }
+
+    #[test]
+    fn versions_are_monotonic_per_tenant() {
+        let gateway = Gateway::new(GatewayConfig::default());
+        assert_eq!(gateway.publish("a", plan()), Ok(1));
+        assert_eq!(gateway.publish("b", plan()), Ok(1));
+        assert_eq!(gateway.publish("a", plan()), Ok(2));
+        let registry = gateway.registry();
+        let version = |name| registry.get(name).map(|generation| generation.version);
+        assert_eq!((version("a"), version("b"), version("c")), (Some(2), Some(1), None));
+        assert_eq!(format!("{registry:?}"), r#"{"a", "b"}"#);
+    }
+
+    #[test]
+    fn old_generations_survive_a_hot_swap() {
+        let gateway = Gateway::new(GatewayConfig::default());
+        gateway.publish("a", plan()).expect("publish");
+        let old = gateway.registry().get("a").expect("published");
+        gateway.publish("a", plan()).expect("republish");
+        // The swapped-out generation is still fully usable through the
+        // retained Arc — in-flight batches finish on it.
+        assert_eq!(old.version, 1);
+        let report = old.plan.open_session().infer(&spikestream::Request::batch(2));
+        assert!(report.total_cycles() > 0.0);
+        assert_eq!(gateway.registry().get("a").expect("published").version, 2);
+    }
+}
